@@ -21,7 +21,7 @@ from heatlab.experiments import blowup_sweep
 def show(manifold, t_list, label):
     controls = SolveControls(n_cells=512, step_tol=1e-6)
     reports, summary = blowup_sweep(manifold, 1.0, t_list,
-                                    (2.0, 3.0, 4.0, 5.0), controls, threads=3)
+                                    (2.0, 3.0, 4.0, 5.0), controls)
     print(f"\n{label}")
     for rep in reports:
         t = rep.fitted["t"]

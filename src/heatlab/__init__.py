@@ -21,14 +21,14 @@ from .grid import Grid, build_grid, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, RadialSolution,
                      SemigroupResult, SolveControls, advance_states, evolve,
-                     exhaustion_ladder, heat_semigroup, overflow_safe_radius,
-                     project_datum, semigroup_check)
+                     exhaustion_ladder, exhaustion_levels, exhaustion_radii,
+                     heat_semigroup, overflow_safe_radius, project_datum,
+                     semigroup_check)
 from .functionals import (ExtrapolationResult, FluxProfile, TVSeries,
                           extrapolate_limit, face_variation_terms,
-                          flux_profile, l1_mu_distance, total_variation,
-                          weighted_inner, weighted_l1_norm, weighted_mass)
-from .experiments import (ComparisonData, ExperimentReport, blowup_probe,
-                          blowup_sweep, comparison_check, completeness_probe,
+                          flux_profile, total_variation, weighted_sum)
+from .experiments import (ExperimentReport, blowup_probe, blowup_sweep,
+                          comparison_check, completeness_probe,
                           degiorgi_sweep, tail_probe)
 
 __all__ = [
@@ -42,11 +42,11 @@ __all__ = [
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
     "EXHAUSTION_SLACK", "ExhaustionProbe", "RadialSolution",
     "SemigroupResult", "SolveControls", "advance_states", "evolve",
-    "exhaustion_ladder", "heat_semigroup", "overflow_safe_radius",
-    "project_datum", "semigroup_check",
+    "exhaustion_ladder", "exhaustion_levels", "exhaustion_radii",
+    "heat_semigroup", "overflow_safe_radius", "project_datum",
+    "semigroup_check",
     "ExtrapolationResult", "FluxProfile", "TVSeries", "extrapolate_limit",
-    "face_variation_terms", "flux_profile", "l1_mu_distance",
-    "total_variation", "weighted_inner", "weighted_l1_norm", "weighted_mass",
-    "ComparisonData", "ExperimentReport", "blowup_probe", "blowup_sweep",
+    "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
+    "ExperimentReport", "blowup_probe", "blowup_sweep",
     "comparison_check", "completeness_probe", "degiorgi_sweep", "tail_probe",
 ]

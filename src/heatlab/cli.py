@@ -3,7 +3,7 @@
 ``heatlab <experiment> --config cfg.json --out dir`` runs one experiment and
 writes ``report.json`` (byte-stable for a fixed config and seed: floats
 rendered with %.12g, keys sorted), one CSV per data series, and a
-``timing.json`` sidecar holding wall-clock times.  Exit codes: 0 when the
+``timing.json`` sidecar holding the run's measured wall time.  Exit codes: 0 when the
 experiment ran to a verdict (refutes included), 2 for invalid configs or
 arguments, 3 for numerical failures, overflow aborts, or a failed
 validation suite.
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -32,9 +33,9 @@ from .experiments import (blowup_sweep, comparison_check, completeness_probe,
 from .geometry import (ball_indicator, complement_indicator, constant_one,
                        custom_manifold, euclidean, piecewise,
                        power_exp_weight, warped_cone)
-from .grid import build_grid, subgrid
+from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
-from .solver import (SolveControls, advance_states, exhaustion_ladder,
+from .solver import (SolveControls, advance_states, exhaustion_levels,
                      project_datum, semigroup_check)
 
 EXPERIMENTS = ("degiorgi", "completeness", "blowup", "comparison", "tail",
@@ -146,6 +147,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# manifold keys that only one family reads; any other family rejects them
+_FAMILY_ONLY_KEYS = {"params": "power_exp", "radii": "custom",
+                     "log_areas": "custom"}
+
 _REQUIRED_BY_EXPERIMENT = {
     "degiorgi": ("t_list",),
     "completeness": ("t",),
@@ -195,6 +200,13 @@ class RunConfig:
         if missing:
             raise InvalidArgumentError(
                 f"experiment {cfg['experiment']} requires keys: {', '.join(missing)}")
+        # read the raw config: the schema has filled in a default params
+        family = cfg["manifold"]["family"]
+        ignored = [k for k, only in _FAMILY_ONLY_KEYS.items()
+                   if k in raw.get("manifold", {}) and family != only]
+        if ignored:
+            raise InvalidArgumentError(
+                f"manifold family {family} does not read: {', '.join(ignored)}")
         return cls(experiment=cfg["experiment"], resolved=cfg)
 
 
@@ -220,7 +232,7 @@ def _manifold_from(cfg: dict):
         return warped_cone(cfg["dimension"])
     if "radii" not in cfg or "log_areas" not in cfg:
         raise InvalidArgumentError("custom manifold needs radii and log_areas")
-    return custom_manifold(cfg["radii"], cfg["log_areas"])
+    return custom_manifold(cfg["radii"], cfg["log_areas"], cfg["dimension"])
 
 
 def _datum_from(cfg: dict):
@@ -337,7 +349,6 @@ def _aggregate_blowup(reports, summary, ts) -> dict:
         "verdict": verdict,
         "finding": finding,
         "evidence": {"findings": findings},
-        "runtime": {"wall_s": sum(r.runtime["wall_s"] for r in reports)},
     }
 
 
@@ -363,8 +374,8 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     for _ in range(100):
         u = rng.standard_normal(g.N)
         v = rng.standard_normal(g.N)
-        a = functionals.weighted_inner(g, sym_op.apply(u), v)
-        b = functionals.weighted_inner(g, u, sym_op.apply(v))
+        a = functionals.weighted_sum(g, sym_op.apply(u), v)
+        b = functionals.weighted_sum(g, u, sym_op.apply(v))
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
     add("operator_symmetry_rel", worst, 1e-12)
 
@@ -380,21 +391,8 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     advance_states(op, u0, 0.0, 0.01, controls, observer=track)
     add("max_principle_defect", max(0.0, -bounds[0], bounds[1] - 1.0), 1e-12)
 
-    ladder, level_indices = exhaustion_ladder(weighted, ball_indicator(1.0),
-                                              0.05, controls)
-    full0 = project_datum(ball_indicator(1.0), ladder).values
-    levels = []
-    steps: list = []
-    for idx in level_indices[:2]:
-        gk = subgrid(ladder, idx)
-        op_k = assemble(gk, weighted, DIRICHLET)
-        if steps:
-            uk = advance_states(op_k, full0[:gk.N], 0.0, 0.05, controls,
-                                replay_steps=steps)
-        else:
-            uk = advance_states(op_k, full0[:gk.N], 0.0, 0.05, controls,
-                                record_steps=steps)
-        levels.append(uk)
+    levels = [u for _, u in itertools.islice(
+        exhaustion_levels(weighted, ball_indicator(1.0), 0.05, controls), 2)]
     defect = max(0.0, float(np.max(levels[0] - levels[1][:levels[0].size])))
     add("exhaustion_monotone", defect, 1e-10)
 
@@ -418,9 +416,9 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
 
     op_n = assemble(g, weighted, NEUMANN)
     u0 = rng.random(g.N) + 0.5
-    mass0 = functionals.weighted_mass(g, u0)
+    mass0 = functionals.weighted_sum(g, u0)
     u_t = advance_states(op_n, u0, 0.0, 0.1, controls)
-    drift = abs(functionals.weighted_mass(g, u_t) - mass0) / (0.1 * mass0)
+    drift = abs(functionals.weighted_sum(g, u_t) - mass0) / (0.1 * mass0)
     add("neumann_mass_drift_per_time", drift, 1e-12)
 
     ball0 = project_datum(ball_indicator(1.0), g).values
@@ -449,13 +447,11 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
             "ok": ok}
 
 
-def _execute(rc: RunConfig, threads: int):
+def _execute(rc: RunConfig):
     cfg = rc.resolved
     tol = cfg["tolerances"]
     if rc.experiment == "validate":
-        started = time.perf_counter()
         report = validate(cfg["seed"], cfg["inject_asymmetry"])
-        report["runtime"] = {"wall_s": time.perf_counter() - started}
         return report, {"validate.csv": report["properties"]}
 
     manifold = _manifold_from(cfg["manifold"])
@@ -472,7 +468,7 @@ def _execute(rc: RunConfig, threads: int):
     if rc.experiment == "blowup":
         reports, summary = blowup_sweep(
             manifold, cfg["r0"], cfg["t_list"], cfg["R_list"], controls,
-            threads=threads, slope_threshold=tol["slope_threshold"],
+            slope_threshold=tol["slope_threshold"],
             q_threshold=tol["q_threshold"],
             stabilize_rtol=tol["stabilize_rtol"])
         agg = _aggregate_blowup(reports, summary, cfg["t_list"])
@@ -501,7 +497,11 @@ def _write_error(out_dir: str, exc: Exception, exit_code: int):
 
 def run(config_path: str, out_dir: str, experiment: str | None = None,
         threads: int | None = None, seed: int | None = None) -> int:
-    """Execute one config end to end; returns the process exit code."""
+    """Execute one config end to end; returns the process exit code.
+
+    ``threads`` is accepted for compatibility and has no effect: every run
+    is single-threaded.
+    """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -515,22 +515,13 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
                 f"command line names {experiment} but config names {rc.experiment}")
         if seed is not None:
             rc = RunConfig(rc.experiment, {**rc.resolved, "seed": int(seed)})
-        if threads is None:
-            threads = rc.resolved["threads"]
-        if threads is None:
-            raw = os.environ.get("HEATLAB_THREADS", "1")
-            try:
-                threads = int(raw)
-            except ValueError:
-                raise InvalidArgumentError(
-                    f"HEATLAB_THREADS must be an integer, got {raw!r}") from None
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
         return 2
 
     started = time.perf_counter()
     try:
-        report, csv_rows = _execute(rc, max(1, int(threads)))
+        report, csv_rows = _execute(rc)
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
         return 2
@@ -538,8 +529,7 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         _write_error(out_dir, exc, 3)
         return 3
 
-    runtime = report.pop("runtime", {})
-    runtime["total_wall_s"] = time.perf_counter() - started
+    runtime = {"total_wall_s": time.perf_counter() - started}
     report.update(_report_base(rc))
     report["files"] = sorted(csv_rows)
 
@@ -575,7 +565,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default HEATLAB_THREADS or 1)")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
     args = parser.parse_args(argv)

@@ -12,8 +12,6 @@ produced it.
 from __future__ import annotations
 
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,7 +25,8 @@ from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
 from .solver import (RadialSolution, SolveControls, advance_states,
-                     heat_semigroup, overflow_safe_radius, project_datum)
+                     exhaustion_radii, heat_semigroup, overflow_safe_radius,
+                     project_datum)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -44,25 +43,6 @@ class ExperimentReport:
     verdict: str
     finding: str
     evidence: dict
-    runtime: dict
-
-
-@dataclass(frozen=True)
-class ComparisonData:
-    """Nodes of the comparison certificate at one (t, R).
-
-    ``v`` is the time integral of the truncated evolution of the constant
-    profile, accumulated by trapezoid rule along the accepted steps; ``w`` is
-    the radial barrier integral of (1 - exp(-s^4))/s^3 from r to R; ``lap_w``
-    is its exact weighted Laplacian -4 + (1 - exp(-r^4))/r^4.
-    """
-
-    t: float
-    R: float
-    radii: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    lap_w: np.ndarray
 
 
 def _echo_controls(c: SolveControls) -> dict:
@@ -98,7 +78,6 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     variation of the datum; confirmation requires the relative gap to stay
     within ``gap_rtol``.  A low-confidence extrapolation never confirms.
     """
-    started = time.perf_counter()
     if not math.isfinite(datum.support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
     ts = _require_decreasing(t_list, "t_list")
@@ -148,8 +127,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         controls=_echo_controls(controls), series={"degiorgi": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"points": [list(p) for p in series.points],
-                  "exhaustion_ok": exhaustion_ok},
-        runtime={"wall_s": time.perf_counter() - started})
+                  "exhaustion_ok": exhaustion_ok})
 
 
 def completeness_probe(manifold: RadialManifold, t: float,
@@ -163,20 +141,12 @@ def completeness_probe(manifold: RadialManifold, t: float,
     incomplete when it sits below 1 - 10*eps_c with a stable exhaustion
     tail; anything in between is inconclusive.
     """
-    started = time.perf_counter()
     if not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     c = controls
     if c.exhaustion is None:
-        safe = overflow_safe_radius(manifold)
-        step = max(1.0, 4.0 * math.sqrt(t))
-        radii = []
-        for k in range(1, max(c.max_exhaustion, 3) + 1):
-            r = min(k * step, 0.999 * safe)
-            if radii and r <= radii[-1] * (1 + 1e-12):
-                break
-            radii.append(r)
-        c = c.replace(exhaustion=tuple(radii))
+        c = c.replace(exhaustion=exhaustion_radii(
+            0.0, t, overflow_safe_radius(manifold), max(c.max_exhaustion, 3)))
     res = heat_semigroup(manifold, constant_one(), t, c)
     rows = [{"R": p.R, "m_at_0": p.value_at_zero} for p in res.probes]
 
@@ -202,7 +172,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
         experiment="completeness", manifold=manifold.describe(),
         controls=_echo_controls(c), series={"completeness": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows}, runtime={"wall_s": time.perf_counter() - started})
+        evidence={"rows": rows})
 
 
 def _complement_state(manifold: RadialManifold, r0: float, t: float,
@@ -225,13 +195,6 @@ def _complement_state(manifold: RadialManifold, r0: float, t: float,
     return g, states[:, 0], states[:, 1]
 
 
-def _flux_at(g, m, values, t, r) -> float:
-    prof = functionals.flux_profile(
-        RadialSolution(grid=g, t=t, values=values), g, m)
-    j = int(np.argmin(np.abs(prof.radii - r)))
-    return float(prof.q[j])
-
-
 def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
                  controls: SolveControls,
                  slope_threshold: float | None = None,
@@ -249,7 +212,6 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     matched flat-space run leaves at the same radius (its noise floor);
     convergence requires the TV tail to stabilize instead.
     """
-    started = time.perf_counter()
     if not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     if not (math.isfinite(r0) and r0 > 0):
@@ -270,11 +232,11 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     g, mass_values, ball_values = _complement_state(manifold, r0, t, R_solve,
                                                     radii[0], controls)
     comp = mass_values - ball_values
-    comp_sol = RadialSolution(grid=g, t=t, values=comp)
     terms = functionals.face_variation_terms(comp, g, manifold)
     face_r = g.faces[1:-1]
 
-    flux_comp = functionals.flux_profile(comp_sol, g, manifold)
+    flux_comp = functionals.flux_profile(
+        RadialSolution(grid=g, t=t, values=comp), g, manifold)
     flux_mass = functionals.flux_profile(
         RadialSolution(grid=g, t=t, values=mass_values), g, manifold)
 
@@ -292,7 +254,7 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     in_window = flux_mass.radii <= r_max + 1e-12
     q_mono_defect = float(np.min(np.diff(flux_mass.q[in_window])))
     mass_flux_monotone = q_mono_defect >= -1e-8
-    q_at_rmax = _flux_at(g, manifold, comp, t, r_max)
+    q_at_rmax = flux_comp.at(r_max)
 
     if noise_floor_q is None:
         if manifold.family == "euclidean":
@@ -301,11 +263,11 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
             flat = euclidean(manifold.dimension)
             gf, mf, bf = _complement_state(flat, r0, t, radii[-1] + margin,
                                            radii[0], controls)
-            noise_floor_q = abs(_flux_at(gf, flat, mf - bf, t, r_max))
+            noise_floor_q = abs(functionals.flux_profile(
+                RadialSolution(grid=gf, t=t, values=mf - bf), gf, flat).at(r_max))
     q_thr = q_threshold if q_threshold is not None else max(10.0 * noise_floor_q,
                                                             1e-12)
-    thresholded = functionals.flux_profile(comp_sol, g, manifold,
-                                           qthreshold=q_thr)
+    thresholded = flux_comp.crossing(q_thr)
 
     xs = np.asarray(r_used)
     ys = tv_values
@@ -332,7 +294,7 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     rows = []
     for r, tv in zip(r_used, tv_values):
         rows.append({"R": r, "TV_R": tv,
-                     "q_at_Rmax": _flux_at(g, manifold, comp, t, r),
+                     "q_at_Rmax": flux_comp.at(r),
                      "r_t": thresholded.r_t, "delta_t": thresholded.delta_t})
     fitted = {"t": t, "slope": slope, "slope_threshold": slope_thr,
               "q_at_Rmax": q_at_rmax, "q_threshold": q_thr,
@@ -346,13 +308,12 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
         experiment="blowup", manifold=manifold.describe(),
         controls=_echo_controls(controls), series={"blowup": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows},
-        runtime={"wall_s": time.perf_counter() - started})
+        evidence={"rows": rows})
 
 
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
-                 controls: SolveControls, threads: int = 1,
-                 **probe_kw) -> tuple[list[ExperimentReport], dict]:
+                 controls: SolveControls, **probe_kw
+                 ) -> tuple[list[ExperimentReport], dict]:
     """Run blowup probes over a time ladder; extrapolate when convergent.
 
     Returns the per-time reports (in t_list order) plus a summary that, when
@@ -361,15 +322,8 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     radius.
     """
     ts = _require_decreasing(t_list, "t_list")
-
-    def one(t):
-        return blowup_probe(manifold, r0, t, R_list, controls, **probe_kw)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(one, ts))
-    else:
-        reports = [one(t) for t in ts]
+    reports = [blowup_probe(manifold, r0, t, R_list, controls, **probe_kw)
+               for t in ts]
 
     summary = {"findings": [r.finding for r in reports]}
     if all(r.finding == "convergent" for r in reports) and len(reports) >= 3:
@@ -393,7 +347,6 @@ def comparison_check(t: float, R: float, controls: SolveControls,
     t * u(t) stays below v.  The barrier integrand (1 - exp(-s^4))/s^3 is
     integrated adaptively; its Laplacian is evaluated in closed form.
     """
-    started = time.perf_counter()
     manifold = power_exp_weight(4, 1, 3)
     if not (0 < t <= 1):
         raise InvalidArgumentError(f"comparison time must lie in (0, 1], got {t}")
@@ -440,8 +393,6 @@ def comparison_check(t: float, R: float, controls: SolveControls,
     else:
         verdict, finding = "refutes", "barrier violated"
 
-    data = ComparisonData(t=t, R=float(g.R), radii=g.centers.copy(),
-                          v=v.copy(), w=w.copy(), lap_w=lap_w.copy())
     rows = tuple({"r": float(r), "v_R": float(vv), "w_R": float(ww),
                   "lap_w": float(lw)}
                  for r, vv, ww, lw in zip(g.centers, v, w, lap_w))
@@ -461,8 +412,7 @@ def comparison_check(t: float, R: float, controls: SolveControls,
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"worst_nodes": {
             "v_minus_w_at": float(g.centers[int(np.argmax(excess_vw))]),
-            "t_u_minus_v_at": float(g.centers[int(np.argmax(excess_tu))])}},
-        runtime={"wall_s": time.perf_counter() - started})
+            "t_u_minus_v_at": float(g.centers[int(np.argmax(excess_tu))])}})
 
 
 def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
@@ -476,7 +426,6 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     is log(tail) = log(C) - c/t by least squares; confirmation requires a
     negative slope in 1/t with R^2 >= 0.95.
     """
-    started = time.perf_counter()
     support = datum.support_radius
     if not math.isfinite(support):
         raise InvalidArgumentError("datum must be compactly supported")
@@ -548,5 +497,4 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         experiment="tail", manifold=manifold.describe(),
         controls=_echo_controls(controls), series={"tail": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows, "included": [rows[i]["t"] for i in admissible]},
-        runtime={"wall_s": time.perf_counter() - started})
+        evidence={"rows": rows, "included": [rows[i]["t"] for i in admissible]})

@@ -10,7 +10,7 @@ because grids are built under a log-area budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,13 +19,8 @@ from .geometry import RadialManifold
 from .grid import Grid
 
 
-def _values_of(s) -> np.ndarray:
-    values = s.values if hasattr(s, "values") else s
-    return np.asarray(values, dtype=float)
-
-
 def _check_grid(s, g: Grid, name: str) -> np.ndarray:
-    values = _values_of(s)
+    values = np.asarray(s.values if hasattr(s, "values") else s, dtype=float)
     if values.ndim != 1 or values.size != g.N:
         raise InvalidArgumentError(f"{name} is not defined on this grid")
     grid = getattr(s, "grid", None)
@@ -34,34 +29,17 @@ def _check_grid(s, g: Grid, name: str) -> np.ndarray:
     return values
 
 
-def weighted_mass(g: Grid, values) -> float:
-    """Integral of the profile against the weighted measure, sum mu_i u_i."""
-    u = _values_of(values)
-    if u.ndim != 1 or u.size != g.N:
-        raise InvalidArgumentError("state length does not match the grid")
-    return math.fsum(np.exp(g.log_cell_measure) * u)
+def weighted_sum(g: Grid, *profiles) -> float:
+    """Compensated sum over cells of mu_i times the product of the profiles.
 
-
-def weighted_l1_norm(g: Grid, values) -> float:
-    u = _values_of(values)
-    if u.ndim != 1 or u.size != g.N:
-        raise InvalidArgumentError("state length does not match the grid")
-    return math.fsum(np.exp(g.log_cell_measure) * np.abs(u))
-
-
-def weighted_inner(g: Grid, u, v) -> float:
-    """Weighted inner product sum mu_i u_i v_i (compensated)."""
-    a, b = _values_of(u), _values_of(v)
-    if a.shape != (g.N,) or b.shape != (g.N,):
-        raise InvalidArgumentError("state length does not match the grid")
-    return math.fsum(np.exp(g.log_cell_measure) * a * b)
-
-
-def l1_mu_distance(a, b, g: Grid, m: RadialManifold | None = None) -> float:
-    """Weighted L1 distance between two solutions on the same grid."""
-    ua = _check_grid(a, g, "first solution")
-    ub = _check_grid(b, g, "second solution")
-    return math.fsum(np.exp(g.log_cell_measure) * np.abs(ua - ub))
+    One profile gives its mass sum mu_i u_i, two their weighted inner
+    product, ``np.abs(u)`` the weighted L1 norm, none the ball volume.  The
+    product is taken left to right, measure first.
+    """
+    acc = np.exp(g.log_cell_measure)
+    for k, p in enumerate(profiles, start=1):
+        acc = acc * _check_grid(p, g, f"profile {k}")
+    return math.fsum(acc)
 
 
 def face_variation_terms(s, g: Grid, m: RadialManifold) -> np.ndarray:
@@ -105,6 +83,18 @@ class FluxProfile:
     r_t: float | None = None
     delta_t: float | None = None
 
+    def at(self, r: float) -> float:
+        """Flux at the interior face nearest to radius r."""
+        return float(self.q[int(np.argmin(np.abs(self.radii - r)))])
+
+    def crossing(self, qthreshold: float) -> "FluxProfile":
+        """The same profile with ``r_t``/``delta_t`` set for ``qthreshold``."""
+        above = np.nonzero(self.q > qthreshold)[0]
+        j = int(above[0]) if above.size else None
+        return replace(self, threshold=qthreshold,
+                       r_t=None if j is None else float(self.radii[j]),
+                       delta_t=None if j is None else float(self.q[j]))
+
 
 def flux_profile(s, g: Grid, m: RadialManifold,
                  qthreshold: float | None = None) -> FluxProfile:
@@ -118,15 +108,9 @@ def flux_profile(s, g: Grid, m: RadialManifold,
     if not np.all(np.isfinite(q)):
         j = int(np.argmax(~np.isfinite(q)))
         raise NumericalFailure(f"flux not finite at face r={g.faces[j + 1]:.6g}")
-    r_t = delta_t = None
-    if qthreshold is not None:
-        above = np.nonzero(q > qthreshold)[0]
-        if above.size:
-            r_t = float(g.faces[above[0] + 1])
-            delta_t = float(q[above[0]])
-    return FluxProfile(t=float(t) if t is not None else math.nan,
-                       radii=g.faces[1:-1].copy(), q=q,
-                       threshold=qthreshold, r_t=r_t, delta_t=delta_t)
+    prof = FluxProfile(t=float(t) if t is not None else math.nan,
+                       radii=g.faces[1:-1].copy(), q=q)
+    return prof if qthreshold is None else prof.crossing(qthreshold)
 
 
 @dataclass(frozen=True)

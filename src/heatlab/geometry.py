@@ -127,6 +127,8 @@ def custom_manifold(radii, log_areas, dimension: int = 3) -> RadialManifold:
     log_areas = np.asarray(log_areas, dtype=float)
     if radii.ndim != 1 or radii.shape != log_areas.shape or radii.size < 4:
         raise InvalidArgumentError("need matching 1-d tables with at least 4 entries")
+    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(log_areas))):
+        raise InvalidArgumentError("table radii and log areas must be finite")
     if radii[0] <= 0 or np.any(np.diff(radii) <= 0):
         raise InvalidArgumentError("table radii must be positive and strictly increasing")
     interp = PchipInterpolator(radii, log_areas, extrapolate=False)

@@ -311,9 +311,25 @@ def _feature_radius(datum: RadialBVDatum) -> float:
     return 0.0
 
 
+def exhaustion_radii(base: float, t: float, safe: float,
+                     levels: int) -> tuple[float, ...]:
+    """Automatic truncation radii: up to ``levels`` steps beyond ``base``.
+
+    Radii advance in increments of max(1, 4*sqrt(t)) and are capped just
+    inside the overflow-safe radius ``safe``; the walk stops at the cap.
+    """
+    step = max(1.0, 4.0 * math.sqrt(t))
+    radii: list[float] = []
+    for k in range(1, levels + 1):
+        r = min(base + k * step, 0.999 * safe)
+        if radii and r <= radii[-1] * (1 + 1e-12):
+            break
+        radii.append(r)
+    return tuple(radii)
+
+
 def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
-                      controls: SolveControls, extra_radius: float = 0.0,
-                      ) -> tuple[Grid, list[int]]:
+                      controls: SolveControls) -> tuple[Grid, list[int]]:
     """One grid covering all requested truncation radii, plus level indices.
 
     Returns the full ladder grid and the face indices realizing each
@@ -324,24 +340,13 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     """
     jumps = datum.jump_radii
     safe = overflow_safe_radius(manifold)
-    if controls.exhaustion is not None:
-        radii = list(controls.exhaustion)
-    else:
-        step = max(1.0, 4.0 * math.sqrt(t))
-        base = _feature_radius(datum)
-        radii = []
-        for k in range(1, controls.max_exhaustion + 1):
-            r = base + k * step
-            if r > safe:
-                r = 0.999 * safe
-            if radii and r <= radii[-1] * (1 + 1e-12):
-                break
-            radii.append(r)
+    radii = controls.exhaustion or exhaustion_radii(
+        _feature_radius(datum), t, safe, controls.max_exhaustion)
     if jumps and radii[0] <= max(jumps):
         raise InvalidArgumentError(
             f"first truncation radius {radii[0]} does not contain the datum "
             f"jumps {jumps}")
-    r_top = max(radii[-1], extra_radius)
+    r_top = radii[-1]
     if r_top > safe:
         raise RangeError(
             f"truncation radius {r_top:.6g} exceeds the overflow-safe radius "
@@ -373,40 +378,43 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     return ladder, indices
 
 
+def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t: float,
+                      controls: SolveControls):
+    """Lazily evolve the datum to time t on each truncation level in turn.
+
+    Yields (grid, values) per level of ``exhaustion_ladder``, smallest ball
+    first.  The first level records its accepted time-step ladder and every
+    later level replays it, so the truncated solutions are comparable cell
+    by cell.  Levels are computed only as the caller asks for them.
+    """
+    ladder, indices = exhaustion_ladder(manifold, datum, t, controls)
+    u0 = project_datum(datum, ladder).values
+    steps: list[float] = []
+    for idx in indices:
+        g = subgrid(ladder, idx)
+        op = assemble(g, manifold, DIRICHLET)
+        walk = {"replay_steps": steps} if steps else {"record_steps": steps}
+        yield g, advance_states(op, u0[:idx], 0.0, t, controls, **walk)
+
+
 def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t: float,
                    controls: SolveControls) -> SemigroupResult:
     """Minimal heat semigroup at time t via Dirichlet-ball exhaustion.
 
     Solves the heat equation on an increasing family of balls with absorbing
-    boundary.  The first level fixes the accepted time-step ladder and every
-    later level replays it, so the truncated solutions are comparable and
-    increase monotonically in the truncation radius; a violation beyond a
-    1e-10 slack is reported as a scheme inconsistency rather than smoothed
-    over.  Returns the largest truncation computed together with the
-    per-radius probe triple (pole value, mass, total variation), so callers
-    can judge how far the exhaustion has converged and extrapolate if they
-    wish.
+    boundary (``exhaustion_levels``).  The truncated solutions increase
+    monotonically in the truncation radius; a violation beyond a 1e-10
+    slack is reported as a scheme inconsistency rather than smoothed over.
+    Returns the largest truncation computed together with the per-radius
+    probe triple (pole value, mass, total variation), so callers can judge
+    how far the exhaustion has converged and extrapolate if they wish.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
-    ladder, indices = exhaustion_ladder(manifold, datum, t, controls)
-    full0 = project_datum(datum, ladder)
-
     probes: list[ExhaustionProbe] = []
     previous_values: np.ndarray | None = None
-    solution: RadialSolution | None = None
     converged = False
-    auto = controls.exhaustion is None
-    step_ladder: list[float] = []
-    for idx in indices:
-        g = subgrid(ladder, idx)
-        op = assemble(g, manifold, DIRICHLET)
-        if step_ladder:
-            values = advance_states(op, full0.values[:idx], 0.0, t, controls,
-                                    replay_steps=step_ladder)
-        else:
-            values = advance_states(op, full0.values[:idx], 0.0, t, controls,
-                                    record_steps=step_ladder)
+    for g, values in exhaustion_levels(manifold, datum, t, controls):
         if previous_values is not None:
             worst = float(np.max(previous_values - values[:previous_values.size]))
             if worst > EXHAUSTION_SLACK:
@@ -415,13 +423,8 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t: float,
                     f"R={probes[-1].R:.6g} and R={g.R:.6g}")
         probe = ExhaustionProbe(
             R=g.R, N=g.N, value_at_zero=float(values[0]),
-            mass=functionals.weighted_mass(g, values),
+            mass=functionals.weighted_sum(g, values),
             total_variation=functionals.total_variation(values, g, manifold))
-        solution = RadialSolution(grid=g, t=float(t), values=values,
-                                  provenance={"R": g.R, "N": g.N,
-                                              "scheme": controls.scheme,
-                                              "dt_policy": controls.dt_policy(),
-                                              "bc": DIRICHLET})
         if probes:
             prev = probes[-1]
             rtol = controls.exhaustion_rtol
@@ -433,8 +436,13 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t: float,
                 <= rtol * max(1.0, abs(probe.total_variation)))
         probes.append(probe)
         previous_values = values
-        if auto and converged:
+        if controls.exhaustion is None and converged:
             break
+    solution = RadialSolution(grid=g, t=float(t), values=values,
+                              provenance={"R": g.R, "N": g.N,
+                                          "scheme": controls.scheme,
+                                          "dt_policy": controls.dt_policy(),
+                                          "bc": DIRICHLET})
     return SemigroupResult(solution=solution, probes=tuple(probes),
                            converged=converged)
 
@@ -456,6 +464,6 @@ def semigroup_check(manifold: RadialManifold, datum: RadialBVDatum,
 
     direct = evolve(op, u0, t1 + t2, controls)
     staged = evolve(op, evolve(op, u0, t2, controls), t1 + t2, controls)
-    gap = functionals.l1_mu_distance(direct, staged, g)
-    norm = functionals.weighted_l1_norm(g, direct.values)
+    gap = functionals.weighted_sum(g, np.abs(direct.values - staged.values))
+    norm = functionals.weighted_sum(g, np.abs(direct.values))
     return gap / max(norm, 1e-300)

@@ -1,11 +1,14 @@
 """Command line contract: exit codes, byte-stable reports, CSV shape."""
 
 import json
+import math
 import os
+import time
 
 import pytest
 
-from heatlab.cli import main, run, validate
+from heatlab import InvalidArgumentError
+from heatlab.cli import RunConfig, main, run, validate
 
 
 def write_config(tmp_path, name, payload):
@@ -189,15 +192,93 @@ def test_validate_cli_exit_codes(tmp_path, capsys):
     assert not report["ok"]
 
 
-def test_threads_resolution_env(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, "d.json", FAST_DEGIORGI)
-    monkeypatch.setenv("HEATLAB_THREADS", "not_a_number")
-    out = tmp_path / "bad"
+FAST_BLOWUP = {
+    "experiment": "blowup",
+    "manifold": {"family": "euclidean"},
+    "r0": 1.0,
+    "t_list": [0.05, 0.025, 0.0125],
+    "R_list": [2.0, 3.0, 4.0],
+    "controls": {"n_cells": 128, "step_tol": 1e-5},
+}
+
+
+def test_threads_have_no_effect(tmp_path):
+    plain = write_config(tmp_path, "plain.json", FAST_BLOWUP)
+    threaded = write_config(tmp_path, "threaded.json",
+                            {**FAST_BLOWUP, "threads": 3})
+    assert run(plain, str(tmp_path / "plain")) == 0
+    assert main(["blowup", "--config", plain, "--out", str(tmp_path / "flag"),
+                 "--threads", "4"]) == 0
+    assert run(threaded, str(tmp_path / "config")) == 0
+    want = (tmp_path / "plain" / "report.json").read_bytes()
+    assert (tmp_path / "flag" / "report.json").read_bytes() == want
+    # the config echo carries the key as written; nothing else may move
+    got = (tmp_path / "config" / "report.json").read_bytes()
+    assert got.replace(b'"threads": 3', b'"threads": null') == want
+    for name in ("blowup_t0.csv", "blowup_t1.csv", "blowup_t2.csv"):
+        want_csv = (tmp_path / "plain" / name).read_bytes()
+        assert (tmp_path / "flag" / name).read_bytes() == want_csv
+        assert (tmp_path / "config" / name).read_bytes() == want_csv
+
+
+def test_timing_is_the_measured_wall_time(tmp_path):
+    cfg = write_config(tmp_path, "b.json", {**FAST_BLOWUP, "threads": 3})
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert run(cfg, str(out)) == 0
+    elapsed = time.perf_counter() - started
+    timing = json.loads((out / "timing.json").read_text())
+    assert timing, "timing.json must hold the run's wall time"
+    for key, value in timing.items():
+        assert 0 < value <= elapsed, f"{key}={value} exceeds the {elapsed} s run"
+
+
+# flat 2-space as a table, A(r) = r; the cell quadrature samples near the pole
+PLANE_RADII = [1e-9 * (8e9 ** (k / 23)) for k in range(24)]
+CUSTOM_PLANE = {
+    "experiment": "completeness",
+    "manifold": {"family": "custom", "dimension": 2, "radii": PLANE_RADII,
+                 "log_areas": [math.log(r) for r in PLANE_RADII]},
+    "t": 0.05,
+    "controls": {"n_cells": 64, "step_tol": 1e-4, "exhaustion": [2.0, 3.0, 4.0]},
+}
+
+
+def test_custom_manifold_keeps_its_dimension(tmp_path):
+    cfg = write_config(tmp_path, "c.json", CUSTOM_PLANE)
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["manifold"]["dimension"] == 2
+    assert report["config"]["manifold"]["dimension"] == 2
+
+
+def test_non_finite_custom_table_is_exit_2(tmp_path):
+    bad = json.loads(json.dumps(CUSTOM_PLANE))
+    bad["manifold"]["log_areas"][2] = math.nan  # json writes NaN, json reads it
+    cfg = write_config(tmp_path, "c.json", bad)
+    out = tmp_path / "out"
     assert run(cfg, str(out)) == 2
     err = json.loads((out / "error.json").read_text())
-    assert "HEATLAB_THREADS" in err["message"]
-    monkeypatch.setenv("HEATLAB_THREADS", "2")
-    assert run(cfg, str(tmp_path / "ok")) == 0
+    assert err["error"] == "InvalidArgumentError"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("manifold", [
+    {"family": "euclidean", "params": {"power": 4}},
+    {"family": "warped_cone", "params": {}},
+    {"family": "custom", "params": {"sign": 1},
+     "radii": [1.0, 2.0, 3.0, 4.0], "log_areas": [0.0, 0.0, 0.0, 0.0]},
+    {"family": "power_exp", "radii": [1.0, 2.0, 3.0, 4.0]},
+    {"family": "euclidean", "log_areas": [0.0, 0.0, 0.0, 0.0]},
+])
+def test_manifold_keys_the_family_ignores_are_rejected(tmp_path, manifold):
+    payload = {**FAST_DEGIORGI, "manifold": manifold}
+    with pytest.raises(InvalidArgumentError, match="does not read"):
+        RunConfig.from_dict(payload)
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "m.json", payload), str(out)) == 2
+    assert json.loads((out / "error.json").read_text())["exit_code"] == 2
 
 
 def test_main_entry_point(tmp_path):

@@ -27,7 +27,6 @@ def check_report_shape(rep, experiment):
     assert rep.experiment == experiment
     assert rep.verdict in VERDICTS, f"verdict {rep.verdict!r} not in {VERDICTS}"
     assert rep.finding
-    assert rep.runtime["wall_s"] >= 0.0
     assert "n_cells" in rep.controls and "scheme" in rep.controls
     assert "family" in rep.manifold
 
@@ -117,20 +116,13 @@ def test_blowup_validation(pe4, fast_controls):
         blowup_probe(pe4, 1.0, 0.1, (2.0, 6.0), fast_controls)
 
 
-def test_blowup_sweep_threads_agree(euclid3):
+def test_blowup_sweep_flat_space_limit(euclid3):
     controls = SolveControls(n_cells=192, step_tol=1e-6)
-    seq, sum1 = blowup_sweep(euclid3, 1.0, (0.05, 0.025, 0.0125), (2.0, 3.0, 4.0),
-                             controls, threads=1)
-    par, sum2 = blowup_sweep(euclid3, 1.0, (0.05, 0.025, 0.0125), (2.0, 3.0, 4.0),
-                             controls, threads=3)
-    assert [r.verdict for r in seq] == [r.verdict for r in par] == ["refutes"] * 3
-    for a, b in zip(seq, par):
-        ta = [row["TV_R"] for row in a.series["blowup"]]
-        tb = [row["TV_R"] for row in b.series["blowup"]]
-        assert ta == tb, "threaded sweep must reproduce sequential numbers exactly"
-    assert sum1["tv_small_time_limit"] == sum2["tv_small_time_limit"]
+    reports, summary = blowup_sweep(euclid3, 1.0, (0.05, 0.025, 0.0125),
+                                    (2.0, 3.0, 4.0), controls)
+    assert [r.verdict for r in reports] == ["refutes"] * 3
     # the small-time limit of the complement variation is the ball perimeter
-    assert abs(sum1["tv_small_time_limit"] - 4 * math.pi) < 0.01 * 4 * math.pi
+    assert abs(summary["tv_small_time_limit"] - 4 * math.pi) < 0.01 * 4 * math.pi
 
 
 def test_comparison_certificate(fast_controls):

@@ -84,6 +84,13 @@ def test_custom_manifold_rejects_bad_tables():
         custom_manifold([1.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(InvalidArgumentError):
         custom_manifold([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
+    # NaN compares false, so it would slip through the ordering checks
+    with pytest.raises(InvalidArgumentError):
+        custom_manifold([1.0, math.nan, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(InvalidArgumentError):
+        custom_manifold([1.0, 2.0, 3.0, 4.0], [0.0, math.nan, 0.0, 0.0])
+    with pytest.raises(InvalidArgumentError):
+        custom_manifold([1.0, 2.0, 3.0, math.inf], [0.0, 0.0, 0.0, 0.0])
 
 
 def test_log_area_integral_euclidean(euclid3):
