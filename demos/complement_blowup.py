@@ -20,16 +20,18 @@ from heatlab.experiments import blowup_sweep
 
 def show(manifold, t_list, label):
     controls = SolveControls(n_cells=512, step_tol=1e-6)
-    reports, summary = blowup_sweep(manifold, 1.0, t_list,
-                                    (2.0, 3.0, 4.0, 5.0), controls)
+    sweep = blowup_sweep(manifold, 1.0, t_list, (2.0, 3.0, 4.0, 5.0), controls)
     print(f"\n{label}")
-    for rep in reports:
-        t = rep.fitted["t"]
-        tvs = "  ".join(f"{row['TV_R']:12.4f}" for row in rep.series["blowup"])
-        print(f"  t={t:<6g} variation by R:  {tvs}")
-        print(f"           finding: {rep.finding}"
-              f" (flux at R_max {rep.fitted['q_at_Rmax']:.3e},"
-              f" monotone defect {rep.fitted['mass_flux_defect']:.1e})")
+    for fitted, rows, finding in zip(sweep.fitted["per_t"],
+                                     sweep.series.values(),
+                                     sweep.evidence["findings"]):
+        tvs = "  ".join(f"{row['TV_R']:12.4f}" for row in rows)
+        print(f"  t={fitted['t']:<6g} variation by R:  {tvs}")
+        print(f"           finding: {finding}"
+              f" (flux at R_max {fitted['q_at_Rmax']:.3e},"
+              f" monotone defect {fitted['mass_flux_defect']:.1e})")
+    print(f"  sweep: {sweep.verdict} ({sweep.finding})")
+    summary = sweep.fitted["summary"]
     if "tv_small_time_limit" in summary:
         limit = summary["tv_small_time_limit"]
         print(f"  small-time limit of the R=5 variation: {limit:.8f}"

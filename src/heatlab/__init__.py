@@ -17,16 +17,16 @@ from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        euclidean, exact_total_variation, log_area_integral,
                        perimeter_ball, piecewise, power_exp_weight,
                        sphere_constant, warped_cone)
-from .grid import Grid, build_grid, grid_from_faces, subgrid
+from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, RadialSolution,
                      SemigroupResult, SolveControls, advance_states, evolve,
                      exhaustion_ladder, exhaustion_levels, exhaustion_radii,
                      heat_semigroup, overflow_safe_radius, project_datum,
                      semigroup_check)
-from .functionals import (ExtrapolationResult, FluxProfile, TVSeries,
-                          extrapolate_limit, face_variation_terms,
-                          flux_profile, total_variation, weighted_sum)
+from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
+                          face_variation_terms, flux_profile, total_variation,
+                          weighted_sum)
 from .experiments import (ExperimentReport, blowup_probe, blowup_sweep,
                           comparison_check, completeness_probe,
                           degiorgi_sweep, tail_probe)
@@ -38,14 +38,14 @@ __all__ = [
     "custom_manifold", "euclidean", "exact_total_variation",
     "log_area_integral", "perimeter_ball", "piecewise", "power_exp_weight",
     "sphere_constant", "warped_cone",
-    "Grid", "build_grid", "grid_from_faces", "subgrid",
+    "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
     "EXHAUSTION_SLACK", "ExhaustionProbe", "RadialSolution",
     "SemigroupResult", "SolveControls", "advance_states", "evolve",
     "exhaustion_ladder", "exhaustion_levels", "exhaustion_radii",
     "heat_semigroup", "overflow_safe_radius", "project_datum",
     "semigroup_check",
-    "ExtrapolationResult", "FluxProfile", "TVSeries", "extrapolate_limit",
+    "ExtrapolationResult", "FluxProfile", "extrapolate_limit",
     "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
     "ExperimentReport", "blowup_probe", "blowup_sweep",
     "comparison_check", "completeness_probe", "degiorgi_sweep", "tail_probe",

@@ -151,13 +151,19 @@ CONFIG_SCHEMA = {
 _FAMILY_ONLY_KEYS = {"params": "power_exp", "radii": "custom",
                      "log_areas": "custom"}
 
-_REQUIRED_BY_EXPERIMENT = {
-    "degiorgi": ("t_list",),
-    "completeness": ("t",),
-    "blowup": ("r0", "t_list", "R_list"),
-    "comparison": ("t", "R"),
-    "tail": ("R_out", "t_list"),
-    "validate": (),
+# what each experiment reads besides `experiment` and `threads`:
+# (required keys, optional keys, tolerance names)
+_KEYS_READ = {
+    "degiorgi": (("t_list",), ("manifold", "datum", "controls", "tolerances"),
+                 ("gap_rtol",)),
+    "completeness": (("t",), ("manifold", "controls", "tolerances"),
+                     ("eps_c",)),
+    "blowup": (("r0", "t_list", "R_list"),
+               ("manifold", "controls", "tolerances"),
+               ("slope_threshold", "q_threshold", "stabilize_rtol")),
+    "comparison": (("t", "R"), ("controls", "tolerances"), ("vw_tol",)),
+    "tail": (("R_out", "t_list"), ("manifold", "datum", "controls"), ()),
+    "validate": ((), ("seed", "inject_asymmetry"), ()),
 }
 
 
@@ -195,19 +201,27 @@ class RunConfig:
             first = errors[0]
             where = "/".join(str(p) for p in first.path) or "(top level)"
             raise InvalidArgumentError(f"config invalid at {where}: {first.message}")
-        missing = [k for k in _REQUIRED_BY_EXPERIMENT[cfg["experiment"]]
-                   if k not in cfg]
+        experiment = cfg["experiment"]
+        required, optional, tolerances = _KEYS_READ[experiment]
+        missing = [k for k in required if k not in cfg]
         if missing:
             raise InvalidArgumentError(
-                f"experiment {cfg['experiment']} requires keys: {', '.join(missing)}")
-        # read the raw config: the schema has filled in a default params
+                f"experiment {experiment} requires keys: {', '.join(missing)}")
+        # read the raw config: the schema has filled in defaults everywhere
+        unread = [k for k in raw if k not in
+                  ("experiment", "threads", *required, *optional)]
+        unread += [f"tolerances/{k}" for k in raw.get("tolerances", {})
+                   if k not in tolerances]
+        if unread:
+            raise InvalidArgumentError(
+                f"experiment {experiment} does not read: {', '.join(unread)}")
         family = cfg["manifold"]["family"]
         ignored = [k for k, only in _FAMILY_ONLY_KEYS.items()
                    if k in raw.get("manifold", {}) and family != only]
         if ignored:
             raise InvalidArgumentError(
                 f"manifold family {family} does not read: {', '.join(ignored)}")
-        return cls(experiment=cfg["experiment"], resolved=cfg)
+        return cls(experiment=experiment, resolved=cfg)
 
 
 def load_config(path: str) -> RunConfig:
@@ -324,34 +338,6 @@ def _report_base(rc: RunConfig) -> dict:
     return {"tool": "heatlab", "version": __version__, "config": config_echo}
 
 
-def _aggregate_blowup(reports, summary, ts) -> dict:
-    findings = [r.finding for r in reports]
-    if all(f == "divergent" for f in findings):
-        verdict, finding = "confirms", "divergent"
-    elif all(f == "convergent" for f in findings):
-        verdict, finding = "refutes", "convergent"
-    else:
-        verdict, finding = "inconclusive", "mixed"
-    series = {}
-    t_by_series = {}
-    for i, (t, rep) in enumerate(zip(ts, reports)):
-        name = f"blowup_t{i}"
-        series[name] = [dict(row) for row in rep.series["blowup"]]
-        t_by_series[name] = t
-    return {
-        "experiment": "blowup",
-        "manifold": reports[0].manifold,
-        "controls": reports[0].controls,
-        "series": series,
-        "t_by_series": t_by_series,
-        "fitted": {"per_t": [dict(r.fitted) for r in reports],
-                   "summary": summary},
-        "verdict": verdict,
-        "finding": finding,
-        "evidence": {"findings": findings},
-    }
-
-
 def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     rng = np.random.default_rng(seed)
     weighted = power_exp_weight(4, 1, 3)
@@ -460,27 +446,25 @@ def _execute(rc: RunConfig):
     if rc.experiment == "degiorgi":
         rep = degiorgi_sweep(manifold, _datum_from(cfg["datum"]), cfg["t_list"],
                              controls, gap_rtol=tol["gap_rtol"])
-        return asdict(rep), {"degiorgi.csv": rep.series["degiorgi"]}
-    if rc.experiment == "completeness":
+    elif rc.experiment == "completeness":
         rep = completeness_probe(manifold, cfg["t"], controls,
                                  eps_c=tol["eps_c"])
-        return asdict(rep), {"completeness.csv": rep.series["completeness"]}
-    if rc.experiment == "blowup":
-        reports, summary = blowup_sweep(
+    elif rc.experiment == "blowup":
+        rep = blowup_sweep(
             manifold, cfg["r0"], cfg["t_list"], cfg["R_list"], controls,
             slope_threshold=tol["slope_threshold"],
             q_threshold=tol["q_threshold"],
             stabilize_rtol=tol["stabilize_rtol"])
-        agg = _aggregate_blowup(reports, summary, cfg["t_list"])
-        files = {f"{name}.csv": rows for name, rows in agg["series"].items()}
-        return agg, files
-    if rc.experiment == "comparison":
+    elif rc.experiment == "comparison":
         rep = comparison_check(cfg["t"], cfg["R"], controls,
                                vw_tol=tol["vw_tol"])
-        return asdict(rep), {"comparison.csv": rep.series["comparison"]}
-    rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
-                     cfg["t_list"], controls)
-    return asdict(rep), {"tail.csv": rep.series["tail"]}
+    else:
+        rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
+                         cfg["t_list"], controls)
+    report = asdict(rep)
+    if rc.experiment == "blowup":
+        report["t_by_series"] = dict(zip(rep.series, cfg["t_list"]))
+    return report, {f"{name}.csv": rows for name, rows in rep.series.items()}
 
 
 def _write_error(out_dir: str, exc: Exception, exit_code: int):
@@ -538,9 +522,7 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
     with open(os.path.join(out_dir, "timing.json"), "w", encoding="utf-8") as fh:
         fh.write(_dumps(runtime) + "\n")
     for name, rows in csv_rows.items():
-        stem = name.rsplit("_t", 1)[0] if rc.experiment == "blowup" else name[:-4]
-        columns = CSV_COLUMNS[stem if stem in CSV_COLUMNS else rc.experiment]
-        _write_csv(os.path.join(out_dir, name), columns, rows)
+        _write_csv(os.path.join(out_dir, name), CSV_COLUMNS[rc.experiment], rows)
 
     if rc.experiment == "validate":
         for row in report["properties"]:

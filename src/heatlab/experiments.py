@@ -24,9 +24,8 @@ from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
                        power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (RadialSolution, SolveControls, advance_states,
-                     exhaustion_radii, heat_semigroup, overflow_safe_radius,
-                     project_datum)
+from .solver import (SolveControls, advance_states, exhaustion_radii,
+                     heat_semigroup, overflow_safe_radius, project_datum)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -109,9 +108,6 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         ext = functionals.ExtrapolationResult(
             limit=points[-1][1], error_indicator=abs(points[-1][1]),
             low_confidence=True, method="aitken")
-    series = functionals.TVSeries(points=tuple(points),
-                                  extrapolated_limit=ext.limit,
-                                  exact=exact, method=ext.method)
     gap = abs(ext.limit - exact) / max(exact, 1e-8)
     if ext.low_confidence or not exhaustion_ok:
         verdict, finding = "inconclusive", "limit not trusted"
@@ -126,7 +122,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         experiment="degiorgi", manifold=manifold.describe(),
         controls=_echo_controls(controls), series={"degiorgi": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"points": [list(p) for p in series.points],
+        evidence={"points": [list(p) for p in points],
                   "exhaustion_ok": exhaustion_ok})
 
 
@@ -235,10 +231,8 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     terms = functionals.face_variation_terms(comp, g, manifold)
     face_r = g.faces[1:-1]
 
-    flux_comp = functionals.flux_profile(
-        RadialSolution(grid=g, t=t, values=comp), g, manifold)
-    flux_mass = functionals.flux_profile(
-        RadialSolution(grid=g, t=t, values=mass_values), g, manifold)
+    flux_comp = functionals.flux_profile(comp, g, manifold)
+    flux_mass = functionals.flux_profile(mass_values, g, manifold)
 
     r_used = []
     tv_values = []
@@ -263,11 +257,11 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
             flat = euclidean(manifold.dimension)
             gf, mf, bf = _complement_state(flat, r0, t, radii[-1] + margin,
                                            radii[0], controls)
-            noise_floor_q = abs(functionals.flux_profile(
-                RadialSolution(grid=gf, t=t, values=mf - bf), gf, flat).at(r_max))
+            noise_floor_q = abs(
+                functionals.flux_profile(mf - bf, gf, flat).at(r_max))
     q_thr = q_threshold if q_threshold is not None else max(10.0 * noise_floor_q,
                                                             1e-12)
-    thresholded = flux_comp.crossing(q_thr)
+    r_t, delta_t = flux_comp.crossing(q_thr)
 
     xs = np.asarray(r_used)
     ys = tv_values
@@ -295,11 +289,11 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     for r, tv in zip(r_used, tv_values):
         rows.append({"R": r, "TV_R": tv,
                      "q_at_Rmax": flux_comp.at(r),
-                     "r_t": thresholded.r_t, "delta_t": thresholded.delta_t})
+                     "r_t": r_t, "delta_t": delta_t})
     fitted = {"t": t, "slope": slope, "slope_threshold": slope_thr,
               "q_at_Rmax": q_at_rmax, "q_threshold": q_thr,
               "noise_floor_q": noise_floor_q,
-              "r_t": thresholded.r_t, "delta_t": thresholded.delta_t,
+              "r_t": r_t, "delta_t": delta_t,
               "tv_strictly_increasing": strictly_increasing,
               "mass_flux_monotone": mass_flux_monotone,
               "mass_flux_defect": q_mono_defect,
@@ -312,28 +306,42 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
 
 
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
-                 controls: SolveControls, **probe_kw
-                 ) -> tuple[list[ExperimentReport], dict]:
-    """Run blowup probes over a time ladder; extrapolate when convergent.
+                 controls: SolveControls, **probe_kw) -> ExperimentReport:
+    """Run blowup probes over a time ladder and combine their findings.
 
-    Returns the per-time reports (in t_list order) plus a summary that, when
-    every probe is convergent and at least three times were measured,
-    carries the Aitken-extrapolated small-time limit of TV at the largest
-    radius.
+    The sweep confirms divergence when every probe is divergent and refutes
+    it when every probe is convergent; anything else is inconclusive.  Each
+    probe's rows become series ``blowup_t<i>`` in t_list order, and
+    ``fitted`` holds the per-time constants plus a summary that, when every
+    probe is convergent and at least three times were measured, carries the
+    Aitken-extrapolated small-time limit of TV at the largest radius.
     """
     ts = _require_decreasing(t_list, "t_list")
     reports = [blowup_probe(manifold, r0, t, R_list, controls, **probe_kw)
                for t in ts]
+    findings = [r.finding for r in reports]
+    if all(f == "divergent" for f in findings):
+        verdict, finding = "confirms", "divergent"
+    elif all(f == "convergent" for f in findings):
+        verdict, finding = "refutes", "convergent"
+    else:
+        verdict, finding = "inconclusive", "mixed"
 
-    summary = {"findings": [r.finding for r in reports]}
-    if all(r.finding == "convergent" for r in reports) and len(reports) >= 3:
+    summary = {"findings": findings}
+    if finding == "convergent" and len(reports) >= 3:
         points = [(t, r.series["blowup"][-1]["TV_R"])
                   for t, r in zip(ts, reports)]
         ext = functionals.extrapolate_limit(points, method="aitken")
         summary.update({"tv_small_time_limit": ext.limit,
                         "error_indicator": ext.error_indicator,
                         "low_confidence": ext.low_confidence})
-    return reports, summary
+    return ExperimentReport(
+        experiment="blowup", manifold=manifold.describe(),
+        controls=_echo_controls(controls),
+        series={f"blowup_t{i}": r.series["blowup"]
+                for i, r in enumerate(reports)},
+        fitted={"per_t": [r.fitted for r in reports], "summary": summary},
+        verdict=verdict, finding=finding, evidence={"findings": findings})
 
 
 def comparison_check(t: float, R: float, controls: SolveControls,

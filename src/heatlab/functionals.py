@@ -10,7 +10,7 @@ because grids are built under a log-area budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,34 +70,26 @@ def total_variation(s, g: Grid, m: RadialManifold) -> float:
 
 @dataclass(frozen=True)
 class FluxProfile:
-    """Discrete radial flux q(f) = -A(f) * du/dr at interior faces.
+    """Discrete radial flux q(f) = -A(f) * du/dr at the interior faces."""
 
-    ``r_t`` is the smallest face radius whose flux exceeds ``threshold`` and
-    ``delta_t`` the flux there; both are None when no face crosses.
-    """
-
-    t: float
     radii: np.ndarray
     q: np.ndarray
-    threshold: float | None = None
-    r_t: float | None = None
-    delta_t: float | None = None
 
     def at(self, r: float) -> float:
         """Flux at the interior face nearest to radius r."""
         return float(self.q[int(np.argmin(np.abs(self.radii - r)))])
 
-    def crossing(self, qthreshold: float) -> "FluxProfile":
-        """The same profile with ``r_t``/``delta_t`` set for ``qthreshold``."""
+    def crossing(self, qthreshold: float) -> tuple[float | None, float | None]:
+        """(r_t, delta_t): the first face whose flux exceeds ``qthreshold``
+        and the flux there; both None when no face crosses."""
         above = np.nonzero(self.q > qthreshold)[0]
-        j = int(above[0]) if above.size else None
-        return replace(self, threshold=qthreshold,
-                       r_t=None if j is None else float(self.radii[j]),
-                       delta_t=None if j is None else float(self.q[j]))
+        if not above.size:
+            return None, None
+        j = int(above[0])
+        return float(self.radii[j]), float(self.q[j])
 
 
-def flux_profile(s, g: Grid, m: RadialManifold,
-                 qthreshold: float | None = None) -> FluxProfile:
+def flux_profile(s, g: Grid, m: RadialManifold) -> FluxProfile:
     """Flux profile of a positive-time solution at the interior faces."""
     u = _check_grid(s, g, "solution")
     t = getattr(s, "t", None)
@@ -108,24 +100,7 @@ def flux_profile(s, g: Grid, m: RadialManifold,
     if not np.all(np.isfinite(q)):
         j = int(np.argmax(~np.isfinite(q)))
         raise NumericalFailure(f"flux not finite at face r={g.faces[j + 1]:.6g}")
-    prof = FluxProfile(t=float(t) if t is not None else math.nan,
-                       radii=g.faces[1:-1].copy(), q=q)
-    return prof if qthreshold is None else prof.crossing(qthreshold)
-
-
-@dataclass(frozen=True)
-class TVSeries:
-    """Total variation along a decreasing time ladder, with its limit."""
-
-    points: tuple[tuple[float, float], ...]
-    extrapolated_limit: float
-    exact: float
-    method: str
-
-    def __post_init__(self):
-        ts = [p[0] for p in self.points]
-        if any(b >= a for a, b in zip(ts, ts[1:])):
-            raise InvalidArgumentError("series times must be strictly decreasing")
+    return FluxProfile(radii=g.faces[1:-1].copy(), q=q)
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,9 @@ def custom_manifold(radii, log_areas, dimension: int = 3) -> RadialManifold:
         out = np.where(r == 0.0, -np.inf, interp(np.maximum(r, lo)))
         inside = (r == 0.0) | ((r >= lo) & (r <= hi))
         if not np.all(inside):
+            bad = float(np.asarray(r)[~inside].flat[0])
             raise InvalidArgumentError(
-                f"radius outside tabulated range [{lo}, {hi}]")
+                f"radius {bad:.6g} outside tabulated range [{lo}, {hi}]")
         return out
 
     return RadialManifold("custom", dimension, {"table_range": [float(lo), float(hi)]}, _log_a)

@@ -72,16 +72,16 @@ def _cell_log_integrals(manifold: RadialManifold, faces: np.ndarray) -> np.ndarr
     return out
 
 
-def build_grid(manifold: RadialManifold, R: float, N: int,
-               grading: str = "uniform", jump_radii=(),
-               grading_ratio: float | None = None) -> Grid:
-    """Build a mesh whose face set contains every requested jump radius.
+def face_ladder(R: float, N: int, grading: str = "uniform", jump_radii=(),
+                grading_ratio: float | None = None
+                ) -> tuple[np.ndarray, float | None]:
+    """Faces of an N-cell mesh on [0, R] holding every requested jump radius.
 
     Jump radii are snapped onto the nearest interior face (moving it by at
     most half a cell), so indicator data project onto cells without smearing.
+    Returns the faces and the geometric grading ratio (None when uniform).
 
     Args:
-        manifold: the model carrying the area function.
         R: truncation radius, > 0.
         N: cell count, >= 16.
         grading: "uniform" or "geometric"; geometric grading widens cells
@@ -92,9 +92,6 @@ def build_grid(manifold: RadialManifold, R: float, N: int,
         raise InvalidArgumentError(f"truncation radius must be finite and positive, got {R}")
     if N < 16:
         raise InvalidArgumentError(f"need at least 16 cells, got {N}")
-    if manifold.log_sphere_constant + manifold.log_area(R) > LOG_MAX_GRID:
-        raise RangeError(
-            f"face area at R={R} exceeds the floating range of final scalar outputs")
 
     if grading == "uniform":
         faces = np.linspace(0.0, R, N + 1)
@@ -123,7 +120,14 @@ def build_grid(manifold: RadialManifold, R: float, N: int,
         faces[idx] = r
     if np.any(np.diff(faces) <= 0):
         raise InvalidArgumentError("jump snapping collapsed a cell; increase N")
+    return faces, ratio
 
+
+def build_grid(manifold: RadialManifold, R: float, N: int,
+               grading: str = "uniform", jump_radii=(),
+               grading_ratio: float | None = None) -> Grid:
+    """Mesh of N cells on [0, R] over ``face_ladder``; jump radii are faces."""
+    faces, ratio = face_ladder(R, N, grading, jump_radii, grading_ratio)
     return grid_from_faces(manifold, faces, grading, ratio)
 
 

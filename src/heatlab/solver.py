@@ -17,7 +17,7 @@ exactly rather than up to an extrapolation residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,7 @@ from scipy.linalg import solve_banded
 from . import functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import RadialBVDatum, RadialManifold, LOG_MAX_GRID
-from .grid import Grid, build_grid, grid_from_faces, subgrid
+from .grid import Grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
 # exhaustion solutions must increase with R up to this roundoff slack
@@ -83,22 +83,17 @@ class SolveControls:
                 raise InvalidArgumentError("exhaustion radii must be positive")
             object.__setattr__(self, "exhaustion", radii)
 
-    def dt_policy(self) -> dict:
-        return {"dt_init": self.dt_init, "dt_max": self.dt_max,
-                "dt_growth": self.dt_growth, "step_tol": self.step_tol}
-
     def replace(self, **kw) -> "SolveControls":
         return replace(self, **kw)
 
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """Cell values of an evolved profile at one time, with provenance."""
+    """Cell values of an evolved profile at one time."""
 
     grid: Grid
     t: float
     values: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -155,9 +150,7 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> RadialSolution:
                 for a, b in zip(nodes, nodes[1:]):
                     acc += (b - a) * datum.value(0.5 * (a + b))
                 values[i] = acc / (g.faces[i + 1] - g.faces[i])
-    return RadialSolution(grid=g, t=0.0, values=values,
-                          provenance={"R": g.R, "N": g.N, "scheme": "projection",
-                                      "dt_policy": None})
+    return RadialSolution(grid=g, t=0.0, values=values)
 
 
 def _step(op: WeightedOperator, u: np.ndarray, dt: float, scheme: str) -> np.ndarray:
@@ -270,11 +263,7 @@ def evolve(op: WeightedOperator, s: RadialSolution, t_target: float,
         raise InvalidArgumentError(
             f"target time {t_target} precedes solution time {s.t}")
     values = advance_states(op, s.values, s.t, t_target, controls)
-    return RadialSolution(grid=s.grid, t=float(t_target), values=values,
-                          provenance={"R": s.grid.R, "N": s.grid.N,
-                                      "scheme": controls.scheme,
-                                      "dt_policy": controls.dt_policy(),
-                                      "bc": op.bc})
+    return RadialSolution(grid=s.grid, t=float(t_target), values=values)
 
 
 def overflow_safe_radius(manifold: RadialManifold, r_max: float = 1e6) -> float:
@@ -353,12 +342,11 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
             f"{safe:.6g} of this manifold")
 
     r1 = radii[0]
-    base_grid = build_grid(manifold, r1, controls.n_cells, controls.grading,
-                           jumps, controls.grading_ratio)
-    faces = list(base_grid.faces)
+    base_faces, ratio = face_ladder(r1, controls.n_cells, controls.grading,
+                                    jumps, controls.grading_ratio)
+    faces = list(base_faces)
     if r_top > r1 * (1 + 1e-12):
         if controls.grading == "geometric":
-            ratio = base_grid.grading_ratio
             width = (faces[-1] - faces[-2]) * ratio
             while faces[-1] < r_top:
                 faces.append(faces[-1] + width)
@@ -368,7 +356,7 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
             n_extra = int(math.ceil((r_top - r1) / width - 1e-9))
             faces.extend(r1 + width * np.arange(1, n_extra + 1))
     ladder = grid_from_faces(manifold, np.asarray(faces), controls.grading,
-                             base_grid.grading_ratio)
+                             ratio)
 
     indices: list[int] = []
     for r in radii:
@@ -438,13 +426,9 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t: float,
         previous_values = values
         if controls.exhaustion is None and converged:
             break
-    solution = RadialSolution(grid=g, t=float(t), values=values,
-                              provenance={"R": g.R, "N": g.N,
-                                          "scheme": controls.scheme,
-                                          "dt_policy": controls.dt_policy(),
-                                          "bc": DIRICHLET})
-    return SemigroupResult(solution=solution, probes=tuple(probes),
-                           converged=converged)
+    return SemigroupResult(
+        solution=RadialSolution(grid=g, t=float(t), values=values),
+        probes=tuple(probes), converged=converged)
 
 
 def semigroup_check(manifold: RadialManifold, datum: RadialBVDatum,

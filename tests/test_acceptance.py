@@ -111,30 +111,30 @@ def test_criterion_4_complement_blowup():
     # probed time, witnessed by monotone mass flux and a positive flux at
     # R_max; the flat-space control converges to the ball perimeter
     controls = SolveControls(n_cells=512, step_tol=1e-6)
-    reports, _ = blowup_sweep(power_exp_weight(4, 1, 3), 1.0, (0.2, 0.1, 0.05),
-                              (2.0, 3.0, 4.0, 5.0), controls)
+    sweep = blowup_sweep(power_exp_weight(4, 1, 3), 1.0, (0.2, 0.1, 0.05),
+                         (2.0, 3.0, 4.0, 5.0), controls)
     problems = []
-    for rep in reports:
-        t = rep.fitted["t"]
-        if rep.verdict != "confirms":
-            problems.append(f"t={t}: verdict {rep.verdict}")
-        if not rep.fitted["tv_strictly_increasing"]:
+    if (sweep.verdict, sweep.finding) != ("confirms", "divergent"):
+        problems.append(f"sweep reads {sweep.verdict} ({sweep.finding})")
+    for fitted in sweep.fitted["per_t"]:
+        t = fitted["t"]
+        if not fitted["tv_strictly_increasing"]:
             problems.append(f"t={t}: TV_R not strictly increasing")
-        if not rep.fitted["slope"] > 0:
-            problems.append(f"t={t}: slope {rep.fitted['slope']:.2e} not positive")
-        if rep.fitted["mass_flux_defect"] < -1e-8:
-            problems.append(f"t={t}: flux defect {rep.fitted['mass_flux_defect']:.2e}")
-        if not rep.fitted["q_at_Rmax"] > max(rep.fitted["q_threshold"], 0.0):
+        if not fitted["slope"] > 0:
+            problems.append(f"t={t}: slope {fitted['slope']:.2e} not positive")
+        if fitted["mass_flux_defect"] < -1e-8:
+            problems.append(f"t={t}: flux defect {fitted['mass_flux_defect']:.2e}")
+        if not fitted["q_at_Rmax"] > max(fitted["q_threshold"], 0.0):
             problems.append(f"t={t}: flux at R_max below threshold")
-        if rep.fitted["r_t"] is None or not rep.fitted["delta_t"] > 0:
+        if fitted["r_t"] is None or not fitted["delta_t"] > 0:
             problems.append(f"t={t}: no flux crossing witness")
 
-    control, summary = blowup_sweep(euclidean(3), 1.0,
-                                    (0.05, 0.025, 0.0125, 0.00625),
-                                    (2.0, 3.0, 4.0, 5.0), controls)
-    if any(rep.verdict != "refutes" for rep in control):
+    control = blowup_sweep(euclidean(3), 1.0, (0.05, 0.025, 0.0125, 0.00625),
+                           (2.0, 3.0, 4.0, 5.0), controls)
+    if (control.verdict, control.finding) != ("refutes", "convergent"):
         problems.append("flat control did not read convergent")
-    tv_gap = abs(summary["tv_small_time_limit"] - 4 * math.pi) / (4 * math.pi)
+    limit = control.fitted["summary"]["tv_small_time_limit"]
+    tv_gap = abs(limit - 4 * math.pi) / (4 * math.pi)
     if tv_gap > 0.01:
         problems.append(f"flat control limit off by {tv_gap:.2e}")
 

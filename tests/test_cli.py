@@ -4,11 +4,15 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import pytest
 
-from heatlab import InvalidArgumentError
-from heatlab.cli import RunConfig, main, run, validate
+from heatlab import InvalidArgumentError, SolveControls, euclidean
+from heatlab.cli import RunConfig, load_config, main, run, validate
+from heatlab.experiments import blowup_sweep
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(tmp_path, name, payload):
@@ -279,6 +283,74 @@ def test_manifold_keys_the_family_ignores_are_rejected(tmp_path, manifold):
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "m.json", payload), str(out)) == 2
     assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+
+
+def test_table_must_reach_below_the_first_cell(tmp_path):
+    # the cell quadrature samples log A below 1e-6 near the pole; the
+    # error names the radius that fell outside the table
+    short = json.loads(json.dumps(CUSTOM_PLANE))
+    radii = [1e-6 * (8e6 ** (k / 23)) for k in range(24)]
+    short["manifold"].update(radii=radii,
+                             log_areas=[math.log(r) for r in radii])
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "c.json", short), str(out)) == 2
+    message = json.loads((out / "error.json").read_text())["message"]
+    bad = float(message.split()[1])
+    assert bad < 1e-6, message
+
+
+MINIMAL = {
+    "comparison": {"experiment": "comparison", "t": 0.5, "R": 3.0},
+    "completeness": {"experiment": "completeness", "t": 0.1},
+    "degiorgi": {"experiment": "degiorgi", "t_list": [0.02, 0.01]},
+    "tail": {"experiment": "tail", "R_out": 2.0, "t_list": [0.05, 0.04]},
+    "validate": {"experiment": "validate"},
+    "blowup": {"experiment": "blowup", "r0": 1.0, "t_list": [0.1],
+               "R_list": [2.0, 3.0]},
+}
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("comparison", {"manifold": {"family": "euclidean", "dimension": 5}}),
+    ("comparison", {"datum": {"kind": "ball", "radius": 1.0}}),
+    ("completeness", {"t_list": [0.05, 0.025]}),
+    ("completeness", {"datum": {"kind": "ball", "radius": 1.0}}),
+    ("completeness", {"R": 3.0}),
+    ("degiorgi", {"seed": 4}),
+    ("degiorgi", {"tolerances": {"eps_c": 1e-3}}),
+    ("blowup", {"tolerances": {"q_threshold": 1.0, "vw_tol": 1.0}}),
+    ("tail", {"tolerances": {"gap_rtol": 0.5}}),
+    ("validate", {"controls": {"n_cells": 64}}),
+])
+def test_keys_the_experiment_ignores_are_rejected(tmp_path, experiment, extra):
+    payload = {**MINIMAL[experiment], **extra}
+    with pytest.raises(InvalidArgumentError, match="does not read"):
+        RunConfig.from_dict(payload)
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "x.json", payload), str(out)) == 2
+    assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+    assert not (out / "report.json").exists()
+
+
+def test_keys_the_experiment_reads_are_accepted():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        load_config(str(path))
+    for payload in MINIMAL.values():
+        RunConfig.from_dict({**payload, "threads": 2})
+
+
+def test_cli_blowup_report_is_the_sweep_report(tmp_path):
+    cfg = write_config(tmp_path, "b.json", FAST_BLOWUP)
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == 0
+    report = json.loads((out / "report.json").read_text())
+    rep = blowup_sweep(euclidean(3), 1.0, FAST_BLOWUP["t_list"],
+                       FAST_BLOWUP["R_list"],
+                       SolveControls(**FAST_BLOWUP["controls"]))
+    assert (report["verdict"], report["finding"]) == (rep.verdict, rep.finding)
+    assert report["evidence"] == rep.evidence
+    assert report["files"] == [f"{name}.csv" for name in rep.series]
+    assert report["t_by_series"] == dict(zip(rep.series, FAST_BLOWUP["t_list"]))
 
 
 def test_main_entry_point(tmp_path):

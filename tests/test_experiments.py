@@ -118,11 +118,16 @@ def test_blowup_validation(pe4, fast_controls):
 
 def test_blowup_sweep_flat_space_limit(euclid3):
     controls = SolveControls(n_cells=192, step_tol=1e-6)
-    reports, summary = blowup_sweep(euclid3, 1.0, (0.05, 0.025, 0.0125),
-                                    (2.0, 3.0, 4.0), controls)
-    assert [r.verdict for r in reports] == ["refutes"] * 3
+    rep = blowup_sweep(euclid3, 1.0, (0.05, 0.025, 0.0125), (2.0, 3.0, 4.0),
+                       controls)
+    check_report_shape(rep, "blowup")
+    assert (rep.verdict, rep.finding) == ("refutes", "convergent")
+    assert rep.evidence["findings"] == ["convergent"] * 3
+    assert list(rep.series) == ["blowup_t0", "blowup_t1", "blowup_t2"]
+    assert [f["t"] for f in rep.fitted["per_t"]] == [0.05, 0.025, 0.0125]
     # the small-time limit of the complement variation is the ball perimeter
-    assert abs(summary["tv_small_time_limit"] - 4 * math.pi) < 0.01 * 4 * math.pi
+    limit = rep.fitted["summary"]["tv_small_time_limit"]
+    assert abs(limit - 4 * math.pi) < 0.01 * 4 * math.pi
 
 
 def test_comparison_certificate(fast_controls):

@@ -10,7 +10,6 @@ from heatlab import (
     InvalidArgumentError,
     RangeError,
     SolveControls,
-    TVSeries,
     assemble,
     ball_indicator,
     build_grid,
@@ -100,13 +99,16 @@ def test_flux_threshold_crossing(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     s = evolve(op, project_datum(ball_indicator(1.0), g), 0.05, controls)
-    prof = flux_profile(s, g, euclid3, qthreshold=1e-3)
-    assert prof.r_t is not None and prof.delta_t is not None
-    assert prof.delta_t > 1e-3
-    assert prof.r_t >= g.faces[1]
+    prof = flux_profile(s, g, euclid3)
+    r_t, delta_t = prof.crossing(1e-3)
+    assert r_t is not None and delta_t is not None
+    assert delta_t > 1e-3
+    assert r_t >= g.faces[1]
+    assert delta_t == prof.at(r_t)
+    # every face before the crossing stays at or below the bar
+    assert np.all(prof.q[prof.radii < r_t] <= 1e-3)
     # no crossing when the bar is impossibly high
-    high = flux_profile(s, g, euclid3, qthreshold=1e12)
-    assert high.r_t is None and high.delta_t is None
+    assert prof.crossing(1e12) == (None, None)
 
 
 def test_flux_needs_positive_time(euclid3):
@@ -165,14 +167,6 @@ def test_constant_series_short_circuits():
     out = extrapolate_limit([(0.1, 2.0), (0.05, 2.0), (0.025, 2.0)])
     assert out.limit == 2.0 and out.error_indicator == 0.0
     assert not out.low_confidence
-
-
-def test_tv_series_orders_times():
-    TVSeries(points=((0.1, 11.0), (0.05, 12.0)), extrapolated_limit=12.5,
-             exact=4 * math.pi, method="aitken")
-    with pytest.raises(InvalidArgumentError):
-        TVSeries(points=((0.05, 12.0), (0.1, 11.0)), extrapolated_limit=12.5,
-                 exact=4 * math.pi, method="aitken")
 
 
 def test_grid_mismatch_is_an_error(euclid3):

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import heatlab.grid
+import heatlab.solver
 from heatlab import (
     DIRICHLET,
     NEUMANN,
@@ -17,6 +19,7 @@ from heatlab import (
     build_grid,
     constant_one,
     evolve,
+    grid_from_faces,
     heat_semigroup,
     overflow_safe_radius,
     project_datum,
@@ -185,7 +188,6 @@ def test_controls_validation():
         SolveControls(exhaustion=(3.0, 2.0))
     c = SolveControls(n_cells=64).replace(step_tol=1e-4)
     assert c.n_cells == 64 and c.step_tol == 1e-4
-    assert set(c.dt_policy()) == {"dt_init", "dt_max", "dt_growth", "step_tol"}
 
 
 def test_overflow_safe_radius_values(euclid3, pe4):
@@ -209,6 +211,22 @@ def test_heat_semigroup_probes_grow_with_radius(euclid3):
     assert result.probes[-1].R == 4.0
     # a larger absorbing ball keeps more of the unit of mass
     assert masses[-1] < 4 * math.pi / 3 and masses[-1] > 0.99 * 4 * math.pi / 3
+
+
+def test_single_level_builds_one_grid(euclid3, monkeypatch):
+    # the ladder's faces are laid out first and measured once
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args[1].size)
+        return grid_from_faces(*args, **kwargs)
+
+    monkeypatch.setattr(heatlab.grid, "grid_from_faces", counting)
+    monkeypatch.setattr(heatlab.solver, "grid_from_faces", counting)
+    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(3.0,))
+    result = heat_semigroup(euclid3, ball_indicator(1.0), 0.05, controls)
+    assert built == [97]
+    assert result.solution.grid.N == 96
 
 
 def test_heat_semigroup_rejects_bad_time(euclid3, fast_controls):
