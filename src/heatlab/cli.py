@@ -334,8 +334,14 @@ def _write_csv(path: str, columns, rows):
 
 
 def _report_base(rc: RunConfig) -> dict:
-    config_echo = copy.deepcopy(rc.resolved)
-    return {"tool": "heatlab", "version": __version__, "config": config_echo}
+    """Report header; the config echo holds only the keys the run read."""
+    required, optional, tolerances = _KEYS_READ[rc.experiment]
+    echo = {k: copy.deepcopy(v) for k, v in rc.resolved.items()
+            if k in ("experiment", "threads", *required, *optional)}
+    if "tolerances" in echo:
+        echo["tolerances"] = {k: v for k, v in echo["tolerances"].items()
+                              if k in tolerances}
+    return {"tool": "heatlab", "version": __version__, "config": echo}
 
 
 def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
@@ -498,6 +504,9 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
             raise InvalidArgumentError(
                 f"command line names {experiment} but config names {rc.experiment}")
         if seed is not None:
+            if "seed" not in _KEYS_READ[rc.experiment][1]:
+                raise InvalidArgumentError(
+                    f"experiment {rc.experiment} does not read: seed")
             rc = RunConfig(rc.experiment, {**rc.resolved, "seed": int(seed)})
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
@@ -549,7 +558,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="override the config seed (validate only)")
     args = parser.parse_args(argv)
     return run(args.config, args.out, experiment=args.experiment,
                threads=args.threads, seed=args.seed)

@@ -171,14 +171,15 @@ def completeness_probe(manifold: RadialManifold, t: float,
         evidence={"rows": rows})
 
 
-def _complement_state(manifold: RadialManifold, r0: float, t: float,
-                      R_solve: float, R_base: float, controls: SolveControls):
-    """Evolve [constant, ball] jointly and derive the complement by linearity.
+def _complement_states(manifold: RadialManifold, r0: float, stops,
+                       R_solve: float, R_base: float, controls: SolveControls):
+    """Evolve [constant, ball] jointly through the stop times (increasing).
 
-    Returns (grid, mass values, ball values).  The complement datum is never
-    evolved directly; subtracting bounded evolutions keeps the linearity
-    identity exact in the discrete scheme.  controls.n_cells counts cells up
-    to R_base; the count scales with the enlarged solve radius.
+    Returns the grid and one (mass values, ball values) pair per stop.  The
+    complement datum is never evolved directly; subtracting bounded
+    evolutions keeps the linearity identity exact in the discrete scheme.
+    controls.n_cells counts cells up to R_base; the count scales with the
+    enlarged solve radius.
     """
     n_solve = max(controls.n_cells,
                   int(math.ceil(controls.n_cells * R_solve / R_base)))
@@ -187,29 +188,29 @@ def _complement_state(manifold: RadialManifold, r0: float, t: float,
     op = assemble(g, manifold, DIRICHLET)
     ones = project_datum(constant_one(), g).values
     ball = project_datum(ball_indicator(g.faces[g.face_index(r0)]), g).values
-    states = advance_states(op, np.stack([ones, ball], axis=1), 0.0, t, controls)
-    return g, states[:, 0], states[:, 1]
+    states = advance_states(op, np.stack([ones, ball], axis=1), 0.0, stops,
+                            controls)
+    return g, [(s[:, 0], s[:, 1]) for s in states]
 
 
-def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
-                 controls: SolveControls,
-                 slope_threshold: float | None = None,
-                 q_threshold: float | None = None,
-                 stabilize_rtol: float = 1e-3,
-                 noise_floor_q: float | None = None) -> ExperimentReport:
-    """Truncated variation growth of the complement of a ball at one time.
+def _blowup_reports(manifold: RadialManifold, r0: float, ts, R_list,
+                    controls: SolveControls, noise_floor_q: float | None = None,
+                    **thresholds) -> list[ExperimentReport]:
+    """Truncated variation growth of the complement of a ball, per time.
 
-    Solves once on a domain extending past max(R_list), derives the
-    complement state by linearity, and accumulates its variation up to each
-    requested radius.  Divergence requires all of: strictly increasing TV_R,
-    least-squares slope at or above the slope threshold, mass-function flux
-    nondecreasing within 1e-8, and complement flux at the largest radius at
-    or above the q threshold.  The q threshold defaults to 10x the flux a
-    matched flat-space run leaves at the same radius (its noise floor);
-    convergence requires the TV tail to stabilize instead.
+    One trajectory of [constant, ball] runs through every time in ``ts`` on
+    a domain extending max(2, 8*sqrt(max t)) past max(R_list), capped at the
+    overflow-safe radius; the complement state follows by linearity, and
+    its variation is accumulated up to each requested radius.  Divergence at
+    a time requires all of: strictly increasing TV_R, least-squares slope at
+    or above the slope threshold, mass-function flux nondecreasing within
+    1e-8, and complement flux at the largest radius at or above the q
+    threshold.  The q threshold defaults to 10x the flux a matched
+    flat-space trajectory (same margin, no cap) leaves at the same radius
+    (its noise floor); on flat space the run is its own floor.  Convergence
+    requires the TV tail to stabilize instead.  ``ts`` is strictly
+    decreasing; returns one report per time, in ``ts`` order.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     if not (math.isfinite(r0) and r0 > 0):
         raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
     radii = [float(r) for r in R_list]
@@ -222,11 +223,34 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
         raise RangeError(
             f"R_max={radii[-1]:.6g} exceeds the overflow-safe radius "
             f"{safe:.6g}; reduce R_max")
-    margin = max(2.0, 8.0 * math.sqrt(t))
-    R_solve = min(radii[-1] + margin, safe)
+    margin = max(2.0, 8.0 * math.sqrt(ts[0]))
+    stops = ts[::-1]
 
-    g, mass_values, ball_values = _complement_state(manifold, r0, t, R_solve,
-                                                    radii[0], controls)
+    g, states = _complement_states(manifold, r0, stops,
+                                   min(radii[-1] + margin, safe), radii[0],
+                                   controls)
+    r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
+              for r in radii]
+    floors = [noise_floor_q] * len(stops)
+    if noise_floor_q is None and manifold.family != "euclidean":
+        flat = euclidean(manifold.dimension)
+        gf, flat_states = _complement_states(flat, r0, stops,
+                                             radii[-1] + margin, radii[0],
+                                             controls)
+        floors = [abs(functionals.flux_profile(mf - bf, gf, flat).at(r_used[-1]))
+                  for mf, bf in flat_states]
+    return [_blowup_at(manifold, g, mass, ball, t, r_used, floor, controls,
+                       **thresholds)
+            for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])]
+
+
+def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
+               ball_values: np.ndarray, t: float, r_used: list,
+               noise_floor_q: float | None, controls: SolveControls,
+               slope_threshold: float | None = None,
+               q_threshold: float | None = None,
+               stabilize_rtol: float = 1e-3) -> ExperimentReport:
+    """The blowup verdict at one time from the evolved [constant, ball]."""
     comp = mass_values - ball_values
     terms = functionals.face_variation_terms(comp, g, manifold)
     face_r = g.faces[1:-1]
@@ -234,14 +258,11 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     flux_comp = functionals.flux_profile(comp, g, manifold)
     flux_mass = functionals.flux_profile(mass_values, g, manifold)
 
-    r_used = []
     tv_values = []
-    for r in radii:
-        snapped = float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
+    for snapped in r_used:
         tv = math.fsum(terms[face_r <= snapped + 1e-12])
         if not math.isfinite(tv):
             raise RangeError(f"TV_R overflows at R={snapped:.6g}; reduce R_max")
-        r_used.append(snapped)
         tv_values.append(tv)
 
     r_max = r_used[-1]
@@ -251,14 +272,7 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
     q_at_rmax = flux_comp.at(r_max)
 
     if noise_floor_q is None:
-        if manifold.family == "euclidean":
-            noise_floor_q = abs(q_at_rmax)
-        else:
-            flat = euclidean(manifold.dimension)
-            gf, mf, bf = _complement_state(flat, r0, t, radii[-1] + margin,
-                                           radii[0], controls)
-            noise_floor_q = abs(
-                functionals.flux_profile(mf - bf, gf, flat).at(r_max))
+        noise_floor_q = abs(q_at_rmax)
     q_thr = q_threshold if q_threshold is not None else max(10.0 * noise_floor_q,
                                                             1e-12)
     r_t, delta_t = flux_comp.crossing(q_thr)
@@ -305,6 +319,15 @@ def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
         evidence={"rows": rows})
 
 
+def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
+                 controls: SolveControls, **probe_kw) -> ExperimentReport:
+    """The blowup analysis of ``blowup_sweep`` over the one time ``t``."""
+    if not (math.isfinite(t) and t > 0):
+        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
+    return _blowup_reports(manifold, r0, [float(t)], R_list, controls,
+                           **probe_kw)[0]
+
+
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                  controls: SolveControls, **probe_kw) -> ExperimentReport:
     """Run blowup probes over a time ladder and combine their findings.
@@ -317,8 +340,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     Aitken-extrapolated small-time limit of TV at the largest radius.
     """
     ts = _require_decreasing(t_list, "t_list")
-    reports = [blowup_probe(manifold, r0, t, R_list, controls, **probe_kw)
-               for t in ts]
+    reports = _blowup_reports(manifold, r0, ts, R_list, controls, **probe_kw)
     findings = [r.finding for r in reports]
     if all(f == "divergent" for f in findings):
         verdict, finding = "confirms", "divergent"
@@ -427,12 +449,13 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
                t_list, controls: SolveControls) -> ExperimentReport:
     """Fit of the variation mass beyond a fixed radius against 1/t.
 
-    For each time the flow is solved on a domain extending well past R_out
-    and the variation over faces beyond R_out recorded.  Only the maximal
-    small-t run of strictly decreasing tails enters the fit (earlier times
-    are pre-asymptotic); underflowed tails are dropped with a note.  The fit
-    is log(tail) = log(C) - c/t by least squares; confirmation requires a
-    negative slope in 1/t with R^2 >= 0.95.
+    One trajectory runs through every time on a single domain extending
+    max(2, 8*sqrt(max t)) past R_out (capped at the overflow-safe radius,
+    with a note), and the variation over faces beyond R_out is recorded at
+    each time.  Only the maximal small-t run of strictly decreasing tails
+    enters the fit (earlier times are pre-asymptotic); underflowed tails are
+    dropped with a note.  The fit is log(tail) = log(C) - c/t by least
+    squares; confirmation requires a negative slope in 1/t with R^2 >= 0.95.
     """
     support = datum.support_radius
     if not math.isfinite(support):
@@ -443,17 +466,19 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     ts = _require_decreasing(t_list, "t_list")
     safe = overflow_safe_radius(manifold)
 
-    rows = []
     notes = []
-    for t in ts:
-        R_solve = R_out + max(2.0, 8.0 * math.sqrt(t))
-        if R_solve > safe:
-            R_solve = safe
-            notes.append(f"solve radius capped at {safe:.6g} for t={t}")
-        res = heat_semigroup(manifold, datum, t, controls.replace(
-            exhaustion=(R_solve,)))
-        g = res.solution.grid
-        terms = functionals.face_variation_terms(res.solution.values, g, manifold)
+    R_solve = R_out + max(2.0, 8.0 * math.sqrt(ts[0]))
+    if R_solve > safe:
+        R_solve = safe
+        notes.append(f"solve radius capped at {safe:.6g}")
+    g = build_grid(manifold, R_solve, controls.n_cells, controls.grading,
+                   datum.jump_radii, controls.grading_ratio)
+    op = assemble(g, manifold, DIRICHLET)
+    states = advance_states(op, project_datum(datum, g).values, 0.0, ts[::-1],
+                            controls)
+    rows = []
+    for t, values in zip(ts, reversed(states)):
+        terms = functionals.face_variation_terms(values, g, manifold)
         tail = math.fsum(terms[g.faces[1:-1] > R_out])
         rows.append({"t": t, "tail": tail})
 

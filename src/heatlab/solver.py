@@ -166,11 +166,11 @@ def _step(op: WeightedOperator, u: np.ndarray, dt: float, scheme: str) -> np.nda
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: {exc}") from exc
 
 
-def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1: float,
+def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                    controls: SolveControls,
                    observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
                    record_steps: list | None = None,
-                   replay_steps=None) -> np.ndarray:
+                   replay_steps=None):
     """Advance one or several stacked states from t0 to t1 adaptively.
 
     ``states`` has shape (N,) or (N, k); all columns share every accepted
@@ -186,20 +186,35 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1: floa
     called once per accepted substate transition with both endpoint times
     and states.
 
+    ``t1`` is the end time, or a strictly increasing sequence of stop times;
+    then one trajectory runs through all of them and the states at the stops
+    are returned as a list.  A step that would cross a stop is clipped onto
+    it, and after the stop stepping resumes from the step size proposed
+    before the clip.  ``max_steps`` bounds the whole trajectory.
+
     ``record_steps`` collects the accepted step sizes; ``replay_steps``
-    takes exactly that sequence instead of adapting.  Domain comparison
-    between exhaustion levels is only exact when every level walks the same
-    step ladder, so the first level records and the others replay.
+    takes exactly that sequence instead of adapting (one stop time only).
+    Domain comparison between exhaustion levels is only exact when every
+    level walks the same step ladder, so the first level records and the
+    others replay.
     """
-    if t1 < t0:
-        raise InvalidArgumentError(f"cannot evolve backwards from {t0} to {t1}")
+    sequence = np.ndim(t1) > 0
+    stops = [float(s) for s in np.atleast_1d(t1)]
+    if not stops or not all(math.isfinite(s) for s in (t0, *stops)):
+        raise InvalidArgumentError(f"times must be finite, got {t0} and {t1}")
+    if stops[0] < t0:
+        raise InvalidArgumentError(f"cannot evolve backwards from {t0} to {stops[0]}")
+    if any(b <= a for a, b in zip(stops, stops[1:])):
+        raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")
     u = np.array(states, dtype=float)
     if u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
-    if t1 == t0:
-        return u
+    if stops[-1] == t0:
+        return [u] if sequence else u
 
     if replay_steps is not None:
+        if sequence:
+            raise InvalidArgumentError("a replayed step ladder ends at one stop time")
         total = math.fsum(replay_steps)
         if abs(total - (t1 - t0)) > 1e-12 * max(abs(t1 - t0), 1.0):
             raise InvalidArgumentError(
@@ -223,37 +238,42 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1: floa
         return np.sum(widths * np.abs(arr.reshape(op.grid.N, -1)), axis=0)
 
     t = t0
-    dt = min(controls.dt_init, controls.dt_max, t1 - t0)
+    dt = min(controls.dt_init, controls.dt_max)
     iterations = 0
-    t_end = t1 - 1e-15 * max(abs(t1), 1.0)
-    while t < t_end:
-        iterations += 1
-        if iterations > controls.max_steps:
-            raise NumericalFailure(
-                f"step tolerance {controls.step_tol} unreachable within "
-                f"{controls.max_steps} iterations (reached t={t}, dt={dt})")
-        dt = min(dt, t1 - t)
-        mid = _step(op, u, 0.5 * dt, controls.scheme)
-        fine = _step(op, mid, 0.5 * dt, controls.scheme)
-        coarse = _step(op, u, dt, controls.scheme)
-        err = float(np.max(column_l1(coarse - fine)
-                           / np.maximum(column_l1(fine), 1e-300)))
-        if err <= controls.step_tol or dt <= controls.dt_min:
-            if observer is not None:
-                observer(t, u, t + 0.5 * dt, mid)
-                observer(t + 0.5 * dt, mid, t + dt, fine)
-            if record_steps is not None:
-                record_steps.append(dt)
-            u = fine
-            t = t + dt
-            grow = controls.dt_growth
-            if err > 0:
-                grow = min(grow, 0.9 * (controls.step_tol / err) ** exponent)
-            dt = min(max(dt * max(grow, 1.0), controls.dt_min), controls.dt_max)
-        else:
-            dt = max(dt * max(0.25, 0.9 * (controls.step_tol / err) ** exponent),
-                     controls.dt_min)
-    return u
+    at_stops = []
+    for stop in stops:
+        t_end = stop - 1e-15 * max(abs(stop), 1.0)
+        while t < t_end:
+            iterations += 1
+            if iterations > controls.max_steps:
+                raise NumericalFailure(
+                    f"step tolerance {controls.step_tol} unreachable within "
+                    f"{controls.max_steps} iterations (reached t={t}, dt={dt})")
+            h = min(dt, stop - t)
+            mid = _step(op, u, 0.5 * h, controls.scheme)
+            fine = _step(op, mid, 0.5 * h, controls.scheme)
+            coarse = _step(op, u, h, controls.scheme)
+            err = float(np.max(column_l1(coarse - fine)
+                               / np.maximum(column_l1(fine), 1e-300)))
+            if err <= controls.step_tol or h <= controls.dt_min:
+                if observer is not None:
+                    observer(t, u, t + 0.5 * h, mid)
+                    observer(t + 0.5 * h, mid, t + h, fine)
+                if record_steps is not None:
+                    record_steps.append(h)
+                u = fine
+                t = t + h
+                if h < dt:
+                    continue  # clipped onto the stop: keep the proposal
+                grow = controls.dt_growth
+                if err > 0:
+                    grow = min(grow, 0.9 * (controls.step_tol / err) ** exponent)
+                dt = min(max(h * max(grow, 1.0), controls.dt_min), controls.dt_max)
+            else:
+                dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** exponent),
+                         controls.dt_min)
+        at_stops.append(u)
+    return at_stops if sequence else at_stops[0]
 
 
 def evolve(op: WeightedOperator, s: RadialSolution, t_target: float,

@@ -367,3 +367,40 @@ def test_seed_override_lands_in_echo(tmp_path):
     assert run(cfg, str(out), seed=11) == 0
     echo = json.loads((out / "report.json").read_text())["config"]
     assert echo["seed"] == 11
+
+
+FAST_TAIL = {"experiment": "tail", "R_out": 2.0, "t_list": [0.05, 0.04],
+             "controls": {"n_cells": 128, "step_tol": 1e-5}}
+
+
+def test_seed_override_is_rejected_outside_validate(tmp_path):
+    # only validate reads a seed; elsewhere the override is an unread key
+    cfg = write_config(tmp_path, "t.json", FAST_TAIL)
+    out = tmp_path / "out"
+    assert run(cfg, str(out), seed=5) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == 2 and "seed" in err["message"]
+    assert not (out / "report.json").exists()
+    flag = tmp_path / "flag"
+    assert main(["tail", "--config", cfg, "--out", str(flag), "--seed", "5"]) == 2
+    assert json.loads((flag / "error.json").read_text())["exit_code"] == 2
+
+
+@pytest.mark.parametrize("payload, keys, tolerances", [
+    ({"experiment": "comparison", "t": 0.5, "R": 2.0,
+      "controls": {"n_cells": 128, "step_tol": 1e-5}},
+     {"experiment", "threads", "t", "R", "controls", "tolerances"},
+     {"vw_tol": 1e-6}),
+    (FAST_TAIL,
+     {"experiment", "threads", "R_out", "t_list", "manifold", "datum",
+      "controls"}, None),
+])
+def test_config_echo_holds_only_keys_read(tmp_path, payload, keys, tolerances):
+    # comparison runs exp(+r^4) whatever a default manifold would say, and
+    # tail reads no tolerance: neither may be echoed
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "c.json", payload), str(out)) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert set(echo) == keys
+    assert echo.get("tolerances") == tolerances
+    assert echo["controls"]["n_cells"] == 128

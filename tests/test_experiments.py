@@ -12,6 +12,7 @@ from heatlab import (
     ball_indicator,
     piecewise,
 )
+import heatlab.experiments
 from heatlab.experiments import (
     VERDICTS,
     blowup_probe,
@@ -128,6 +129,38 @@ def test_blowup_sweep_flat_space_limit(euclid3):
     # the small-time limit of the complement variation is the ball perimeter
     limit = rep.fitted["summary"]["tv_small_time_limit"]
     assert abs(limit - 4 * math.pi) < 0.01 * 4 * math.pi
+
+
+def _count_trajectories(monkeypatch):
+    calls = []
+    advance = heatlab.experiments.advance_states
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return advance(*args, **kwargs)
+
+    monkeypatch.setattr(heatlab.experiments, "advance_states", counting)
+    return calls
+
+
+def test_blowup_sweep_evolves_one_trajectory(pe4, euclid3, monkeypatch):
+    # the [constant, ball] pair runs once through every t; off flat space a
+    # flat noise-floor companion runs once more, on flat space none
+    controls = SolveControls(n_cells=128, step_tol=1e-5)
+    calls = _count_trajectories(monkeypatch)
+    rep = blowup_sweep(pe4, 1.0, (0.1, 0.05), (2.0, 3.0, 4.0), controls)
+    assert rep.finding == "divergent"
+    assert calls == [[0.05, 0.1], [0.05, 0.1]]
+    calls.clear()
+    blowup_sweep(euclid3, 1.0, (0.05, 0.025, 0.0125), (2.0, 3.0, 4.0), controls)
+    assert calls == [[0.0125, 0.025, 0.05]]
+
+
+def test_tail_probe_evolves_one_trajectory(euclid3, monkeypatch):
+    calls = _count_trajectories(monkeypatch)
+    tail_probe(euclid3, ball_indicator(1.0), 2.0, (0.05, 0.04, 0.03),
+               SolveControls(n_cells=128, step_tol=1e-5))
+    assert calls == [[0.03, 0.04, 0.05]]
 
 
 def test_comparison_certificate(fast_controls):

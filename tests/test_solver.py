@@ -11,6 +11,7 @@ from heatlab import (
     DIRICHLET,
     NEUMANN,
     InvalidArgumentError,
+    NumericalFailure,
     RangeError,
     SolveControls,
     advance_states,
@@ -134,16 +135,72 @@ def test_maximum_principle_under_stepping(pe4):
     assert worst[0] < 1e-12, f"hull violated by {worst[0]:.3e}"
 
 
-def test_stacked_columns_stay_linear(euclid3):
-    # evolving [1, chi, 1 - chi] jointly must keep column2 = col0 - col1
+def _walk_setup(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     chi = project_datum(ball_indicator(1.0), g).values
+    return controls, g, op, chi
+
+
+def test_stacked_columns_stay_linear(euclid3):
+    # evolving [1, chi, 1 - chi] jointly must keep column2 = col0 - col1,
+    # at the end time and at every stop of one trajectory
+    controls, g, op, chi = _walk_setup(euclid3)
     states = np.stack([np.ones(g.N), chi, 1.0 - chi], axis=1)
-    out = advance_states(op, states, 0.0, 0.1, controls)
-    gap = np.max(np.abs(out[:, 2] - (out[:, 0] - out[:, 1])))
-    assert gap < 1e-12, f"linear identity broken by {gap:.3e}"
+    stops = [0.005, 0.02, 0.05, 0.1]
+    outs = [advance_states(op, states, 0.0, 0.1, controls),
+            *advance_states(op, states, 0.0, stops, controls)]
+    for t, out in zip([0.1, *stops], outs):
+        gap = np.max(np.abs(out[:, 2] - (out[:, 0] - out[:, 1])))
+        assert gap < 1e-12, f"linear identity broken by {gap:.3e} at t={t}"
+
+
+def test_first_stop_is_the_one_stop_run(euclid3):
+    # one trajectory through several stops takes, up to the first stop,
+    # exactly the ladder of a run that ends there
+    controls, g, op, chi = _walk_setup(euclid3)
+    states = advance_states(op, chi, 0.0, [0.01, 0.03, 0.05], controls)
+    assert len(states) == 3
+    assert np.array_equal(states[0], advance_states(op, chi, 0.0, 0.01, controls))
+    # the later stops agree with their own one-stop runs to step accuracy
+    for t, got in zip((0.03, 0.05), states[1:]):
+        alone = advance_states(op, chi, 0.0, t, controls)
+        gap = weighted_sum(g, np.abs(got - alone)) / weighted_sum(g, np.abs(alone))
+        assert gap < 1e-4, f"stop t={t} off its one-stop run by {gap:.3e}"
+
+
+@pytest.mark.parametrize("t0, stops", [
+    (0.0, [0.02, 0.01]),
+    (0.0, [0.01, 0.01, 0.02]),
+    (0.01, [0.005, 0.02]),
+    (0.0, [0.01, math.inf]),
+    (0.0, [math.nan]),
+    (0.0, math.nan),
+    (0.0, []),
+])
+def test_bad_stop_times_are_rejected(euclid3, t0, stops):
+    controls, g, op, chi = _walk_setup(euclid3)
+    with pytest.raises(InvalidArgumentError):
+        advance_states(op, chi, t0, stops, controls)
+
+
+def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
+    controls, g, op, chi = _walk_setup(euclid3)
+    solves = [0]
+    step = heatlab.solver._step
+
+    def counting(*args):
+        solves[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(heatlab.solver, "_step", counting)
+    advance_states(op, chi, 0.0, 0.01, controls)
+    first = solves[0] // 3  # three solves per attempted step
+    budget = controls.replace(max_steps=first)
+    advance_states(op, chi, 0.0, 0.01, budget)  # reaches the first stop
+    with pytest.raises(NumericalFailure):
+        advance_states(op, chi, 0.0, [0.01, 0.05], budget)
 
 
 def test_record_and_replay_are_identical(euclid3):
