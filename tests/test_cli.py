@@ -118,6 +118,24 @@ def test_range_overflow_is_exit_3(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_tail_beyond_safe_radius_is_exit_3(tmp_path):
+    cfg = write_config(tmp_path, "tail.json", {
+        "experiment": "tail",
+        "manifold": {"family": "power_exp", "params": {"power": 4, "sign": 1}},
+        "datum": {"kind": "ball", "radius": 2.0},
+        "R_out": 5.5,
+        "t_list": [0.05, 0.04, 0.03],
+        "controls": {"n_cells": 128, "step_tol": 1e-5},
+    })
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "RangeError"
+    assert err["exit_code"] == 3
+    assert "R_out=5.5" in err["message"]
+    assert not (out / "report.json").exists()
+
+
 def test_blowup_multi_time_artifacts(tmp_path):
     cfg = write_config(tmp_path, "blow.json", {
         "experiment": "blowup",

@@ -202,6 +202,16 @@ def test_tail_requires_margin(euclid3, fast_controls):
         tail_probe(euclid3, ball_indicator(1.0), 1.5, (0.05, 0.02), fast_controls)
 
 
+def test_tail_beyond_safe_radius_is_range_error(pe4, monkeypatch):
+    # exp(+r^4) overflows past r = 5.13, so no face beyond R_out = 5.5
+    # exists to carry a tail; the probe must refuse before any solve
+    calls = _count_trajectories(monkeypatch)
+    with pytest.raises(RangeError, match="R_out=5.5"):
+        tail_probe(pe4, ball_indicator(2.0), 5.5, (0.05, 0.04, 0.03),
+                   SolveControls(n_cells=128, step_tol=1e-5))
+    assert calls == []
+
+
 def test_tail_too_few_points_is_inconclusive(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     rep = tail_probe(euclid3, ball_indicator(1.0), 2.0, (0.05, 0.04), controls)

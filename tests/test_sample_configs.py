@@ -17,19 +17,21 @@ from heatlab.cli import run
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _benchmark_expectations() -> dict:
+def _benchmark_module(name: str):
+    """Load ``perfbench/<name>.py`` without writing bytecode next to it."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_run", ROOT / "perfbench" / "run.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    keep = sys.dont_write_bytecode  # the benchmark module switches it on
+    keep = sys.dont_write_bytecode  # the run module switches it on
+    sys.dont_write_bytecode = True
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = keep
-    return module.EXPECTED
+    return module
 
 
-EXPECTED = _benchmark_expectations()
+EXPECTED = _benchmark_module("run").EXPECTED
 
 
 @pytest.mark.parametrize("name", ["blowup_superexp", "blowup_euclidean_control",
@@ -40,3 +42,18 @@ def test_sample_config_verdict(tmp_path, name):
     assert run(str(ROOT / "configs" / f"{name}.json"), str(out), threads=1) == code
     report = json.loads((out / "report.json").read_text())
     assert (report["verdict"], report["finding"]) == (verdict, finding)
+
+
+def test_benchmark_tracer_still_finds_the_solver(tmp_path):
+    # the tracer wraps heatlab.solver.solve_banded and
+    # WeightedOperator.banded by name; a traced run must still exit cleanly
+    # with its span books balanced
+    tracer = _benchmark_module("spans").Tracer()
+    config = str(ROOT / "configs" / "tail_euclidean.json")
+    with tracer.installed(), tracer.span("harness.pass"):
+        code = run(config, str(tmp_path / "out"), threads=1)
+    assert code == 0
+    wall = tracer.span_end[0] - tracer.span_start[0]
+    layer_self, _ = tracer.layer_totals()
+    assert abs(sum(layer_self.values()) - wall) <= 1e-6 * max(wall, 1.0)
+    assert tracer.calls_of("operator.banded") > 0

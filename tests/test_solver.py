@@ -1,9 +1,11 @@
 """Time stepping: accuracy against an independent kernel, structure, replay."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import heatlab.grid
 import heatlab.solver
@@ -299,3 +301,34 @@ def test_semigroup_composition(euclid3):
     assert gap < 1e-4, f"one-shot vs composed evolution differ by {gap:.3e}"
     # a degenerate split is exact
     assert semigroup_check(euclid3, ball_indicator(1.0), 0.0, 0.05, controls) == 0.0
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("columns", [None, 2, 3])
+@pytest.mark.parametrize("family", ["euclid3", "pe4"])
+def test_step_is_the_banded_solve_bitwise(request, family, columns, scheme):
+    m = request.getfixturevalue(family)
+    g = build_grid(m, 4.0, 256, jump_radii=(1.0,))
+    op = assemble(g, m, DIRICHLET)
+    shape = g.N if columns is None else (g.N, columns)
+    u = np.random.default_rng(5).uniform(0.0, 1.0, shape)
+    before = u.copy()
+    dt = 1e-3
+    got = heatlab.solver._step(op, u, dt, scheme)
+    if scheme == "implicit_euler":
+        want = solve_banded((1, 1), op.banded(1.0, -dt), u)
+    else:
+        rhs = u + 0.5 * dt * op.apply(u)
+        want = solve_banded((1, 1), op.banded(1.0, -0.5 * dt), rhs)
+    assert got.shape == u.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(u, before), "the step overwrote its input state"
+
+
+def test_singular_step_names_dt(euclid3):
+    g = build_grid(euclid3, 3.0, 64)
+    op = assemble(g, euclid3, DIRICHLET)
+    dt = 2.0 ** -10  # 1 - dt * (1/dt) is exactly 0: a zero diagonal
+    singular = replace(op, diag=np.full(g.N, 1.0 / dt), lower=0.0 * op.lower)
+    with pytest.raises(NumericalFailure, match=f"dt={dt}"):
+        heatlab.solver._step(singular, np.ones(g.N), dt, "implicit_euler")
