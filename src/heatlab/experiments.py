@@ -69,38 +69,39 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
                    gap_rtol: float = 0.01) -> ExperimentReport:
     """Small-time variation limit versus the exact total variation.
 
-    For each t the truncated heat flow is run to exhaustion convergence and
-    its total variation recorded; with ``controls.richardson`` every value is
-    additionally computed at doubled resolution and the pair combined as
-    (4*fine - coarse)/3.  The decreasing-t series is accelerated by iterated
-    Aitken and the extrapolated limit compared against the closed-form
-    variation of the datum; confirmation requires the relative gap to stay
-    within ``gap_rtol``.  A low-confidence extrapolation never confirms.
+    One exhaustion walk runs through every time of ``t_list`` and records
+    the total variation at each, with every stop's exhaustion checked for
+    convergence; with ``controls.richardson`` a second walk through the
+    same times at doubled resolution on the radius the first one used gives
+    the fine values, and each pair is combined as (4*fine - coarse)/3.  The
+    decreasing-t series is accelerated by iterated Aitken and the
+    extrapolated limit compared against the closed-form variation of the
+    datum; confirmation requires the relative gap to stay within
+    ``gap_rtol``.  A low-confidence extrapolation never confirms.
     """
     if not math.isfinite(datum.support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
     ts = _require_decreasing(t_list, "t_list")
     exact = exact_total_variation(datum, manifold)
 
-    rows = []
-    points = []
-    exhaustion_ok = True
-    for t in ts:
-        res = heat_semigroup(manifold, datum, t, controls)
-        tv = res.probes[-1].total_variation
-        used = res.solution.grid
-        n_used = used.N
-        if controls.richardson:
-            fine_controls = controls.replace(n_cells=2 * controls.n_cells,
-                                             exhaustion=(used.R,))
-            fine = heat_semigroup(manifold, datum, t, fine_controls)
-            n_used = fine.solution.grid.N
-            tv = (4.0 * fine.probes[-1].total_variation - tv) / 3.0
-        if len(res.probes) >= 2 and not res.converged:
-            exhaustion_ok = False
-        rows.append({"t": t, "R_used": used.R, "N": n_used, "TV": tv,
-                     "extrap_flag": int(bool(controls.richardson))})
-        points.append((t, tv))
+    stops = ts[::-1]
+    results = heat_semigroup(manifold, datum, stops, controls)[::-1]
+    used = results[0].solution.grid
+    tvs = [res.probes[-1].total_variation for res in results]
+    n_used = used.N
+    if controls.richardson:
+        fine_controls = controls.replace(n_cells=2 * controls.n_cells,
+                                         exhaustion=(used.R,))
+        fine = heat_semigroup(manifold, datum, stops, fine_controls)[::-1]
+        n_used = fine[0].solution.grid.N
+        tvs = [(4.0 * f.probes[-1].total_variation - tv) / 3.0
+               for f, tv in zip(fine, tvs)]
+    exhaustion_ok = all(len(res.probes) < 2 or res.converged
+                        for res in results)
+    rows = [{"t": t, "R_used": used.R, "N": n_used, "TV": tv,
+             "extrap_flag": int(bool(controls.richardson))}
+            for t, tv in zip(ts, tvs)]
+    points = list(zip(ts, tvs))
 
     if len(points) >= 3:
         ext = functionals.extrapolate_limit(points, method="aitken")

@@ -66,12 +66,21 @@ class SolveControls:
     def __post_init__(self):
         if self.scheme not in SCHEME_ORDER:
             raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
+        # written as `not x > 0` so that NaN is rejected too
         if not self.dt_init > 0:
             raise InvalidArgumentError("dt_init must be positive")
+        if not self.dt_min > 0:
+            raise InvalidArgumentError("dt_min must be positive")
+        if not self.dt_max > 0:
+            raise InvalidArgumentError("dt_max must be positive")
         if not 1.0 < self.dt_growth <= 1.5:
             raise InvalidArgumentError("dt growth factor must lie in (1, 1.5]")
-        if self.step_tol <= 0:
-            raise InvalidArgumentError("step tolerance must be positive")
+        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
+            raise InvalidArgumentError("step tolerance must be positive and finite")
+        if not self.exhaustion_rtol > 0:
+            raise InvalidArgumentError("exhaustion_rtol must be positive")
+        if self.grading == "uniform" and self.grading_ratio is not None:
+            raise InvalidArgumentError("grading_ratio needs geometric grading")
         if self.n_cells < 16:
             raise InvalidArgumentError("need at least 16 cells")
         if self.max_steps < 1 or self.max_exhaustion < 1:
@@ -194,11 +203,12 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     it, and after the stop stepping resumes from the step size proposed
     before the clip.  ``max_steps`` bounds the whole trajectory.
 
-    ``record_steps`` collects the accepted step sizes; ``replay_steps``
-    takes exactly that sequence instead of adapting (one stop time only).
-    Domain comparison between exhaustion levels is only exact when every
-    level walks the same step ladder, so the first level records and the
-    others replay.
+    ``record_steps`` collects the accepted step sizes, one list per stop
+    time (the steps from the previous stop up to that one); ``replay_steps``
+    takes exactly that ladder instead of adapting, and must have been
+    recorded through the same stop times.  Domain comparison between
+    exhaustion levels is only exact when every level walks the same step
+    ladder, so the first level records and the others replay.
     """
     sequence = np.ndim(t1) > 0
     stops = [float(s) for s in np.atleast_1d(t1)]
@@ -215,22 +225,28 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
         return [u] if sequence else u
 
     if replay_steps is not None:
-        if sequence:
-            raise InvalidArgumentError("a replayed step ladder ends at one stop time")
-        total = math.fsum(replay_steps)
-        if abs(total - (t1 - t0)) > 1e-12 * max(abs(t1 - t0), 1.0):
+        if len(replay_steps) != len(stops):
             raise InvalidArgumentError(
-                f"replay ladder spans {total}, not the requested {t1 - t0}")
+                f"replay ladder was recorded through {len(replay_steps)} stop "
+                f"times, not the requested {len(stops)}")
         t = t0
-        for dt in replay_steps:
-            mid = _step(op, u, 0.5 * dt, controls.scheme)
-            fine = _step(op, mid, 0.5 * dt, controls.scheme)
-            if observer is not None:
-                observer(t, u, t + 0.5 * dt, mid)
-                observer(t + 0.5 * dt, mid, t + dt, fine)
-            u = fine
-            t = t + dt
-        return u
+        at_stops = []
+        for start, stop, segment in zip([t0, *stops], stops, replay_steps):
+            total = math.fsum(segment)
+            if abs(total - (stop - start)) > 1e-12 * max(abs(stop - start), 1.0):
+                raise InvalidArgumentError(
+                    f"replay ladder spans {total} before stop {stop}, not the "
+                    f"requested {stop - start}")
+            for dt in segment:
+                mid = _step(op, u, 0.5 * dt, controls.scheme)
+                fine = _step(op, mid, 0.5 * dt, controls.scheme)
+                if observer is not None:
+                    observer(t, u, t + 0.5 * dt, mid)
+                    observer(t + 0.5 * dt, mid, t + dt, fine)
+                u = fine
+                t = t + dt
+            at_stops.append(u)
+        return at_stops if sequence else at_stops[0]
 
     widths = np.diff(op.grid.faces)[:, None]
     order = SCHEME_ORDER[controls.scheme]
@@ -244,6 +260,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     iterations = 0
     at_stops = []
     for stop in stops:
+        if record_steps is not None:
+            record_steps.append([])
         t_end = stop - 1e-15 * max(abs(stop), 1.0)
         while t < t_end:
             iterations += 1
@@ -262,7 +280,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                     observer(t, u, t + 0.5 * h, mid)
                     observer(t + 0.5 * h, mid, t + h, fine)
                 if record_steps is not None:
-                    record_steps.append(h)
+                    record_steps[-1].append(h)
                 u = fine
                 t = t + h
                 if h < dt:
@@ -388,18 +406,23 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     return ladder, indices
 
 
-def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t: float,
+def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
                       controls: SolveControls):
     """Lazily evolve the datum to time t on each truncation level in turn.
 
-    Yields (grid, values) per level of ``exhaustion_ladder``, smallest ball
-    first.  The first level records its accepted time-step ladder and every
-    later level replays it, so the truncated solutions are comparable cell
-    by cell.  Levels are computed only as the caller asks for them.
+    ``t`` is one time or a strictly increasing sequence of stop times, as in
+    ``advance_states``.  Yields (grid, values) per level of
+    ``exhaustion_ladder``, smallest ball first, where values is the state at
+    ``t``, or the list of states at the stops.  The automatic radius policy
+    sizes the ladder for the largest stop.  The first level records its
+    accepted time-step ladder through every stop and every later level
+    replays it, so the truncated solutions are comparable cell by cell at
+    each stop.  Levels are computed only as the caller asks for them.
     """
-    ladder, indices = exhaustion_ladder(manifold, datum, t, controls)
+    ladder, indices = exhaustion_ladder(manifold, datum, float(np.max(t)),
+                                        controls)
     u0 = project_datum(datum, ladder).values
-    steps: list[float] = []
+    steps: list[list[float]] = []
     for idx in indices:
         g = subgrid(ladder, idx)
         op = assemble(g, manifold, DIRICHLET)
@@ -407,8 +430,9 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t: float,
         yield g, advance_states(op, u0[:idx], 0.0, t, controls, **walk)
 
 
-def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t: float,
-                   controls: SolveControls) -> SemigroupResult:
+def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
+                   controls: SolveControls
+                   ) -> SemigroupResult | list[SemigroupResult]:
     """Minimal heat semigroup at time t via Dirichlet-ball exhaustion.
 
     Solves the heat equation on an increasing family of balls with absorbing
@@ -418,39 +442,53 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     Returns the largest truncation computed together with the per-radius
     probe triple (pole value, mass, total variation), so callers can judge
     how far the exhaustion has converged and extrapolate if they wish.
+
+    ``t`` may also be a strictly increasing sequence of stop times: one
+    exhaustion walk then runs through all of them, monotonicity is checked
+    at every stop, and one result per stop is returned, all on the same
+    levels.  The automatic policy stops adding levels once every stop has
+    converged.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t) and t > 0):
+    sequence = np.ndim(t) > 0
+    stops = np.atleast_1d(t).tolist()
+    if not stops or not all(isinstance(s, (int, float)) and math.isfinite(s)
+                            and s > 0 for s in stops):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
-    probes: list[ExhaustionProbe] = []
-    previous_values: np.ndarray | None = None
-    converged = False
-    for g, values in exhaustion_levels(manifold, datum, t, controls):
-        if previous_values is not None:
-            worst = float(np.max(previous_values - values[:previous_values.size]))
-            if worst > EXHAUSTION_SLACK:
-                raise NumericalFailure(
-                    f"exhaustion monotonicity violated by {worst:.3e} between "
-                    f"R={probes[-1].R:.6g} and R={g.R:.6g}")
-        probe = ExhaustionProbe(
-            R=g.R, N=g.N, value_at_zero=float(values[0]),
-            mass=functionals.weighted_sum(g, values),
-            total_variation=functionals.total_variation(values, g, manifold))
-        if probes:
-            prev = probes[-1]
-            rtol = controls.exhaustion_rtol
-            converged = (
-                abs(probe.value_at_zero - prev.value_at_zero)
-                <= rtol * max(1.0, abs(probe.value_at_zero))
-                and abs(probe.mass - prev.mass) <= rtol * max(1.0, abs(probe.mass))
-                and abs(probe.total_variation - prev.total_variation)
-                <= rtol * max(1.0, abs(probe.total_variation)))
-        probes.append(probe)
-        previous_values = values
-        if controls.exhaustion is None and converged:
+    probes: list[list[ExhaustionProbe]] = [[] for _ in stops]
+    converged = [False] * len(stops)
+    previous: list[np.ndarray] | None = None
+    for g, states in exhaustion_levels(manifold, datum, t, controls):
+        states = states if sequence else [states]
+        for k, values in enumerate(states):
+            if previous is not None:
+                worst = float(np.max(previous[k] - values[:previous[k].size]))
+                if worst > EXHAUSTION_SLACK:
+                    raise NumericalFailure(
+                        f"exhaustion monotonicity violated by {worst:.3e} "
+                        f"between R={probes[k][-1].R:.6g} and R={g.R:.6g} "
+                        f"at t={stops[k]:.6g}")
+            probe = ExhaustionProbe(
+                R=g.R, N=g.N, value_at_zero=float(values[0]),
+                mass=functionals.weighted_sum(g, values),
+                total_variation=functionals.total_variation(values, g, manifold))
+            if probes[k]:
+                prev = probes[k][-1]
+                rtol = controls.exhaustion_rtol
+                converged[k] = (
+                    abs(probe.value_at_zero - prev.value_at_zero)
+                    <= rtol * max(1.0, abs(probe.value_at_zero))
+                    and abs(probe.mass - prev.mass) <= rtol * max(1.0, abs(probe.mass))
+                    and abs(probe.total_variation - prev.total_variation)
+                    <= rtol * max(1.0, abs(probe.total_variation)))
+            probes[k].append(probe)
+        previous = states
+        if controls.exhaustion is None and all(converged):
             break
-    return SemigroupResult(
-        solution=RadialSolution(grid=g, t=float(t), values=values),
-        probes=tuple(probes), converged=converged)
+    results = [SemigroupResult(
+        solution=RadialSolution(grid=g, t=float(s), values=values),
+        probes=tuple(p), converged=c)
+        for s, values, p, c in zip(stops, states, probes, converged)]
+    return results if sequence else results[0]
 
 
 def semigroup_check(manifold: RadialManifold, datum: RadialBVDatum,

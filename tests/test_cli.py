@@ -286,6 +286,25 @@ def test_non_finite_custom_table_is_exit_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"dt_min": -1.0}, {"dt_min": 0.0}, {"dt_min": math.nan},
+    {"dt_max": -1.0}, {"dt_max": 0.0}, {"dt_max": math.nan},
+    {"step_tol": math.nan}, {"step_tol": math.inf},
+    {"exhaustion_rtol": -1.0}, {"exhaustion_rtol": math.nan},
+    {"grading": "uniform", "grading_ratio": 0.5},
+])
+def test_bad_step_controls_are_exit_2(tmp_path, bad):
+    payload = json.loads((CONFIG_DIR / "tail_euclidean.json").read_text())
+    # a small step budget keeps a run that slips through short
+    payload["controls"].update({"n_cells": 128, "max_steps": 2000, **bad})
+    cfg = write_config(tmp_path, "tail.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "InvalidArgumentError"
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("manifold", [
     {"family": "euclidean", "params": {"power": 4}},
     {"family": "warped_cone", "params": {}},

@@ -10,9 +10,12 @@ from heatlab import (
     RangeError,
     SolveControls,
     ball_indicator,
+    heat_semigroup,
     piecewise,
 )
 import heatlab.experiments
+import heatlab.solver
+from conftest import ball_heat_tv
 from heatlab.experiments import (
     VERDICTS,
     blowup_probe,
@@ -60,6 +63,52 @@ def test_degiorgi_needs_decreasing_times(euclid3, fast_controls):
     # two points cannot be extrapolated; the driver reports, never guesses
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01), fast_controls)
     assert rep.verdict == "inconclusive"
+
+
+DEGIORGI_TIMES = (0.02, 0.01, 0.005, 0.0025)
+
+
+@pytest.mark.parametrize("n_cells, richardson", [(1024, True), (256, False)])
+def test_degiorgi_rows_match_the_closed_form(euclid3, n_cells, richardson):
+    # every row against the flat-space variation at its own t, computed by
+    # quadrature of the erf closed form (no solver code involved)
+    controls = SolveControls(n_cells=n_cells, step_tol=1e-6, exhaustion=(4.0,),
+                             richardson=richardson)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), DEGIORGI_TIMES, controls)
+    rows = rep.series["degiorgi"]
+    assert [row["t"] for row in rows] == list(DEGIORGI_TIMES)
+    for row in rows:
+        ref = ball_heat_tv(row["t"])
+        gap = abs(row["TV"] - ref) / ref
+        assert gap < 1e-6, f"TV at t={row['t']} off the closed form by {gap:.3e}"
+
+
+def test_degiorgi_sweep_walks_once_per_resolution(euclid3, monkeypatch):
+    # one exhaustion walk through every t on the base grid and one on the
+    # doubled grid; the smallest t is each walk's first stop, so its row is
+    # the one a sweep over that t alone gives, bit for bit
+    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0,),
+                             richardson=True)
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
+                         controls)
+    assert calls == [[0.005, 0.01, 0.02]] * 2
+    alone = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.005,), controls)
+    assert rep.series["degiorgi"][-1] == alone.series["degiorgi"][0]
+
+
+def test_degiorgi_sweep_through_two_levels(euclid3):
+    # with two explicit levels the replayed walk agrees with the per-t
+    # exhaustion to step accuracy
+    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0, 4.0))
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
+                         controls)
+    assert rep.evidence["exhaustion_ok"]
+    for row in rep.series["degiorgi"]:
+        alone = heat_semigroup(euclid3, ball_indicator(1.0), row["t"], controls)
+        assert row["R_used"] == alone.solution.grid.R
+        want = alone.probes[-1].total_variation
+        assert abs(row["TV"] - want) < 1e-4 * want, f"t={row['t']}"
 
 
 def test_completeness_flat_space(euclid3):
@@ -131,15 +180,15 @@ def test_blowup_sweep_flat_space_limit(euclid3):
     assert abs(limit - 4 * math.pi) < 0.01 * 4 * math.pi
 
 
-def _count_trajectories(monkeypatch):
+def _count_trajectories(monkeypatch, module=heatlab.experiments):
     calls = []
-    advance = heatlab.experiments.advance_states
+    advance = module.advance_states
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return advance(*args, **kwargs)
 
-    monkeypatch.setattr(heatlab.experiments, "advance_states", counting)
+    monkeypatch.setattr(module, "advance_states", counting)
     return calls
 
 

@@ -1,4 +1,5 @@
-"""Sample configs end to end: the blowup witness and the tail fits.
+"""Sample configs end to end: the blowup witness, the tail fits and the
+variation limits.
 
 Each config in ``configs/`` runs through ``cli.run`` and must give the exit
 code, verdict and finding that the benchmark checks (``EXPECTED`` in
@@ -7,6 +8,7 @@ code, verdict and finding that the benchmark checks (``EXPECTED`` in
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,15 +35,25 @@ def _benchmark_module(name: str):
 
 EXPECTED = _benchmark_module("run").EXPECTED
 
+# perimeter of the unit sphere in R^3 under each degiorgi config's weight:
+# sigma * A(1) with A(r) = r^2 (flat) and r^2 exp(-r^2) (Gaussian)
+PERIMETER = {"degiorgi_euclidean": 4.0 * math.pi,
+             "degiorgi_gaussian": 4.0 * math.pi / math.e}
+
 
 @pytest.mark.parametrize("name", ["blowup_superexp", "blowup_euclidean_control",
-                                  "tail_euclidean", "tail_gaussian"])
+                                  "tail_euclidean", "tail_gaussian",
+                                  "degiorgi_euclidean", "degiorgi_gaussian"])
 def test_sample_config_verdict(tmp_path, name):
     code, verdict, finding = EXPECTED[name]
     out = tmp_path / name
     assert run(str(ROOT / "configs" / f"{name}.json"), str(out), threads=1) == code
     report = json.loads((out / "report.json").read_text())
     assert (report["verdict"], report["finding"]) == (verdict, finding)
+    if name in PERIMETER:
+        exact = PERIMETER[name]
+        gap = abs(report["fitted"]["extrapolated_limit"] - exact) / exact
+        assert gap <= report["config"]["tolerances"]["gap_rtol"]
 
 
 def test_benchmark_tracer_still_finds_the_solver(tmp_path):

@@ -212,10 +212,26 @@ def test_record_and_replay_are_identical(euclid3):
     u0 = project_datum(ball_indicator(1.0), g).values
     ladder: list = []
     first = advance_states(op, u0.copy(), 0.0, 0.05, controls, record_steps=ladder)
-    assert len(ladder) >= 3
-    assert abs(math.fsum(ladder) - 0.05) < 1e-12
+    assert len(ladder) == 1 and len(ladder[0]) >= 3
+    assert abs(math.fsum(ladder[0]) - 0.05) < 1e-12
     second = advance_states(op, u0.copy(), 0.0, 0.05, controls, replay_steps=ladder)
     assert np.array_equal(first, second), "replay must reproduce the recorded run bitwise"
+
+    # through several stops the ladder keeps one segment per stop, and the
+    # replay emits the recorded state at each of them
+    stops = [0.01, 0.03, 0.05]
+    ladder = []
+    recorded = advance_states(op, u0, 0.0, stops, controls, record_steps=ladder)
+    assert len(ladder) == 3 and all(ladder)
+    for start, stop, segment in zip([0.0, *stops], stops, ladder):
+        assert abs(math.fsum(segment) - (stop - start)) < 1e-12
+    replayed = advance_states(op, u0, 0.0, stops, controls, replay_steps=ladder)
+    for t, a, b in zip(stops, recorded, replayed):
+        assert np.array_equal(a, b), f"replay differs from the recording at t={t}"
+    # a ladder recorded through other stops cannot be replayed
+    for other in ([0.01, 0.05], [0.01, 0.02, 0.05], [0.01, 0.03, 0.06], 0.05):
+        with pytest.raises(InvalidArgumentError):
+            advance_states(op, u0, 0.0, other, controls, replay_steps=ladder)
 
 
 def test_replay_rejects_wrong_span(euclid3):
@@ -272,6 +288,63 @@ def test_heat_semigroup_probes_grow_with_radius(euclid3):
     assert masses[-1] < 4 * math.pi / 3 and masses[-1] > 0.99 * 4 * math.pi / 3
 
 
+def test_heat_semigroup_through_stops(euclid3):
+    # one walk per level through every stop; each stop gets the result its
+    # own one-time exhaustion would give, to step accuracy
+    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
+    stops = [0.01, 0.02, 0.04]
+    results = heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
+    assert [r.solution.t for r in results] == stops
+    for t, res in zip(stops, results):
+        alone = heat_semigroup(euclid3, ball_indicator(1.0), t, controls)
+        assert [p.R for p in res.probes] == [p.R for p in alone.probes]
+        assert res.converged == alone.converged
+        for p, q in zip(res.probes, alone.probes):
+            assert abs(p.total_variation - q.total_variation) < 1e-4 * q.total_variation
+    # the first stop walks the one-time ladder exactly
+    first = heat_semigroup(euclid3, ball_indicator(1.0), stops[0], controls)
+    assert results[0].probes == first.probes
+
+
+def test_automatic_exhaustion_waits_for_every_stop(euclid3):
+    # the policy sizes its radii for the largest stop and keeps adding
+    # levels until every stop has converged
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    early, late = heat_semigroup(euclid3, ball_indicator(1.0), [0.01, 0.09],
+                                 controls)
+    assert early.converged and late.converged
+    radii = [p.R for p in early.probes]
+    assert radii == [p.R for p in late.probes]
+    step = 4.0 * math.sqrt(0.09)
+    assert radii[0] == pytest.approx(1.0 + step, rel=1e-2)
+    # t = 0.01 had settled on the second level, t = 0.09 needed a third
+    rtol = controls.exhaustion_rtol
+    tv = [p.total_variation for p in early.probes]
+    assert abs(tv[1] - tv[0]) <= rtol * tv[1]
+    tv = [p.total_variation for p in late.probes]
+    assert abs(tv[1] - tv[0]) > rtol * tv[1]
+    assert len(radii) == 3
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_exhaustion_monotonicity_is_checked_at_every_stop(euclid3, monkeypatch, k):
+    # dent the outer level below the inner one at stop k only
+    stops = [0.01, 0.02, 0.04]
+    advance = heatlab.solver.advance_states
+
+    def denting(*args, **kwargs):
+        states = advance(*args, **kwargs)
+        if "replay_steps" in kwargs:
+            states[k] = states[k] - 1e-6
+        return states
+
+    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
+    heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
+    monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    with pytest.raises(NumericalFailure, match=f"at t={stops[k]}"):
+        heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
+
+
 def test_single_level_builds_one_grid(euclid3, monkeypatch):
     # the ladder's faces are laid out first and measured once
     built = []
@@ -293,6 +366,9 @@ def test_heat_semigroup_rejects_bad_time(euclid3, fast_controls):
         heat_semigroup(euclid3, ball_indicator(1.0), 0.0, fast_controls)
     with pytest.raises(InvalidArgumentError):
         heat_semigroup(euclid3, ball_indicator(1.0), math.nan, fast_controls)
+    for stops in ([], [0.0, 0.01], [0.01, math.inf], [0.02, 0.01]):
+        with pytest.raises(InvalidArgumentError):
+            heat_semigroup(euclid3, ball_indicator(1.0), stops, fast_controls)
 
 
 def test_semigroup_composition(euclid3):
