@@ -20,16 +20,15 @@ from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, RadialSolution,
-                     SemigroupResult, SolveControls, advance_states, evolve,
+                     SemigroupResult, SolveControls, advance_states,
                      exhaustion_ladder, exhaustion_levels, exhaustion_radii,
                      heat_semigroup, overflow_safe_radius, project_datum,
                      semigroup_check)
 from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
                           face_variation_terms, flux_profile, total_variation,
                           weighted_sum)
-from .experiments import (ExperimentReport, blowup_probe, blowup_sweep,
-                          comparison_check, completeness_probe,
-                          degiorgi_sweep, tail_probe)
+from .experiments import (ExperimentReport, blowup_sweep, comparison_check,
+                          completeness_probe, degiorgi_sweep, tail_probe)
 
 __all__ = [
     "InvalidArgumentError", "NumericalFailure", "RangeError",
@@ -41,12 +40,12 @@ __all__ = [
     "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
     "EXHAUSTION_SLACK", "ExhaustionProbe", "RadialSolution",
-    "SemigroupResult", "SolveControls", "advance_states", "evolve",
+    "SemigroupResult", "SolveControls", "advance_states",
     "exhaustion_ladder", "exhaustion_levels", "exhaustion_radii",
     "heat_semigroup", "overflow_safe_radius", "project_datum",
     "semigroup_check",
     "ExtrapolationResult", "FluxProfile", "extrapolate_limit",
     "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
-    "ExperimentReport", "blowup_probe", "blowup_sweep",
+    "ExperimentReport", "blowup_sweep",
     "comparison_check", "completeness_probe", "degiorgi_sweep", "tail_probe",
 ]

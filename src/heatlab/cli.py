@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .experiments import (blowup_sweep, comparison_check, completeness_probe,
-                          degiorgi_sweep, tail_probe)
+from .experiments import (_echo_controls, blowup_sweep, comparison_check,
+                          completeness_probe, degiorgi_sweep, tail_probe)
 from .geometry import (ball_indicator, complement_indicator, constant_one,
                        custom_manifold, euclidean, piecewise,
                        power_exp_weight, warped_cone)
@@ -49,6 +49,23 @@ CSV_COLUMNS = {
     "tail": ("t", "tail", "fit_residual"),
     "validate": ("property", "measured", "tolerance", "status"),
 }
+
+# type of each SolveControls field in a config; the defaults are the
+# dataclass's own, rendered as the report echoes them
+_CONTROL_TYPES = {
+    "dt_init": {"type": "number"},
+    "dt_max": {"type": ["number", "string"]},
+    "dt_growth": {"type": "number"},
+    "dt_min": {"type": "number"},
+    "step_tol": {"type": "number"},
+    "max_steps": {"type": "integer"},
+    "exhaustion": {"type": ["array", "null"], "items": {"type": "number"}},
+    "exhaustion_rtol": {"type": "number"},
+    "max_exhaustion": {"type": "integer"},
+    "n_cells": {"type": "integer"},
+    "richardson": {"type": "boolean"},
+}
+_CONTROL_DEFAULTS = _echo_controls(SolveControls())
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -108,24 +125,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "default": {},
             "properties": {
-                "scheme": {"enum": ["implicit_euler", "crank_nicolson"],
-                           "default": "implicit_euler"},
-                "dt_init": {"type": "number", "default": 1e-7},
-                "dt_max": {"type": ["number", "string"], "default": "inf"},
-                "dt_growth": {"type": "number", "default": 1.5},
-                "dt_min": {"type": "number", "default": 1e-13},
-                "step_tol": {"type": "number", "default": 1e-6},
-                "max_steps": {"type": "integer", "default": 500000},
-                "exhaustion": {"type": ["array", "null"], "default": None,
-                               "items": {"type": "number"}},
-                "exhaustion_rtol": {"type": "number", "default": 1e-6},
-                "max_exhaustion": {"type": "integer", "default": 8},
-                "n_cells": {"type": "integer", "default": 1024},
-                "grading": {"enum": ["uniform", "geometric"],
-                            "default": "uniform"},
-                "grading_ratio": {"type": ["number", "null"], "default": None},
-                "richardson": {"type": "boolean", "default": False},
-            },
+                key: {**spec, "default": _CONTROL_DEFAULTS[key]}
+                for key, spec in _CONTROL_TYPES.items()},
         },
         "tolerances": {
             "type": "object",
@@ -225,9 +226,15 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    def reject(literal: str):
+        # NaN slips past the schema's bounds; an infinite dt_max is "inf"
+        raise InvalidArgumentError(
+            f"config {path} holds {literal}, which is not a JSON number; "
+            f'write an uncapped dt_max as the string "inf"')
+
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -347,7 +354,7 @@ def _report_base(rc: RunConfig) -> dict:
 def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     rng = np.random.default_rng(seed)
     weighted = power_exp_weight(4, 1, 3)
-    g = build_grid(weighted, 3.0, 256, "uniform", (1.0,))
+    g = build_grid(weighted, 3.0, 256, (1.0,))
     op = assemble(g, weighted, DIRICHLET)
     controls = SolveControls(n_cells=256)
     rows = []
@@ -397,7 +404,7 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     add("mass_time_monotone", max(0.0, growth[0]), 1e-10)
 
     cone = warped_cone(3)
-    g_cone = build_grid(cone, 3.0, 256, "uniform", (1.0,))
+    g_cone = build_grid(cone, 3.0, 256, (1.0,))
     op_cone = assemble(g_cone, cone, DIRICHLET)
     scale = max(float(np.max(np.abs(band)))
                 for band in (op.lower, op.diag, op.upper))

@@ -12,7 +12,7 @@ produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -90,8 +90,8 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     tvs = [res.probes[-1].total_variation for res in results]
     n_used = used.N
     if controls.richardson:
-        fine_controls = controls.replace(n_cells=2 * controls.n_cells,
-                                         exhaustion=(used.R,))
+        fine_controls = replace(controls, n_cells=2 * controls.n_cells,
+                                exhaustion=(used.R,))
         fine = heat_semigroup(manifold, datum, stops, fine_controls)[::-1]
         n_used = fine[0].solution.grid.N
         tvs = [(4.0 * f.probes[-1].total_variation - tv) / 3.0
@@ -104,11 +104,11 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     points = list(zip(ts, tvs))
 
     if len(points) >= 3:
-        ext = functionals.extrapolate_limit(points, method="aitken")
+        ext = functionals.extrapolate_limit(points)
     else:
         ext = functionals.ExtrapolationResult(
             limit=points[-1][1], error_indicator=abs(points[-1][1]),
-            low_confidence=True, method="aitken")
+            low_confidence=True)
     gap = abs(ext.limit - exact) / max(exact, 1e-8)
     if ext.low_confidence or not exhaustion_ok:
         verdict, finding = "inconclusive", "limit not trusted"
@@ -142,7 +142,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     c = controls
     if c.exhaustion is None:
-        c = c.replace(exhaustion=exhaustion_radii(
+        c = replace(c, exhaustion=exhaustion_radii(
             0.0, t, overflow_safe_radius(manifold), max(c.max_exhaustion, 3)))
     res = heat_semigroup(manifold, constant_one(), t, c)
     rows = [{"R": p.R, "m_at_0": p.value_at_zero} for p in res.probes]
@@ -153,7 +153,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
         fitted.update({"m_limit": rows[-1]["m_at_0"], "last_delta": math.nan})
     else:
         points = [(1.0 / row["R"], row["m_at_0"]) for row in rows]
-        ext = functionals.extrapolate_limit(points, method="aitken")
+        ext = functionals.extrapolate_limit(points)
         last_delta = abs(rows[-1]["m_at_0"] - rows[-2]["m_at_0"])
         tail_stable = last_delta <= eps_c
         fitted.update({"m_limit": ext.limit, "last_delta": last_delta,
@@ -184,8 +184,7 @@ def _complement_states(manifold: RadialManifold, r0: float, stops,
     """
     n_solve = max(controls.n_cells,
                   int(math.ceil(controls.n_cells * R_solve / R_base)))
-    g = build_grid(manifold, R_solve, n_solve, controls.grading, (r0,),
-                   controls.grading_ratio)
+    g = build_grid(manifold, R_solve, n_solve, (r0,))
     op = assemble(g, manifold, DIRICHLET)
     ones = project_datum(constant_one(), g).values
     ball = project_datum(ball_indicator(g.faces[g.face_index(r0)]), g).values
@@ -194,64 +193,13 @@ def _complement_states(manifold: RadialManifold, r0: float, stops,
     return g, [(s[:, 0], s[:, 1]) for s in states]
 
 
-def _blowup_reports(manifold: RadialManifold, r0: float, ts, R_list,
-                    controls: SolveControls, noise_floor_q: float | None = None,
-                    **thresholds) -> list[ExperimentReport]:
-    """Truncated variation growth of the complement of a ball, per time.
-
-    One trajectory of [constant, ball] runs through every time in ``ts`` on
-    a domain extending max(2, 8*sqrt(max t)) past max(R_list), capped at the
-    overflow-safe radius; the complement state follows by linearity, and
-    its variation is accumulated up to each requested radius.  Divergence at
-    a time requires all of: strictly increasing TV_R, least-squares slope at
-    or above the slope threshold, mass-function flux nondecreasing within
-    1e-8, and complement flux at the largest radius at or above the q
-    threshold.  The q threshold defaults to 10x the flux a matched
-    flat-space trajectory (same margin, no cap) leaves at the same radius
-    (its noise floor); on flat space the run is its own floor.  Convergence
-    requires the TV tail to stabilize instead.  ``ts`` is strictly
-    decreasing; returns one report per time, in ``ts`` order.
-    """
-    if not (math.isfinite(r0) and r0 > 0):
-        raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
-    radii = [float(r) for r in R_list]
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InvalidArgumentError("R_list must contain >= 2 strictly increasing radii")
-    if radii[0] <= r0:
-        raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
-    safe = overflow_safe_radius(manifold)
-    if radii[-1] > safe:
-        raise RangeError(
-            f"R_max={radii[-1]:.6g} exceeds the overflow-safe radius "
-            f"{safe:.6g}; reduce R_max")
-    margin = max(2.0, 8.0 * math.sqrt(ts[0]))
-    stops = ts[::-1]
-
-    g, states = _complement_states(manifold, r0, stops,
-                                   min(radii[-1] + margin, safe), radii[0],
-                                   controls)
-    r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
-              for r in radii]
-    floors = [noise_floor_q] * len(stops)
-    if noise_floor_q is None and manifold.family != "euclidean":
-        flat = euclidean(manifold.dimension)
-        gf, flat_states = _complement_states(flat, r0, stops,
-                                             radii[-1] + margin, radii[0],
-                                             controls)
-        floors = [abs(functionals.flux_profile(mf - bf, gf, flat).at(r_used[-1]))
-                  for mf, bf in flat_states]
-    return [_blowup_at(manifold, g, mass, ball, t, r_used, floor, controls,
-                       **thresholds)
-            for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])]
-
-
 def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
                ball_values: np.ndarray, t: float, r_used: list,
-               noise_floor_q: float | None, controls: SolveControls,
+               noise_floor_q: float | None,
                slope_threshold: float | None = None,
                q_threshold: float | None = None,
-               stabilize_rtol: float = 1e-3) -> ExperimentReport:
-    """The blowup verdict at one time from the evolved [constant, ball]."""
+               stabilize_rtol: float = 1e-3) -> tuple[tuple, dict, str]:
+    """(rows, fitted, finding) at one time from the evolved [constant, ball]."""
     comp = mass_values - ball_values
     terms = functionals.face_variation_terms(comp, g, manifold)
     face_r = g.faces[1:-1]
@@ -294,11 +242,11 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
                  and mass_flux_monotone and q_at_rmax >= q_thr)
     convergent = (not divergent) and stabilized and q_at_rmax < q_thr
     if divergent:
-        verdict, finding = "confirms", "divergent"
+        finding = "divergent"
     elif convergent:
-        verdict, finding = "refutes", "convergent"
+        finding = "convergent"
     else:
-        verdict, finding = "inconclusive", "undetermined"
+        finding = "undetermined"
 
     rows = []
     for r, tv in zip(r_used, tv_values):
@@ -313,36 +261,67 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
               "mass_flux_monotone": mass_flux_monotone,
               "mass_flux_defect": q_mono_defect,
               "stabilized": stabilized, "R_solve": g.R}
-    return ExperimentReport(
-        experiment="blowup", manifold=manifold.describe(),
-        controls=_echo_controls(controls), series={"blowup": tuple(rows)},
-        fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows})
-
-
-def blowup_probe(manifold: RadialManifold, r0: float, t: float, R_list,
-                 controls: SolveControls, **probe_kw) -> ExperimentReport:
-    """The blowup analysis of ``blowup_sweep`` over the one time ``t``."""
-    if not (math.isfinite(t) and t > 0):
-        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
-    return _blowup_reports(manifold, r0, [float(t)], R_list, controls,
-                           **probe_kw)[0]
+    return tuple(rows), fitted, finding
 
 
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
-                 controls: SolveControls, **probe_kw) -> ExperimentReport:
-    """Run blowup probes over a time ladder and combine their findings.
+                 controls: SolveControls, noise_floor_q: float | None = None,
+                 **thresholds) -> ExperimentReport:
+    """Truncated variation growth of a ball's complement over a time ladder.
 
-    The sweep confirms divergence when every probe is divergent and refutes
-    it when every probe is convergent; anything else is inconclusive.  Each
-    probe's rows become series ``blowup_t<i>`` in t_list order, and
+    One trajectory of [constant, ball] runs through every time in ``t_list``
+    on a domain extending max(2, 8*sqrt(max t)) past max(R_list), capped at
+    the overflow-safe radius; the complement state follows by linearity, and
+    its variation is accumulated up to each requested radius.  Divergence at
+    a time requires all of: strictly increasing TV_R, least-squares slope at
+    or above the slope threshold, mass-function flux nondecreasing within
+    1e-8, and complement flux at the largest radius at or above the q
+    threshold.  The q threshold defaults to 10x the flux a matched
+    flat-space trajectory (same margin, no cap) leaves at the same radius
+    (its noise floor); on flat space the run is its own floor.  Convergence
+    requires the TV tail to stabilize instead.
+
+    The sweep confirms divergence when every time is divergent and refutes
+    it when every time is convergent; anything else is inconclusive.  Each
+    time's rows become series ``blowup_t<i>`` in t_list order, and
     ``fitted`` holds the per-time constants plus a summary that, when every
-    probe is convergent and at least three times were measured, carries the
+    time is convergent and at least three were measured, carries the
     Aitken-extrapolated small-time limit of TV at the largest radius.
     """
     ts = _require_decreasing(t_list, "t_list")
-    reports = _blowup_reports(manifold, r0, ts, R_list, controls, **probe_kw)
-    findings = [r.finding for r in reports]
+    if not (math.isfinite(r0) and r0 > 0):
+        raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
+    radii = [float(r) for r in R_list]
+    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InvalidArgumentError("R_list must contain >= 2 strictly increasing radii")
+    if radii[0] <= r0:
+        raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
+    safe = overflow_safe_radius(manifold)
+    if radii[-1] > safe:
+        raise RangeError(
+            f"R_max={radii[-1]:.6g} exceeds the overflow-safe radius "
+            f"{safe:.6g}; reduce R_max")
+    margin = max(2.0, 8.0 * math.sqrt(ts[0]))
+    stops = ts[::-1]
+
+    g, states = _complement_states(manifold, r0, stops,
+                                   min(radii[-1] + margin, safe), radii[0],
+                                   controls)
+    r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
+              for r in radii]
+    floors = [noise_floor_q] * len(stops)
+    if noise_floor_q is None and manifold.family != "euclidean":
+        flat = euclidean(manifold.dimension)
+        gf, flat_states = _complement_states(flat, r0, stops,
+                                             radii[-1] + margin, radii[0],
+                                             controls)
+        floors = [abs(functionals.flux_profile(mf - bf, gf, flat).at(r_used[-1]))
+                  for mf, bf in flat_states]
+    rows, fitted, findings = zip(*(
+        _blowup_at(manifold, g, mass, ball, t, r_used, floor, **thresholds)
+        for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])))
+
+    findings = list(findings)
     if all(f == "divergent" for f in findings):
         verdict, finding = "confirms", "divergent"
     elif all(f == "convergent" for f in findings):
@@ -351,19 +330,17 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         verdict, finding = "inconclusive", "mixed"
 
     summary = {"findings": findings}
-    if finding == "convergent" and len(reports) >= 3:
-        points = [(t, r.series["blowup"][-1]["TV_R"])
-                  for t, r in zip(ts, reports)]
-        ext = functionals.extrapolate_limit(points, method="aitken")
+    if finding == "convergent" and len(ts) >= 3:
+        points = [(t, r[-1]["TV_R"]) for t, r in zip(ts, rows)]
+        ext = functionals.extrapolate_limit(points)
         summary.update({"tv_small_time_limit": ext.limit,
                         "error_indicator": ext.error_indicator,
                         "low_confidence": ext.low_confidence})
     return ExperimentReport(
         experiment="blowup", manifold=manifold.describe(),
         controls=_echo_controls(controls),
-        series={f"blowup_t{i}": r.series["blowup"]
-                for i, r in enumerate(reports)},
-        fitted={"per_t": [r.fitted for r in reports], "summary": summary},
+        series={f"blowup_t{i}": r for i, r in enumerate(rows)},
+        fitted={"per_t": list(fitted), "summary": summary},
         verdict=verdict, finding=finding, evidence={"findings": findings})
 
 
@@ -384,8 +361,7 @@ def comparison_check(t: float, R: float, controls: SolveControls,
     if not (math.isfinite(R) and R > 0):
         raise InvalidArgumentError(f"truncation radius must be positive, got {R}")
 
-    g = build_grid(manifold, R, controls.n_cells, controls.grading, (),
-                   controls.grading_ratio)
+    g = build_grid(manifold, R, controls.n_cells)
     op = assemble(g, manifold, DIRICHLET)
     u0 = project_datum(constant_one(), g).values
     v = np.zeros(g.N)
@@ -477,8 +453,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     if R_solve > safe:
         R_solve = safe
         notes.append(f"solve radius capped at {safe:.6g}")
-    g = build_grid(manifold, R_solve, controls.n_cells, controls.grading,
-                   datum.jump_radii, controls.grading_ratio)
+    g = build_grid(manifold, R_solve, controls.n_cells, datum.jump_radii)
     op = assemble(g, manifold, DIRICHLET)
     states = advance_states(op, project_datum(datum, g).values, 0.0, ts[::-1],
                             controls)

@@ -108,20 +108,16 @@ class ExtrapolationResult:
     limit: float
     error_indicator: float
     low_confidence: bool
-    method: str
 
 
-def extrapolate_limit(series, method: str = "aitken",
-                      order: float = 2.0) -> ExtrapolationResult:
+def extrapolate_limit(series) -> ExtrapolationResult:
     """Limit of a sequence sampled at h decreasing to 0.
 
     ``series`` is a list of (h, value) pairs with h strictly decreasing.
-    The default is iterated Aitken delta-squared, which is exact for
-    geometric error decay of unknown ratio; ``method="richardson"`` runs a
-    Neville tableau for a declared leading error order in h.  The error
-    indicator is the magnitude of the last applied correction, and
-    ``low_confidence`` flags sequences whose raw differences fail to
-    contract.
+    The limit comes from iterated Aitken delta-squared, which is exact for
+    geometric error decay of unknown ratio.  The error indicator is the
+    magnitude of the last applied correction, and ``low_confidence`` flags
+    sequences whose raw differences fail to contract.
     """
     pairs = [(float(h), float(v)) for h, v in series]
     if len(pairs) < 3:
@@ -130,13 +126,11 @@ def extrapolate_limit(series, method: str = "aitken",
     xs = [v for _, v in pairs]
     if any(b >= a for a, b in zip(hs, hs[1:])) or hs[-1] <= 0:
         raise InvalidArgumentError("h must be positive and strictly decreasing")
-    if method not in ("aitken", "richardson"):
-        raise InvalidArgumentError(f"unknown extrapolation method {method!r}")
 
     scale = max(abs(x) for x in xs)
     if max(xs) - min(xs) <= 1e-15 * max(scale, 1e-300):
         return ExtrapolationResult(limit=xs[-1], error_indicator=0.0,
-                                   low_confidence=False, method=method)
+                                   low_confidence=False)
 
     deltas = [b - a for a, b in zip(xs, xs[1:])]
     low = False
@@ -146,42 +140,27 @@ def extrapolate_limit(series, method: str = "aitken",
         if abs(d0) <= 1e-13 * max(scale, 1e-300) or abs(d1) >= 0.9 * abs(d0):
             low = True
 
-    if method == "aitken":
-        stages = [xs]
-        while len(stages[-1]) >= 3:
-            cur = stages[-1]
-            nxt = []
-            for a, b, c in zip(cur, cur[1:], cur[2:]):
-                den = (c - b) - (b - a)
-                if abs(den) <= 1e-14 * (abs(a) + abs(b) + abs(c) + 1e-300):
-                    nxt = []
-                    break
-                nxt.append(c - (c - b) ** 2 / den)
-            if not nxt:
+    stages = [xs]
+    while len(stages[-1]) >= 3:
+        cur = stages[-1]
+        nxt = []
+        for a, b, c in zip(cur, cur[1:], cur[2:]):
+            den = (c - b) - (b - a)
+            if abs(den) <= 1e-14 * (abs(a) + abs(b) + abs(c) + 1e-300):
+                nxt = []
                 break
-            stages.append(nxt)
-        if len(stages) == 1:
-            limit = xs[-1]
-            error = abs(deltas[-1])
-        else:
-            limit = stages[-1][-1]
-            error = abs(stages[-1][-1] - stages[-2][-1])
+            nxt.append(c - (c - b) ** 2 / den)
+        if not nxt:
+            break
+        stages.append(nxt)
+    if len(stages) == 1:
+        limit = xs[-1]
+        error = abs(deltas[-1])
     else:
-        if order <= 0:
-            raise InvalidArgumentError(f"richardson needs a positive order, got {order}")
-        rows = [xs]
-        for j in range(1, len(xs)):
-            prev = rows[-1]
-            row = []
-            for k in range(j, len(xs)):
-                ratio = (hs[k - j] / hs[k]) ** (order + j - 1)
-                a, b = prev[k - j + 1], prev[k - j]
-                row.append(a + (a - b) / (ratio - 1.0))
-            rows.append(row)
-        limit = rows[-1][-1]
-        error = abs(rows[-1][-1] - rows[-2][-1])
+        limit = stages[-1][-1]
+        error = abs(stages[-1][-1] - stages[-2][-1])
 
     if error > 0.05 * max(abs(limit), 1e-30):
         low = True
     return ExtrapolationResult(limit=float(limit), error_indicator=float(error),
-                               low_confidence=low, method=method)
+                               low_confidence=low)

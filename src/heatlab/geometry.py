@@ -250,15 +250,6 @@ class RadialBVDatum:
             return tuple(sorted({r for r in radii if radii.count(r) == 2 and r > 0}))
         return ()
 
-    @property
-    def value_range(self) -> tuple[float, float]:
-        if self.kind == "constant_one":
-            return (1.0, 1.0)
-        if self.kind == "piecewise":
-            values = [p[1] for p in self.breakpoints]
-            return (min(values), max(values))
-        return (0.0, 1.0)
-
     def value(self, r):
         """Profile value at radius r (elementwise).  At a jump, the right limit."""
         arr = np.asarray(r, dtype=float)

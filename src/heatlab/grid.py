@@ -30,8 +30,6 @@ class Grid:
     centers: np.ndarray          # N cell-center radii
     log_face_area: np.ndarray    # log A at each face; -inf at the pole
     log_cell_measure: np.ndarray  # log mu_i, sigma included
-    grading: str
-    grading_ratio: float | None = None
 
     def face_index(self, r: float) -> int:
         """Index of the face at radius r; raises if r is not a face."""
@@ -72,20 +70,15 @@ def _cell_log_integrals(manifold: RadialManifold, faces: np.ndarray) -> np.ndarr
     return out
 
 
-def face_ladder(R: float, N: int, grading: str = "uniform", jump_radii=(),
-                grading_ratio: float | None = None
-                ) -> tuple[np.ndarray, float | None]:
-    """Faces of an N-cell mesh on [0, R] holding every requested jump radius.
+def face_ladder(R: float, N: int, jump_radii=()) -> np.ndarray:
+    """Faces of a uniform N-cell mesh on [0, R] holding every jump radius.
 
     Jump radii are snapped onto the nearest interior face (moving it by at
     most half a cell), so indicator data project onto cells without smearing.
-    Returns the faces and the geometric grading ratio (None when uniform).
 
     Args:
         R: truncation radius, > 0.
         N: cell count, >= 16.
-        grading: "uniform" or "geometric"; geometric grading widens cells
-            outward by ``grading_ratio`` per cell (ratio <= 1.05).
         jump_radii: radii in (0, R) that must appear among the faces.
     """
     if not (math.isfinite(R) and R > 0):
@@ -93,19 +86,7 @@ def face_ladder(R: float, N: int, grading: str = "uniform", jump_radii=(),
     if N < 16:
         raise InvalidArgumentError(f"need at least 16 cells, got {N}")
 
-    if grading == "uniform":
-        faces = np.linspace(0.0, R, N + 1)
-        ratio = None
-    elif grading == "geometric":
-        ratio = 1.02 if grading_ratio is None else float(grading_ratio)
-        if not 1.0 < ratio <= 1.05:
-            raise InvalidArgumentError(f"geometric grading ratio must be in (1, 1.05], got {ratio}")
-        widths = ratio ** np.arange(N)
-        faces = np.concatenate([[0.0], np.cumsum(widths)]) * (R / widths.sum())
-        faces[-1] = R
-    else:
-        raise InvalidArgumentError(f"unknown grading {grading!r}")
-
+    faces = np.linspace(0.0, R, N + 1)
     taken: dict[int, float] = {}
     for r in sorted(float(j) for j in jump_radii):
         if not 0.0 < r < R:
@@ -120,19 +101,16 @@ def face_ladder(R: float, N: int, grading: str = "uniform", jump_radii=(),
         faces[idx] = r
     if np.any(np.diff(faces) <= 0):
         raise InvalidArgumentError("jump snapping collapsed a cell; increase N")
-    return faces, ratio
+    return faces
 
 
 def build_grid(manifold: RadialManifold, R: float, N: int,
-               grading: str = "uniform", jump_radii=(),
-               grading_ratio: float | None = None) -> Grid:
+               jump_radii=()) -> Grid:
     """Mesh of N cells on [0, R] over ``face_ladder``; jump radii are faces."""
-    faces, ratio = face_ladder(R, N, grading, jump_radii, grading_ratio)
-    return grid_from_faces(manifold, faces, grading, ratio)
+    return grid_from_faces(manifold, face_ladder(R, N, jump_radii))
 
 
-def grid_from_faces(manifold: RadialManifold, faces, grading: str = "explicit",
-                    grading_ratio: float | None = None) -> Grid:
+def grid_from_faces(manifold: RadialManifold, faces) -> Grid:
     """Grid over an explicit strictly increasing face ladder starting at 0."""
     faces = np.asarray(faces, dtype=float)
     if faces.ndim != 1 or faces.size < 17:
@@ -148,8 +126,7 @@ def grid_from_faces(manifold: RadialManifold, faces, grading: str = "explicit",
     centers = 0.5 * (faces[:-1] + faces[1:])
     log_cell_measure = manifold.log_sphere_constant + _cell_log_integrals(manifold, faces)
     return Grid(R=float(faces[-1]), N=faces.size - 1, faces=faces, centers=centers,
-                log_face_area=log_face_area, log_cell_measure=log_cell_measure,
-                grading=grading, grading_ratio=grading_ratio)
+                log_face_area=log_face_area, log_cell_measure=log_cell_measure)
 
 
 def subgrid(g: Grid, n_cells: int) -> Grid:
@@ -163,5 +140,4 @@ def subgrid(g: Grid, n_cells: int) -> Grid:
     k = n_cells
     return Grid(R=float(g.faces[k]), N=k, faces=g.faces[:k + 1],
                 centers=g.centers[:k], log_face_area=g.log_face_area[:k + 1],
-                log_cell_measure=g.log_cell_measure[:k],
-                grading=g.grading, grading_ratio=g.grading_ratio)
+                log_cell_measure=g.log_cell_measure[:k])

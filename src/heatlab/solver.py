@@ -6,18 +6,18 @@ radii of one run share a single face ladder, so solutions at different R can
 be compared cell by cell and the exhaustion monotonicity becomes a testable
 discrete statement.
 
-Time stepping is implicit Euler by default (unconditional discrete maximum
-principle, which indicator data require), optionally Crank-Nicolson for
-smooth data.  The step size is controlled by step doubling: a full step is
-compared against two half steps in the weighted L1 norm, and the accepted
-state is always the two-half-step one, which preserves the maximum principle
-exactly rather than up to an extrapolation residual.
+Time stepping is implicit Euler (unconditional discrete maximum principle,
+which indicator data require).  The step size is controlled by step
+doubling: a full step is compared against two half steps in the weighted L1
+norm, and the accepted state is always the two-half-step one, which
+preserves the maximum principle exactly rather than up to an extrapolation
+residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,12 +33,10 @@ from .operator import DIRICHLET, WeightedOperator, assemble
 # exhaustion solutions must increase with R up to this roundoff slack
 EXHAUSTION_SLACK = 1e-10
 
-SCHEME_ORDER = {"implicit_euler": 1, "crank_nicolson": 2}
-
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Solver policy: scheme, step control, exhaustion, resolution.
+    """Solver policy: step control, exhaustion, resolution.
 
     ``exhaustion`` is either an explicit strictly increasing tuple of
     truncation radii or None for the automatic policy, which advances in
@@ -48,7 +46,6 @@ class SolveControls:
     radii extend the same face ladder at the same local spacing.
     """
 
-    scheme: str = "implicit_euler"
     dt_init: float = 1e-7
     dt_max: float = math.inf
     dt_growth: float = 1.5
@@ -59,13 +56,9 @@ class SolveControls:
     exhaustion_rtol: float = 1e-6
     max_exhaustion: int = 8
     n_cells: int = 1024
-    grading: str = "uniform"
-    grading_ratio: float | None = None
     richardson: bool = False
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_ORDER:
-            raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
         # written as `not x > 0` so that NaN is rejected too
         if not self.dt_init > 0:
             raise InvalidArgumentError("dt_init must be positive")
@@ -73,14 +66,17 @@ class SolveControls:
             raise InvalidArgumentError("dt_min must be positive")
         if not self.dt_max > 0:
             raise InvalidArgumentError("dt_max must be positive")
+        # a proposal at or below dt_min is accepted whatever its error
+        if not self.dt_min < self.dt_max:
+            raise InvalidArgumentError("dt_min must lie below dt_max")
+        if not self.dt_init > self.dt_min:
+            raise InvalidArgumentError("dt_init must exceed dt_min")
         if not 1.0 < self.dt_growth <= 1.5:
             raise InvalidArgumentError("dt growth factor must lie in (1, 1.5]")
         if not (math.isfinite(self.step_tol) and self.step_tol > 0):
             raise InvalidArgumentError("step tolerance must be positive and finite")
         if not self.exhaustion_rtol > 0:
             raise InvalidArgumentError("exhaustion_rtol must be positive")
-        if self.grading == "uniform" and self.grading_ratio is not None:
-            raise InvalidArgumentError("grading_ratio needs geometric grading")
         if self.n_cells < 16:
             raise InvalidArgumentError("need at least 16 cells")
         if self.max_steps < 1 or self.max_exhaustion < 1:
@@ -92,9 +88,6 @@ class SolveControls:
             if radii[0] <= 0:
                 raise InvalidArgumentError("exhaustion radii must be positive")
             object.__setattr__(self, "exhaustion", radii)
-
-    def replace(self, **kw) -> "SolveControls":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -163,15 +156,10 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> RadialSolution:
     return RadialSolution(grid=g, t=0.0, values=values)
 
 
-def _step(op: WeightedOperator, u: np.ndarray, dt: float, scheme: str) -> np.ndarray:
-    if scheme == "implicit_euler":
-        ab = op.banded(1.0, -dt)
-        rhs = u
-    else:
-        ab = op.banded(1.0, -0.5 * dt)
-        rhs = u + 0.5 * dt * op.apply(u)
+def _step(op: WeightedOperator, u: np.ndarray, dt: float) -> np.ndarray:
+    ab = op.banded(1.0, -dt)
     # the LAPACK call solve_banded((1, 1), ...) makes, without its wrapper
-    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, 1, 1, 1)[3:]
+    x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], u, 1, 1, 1)[3:]
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dgtsv info={info}")
     return x
@@ -238,8 +226,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                     f"replay ladder spans {total} before stop {stop}, not the "
                     f"requested {stop - start}")
             for dt in segment:
-                mid = _step(op, u, 0.5 * dt, controls.scheme)
-                fine = _step(op, mid, 0.5 * dt, controls.scheme)
+                mid = _step(op, u, 0.5 * dt)
+                fine = _step(op, mid, 0.5 * dt)
                 if observer is not None:
                     observer(t, u, t + 0.5 * dt, mid)
                     observer(t + 0.5 * dt, mid, t + dt, fine)
@@ -248,9 +236,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
             at_stops.append(u)
         return at_stops if sequence else at_stops[0]
 
+    # the local error of a first-order step is O(h^2), so the controller
+    # scales the step by (tol/err)^(1/2)
     widths = np.diff(op.grid.faces)[:, None]
-    order = SCHEME_ORDER[controls.scheme]
-    exponent = 1.0 / (order + 1)
 
     def column_l1(arr: np.ndarray) -> np.ndarray:
         return np.sum(widths * np.abs(arr.reshape(op.grid.N, -1)), axis=0)
@@ -270,9 +258,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                     f"step tolerance {controls.step_tol} unreachable within "
                     f"{controls.max_steps} iterations (reached t={t}, dt={dt})")
             h = min(dt, stop - t)
-            mid = _step(op, u, 0.5 * h, controls.scheme)
-            fine = _step(op, mid, 0.5 * h, controls.scheme)
-            coarse = _step(op, u, h, controls.scheme)
+            mid = _step(op, u, 0.5 * h)
+            fine = _step(op, mid, 0.5 * h)
+            coarse = _step(op, u, h)
             err = float(np.max(column_l1(coarse - fine)
                                / np.maximum(column_l1(fine), 1e-300)))
             if err <= controls.step_tol or h <= controls.dt_min:
@@ -287,23 +275,13 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                     continue  # clipped onto the stop: keep the proposal
                 grow = controls.dt_growth
                 if err > 0:
-                    grow = min(grow, 0.9 * (controls.step_tol / err) ** exponent)
+                    grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
                 dt = min(max(h * max(grow, 1.0), controls.dt_min), controls.dt_max)
             else:
-                dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** exponent),
+                dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
                          controls.dt_min)
         at_stops.append(u)
     return at_stops if sequence else at_stops[0]
-
-
-def evolve(op: WeightedOperator, s: RadialSolution, t_target: float,
-           controls: SolveControls) -> RadialSolution:
-    """Evolve a solution to a later time under the given operator."""
-    if t_target < s.t:
-        raise InvalidArgumentError(
-            f"target time {t_target} precedes solution time {s.t}")
-    values = advance_states(op, s.values, s.t, t_target, controls)
-    return RadialSolution(grid=s.grid, t=float(t_target), values=values)
 
 
 def overflow_safe_radius(manifold: RadialManifold, r_max: float = 1e6) -> float:
@@ -382,21 +360,12 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
             f"{safe:.6g} of this manifold")
 
     r1 = radii[0]
-    base_faces, ratio = face_ladder(r1, controls.n_cells, controls.grading,
-                                    jumps, controls.grading_ratio)
-    faces = list(base_faces)
+    faces = list(face_ladder(r1, controls.n_cells, jumps))
     if r_top > r1 * (1 + 1e-12):
-        if controls.grading == "geometric":
-            width = (faces[-1] - faces[-2]) * ratio
-            while faces[-1] < r_top:
-                faces.append(faces[-1] + width)
-                width *= ratio
-        else:
-            width = r1 / controls.n_cells
-            n_extra = int(math.ceil((r_top - r1) / width - 1e-9))
-            faces.extend(r1 + width * np.arange(1, n_extra + 1))
-    ladder = grid_from_faces(manifold, np.asarray(faces), controls.grading,
-                             ratio)
+        width = r1 / controls.n_cells
+        n_extra = int(math.ceil((r_top - r1) / width - 1e-9))
+        faces.extend(r1 + width * np.arange(1, n_extra + 1))
+    ladder = grid_from_faces(manifold, np.asarray(faces))
 
     indices: list[int] = []
     for r in radii:
@@ -504,10 +473,11 @@ def semigroup_check(manifold: RadialManifold, datum: RadialBVDatum,
     ladder, indices = exhaustion_ladder(manifold, datum, t1 + t2, controls)
     g = subgrid(ladder, indices[-1])
     op = assemble(g, manifold, DIRICHLET)
-    u0 = project_datum(datum, g)
+    u0 = project_datum(datum, g).values
 
-    direct = evolve(op, u0, t1 + t2, controls)
-    staged = evolve(op, evolve(op, u0, t2, controls), t1 + t2, controls)
-    gap = functionals.weighted_sum(g, np.abs(direct.values - staged.values))
-    norm = functionals.weighted_sum(g, np.abs(direct.values))
+    direct = advance_states(op, u0, 0.0, t1 + t2, controls)
+    staged = advance_states(op, advance_states(op, u0, 0.0, t2, controls),
+                            t2, t1 + t2, controls)
+    gap = functionals.weighted_sum(g, np.abs(direct - staged))
+    norm = functionals.weighted_sum(g, np.abs(direct))
     return gap / max(norm, 1e-300)

@@ -4,12 +4,14 @@ import json
 import math
 import os
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from heatlab import InvalidArgumentError, SolveControls, euclidean
-from heatlab.cli import RunConfig, load_config, main, run, validate
+from heatlab.cli import (CONFIG_SCHEMA, RunConfig, _controls_from, load_config,
+                         main, run, validate)
 from heatlab.experiments import blowup_sweep
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -277,7 +279,7 @@ def test_custom_manifold_keeps_its_dimension(tmp_path):
 
 def test_non_finite_custom_table_is_exit_2(tmp_path):
     bad = json.loads(json.dumps(CUSTOM_PLANE))
-    bad["manifold"]["log_areas"][2] = math.nan  # json writes NaN, json reads it
+    bad["manifold"]["log_areas"][2] = math.nan  # json writes NaN; the loader refuses it
     cfg = write_config(tmp_path, "c.json", bad)
     out = tmp_path / "out"
     assert run(cfg, str(out)) == 2
@@ -292,6 +294,9 @@ def test_non_finite_custom_table_is_exit_2(tmp_path):
     {"step_tol": math.nan}, {"step_tol": math.inf},
     {"exhaustion_rtol": -1.0}, {"exhaustion_rtol": math.nan},
     {"grading": "uniform", "grading_ratio": 0.5},
+    {"scheme": "implicit_euler"}, {"grading": "uniform"}, {"grading_ratio": None},
+    {"dt_min": 1e-2, "dt_max": 1e-3}, {"dt_min": 1e-3, "dt_max": 1e-3},
+    {"dt_init": 1e-13}, {"dt_init": 1e-9, "dt_min": 1e-8},
 ])
 def test_bad_step_controls_are_exit_2(tmp_path, bad):
     payload = json.loads((CONFIG_DIR / "tail_euclidean.json").read_text())
@@ -303,6 +308,37 @@ def test_bad_step_controls_are_exit_2(tmp_path, bad):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "InvalidArgumentError"
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    # both ran to a wrong verdict when the literal was read as a float: a
+    # NaN gap bound refuted a 7.7e-12 gap, a NaN vw_tol refuted a barrier
+    # that held with max_v_minus_w = -3.3e-4
+    ("degiorgi_euclidean", "tolerances", "gap_rtol", math.nan),
+    ("comparison", "tolerances", "vw_tol", math.nan),
+    ("tail_euclidean", "controls", "dt_max", math.inf),
+])
+def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value):
+    payload = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    payload.setdefault("controls", {})["n_cells"] = 256
+    payload.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, "c.json", payload)  # json writes NaN/Infinity
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "InvalidArgumentError"
+    assert '"inf"' in err["message"]
+    assert not (out / "report.json").exists()
+
+
+def test_schema_controls_are_the_solve_controls():
+    # one home for the controls: every field is a config key, and a config
+    # that sets none resolves to the dataclass defaults
+    schema = CONFIG_SCHEMA["properties"]["controls"]["properties"]
+    assert list(schema) == [f.name for f in fields(SolveControls)]
+    resolved = RunConfig.from_dict({"experiment": "tail", "R_out": 2.0,
+                                    "t_list": [0.05]}).resolved
+    assert _controls_from(resolved["controls"]) == SolveControls()
 
 
 @pytest.mark.parametrize("manifold", [

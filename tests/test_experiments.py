@@ -1,6 +1,7 @@
 """Experiment drivers: verdicts, evidence structure, and control behavior."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ import heatlab.solver
 from conftest import ball_heat_tv
 from heatlab.experiments import (
     VERDICTS,
-    blowup_probe,
     blowup_sweep,
     comparison_check,
     completeness_probe,
@@ -31,7 +31,7 @@ def check_report_shape(rep, experiment):
     assert rep.experiment == experiment
     assert rep.verdict in VERDICTS, f"verdict {rep.verdict!r} not in {VERDICTS}"
     assert rep.finding
-    assert "n_cells" in rep.controls and "scheme" in rep.controls
+    assert set(rep.controls) == {f.name for f in fields(SolveControls)}
     assert "family" in rep.manifold
 
 
@@ -135,35 +135,37 @@ def test_completeness_superexponential_weight(pe4):
 
 def test_blowup_superexponential_weight(pe4):
     controls = SolveControls(n_cells=256, step_tol=1e-6)
-    rep = blowup_probe(pe4, 1.0, 0.1, (2.0, 3.0, 4.0), controls)
+    rep = blowup_sweep(pe4, 1.0, (0.1,), (2.0, 3.0, 4.0), controls)
     check_report_shape(rep, "blowup")
     assert rep.verdict == "confirms", rep.finding
-    assert rep.fitted["tv_strictly_increasing"]
-    assert rep.fitted["mass_flux_monotone"]
-    assert rep.fitted["mass_flux_defect"] >= -1e-8
-    assert rep.fitted["q_at_Rmax"] > rep.fitted["q_threshold"]
-    assert rep.fitted["r_t"] is not None and rep.fitted["delta_t"] > 0
-    tvs = [row["TV_R"] for row in rep.series["blowup"]]
+    fitted = rep.fitted["per_t"][0]
+    assert fitted["tv_strictly_increasing"]
+    assert fitted["mass_flux_monotone"]
+    assert fitted["mass_flux_defect"] >= -1e-8
+    assert fitted["q_at_Rmax"] > fitted["q_threshold"]
+    assert fitted["r_t"] is not None and fitted["delta_t"] > 0
+    tvs = [row["TV_R"] for row in rep.series["blowup_t0"]]
     assert tvs[-1] > 100.0, f"variation should be enormous by R=4, got {tvs[-1]}"
 
 
 def test_blowup_flat_space_control(euclid3):
     controls = SolveControls(n_cells=256, step_tol=1e-6)
-    rep = blowup_probe(euclid3, 1.0, 0.1, (2.0, 3.0, 4.0), controls)
+    rep = blowup_sweep(euclid3, 1.0, (0.1,), (2.0, 3.0, 4.0), controls)
     assert rep.verdict == "refutes", rep.finding
-    assert rep.fitted["stabilized"]
-    assert rep.fitted["q_at_Rmax"] < rep.fitted["q_threshold"]
-    tvs = [row["TV_R"] for row in rep.series["blowup"]]
+    fitted = rep.fitted["per_t"][0]
+    assert fitted["stabilized"]
+    assert fitted["q_at_Rmax"] < fitted["q_threshold"]
+    tvs = [row["TV_R"] for row in rep.series["blowup_t0"]]
     assert abs(tvs[-1] - tvs[-2]) < 1e-3 * tvs[-1], "flat-space variation must settle"
 
 
 def test_blowup_validation(pe4, fast_controls):
     with pytest.raises(InvalidArgumentError):
-        blowup_probe(pe4, 1.0, 0.1, (3.0, 2.0), fast_controls)
+        blowup_sweep(pe4, 1.0, (0.1,), (3.0, 2.0), fast_controls)
     with pytest.raises(InvalidArgumentError):
-        blowup_probe(pe4, 1.0, 0.1, (0.5, 2.0), fast_controls)
+        blowup_sweep(pe4, 1.0, (0.1,), (0.5, 2.0), fast_controls)
     with pytest.raises(RangeError):
-        blowup_probe(pe4, 1.0, 0.1, (2.0, 6.0), fast_controls)
+        blowup_sweep(pe4, 1.0, (0.1,), (2.0, 6.0), fast_controls)
 
 
 def test_blowup_sweep_flat_space_limit(euclid3):

@@ -10,11 +10,11 @@ from heatlab import (
     InvalidArgumentError,
     RangeError,
     SolveControls,
+    advance_states,
     assemble,
     ball_indicator,
     build_grid,
     constant_one,
-    evolve,
     extrapolate_limit,
     face_variation_terms,
     flux_profile,
@@ -98,8 +98,8 @@ def test_flux_threshold_crossing(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    s = evolve(op, project_datum(ball_indicator(1.0), g), 0.05, controls)
-    prof = flux_profile(s, g, euclid3)
+    u0 = project_datum(ball_indicator(1.0), g).values
+    prof = flux_profile(advance_states(op, u0, 0.0, 0.05, controls), g, euclid3)
     r_t, delta_t = prof.crossing(1e-3)
     assert r_t is not None and delta_t is not None
     assert delta_t > 1e-3
@@ -140,14 +140,6 @@ def test_confidence_reflects_remaining_correction():
     assert extrapolate_limit(far).low_confidence
 
 
-def test_richardson_exact_on_power_error():
-    # value(h) = L + c h^2 on a halving ladder is killed by one elimination
-    L, c = 3.7, 0.9
-    series = [(h, L + c * h * h) for h in (0.2, 0.1, 0.05, 0.025)]
-    out = extrapolate_limit(series, method="richardson", order=2.0)
-    assert abs(out.limit - L) < 1e-12, f"richardson limit {out.limit}"
-
-
 def test_extrapolation_flags_non_contracting_series():
     series = [(0.1, 1.0), (0.05, 2.0), (0.025, 1.5), (0.0125, 1.9)]
     out = extrapolate_limit(series)
@@ -159,8 +151,6 @@ def test_extrapolation_validation():
         extrapolate_limit([(0.1, 1.0), (0.05, 1.1)])
     with pytest.raises(InvalidArgumentError):
         extrapolate_limit([(0.1, 1.0), (0.2, 1.1), (0.05, 1.2)])
-    with pytest.raises(InvalidArgumentError):
-        extrapolate_limit([(0.1, 1.0), (0.05, 1.1), (0.025, 1.2)], method="pade")
 
 
 def test_constant_series_short_circuits():

@@ -123,7 +123,6 @@ def test_datum_support_and_jumps():
     ball = ball_indicator(1.25)
     assert ball.support_radius == 1.25
     assert ball.jump_radii == (1.25,)
-    assert ball.value_range == (0.0, 1.0)
 
     comp = complement_indicator(2.0)
     assert comp.support_radius == math.inf

@@ -66,17 +66,6 @@ def test_face_index_rejects_non_faces(euclid3):
         g.face_index(0.7134)
 
 
-def test_geometric_grading_widens_outward(euclid3):
-    g = build_grid(euclid3, 3.0, 64, grading="geometric", grading_ratio=1.03)
-    widths = np.diff(g.faces)
-    ratios = widths[1:] / widths[:-1]
-    assert np.allclose(ratios, 1.03, rtol=1e-9), "cells must widen by the given ratio"
-    with pytest.raises(InvalidArgumentError):
-        build_grid(euclid3, 3.0, 64, grading="geometric", grading_ratio=1.2)
-    with pytest.raises(InvalidArgumentError):
-        build_grid(euclid3, 3.0, 64, grading="chebyshev")
-
-
 def test_build_grid_validation(euclid3, pe4):
     with pytest.raises(InvalidArgumentError):
         build_grid(euclid3, -1.0, 64)
