@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .experiments import (_echo_controls, blowup_sweep, comparison_check,
-                          completeness_probe, degiorgi_sweep, tail_probe)
+from .experiments import (blowup_sweep, comparison_check, completeness_probe,
+                          degiorgi_sweep, tail_probe)
 from .geometry import (ball_indicator, complement_indicator, constant_one,
                        custom_manifold, euclidean, piecewise,
                        power_exp_weight, warped_cone)
@@ -51,21 +51,14 @@ CSV_COLUMNS = {
 }
 
 # type of each SolveControls field in a config; the defaults are the
-# dataclass's own, rendered as the report echoes them
+# dataclass's own
 _CONTROL_TYPES = {
-    "dt_init": {"type": "number"},
-    "dt_max": {"type": ["number", "string"]},
-    "dt_growth": {"type": "number"},
-    "dt_min": {"type": "number"},
     "step_tol": {"type": "number"},
-    "max_steps": {"type": "integer"},
     "exhaustion": {"type": ["array", "null"], "items": {"type": "number"}},
-    "exhaustion_rtol": {"type": "number"},
-    "max_exhaustion": {"type": "integer"},
     "n_cells": {"type": "integer"},
     "richardson": {"type": "boolean"},
 }
-_CONTROL_DEFAULTS = _echo_controls(SolveControls())
+_CONTROL_DEFAULTS = asdict(SolveControls())
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -153,18 +146,25 @@ _FAMILY_ONLY_KEYS = {"params": "power_exp", "radii": "custom",
                      "log_areas": "custom"}
 
 # what each experiment reads besides `experiment` and `threads`:
-# (required keys, optional keys, tolerance names)
+# (required keys, optional keys, {section: names read in it})
+_STEPPING = ("step_tol", "n_cells")
 _KEYS_READ = {
     "degiorgi": (("t_list",), ("manifold", "datum", "controls", "tolerances"),
-                 ("gap_rtol",)),
+                 {"tolerances": ("gap_rtol",),
+                  "controls": (*_STEPPING, "exhaustion", "richardson")}),
     "completeness": (("t",), ("manifold", "controls", "tolerances"),
-                     ("eps_c",)),
+                     {"tolerances": ("eps_c",),
+                      "controls": (*_STEPPING, "exhaustion")}),
     "blowup": (("r0", "t_list", "R_list"),
                ("manifold", "controls", "tolerances"),
-               ("slope_threshold", "q_threshold", "stabilize_rtol")),
-    "comparison": (("t", "R"), ("controls", "tolerances"), ("vw_tol",)),
-    "tail": (("R_out", "t_list"), ("manifold", "datum", "controls"), ()),
-    "validate": ((), ("seed", "inject_asymmetry"), ()),
+               {"tolerances": ("slope_threshold", "q_threshold",
+                               "stabilize_rtol"),
+                "controls": _STEPPING}),
+    "comparison": (("t", "R"), ("controls", "tolerances"),
+                   {"tolerances": ("vw_tol",), "controls": _STEPPING}),
+    "tail": (("R_out", "t_list"), ("manifold", "datum", "controls"),
+             {"controls": _STEPPING}),
+    "validate": ((), ("seed", "inject_asymmetry"), {}),
 }
 
 
@@ -203,7 +203,7 @@ class RunConfig:
             where = "/".join(str(p) for p in first.path) or "(top level)"
             raise InvalidArgumentError(f"config invalid at {where}: {first.message}")
         experiment = cfg["experiment"]
-        required, optional, tolerances = _KEYS_READ[experiment]
+        required, optional, sections = _KEYS_READ[experiment]
         missing = [k for k in required if k not in cfg]
         if missing:
             raise InvalidArgumentError(
@@ -211,8 +211,8 @@ class RunConfig:
         # read the raw config: the schema has filled in defaults everywhere
         unread = [k for k in raw if k not in
                   ("experiment", "threads", *required, *optional)]
-        unread += [f"tolerances/{k}" for k in raw.get("tolerances", {})
-                   if k not in tolerances]
+        unread += [f"{section}/{k}" for section, names in sections.items()
+                   for k in raw.get(section, {}) if k not in names]
         if unread:
             raise InvalidArgumentError(
                 f"experiment {experiment} does not read: {', '.join(unread)}")
@@ -227,10 +227,9 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     def reject(literal: str):
-        # NaN slips past the schema's bounds; an infinite dt_max is "inf"
+        # NaN slips past the schema's bounds
         raise InvalidArgumentError(
-            f"config {path} holds {literal}, which is not a JSON number; "
-            f'write an uncapped dt_max as the string "inf"')
+            f"config {path} holds {literal}, which is not a JSON number")
 
     try:
         with open(path, encoding="utf-8") as fh:
@@ -267,17 +266,6 @@ def _datum_from(cfg: dict):
     if "breakpoints" not in cfg:
         raise InvalidArgumentError("piecewise datum needs breakpoints")
     return piecewise(tuple((float(r), float(v)) for r, v in cfg["breakpoints"]))
-
-
-def _controls_from(cfg: dict) -> SolveControls:
-    kw = dict(cfg)
-    if kw["dt_max"] == "inf":
-        kw["dt_max"] = math.inf
-    elif isinstance(kw["dt_max"], str):
-        raise InvalidArgumentError(f"dt_max must be a number or 'inf', got {kw['dt_max']!r}")
-    if kw["exhaustion"] is not None:
-        kw["exhaustion"] = tuple(float(r) for r in kw["exhaustion"])
-    return SolveControls(**kw)
 
 
 def _format_float(x: float) -> str:
@@ -342,12 +330,11 @@ def _write_csv(path: str, columns, rows):
 
 def _report_base(rc: RunConfig) -> dict:
     """Report header; the config echo holds only the keys the run read."""
-    required, optional, tolerances = _KEYS_READ[rc.experiment]
+    required, optional, sections = _KEYS_READ[rc.experiment]
     echo = {k: copy.deepcopy(v) for k, v in rc.resolved.items()
             if k in ("experiment", "threads", *required, *optional)}
-    if "tolerances" in echo:
-        echo["tolerances"] = {k: v for k, v in echo["tolerances"].items()
-                              if k in tolerances}
+    for section, names in sections.items():
+        echo[section] = {k: v for k, v in echo[section].items() if k in names}
     return {"tool": "heatlab", "version": __version__, "config": echo}
 
 
@@ -454,7 +441,7 @@ def _execute(rc: RunConfig):
         return report, {"validate.csv": report["properties"]}
 
     manifold = _manifold_from(cfg["manifold"])
-    controls = _controls_from(cfg["controls"])
+    controls = SolveControls(**cfg["controls"])
 
     if rc.experiment == "degiorgi":
         rep = degiorgi_sweep(manifold, _datum_from(cfg["datum"]), cfg["t_list"],

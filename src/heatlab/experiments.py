@@ -24,8 +24,9 @@ from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
                        power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (SolveControls, advance_states, exhaustion_radii,
-                     heat_semigroup, overflow_safe_radius, project_datum)
+from .solver import (MAX_EXHAUSTION, SolveControls, advance_states,
+                     exhaustion_radii, heat_semigroup, overflow_safe_radius,
+                     project_datum)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -42,17 +43,6 @@ class ExperimentReport:
     verdict: str
     finding: str
     evidence: dict
-
-
-def _echo_controls(c: SolveControls) -> dict:
-    out = {}
-    for key, value in asdict(c).items():
-        if isinstance(value, float) and math.isinf(value):
-            value = "inf"
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
 
 
 def _require_decreasing(values, name: str):
@@ -121,7 +111,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
               "low_confidence": ext.low_confidence}
     return ExperimentReport(
         experiment="degiorgi", manifold=manifold.describe(),
-        controls=_echo_controls(controls), series={"degiorgi": tuple(rows)},
+        controls=asdict(controls), series={"degiorgi": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"points": [list(p) for p in points],
                   "exhaustion_ok": exhaustion_ok})
@@ -143,7 +133,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
     c = controls
     if c.exhaustion is None:
         c = replace(c, exhaustion=exhaustion_radii(
-            0.0, t, overflow_safe_radius(manifold), max(c.max_exhaustion, 3)))
+            0.0, t, overflow_safe_radius(manifold), MAX_EXHAUSTION))
     res = heat_semigroup(manifold, constant_one(), t, c)
     rows = [{"R": p.R, "m_at_0": p.value_at_zero} for p in res.probes]
 
@@ -167,7 +157,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
             verdict, finding = "inconclusive", "undetermined"
     return ExperimentReport(
         experiment="completeness", manifold=manifold.describe(),
-        controls=_echo_controls(c), series={"completeness": tuple(rows)},
+        controls=asdict(c), series={"completeness": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"rows": rows})
 
@@ -265,8 +255,7 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
 
 
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
-                 controls: SolveControls, noise_floor_q: float | None = None,
-                 **thresholds) -> ExperimentReport:
+                 controls: SolveControls, **thresholds) -> ExperimentReport:
     """Truncated variation growth of a ball's complement over a time ladder.
 
     One trajectory of [constant, ball] runs through every time in ``t_list``
@@ -309,8 +298,8 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                                    controls)
     r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
               for r in radii]
-    floors = [noise_floor_q] * len(stops)
-    if noise_floor_q is None and manifold.family != "euclidean":
+    floors = [None] * len(stops)
+    if manifold.family != "euclidean":
         flat = euclidean(manifold.dimension)
         gf, flat_states = _complement_states(flat, r0, stops,
                                              radii[-1] + margin, radii[0],
@@ -338,7 +327,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                         "low_confidence": ext.low_confidence})
     return ExperimentReport(
         experiment="blowup", manifold=manifold.describe(),
-        controls=_echo_controls(controls),
+        controls=asdict(controls),
         series={f"blowup_t{i}": r for i, r in enumerate(rows)},
         fitted={"per_t": list(fitted), "summary": summary},
         verdict=verdict, finding=finding, evidence={"findings": findings})
@@ -415,7 +404,7 @@ def comparison_check(t: float, R: float, controls: SolveControls,
               "vw_ok": vw_ok, "lap_ok": lap_ok, "tu_ok": tu_ok}
     return ExperimentReport(
         experiment="comparison", manifold=manifold.describe(),
-        controls=_echo_controls(controls), series={"comparison": rows},
+        controls=asdict(controls), series={"comparison": rows},
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"worst_nodes": {
             "v_minus_w_at": float(g.centers[int(np.argmax(excess_vw))]),
@@ -509,6 +498,6 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
             verdict, finding = "inconclusive", "fit quality below threshold"
     return ExperimentReport(
         experiment="tail", manifold=manifold.describe(),
-        controls=_echo_controls(controls), series={"tail": tuple(rows)},
+        controls=asdict(controls), series={"tail": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"rows": rows, "included": [rows[i]["t"] for i in admissible]})

@@ -156,13 +156,13 @@ def perimeter_ball(manifold: RadialManifold, r: float) -> float:
 
 
 def log_area_integral(manifold: RadialManifold, a: float, b: float,
-                      rel_tol: float = 1e-12, max_refine: int = 18) -> float:
+                      rel_tol: float = 1e-12) -> float:
     """log of the integral of A(s) ds over [a, b], by panelwise Gauss-Legendre.
 
     All accumulation happens in log space (log-sum-exp), so the result is
     finite and accurate even when A itself would overflow.  Panels are doubled
-    until the log value moves by less than rel_tol, which bounds the relative
-    error of the underlying integral.
+    (at most 18 times) until the log value moves by less than rel_tol, which
+    bounds the relative error of the underlying integral.
     """
     if b < a:
         raise InvalidArgumentError(f"empty integration range [{a}, {b}]")
@@ -170,7 +170,7 @@ def log_area_integral(manifold: RadialManifold, a: float, b: float,
         return -math.inf
     previous = None
     panels = 1
-    for _ in range(max_refine):
+    for _ in range(18):
         edges = np.linspace(a, b, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])

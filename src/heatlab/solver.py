@@ -32,55 +32,42 @@ from .operator import DIRICHLET, WeightedOperator, assemble
 
 # exhaustion solutions must increase with R up to this roundoff slack
 EXHAUSTION_SLACK = 1e-10
+# step policy: first step, growth cap, the step accepted whatever its error,
+# and the attempt budget of one trajectory
+DT_INIT = 1e-7
+DT_GROWTH = 1.5
+DT_MIN = 1e-13
+MAX_STEPS = 500_000
+# automatic exhaustion: probe stabilization tolerance and level budget
+EXHAUSTION_RTOL = 1e-6
+MAX_EXHAUSTION = 8
 
 
 @dataclass(frozen=True)
 class SolveControls:
-    """Solver policy: step control, exhaustion, resolution.
+    """What an experiment chooses: step tolerance, exhaustion, resolution.
 
+    ``step_tol`` bounds the relative local error of each accepted step.
     ``exhaustion`` is either an explicit strictly increasing tuple of
     truncation radii or None for the automatic policy, which advances in
     increments of max(1, 4*sqrt(t)) beyond the datum until the probe triple
-    (pole value, mass, total variation) stabilizes to ``exhaustion_rtol``.
-    ``n_cells`` is the cell count inside the first truncation radius; larger
-    radii extend the same face ladder at the same local spacing.
+    (pole value, mass, total variation) stabilizes to ``EXHAUSTION_RTOL``,
+    within ``MAX_EXHAUSTION`` levels.  ``n_cells`` is the cell count inside
+    the first truncation radius; larger radii extend the same face ladder at
+    the same local spacing.  ``richardson`` adds a doubled-resolution walk
+    to the De Giorgi sweep.
     """
 
-    dt_init: float = 1e-7
-    dt_max: float = math.inf
-    dt_growth: float = 1.5
-    dt_min: float = 1e-13
     step_tol: float = 1e-6
-    max_steps: int = 500_000
     exhaustion: tuple[float, ...] | None = None
-    exhaustion_rtol: float = 1e-6
-    max_exhaustion: int = 8
     n_cells: int = 1024
     richardson: bool = False
 
     def __post_init__(self):
-        # written as `not x > 0` so that NaN is rejected too
-        if not self.dt_init > 0:
-            raise InvalidArgumentError("dt_init must be positive")
-        if not self.dt_min > 0:
-            raise InvalidArgumentError("dt_min must be positive")
-        if not self.dt_max > 0:
-            raise InvalidArgumentError("dt_max must be positive")
-        # a proposal at or below dt_min is accepted whatever its error
-        if not self.dt_min < self.dt_max:
-            raise InvalidArgumentError("dt_min must lie below dt_max")
-        if not self.dt_init > self.dt_min:
-            raise InvalidArgumentError("dt_init must exceed dt_min")
-        if not 1.0 < self.dt_growth <= 1.5:
-            raise InvalidArgumentError("dt growth factor must lie in (1, 1.5]")
         if not (math.isfinite(self.step_tol) and self.step_tol > 0):
             raise InvalidArgumentError("step tolerance must be positive and finite")
-        if not self.exhaustion_rtol > 0:
-            raise InvalidArgumentError("exhaustion_rtol must be positive")
         if self.n_cells < 16:
             raise InvalidArgumentError("need at least 16 cells")
-        if self.max_steps < 1 or self.max_exhaustion < 1:
-            raise InvalidArgumentError("step and exhaustion budgets must be positive")
         if self.exhaustion is not None:
             radii = tuple(float(r) for r in self.exhaustion)
             if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -189,7 +176,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     then one trajectory runs through all of them and the states at the stops
     are returned as a list.  A step that would cross a stop is clipped onto
     it, and after the stop stepping resumes from the step size proposed
-    before the clip.  ``max_steps`` bounds the whole trajectory.
+    before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory.
 
     ``record_steps`` collects the accepted step sizes, one list per stop
     time (the steps from the previous stop up to that one); ``replay_steps``
@@ -244,7 +231,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
         return np.sum(widths * np.abs(arr.reshape(op.grid.N, -1)), axis=0)
 
     t = t0
-    dt = min(controls.dt_init, controls.dt_max)
+    dt = DT_INIT
     iterations = 0
     at_stops = []
     for stop in stops:
@@ -253,17 +240,17 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
         t_end = stop - 1e-15 * max(abs(stop), 1.0)
         while t < t_end:
             iterations += 1
-            if iterations > controls.max_steps:
+            if iterations > MAX_STEPS:
                 raise NumericalFailure(
                     f"step tolerance {controls.step_tol} unreachable within "
-                    f"{controls.max_steps} iterations (reached t={t}, dt={dt})")
+                    f"{MAX_STEPS} iterations (reached t={t}, dt={dt})")
             h = min(dt, stop - t)
             mid = _step(op, u, 0.5 * h)
             fine = _step(op, mid, 0.5 * h)
             coarse = _step(op, u, h)
             err = float(np.max(column_l1(coarse - fine)
                                / np.maximum(column_l1(fine), 1e-300)))
-            if err <= controls.step_tol or h <= controls.dt_min:
+            if err <= controls.step_tol or h <= DT_MIN:
                 if observer is not None:
                     observer(t, u, t + 0.5 * h, mid)
                     observer(t + 0.5 * h, mid, t + h, fine)
@@ -273,21 +260,21 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                 t = t + h
                 if h < dt:
                     continue  # clipped onto the stop: keep the proposal
-                grow = controls.dt_growth
+                grow = DT_GROWTH
                 if err > 0:
                     grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
-                dt = min(max(h * max(grow, 1.0), controls.dt_min), controls.dt_max)
+                dt = max(h * max(grow, 1.0), DT_MIN)
             else:
                 dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
-                         controls.dt_min)
+                         DT_MIN)
         at_stops.append(u)
     return at_stops if sequence else at_stops[0]
 
 
-def overflow_safe_radius(manifold: RadialManifold, r_max: float = 1e6) -> float:
+def overflow_safe_radius(manifold: RadialManifold) -> float:
     """Largest radius whose face area stays within the grid range budget.
 
-    Returns inf when the budget is never hit below ``r_max`` (flat and
+    Returns inf when the budget is never hit below r = 1e6 (flat and
     decaying weights).  For tabulated models the table edge acts as the cap.
     """
     def fits(r: float) -> bool:
@@ -297,9 +284,9 @@ def overflow_safe_radius(manifold: RadialManifold, r_max: float = 1e6) -> float:
         except InvalidArgumentError:
             return False
 
-    if fits(r_max):
+    if fits(1e6):
         return math.inf
-    lo, hi = 0.0, float(r_max)
+    lo, hi = 0.0, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if fits(mid):
@@ -348,7 +335,7 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     jumps = datum.jump_radii
     safe = overflow_safe_radius(manifold)
     radii = controls.exhaustion or exhaustion_radii(
-        _feature_radius(datum), t, safe, controls.max_exhaustion)
+        _feature_radius(datum), t, safe, MAX_EXHAUSTION)
     if jumps and radii[0] <= max(jumps):
         raise InvalidArgumentError(
             f"first truncation radius {radii[0]} does not contain the datum "
@@ -442,7 +429,7 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
                 total_variation=functionals.total_variation(values, g, manifold))
             if probes[k]:
                 prev = probes[k][-1]
-                rtol = controls.exhaustion_rtol
+                rtol = EXHAUSTION_RTOL
                 converged[k] = (
                     abs(probe.value_at_zero - prev.value_at_zero)
                     <= rtol * max(1.0, abs(probe.value_at_zero))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from heatlab import InvalidArgumentError, SolveControls, euclidean
-from heatlab.cli import (CONFIG_SCHEMA, RunConfig, _controls_from, load_config,
+from heatlab.cli import (CONFIG_SCHEMA, RunConfig, _KEYS_READ, load_config,
                          main, run, validate)
 from heatlab.experiments import blowup_sweep
 
@@ -289,24 +289,27 @@ def test_non_finite_custom_table_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [
-    {"dt_min": -1.0}, {"dt_min": 0.0}, {"dt_min": math.nan},
-    {"dt_max": -1.0}, {"dt_max": 0.0}, {"dt_max": math.nan},
+    # the step policy is fixed: each former control, even at its old
+    # default, is an unknown key
+    {"dt_init": 1e-7}, {"dt_max": "inf"}, {"dt_growth": 1.5},
+    {"dt_min": 1e-13}, {"max_steps": 2000}, {"exhaustion_rtol": 1e-6},
+    {"max_exhaustion": 8},
     {"step_tol": math.nan}, {"step_tol": math.inf},
-    {"exhaustion_rtol": -1.0}, {"exhaustion_rtol": math.nan},
+    {"step_tol": 0.0}, {"step_tol": -1e-6},
     {"grading": "uniform", "grading_ratio": 0.5},
     {"scheme": "implicit_euler"}, {"grading": "uniform"}, {"grading_ratio": None},
-    {"dt_min": 1e-2, "dt_max": 1e-3}, {"dt_min": 1e-3, "dt_max": 1e-3},
-    {"dt_init": 1e-13}, {"dt_init": 1e-9, "dt_min": 1e-8},
+    {"n_cells": 8}, {"n_cells": 0}, {"n_cells": 128.5},
 ])
 def test_bad_step_controls_are_exit_2(tmp_path, bad):
     payload = json.loads((CONFIG_DIR / "tail_euclidean.json").read_text())
-    # a small step budget keeps a run that slips through short
-    payload["controls"].update({"n_cells": 128, "max_steps": 2000, **bad})
+    payload["controls"].update({"n_cells": 128, **bad})
     cfg = write_config(tmp_path, "tail.json", payload)
     out = tmp_path / "out"
     assert run(cfg, str(out)) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "InvalidArgumentError"
+    for key in set(bad) - {f.name for f in fields(SolveControls)}:
+        assert f"'{key}'" in err["message"], err["message"]
     assert not (out / "report.json").exists()
 
 
@@ -316,7 +319,7 @@ def test_bad_step_controls_are_exit_2(tmp_path, bad):
     # that held with max_v_minus_w = -3.3e-4
     ("degiorgi_euclidean", "tolerances", "gap_rtol", math.nan),
     ("comparison", "tolerances", "vw_tol", math.nan),
-    ("tail_euclidean", "controls", "dt_max", math.inf),
+    ("tail_euclidean", "controls", "step_tol", math.inf),
 ])
 def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value):
     payload = json.loads((CONFIG_DIR / f"{name}.json").read_text())
@@ -327,7 +330,7 @@ def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value
     assert run(cfg, str(out)) == 2
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "InvalidArgumentError"
-    assert '"inf"' in err["message"]
+    assert f"holds {json.dumps(value)}," in err["message"], err["message"]
     assert not (out / "report.json").exists()
 
 
@@ -338,7 +341,12 @@ def test_schema_controls_are_the_solve_controls():
     assert list(schema) == [f.name for f in fields(SolveControls)]
     resolved = RunConfig.from_dict({"experiment": "tail", "R_out": 2.0,
                                     "t_list": [0.05]}).resolved
-    assert _controls_from(resolved["controls"]) == SolveControls()
+    assert SolveControls(**resolved["controls"]) == SolveControls()
+    # and every control is read by some experiment; an unread one is a
+    # constant, not a knob
+    read = {name for _, _, sections in _KEYS_READ.values()
+            for name in sections.get("controls", ())}
+    assert read == set(schema)
 
 
 @pytest.mark.parametrize("manifold", [
@@ -394,6 +402,11 @@ MINIMAL = {
     ("blowup", {"tolerances": {"q_threshold": 1.0, "vw_tol": 1.0}}),
     ("tail", {"tolerances": {"gap_rtol": 0.5}}),
     ("validate", {"controls": {"n_cells": 64}}),
+    # controls the run never reads: once accepted and echoed as if honoured
+    ("tail", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
+    ("blowup", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
+    ("comparison", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
+    ("completeness", {"controls": {"richardson": True}}),
 ])
 def test_keys_the_experiment_ignores_are_rejected(tmp_path, experiment, extra):
     payload = {**MINIMAL[experiment], **extra}
@@ -476,4 +489,4 @@ def test_config_echo_holds_only_keys_read(tmp_path, payload, keys, tolerances):
     echo = json.loads((out / "report.json").read_text())["config"]
     assert set(echo) == keys
     assert echo.get("tolerances") == tolerances
-    assert echo["controls"]["n_cells"] == 128
+    assert echo["controls"] == {"n_cells": 128, "step_tol": 1e-5}
