@@ -30,9 +30,8 @@ from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .experiments import (blowup_sweep, comparison_check, completeness_probe,
                           degiorgi_sweep, tail_probe)
-from .geometry import (ball_indicator, complement_indicator, constant_one,
-                       custom_manifold, euclidean, piecewise,
-                       power_exp_weight, warped_cone)
+from .geometry import (ball_indicator, constant_one, custom_manifold,
+                       euclidean, piecewise, power_exp_weight, warped_cone)
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
 from .solver import (SolveControls, advance_states, exhaustion_levels,
@@ -93,9 +92,8 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "default": {},
             "properties": {
-                "kind": {"enum": ["ball", "complement", "piecewise",
-                                  "constant"],
-                         "default": "ball"},
+                # the experiments that read a datum need compact support
+                "kind": {"enum": ["ball", "piecewise"], "default": "ball"},
                 "radius": {"type": "number", "exclusiveMinimum": 0,
                            "default": 1.0},
                 "breakpoints": {
@@ -126,17 +124,14 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "default": {},
             "properties": {
-                "gap_rtol": {"type": "number", "default": 0.01},
-                "eps_c": {"type": "number", "default": 1e-4},
-                "stabilize_rtol": {"type": "number", "default": 1e-3},
-                "vw_tol": {"type": "number", "default": 1e-6},
-                "slope_threshold": {"type": ["number", "null"],
-                                    "default": None},
-                "q_threshold": {"type": ["number", "null"], "default": None},
+                "gap_rtol": {"type": "number", "exclusiveMinimum": 0,
+                             "default": 0.01},
+                # at 0.1 or above the incomplete band 1 - 10*eps_c is empty
+                "eps_c": {"type": "number", "exclusiveMinimum": 0,
+                          "exclusiveMaximum": 0.1, "default": 1e-4},
             },
         },
         "seed": {"type": "integer", "default": 0},
-        "threads": {"type": ["integer", "null"], "default": None},
         "inject_asymmetry": {"type": "boolean", "default": False},
     },
 }
@@ -145,7 +140,7 @@ CONFIG_SCHEMA = {
 _FAMILY_ONLY_KEYS = {"params": "power_exp", "radii": "custom",
                      "log_areas": "custom"}
 
-# what each experiment reads besides `experiment` and `threads`:
+# what each experiment reads besides `experiment`:
 # (required keys, optional keys, {section: names read in it})
 _STEPPING = ("step_tol", "n_cells")
 _KEYS_READ = {
@@ -155,13 +150,9 @@ _KEYS_READ = {
     "completeness": (("t",), ("manifold", "controls", "tolerances"),
                      {"tolerances": ("eps_c",),
                       "controls": (*_STEPPING, "exhaustion")}),
-    "blowup": (("r0", "t_list", "R_list"),
-               ("manifold", "controls", "tolerances"),
-               {"tolerances": ("slope_threshold", "q_threshold",
-                               "stabilize_rtol"),
-                "controls": _STEPPING}),
-    "comparison": (("t", "R"), ("controls", "tolerances"),
-                   {"tolerances": ("vw_tol",), "controls": _STEPPING}),
+    "blowup": (("r0", "t_list", "R_list"), ("manifold", "controls"),
+               {"controls": _STEPPING}),
+    "comparison": (("t", "R"), ("controls",), {"controls": _STEPPING}),
     "tail": (("R_out", "t_list"), ("manifold", "datum", "controls"),
              {"controls": _STEPPING}),
     "validate": ((), ("seed", "inject_asymmetry"), {}),
@@ -185,6 +176,18 @@ def _defaulting_validator():
 _VALIDATOR = _defaulting_validator()(CONFIG_SCHEMA)
 
 
+def _reject_non_finite(node, path: tuple = ()):
+    """Refuse NaN and infinities anywhere: NaN passes the schema's bounds."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise InvalidArgumentError(
+            f"config invalid at {'/'.join(map(str, path))}: holds "
+            f"{json.dumps(node)}, which is not a finite number")
+    children = (node.items() if isinstance(node, dict) else enumerate(node)
+                if isinstance(node, (list, tuple)) else ())
+    for key, child in children:
+        _reject_non_finite(child, (*path, key))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated, default-filled run description."""
@@ -196,6 +199,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise InvalidArgumentError("config must be a JSON object")
+        _reject_non_finite(raw)
         cfg = copy.deepcopy(raw)
         errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.path))
         if errors:
@@ -210,7 +214,7 @@ class RunConfig:
                 f"experiment {experiment} requires keys: {', '.join(missing)}")
         # read the raw config: the schema has filled in defaults everywhere
         unread = [k for k in raw if k not in
-                  ("experiment", "threads", *required, *optional)]
+                  ("experiment", *required, *optional)]
         unread += [f"{section}/{k}" for section, names in sections.items()
                    for k in raw.get(section, {}) if k not in names]
         if unread:
@@ -226,14 +230,9 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    def reject(literal: str):
-        # NaN slips past the schema's bounds
-        raise InvalidArgumentError(
-            f"config {path} holds {literal}, which is not a JSON number")
-
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=reject)
+            raw = json.load(fh)
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -259,10 +258,6 @@ def _datum_from(cfg: dict):
     kind = cfg["kind"]
     if kind == "ball":
         return ball_indicator(cfg["radius"])
-    if kind == "complement":
-        return complement_indicator(cfg["radius"])
-    if kind == "constant":
-        return constant_one()
     if "breakpoints" not in cfg:
         raise InvalidArgumentError("piecewise datum needs breakpoints")
     return piecewise(tuple((float(r), float(v)) for r, v in cfg["breakpoints"]))
@@ -332,7 +327,7 @@ def _report_base(rc: RunConfig) -> dict:
     """Report header; the config echo holds only the keys the run read."""
     required, optional, sections = _KEYS_READ[rc.experiment]
     echo = {k: copy.deepcopy(v) for k, v in rc.resolved.items()
-            if k in ("experiment", "threads", *required, *optional)}
+            if k in ("experiment", *required, *optional)}
     for section, names in sections.items():
         echo[section] = {k: v for k, v in echo[section].items() if k in names}
     return {"tool": "heatlab", "version": __version__, "config": echo}
@@ -435,7 +430,6 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
 
 def _execute(rc: RunConfig):
     cfg = rc.resolved
-    tol = cfg["tolerances"]
     if rc.experiment == "validate":
         report = validate(cfg["seed"], cfg["inject_asymmetry"])
         return report, {"validate.csv": report["properties"]}
@@ -445,19 +439,16 @@ def _execute(rc: RunConfig):
 
     if rc.experiment == "degiorgi":
         rep = degiorgi_sweep(manifold, _datum_from(cfg["datum"]), cfg["t_list"],
-                             controls, gap_rtol=tol["gap_rtol"])
+                             controls,
+                             gap_rtol=cfg["tolerances"]["gap_rtol"])
     elif rc.experiment == "completeness":
         rep = completeness_probe(manifold, cfg["t"], controls,
-                                 eps_c=tol["eps_c"])
+                                 eps_c=cfg["tolerances"]["eps_c"])
     elif rc.experiment == "blowup":
-        rep = blowup_sweep(
-            manifold, cfg["r0"], cfg["t_list"], cfg["R_list"], controls,
-            slope_threshold=tol["slope_threshold"],
-            q_threshold=tol["q_threshold"],
-            stabilize_rtol=tol["stabilize_rtol"])
+        rep = blowup_sweep(manifold, cfg["r0"], cfg["t_list"], cfg["R_list"],
+                           controls)
     elif rc.experiment == "comparison":
-        rep = comparison_check(cfg["t"], cfg["R"], controls,
-                               vw_tol=tol["vw_tol"])
+        rep = comparison_check(cfg["t"], cfg["R"], controls)
     else:
         rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
                          cfg["t_list"], controls)
@@ -483,8 +474,8 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         threads: int | None = None, seed: int | None = None) -> int:
     """Execute one config end to end; returns the process exit code.
 
-    ``threads`` is accepted for compatibility and has no effect: every run
-    is single-threaded.
+    ``threads`` is ignored: every run is single-threaded.  It stays in the
+    signature for callers that still pass it.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -549,13 +540,11 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (validate only)")
     args = parser.parse_args(argv)
     return run(args.config, args.out, experiment=args.experiment,
-               threads=args.threads, seed=args.seed)
+               seed=args.seed)
 
 
 if __name__ == "__main__":

@@ -30,6 +30,11 @@ from .solver import (MAX_EXHAUSTION, SolveControls, advance_states,
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
+# blowup: a TV tail whose last step moved by at most this fraction is stable
+STABILIZE_RTOL = 1e-3
+# comparison: how far v may exceed the barrier integral w at any node
+VW_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
@@ -71,6 +76,8 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     """
     if not math.isfinite(datum.support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
+    if not gap_rtol > 0:
+        raise InvalidArgumentError(f"gap_rtol must be positive, got {gap_rtol}")
     ts = _require_decreasing(t_list, "t_list")
     exact = exact_total_variation(datum, manifold)
 
@@ -130,6 +137,8 @@ def completeness_probe(manifold: RadialManifold, t: float,
     """
     if not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
+    if not 0 < eps_c < 0.1:  # else the band below 1 - 10*eps_c is empty
+        raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
     c = controls
     if c.exhaustion is None:
         c = replace(c, exhaustion=exhaustion_radii(
@@ -185,10 +194,7 @@ def _complement_states(manifold: RadialManifold, r0: float, stops,
 
 def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
                ball_values: np.ndarray, t: float, r_used: list,
-               noise_floor_q: float | None,
-               slope_threshold: float | None = None,
-               q_threshold: float | None = None,
-               stabilize_rtol: float = 1e-3) -> tuple[tuple, dict, str]:
+               noise_floor_q: float | None) -> tuple[tuple, dict, str]:
     """(rows, fitted, finding) at one time from the evolved [constant, ball]."""
     comp = mass_values - ball_values
     terms = functionals.face_variation_terms(comp, g, manifold)
@@ -212,8 +218,7 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
 
     if noise_floor_q is None:
         noise_floor_q = abs(q_at_rmax)
-    q_thr = q_threshold if q_threshold is not None else max(10.0 * noise_floor_q,
-                                                            1e-12)
+    q_thr = max(10.0 * noise_floor_q, 1e-12)
     r_t, delta_t = flux_comp.crossing(q_thr)
 
     xs = np.asarray(r_used)
@@ -222,11 +227,10 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
     slope = (math.fsum((x - xbar) * y for x, y in zip(xs, ys))
              / math.fsum((x - xbar) ** 2 for x in xs))
     span = r_used[-1] - r_used[0]
-    slope_thr = (slope_threshold if slope_threshold is not None
-                 else 0.05 * tv_values[-1] / span)
+    slope_thr = 0.05 * tv_values[-1] / span
     strictly_increasing = all(b > a for a, b in zip(tv_values, tv_values[1:]))
     stabilized = (abs(tv_values[-1] - tv_values[-2])
-                  <= stabilize_rtol * max(tv_values[-1], 1e-30))
+                  <= STABILIZE_RTOL * max(tv_values[-1], 1e-30))
 
     divergent = (strictly_increasing and slope >= slope_thr
                  and mass_flux_monotone and q_at_rmax >= q_thr)
@@ -255,7 +259,7 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
 
 
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
-                 controls: SolveControls, **thresholds) -> ExperimentReport:
+                 controls: SolveControls) -> ExperimentReport:
     """Truncated variation growth of a ball's complement over a time ladder.
 
     One trajectory of [constant, ball] runs through every time in ``t_list``
@@ -263,12 +267,13 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     the overflow-safe radius; the complement state follows by linearity, and
     its variation is accumulated up to each requested radius.  Divergence at
     a time requires all of: strictly increasing TV_R, least-squares slope at
-    or above the slope threshold, mass-function flux nondecreasing within
-    1e-8, and complement flux at the largest radius at or above the q
-    threshold.  The q threshold defaults to 10x the flux a matched
-    flat-space trajectory (same margin, no cap) leaves at the same radius
-    (its noise floor); on flat space the run is its own floor.  Convergence
-    requires the TV tail to stabilize instead.
+    or above the slope threshold (0.05 * TV at the largest radius over the
+    R_list span), mass-function flux nondecreasing within 1e-8, and
+    complement flux at the largest radius at or above the q threshold.  The
+    q threshold is 10x the flux a matched flat-space trajectory (same
+    margin, no cap) leaves at the same radius (its noise floor); on flat
+    space the run is its own floor.  Convergence requires instead that the
+    last TV step stays within ``STABILIZE_RTOL`` of the last TV.
 
     The sweep confirms divergence when every time is divergent and refutes
     it when every time is convergent; anything else is inconclusive.  Each
@@ -307,7 +312,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         floors = [abs(functionals.flux_profile(mf - bf, gf, flat).at(r_used[-1]))
                   for mf, bf in flat_states]
     rows, fitted, findings = zip(*(
-        _blowup_at(manifold, g, mass, ball, t, r_used, floor, **thresholds)
+        _blowup_at(manifold, g, mass, ball, t, r_used, floor)
         for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])))
 
     findings = list(findings)
@@ -333,14 +338,14 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         verdict=verdict, finding=finding, evidence={"findings": findings})
 
 
-def comparison_check(t: float, R: float, controls: SolveControls,
-                     vw_tol: float = 1e-6) -> ExperimentReport:
+def comparison_check(t: float, R: float,
+                     controls: SolveControls) -> ExperimentReport:
     """Certificate run on the fast-growth model: barrier domination.
 
     Evolves the constant profile on the truncated ball, accumulating its
     time integral v by trapezoid rule along the accepted steps, and checks
     three node-wise statements: v stays below the barrier integral w (within
-    ``vw_tol``), the barrier's weighted Laplacian stays below -1, and
+    ``VW_TOL``), the barrier's weighted Laplacian stays below -1, and
     t * u(t) stays below v.  The barrier integrand (1 - exp(-s^4))/s^3 is
     integrated adaptively; its Laplacian is evaluated in closed form.
     """
@@ -381,7 +386,7 @@ def comparison_check(t: float, R: float, controls: SolveControls,
 
     excess_vw = v - w
     excess_tu = t * u_final - v
-    vw_ok = bool(np.all(excess_vw <= vw_tol))
+    vw_ok = bool(np.all(excess_vw <= VW_TOL))
     lap_ok = bool(np.all(lap_w < -1.0))
     tu_ok = bool(np.all(excess_tu <= 1e-9))
     if vw_ok and lap_ok and tu_ok:
@@ -400,7 +405,7 @@ def comparison_check(t: float, R: float, controls: SolveControls,
               "lap_w_at_1": spot,
               "lap_w_near_zero": float(-4.0 + (-math.expm1(-1e-12)) / 1e-12),
               "lap_w_far": float(-4.0 + (-math.expm1(-50.0 ** 4)) / 50.0 ** 4),
-              "vw_tol": vw_tol,
+              "vw_tol": VW_TOL,
               "vw_ok": vw_ok, "lap_ok": lap_ok, "tu_ok": tu_ok}
     return ExperimentReport(
         experiment="comparison", manifold=manifold.describe(),

@@ -66,8 +66,10 @@ class SolveControls:
     def __post_init__(self):
         if not (math.isfinite(self.step_tol) and self.step_tol > 0):
             raise InvalidArgumentError("step tolerance must be positive and finite")
-        if self.n_cells < 16:
-            raise InvalidArgumentError("need at least 16 cells")
+        if not (float(self.n_cells).is_integer() and self.n_cells >= 16):
+            raise InvalidArgumentError(
+                f"need a whole number of at least 16 cells, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         if self.exhaustion is not None:
             radii = tuple(float(r) for r in self.exhaustion)
             if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):

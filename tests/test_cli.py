@@ -146,7 +146,6 @@ def test_blowup_multi_time_artifacts(tmp_path):
         "t_list": [0.05, 0.025, 0.0125],
         "R_list": [2.0, 3.0, 4.0],
         "controls": {"n_cells": 192, "step_tol": 1e-6},
-        "threads": 2,
     })
     out = tmp_path / "out"
     assert run(cfg, str(out)) == 0
@@ -227,26 +226,23 @@ FAST_BLOWUP = {
 
 
 def test_threads_have_no_effect(tmp_path):
-    plain = write_config(tmp_path, "plain.json", FAST_BLOWUP)
-    threaded = write_config(tmp_path, "threaded.json",
-                            {**FAST_BLOWUP, "threads": 3})
-    assert run(plain, str(tmp_path / "plain")) == 0
-    assert main(["blowup", "--config", plain, "--out", str(tmp_path / "flag"),
-                 "--threads", "4"]) == 0
-    assert run(threaded, str(tmp_path / "config")) == 0
-    want = (tmp_path / "plain" / "report.json").read_bytes()
-    assert (tmp_path / "flag" / "report.json").read_bytes() == want
-    # the config echo carries the key as written; nothing else may move
-    got = (tmp_path / "config" / "report.json").read_bytes()
-    assert got.replace(b'"threads": 3', b'"threads": null') == want
-    for name in ("blowup_t0.csv", "blowup_t1.csv", "blowup_t2.csv"):
-        want_csv = (tmp_path / "plain" / name).read_bytes()
-        assert (tmp_path / "flag" / name).read_bytes() == want_csv
-        assert (tmp_path / "config" / name).read_bytes() == want_csv
+    # run() still takes threads for its callers and ignores it; the flag
+    # and the config key are gone
+    cfg = write_config(tmp_path, "b.json", FAST_BLOWUP)
+    assert run(cfg, str(tmp_path / "plain")) == 0
+    assert run(cfg, str(tmp_path / "one"), threads=1) == 0
+    for name in ("report.json", "blowup_t0.csv", "blowup_t1.csv",
+                 "blowup_t2.csv"):
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "plain" / name).read_bytes())
+    with pytest.raises(SystemExit) as exc:
+        main(["blowup", "--config", cfg, "--out", str(tmp_path / "flag"),
+              "--threads", "4"])
+    assert exc.value.code == 2
 
 
 def test_timing_is_the_measured_wall_time(tmp_path):
-    cfg = write_config(tmp_path, "b.json", {**FAST_BLOWUP, "threads": 3})
+    cfg = write_config(tmp_path, "b.json", FAST_BLOWUP)
     out = tmp_path / "out"
     started = time.perf_counter()
     assert run(cfg, str(out)) == 0
@@ -314,11 +310,10 @@ def test_bad_step_controls_are_exit_2(tmp_path, bad):
 
 
 @pytest.mark.parametrize("name, section, key, value", [
-    # both ran to a wrong verdict when the literal was read as a float: a
-    # NaN gap bound refuted a 7.7e-12 gap, a NaN vw_tol refuted a barrier
-    # that held with max_v_minus_w = -3.3e-4
+    # a NaN gap bound once refuted a 7.7e-12 gap; NaN passes the schema's
+    # exclusiveMinimum, so a NaN eps_c would read as inside its bounds
     ("degiorgi_euclidean", "tolerances", "gap_rtol", math.nan),
-    ("comparison", "tolerances", "vw_tol", math.nan),
+    ("completeness_euclidean", "tolerances", "eps_c", math.nan),
     ("tail_euclidean", "controls", "step_tol", math.inf),
 ])
 def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value):
@@ -331,7 +326,17 @@ def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "InvalidArgumentError"
     assert f"holds {json.dumps(value)}," in err["message"], err["message"]
+    assert f"{section}/{key}" in err["message"], err["message"]
     assert not (out / "report.json").exists()
+
+
+def test_non_finite_python_values_are_rejected():
+    # the same check guards configs built in Python, not only JSON files
+    payload = {"experiment": "completeness", "t": 0.1,
+               "tolerances": {"eps_c": float("nan")}}
+    with pytest.raises(InvalidArgumentError,
+                       match="tolerances/eps_c: holds NaN,"):
+        RunConfig.from_dict(payload)
 
 
 def test_schema_controls_are_the_solve_controls():
@@ -347,6 +352,14 @@ def test_schema_controls_are_the_solve_controls():
     read = {name for _, _, sections in _KEYS_READ.values()
             for name in sections.get("controls", ())}
     assert read == set(schema)
+    # the same holds for every top-level key and every tolerance
+    top = {key for required, optional, _ in _KEYS_READ.values()
+           for key in (*required, *optional)}
+    assert top | {"experiment"} == set(CONFIG_SCHEMA["properties"])
+    tolerances = {name for _, _, sections in _KEYS_READ.values()
+                  for name in sections.get("tolerances", ())}
+    assert tolerances == set(
+        CONFIG_SCHEMA["properties"]["tolerances"]["properties"])
 
 
 @pytest.mark.parametrize("manifold", [
@@ -399,7 +412,7 @@ MINIMAL = {
     ("completeness", {"R": 3.0}),
     ("degiorgi", {"seed": 4}),
     ("degiorgi", {"tolerances": {"eps_c": 1e-3}}),
-    ("blowup", {"tolerances": {"q_threshold": 1.0, "vw_tol": 1.0}}),
+    ("blowup", {"tolerances": {"eps_c": 1e-3}}),
     ("tail", {"tolerances": {"gap_rtol": 0.5}}),
     ("validate", {"controls": {"n_cells": 64}}),
     # controls the run never reads: once accepted and echoed as if honoured
@@ -407,6 +420,8 @@ MINIMAL = {
     ("blowup", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
     ("comparison", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
     ("completeness", {"controls": {"richardson": True}}),
+    # comparison's barrier slack is a constant now
+    ("comparison", {"tolerances": {"gap_rtol": 0.5}}),
 ])
 def test_keys_the_experiment_ignores_are_rejected(tmp_path, experiment, extra):
     payload = {**MINIMAL[experiment], **extra}
@@ -422,7 +437,49 @@ def test_keys_the_experiment_reads_are_accepted():
     for path in sorted(CONFIG_DIR.glob("*.json")):
         load_config(str(path))
     for payload in MINIMAL.values():
-        RunConfig.from_dict({**payload, "threads": 2})
+        RunConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize("experiment, extra, key", [
+    # removed: threads had no effect, the blowup and comparison thresholds
+    # are fixed in code, and these datum kinds lack compact support
+    ("blowup", {"threads": 3}, "'threads'"),
+    ("blowup", {"tolerances": {"slope_threshold": 1.0}}, "'slope_threshold'"),
+    ("blowup", {"tolerances": {"q_threshold": 1e-9}}, "'q_threshold'"),
+    ("blowup", {"tolerances": {"stabilize_rtol": 1e-3}}, "'stabilize_rtol'"),
+    ("comparison", {"tolerances": {"vw_tol": 1e-6}}, "'vw_tol'"),
+    ("degiorgi", {"datum": {"kind": "complement", "radius": 1.0}},
+     "datum/kind"),
+    ("tail", {"datum": {"kind": "constant"}}, "datum/kind"),
+    # out of bounds: a gap_rtol of -0.01 once refuted a 2.8e-7 gap, and at
+    # eps_c >= 0.1 the incomplete band below 1 - 10*eps_c is empty
+    ("degiorgi", {"tolerances": {"gap_rtol": -0.01}}, "tolerances/gap_rtol"),
+    ("completeness", {"tolerances": {"eps_c": -0.5}}, "tolerances/eps_c"),
+    ("completeness", {"tolerances": {"eps_c": 0.0}}, "tolerances/eps_c"),
+    ("completeness", {"tolerances": {"eps_c": 0.1}}, "tolerances/eps_c"),
+])
+def test_removed_and_out_of_bounds_keys_are_exit_2(tmp_path, experiment,
+                                                    extra, key):
+    payload = {**MINIMAL[experiment], **extra}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "x.json", payload), str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "InvalidArgumentError"
+    assert key in err["message"], err["message"]
+    assert not (out / "report.json").exists()
+
+
+def test_whole_number_float_cell_count_is_honoured(tmp_path):
+    payload = json.loads((CONFIG_DIR / "tail_euclidean.json").read_text())
+    assert payload["controls"]["n_cells"] == 512
+    plain = write_config(tmp_path, "int.json", payload)
+    payload["controls"]["n_cells"] = 512.0
+    as_float = write_config(tmp_path, "float.json", payload)
+    assert run(plain, str(tmp_path / "int")) == 0
+    assert run(as_float, str(tmp_path / "float")) == 0
+    for name in ("report.json", "tail.csv"):
+        assert ((tmp_path / "float" / name).read_bytes()
+                == (tmp_path / "int" / name).read_bytes())
 
 
 def test_cli_blowup_report_is_the_sweep_report(tmp_path):
@@ -475,15 +532,14 @@ def test_seed_override_is_rejected_outside_validate(tmp_path):
 @pytest.mark.parametrize("payload, keys, tolerances", [
     ({"experiment": "comparison", "t": 0.5, "R": 2.0,
       "controls": {"n_cells": 128, "step_tol": 1e-5}},
-     {"experiment", "threads", "t", "R", "controls", "tolerances"},
-     {"vw_tol": 1e-6}),
+     {"experiment", "t", "R", "controls"}, None),
     (FAST_TAIL,
-     {"experiment", "threads", "R_out", "t_list", "manifold", "datum",
-      "controls"}, None),
+     {"experiment", "R_out", "t_list", "manifold", "datum", "controls"},
+     None),
 ])
 def test_config_echo_holds_only_keys_read(tmp_path, payload, keys, tolerances):
     # comparison runs exp(+r^4) whatever a default manifold would say, and
-    # tail reads no tolerance: neither may be echoed
+    # neither reads a tolerance: none of these may be echoed
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "c.json", payload), str(out)) == 0
     echo = json.loads((out / "report.json").read_text())["config"]

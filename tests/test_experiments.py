@@ -214,6 +214,20 @@ def test_tail_probe_evolves_one_trajectory(euclid3, monkeypatch):
     assert calls == [[0.03, 0.04, 0.05]]
 
 
+@pytest.mark.parametrize("gap_rtol", [0.0, -0.01, math.nan])
+def test_degiorgi_gap_bound_must_be_positive(euclid3, fast_controls, gap_rtol):
+    with pytest.raises(InvalidArgumentError, match="gap_rtol"):
+        degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01),
+                       fast_controls, gap_rtol=gap_rtol)
+
+
+@pytest.mark.parametrize("eps_c", [0.0, -0.5, 0.1, math.nan])
+def test_completeness_eps_c_bounds(euclid3, fast_controls, eps_c):
+    # at 0.1 or above the incomplete band below 1 - 10*eps_c is empty
+    with pytest.raises(InvalidArgumentError, match="eps_c"):
+        completeness_probe(euclid3, 0.1, fast_controls, eps_c=eps_c)
+
+
 def test_comparison_certificate(fast_controls):
     rep = comparison_check(0.5, 2.0, SolveControls(n_cells=256, step_tol=1e-6))
     check_report_shape(rep, "comparison")

@@ -249,6 +249,11 @@ def test_controls_validation():
         SolveControls(exhaustion=(3.0, 2.0))
     c = replace(SolveControls(n_cells=64), step_tol=1e-4)
     assert c.n_cells == 64 and c.step_tol == 1e-4
+    # a whole-number float cell count is stored as the int it names
+    assert type(SolveControls(n_cells=64.0).n_cells) is int
+    for bad in (128.5, math.nan, math.inf, 15):
+        with pytest.raises(InvalidArgumentError):
+            SolveControls(n_cells=bad)
 
 
 def test_overflow_safe_radius_values(euclid3, pe4):
