@@ -19,11 +19,10 @@ from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        sphere_constant, warped_cone)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
-from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, RadialSolution,
-                     SemigroupResult, SolveControls, advance_states,
-                     exhaustion_ladder, exhaustion_levels, exhaustion_radii,
-                     heat_semigroup, overflow_safe_radius, project_datum,
-                     semigroup_check)
+from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, SemigroupResult,
+                     SolveControls, advance_states, exhaustion_ladder,
+                     exhaustion_levels, exhaustion_radii, heat_semigroup,
+                     overflow_safe_radius, project_datum, semigroup_check)
 from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
                           face_variation_terms, flux_profile, total_variation,
                           weighted_sum)
@@ -39,11 +38,10 @@ __all__ = [
     "sphere_constant", "warped_cone",
     "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
-    "EXHAUSTION_SLACK", "ExhaustionProbe", "RadialSolution",
-    "SemigroupResult", "SolveControls", "advance_states",
-    "exhaustion_ladder", "exhaustion_levels", "exhaustion_radii",
-    "heat_semigroup", "overflow_safe_radius", "project_datum",
-    "semigroup_check",
+    "EXHAUSTION_SLACK", "ExhaustionProbe", "SemigroupResult",
+    "SolveControls", "advance_states", "exhaustion_ladder",
+    "exhaustion_levels", "exhaustion_radii", "heat_semigroup",
+    "overflow_safe_radius", "project_datum", "semigroup_check",
     "ExtrapolationResult", "FluxProfile", "extrapolate_limit",
     "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
     "ExperimentReport", "blowup_sweep",

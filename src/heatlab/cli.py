@@ -30,8 +30,8 @@ from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .experiments import (blowup_sweep, comparison_check, completeness_probe,
                           degiorgi_sweep, tail_probe)
-from .geometry import (ball_indicator, constant_one, custom_manifold,
-                       euclidean, piecewise, power_exp_weight, warped_cone)
+from .geometry import (ball_indicator, custom_manifold, euclidean, piecewise,
+                       power_exp_weight, warped_cone)
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
 from .solver import (SolveControls, advance_states, exhaustion_levels,
@@ -136,9 +136,13 @@ CONFIG_SCHEMA = {
     },
 }
 
-# manifold keys that only one family reads; any other family rejects them
-_FAMILY_ONLY_KEYS = {"params": "power_exp", "radii": "custom",
-                     "log_areas": "custom"}
+# keys that only one value of their section's selector reads; any other
+# value rejects them
+_SELECTOR_ONLY_KEYS = {
+    ("manifold", "family"): {"params": "power_exp", "radii": "custom",
+                             "log_areas": "custom"},
+    ("datum", "kind"): {"radius": "ball", "breakpoints": "piecewise"},
+}
 
 # what each experiment reads besides `experiment`:
 # (required keys, optional keys, {section: names read in it})
@@ -220,12 +224,16 @@ class RunConfig:
         if unread:
             raise InvalidArgumentError(
                 f"experiment {experiment} does not read: {', '.join(unread)}")
-        family = cfg["manifold"]["family"]
-        ignored = [k for k, only in _FAMILY_ONLY_KEYS.items()
-                   if k in raw.get("manifold", {}) and family != only]
-        if ignored:
-            raise InvalidArgumentError(
-                f"manifold family {family} does not read: {', '.join(ignored)}")
+        for (section, selector), owners in _SELECTOR_ONLY_KEYS.items():
+            choice = cfg[section][selector]
+            ignored = [k for k, only in owners.items()
+                       if k in raw.get(section, {}) and choice != only]
+            if ignored:
+                raise InvalidArgumentError(
+                    f"{section} {selector} {choice} does not read: "
+                    f"{', '.join(ignored)}")
+        if cfg["datum"]["kind"] != "ball":
+            del cfg["datum"]["radius"]  # the schema's default, unread
         return cls(experiment=experiment, resolved=cfg)
 
 
@@ -260,7 +268,7 @@ def _datum_from(cfg: dict):
         return ball_indicator(cfg["radius"])
     if "breakpoints" not in cfg:
         raise InvalidArgumentError("piecewise datum needs breakpoints")
-    return piecewise(tuple((float(r), float(v)) for r, v in cfg["breakpoints"]))
+    return piecewise(cfg["breakpoints"])
 
 
 def _format_float(x: float) -> str:
@@ -368,7 +376,7 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
         bounds[1] = max(bounds[1], float(np.max(b)))
         growth[0] = max(growth[0], float(np.max(b - a)))
 
-    u0 = project_datum(ball_indicator(1.0), g).values
+    u0 = project_datum(ball_indicator(1.0), g)
     advance_states(op, u0, 0.0, 0.01, controls, observer=track)
     add("max_principle_defect", max(0.0, -bounds[0], bounds[1] - 1.0), 1e-12)
 
@@ -381,7 +389,7 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     add("semigroup_identity_rel", drift, 1e-4)
 
     growth[0] = 0.0
-    ones = project_datum(constant_one(), g).values
+    ones = np.ones(g.N)
     advance_states(op, ones, 0.0, 0.05, controls, observer=track)
     add("mass_time_monotone", max(0.0, growth[0]), 1e-10)
 
@@ -402,7 +410,7 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     drift = abs(functionals.weighted_sum(g, u_t) - mass0) / (0.1 * mass0)
     add("neumann_mass_drift_per_time", drift, 1e-12)
 
-    ball0 = project_datum(ball_indicator(1.0), g).values
+    ball0 = project_datum(ball_indicator(1.0), g)
     triple = np.stack([ones, ball0, ones - ball0], axis=1)
     out = advance_states(op, triple, 0.0, 0.05, controls)
     defect = float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2])))

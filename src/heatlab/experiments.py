@@ -83,14 +83,14 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
 
     stops = ts[::-1]
     results = heat_semigroup(manifold, datum, stops, controls)[::-1]
-    used = results[0].solution.grid
+    used = results[0].grid
     tvs = [res.probes[-1].total_variation for res in results]
     n_used = used.N
     if controls.richardson:
         fine_controls = replace(controls, n_cells=2 * controls.n_cells,
                                 exhaustion=(used.R,))
         fine = heat_semigroup(manifold, datum, stops, fine_controls)[::-1]
-        n_used = fine[0].solution.grid.N
+        n_used = fine[0].grid.N
         tvs = [(4.0 * f.probes[-1].total_variation - tv) / 3.0
                for f, tv in zip(fine, tvs)]
     exhaustion_ok = all(len(res.probes) < 2 or res.converged
@@ -185,10 +185,9 @@ def _complement_states(manifold: RadialManifold, r0: float, stops,
                   int(math.ceil(controls.n_cells * R_solve / R_base)))
     g = build_grid(manifold, R_solve, n_solve, (r0,))
     op = assemble(g, manifold, DIRICHLET)
-    ones = project_datum(constant_one(), g).values
-    ball = project_datum(ball_indicator(g.faces[g.face_index(r0)]), g).values
-    states = advance_states(op, np.stack([ones, ball], axis=1), 0.0, stops,
-                            controls)
+    ball = project_datum(ball_indicator(g.faces[g.face_index(r0)]), g)
+    states = advance_states(op, np.stack([np.ones(g.N), ball], axis=1), 0.0,
+                            stops, controls)
     return g, [(s[:, 0], s[:, 1]) for s in states]
 
 
@@ -357,7 +356,7 @@ def comparison_check(t: float, R: float,
 
     g = build_grid(manifold, R, controls.n_cells)
     op = assemble(g, manifold, DIRICHLET)
-    u0 = project_datum(constant_one(), g).values
+    u0 = np.ones(g.N)
     v = np.zeros(g.N)
 
     def accumulate(t0, a, t1, b):
@@ -449,7 +448,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         notes.append(f"solve radius capped at {safe:.6g}")
     g = build_grid(manifold, R_solve, controls.n_cells, datum.jump_radii)
     op = assemble(g, manifold, DIRICHLET)
-    states = advance_states(op, project_datum(datum, g).values, 0.0, ts[::-1],
+    states = advance_states(op, project_datum(datum, g), 0.0, ts[::-1],
                             controls)
     rows = []
     for t, values in zip(ts, reversed(states)):

@@ -1,4 +1,4 @@
-"""Discrete BV functionals on radial solutions.
+"""Discrete BV functionals on radial states (arrays of cell values).
 
 Total variation is accumulated in flux form, face by face: the variation
 across the face between cells i and i+1 is sigma * A(face) * |u_{i+1} - u_i|.
@@ -19,13 +19,10 @@ from .geometry import RadialManifold
 from .grid import Grid
 
 
-def _check_grid(s, g: Grid, name: str) -> np.ndarray:
-    values = np.asarray(s.values if hasattr(s, "values") else s, dtype=float)
+def _check_grid(u, g: Grid, name: str) -> np.ndarray:
+    values = np.asarray(u, dtype=float)
     if values.ndim != 1 or values.size != g.N:
         raise InvalidArgumentError(f"{name} is not defined on this grid")
-    grid = getattr(s, "grid", None)
-    if grid is not None and not np.array_equal(grid.faces, g.faces):
-        raise InvalidArgumentError(f"{name} lives on a different grid")
     return values
 
 
@@ -42,14 +39,13 @@ def weighted_sum(g: Grid, *profiles) -> float:
     return math.fsum(acc)
 
 
-def face_variation_terms(s, g: Grid, m: RadialManifold) -> np.ndarray:
+def face_variation_terms(u, g: Grid, m: RadialManifold) -> np.ndarray:
     """Per-interior-face variation sigma * A(f) * |u_{i+1} - u_i|.
 
     Faces are indexed 1..N-1; the artificial boundary face at R is excluded,
     so the value measures variation inside the open truncation ball.
     """
-    u = _check_grid(s, g, "solution")
-    du = np.abs(np.diff(u))
+    du = np.abs(np.diff(_check_grid(u, g, "solution")))
     log_sa = m.log_sphere_constant + g.log_face_area[1:-1]
     with np.errstate(over="ignore"):  # overflow is detected and raised below
         terms = np.exp(log_sa) * du
@@ -60,9 +56,9 @@ def face_variation_terms(s, g: Grid, m: RadialManifold) -> np.ndarray:
     return terms
 
 
-def total_variation(s, g: Grid, m: RadialManifold) -> float:
+def total_variation(u, g: Grid, m: RadialManifold) -> float:
     """Weighted total variation of a discrete profile, compensated sum."""
-    total = math.fsum(face_variation_terms(s, g, m))
+    total = math.fsum(face_variation_terms(u, g, m))
     if not math.isfinite(total):
         raise RangeError("total variation overflows double precision")
     return total
@@ -89,14 +85,14 @@ class FluxProfile:
         return float(self.radii[j]), float(self.q[j])
 
 
-def flux_profile(s, g: Grid, m: RadialManifold) -> FluxProfile:
-    """Flux profile of a positive-time solution at the interior faces."""
-    u = _check_grid(s, g, "solution")
-    t = getattr(s, "t", None)
-    if t is not None and not t > 0:
-        raise InvalidArgumentError(f"flux profile needs positive time, got t={t}")
+def flux_profile(u, g: Grid, m: RadialManifold) -> FluxProfile:
+    """Flux profile of cell values at the interior faces.
+
+    Meant for evolved states: on a projected datum a jump reads as its
+    height over one center spacing.
+    """
     dc = np.diff(g.centers)
-    q = -np.exp(g.log_face_area[1:-1]) * np.diff(u) / dc
+    q = -np.exp(g.log_face_area[1:-1]) * np.diff(_check_grid(u, g, "solution")) / dc
     if not np.all(np.isfinite(q)):
         j = int(np.argmax(~np.isfinite(q)))
         raise NumericalFailure(f"flux not finite at face r={g.faces[j + 1]:.6g}")

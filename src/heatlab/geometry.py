@@ -36,9 +36,9 @@ def sphere_constant(dimension: int) -> float:
 class RadialManifold:
     """A weighted rotationally symmetric model manifold.
 
-    Immutable after construction and safe to share across workers.  Use the
-    factory functions ``euclidean``, ``power_exp_weight``, ``warped_cone`` and
-    ``custom_manifold`` rather than the constructor.
+    Immutable after construction.  Use the factory functions ``euclidean``,
+    ``power_exp_weight``, ``warped_cone`` and ``custom_manifold`` rather than
+    the constructor.
     """
 
     def __init__(self, family: str, dimension: int, params: dict,
@@ -202,88 +202,71 @@ def ball_volume(manifold: RadialManifold, r: float) -> float:
 class RadialBVDatum:
     """A radial bounded-variation profile with exact total variation.
 
-    ``kind`` is one of ``ball_indicator``, ``complement_indicator``,
-    ``piecewise`` or ``constant_one``.  Piecewise data are given as a sorted
-    sequence of (radius, value) breakpoints, linearly interpolated between
-    distinct radii; a repeated radius encodes a jump.  Outside the breakpoint
-    range the profile is constant.
+    The profile is a sorted sequence of (radius, value) breakpoints,
+    linearly interpolated between distinct radii; a repeated radius encodes
+    a jump.  Outside the breakpoint range the profile is constant.
     """
 
-    kind: str
-    radius: float | None = None
-    breakpoints: tuple[tuple[float, float], ...] = ()
+    breakpoints: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        if self.kind in ("ball_indicator", "complement_indicator"):
-            if self.radius is None or self.radius <= 0 or not math.isfinite(self.radius):
-                raise InvalidArgumentError("indicator data need a positive finite radius")
-        elif self.kind == "piecewise":
-            pts = self.breakpoints
-            if len(pts) < 2:
-                raise InvalidArgumentError("piecewise data need at least two breakpoints")
-            radii = [p[0] for p in pts]
-            if radii[0] < 0 or any(b < a for a, b in zip(radii, radii[1:])):
-                raise InvalidArgumentError("breakpoint radii must be nonnegative and sorted")
-            if any(radii.count(r) > 2 for r in radii):
-                raise InvalidArgumentError("at most two breakpoints may share a radius")
-        elif self.kind != "constant_one":
-            raise InvalidArgumentError(f"unknown datum kind {self.kind!r}")
+        pts = self.breakpoints
+        if len(pts) < 2:
+            raise InvalidArgumentError("a datum needs at least two breakpoints")
+        if not all(math.isfinite(x) for p in pts for x in p):
+            raise InvalidArgumentError("breakpoint radii and values must be finite")
+        radii = [p[0] for p in pts]
+        if radii[0] < 0 or any(b < a for a, b in zip(radii, radii[1:])):
+            raise InvalidArgumentError("breakpoint radii must be nonnegative and sorted")
+        if any(radii.count(r) > 2 for r in radii):
+            raise InvalidArgumentError("at most two breakpoints may share a radius")
+        # np.interp evaluates a piece through its slope, so that must be finite
+        if any(not math.isfinite((v1 - v0) / (r1 - r0))
+               for (r0, v0), (r1, v1) in zip(pts, pts[1:]) if r1 > r0):
+            raise InvalidArgumentError(
+                "a linear piece is too steep to evaluate; repeat its radius "
+                "to give a jump")
 
     @property
     def support_radius(self) -> float:
         """Radius beyond which the profile vanishes (inf if it never does)."""
-        if self.kind == "ball_indicator":
-            return self.radius
-        if self.kind == "piecewise":
-            if self.breakpoints[-1][1] == 0.0:
-                return self.breakpoints[-1][0]
-            return math.inf
-        return math.inf
+        last_r, last_v = self.breakpoints[-1]
+        return last_r if last_v == 0.0 else math.inf
 
     @property
     def jump_radii(self) -> tuple[float, ...]:
         """Radii where the profile is discontinuous."""
-        if self.kind in ("ball_indicator", "complement_indicator"):
-            return (self.radius,)
-        if self.kind == "piecewise":
-            radii = [p[0] for p in self.breakpoints]
-            return tuple(sorted({r for r in radii if radii.count(r) == 2 and r > 0}))
-        return ()
+        radii = [p[0] for p in self.breakpoints]
+        return tuple(sorted({r for r in radii if radii.count(r) == 2 and r > 0}))
 
     def value(self, r):
         """Profile value at radius r (elementwise).  At a jump, the right limit."""
         arr = np.asarray(r, dtype=float)
-        if self.kind == "constant_one":
-            out = np.ones_like(arr)
-        elif self.kind == "ball_indicator":
-            out = np.where(arr < self.radius, 1.0, 0.0)
-        elif self.kind == "complement_indicator":
-            out = np.where(arr < self.radius, 0.0, 1.0)
-        else:
-            radii = np.array([p[0] for p in self.breakpoints])
-            values = np.array([p[1] for p in self.breakpoints])
-            # right-continuous: at duplicated radii np.interp already returns
-            # the later table entry for queries at or beyond the jump
-            out = np.interp(arr, radii, values)
+        radii = np.array([p[0] for p in self.breakpoints])
+        values = np.array([p[1] for p in self.breakpoints])
+        # right-continuous: at duplicated radii np.interp already returns
+        # the later table entry for queries at or beyond the jump
+        out = np.interp(arr, radii, values)
         if arr.ndim == 0:
             return float(out)
         return out
 
 
+def piecewise(points) -> RadialBVDatum:
+    return RadialBVDatum(tuple((float(r), float(v)) for r, v in points))
+
+
 def ball_indicator(radius: float) -> RadialBVDatum:
-    return RadialBVDatum("ball_indicator", radius=float(radius))
+    return piecewise(((0.0, 1.0), (radius, 1.0), (radius, 0.0)))
 
 
 def complement_indicator(radius: float) -> RadialBVDatum:
-    return RadialBVDatum("complement_indicator", radius=float(radius))
-
-
-def piecewise(points) -> RadialBVDatum:
-    return RadialBVDatum("piecewise", breakpoints=tuple((float(r), float(v)) for r, v in points))
+    return piecewise(((0.0, 0.0), (radius, 0.0), (radius, 1.0)))
 
 
 def constant_one() -> RadialBVDatum:
-    return RadialBVDatum("constant_one")
+    # a flat pair at the pole, so its feature radius is 0
+    return RadialBVDatum(((0.0, 1.0), (0.0, 1.0)))
 
 
 def exact_total_variation(datum: RadialBVDatum, manifold: RadialManifold) -> float:
@@ -293,10 +276,6 @@ def exact_total_variation(datum: RadialBVDatum, manifold: RadialManifold) -> flo
     |slope| * sigma * integral of A over the piece.  Indicators of balls and
     their complements both return the ball perimeter; constants return 0.
     """
-    if datum.kind == "constant_one":
-        return 0.0
-    if datum.kind in ("ball_indicator", "complement_indicator"):
-        return perimeter_ball(manifold, datum.radius)
     sigma = manifold.sphere_constant
     total = 0.0
     pts = datum.breakpoints

@@ -80,15 +80,6 @@ class SolveControls:
 
 
 @dataclass(frozen=True)
-class RadialSolution:
-    """Cell values of an evolved profile at one time."""
-
-    grid: Grid
-    t: float
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class ExhaustionProbe:
     """Convergence probes of one truncation level."""
 
@@ -101,14 +92,17 @@ class ExhaustionProbe:
 
 @dataclass(frozen=True)
 class SemigroupResult:
-    """Largest-truncation solution plus the exhaustion trace behind it."""
+    """Cell values at time t on the largest truncation grid, plus the
+    exhaustion trace behind them."""
 
-    solution: RadialSolution
+    grid: Grid
+    t: float
+    values: np.ndarray
     probes: tuple[ExhaustionProbe, ...]
     converged: bool
 
 
-def project_datum(datum: RadialBVDatum, g: Grid) -> RadialSolution:
+def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     """Cell averages of a BV profile; indicators become exact 0/1 values.
 
     Every jump radius of the datum must be a face of the grid, so no jump is
@@ -121,28 +115,19 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> RadialSolution:
             raise InvalidArgumentError(
                 f"jump radius {r} is not a face of the grid") from None
 
-    if datum.kind == "constant_one":
-        values = np.ones(g.N)
-    elif datum.kind in ("ball_indicator", "complement_indicator"):
-        idx = g.face_index(datum.radius)
-        inside = 1.0 if datum.kind == "ball_indicator" else 0.0
-        values = np.full(g.N, 1.0 - inside)
-        values[:idx] = inside
-    else:
-        # within a cell the profile is linear except at kink radii, so the
-        # midpoint value is the exact average on each kink-free piece
-        values = datum.value(g.centers)
-        kinks = sorted({p[0] for p in datum.breakpoints}
-                       - set(datum.jump_radii) - {0.0})
-        for r in (k for k in kinks if 0.0 < k < g.R):
-            i = int(np.searchsorted(g.faces, r)) - 1
-            if g.faces[i] < r < g.faces[i + 1]:
-                nodes = (g.faces[i], r, g.faces[i + 1])
-                acc = 0.0
-                for a, b in zip(nodes, nodes[1:]):
-                    acc += (b - a) * datum.value(0.5 * (a + b))
-                values[i] = acc / (g.faces[i + 1] - g.faces[i])
-    return RadialSolution(grid=g, t=0.0, values=values)
+    # the profile is linear between breakpoints, so the midpoint value is
+    # the exact average of a cell, or of each piece a kink cuts it into
+    values = datum.value(g.centers)
+    kinks = np.array(sorted({r for r, _ in datum.breakpoints}
+                            - set(datum.jump_radii)))
+    kinks = kinks[(kinks < g.R) & ~np.isin(kinks, g.faces)]
+    cells = np.searchsorted(g.faces, kinks) - 1
+    for i in np.unique(cells):
+        nodes = (g.faces[i], *kinks[cells == i], g.faces[i + 1])
+        pieces = zip(nodes, nodes[1:])
+        values[i] = sum((b - a) * datum.value(0.5 * (a + b))
+                        for a, b in pieces) / (nodes[-1] - nodes[0])
+    return values
 
 
 def _step(op: WeightedOperator, u: np.ndarray, dt: float) -> np.ndarray:
@@ -298,15 +283,6 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
     return lo
 
 
-def _feature_radius(datum: RadialBVDatum) -> float:
-    """Radius of the datum's geometric feature, for the exhaustion policy."""
-    if datum.kind in ("ball_indicator", "complement_indicator"):
-        return datum.radius
-    if datum.kind == "piecewise":
-        return datum.breakpoints[-1][0]
-    return 0.0
-
-
 def exhaustion_radii(base: float, t: float, safe: float,
                      levels: int) -> tuple[float, ...]:
     """Automatic truncation radii: up to ``levels`` steps beyond ``base``.
@@ -337,7 +313,7 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     jumps = datum.jump_radii
     safe = overflow_safe_radius(manifold)
     radii = controls.exhaustion or exhaustion_radii(
-        _feature_radius(datum), t, safe, MAX_EXHAUSTION)
+        datum.breakpoints[-1][0], t, safe, MAX_EXHAUSTION)
     if jumps and radii[0] <= max(jumps):
         raise InvalidArgumentError(
             f"first truncation radius {radii[0]} does not contain the datum "
@@ -379,7 +355,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
     """
     ladder, indices = exhaustion_ladder(manifold, datum, float(np.max(t)),
                                         controls)
-    u0 = project_datum(datum, ladder).values
+    u0 = project_datum(datum, ladder)
     steps: list[list[float]] = []
     for idx in indices:
         g = subgrid(ladder, idx)
@@ -442,10 +418,9 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
         previous = states
         if controls.exhaustion is None and all(converged):
             break
-    results = [SemigroupResult(
-        solution=RadialSolution(grid=g, t=float(s), values=values),
-        probes=tuple(p), converged=c)
-        for s, values, p, c in zip(stops, states, probes, converged)]
+    results = [SemigroupResult(grid=g, t=float(s), values=values,
+                               probes=tuple(p), converged=c)
+               for s, values, p, c in zip(stops, states, probes, converged)]
     return results if sequence else results[0]
 
 
@@ -462,7 +437,7 @@ def semigroup_check(manifold: RadialManifold, datum: RadialBVDatum,
     ladder, indices = exhaustion_ladder(manifold, datum, t1 + t2, controls)
     g = subgrid(ladder, indices[-1])
     op = assemble(g, manifold, DIRICHLET)
-    u0 = project_datum(datum, g).values
+    u0 = project_datum(datum, g)
 
     direct = advance_states(op, u0, 0.0, t1 + t2, controls)
     staged = advance_states(op, advance_states(op, u0, 0.0, t2, controls),

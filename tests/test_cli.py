@@ -379,6 +379,36 @@ def test_manifold_keys_the_family_ignores_are_rejected(tmp_path, manifold):
     assert json.loads((out / "error.json").read_text())["exit_code"] == 2
 
 
+@pytest.mark.parametrize("datum, key", [
+    ({"kind": "ball", "radius": 1.0,
+      "breakpoints": [[0.5, 1.0], [2.0, 0.0]]}, "breakpoints"),
+    ({"kind": "piecewise", "radius": 3.0,
+      "breakpoints": [[0.0, 1.0], [1.0, 0.0]]}, "radius"),
+])
+def test_datum_keys_the_kind_ignores_are_rejected(tmp_path, datum, key):
+    # once run as if honoured: a ball ignored its breakpoints, a piecewise
+    # datum its radius, and both were echoed
+    payload = {**FAST_DEGIORGI, "datum": datum}
+    with pytest.raises(InvalidArgumentError, match=f"does not read: {key}"):
+        RunConfig.from_dict(payload)
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "d.json", payload), str(out)) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["exit_code"] == 2 and key in error["message"]
+
+
+def test_piecewise_echo_holds_no_radius(tmp_path):
+    datum = {"kind": "piecewise", "breakpoints": [[0.0, 1.0], [1.0, 0.0]]}
+    payload = {**FAST_DEGIORGI, "datum": datum}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "p.json", payload), str(out)) == 0
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert echo["datum"] == datum
+    # a ball still echoes the default radius it reads
+    ball = RunConfig.from_dict({**FAST_DEGIORGI, "datum": {}}).resolved
+    assert ball["datum"] == {"kind": "ball", "radius": 1.0}
+
+
 def test_table_must_reach_below_the_first_cell(tmp_path):
     # the cell quadrature samples log A below 1e-6 near the pole; the
     # error names the radius that fell outside the table

@@ -106,7 +106,7 @@ def test_degiorgi_sweep_through_two_levels(euclid3):
     assert rep.evidence["exhaustion_ok"]
     for row in rep.series["degiorgi"]:
         alone = heat_semigroup(euclid3, ball_indicator(1.0), row["t"], controls)
-        assert row["R_used"] == alone.solution.grid.R
+        assert row["R_used"] == alone.grid.R
         want = alone.probes[-1].total_variation
         assert abs(row["TV"] - want) < 1e-4 * want, f"t={row['t']}"
 

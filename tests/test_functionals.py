@@ -48,19 +48,19 @@ def test_variation_of_projected_indicator_is_the_face_area(euclid3, pe4):
     # one interior jump contributes sigma * A(face) exactly, nothing else
     for m in (euclid3, pe4):
         g = build_grid(m, 3.0, 128, jump_radii=(1.0,))
-        s = project_datum(ball_indicator(1.0), g)
-        terms = face_variation_terms(s, g, m)
+        u = project_datum(ball_indicator(1.0), g)
+        terms = face_variation_terms(u, g, m)
         nz = np.nonzero(terms)[0]
         assert nz.size == 1, f"expected a single contributing face, got {nz.size}"
         per = perimeter_ball(m, 1.0)
-        assert abs(total_variation(s, g, m) - per) < 1e-12 * per
+        assert abs(total_variation(u, g, m) - per) < 1e-12 * per
 
 
 def test_variation_excludes_the_truncation_face(euclid3):
     # constant one hits the Dirichlet ghost, not an interior face
     g = build_grid(euclid3, 2.0, 64)
-    s = project_datum(constant_one(), g)
-    assert total_variation(s, g, euclid3) == 0.0
+    u = project_datum(constant_one(), g)
+    assert total_variation(u, g, euclid3) == 0.0
 
 
 def test_projection_requires_jump_faces(euclid3):
@@ -81,14 +81,7 @@ def test_variation_overflow_raises(pe4):
 def test_flux_of_linear_profile(euclid3):
     # u = 2 - r has du/dr = -1, so q(f) = A(f) exactly at interior faces
     g = build_grid(euclid3, 2.0, 64)
-    u = 2.0 - g.centers
-
-    class S:
-        t = 0.5
-        values = u
-        grid = g
-
-    prof = flux_profile(S(), g, euclid3)
+    prof = flux_profile(2.0 - g.centers, g, euclid3)
     expected = np.exp(g.log_face_area[1:-1])
     assert np.max(np.abs(prof.q - expected)) < 1e-12 * np.max(expected)
     assert prof.radii.shape == prof.q.shape == (63,)
@@ -98,7 +91,7 @@ def test_flux_threshold_crossing(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(ball_indicator(1.0), g).values
+    u0 = project_datum(ball_indicator(1.0), g)
     prof = flux_profile(advance_states(op, u0, 0.0, 0.05, controls), g, euclid3)
     r_t, delta_t = prof.crossing(1e-3)
     assert r_t is not None and delta_t is not None
@@ -109,13 +102,6 @@ def test_flux_threshold_crossing(euclid3):
     assert np.all(prof.q[prof.radii < r_t] <= 1e-3)
     # no crossing when the bar is impossibly high
     assert prof.crossing(1e12) == (None, None)
-
-
-def test_flux_needs_positive_time(euclid3):
-    g = build_grid(euclid3, 2.0, 64, jump_radii=(1.0,))
-    s = project_datum(ball_indicator(1.0), g)
-    with pytest.raises(InvalidArgumentError):
-        flux_profile(s, g, euclid3)
 
 
 def test_aitken_exact_on_geometric_tails():

@@ -116,7 +116,16 @@ def test_datum_validation():
     with pytest.raises(InvalidArgumentError):
         piecewise([(1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (2.0, 0.0)])
     with pytest.raises(InvalidArgumentError):
-        RadialBVDatum("step_function")
+        RadialBVDatum(((0.0, 1.0),))
+    # NaN compares false and would slip through the ordering checks; an
+    # infinite value would surface only later, as an overflowing variation
+    with pytest.raises(InvalidArgumentError):
+        piecewise([(0.0, 1.0), (math.nan, 0.0)])
+    with pytest.raises(InvalidArgumentError):
+        piecewise([(0.0, math.inf), (1.0, 0.0)])
+    # a slope past the double range would evaluate to -inf beside the pole
+    with pytest.raises(InvalidArgumentError):
+        piecewise([(0.0, 1.0), (2e-311, 0.5), (1.0, 0.0)])
 
 
 def test_datum_support_and_jumps():
@@ -135,6 +144,8 @@ def test_datum_support_and_jumps():
     one = constant_one()
     assert one.support_radius == math.inf
     assert one.jump_radii == ()
+    # the automatic exhaustion radii start from the last breakpoint radius
+    assert one.breakpoints[-1][0] == 0.0
 
 
 def test_datum_values_right_continuous():

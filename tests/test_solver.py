@@ -61,28 +61,27 @@ def test_reference_frozen_values():
 
 def test_projection_is_exact_on_snapped_grid(euclid3):
     g = build_grid(euclid3, 4.0, 128, jump_radii=(1.0,))
-    s = project_datum(ball_indicator(1.0), g)
-    assert s.t == 0.0
+    u = project_datum(ball_indicator(1.0), g)
     inside = g.centers < 1.0
-    assert np.array_equal(s.values[inside], np.ones(inside.sum()))
-    assert np.array_equal(s.values[~inside], np.zeros((~inside).sum()))
+    assert np.array_equal(u[inside], np.ones(inside.sum()))
+    assert np.array_equal(u[~inside], np.zeros((~inside).sum()))
 
 
 def test_projection_averages_unsnapped_cells(euclid3):
     # without a snapped face the cut cell takes the measure fraction inside
     g2 = build_grid(euclid3, 4.0, 96)  # 1.0 falls strictly inside a cell
-    s2 = project_datum(ball_indicator(1.0), g2)
-    mass = weighted_sum(g2, s2.values)
+    u2 = project_datum(ball_indicator(1.0), g2)
+    mass = weighted_sum(g2, u2)
     vol = 4 * math.pi / 3
     assert abs(mass - vol) < 1e-10 * vol, "projection must preserve the datum mass"
-    assert np.all(s2.values >= 0) and np.all(s2.values <= 1)
+    assert np.all(u2 >= 0) and np.all(u2 <= 1)
 
 
 def test_evolution_matches_reference_kernel(euclid3):
     controls = SolveControls(n_cells=512, step_tol=1e-6)
     g = build_grid(euclid3, 4.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(ball_indicator(1.0), g).values
+    u0 = project_datum(ball_indicator(1.0), g)
     u = advance_states(op, u0, 0.0, 0.05, controls)
     ref = np.array([ball_heat_closed_form(float(r), 0.05) for r in g.centers])
     err = weighted_sum(g, np.abs(u - ref)) / weighted_sum(g, np.abs(ref))
@@ -93,7 +92,7 @@ def test_neumann_mass_is_conserved(gauss):
     controls = SolveControls(n_cells=160, step_tol=1e-5)
     g = build_grid(gauss, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, gauss, NEUMANN)
-    u0 = project_datum(ball_indicator(1.0), g).values
+    u0 = project_datum(ball_indicator(1.0), g)
     m0 = weighted_sum(g, u0)
     m1 = weighted_sum(g, advance_states(op, u0, 0.0, 0.2, controls))
     assert abs(m1 - m0) < 1e-11 * m0, f"Neumann mass drifted by {m1 - m0:.3e}"
@@ -103,7 +102,7 @@ def test_dirichlet_mass_decreases(euclid3):
     controls = SolveControls(n_cells=160, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(ball_indicator(1.0), g).values
+    u0 = project_datum(ball_indicator(1.0), g)
     u1 = advance_states(op, u0, 0.0, 0.1, controls)
     assert weighted_sum(g, u1) < weighted_sum(g, u0)
 
@@ -131,7 +130,7 @@ def _walk_setup(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    chi = project_datum(ball_indicator(1.0), g).values
+    chi = project_datum(ball_indicator(1.0), g)
     return controls, g, op, chi
 
 
@@ -199,7 +198,7 @@ def test_record_and_replay_are_identical(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(ball_indicator(1.0), g).values
+    u0 = project_datum(ball_indicator(1.0), g)
     ladder: list = []
     first = advance_states(op, u0.copy(), 0.0, 0.05, controls, record_steps=ladder)
     assert len(ladder) == 1 and len(ladder[0]) >= 3
@@ -236,7 +235,7 @@ def test_evolve_rejects_backward_time(euclid3):
     controls = SolveControls(n_cells=128)
     g = build_grid(euclid3, 3.0, controls.n_cells)
     op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(constant_one(), g).values
+    u0 = project_datum(constant_one(), g)
     u1 = advance_states(op, u0, 0.0, 0.01, controls)
     with pytest.raises(InvalidArgumentError):
         advance_states(op, u1, 0.01, 0.005, controls)
@@ -273,7 +272,7 @@ def test_heat_semigroup_probes_grow_with_radius(euclid3):
     masses = [p.mass for p in result.probes]
     assert all(b >= a for a, b in zip(masses, masses[1:])), f"masses not monotone: {masses}"
     assert result.converged
-    assert result.solution.t == 0.05
+    assert result.t == 0.05
     assert result.probes[-1].R == 4.0
     # a larger absorbing ball keeps more of the unit of mass
     assert masses[-1] < 4 * math.pi / 3 and masses[-1] > 0.99 * 4 * math.pi / 3
@@ -285,7 +284,7 @@ def test_heat_semigroup_through_stops(euclid3):
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
     stops = [0.01, 0.02, 0.04]
     results = heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
-    assert [r.solution.t for r in results] == stops
+    assert [r.t for r in results] == stops
     for t, res in zip(stops, results):
         alone = heat_semigroup(euclid3, ball_indicator(1.0), t, controls)
         assert [p.R for p in res.probes] == [p.R for p in alone.probes]
@@ -349,7 +348,7 @@ def test_single_level_builds_one_grid(euclid3, monkeypatch):
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(3.0,))
     result = heat_semigroup(euclid3, ball_indicator(1.0), 0.05, controls)
     assert built == [97]
-    assert result.solution.grid.N == 96
+    assert result.grid.N == 96
 
 
 def test_heat_semigroup_rejects_bad_time(euclid3, fast_controls):
