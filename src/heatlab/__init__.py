@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        RadialManifold, ball_indicator, ball_volume,
-                       complement_indicator, constant_one, custom_manifold,
-                       euclidean, exact_total_variation, log_area_integral,
+                       complement_indicator, constant_one, euclidean,
+                       exact_total_variation, log_area_integral,
                        perimeter_ball, piecewise, power_exp_weight,
                        sphere_constant, warped_cone)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
@@ -33,7 +33,7 @@ __all__ = [
     "InvalidArgumentError", "NumericalFailure", "RangeError",
     "LOG_MAX_GRID", "LOG_MAX_SCALAR", "RadialBVDatum", "RadialManifold",
     "ball_indicator", "ball_volume", "complement_indicator", "constant_one",
-    "custom_manifold", "euclidean", "exact_total_variation",
+    "euclidean", "exact_total_variation",
     "log_area_integral", "perimeter_ball", "piecewise", "power_exp_weight",
     "sphere_constant", "warped_cone",
     "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",

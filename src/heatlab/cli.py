@@ -30,8 +30,8 @@ from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .experiments import (blowup_sweep, comparison_check, completeness_probe,
                           degiorgi_sweep, tail_probe)
-from .geometry import (ball_indicator, custom_manifold, euclidean, piecewise,
-                       power_exp_weight, warped_cone)
+from .geometry import (ball_indicator, euclidean, piecewise, power_exp_weight,
+                       warped_cone)
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
 from .solver import (SolveControls, advance_states, exhaustion_levels,
@@ -70,8 +70,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "default": {},
             "properties": {
-                "family": {"enum": ["euclidean", "power_exp", "warped_cone",
-                                    "custom"],
+                "family": {"enum": ["euclidean", "power_exp", "warped_cone"],
                            "default": "euclidean"},
                 "dimension": {"type": "integer", "minimum": 2, "default": 3},
                 "params": {
@@ -83,8 +82,6 @@ CONFIG_SCHEMA = {
                         "sign": {"enum": [-1, 1], "default": 1},
                     },
                 },
-                "radii": {"type": "array", "items": {"type": "number"}},
-                "log_areas": {"type": "array", "items": {"type": "number"}},
             },
         },
         "datum": {
@@ -139,8 +136,7 @@ CONFIG_SCHEMA = {
 # keys that only one value of their section's selector reads; any other
 # value rejects them
 _SELECTOR_ONLY_KEYS = {
-    ("manifold", "family"): {"params": "power_exp", "radii": "custom",
-                             "log_areas": "custom"},
+    ("manifold", "family"): {"params": "power_exp"},
     ("datum", "kind"): {"radius": "ball", "breakpoints": "piecewise"},
 }
 
@@ -255,11 +251,7 @@ def _manifold_from(cfg: dict):
     if family == "power_exp":
         return power_exp_weight(cfg["params"]["power"], cfg["params"]["sign"],
                                 cfg["dimension"])
-    if family == "warped_cone":
-        return warped_cone(cfg["dimension"])
-    if "radii" not in cfg or "log_areas" not in cfg:
-        raise InvalidArgumentError("custom manifold needs radii and log_areas")
-    return custom_manifold(cfg["radii"], cfg["log_areas"], cfg["dimension"])
+    return warped_cone(cfg["dimension"])
 
 
 def _datum_from(cfg: dict):

@@ -15,7 +15,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
@@ -199,8 +198,8 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
     terms = functionals.face_variation_terms(comp, g, manifold)
     face_r = g.faces[1:-1]
 
-    flux_comp = functionals.flux_profile(comp, g, manifold)
-    flux_mass = functionals.flux_profile(mass_values, g, manifold)
+    flux_comp = functionals.flux_profile(comp, g)
+    flux_mass = functionals.flux_profile(mass_values, g)
 
     tv_values = []
     for snapped in r_used:
@@ -308,7 +307,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         gf, flat_states = _complement_states(flat, r0, stops,
                                              radii[-1] + margin, radii[0],
                                              controls)
-        floors = [abs(functionals.flux_profile(mf - bf, gf, flat).at(r_used[-1]))
+        floors = [abs(functionals.flux_profile(mf - bf, gf).at(r_used[-1]))
                   for mf, bf in flat_states]
     rows, fitted, findings = zip(*(
         _blowup_at(manifold, g, mass, ball, t, r_used, floor)
@@ -348,6 +347,8 @@ def comparison_check(t: float, R: float,
     t * u(t) stays below v.  The barrier integrand (1 - exp(-s^4))/s^3 is
     integrated adaptively; its Laplacian is evaluated in closed form.
     """
+    from scipy.integrate import quad  # off the import path: only this driver needs it
+
     manifold = power_exp_weight(4, 1, 3)
     if not (0 < t <= 1):
         raise InvalidArgumentError(f"comparison time must lie in (0, 1], got {t}")

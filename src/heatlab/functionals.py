@@ -85,7 +85,7 @@ class FluxProfile:
         return float(self.radii[j]), float(self.q[j])
 
 
-def flux_profile(u, g: Grid, m: RadialManifold) -> FluxProfile:
+def flux_profile(u, g: Grid) -> FluxProfile:
     """Flux profile of cell values at the interior faces.
 
     Meant for evolved states: on a projected datum a jump reads as its

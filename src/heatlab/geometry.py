@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 
@@ -28,6 +26,29 @@ LOG_MAX_GRID = 700.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over axis, bitwise as scipy.special.logsumexp >= 1.15
+    on nonempty float64 input.
+
+    The tied maxima are summed apart: log1p of the rest, scaled by their
+    count, plus log of the count and the max.  Where that is not finite
+    (all -inf, an inf or a NaN) the direct log of the sum stands.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        top = np.max(a, axis=axis, keepdims=True)
+        tied = a == top
+        count = np.sum(tied, axis=axis, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(tied, -np.inf, a) - top), axis=axis,
+                      keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + top
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def sphere_constant(dimension: int) -> float:
     """Surface measure of the unit (n-1)-sphere, 2*pi^(n/2)/Gamma(n/2)."""
     return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
@@ -37,8 +58,7 @@ class RadialManifold:
     """A weighted rotationally symmetric model manifold.
 
     Immutable after construction.  Use the factory functions ``euclidean``,
-    ``power_exp_weight``, ``warped_cone`` and ``custom_manifold`` rather than
-    the constructor.
+    ``power_exp_weight`` and ``warped_cone`` rather than the constructor.
     """
 
     def __init__(self, family: str, dimension: int, params: dict,
@@ -115,35 +135,6 @@ def warped_cone(dimension: int = 3) -> RadialManifold:
         return k * (np.log(r) + r ** 4 / 2.0)
 
     return RadialManifold("warped_cone", dimension, {}, _log_a)
-
-
-def custom_manifold(radii, log_areas, dimension: int = 3) -> RadialManifold:
-    """Model defined by a tabulated log A, interpolated monotone-cubically.
-
-    The table must cover every radius later queried; evaluation outside
-    [radii[0], radii[-1]] raises, except r = 0 which is always -inf.
-    """
-    radii = np.asarray(radii, dtype=float)
-    log_areas = np.asarray(log_areas, dtype=float)
-    if radii.ndim != 1 or radii.shape != log_areas.shape or radii.size < 4:
-        raise InvalidArgumentError("need matching 1-d tables with at least 4 entries")
-    if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(log_areas))):
-        raise InvalidArgumentError("table radii and log areas must be finite")
-    if radii[0] <= 0 or np.any(np.diff(radii) <= 0):
-        raise InvalidArgumentError("table radii must be positive and strictly increasing")
-    interp = PchipInterpolator(radii, log_areas, extrapolate=False)
-    lo, hi = radii[0], radii[-1]
-
-    def _log_a(r):
-        out = np.where(r == 0.0, -np.inf, interp(np.maximum(r, lo)))
-        inside = (r == 0.0) | ((r >= lo) & (r <= hi))
-        if not np.all(inside):
-            bad = float(np.asarray(r)[~inside].flat[0])
-            raise InvalidArgumentError(
-                f"radius {bad:.6g} outside tabulated range [{lo}, {hi}]")
-        return out
-
-    return RadialManifold("custom", dimension, {"table_range": [float(lo), float(hi)]}, _log_a)
 
 
 def perimeter_ball(manifold: RadialManifold, r: float) -> float:

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import LOG_MAX_GRID, RadialManifold, log_area_integral
+from .geometry import (LOG_MAX_GRID, RadialManifold, log_area_integral,
+                       logsumexp)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 

@@ -253,35 +253,21 @@ def test_timing_is_the_measured_wall_time(tmp_path):
         assert 0 < value <= elapsed, f"{key}={value} exceeds the {elapsed} s run"
 
 
-# flat 2-space as a table, A(r) = r; the cell quadrature samples near the pole
-PLANE_RADII = [1e-9 * (8e9 ** (k / 23)) for k in range(24)]
-CUSTOM_PLANE = {
+PLANE = {
     "experiment": "completeness",
-    "manifold": {"family": "custom", "dimension": 2, "radii": PLANE_RADII,
-                 "log_areas": [math.log(r) for r in PLANE_RADII]},
+    "manifold": {"family": "euclidean", "dimension": 2},
     "t": 0.05,
     "controls": {"n_cells": 64, "step_tol": 1e-4, "exhaustion": [2.0, 3.0, 4.0]},
 }
 
 
-def test_custom_manifold_keeps_its_dimension(tmp_path):
-    cfg = write_config(tmp_path, "c.json", CUSTOM_PLANE)
+def test_manifold_keeps_its_dimension(tmp_path):
+    cfg = write_config(tmp_path, "c.json", PLANE)
     out = tmp_path / "out"
     assert run(cfg, str(out)) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["manifold"]["dimension"] == 2
     assert report["config"]["manifold"]["dimension"] == 2
-
-
-def test_non_finite_custom_table_is_exit_2(tmp_path):
-    bad = json.loads(json.dumps(CUSTOM_PLANE))
-    bad["manifold"]["log_areas"][2] = math.nan  # json writes NaN; the loader refuses it
-    cfg = write_config(tmp_path, "c.json", bad)
-    out = tmp_path / "out"
-    assert run(cfg, str(out)) == 2
-    err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "InvalidArgumentError"
-    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("bad", [
@@ -365,18 +351,21 @@ def test_schema_controls_are_the_solve_controls():
 @pytest.mark.parametrize("manifold", [
     {"family": "euclidean", "params": {"power": 4}},
     {"family": "warped_cone", "params": {}},
-    {"family": "custom", "params": {"sign": 1},
-     "radii": [1.0, 2.0, 3.0, 4.0], "log_areas": [0.0, 0.0, 0.0, 0.0]},
+    # the tabulated family and its two keys are gone
+    {"family": "custom"},
     {"family": "power_exp", "radii": [1.0, 2.0, 3.0, 4.0]},
     {"family": "euclidean", "log_areas": [0.0, 0.0, 0.0, 0.0]},
 ])
 def test_manifold_keys_the_family_ignores_are_rejected(tmp_path, manifold):
+    # the error names the key, or the family when there is none
+    key = next((k for k in manifold if k != "family"), manifold["family"])
     payload = {**FAST_DEGIORGI, "manifold": manifold}
-    with pytest.raises(InvalidArgumentError, match="does not read"):
+    with pytest.raises(InvalidArgumentError, match=key):
         RunConfig.from_dict(payload)
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "m.json", payload), str(out)) == 2
-    assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["exit_code"] == 2 and key in error["message"]
 
 
 @pytest.mark.parametrize("datum, key", [
@@ -407,20 +396,6 @@ def test_piecewise_echo_holds_no_radius(tmp_path):
     # a ball still echoes the default radius it reads
     ball = RunConfig.from_dict({**FAST_DEGIORGI, "datum": {}}).resolved
     assert ball["datum"] == {"kind": "ball", "radius": 1.0}
-
-
-def test_table_must_reach_below_the_first_cell(tmp_path):
-    # the cell quadrature samples log A below 1e-6 near the pole; the
-    # error names the radius that fell outside the table
-    short = json.loads(json.dumps(CUSTOM_PLANE))
-    radii = [1e-6 * (8e6 ** (k / 23)) for k in range(24)]
-    short["manifold"].update(radii=radii,
-                             log_areas=[math.log(r) for r in radii])
-    out = tmp_path / "out"
-    assert run(write_config(tmp_path, "c.json", short), str(out)) == 2
-    message = json.loads((out / "error.json").read_text())["message"]
-    bad = float(message.split()[1])
-    assert bad < 1e-6, message
 
 
 MINIMAL = {

@@ -81,7 +81,7 @@ def test_variation_overflow_raises(pe4):
 def test_flux_of_linear_profile(euclid3):
     # u = 2 - r has du/dr = -1, so q(f) = A(f) exactly at interior faces
     g = build_grid(euclid3, 2.0, 64)
-    prof = flux_profile(2.0 - g.centers, g, euclid3)
+    prof = flux_profile(2.0 - g.centers, g)
     expected = np.exp(g.log_face_area[1:-1])
     assert np.max(np.abs(prof.q - expected)) < 1e-12 * np.max(expected)
     assert prof.radii.shape == prof.q.shape == (63,)
@@ -92,7 +92,7 @@ def test_flux_threshold_crossing(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
-    prof = flux_profile(advance_states(op, u0, 0.0, 0.05, controls), g, euclid3)
+    prof = flux_profile(advance_states(op, u0, 0.0, 0.05, controls), g)
     r_t, delta_t = prof.crossing(1e-3)
     assert r_t is not None and delta_t is not None
     assert delta_t > 1e-3

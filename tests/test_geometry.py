@@ -12,7 +12,6 @@ from heatlab import (
     ball_volume,
     complement_indicator,
     constant_one,
-    custom_manifold,
     euclidean,
     exact_total_variation,
     log_area_integral,
@@ -63,34 +62,6 @@ def test_cone_matches_weighted_log_area(pe4, cone3):
     scale = np.maximum(np.abs(a), 1.0)
     worst = np.max(np.abs(a - b) / scale)
     assert worst < 1e-12, f"log areas of the two models differ by {worst:.3e}"
-
-
-def test_custom_manifold_interpolates_tabulated_model(euclid3):
-    # log-spaced table resolves the log r curvature near the pole
-    radii = np.geomspace(0.05, 5.0, 200)
-    table = custom_manifold(radii, euclid3.log_area(radii))
-    probe = np.geomspace(0.07, 4.9, 57)
-    err = np.max(np.abs(table.log_area(probe) - euclid3.log_area(probe)))
-    assert err < 1e-6, f"tabulated log area off by {err:.3e}"
-    # outside the table is a hard error, not an extrapolation
-    with pytest.raises(InvalidArgumentError):
-        table.log_area(5.5)
-
-
-def test_custom_manifold_rejects_bad_tables():
-    with pytest.raises(InvalidArgumentError):
-        custom_manifold([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])  # too short
-    with pytest.raises(InvalidArgumentError):
-        custom_manifold([1.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(InvalidArgumentError):
-        custom_manifold([0.0, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0])
-    # NaN compares false, so it would slip through the ordering checks
-    with pytest.raises(InvalidArgumentError):
-        custom_manifold([1.0, math.nan, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(InvalidArgumentError):
-        custom_manifold([1.0, 2.0, 3.0, 4.0], [0.0, math.nan, 0.0, 0.0])
-    with pytest.raises(InvalidArgumentError):
-        custom_manifold([1.0, 2.0, 3.0, math.inf], [0.0, 0.0, 0.0, 0.0])
 
 
 def test_log_area_integral_euclidean(euclid3):

@@ -1,4 +1,5 @@
-"""Property tests of the one projection path over random grids and data.
+"""Property tests of the one projection path over random grids and data,
+and of heatlab's log-sum-exp against scipy's.
 
 Grids are uniform face ladders whose jump radii snap onto interior faces;
 data are piecewise linear with jumps at those radii and kinks anywhere.
@@ -7,12 +8,16 @@ data are piecewise linear with jumps at those radii and kinks anywhere.
 import math
 
 import numpy as np
+import pytest
+import scipy
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
 from heatlab import (ball_indicator, euclidean, face_ladder, grid_from_faces,
                      perimeter_ball, piecewise, power_exp_weight,
-                     project_datum, total_variation)
+                     project_datum, total_variation, warped_cone)
+from heatlab import geometry, grid
 
 MODELS = [euclidean(3), *(power_exp_weight(p, sign, 3)
                           for p in (1, 2, 3, 4) for sign in (1, -1))]
@@ -73,3 +78,49 @@ def test_projected_ball_is_its_indicator(ladder, data, m):
     assert np.array_equal(u, np.where(g.centers < r, 1.0, 0.0))
     per = perimeter_ball(m, r)
     assert abs(total_variation(u, g, m) - per) <= 1e-12 * per
+
+
+# scipy 1.15 moved logsumexp to the tied-maxima formula heatlab follows
+SCIPY_LSE = pytest.mark.skipif(
+    tuple(int(x) for x in scipy.__version__.split(".")[:2]) < (1, 15),
+    reason="scipy before 1.15 computes logsumexp by another formula")
+
+
+@st.composite
+def log_terms(draw):
+    """1-d or 2-d arrays with -inf entries, tied maxima and all -inf rows."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 17))
+    value = st.one_of(st.floats(-800.0, 800.0), st.just(-math.inf),
+                      st.sampled_from([-2.5, 0.0, 3.0]))
+    a = np.array(draw(st.lists(value, min_size=rows * cols,
+                               max_size=rows * cols))).reshape(rows, cols)
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        a[i] = -math.inf
+    return a[0] if draw(st.booleans()) else a
+
+
+def bitwise_equal(x, y):
+    return (type(x) is type(y) and np.shape(x) == np.shape(y)
+            and np.asarray(x).tobytes() == np.asarray(y).tobytes())
+
+
+@SCIPY_LSE
+@given(log_terms())
+def test_logsumexp_is_scipys_bitwise(a):
+    for axis in (None, 1) if a.ndim == 2 else (None,):
+        assert bitwise_equal(geometry.logsumexp(a, axis=axis),
+                             scipy.special.logsumexp(a, axis=axis))
+
+
+@SCIPY_LSE
+@pytest.mark.parametrize("m", [euclidean(3), power_exp_weight(4, 1, 3),
+                               power_exp_weight(4, -1, 3), warped_cone(3)],
+                         ids=["euclidean", "power_exp+", "power_exp-",
+                              "warped_cone"])
+def test_cell_measures_are_unchanged_bitwise(m, monkeypatch):
+    faces = face_ladder(3.0, 2048)
+    ours = grid._cell_log_integrals(m, faces)
+    for module in (geometry, grid):
+        monkeypatch.setattr(module, "logsumexp", scipy.special.logsumexp)
+    assert ours.tobytes() == grid._cell_log_integrals(m, faces).tobytes()
