@@ -23,7 +23,9 @@ LOG_MAX_SCALAR = 709.0
 # inner products multiply in O(1) factors that must not push past LOG_MAX_SCALAR
 LOG_MAX_GRID = 700.0
 
+# the 16-point Gauss-Legendre rule on [-1, 1], weights kept as logs
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL_LOG_WEIGHTS = np.log(_GL_WEIGHTS)
 
 
 def logsumexp(a, axis=None):
@@ -146,6 +148,14 @@ def perimeter_ball(manifold: RadialManifold, r: float) -> float:
     return manifold.sphere_constant * math.exp(log_a) if log_a > -math.inf else 0.0
 
 
+def _gl_log_terms(manifold: RadialManifold, mids: np.ndarray,
+                  half: np.ndarray) -> np.ndarray:
+    """log of the Gauss-Legendre terms w_k * h * A(m + h x_k) of panels with
+    centers m and half-widths h; the 16 nodes make a new last axis."""
+    nodes = mids[..., None] + half[..., None] * _GL_NODES
+    return np.log(half)[..., None] + _GL_LOG_WEIGHTS + manifold.log_area(nodes)
+
+
 def log_area_integral(manifold: RadialManifold, a: float, b: float,
                       rel_tol: float = 1e-12) -> float:
     """log of the integral of A(s) ds over [a, b], by panelwise Gauss-Legendre.
@@ -165,10 +175,7 @@ def log_area_integral(manifold: RadialManifold, a: float, b: float,
         edges = np.linspace(a, b, panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
-        # nodes: (panels, 16); weights pick up the panel half-width
-        nodes = mids[:, None] + half[:, None] * _GL_NODES[None, :]
-        logw = np.log(half)[:, None] + np.log(_GL_WEIGHTS)[None, :]
-        value = float(logsumexp(logw + manifold.log_area(nodes)))
+        value = float(logsumexp(_gl_log_terms(manifold, mids, half)))
         if previous is not None and abs(value - previous) <= rel_tol:
             return value
         previous = value

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (LOG_MAX_GRID, RadialManifold, log_area_integral,
-                       logsumexp)
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+from .geometry import (LOG_MAX_GRID, RadialManifold, _gl_log_terms,
+                       log_area_integral, logsumexp)
 
 
 @dataclass(frozen=True)
@@ -50,18 +48,13 @@ def _cell_log_integrals(manifold: RadialManifold, faces: np.ndarray) -> np.ndarr
     panels; cells where the two disagree fall back to adaptive refinement.
     """
     lo, hi = faces[:-1], faces[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    logw = np.log(half)[:, None] + np.log(_GL_WEIGHTS)[None, :]
-    coarse = logsumexp(logw + manifold.log_area(nodes), axis=1)
+    coarse = logsumexp(_gl_log_terms(manifold, 0.5 * (lo + hi), 0.5 * (hi - lo)),
+                       axis=1)
 
     q = 0.25 * (hi - lo)
     sub_mid = np.stack([lo + q, hi - q], axis=1)          # (N, 2)
-    sub_nodes = sub_mid[:, :, None] + q[:, None, None] * _GL_NODES[None, None, :]
-    sub_logw = np.log(q)[:, None, None] + np.log(_GL_WEIGHTS)[None, None, :]
-    fine = logsumexp(
-        (sub_logw + manifold.log_area(sub_nodes)).reshape(len(lo), -1), axis=1)
+    fine = logsumexp(_gl_log_terms(manifold, sub_mid, q[:, None])
+                     .reshape(len(lo), -1), axis=1)
 
     out = fine
     rough = np.nonzero(np.abs(fine - coarse) > 1e-12)[0]

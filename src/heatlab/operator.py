@@ -51,14 +51,11 @@ class WeightedOperator:
             out[1:] += self.lower[1:, None] * u[:-1]
         return out
 
-    def banded(self, shift: float, scale: float) -> np.ndarray:
-        """The tridiagonal (shift * I + scale * L) in solve_banded layout."""
-        n = self.grid.N
-        ab = np.zeros((3, n))
-        ab[0, 1:] = scale * self.upper[:-1]
-        ab[1, :] = shift + scale * self.diag
-        ab[2, :-1] = scale * self.lower[1:]
-        return ab
+    def banded(self, shift: float, scale: float) -> tuple[np.ndarray, ...]:
+        """The sub-, main and super-diagonal of (shift * I + scale * L), in
+        dgtsv order, as fresh arrays that LAPACK may overwrite."""
+        return (scale * self.lower[1:], shift + scale * self.diag,
+                scale * self.upper[:-1])
 
 
 def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> WeightedOperator:

@@ -70,7 +70,10 @@ def test_apply_matches_banded_solve(euclid3):
     rng = np.random.default_rng(2)
     u = rng.uniform(0.0, 1.0, g.N)
     dt = 1e-3
-    x = solve_banded((1, 1), op.banded(1.0, -dt), u)
+    lower, diag, upper = op.banded(1.0, -dt)
+    ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    x = solve_banded((1, 1), ab, u)
     back = x - dt * op.apply(x)
     assert np.max(np.abs(back - u)) < 1e-12, "banded layout disagrees with apply"
 

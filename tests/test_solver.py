@@ -16,6 +16,7 @@ from heatlab import (
     NumericalFailure,
     RangeError,
     SolveControls,
+    WeightedOperator,
     advance_states,
     assemble,
     ball_indicator,
@@ -181,9 +182,9 @@ def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
     solves = [0]
     step = heatlab.solver._step
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         solves[0] += 1
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(heatlab.solver, "_step", counting)
     advance_states(op, chi, 0.0, 0.01, controls)
@@ -192,6 +193,51 @@ def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
     advance_states(op, chi, 0.0, 0.01, controls)  # reaches the first stop
     with pytest.raises(NumericalFailure):
         advance_states(op, chi, 0.0, [0.01, 0.05], controls)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns):
+    # both half steps of a step share one band; the first solve must leave
+    # it intact, so every accepted state is two independent steps bit for bit
+    controls, g, op, chi = _walk_setup(euclid3)
+    extra = np.random.default_rng(3).uniform(0.0, 1.0, (g.N, columns - 1))
+    u0 = chi if columns == 1 else np.column_stack([chi, extra])
+    stops = [0.004, 0.01]
+    ladder = []
+    adaptive = advance_states(op, u0, 0.0, stops, controls, record_steps=ladder)
+    replayed = advance_states(op, u0, 0.0, stops, controls, replay_steps=ladder)
+    u = u0
+    for segment, got, again in zip(ladder, adaptive, replayed):
+        for dt in segment:
+            mid = heatlab.solver._step(op, u, 0.5 * dt)
+            u = heatlab.solver._step(op, mid, 0.5 * dt)
+        assert np.array_equal(got, u), "adaptive path differs from independent steps"
+        assert np.array_equal(again, u), "replay path differs from independent steps"
+
+
+def test_one_band_per_half_step_pair(euclid3, monkeypatch):
+    controls, g, op, chi = _walk_setup(euclid3)
+    counts = {"band": 0, "solve": 0}
+    band, step = WeightedOperator.banded, heatlab.solver._step
+
+    def counting_band(self, *args):
+        counts["band"] += 1
+        return band(self, *args)
+
+    def counting_step(*args, **kwargs):
+        counts["solve"] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(WeightedOperator, "banded", counting_band)
+    monkeypatch.setattr(heatlab.solver, "_step", counting_step)
+    ladder = []
+    advance_states(op, chi, 0.0, 0.01, controls, record_steps=ladder)
+    attempts, rest = divmod(counts["solve"], 3)
+    assert rest == 0 and attempts >= len(ladder[0]) > 0
+    assert counts["band"] == 2 * attempts
+    counts.update(band=0, solve=0)
+    advance_states(op, chi, 0.0, 0.01, controls, replay_steps=ladder)
+    assert counts == {"band": len(ladder[0]), "solve": 2 * len(ladder[0])}
 
 
 def test_record_and_replay_are_identical(euclid3):
@@ -380,7 +426,10 @@ def test_step_is_the_banded_solve_bitwise(request, family, columns):
     before = u.copy()
     dt = 1e-3
     got = heatlab.solver._step(op, u, dt)
-    want = solve_banded((1, 1), op.banded(1.0, -dt), u)
+    lower, diag, upper = op.banded(1.0, -dt)
+    ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
+    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+    want = solve_banded((1, 1), ab, u)
     assert got.shape == u.shape
     assert np.array_equal(got, want)
     assert np.array_equal(u, before), "the step overwrote its input state"
