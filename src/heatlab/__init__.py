@@ -5,7 +5,7 @@ The package is organized in layers: geometry (weight profiles and BV data),
 grid (face ladders and cell measures), operator (weighted divergence-form
 generator), solver (time stepping and exhaustion), functionals (mass,
 variation, flux, extrapolation), experiments (verdict-producing drivers) and
-cli (schema-checked runs with stable reports).
+cli (table-checked runs with stable reports).
 """
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Command line front end: schema-checked configs, stable reports, CSV data.
+"""Command line front end: table-checked configs, stable reports, CSV data.
 
 ``heatlab <experiment> --config cfg.json --out dir`` runs one experiment and
 writes ``report.json`` (byte-stable for a fixed config and seed: floats
@@ -12,7 +12,6 @@ validation suite.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import itertools
 import json
@@ -23,7 +22,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 
-import jsonschema
 import numpy as np
 
 from . import __version__, functionals
@@ -49,148 +47,169 @@ CSV_COLUMNS = {
     "validate": ("property", "measured", "tolerance", "status"),
 }
 
-# type of each SolveControls field in a config; the defaults are the
-# dataclass's own
-_CONTROL_TYPES = {
-    "step_tol": {"type": "number"},
-    "exhaustion": {"type": ["array", "null"], "items": {"type": "number"}},
-    "n_cells": {"type": "integer"},
-    "richardson": {"type": "boolean"},
-}
-_CONTROL_DEFAULTS = asdict(SolveControls())
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["experiment"],
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "manifold": {
-            "type": "object",
-            "additionalProperties": False,
-            "default": {},
-            "properties": {
-                "family": {"enum": ["euclidean", "power_exp", "warped_cone"],
-                           "default": "euclidean"},
-                "dimension": {"type": "integer", "minimum": 2, "default": 3},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "default": {},
-                    "properties": {
-                        "power": {"type": "number", "default": 4},
-                        "sign": {"enum": [-1, 1], "default": 1},
-                    },
-                },
-            },
-        },
-        "datum": {
-            "type": "object",
-            "additionalProperties": False,
-            "default": {},
-            "properties": {
-                # the experiments that read a datum need compact support
-                "kind": {"enum": ["ball", "piecewise"], "default": "ball"},
-                "radius": {"type": "number", "exclusiveMinimum": 0,
-                           "default": 1.0},
-                "breakpoints": {
-                    "type": "array",
-                    "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                              "items": {"type": "number"}},
-                },
-            },
-        },
-        "t": {"type": "number", "exclusiveMinimum": 0},
-        "t_list": {"type": "array", "minItems": 1,
-                   "items": {"type": "number", "exclusiveMinimum": 0}},
-        "R": {"type": "number", "exclusiveMinimum": 0},
-        "R_list": {"type": "array", "minItems": 2,
-                   "items": {"type": "number", "exclusiveMinimum": 0}},
-        "R_out": {"type": "number", "exclusiveMinimum": 0},
-        "r0": {"type": "number", "exclusiveMinimum": 0},
-        "controls": {
-            "type": "object",
-            "additionalProperties": False,
-            "default": {},
-            "properties": {
-                key: {**spec, "default": _CONTROL_DEFAULTS[key]}
-                for key, spec in _CONTROL_TYPES.items()},
-        },
-        "tolerances": {
-            "type": "object",
-            "additionalProperties": False,
-            "default": {},
-            "properties": {
-                "gap_rtol": {"type": "number", "exclusiveMinimum": 0,
-                             "default": 0.01},
-                # at 0.1 or above the incomplete band 1 - 10*eps_c is empty
-                "eps_c": {"type": "number", "exclusiveMinimum": 0,
-                          "exclusiveMaximum": 0.1, "default": 1e-4},
-            },
-        },
-        "seed": {"type": "integer", "default": 0},
-        "inject_asymmetry": {"type": "boolean", "default": False},
-    },
-}
-
-# keys that only one value of their section's selector reads; any other
-# value rejects them
-_SELECTOR_ONLY_KEYS = {
-    ("manifold", "family"): {"params": "power_exp"},
-    ("datum", "kind"): {"radius": "ball", "breakpoints": "piecewise"},
-}
-
-# what each experiment reads besides `experiment`:
-# (required keys, optional keys, {section: names read in it})
-_STEPPING = ("step_tol", "n_cells")
-_KEYS_READ = {
-    "degiorgi": (("t_list",), ("manifold", "datum", "controls", "tolerances"),
-                 {"tolerances": ("gap_rtol",),
-                  "controls": (*_STEPPING, "exhaustion", "richardson")}),
-    "completeness": (("t",), ("manifold", "controls", "tolerances"),
-                     {"tolerances": ("eps_c",),
-                      "controls": (*_STEPPING, "exhaustion")}),
-    "blowup": (("r0", "t_list", "R_list"), ("manifold", "controls"),
-               {"controls": _STEPPING}),
-    "comparison": (("t", "R"), ("controls",), {"controls": _STEPPING}),
-    "tail": (("R_out", "t_list"), ("manifold", "datum", "controls"),
-             {"controls": _STEPPING}),
-    "validate": ((), ("seed", "inject_asymmetry"), {}),
+# every config key by its path: type, bounds, default and readers.  The
+# readers are the experiments that read the key, or {selector: value} when
+# only one value of a sibling selector reads it.  A key with no default is
+# required by its readers.
+_SOLVING = ("degiorgi", "completeness", "blowup", "comparison", "tail")
+_MODELLED = ("degiorgi", "completeness", "blowup", "tail")
+_WITH_DATUM = ("degiorgi", "tail")
+_EXHAUSTING = ("degiorgi", "completeness")
+_POSITIVE = {"type": "number", "above": 0}
+_CONTROLS = asdict(SolveControls())
+_KEYS = {
+    "experiment": {"type": "choice", "of": EXPERIMENTS, "readers": EXPERIMENTS},
+    "manifold": {"type": "section", "default": {}, "readers": _MODELLED},
+    "manifold/family": {"type": "choice",
+                        "of": ("euclidean", "power_exp", "warped_cone"),
+                        "default": "euclidean", "readers": _MODELLED},
+    "manifold/dimension": {"type": "integer", "least": 2, "default": 3,
+                           "readers": _MODELLED},
+    "manifold/params": {"type": "section", "default": {},
+                        "readers": {"family": "power_exp"}},
+    "manifold/params/power": {"type": "number", "default": 4,
+                              "readers": _MODELLED},
+    "manifold/params/sign": {"type": "choice", "of": (-1, 1), "default": 1,
+                             "readers": _MODELLED},
+    # the experiments that read a datum need compact support
+    "datum": {"type": "section", "default": {}, "readers": _WITH_DATUM},
+    "datum/kind": {"type": "choice", "of": ("ball", "piecewise"),
+                   "default": "ball", "readers": _WITH_DATUM},
+    "datum/radius": {**_POSITIVE, "default": 1.0, "readers": {"kind": "ball"}},
+    "datum/breakpoints": {"type": "list", "items": (2, math.inf),
+                          "item": {"type": "list", "items": (2, 2),
+                                   "item": {"type": "number"}},
+                          "readers": {"kind": "piecewise"}},
+    "t": {**_POSITIVE, "readers": ("completeness", "comparison")},
+    "t_list": {"type": "list", "items": (1, math.inf), "item": _POSITIVE,
+               "readers": ("degiorgi", "blowup", "tail")},
+    "R": {**_POSITIVE, "readers": ("comparison",)},
+    "R_list": {"type": "list", "items": (2, math.inf), "item": _POSITIVE,
+               "readers": ("blowup",)},
+    "R_out": {**_POSITIVE, "readers": ("tail",)},
+    "r0": {**_POSITIVE, "readers": ("blowup",)},
+    "controls": {"type": "section", "default": {}, "readers": _SOLVING},
+    "controls/step_tol": {**_POSITIVE, "default": _CONTROLS["step_tol"],
+                          "readers": _SOLVING},
+    "controls/exhaustion": {"type": "list", "items": (1, math.inf),
+                            "item": _POSITIVE, "null": True,
+                            "default": _CONTROLS["exhaustion"],
+                            "readers": _EXHAUSTING},
+    "controls/n_cells": {"type": "integer", "least": 16,
+                         "default": _CONTROLS["n_cells"], "readers": _SOLVING},
+    "controls/richardson": {"type": "boolean",
+                            "default": _CONTROLS["richardson"],
+                            "readers": ("degiorgi",)},
+    "tolerances": {"type": "section", "default": {}, "readers": _EXHAUSTING},
+    "tolerances/gap_rtol": {**_POSITIVE, "default": 0.01,
+                            "readers": ("degiorgi",)},
+    # at 0.1 or above the incomplete band 1 - 10*eps_c is empty
+    "tolerances/eps_c": {**_POSITIVE, "below": 0.1, "default": 1e-4,
+                         "readers": ("completeness",)},
+    "seed": {"type": "integer", "default": 0, "readers": ("validate",)},
+    "inject_asymmetry": {"type": "boolean", "default": False,
+                         "readers": ("validate",)},
 }
 
 
-def _defaulting_validator():
-    base = jsonschema.Draft202012Validator
-    check_properties = base.VALIDATORS["properties"]
-
-    def fill_defaults(validator, properties, instance, schema):
-        if isinstance(instance, dict):
-            for key, sub in properties.items():
-                if "default" in sub and key not in instance:
-                    instance[key] = copy.deepcopy(sub["default"])
-        yield from check_properties(validator, properties, instance, schema)
-
-    return jsonschema.validators.extend(base, {"properties": fill_defaults})
+def _fail(path: str, message: str):
+    raise InvalidArgumentError(
+        f"config invalid at {path or '(top level)'}: {message}")
 
 
-_VALIDATOR = _defaulting_validator()(CONFIG_SCHEMA)
+def _checked(path: str, value, key: dict):
+    """``value`` as the table entry ``key`` admits it at ``path``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        _fail(path, f"holds {json.dumps(value)}, which is not a finite number")
+    kind = key["type"]
+    if kind == "choice":
+        # True == 1, but a boolean is no sign
+        if isinstance(value, bool) or value not in key["of"]:
+            _fail(path, f"{value!r} is not one of "
+                        f"{', '.join(map(repr, key['of']))}")
+        return value
+    if kind == "boolean":
+        if not isinstance(value, bool):
+            _fail(path, f"{value!r} is not true or false")
+        return value
+    if kind == "list":
+        if value is None and key.get("null"):
+            return None
+        if not isinstance(value, list):
+            _fail(path, f"{value!r} is not a list")
+        least, most = key["items"]
+        if not least <= len(value) <= most:
+            span = least if least == most else f"at least {least}"
+            _fail(path, f"must hold {span} item{'s' * (least > 1)}, "
+                        f"got {len(value)}")
+        return [_checked(f"{path}/{i}", item, key["item"])
+                for i, item in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(path, f"{value!r} is not a number")
+    if kind == "integer":
+        # a whole-number float such as 512.0 is an integer
+        if not float(value).is_integer():
+            _fail(path, f"{value!r} is not an integer")
+        value = int(value)
+    if "above" in key and not value > key["above"]:
+        _fail(path, f"must be above {key['above']}, got {value!r}")
+    if "below" in key and not value < key["below"]:
+        _fail(path, f"must be below {key['below']}, got {value!r}")
+    if "least" in key and value < key["least"]:
+        _fail(path, f"must be at least {key['least']}, got {value!r}")
+    return value
 
 
-def _reject_non_finite(node, path: tuple = ()):
-    """Refuse NaN and infinities anywhere: NaN passes the schema's bounds."""
-    if isinstance(node, float) and not math.isfinite(node):
-        raise InvalidArgumentError(
-            f"config invalid at {'/'.join(map(str, path))}: holds "
-            f"{json.dumps(node)}, which is not a finite number")
-    children = (node.items() if isinstance(node, dict) else enumerate(node)
-                if isinstance(node, (list, tuple)) else ())
-    for key, child in children:
-        _reject_non_finite(child, (*path, key))
+def _section(raw, prefix: str, experiment: str, read: bool,
+             found: dict) -> dict:
+    """Check one section against the table; return the keys the run reads.
+
+    ``read`` says whether the run reads the section at all.  Missing and
+    unread keys land in ``found`` under the head of their message.
+    """
+    if not isinstance(raw, dict):
+        _fail(prefix, f"{raw!r} is not an object")
+    names = {path.rpartition("/")[2]: path for path in _KEYS
+             if path.rpartition("/")[0] == prefix}
+    unknown = sorted(set(raw) - set(names), key=str)
+    if unknown:
+        _fail(prefix, f"unknown key{'s' if len(unknown) > 1 else ''} "
+                      f"{', '.join(map(repr, unknown))}")
+    out = {}
+    for name, path in names.items():
+        key = _KEYS[path]
+        readers = key["readers"]
+        if isinstance(readers, dict):
+            [(selector, choice)] = readers.items()
+            reads = read and out[selector] == choice
+        else:
+            reads = read and experiment in readers
+        if name not in raw:
+            if not reads:
+                continue
+            if "default" not in key:
+                found[f"experiment {experiment} requires keys"].append(path)
+                continue
+        elif read and not reads:
+            if isinstance(readers, dict):
+                head = f"{prefix} {selector} {out[selector]} does not read"
+                found.setdefault(head, []).append(name)
+            else:
+                found[f"experiment {experiment} does not read"].append(path)
+        value = raw.get(name, key.get("default"))
+        if key["type"] == "section":
+            value = _section(value, path, experiment, reads, found)
+        else:
+            value = _checked(path, value, key)
+        if reads:
+            out[name] = value
+    return out
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, default-filled run description."""
+    """Checked run description: exactly the keys the run reads, defaults
+    filled in."""
 
     experiment: str
     resolved: dict
@@ -199,38 +218,17 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise InvalidArgumentError("config must be a JSON object")
-        _reject_non_finite(raw)
-        cfg = copy.deepcopy(raw)
-        errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.path))
-        if errors:
-            first = errors[0]
-            where = "/".join(str(p) for p in first.path) or "(top level)"
-            raise InvalidArgumentError(f"config invalid at {where}: {first.message}")
-        experiment = cfg["experiment"]
-        required, optional, sections = _KEYS_READ[experiment]
-        missing = [k for k in required if k not in cfg]
-        if missing:
-            raise InvalidArgumentError(
-                f"experiment {experiment} requires keys: {', '.join(missing)}")
-        # read the raw config: the schema has filled in defaults everywhere
-        unread = [k for k in raw if k not in
-                  ("experiment", *required, *optional)]
-        unread += [f"{section}/{k}" for section, names in sections.items()
-                   for k in raw.get(section, {}) if k not in names]
-        if unread:
-            raise InvalidArgumentError(
-                f"experiment {experiment} does not read: {', '.join(unread)}")
-        for (section, selector), owners in _SELECTOR_ONLY_KEYS.items():
-            choice = cfg[section][selector]
-            ignored = [k for k, only in owners.items()
-                       if k in raw.get(section, {}) and choice != only]
-            if ignored:
-                raise InvalidArgumentError(
-                    f"{section} {selector} {choice} does not read: "
-                    f"{', '.join(ignored)}")
-        if cfg["datum"]["kind"] != "ball":
-            del cfg["datum"]["radius"]  # the schema's default, unread
-        return cls(experiment=experiment, resolved=cfg)
+        if "experiment" not in raw:
+            _fail("", "missing key 'experiment'")
+        experiment = _checked("experiment", raw["experiment"],
+                              _KEYS["experiment"])
+        found = {f"experiment {experiment} requires keys": [],
+                 f"experiment {experiment} does not read": []}
+        resolved = _section(raw, "", experiment, True, found)
+        for head, keys in found.items():
+            if keys:
+                raise InvalidArgumentError(f"{head}: {', '.join(keys)}")
+        return cls(experiment=experiment, resolved=resolved)
 
 
 def load_config(path: str) -> RunConfig:
@@ -258,8 +256,6 @@ def _datum_from(cfg: dict):
     kind = cfg["kind"]
     if kind == "ball":
         return ball_indicator(cfg["radius"])
-    if "breakpoints" not in cfg:
-        raise InvalidArgumentError("piecewise datum needs breakpoints")
     return piecewise(cfg["breakpoints"])
 
 
@@ -324,13 +320,9 @@ def _write_csv(path: str, columns, rows):
 
 
 def _report_base(rc: RunConfig) -> dict:
-    """Report header; the config echo holds only the keys the run read."""
-    required, optional, sections = _KEYS_READ[rc.experiment]
-    echo = {k: copy.deepcopy(v) for k, v in rc.resolved.items()
-            if k in ("experiment", *required, *optional)}
-    for section, names in sections.items():
-        echo[section] = {k: v for k, v in echo[section].items() if k in names}
-    return {"tool": "heatlab", "version": __version__, "config": echo}
+    """Report header; the config echo is the resolved config, which holds
+    only the keys the run read."""
+    return {"tool": "heatlab", "version": __version__, "config": rc.resolved}
 
 
 def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
@@ -434,7 +426,7 @@ def _execute(rc: RunConfig):
         report = validate(cfg["seed"], cfg["inject_asymmetry"])
         return report, {"validate.csv": report["properties"]}
 
-    manifold = _manifold_from(cfg["manifold"])
+    manifold = _manifold_from(cfg["manifold"]) if "manifold" in cfg else None
     controls = SolveControls(**cfg["controls"])
 
     if rc.experiment == "degiorgi":
@@ -489,10 +481,11 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
             raise InvalidArgumentError(
                 f"command line names {experiment} but config names {rc.experiment}")
         if seed is not None:
-            if "seed" not in _KEYS_READ[rc.experiment][1]:
+            if "seed" not in rc.resolved:
                 raise InvalidArgumentError(
                     f"experiment {rc.experiment} does not read: seed")
-            rc = RunConfig(rc.experiment, {**rc.resolved, "seed": int(seed)})
+            seed = _checked("seed", seed, _KEYS["seed"])
+            rc = RunConfig(rc.experiment, {**rc.resolved, "seed": seed})
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
         return 2

@@ -70,7 +70,13 @@ class RadialManifold:
         self.family = family
         self.dimension = int(dimension)
         self.params = dict(params)
-        self.sphere_constant = sphere_constant(self.dimension)
+        try:
+            self.sphere_constant = sphere_constant(self.dimension)
+        except OverflowError:
+            raise InvalidArgumentError(
+                f"dimension {dimension} is too large: the unit sphere's "
+                f"measure 2*pi^(n/2)/Gamma(n/2) is out of double range"
+            ) from None
         self.log_sphere_constant = math.log(self.sphere_constant)
         self._log_area_fn = log_area_fn
 

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from heatlab import InvalidArgumentError, SolveControls, euclidean
-from heatlab.cli import (CONFIG_SCHEMA, RunConfig, _KEYS_READ, load_config,
-                         main, run, validate)
+from heatlab import (InvalidArgumentError, SolveControls, euclidean,
+                     power_exp_weight)
+from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, load_config, main,
+                         run, validate)
 from heatlab.experiments import blowup_sweep
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -328,24 +329,23 @@ def test_non_finite_python_values_are_rejected():
 def test_schema_controls_are_the_solve_controls():
     # one home for the controls: every field is a config key, and a config
     # that sets none resolves to the dataclass defaults
-    schema = CONFIG_SCHEMA["properties"]["controls"]["properties"]
-    assert list(schema) == [f.name for f in fields(SolveControls)]
+    controls = [path.split("/")[1] for path in _KEYS
+                if path.startswith("controls/")]
+    assert controls == [f.name for f in fields(SolveControls)]
     resolved = RunConfig.from_dict({"experiment": "tail", "R_out": 2.0,
                                     "t_list": [0.05]}).resolved
     assert SolveControls(**resolved["controls"]) == SolveControls()
-    # and every control is read by some experiment; an unread one is a
-    # constant, not a knob
-    read = {name for _, _, sections in _KEYS_READ.values()
-            for name in sections.get("controls", ())}
-    assert read == set(schema)
-    # the same holds for every top-level key and every tolerance
-    top = {key for required, optional, _ in _KEYS_READ.values()
-           for key in (*required, *optional)}
-    assert top | {"experiment"} == set(CONFIG_SCHEMA["properties"])
-    tolerances = {name for _, _, sections in _KEYS_READ.values()
-                  for name in sections.get("tolerances", ())}
-    assert tolerances == set(
-        CONFIG_SCHEMA["properties"]["tolerances"]["properties"])
+    # and every key in the table has a reader: an experiment, or a value of
+    # a selector beside it; an unread key is a constant, not a knob
+    for path, key in _KEYS.items():
+        readers = key["readers"]
+        assert readers, path
+        if isinstance(readers, dict):
+            [(selector, choice)] = readers.items()
+            sibling = _KEYS[f"{path.rpartition('/')[0]}/{selector}"]
+            assert choice in sibling["of"], path
+        else:
+            assert set(readers) <= set(EXPERIMENTS), path
 
 
 @pytest.mark.parametrize("manifold", [
@@ -462,6 +462,24 @@ def test_keys_the_experiment_reads_are_accepted():
     ("completeness", {"tolerances": {"eps_c": -0.5}}, "tolerances/eps_c"),
     ("completeness", {"tolerances": {"eps_c": 0.0}}, "tolerances/eps_c"),
     ("completeness", {"tolerances": {"eps_c": 0.1}}, "tolerances/eps_c"),
+    # bool is no number although True == 1, and a number is no flag; lists
+    # keep their lengths, and a piecewise datum needs its breakpoints
+    ("tail", {"controls": {"n_cells": True}}, "controls/n_cells"),
+    ("completeness", {"t": True}, "t"),
+    ("degiorgi", {"manifold": {"dimension": True}}, "manifold/dimension"),
+    ("degiorgi", {"manifold": {"family": "power_exp",
+                               "params": {"sign": True}}},
+     "manifold/params/sign"),
+    ("degiorgi", {"controls": {"richardson": 1}}, "controls/richardson"),
+    ("validate", {"seed": 1.5}, "seed"),
+    ("degiorgi", {"datum": {"kind": "piecewise",
+                            "breakpoints": [[0, 1, 2]]}}, "datum/breakpoints"),
+    ("degiorgi", {"datum": {"kind": "piecewise",
+                            "breakpoints": [[0, 1], [1, 0, 2]]}},
+     "datum/breakpoints/1"),
+    ("degiorgi", {"t_list": []}, "t_list"),
+    ("degiorgi", {"controls": {"exhaustion": []}}, "controls/exhaustion"),
+    ("degiorgi", {"datum": {"kind": "piecewise"}}, "datum/breakpoints"),
 ])
 def test_removed_and_out_of_bounds_keys_are_exit_2(tmp_path, experiment,
                                                     extra, key):
@@ -472,6 +490,30 @@ def test_removed_and_out_of_bounds_keys_are_exit_2(tmp_path, experiment,
     assert err["error"] == "InvalidArgumentError"
     assert key in err["message"], err["message"]
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("dimension", [344, 400])
+def test_dimension_beyond_double_range_is_exit_2(tmp_path, dimension):
+    # Gamma(n/2) in the unit sphere's measure overflows from n = 344 on;
+    # that once escaped as a bare OverflowError with no error.json
+    for build in (euclidean, lambda n: power_exp_weight(4, 1, n)):
+        with pytest.raises(InvalidArgumentError, match="dimension"):
+            build(dimension)
+    payload = {**MINIMAL["completeness"],
+               "manifold": {"family": "euclidean", "dimension": dimension}}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "c.json", payload), str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "InvalidArgumentError"
+    assert "dimension" in err["message"], err["message"]
+
+
+def test_whole_number_float_seed_is_honoured():
+    # numpy's generator takes no float seed: validate with seed 2.0 once
+    # crashed with exit 1 and no error.json
+    seed = RunConfig.from_dict({"experiment": "validate", "seed": 2.0}
+                               ).resolved["seed"]
+    assert seed == 2 and type(seed) is int
 
 
 def test_whole_number_float_cell_count_is_honoured(tmp_path):
@@ -515,6 +557,16 @@ def test_seed_override_lands_in_echo(tmp_path):
     assert run(cfg, str(out), seed=11) == 0
     echo = json.loads((out / "report.json").read_text())["config"]
     assert echo["seed"] == 11
+
+
+def test_fractional_seed_override_is_exit_2(tmp_path):
+    # run(seed=1.5) once ran and echoed seed 1
+    cfg = write_config(tmp_path, "v.json", {"experiment": "validate"})
+    out = tmp_path / "out"
+    assert run(cfg, str(out), seed=1.5) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == 2 and "seed" in err["message"]
+    assert not (out / "report.json").exists()
 
 
 FAST_TAIL = {"experiment": "tail", "R_out": 2.0, "t_list": [0.05, 0.04],
