@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        RadialManifold, ball_indicator, ball_volume,
-                       complement_indicator, constant_one, euclidean,
-                       exact_total_variation, log_area_integral,
-                       perimeter_ball, piecewise, power_exp_weight,
-                       sphere_constant, warped_cone)
+                       constant_one, euclidean, exact_total_variation,
+                       log_area_integral, perimeter_ball, piecewise,
+                       power_exp_weight, sphere_constant, warped_cone)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, SemigroupResult,
@@ -32,7 +31,7 @@ from .experiments import (ExperimentReport, blowup_sweep, comparison_check,
 __all__ = [
     "InvalidArgumentError", "NumericalFailure", "RangeError",
     "LOG_MAX_GRID", "LOG_MAX_SCALAR", "RadialBVDatum", "RadialManifold",
-    "ball_indicator", "ball_volume", "complement_indicator", "constant_one",
+    "ball_indicator", "ball_volume", "constant_one",
     "euclidean", "exact_total_variation",
     "log_area_integral", "perimeter_ball", "piecewise", "power_exp_weight",
     "sphere_constant", "warped_cone",

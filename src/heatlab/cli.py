@@ -325,7 +325,10 @@ def _report_base(rc: RunConfig) -> dict:
     return {"tool": "heatlab", "version": __version__, "config": rc.resolved}
 
 
-def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
+def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
+    """Run the structural property battery once: one row per property, each
+    a measured defect against its tolerance.  That the report is
+    byte-reproducible across processes is checked by the test suite."""
     rng = np.random.default_rng(seed)
     weighted = power_exp_weight(4, 1, 3)
     g = build_grid(weighted, 3.0, 256, (1.0,))
@@ -400,24 +403,10 @@ def _validate_rows(seed: int, inject_asymmetry: bool) -> list:
     defect = float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2])))
     add("three_column_linearity", defect, 1e-12)
 
-    return rows
-
-
-def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
-    """Run the property suite twice; also demand byte-identical serialization."""
-    first = _validate_rows(seed, inject_asymmetry)
-    second = _validate_rows(seed, inject_asymmetry)
-    stable = _dumps(first) == _dumps(second)
-    rows = list(first)
-    rows.append({"property": "report_bytes_reproducible",
-                 "measured": 0.0 if stable else 1.0, "tolerance": 0.0,
-                 "status": "pass" if stable else "fail"})
     ok = all(row["status"] == "pass" for row in rows)
-    return {"experiment": "validate", "seed": seed,
-            "inject_asymmetry": inject_asymmetry, "properties": rows,
+    return {"experiment": "validate", "properties": rows,
             "verdict": "confirms" if ok else "refutes",
-            "finding": "all properties hold" if ok else "property violated",
-            "ok": ok}
+            "finding": "all properties hold" if ok else "property violated"}
 
 
 def _execute(rc: RunConfig):
@@ -515,7 +504,7 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         for row in report["properties"]:
             print(f"{row['property']:32s} {row['measured']:12.3e} "
                   f"<= {row['tolerance']:9.1e}  {row['status'].upper()}")
-        if not report["ok"]:
+        if report["verdict"] != "confirms":
             print("validate: FAILED", file=sys.stderr)
             return 3
         print("validate: all properties hold")

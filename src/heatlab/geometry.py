@@ -53,7 +53,13 @@ def logsumexp(a, axis=None):
 
 def sphere_constant(dimension: int) -> float:
     """Surface measure of the unit (n-1)-sphere, 2*pi^(n/2)/Gamma(n/2)."""
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    try:
+        return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    except OverflowError:
+        raise InvalidArgumentError(
+            f"dimension {dimension} is too large: the unit sphere's "
+            f"measure 2*pi^(n/2)/Gamma(n/2) is out of double range"
+        ) from None
 
 
 class RadialManifold:
@@ -70,13 +76,7 @@ class RadialManifold:
         self.family = family
         self.dimension = int(dimension)
         self.params = dict(params)
-        try:
-            self.sphere_constant = sphere_constant(self.dimension)
-        except OverflowError:
-            raise InvalidArgumentError(
-                f"dimension {dimension} is too large: the unit sphere's "
-                f"measure 2*pi^(n/2)/Gamma(n/2) is out of double range"
-            ) from None
+        self.sphere_constant = sphere_constant(self.dimension)
         self.log_sphere_constant = math.log(self.sphere_constant)
         self._log_area_fn = log_area_fn
 
@@ -262,10 +262,6 @@ def piecewise(points) -> RadialBVDatum:
 
 def ball_indicator(radius: float) -> RadialBVDatum:
     return piecewise(((0.0, 1.0), (radius, 1.0), (radius, 0.0)))
-
-
-def complement_indicator(radius: float) -> RadialBVDatum:
-    return piecewise(((0.0, 0.0), (radius, 0.0), (radius, 1.0)))
 
 
 def constant_one() -> RadialBVDatum:

@@ -36,10 +36,6 @@ class Grid:
             raise InvalidArgumentError(f"radius {r} is not a face of this grid")
         return idx
 
-    def cell_measures(self) -> np.ndarray:
-        """mu_i in linear scale (may be astronomically large but finite)."""
-        return np.exp(self.log_cell_measure)
-
 
 def _cell_log_integrals(manifold: RadialManifold, faces: np.ndarray) -> np.ndarray:
     """log of the per-cell integral of A, one vectorized Gauss-Legendre pass.

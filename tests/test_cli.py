@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -10,12 +12,13 @@ from pathlib import Path
 import pytest
 
 from heatlab import (InvalidArgumentError, SolveControls, euclidean,
-                     power_exp_weight)
+                     power_exp_weight, sphere_constant)
 from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, load_config, main,
                          run, validate)
 from heatlab.experiments import blowup_sweep
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, name, payload):
@@ -186,8 +189,8 @@ def test_csv_floats_use_shortest_round_trip_style(tmp_path):
 
 def test_validate_passes_and_is_deterministic():
     out = validate(seed=0)
-    assert out["ok"]
-    assert len(out["properties"]) == 9
+    assert out["verdict"] == "confirms"
+    assert len(out["properties"]) == 8
     assert all(row["status"] == "pass" for row in out["properties"])
     again = validate(seed=0)
     assert [r["measured"] for r in again["properties"]] == \
@@ -196,7 +199,7 @@ def test_validate_passes_and_is_deterministic():
 
 def test_validate_catches_planted_asymmetry():
     out = validate(seed=0, inject_asymmetry=True)
-    assert not out["ok"]
+    assert out["verdict"] == "refutes"
     bad = [r for r in out["properties"] if r["status"] == "fail"]
     assert any(r["property"] == "operator_symmetry_rel" for r in bad)
 
@@ -213,7 +216,28 @@ def test_validate_cli_exit_codes(tmp_path, capsys):
     out_bad = tmp_path / "bad"
     assert run(cfg_bad, str(out_bad)) == 3
     report = json.loads((out_bad / "report.json").read_text())
-    assert not report["ok"]
+    assert report["verdict"] == "refutes"
+
+
+def test_validate_report_is_byte_identical_across_processes(tmp_path):
+    # two interpreters with different string hashing run the battery side by
+    # side; anything keyed on process state shows up as a byte difference
+    children = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+               "PYTHONHASHSEED": hash_seed}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "heatlab.cli", "validate",
+             "--config", "configs/validate.json", "--out", str(out)],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        children.append((child, out))
+    for child, _ in children:
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err.decode()
+    (_, first), (_, second) = children
+    for name in ("report.json", "validate.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 FAST_BLOWUP = {
@@ -492,11 +516,12 @@ def test_removed_and_out_of_bounds_keys_are_exit_2(tmp_path, experiment,
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("dimension", [344, 400])
+@pytest.mark.parametrize("dimension", [344, 400, 1240, 1300])
 def test_dimension_beyond_double_range_is_exit_2(tmp_path, dimension):
-    # Gamma(n/2) in the unit sphere's measure overflows from n = 344 on;
-    # that once escaped as a bare OverflowError with no error.json
-    for build in (euclidean, lambda n: power_exp_weight(4, 1, n)):
+    # Gamma(n/2) in the unit sphere's measure overflows from n = 344 on, and
+    # pi^(n/2) from about n = 1240; that once escaped as a bare OverflowError
+    for build in (sphere_constant, euclidean,
+                  lambda n: power_exp_weight(4, 1, n)):
         with pytest.raises(InvalidArgumentError, match="dimension"):
             build(dimension)
     payload = {**MINIMAL["completeness"],

@@ -10,7 +10,6 @@ from heatlab import (
     RangeError,
     ball_indicator,
     ball_volume,
-    complement_indicator,
     constant_one,
     euclidean,
     exact_total_variation,
@@ -104,7 +103,7 @@ def test_datum_support_and_jumps():
     assert ball.support_radius == 1.25
     assert ball.jump_radii == (1.25,)
 
-    comp = complement_indicator(2.0)
+    comp = piecewise(((0.0, 0.0), (2.0, 0.0), (2.0, 1.0)))
     assert comp.support_radius == math.inf
     assert comp.jump_radii == (2.0,)
 
@@ -123,7 +122,7 @@ def test_datum_values_right_continuous():
     ball = ball_indicator(1.0)
     assert ball.value(0.999) == 1.0
     assert ball.value(1.0) == 0.0, "indicator must take the outside value at its jump"
-    comp = complement_indicator(1.0)
+    comp = piecewise(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     assert comp.value(1.0) == 1.0
 
     ramp = piecewise([(0.0, 1.0), (1.0, 1.0), (1.0, 0.5), (2.0, 0.0)])
@@ -139,7 +138,8 @@ def test_datum_values_right_continuous():
 def test_exact_tv_ball_euclidean(euclid3):
     tv = exact_total_variation(ball_indicator(1.0), euclid3)
     assert abs(tv - 4 * math.pi) < 1e-12 * 4 * math.pi
-    tv2 = exact_total_variation(complement_indicator(2.0), euclid3)
+    tv2 = exact_total_variation(
+        piecewise(((0.0, 0.0), (2.0, 0.0), (2.0, 1.0))), euclid3)
     assert abs(tv2 - 16 * math.pi) < 1e-12 * 16 * math.pi
 
 
