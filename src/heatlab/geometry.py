@@ -53,6 +53,9 @@ def logsumexp(a, axis=None):
 
 def sphere_constant(dimension: int) -> float:
     """Surface measure of the unit (n-1)-sphere, 2*pi^(n/2)/Gamma(n/2)."""
+    if dimension < 1:
+        raise InvalidArgumentError(
+            f"dimension must be at least 1 for a unit sphere, got {dimension}")
     try:
         return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
     except OverflowError:

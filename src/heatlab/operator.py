@@ -41,15 +41,11 @@ class WeightedOperator:
         if u.shape[0] != self.grid.N:
             raise InvalidArgumentError(
                 f"vector length {u.shape[0]} does not match grid with {self.grid.N} cells")
-        if u.ndim == 1:
-            out = self.diag * u
-            out[:-1] += self.upper[:-1] * u[1:]
-            out[1:] += self.lower[1:] * u[:-1]
-        else:
-            out = self.diag[:, None] * u
-            out[:-1] += self.upper[:-1, None] * u[1:]
-            out[1:] += self.lower[1:, None] * u[:-1]
-        return out
+        cols = u.reshape(self.grid.N, -1)
+        out = self.diag[:, None] * cols
+        out[:-1] += self.upper[:-1, None] * cols[1:]
+        out[1:] += self.lower[1:, None] * cols[:-1]
+        return out.reshape(u.shape)
 
     def banded(self, shift: float, scale: float) -> tuple[np.ndarray, ...]:
         """The sub-, main and super-diagonal of (shift * I + scale * L), in

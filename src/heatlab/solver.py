@@ -148,8 +148,7 @@ def _step(op: WeightedOperator, u: np.ndarray, dt: float,
 def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                    controls: SolveControls,
                    observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
-                   record_steps: list | None = None,
-                   replay_steps=None):
+                   ladder: list | None = None):
     """Advance one or several stacked states from t0 to t1 adaptively.
 
     ``states`` has shape (N,) or (N, k); all columns share every accepted
@@ -171,12 +170,13 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     it, and after the stop stepping resumes from the step size proposed
     before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory.
 
-    ``record_steps`` collects the accepted step sizes, one list per stop
-    time (the steps from the previous stop up to that one); ``replay_steps``
-    takes exactly that ladder instead of adapting, and must have been
-    recorded through the same stop times.  Domain comparison between
-    exhaustion levels is only exact when every level walks the same step
-    ladder, so the first level records and the others replay.
+    ``ladder`` is the step ladder: one list of accepted step sizes per stop
+    time (the steps from the previous stop up to that one).  An empty list
+    is filled in as the run records; a filled one is replayed instead of
+    adapting, and must have been recorded through the same stop times.
+    Domain comparison between exhaustion levels is only exact when every
+    level walks the same step ladder, so the first level records and the
+    others replay.
     """
     sequence = np.ndim(t1) > 0
     stops = [float(s) for s in np.atleast_1d(t1)]
@@ -192,14 +192,14 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     if stops[-1] == t0:
         return [u] if sequence else u
 
-    if replay_steps is not None:
-        if len(replay_steps) != len(stops):
+    if ladder:
+        if len(ladder) != len(stops):
             raise InvalidArgumentError(
-                f"replay ladder was recorded through {len(replay_steps)} stop "
+                f"replay ladder was recorded through {len(ladder)} stop "
                 f"times, not the requested {len(stops)}")
         t = t0
         at_stops = []
-        for start, stop, segment in zip([t0, *stops], stops, replay_steps):
+        for start, stop, segment in zip([t0, *stops], stops, ladder):
             total = math.fsum(segment)
             if abs(total - (stop - start)) > 1e-12 * max(abs(stop - start), 1.0):
                 raise InvalidArgumentError(
@@ -230,8 +230,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     iterations = 0
     at_stops = []
     for stop in stops:
-        if record_steps is not None:
-            record_steps.append([])
+        if ladder is not None:
+            ladder.append([])
         t_end = stop - 1e-15 * max(abs(stop), 1.0)
         while t < t_end:
             iterations += 1
@@ -251,8 +251,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                 if observer is not None:
                     observer(t, u, t + 0.5 * h, mid)
                     observer(t + 0.5 * h, mid, t + h, fine)
-                if record_steps is not None:
-                    record_steps[-1].append(h)
+                if ladder is not None:
+                    ladder[-1].append(h)
                 u = fine
                 t = t + h
                 if h < dt:
@@ -272,14 +272,11 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
     """Largest radius whose face area stays within the grid range budget.
 
     Returns inf when the budget is never hit below r = 1e6 (flat and
-    decaying weights).  For tabulated models the table edge acts as the cap.
+    decaying weights).
     """
     def fits(r: float) -> bool:
-        try:
-            return (manifold.log_sphere_constant
-                    + manifold.log_area(float(r))) <= LOG_MAX_GRID
-        except InvalidArgumentError:
-            return False
+        return (manifold.log_sphere_constant
+                + manifold.log_area(float(r))) <= LOG_MAX_GRID
 
     if fits(1e6):
         return math.inf
@@ -370,8 +367,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
     for idx in indices:
         g = subgrid(ladder, idx)
         op = assemble(g, manifold, DIRICHLET)
-        walk = {"replay_steps": steps} if steps else {"record_steps": steps}
-        yield g, advance_states(op, u0[:idx], 0.0, t, controls, **walk)
+        yield g, advance_states(op, u0[:idx], 0.0, t, controls, ladder=steps)
 
 
 def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heatlab import (
     InvalidArgumentError,
@@ -239,6 +240,24 @@ def test_comparison_certificate(fast_controls):
     assert abs(rep.fitted["lap_w_far"] + 4.0) < 1e-6
     rows = rep.series["comparison"]
     assert all(row["v_R"] <= row["w_R"] + rep.fitted["vw_tol"] for row in rows)
+
+
+@pytest.mark.parametrize("R,n_cells", [(2.0, 256), (3.0, 512)])
+def test_comparison_barrier_matches_quadrature(R, n_cells):
+    # w(r), the integral of (1 - exp(-s^4))/s^3 from r to R, summed cell by
+    # cell from R inwards; the closed form must agree at every center.  Next
+    # to the wall it subtracts two values near 1/R^2, which leaves about
+    # 5e-18 of rounding, hence the absolute floor; the erf form G(R) - G(r)
+    # subtracts two values near sqrt(pi)/2 and fails this by 2x or more
+    rep = comparison_check(0.05, R, SolveControls(n_cells=n_cells, step_tol=1e-5))
+    rows = rep.series["comparison"]
+    nodes = [row["r"] for row in rows] + [rep.fitted["R"]]
+    acc, worst = 0.0, 0.0
+    for i in range(len(rows) - 1, -1, -1):
+        acc += quad(lambda s: -math.expm1(-s ** 4) / s ** 3,
+                    nodes[i], nodes[i + 1])[0]
+        worst = max(worst, abs(rows[i]["w_R"] - acc) / (2e-14 * acc + 1e-17))
+    assert worst <= 1.0, f"barrier off quadrature by {worst:.2f}x the tolerance"
 
 
 def test_comparison_rejects_large_times(fast_controls):

@@ -30,6 +30,13 @@ def test_sphere_constant_small_dimensions():
     assert abs(sphere_constant(4) - 2 * math.pi ** 2) < 1e-13
 
 
+@pytest.mark.parametrize("dimension", [0, -1, -2])
+def test_sphere_constant_rejects_dimensions_below_one(dimension):
+    # 0 and -2 are poles of Gamma(n/2), -1 is not; none is a sphere
+    with pytest.raises(InvalidArgumentError, match=f"got {dimension}"):
+        sphere_constant(dimension)
+
+
 def test_euclidean_perimeter_and_volume(euclid3):
     for r in (0.25, 1.0, 3.0):
         per = perimeter_ball(euclid3, r)
