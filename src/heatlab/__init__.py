@@ -15,7 +15,7 @@ from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        RadialManifold, ball_indicator, ball_volume,
                        constant_one, euclidean, exact_total_variation,
                        log_area_integral, perimeter_ball, piecewise,
-                       power_exp_weight, sphere_constant, warped_cone)
+                       power_exp_weight, sphere_constant)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, SemigroupResult,
@@ -34,7 +34,7 @@ __all__ = [
     "ball_indicator", "ball_volume", "constant_one",
     "euclidean", "exact_total_variation",
     "log_area_integral", "perimeter_ball", "piecewise", "power_exp_weight",
-    "sphere_constant", "warped_cone",
+    "sphere_constant",
     "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
     "EXHAUSTION_SLACK", "ExhaustionProbe", "SemigroupResult",

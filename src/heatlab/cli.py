@@ -28,8 +28,7 @@ from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .experiments import (blowup_sweep, comparison_check, completeness_probe,
                           degiorgi_sweep, tail_probe)
-from .geometry import (ball_indicator, euclidean, piecewise, power_exp_weight,
-                       warped_cone)
+from .geometry import ball_indicator, euclidean, piecewise, power_exp_weight
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
 from .solver import (SolveControls, advance_states, exhaustion_levels,
@@ -39,7 +38,7 @@ EXPERIMENTS = ("degiorgi", "completeness", "blowup", "comparison", "tail",
                "validate")
 
 CSV_COLUMNS = {
-    "degiorgi": ("t", "R_used", "N", "TV", "extrap_flag"),
+    "degiorgi": ("t", "R_used", "N", "TV"),
     "completeness": ("R", "m_at_0"),
     "blowup": ("R", "TV_R", "q_at_Rmax", "r_t", "delta_t"),
     "comparison": ("r", "v_R", "w_R", "lap_w"),
@@ -61,7 +60,7 @@ _KEYS = {
     "experiment": {"type": "choice", "of": EXPERIMENTS, "readers": EXPERIMENTS},
     "manifold": {"type": "section", "default": {}, "readers": _MODELLED},
     "manifold/family": {"type": "choice",
-                        "of": ("euclidean", "power_exp", "warped_cone"),
+                        "of": ("euclidean", "power_exp"),
                         "default": "euclidean", "readers": _MODELLED},
     "manifold/dimension": {"type": "integer", "least": 2, "default": 3,
                            "readers": _MODELLED},
@@ -97,9 +96,6 @@ _KEYS = {
                             "readers": _EXHAUSTING},
     "controls/n_cells": {"type": "integer", "least": 16,
                          "default": _CONTROLS["n_cells"], "readers": _SOLVING},
-    "controls/richardson": {"type": "boolean",
-                            "default": _CONTROLS["richardson"],
-                            "readers": ("degiorgi",)},
     "tolerances": {"type": "section", "default": {}, "readers": _EXHAUSTING},
     "tolerances/gap_rtol": {**_POSITIVE, "default": 0.01,
                             "readers": ("degiorgi",)},
@@ -243,13 +239,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _manifold_from(cfg: dict):
-    family = cfg["family"]
-    if family == "euclidean":
+    if cfg["family"] == "euclidean":
         return euclidean(cfg["dimension"])
-    if family == "power_exp":
-        return power_exp_weight(cfg["params"]["power"], cfg["params"]["sign"],
-                                cfg["dimension"])
-    return warped_cone(cfg["dimension"])
+    return power_exp_weight(cfg["params"]["power"], cfg["params"]["sign"],
+                            cfg["dimension"])
 
 
 def _datum_from(cfg: dict):
@@ -379,16 +372,6 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     ones = np.ones(g.N)
     advance_states(op, ones, 0.0, 0.05, controls, observer=track)
     add("mass_time_monotone", max(0.0, growth[0]), 1e-10)
-
-    cone = warped_cone(3)
-    g_cone = build_grid(cone, 3.0, 256, (1.0,))
-    op_cone = assemble(g_cone, cone, DIRICHLET)
-    scale = max(float(np.max(np.abs(band)))
-                for band in (op.lower, op.diag, op.upper))
-    defect = max(float(np.max(np.abs(a - b))) for a, b in
-                 ((op.lower, op_cone.lower), (op.diag, op_cone.diag),
-                  (op.upper, op_cone.upper)))
-    add("cone_twin_coefficients_rel", defect / scale, 1e-14)
 
     op_n = assemble(g, weighted, NEUMANN)
     u0 = rng.random(g.N) + 0.5

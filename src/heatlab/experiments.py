@@ -65,12 +65,9 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
 
     One exhaustion walk runs through every time of ``t_list`` and records
     the total variation at each, with every stop's exhaustion checked for
-    convergence; with ``controls.richardson`` a second walk through the
-    same times at doubled resolution on the radius the first one used gives
-    the fine values, and each pair is combined as (4*fine - coarse)/3.  The
-    decreasing-t series is accelerated by iterated Aitken and the
-    extrapolated limit compared against the closed-form variation of the
-    datum; confirmation requires the relative gap to stay within
+    convergence.  The decreasing-t series is accelerated by iterated Aitken
+    and the extrapolated limit compared against the closed-form variation
+    of the datum; confirmation requires the relative gap to stay within
     ``gap_rtol``.  A low-confidence extrapolation never confirms.
     """
     if not math.isfinite(datum.support_radius):
@@ -80,22 +77,12 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     ts = _require_decreasing(t_list, "t_list")
     exact = exact_total_variation(datum, manifold)
 
-    stops = ts[::-1]
-    results = heat_semigroup(manifold, datum, stops, controls)[::-1]
+    results = heat_semigroup(manifold, datum, ts[::-1], controls)[::-1]
     used = results[0].grid
     tvs = [res.probes[-1].total_variation for res in results]
-    n_used = used.N
-    if controls.richardson:
-        fine_controls = replace(controls, n_cells=2 * controls.n_cells,
-                                exhaustion=(used.R,))
-        fine = heat_semigroup(manifold, datum, stops, fine_controls)[::-1]
-        n_used = fine[0].grid.N
-        tvs = [(4.0 * f.probes[-1].total_variation - tv) / 3.0
-               for f, tv in zip(fine, tvs)]
     exhaustion_ok = all(len(res.probes) < 2 or res.converged
                         for res in results)
-    rows = [{"t": t, "R_used": used.R, "N": n_used, "TV": tv,
-             "extrap_flag": int(bool(controls.richardson))}
+    rows = [{"t": t, "R_used": used.R, "N": used.N, "TV": tv}
             for t, tv in zip(ts, tvs)]
     points = list(zip(ts, tvs))
 

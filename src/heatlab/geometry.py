@@ -68,8 +68,8 @@ def sphere_constant(dimension: int) -> float:
 class RadialManifold:
     """A weighted rotationally symmetric model manifold.
 
-    Immutable after construction.  Use the factory functions ``euclidean``,
-    ``power_exp_weight`` and ``warped_cone`` rather than the constructor.
+    Immutable after construction.  Use the factory functions ``euclidean``
+    and ``power_exp_weight`` rather than the constructor.
     """
 
     def __init__(self, family: str, dimension: int, params: dict,
@@ -132,20 +132,6 @@ def power_exp_weight(p: float, sign: int, dimension: int = 3) -> RadialManifold:
         return k * np.log(r) + sign * r ** p
 
     return RadialManifold("power_exp", dimension, {"p": float(p), "sign": int(sign)}, _log_a)
-
-
-def warped_cone(dimension: int = 3) -> RadialManifold:
-    """Warped product over the unit sphere with profile psi(r) = r exp(r^4/2).
-
-    A(r) = psi(r)^(n-1); for n = 3 the radial operator coincides with the
-    power_exp(p=4, sign=+1) weighted model.
-    """
-    k = dimension - 1
-
-    def _log_a(r):
-        return k * (np.log(r) + r ** 4 / 2.0)
-
-    return RadialManifold("warped_cone", dimension, {}, _log_a)
 
 
 def perimeter_ball(manifold: RadialManifold, r: float) -> float:

@@ -54,14 +54,12 @@ class SolveControls:
     (pole value, mass, total variation) stabilizes to ``EXHAUSTION_RTOL``,
     within ``MAX_EXHAUSTION`` levels.  ``n_cells`` is the cell count inside
     the first truncation radius; larger radii extend the same face ladder at
-    the same local spacing.  ``richardson`` adds a doubled-resolution walk
-    to the De Giorgi sweep.
+    the same local spacing.
     """
 
     step_tol: float = 1e-6
     exhaustion: tuple[float, ...] | None = None
     n_cells: int = 1024
-    richardson: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.step_tol) and self.step_tol > 0):
@@ -316,15 +314,18 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     radii snap to the nearest ladder face (reported radii are the snapped
     ones).  The automatic policy caps its radii at the overflow-safe radius
     of the manifold; explicitly requested radii beyond it raise instead.
+    A first radius at or inside the datum's last breakpoint would truncate
+    the datum, so it raises too.
     """
     jumps = datum.jump_radii
+    outer = datum.breakpoints[-1][0]
     safe = overflow_safe_radius(manifold)
-    radii = controls.exhaustion or exhaustion_radii(
-        datum.breakpoints[-1][0], t, safe, MAX_EXHAUSTION)
-    if jumps and radii[0] <= max(jumps):
+    radii = controls.exhaustion or exhaustion_radii(outer, t, safe,
+                                                    MAX_EXHAUSTION)
+    if radii[0] <= outer:
         raise InvalidArgumentError(
-            f"first truncation radius {radii[0]} does not contain the datum "
-            f"jumps {jumps}")
+            f"first truncation radius {radii[0]} does not contain the datum, "
+            f"whose last breakpoint is at {outer}")
     r_top = radii[-1]
     if r_top > safe:
         raise RangeError(

@@ -15,7 +15,7 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import erf
 
-from heatlab import SolveControls, euclidean, power_exp_weight, warped_cone
+from heatlab import SolveControls, euclidean, power_exp_weight
 
 # property tests draw the same examples on every run, and a slow shared
 # machine cannot fail one on time alone
@@ -97,11 +97,6 @@ def pe4():
 def gauss():
     """Gaussian weight exp(-r^2); a well-behaved control model."""
     return power_exp_weight(2, -1, 3)
-
-
-@pytest.fixture(scope="session")
-def cone3():
-    return warped_cone(3)
 
 
 @pytest.fixture()

@@ -51,7 +51,7 @@ def test_degiorgi_run_and_artifacts(tmp_path):
     raw = (out / "degiorgi.csv").read_bytes()
     assert b"\r\n" in raw, "CSV rows must be CRLF terminated"
     header = raw.split(b"\r\n")[0].decode()
-    assert header == "t,R_used,N,TV,extrap_flag"
+    assert header == "t,R_used,N,TV"
     assert len(raw.strip().split(b"\r\n")) == 1 + 3
 
 
@@ -190,7 +190,7 @@ def test_csv_floats_use_shortest_round_trip_style(tmp_path):
 def test_validate_passes_and_is_deterministic():
     out = validate(seed=0)
     assert out["verdict"] == "confirms"
-    assert len(out["properties"]) == 8
+    assert len(out["properties"]) == 7
     assert all(row["status"] == "pass" for row in out["properties"])
     again = validate(seed=0)
     assert [r["measured"] for r in again["properties"]] == \
@@ -374,8 +374,8 @@ def test_schema_controls_are_the_solve_controls():
 
 @pytest.mark.parametrize("manifold", [
     {"family": "euclidean", "params": {"power": 4}},
-    {"family": "warped_cone", "params": {}},
-    # the tabulated family and its two keys are gone
+    # the warped cone, the tabulated family and the latter's two keys are gone
+    {"family": "warped_cone"},
     {"family": "custom"},
     {"family": "power_exp", "radii": [1.0, 2.0, 3.0, 4.0]},
     {"family": "euclidean", "log_areas": [0.0, 0.0, 0.0, 0.0]},
@@ -444,11 +444,11 @@ MINIMAL = {
     ("blowup", {"tolerances": {"eps_c": 1e-3}}),
     ("tail", {"tolerances": {"gap_rtol": 0.5}}),
     ("validate", {"controls": {"n_cells": 64}}),
-    # controls the run never reads: once accepted and echoed as if honoured
-    ("tail", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
-    ("blowup", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
-    ("comparison", {"controls": {"richardson": True, "exhaustion": [9.0]}}),
-    ("completeness", {"controls": {"richardson": True}}),
+    # keys the run never reads: once accepted and echoed as if honoured
+    ("tail", {"controls": {"exhaustion": [9.0]}}),
+    ("blowup", {"controls": {"exhaustion": [9.0]}}),
+    ("comparison", {"controls": {"exhaustion": [9.0]}}),
+    ("completeness", {"tolerances": {"gap_rtol": 0.5}}),
     # comparison's barrier slack is a constant now
     ("comparison", {"tolerances": {"gap_rtol": 0.5}}),
 ])
@@ -494,7 +494,7 @@ def test_keys_the_experiment_reads_are_accepted():
     ("degiorgi", {"manifold": {"family": "power_exp",
                                "params": {"sign": True}}},
      "manifold/params/sign"),
-    ("degiorgi", {"controls": {"richardson": 1}}, "controls/richardson"),
+    ("validate", {"inject_asymmetry": 1}, "inject_asymmetry"),
     ("validate", {"seed": 1.5}, "seed"),
     ("degiorgi", {"datum": {"kind": "piecewise",
                             "breakpoints": [[0, 1, 2]]}}, "datum/breakpoints"),
@@ -504,6 +504,9 @@ def test_keys_the_experiment_reads_are_accepted():
     ("degiorgi", {"t_list": []}, "t_list"),
     ("degiorgi", {"controls": {"exhaustion": []}}, "controls/exhaustion"),
     ("degiorgi", {"datum": {"kind": "piecewise"}}, "datum/breakpoints"),
+    # removed: the doubled-resolution walk changed no verdict
+    ("degiorgi", {"controls": {"richardson": True}},
+     "unknown key 'richardson'"),
 ])
 def test_removed_and_out_of_bounds_keys_are_exit_2(tmp_path, experiment,
                                                     extra, key):

@@ -1,7 +1,9 @@
 """Experiment drivers: verdicts, evidence structure, and control behavior."""
 
+import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,10 @@ from heatlab import (
     piecewise,
 )
 import heatlab.experiments
+import heatlab.functionals
 import heatlab.solver
 from conftest import ball_heat_tv
+from heatlab.cli import run
 from heatlab.experiments import (
     VERDICTS,
     blowup_sweep,
@@ -26,6 +30,8 @@ from heatlab.experiments import (
     degiorgi_sweep,
     tail_probe,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def check_report_shape(rep, experiment):
@@ -69,12 +75,11 @@ def test_degiorgi_needs_decreasing_times(euclid3, fast_controls):
 DEGIORGI_TIMES = (0.02, 0.01, 0.005, 0.0025)
 
 
-@pytest.mark.parametrize("n_cells, richardson", [(1024, True), (256, False)])
-def test_degiorgi_rows_match_the_closed_form(euclid3, n_cells, richardson):
+@pytest.mark.parametrize("n_cells", [1024, 256])
+def test_degiorgi_rows_match_the_closed_form(euclid3, n_cells):
     # every row against the flat-space variation at its own t, computed by
     # quadrature of the erf closed form (no solver code involved)
-    controls = SolveControls(n_cells=n_cells, step_tol=1e-6, exhaustion=(4.0,),
-                             richardson=richardson)
+    controls = SolveControls(n_cells=n_cells, step_tol=1e-6, exhaustion=(4.0,))
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), DEGIORGI_TIMES, controls)
     rows = rep.series["degiorgi"]
     assert [row["t"] for row in rows] == list(DEGIORGI_TIMES)
@@ -85,17 +90,44 @@ def test_degiorgi_rows_match_the_closed_form(euclid3, n_cells, richardson):
 
 
 def test_degiorgi_sweep_walks_once_per_resolution(euclid3, monkeypatch):
-    # one exhaustion walk through every t on the base grid and one on the
-    # doubled grid; the smallest t is each walk's first stop, so its row is
-    # the one a sweep over that t alone gives, bit for bit
-    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0,),
-                             richardson=True)
+    # exactly one exhaustion walk through every t, on the base grid; the
+    # smallest t is its first stop, so its row is the one a sweep over that
+    # t alone gives, bit for bit
+    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0,))
     calls = _count_trajectories(monkeypatch, heatlab.solver)
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
                          controls)
-    assert calls == [[0.005, 0.01, 0.02]] * 2
+    assert calls == [[0.005, 0.01, 0.02]]
+    assert {row["N"] for row in rep.series["degiorgi"]} == {128}
     alone = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.005,), controls)
     assert rep.series["degiorgi"][-1] == alone.series["degiorgi"][0]
+
+
+def test_annulus_config_refutes_a_signed_variation(tmp_path, monkeypatch):
+    # a ball's evolved profile is radially non-increasing, so a variation
+    # that drops the absolute value still meets its perimeter.  The annulus
+    # 1_{1<r<1.5} rises and falls: the signed sum tends to
+    # 4 pi (1.5^2 - 1) = 5 pi, the true variation to 4 pi (1.5^2 + 1) = 13 pi
+    config = str(ROOT / "configs" / "degiorgi_annulus.json")
+
+    def report(out):
+        assert run(config, str(out)) == 0
+        return json.loads((out / "report.json").read_text())
+
+    honest = report(tmp_path / "honest")
+    assert honest["verdict"] == "confirms", honest["finding"]
+    assert abs(honest["fitted"]["exact_tv"] - 13 * math.pi) < 1e-9
+    assert {row["N"] for row in honest["series"]["degiorgi"]} == {1024}
+
+    def signed_variation(u, g, m):
+        log_sa = m.log_sphere_constant + g.log_face_area[1:-1]
+        return math.fsum(np.exp(log_sa) * -np.diff(u))
+
+    monkeypatch.setattr(heatlab.functionals, "total_variation",
+                        signed_variation)
+    signed = report(tmp_path / "signed")
+    assert signed["verdict"] == "refutes", signed["finding"]
+    assert abs(signed["fitted"]["extrapolated_limit"] - 5 * math.pi) < 1e-2
 
 
 def test_degiorgi_sweep_through_two_levels(euclid3):

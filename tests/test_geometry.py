@@ -18,7 +18,6 @@ from heatlab import (
     piecewise,
     power_exp_weight,
     sphere_constant,
-    warped_cone,
 )
 from heatlab.geometry import RadialBVDatum
 
@@ -57,17 +56,6 @@ def test_power_exp_rejects_bad_parameters():
         power_exp_weight(0, 1)
     with pytest.raises(InvalidArgumentError):
         power_exp_weight(4, 2)
-
-
-def test_cone_matches_weighted_log_area(pe4, cone3):
-    # psi(r) = r exp(r^4/2) squared gives exactly the exp(r^4) weighted area
-    rng = np.random.default_rng(7)
-    radii = rng.uniform(0.05, 4.5, size=64)
-    a = pe4.log_area(radii)
-    b = cone3.log_area(radii)
-    scale = np.maximum(np.abs(a), 1.0)
-    worst = np.max(np.abs(a - b) / scale)
-    assert worst < 1e-12, f"log areas of the two models differ by {worst:.3e}"
 
 
 def test_log_area_integral_euclidean(euclid3):

@@ -1,4 +1,4 @@
-"""Discrete operator: symmetry, sign structure, conservation, the cone twin."""
+"""Discrete operator: symmetry, sign structure, conservation."""
 
 import math
 
@@ -96,19 +96,6 @@ def test_apply_rejects_wrong_length(euclid3):
         op.apply(np.zeros(63))
     with pytest.raises(InvalidArgumentError):
         assemble(g, euclid3, "robin")
-
-
-def test_cone_twin_same_coefficients(pe4, cone3):
-    # the surface-of-revolution model and the weighted half-line produce the
-    # same tridiagonal bands on the same mesh
-    g4 = build_grid(pe4, 3.0, 160)
-    gc = build_grid(cone3, 3.0, 160)
-    a = assemble(g4, pe4, DIRICHLET)
-    b = assemble(gc, cone3, DIRICHLET)
-    scale = np.max(np.abs(a.diag))
-    for band in ("lower", "diag", "upper"):
-        gap = np.max(np.abs(getattr(a, band) - getattr(b, band)))
-        assert gap < 1e-13 * scale, f"{band} band differs by {gap:.3e}"
 
 
 def test_coefficients_stay_order_one_under_huge_weights(pe4):

@@ -25,6 +25,7 @@ from heatlab import (
     grid_from_faces,
     heat_semigroup,
     overflow_safe_radius,
+    piecewise,
     project_datum,
     semigroup_check,
     weighted_sum,
@@ -396,6 +397,21 @@ def test_single_level_builds_one_grid(euclid3, monkeypatch):
     result = heat_semigroup(euclid3, ball_indicator(1.0), 0.05, controls)
     assert built == [97]
     assert result.grid.N == 96
+
+
+@pytest.mark.parametrize("points, radius", [
+    # the radius contains the jump at 1 but cuts the ramp down to 2; the
+    # cut datum's variation limit would read 17.98 against an exact 20.94
+    ([(0.0, 1.0), (1.0, 1.0), (1.0, 0.5), (2.0, 0.0)], 1.5),
+    # the hat 0 -> 1 -> 0 on [0.5, 1.5] has no jump for a check to find
+    ([(0.0, 0.0), (0.5, 0.0), (1.0, 1.0), (1.5, 0.0)], 1.2),
+])
+def test_first_truncation_radius_must_contain_the_datum(euclid3, points,
+                                                        radius):
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(radius,))
+    with pytest.raises(InvalidArgumentError,
+                       match="does not contain the datum"):
+        heat_semigroup(euclid3, piecewise(points), 0.01, controls)
 
 
 def test_heat_semigroup_rejects_bad_time(euclid3, fast_controls):
