@@ -17,14 +17,15 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import functionals
-from .errors import InvalidArgumentError, RangeError
+from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
                        constant_one, euclidean, exact_total_variation,
                        power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (MAX_EXHAUSTION, SolveControls, advance_states,
-                     exhaustion_radii, heat_semigroup, overflow_safe_radius,
+from .solver import (EXHAUSTION_SLACK, MAX_EXHAUSTION, SolveControls,
+                     advance_states, exhaustion_levels, exhaustion_radii,
+                     heat_semigroup, monotonicity_defect, overflow_safe_radius,
                      project_datum)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
@@ -115,9 +116,14 @@ def completeness_probe(manifold: RadialManifold, t: float,
                        eps_c: float = 1e-4) -> ExperimentReport:
     """Mass at the pole under exhaustion: conservative or mass-leaking.
 
-    Evolves the constant profile on at least three truncation radii, records
+    Evolves the constant profile on a ladder of truncation radii, records
     the pole value per radius, and Aitken-extrapolates the sequence in 1/R.
-    The model reads complete when the limit stays within ``eps_c`` of 1 and
+    The automatic radius policy walks its levels lazily and stops after the
+    first level k >= 3 whose pole value lies within eps_c/100 of 1 and moved
+    by at most eps_c/100 over each of the last two levels: exhaustion is
+    monotone and the maximum principle caps every value at 1, so later
+    levels cannot move the limit.  Explicit radii are walked in full.  The
+    model reads complete when the limit stays within ``eps_c`` of 1 and
     incomplete when it sits below 1 - 10*eps_c with a stable exhaustion
     tail; anything in between is inconclusive.
     """
@@ -129,8 +135,24 @@ def completeness_probe(manifold: RadialManifold, t: float,
     if c.exhaustion is None:
         c = replace(c, exhaustion=exhaustion_radii(
             0.0, t, overflow_safe_radius(manifold), MAX_EXHAUSTION))
-    res = heat_semigroup(manifold, constant_one(), t, c)
-    rows = [{"R": p.R, "m_at_0": p.value_at_zero} for p in res.probes]
+    settled = eps_c / 100.0
+    rows = []
+    previous = None
+    for g, values in exhaustion_levels(manifold, constant_one(), t, c):
+        if previous is not None:
+            worst = monotonicity_defect(previous, values)
+            if worst > EXHAUSTION_SLACK:
+                raise NumericalFailure(
+                    f"exhaustion monotonicity violated by {worst:.3e} between "
+                    f"R={rows[-1]['R']:.6g} and R={g.R:.6g} at t={t:.6g}")
+        previous = values
+        rows.append({"R": g.R, "m_at_0": float(values[0])})
+        m = [row["m_at_0"] for row in rows[-3:]]
+        if controls.exhaustion is None and len(m) == 3 and max(
+                abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
+            # echo only the planned radii that ran
+            c = replace(c, exhaustion=c.exhaustion[:len(rows)])
+            break
 
     fitted = {"t": t}
     if len(rows) < 3:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailure, RangeError
+from .errors import InvalidArgumentError, RangeError
 from .geometry import RadialManifold
 from .grid import Grid
 
@@ -91,11 +91,15 @@ def flux_profile(u, g: Grid) -> FluxProfile:
     Meant for evolved states: on a projected datum a jump reads as its
     height over one center spacing.
     """
-    dc = np.diff(g.centers)
-    q = -np.exp(g.log_face_area[1:-1]) * np.diff(_check_grid(u, g, "solution")) / dc
+    du = np.diff(_check_grid(u, g, "solution"))
+    # the grid budget bounds sigma * A, not A, so a small sigma lets A
+    # overflow on its own (inf * 0 is invalid); both are raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -np.exp(g.log_face_area[1:-1]) * du / np.diff(g.centers)
     if not np.all(np.isfinite(q)):
         j = int(np.argmax(~np.isfinite(q)))
-        raise NumericalFailure(f"flux not finite at face r={g.faces[j + 1]:.6g}")
+        raise RangeError(
+            f"flux overflows at face r={g.faces[j + 1]:.6g}; reduce R_max")
     return FluxProfile(radii=g.faces[1:-1].copy(), q=q)
 
 

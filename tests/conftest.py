@@ -9,7 +9,6 @@ reference cannot silently excuse a bug in the code.
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.integrate import quad

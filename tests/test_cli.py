@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -139,6 +140,29 @@ def test_tail_beyond_safe_radius_is_exit_3(tmp_path):
     assert err["error"] == "RangeError"
     assert err["exit_code"] == 3
     assert "R_out=5.5" in err["message"]
+    assert not (out / "report.json").exists()
+
+
+def test_flux_overflow_is_a_range_error(tmp_path):
+    # sigma is tiny in 343 dimensions, so the grid's sigma * A budget lets
+    # the area A overflow on its own before R = 8
+    cfg = write_config(tmp_path, "flux.json", {
+        "experiment": "blowup",
+        "manifold": {"family": "euclidean", "dimension": 343},
+        "r0": 1.0,
+        "t_list": [0.001],
+        "R_list": [2.0, 3.0, 4.0, 6.0, 8.0],
+        "controls": {"n_cells": 64},
+    })
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg, str(out)) == 3
+    assert [str(w.message) for w in caught] == []
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "RangeError"
+    assert err["message"].startswith("flux overflows at face r=")
+    assert err["message"].endswith("; reduce R_max")
     assert not (out / "report.json").exists()
 
 

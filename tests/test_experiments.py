@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 
 from heatlab import (
     InvalidArgumentError,
+    NumericalFailure,
     RangeError,
     SolveControls,
     ball_indicator,
@@ -30,6 +32,8 @@ from heatlab.experiments import (
     degiorgi_sweep,
     tail_probe,
 )
+from heatlab.solver import (MAX_EXHAUSTION, exhaustion_radii,
+                            overflow_safe_radius)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -164,6 +168,85 @@ def test_completeness_superexponential_weight(pe4):
     ms = [row["m_at_0"] for row in rep.series["completeness"]]
     assert all(b >= a - 1e-12 for a, b in zip(ms, ms[1:])), f"pole values fell: {ms}"
     assert ms[-1] < 1.0 - 1e-3
+
+
+def _completeness_report(tmp_path, name):
+    out = tmp_path / name
+    assert run(str(ROOT / "configs" / f"{name}.json"), str(out)) == 0
+    return json.loads((out / "report.json").read_text())
+
+
+def test_completeness_flat_sample_stops_once_the_pole_settles(tmp_path):
+    # the pole value reads 1 from the third level on, so the walk stops
+    # after the fifth of the eight planned levels
+    report = _completeness_report(tmp_path, "completeness_euclidean")
+    planned = exhaustion_radii(0.0, 0.1, math.inf, MAX_EXHAUSTION)
+    assert len(planned) == 8
+    radii = [row["R"] for row in report["series"]["completeness"]]
+    assert radii == report["controls"]["exhaustion"]
+    assert radii == pytest.approx(planned[:5], rel=1e-11)
+    assert radii[-1] == 6.32455532034
+    assert (report["verdict"], report["finding"]) == ("confirms", "complete")
+    assert report["fitted"]["m_limit"] == 1
+
+
+def test_completeness_superexp_sample_walks_every_level(tmp_path, pe4):
+    # the pole value still moves by more than eps_c/100 between levels
+    report = _completeness_report(tmp_path, "completeness_superexp")
+    planned = exhaustion_radii(0.0, 0.1, overflow_safe_radius(pe4),
+                               MAX_EXHAUSTION)
+    assert len(planned) == 5
+    assert len(report["series"]["completeness"]) == 5
+    assert report["controls"]["exhaustion"] == pytest.approx(planned, rel=1e-11)
+    assert report["finding"] == "incomplete"
+
+
+def test_completeness_walks_explicit_radii_in_full(euclid3):
+    # the pole value is within 1e-7 of 1 from R = 2 on, yet every radius runs
+    radii = (2.0, 3.0, 4.0, 5.0, 6.0)
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=radii)
+    rep = completeness_probe(euclid3, 0.05, controls)
+    assert [row["R"] for row in rep.series["completeness"]] == list(radii)
+    assert rep.controls["exhaustion"] == radii
+    assert rep.finding == "complete"
+
+
+@pytest.mark.parametrize("poles, drawn", [
+    ([1.0] * 8, 3),                      # settled at once: the 3-level minimum
+    ([0.9, 1.0 - 1e-7] + [1.0] * 6, 4),  # the two moves settle at level 4
+    ([0.5] * 8, 8),                      # settled below 1
+    ([1.0 - 1e-5] * 8, 8),               # within eps_c of 1, not eps_c/100
+])
+def test_completeness_stops_only_once_the_pole_settles_at_1(
+        euclid3, monkeypatch, poles, drawn):
+    walked = []
+
+    def levels(manifold, datum, t, controls):
+        for R, m in zip(controls.exhaustion, poles):
+            walked.append(R)
+            yield SimpleNamespace(R=R), np.array([m])
+
+    monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
+    rep = completeness_probe(euclid3, 0.1, SolveControls(), eps_c=1e-4)
+    assert len(walked) == drawn
+    assert [row["R"] for row in rep.series["completeness"]] == walked
+    assert list(rep.controls["exhaustion"]) == walked
+
+
+def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
+    # dent the third level by 1e-6, more than it exceeds the second by
+    advance = heatlab.solver.advance_states
+    levels = []
+
+    def denting(*args, **kwargs):
+        levels.append(advance(*args, **kwargs))
+        return levels[-1] - 1e-6 if len(levels) == 3 else levels[-1]
+
+    monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
+                       "violated by .* between R=2 and R=3 at t=0.05"):
+        completeness_probe(euclid3, 0.05, SolveControls(n_cells=64, step_tol=1e-5))
+    assert len(levels) == 3
 
 
 def test_blowup_superexponential_weight(pe4):

@@ -11,7 +11,6 @@ from heatlab import (
     ball_indicator,
     ball_volume,
     constant_one,
-    euclidean,
     exact_total_variation,
     log_area_integral,
     perimeter_ball,

@@ -1,7 +1,5 @@
 """Discrete operator: symmetry, sign structure, conservation."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
