@@ -12,21 +12,19 @@ produced it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import functionals
-from .errors import InvalidArgumentError, NumericalFailure, RangeError
+from .errors import InvalidArgumentError, RangeError
 from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
                        constant_one, euclidean, exact_total_variation,
                        power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (EXHAUSTION_SLACK, MAX_EXHAUSTION, SolveControls,
-                     advance_states, exhaustion_levels, exhaustion_radii,
-                     heat_semigroup, monotonicity_defect, overflow_safe_radius,
-                     project_datum)
+from .solver import (SolveControls, advance_states, exhaustion_levels,
+                     heat_semigroup, overflow_safe_radius, project_datum)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -116,42 +114,28 @@ def completeness_probe(manifold: RadialManifold, t: float,
                        eps_c: float = 1e-4) -> ExperimentReport:
     """Mass at the pole under exhaustion: conservative or mass-leaking.
 
-    Evolves the constant profile on a ladder of truncation radii, records
-    the pole value per radius, and Aitken-extrapolates the sequence in 1/R.
-    The automatic radius policy walks its levels lazily and stops after the
-    first level k >= 3 whose pole value lies within eps_c/100 of 1 and moved
-    by at most eps_c/100 over each of the last two levels: exhaustion is
-    monotone and the maximum principle caps every value at 1, so later
-    levels cannot move the limit.  Explicit radii are walked in full.  The
-    model reads complete when the limit stays within ``eps_c`` of 1 and
-    incomplete when it sits below 1 - 10*eps_c with a stable exhaustion
-    tail; anything in between is inconclusive.
+    Walks ``exhaustion_levels`` of the constant profile (its radius plan and
+    monotonicity check), records the pole value per radius as row ``R``, and
+    Aitken-extrapolates the sequence in 1/R.  Under the automatic radius
+    policy the walk stops after the first level k >= 3 whose pole value lies
+    within eps_c/100 of 1 and moved by at most eps_c/100 over each of the
+    last two levels: exhaustion is monotone and the maximum principle caps
+    every value at 1, so later levels cannot move the limit.  Explicit radii
+    are walked in full.  The model reads complete when the limit stays
+    within ``eps_c`` of 1 and incomplete when it sits below 1 - 10*eps_c
+    with a stable exhaustion tail; anything in between is inconclusive.
     """
     if not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     if not 0 < eps_c < 0.1:  # else the band below 1 - 10*eps_c is empty
         raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
-    c = controls
-    if c.exhaustion is None:
-        c = replace(c, exhaustion=exhaustion_radii(
-            0.0, t, overflow_safe_radius(manifold), MAX_EXHAUSTION))
     settled = eps_c / 100.0
     rows = []
-    previous = None
-    for g, values in exhaustion_levels(manifold, constant_one(), t, c):
-        if previous is not None:
-            worst = monotonicity_defect(previous, values)
-            if worst > EXHAUSTION_SLACK:
-                raise NumericalFailure(
-                    f"exhaustion monotonicity violated by {worst:.3e} between "
-                    f"R={rows[-1]['R']:.6g} and R={g.R:.6g} at t={t:.6g}")
-        previous = values
+    for g, values in exhaustion_levels(manifold, constant_one(), t, controls):
         rows.append({"R": g.R, "m_at_0": float(values[0])})
         m = [row["m_at_0"] for row in rows[-3:]]
         if controls.exhaustion is None and len(m) == 3 and max(
                 abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
-            # echo only the planned radii that ran
-            c = replace(c, exhaustion=c.exhaustion[:len(rows)])
             break
 
     fitted = {"t": t}
@@ -174,7 +158,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
             verdict, finding = "inconclusive", "undetermined"
     return ExperimentReport(
         experiment="completeness", manifold=manifold.describe(),
-        controls=asdict(c), series={"completeness": tuple(rows)},
+        controls=asdict(controls), series={"completeness": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
         evidence={"rows": rows})
 

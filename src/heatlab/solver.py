@@ -166,15 +166,16 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     then one trajectory runs through all of them and the states at the stops
     are returned as a list.  A step that would cross a stop is clipped onto
     it, and after the stop stepping resumes from the step size proposed
-    before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory.
+    before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory;
+    replayed steps count toward it too.
 
     ``ladder`` is the step ladder: one list of accepted step sizes per stop
     time (the steps from the previous stop up to that one).  An empty list
     is filled in as the run records; a filled one is replayed instead of
-    adapting, and must have been recorded through the same stop times.
-    Domain comparison between exhaustion levels is only exact when every
-    level walks the same step ladder, so the first level records and the
-    others replay.
+    adapting, and must have been recorded through the same stop times.  Both
+    modes run the same step: a replayed one takes its size from the ladder,
+    skips the full-step error solve and is always accepted, so the observer
+    sees the same transitions as on the recording.
     """
     sequence = np.ndim(t1) > 0
     stops = [float(s) for s in np.atleast_1d(t1)]
@@ -190,30 +191,11 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     if stops[-1] == t0:
         return [u] if sequence else u
 
-    if ladder:
-        if len(ladder) != len(stops):
-            raise InvalidArgumentError(
-                f"replay ladder was recorded through {len(ladder)} stop "
-                f"times, not the requested {len(stops)}")
-        t = t0
-        at_stops = []
-        for start, stop, segment in zip([t0, *stops], stops, ladder):
-            total = math.fsum(segment)
-            if abs(total - (stop - start)) > 1e-12 * max(abs(stop - start), 1.0):
-                raise InvalidArgumentError(
-                    f"replay ladder spans {total} before stop {stop}, not the "
-                    f"requested {stop - start}")
-            for dt in segment:
-                half = op.banded(1.0, -0.5 * dt)
-                mid = _step(op, u, 0.5 * dt, half, keep_band=True)
-                fine = _step(op, mid, 0.5 * dt, half)
-                if observer is not None:
-                    observer(t, u, t + 0.5 * dt, mid)
-                    observer(t + 0.5 * dt, mid, t + dt, fine)
-                u = fine
-                t = t + dt
-            at_stops.append(u)
-        return at_stops if sequence else at_stops[0]
+    replay = bool(ladder)
+    if replay and len(ladder) != len(stops):
+        raise InvalidArgumentError(
+            f"replay ladder was recorded through {len(ladder)} stop "
+            f"times, not the requested {len(stops)}")
 
     # the local error of a first-order step is O(h^2), so the controller
     # scales the step by (tol/err)^(1/2)
@@ -227,41 +209,51 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     dt = DT_INIT
     iterations = 0
     at_stops = []
-    for stop in stops:
-        if ladder is not None:
-            ladder.append([])
+    for start, stop in zip([t0, *stops], stops):
+        if replay:
+            segment = ladder[len(at_stops)]
+            total = math.fsum(segment)
+            if abs(total - (stop - start)) > 1e-12 * max(abs(stop - start), 1.0):
+                raise InvalidArgumentError(
+                    f"replay ladder spans {total} before stop {stop}, not the "
+                    f"requested {stop - start}")
+        else:
+            segment = []
+            if ladder is not None:
+                ladder.append(segment)
         t_end = stop - 1e-15 * max(abs(stop), 1.0)
-        while t < t_end:
+        taken = 0
+        while taken < len(segment) if replay else t < t_end:
             iterations += 1
             if iterations > MAX_STEPS:
                 raise NumericalFailure(
                     f"step tolerance {controls.step_tol} unreachable within "
                     f"{MAX_STEPS} iterations (reached t={t}, dt={dt})")
-            h = min(dt, stop - t)
+            h = segment[taken] if replay else min(dt, stop - t)
             # both half steps solve with I - (h/2) L: one band serves both
             half = op.banded(1.0, -0.5 * h)
             mid = _step(op, u, 0.5 * h, half, keep_band=True)
             fine = _step(op, mid, 0.5 * h, half)
-            coarse = _step(op, u, h)
-            err = float((column_l1(coarse - fine)
-                         / np.maximum(column_l1(fine), 1e-300)).max())
-            if err <= controls.step_tol or h <= DT_MIN:
-                if observer is not None:
-                    observer(t, u, t + 0.5 * h, mid)
-                    observer(t + 0.5 * h, mid, t + h, fine)
-                if ladder is not None:
-                    ladder[-1].append(h)
-                u = fine
-                t = t + h
-                if h < dt:
-                    continue  # clipped onto the stop: keep the proposal
-                grow = DT_GROWTH
-                if err > 0:
-                    grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
-                dt = max(h * max(grow, 1.0), DT_MIN)
-            else:
-                dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
-                         DT_MIN)
+            if not replay:
+                coarse = _step(op, u, h)
+                err = float((column_l1(coarse - fine)
+                             / np.maximum(column_l1(fine), 1e-300)).max())
+                if not (err <= controls.step_tol or h <= DT_MIN):
+                    dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
+                             DT_MIN)
+                    continue
+                segment.append(h)
+                if h >= dt:  # a step clipped onto the stop keeps the proposal
+                    grow = DT_GROWTH
+                    if err > 0:
+                        grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
+                    dt = max(h * max(grow, 1.0), DT_MIN)
+            if observer is not None:
+                observer(t, u, t + 0.5 * h, mid)
+                observer(t + 0.5 * h, mid, t + h, fine)
+            u = fine
+            t = t + h
+            taken += 1
         at_stops.append(u)
     return at_stops if sequence else at_stops[0]
 
@@ -313,9 +305,10 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     truncation level; level k is ``subgrid(ladder, indices[k])``.  Requested
     radii snap to the nearest ladder face (reported radii are the snapped
     ones).  The automatic policy caps its radii at the overflow-safe radius
-    of the manifold; explicitly requested radii beyond it raise instead.
-    A first radius at or inside the datum's last breakpoint would truncate
-    the datum, so it raises too.
+    of the manifold and drops a radius that snaps onto the face of the one
+    before; explicit radii raise instead, in either case.  A first radius at
+    or inside the datum's last breakpoint would truncate the datum, so it
+    raises too.
     """
     jumps = datum.jump_radii
     outer = datum.breakpoints[-1][0]
@@ -341,11 +334,22 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     ladder = grid_from_faces(manifold, np.asarray(faces))
 
     indices: list[int] = []
-    for r in radii:
+    for r_prev, r in zip((None, *radii), radii):
         idx = int(np.argmin(np.abs(ladder.faces - r)))
         if not indices or idx > indices[-1]:
             indices.append(idx)
+        elif controls.exhaustion is not None:
+            raise InvalidArgumentError(
+                f"truncation radii {r_prev} and {r} snap onto the same face "
+                f"{ladder.faces[idx]:.6g}; space them wider or raise n_cells")
     return ladder, indices
+
+
+def monotonicity_defect(inner: np.ndarray, outer: np.ndarray) -> float:
+    """How far the outer level's solution falls below the inner level's on
+    the inner ball; exhaustion monotonicity holds when it is at most
+    ``EXHAUSTION_SLACK``."""
+    return float(np.max(inner - outer[:inner.size]))
 
 
 def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
@@ -358,24 +362,32 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
     ``t``, or the list of states at the stops.  The automatic radius policy
     sizes the ladder for the largest stop.  The first level records its
     accepted time-step ladder through every stop and every later level
-    replays it, so the truncated solutions are comparable cell by cell at
-    each stop.  Levels are computed only as the caller asks for them.
+    replays it, so the truncated solutions are comparable cell by cell.
+    Levels are computed only as the caller asks for them, and each is
+    checked against the one before at every stop before it is yielded: a
+    ``monotonicity_defect`` beyond ``EXHAUSTION_SLACK`` is a scheme
+    inconsistency and raises ``NumericalFailure``.
     """
-    ladder, indices = exhaustion_ladder(manifold, datum, float(np.max(t)),
+    sequence = np.ndim(t) > 0
+    stops = np.atleast_1d(t).tolist()
+    ladder, indices = exhaustion_ladder(manifold, datum, float(max(stops)),
                                         controls)
     u0 = project_datum(datum, ladder)
     steps: list[list[float]] = []
+    inner_R, inner = None, []  # the first level has nothing inside it
     for idx in indices:
         g = subgrid(ladder, idx)
         op = assemble(g, manifold, DIRICHLET)
-        yield g, advance_states(op, u0[:idx], 0.0, t, controls, ladder=steps)
-
-
-def monotonicity_defect(inner: np.ndarray, outer: np.ndarray) -> float:
-    """How far the outer level's solution falls below the inner level's on
-    the inner ball; exhaustion monotonicity holds when it is at most
-    ``EXHAUSTION_SLACK``."""
-    return float(np.max(inner - outer[:inner.size]))
+        values = advance_states(op, u0[:idx], 0.0, t, controls, ladder=steps)
+        at_stops = values if sequence else [values]
+        for stop, a, b in zip(stops, inner, at_stops):
+            worst = monotonicity_defect(a, b)
+            if worst > EXHAUSTION_SLACK:
+                raise NumericalFailure(
+                    f"exhaustion monotonicity violated by {worst:.3e} between "
+                    f"R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
+        inner_R, inner = g.R, at_stops
+        yield g, values
 
 
 def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
@@ -383,20 +395,17 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
                    ) -> SemigroupResult | list[SemigroupResult]:
     """Minimal heat semigroup at time t via Dirichlet-ball exhaustion.
 
-    Solves the heat equation on an increasing family of balls with absorbing
-    boundary (``exhaustion_levels``).  The truncated solutions increase
-    monotonically in the truncation radius; a ``monotonicity_defect`` beyond
-    ``EXHAUSTION_SLACK`` is reported as a scheme inconsistency rather than
-    smoothed over.
-    Returns the largest truncation computed together with the per-radius
-    probe triple (pole value, mass, total variation), so callers can judge
-    how far the exhaustion has converged and extrapolate if they wish.
+    Consumes ``exhaustion_levels``, which solves the heat equation on an
+    increasing family of balls with absorbing boundary and checks that the
+    truncated solutions grow with the radius.  Returns the largest
+    truncation computed together with the per-radius probe triple (pole
+    value, mass, total variation), so callers can judge how far the
+    exhaustion has converged and extrapolate if they wish.
 
     ``t`` may also be a strictly increasing sequence of stop times: one
-    exhaustion walk then runs through all of them, monotonicity is checked
-    at every stop, and one result per stop is returned, all on the same
-    levels.  The automatic policy stops adding levels once every stop has
-    converged.
+    exhaustion walk then runs through all of them and one result per stop
+    is returned, all on the same levels.  The automatic policy stops adding
+    levels once every stop has converged.
     """
     sequence = np.ndim(t) > 0
     stops = np.atleast_1d(t).tolist()
@@ -405,32 +414,17 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     probes: list[list[ExhaustionProbe]] = [[] for _ in stops]
     converged = [False] * len(stops)
-    previous: list[np.ndarray] | None = None
     for g, states in exhaustion_levels(manifold, datum, t, controls):
         states = states if sequence else [states]
         for k, values in enumerate(states):
-            if previous is not None:
-                worst = monotonicity_defect(previous[k], values)
-                if worst > EXHAUSTION_SLACK:
-                    raise NumericalFailure(
-                        f"exhaustion monotonicity violated by {worst:.3e} "
-                        f"between R={probes[k][-1].R:.6g} and R={g.R:.6g} "
-                        f"at t={stops[k]:.6g}")
-            probe = ExhaustionProbe(
-                R=g.R, N=g.N, value_at_zero=float(values[0]),
-                mass=functionals.weighted_sum(g, values),
-                total_variation=functionals.total_variation(values, g, manifold))
+            new = (float(values[0]), functionals.weighted_sum(g, values),
+                   functionals.total_variation(values, g, manifold))
             if probes[k]:
-                prev = probes[k][-1]
-                rtol = EXHAUSTION_RTOL
-                converged[k] = (
-                    abs(probe.value_at_zero - prev.value_at_zero)
-                    <= rtol * max(1.0, abs(probe.value_at_zero))
-                    and abs(probe.mass - prev.mass) <= rtol * max(1.0, abs(probe.mass))
-                    and abs(probe.total_variation - prev.total_variation)
-                    <= rtol * max(1.0, abs(probe.total_variation)))
-            probes[k].append(probe)
-        previous = states
+                old = probes[k][-1]
+                converged[k] = all(
+                    abs(a - b) <= EXHAUSTION_RTOL * max(1.0, abs(a)) for a, b in
+                    zip(new, (old.value_at_zero, old.mass, old.total_variation)))
+            probes[k].append(ExhaustionProbe(g.R, g.N, *new))
         if controls.exhaustion is None and all(converged):
             break
     results = [SemigroupResult(grid=g, t=float(s), values=values,

@@ -108,6 +108,22 @@ def test_missing_required_key_is_exit_2(tmp_path):
     assert "r0" in err["message"]
 
 
+def test_radii_snapping_onto_one_face_are_exit_2(tmp_path):
+    # 64 cells inside R = 2 lie 1/32 apart, so 2.01 snaps onto the face at 2;
+    # its level used to merge with that one while the report echoed both
+    payload = {"experiment": "completeness",
+               "manifold": {"family": "euclidean", "dimension": 3},
+               "t": 0.05,
+               "controls": {"n_cells": 64, "step_tol": 1e-5,
+                            "exhaustion": [2.0, 2.01, 3.0, 4.0]}}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "c.json", payload), str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["exit_code"] == 2
+    assert "radii 2.0 and 2.01 snap onto the same face" in err["message"]
+    assert not (out / "report.json").exists()
+
+
 def test_range_overflow_is_exit_3(tmp_path):
     cfg = write_config(tmp_path, "blow.json", {
         "experiment": "blowup",

@@ -1,5 +1,6 @@
-"""The package's public surface and what importing it costs."""
+"""The package's public surface, what importing it costs, and its imports."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,13 @@ from pathlib import Path
 import heatlab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = SRC.parent
+
+# imported names that nothing reads, each kept for the reason given
+UNREAD_IMPORTS_KEPT = {
+    ("src/heatlab/solver.py", "solve_banded"):
+        "perfbench wraps heatlab.solver.solve_banded by name",
+}
 
 
 def test_every_public_name_resolves():
@@ -35,3 +43,39 @@ def test_cli_import_loads_no_scipy_extras_or_jsonschema(tmp_path):
     status, *after = ran.split()
     assert status == "0" and "heatlab.experiments" in after
     assert "scipy.integrate" not in after
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names an import statement binds that no expression reads."""
+    tree = ast.parse(source)
+    bound = [alias.asname or alias.name.split(".")[0]
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unread_imports():
+    # __init__.py imports are re-exports, read through __all__
+    unread = [(path, name)
+              for folder in ("src/heatlab", "tests", "demos")
+              for file in sorted((ROOT / folder).rglob("*.py"))
+              if file.name != "__init__.py"
+              for path in [file.relative_to(ROOT).as_posix()]
+              for name in unread_imports(file.read_text())
+              if (path, name) not in UNREAD_IMPORTS_KEPT]
+    assert not unread, f"imported but never read: {unread}"
+    for path, name in UNREAD_IMPORTS_KEPT:  # no stale exemption
+        assert name in unread_imports((ROOT / path).read_text()), (path, name)
+
+
+def test_unread_import_check_catches_a_leftover():
+    source = (SRC / "heatlab" / "experiments.py").read_text()
+    assert unread_imports(source) == []
+    planted = source.replace("from .solver import (",
+                             "from .solver import (exhaustion_radii, ", 1)
+    assert planted != source
+    assert unread_imports(planted) == ["exhaustion_radii"]

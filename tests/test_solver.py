@@ -22,6 +22,7 @@ from heatlab import (
     ball_indicator,
     build_grid,
     constant_one,
+    exhaustion_levels,
     grid_from_faces,
     heat_semigroup,
     overflow_safe_radius,
@@ -270,6 +271,45 @@ def test_record_and_replay_are_identical(euclid3):
             advance_states(op, u0, 0.0, other, controls, ladder=ladder)
 
 
+def test_replay_feeds_the_observer_like_the_recording(euclid3):
+    # record and replay run one step body, so an observer on the replay sees
+    # the recording's transitions: the same times and bitwise-equal states
+    controls, g, op, chi = _walk_setup(euclid3)
+    stops = [0.01, 0.03, 0.05]
+
+    def observed(ladder):
+        seen = []
+
+        def observer(t0, a, t1, b):
+            seen.append((t0, t1, a.copy(), b.copy()))
+
+        advance_states(op, chi, 0.0, stops, controls, observer=observer,
+                       ladder=ladder)
+        return seen
+
+    ladder = []
+    recorded = observed(ladder)
+    replayed = observed(ladder)
+    assert len(ladder) == 3, "the replay must not extend the ladder"
+    assert len(recorded) == 2 * sum(map(len, ladder))
+    assert [s[:2] for s in replayed] == [s[:2] for s in recorded]
+    for (t0, t1, a, b), (_, _, c, d) in zip(recorded, replayed):
+        assert np.array_equal(a, c) and np.array_equal(b, d), \
+            f"replayed transition {t0} -> {t1} differs from the recording"
+
+
+def test_replayed_steps_count_toward_the_budget(euclid3, monkeypatch):
+    controls, g, op, chi = _walk_setup(euclid3)
+    ladder = []
+    advance_states(op, chi, 0.0, [0.01, 0.02], controls, ladder=ladder)
+    steps = sum(map(len, ladder))
+    monkeypatch.setattr(heatlab.solver, "MAX_STEPS", steps)
+    advance_states(op, chi, 0.0, [0.01, 0.02], controls, ladder=ladder)
+    monkeypatch.setattr(heatlab.solver, "MAX_STEPS", steps - 1)
+    with pytest.raises(NumericalFailure, match="iterations"):
+        advance_states(op, chi, 0.0, [0.01, 0.02], controls, ladder=ladder)
+
+
 def test_replay_rejects_wrong_span(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells)
@@ -381,6 +421,28 @@ def test_exhaustion_monotonicity_is_checked_at_every_stop(euclid3, monkeypatch, 
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
     with pytest.raises(NumericalFailure, match=f"at t={stops[k]}"):
         heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
+
+
+def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
+                                                          monkeypatch):
+    # consumed directly, as validate does: a dent in the second level stops
+    # the walk before that level is yielded
+    advance = heatlab.solver.advance_states
+    levels = []
+
+    def denting(*args, **kwargs):
+        levels.append(advance(*args, **kwargs))
+        return levels[-1] - 1e-6 if len(levels) == 2 else levels[-1]
+
+    monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), 0.05, controls)
+    g, _ = next(walk)
+    assert g.R == 2.0
+    with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
+                       "violated by .* between R=2 and R=3 at t=0.05"):
+        next(walk)
+    assert len(levels) == 2
 
 
 def test_single_level_builds_one_grid(euclid3, monkeypatch):
