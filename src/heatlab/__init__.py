@@ -21,7 +21,7 @@ from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, ExhaustionProbe, SemigroupResult,
                      SolveControls, advance_states, exhaustion_ladder,
                      exhaustion_levels, exhaustion_radii, heat_semigroup,
-                     overflow_safe_radius, project_datum, semigroup_check)
+                     overflow_safe_radius, project_datum)
 from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
                           face_variation_terms, flux_profile, total_variation,
                           weighted_sum)
@@ -40,7 +40,7 @@ __all__ = [
     "EXHAUSTION_SLACK", "ExhaustionProbe", "SemigroupResult",
     "SolveControls", "advance_states", "exhaustion_ladder",
     "exhaustion_levels", "exhaustion_radii", "heat_semigroup",
-    "overflow_safe_radius", "project_datum", "semigroup_check",
+    "overflow_safe_radius", "project_datum",
     "ExtrapolationResult", "FluxProfile", "extrapolate_limit",
     "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
     "ExperimentReport", "blowup_sweep",

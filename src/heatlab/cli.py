@@ -32,8 +32,7 @@ from .geometry import ball_indicator, euclidean, piecewise, power_exp_weight
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
 from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states,
-                     exhaustion_levels, monotonicity_defect, project_datum,
-                     semigroup_check)
+                     exhaustion_levels, monotonicity_defect, project_datum)
 
 EXPERIMENTS = ("degiorgi", "completeness", "blowup", "comparison", "tail",
                "validate")
@@ -349,29 +348,37 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
     add("operator_symmetry_rel", worst, 1e-12)
 
+    # one run of [constant, ball, constant - ball] carries three rows: the
+    # bounds of every column, the growth of the constant, and linearity
     bounds = [0.0, 1.0]
     growth = [0.0]
 
     def track(t0, a, t1, b):
         bounds[0] = min(bounds[0], float(np.min(b)))
         bounds[1] = max(bounds[1], float(np.max(b)))
-        growth[0] = max(growth[0], float(np.max(b - a)))
+        growth[0] = max(growth[0], float(np.max(b[:, 0] - a[:, 0])))
 
-    u0 = project_datum(ball_indicator(1.0), g)
-    advance_states(op, u0, 0.0, 0.01, controls, observer=track)
+    ball = ball_indicator(1.0)
+    ones = np.ones(g.N)
+    ball0 = project_datum(ball, g)
+    triple = np.stack([ones, ball0, ones - ball0], axis=1)
+    out = advance_states(op, triple, 0.0, 0.05, controls, observer=track)
     add("max_principle_defect", max(0.0, -bounds[0], bounds[1] - 1.0), 1e-12)
 
-    levels = [u for _, u in itertools.islice(
-        exhaustion_levels(weighted, ball_indicator(1.0), 0.05, controls), 2)]
-    add("exhaustion_monotone", max(0.0, monotonicity_defect(*levels)),
+    # the first exhaustion level's state at 0.05 is also the one-shot leg of
+    # the semigroup identity, staged through 0.03 on that level's grid
+    (g1, direct), (_, outer) = itertools.islice(
+        exhaustion_levels(weighted, ball, 0.05, controls), 2)
+    add("exhaustion_monotone", max(0.0, monotonicity_defect(direct, outer)),
         EXHAUSTION_SLACK)
 
-    drift = semigroup_check(weighted, ball_indicator(1.0), 0.02, 0.03, controls)
+    op1 = assemble(g1, weighted, DIRICHLET)
+    staged = advance_states(op1, project_datum(ball, g1), 0.0, 0.03, controls)
+    staged = advance_states(op1, staged, 0.03, 0.05, controls)
+    drift = (functionals.weighted_sum(g1, np.abs(direct - staged))
+             / functionals.weighted_sum(g1, np.abs(direct)))
     add("semigroup_identity_rel", drift, 1e-4)
 
-    growth[0] = 0.0
-    ones = np.ones(g.N)
-    advance_states(op, ones, 0.0, 0.05, controls, observer=track)
     add("mass_time_monotone", max(0.0, growth[0]), 1e-10)
 
     op_n = assemble(g, weighted, NEUMANN)
@@ -381,9 +388,6 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     drift = abs(functionals.weighted_sum(g, u_t) - mass0) / (0.1 * mass0)
     add("neumann_mass_drift_per_time", drift, 1e-12)
 
-    ball0 = project_datum(ball_indicator(1.0), g)
-    triple = np.stack([ones, ball0, ones - ball0], axis=1)
-    out = advance_states(op, triple, 0.0, 0.05, controls)
     defect = float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2])))
     add("three_column_linearity", defect, 1e-12)
 

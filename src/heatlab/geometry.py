@@ -273,6 +273,12 @@ def exact_total_variation(datum: RadialBVDatum, manifold: RadialManifold) -> flo
             if v1 != v0:
                 total += abs(v1 - v0) * perimeter_ball(manifold, r0)
         elif v1 != v0:
+            # past double range the quadrature cannot converge, so a piece
+            # that reaches there is refused before it is tried
+            if manifold.log_sphere_constant + manifold.log_area(r1) > LOG_MAX_SCALAR:
+                raise RangeError(
+                    f"total variation out of range on segment [{r0}, {r1}]: "
+                    f"the perimeter at r={r1} overflows double precision")
             slope = abs(v1 - v0) / (r1 - r0)
             log_piece = log_area_integral(manifold, r0, r1)
             if manifold.log_sphere_constant + math.log(slope) + log_piece > LOG_MAX_SCALAR:

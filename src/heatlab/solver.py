@@ -227,7 +227,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
             iterations += 1
             if iterations > MAX_STEPS:
                 raise NumericalFailure(
-                    f"step tolerance {controls.step_tol} unreachable within "
+                    f"replayed ladder of {sum(map(len, ladder))} steps overruns "
+                    f"the budget of {MAX_STEPS} steps (reached t={t})" if replay
+                    else f"step tolerance {controls.step_tol} unreachable within "
                     f"{MAX_STEPS} iterations (reached t={t}, dt={dt})")
             h = segment[taken] if replay else min(dt, stop - t)
             # both half steps solve with I - (h/2) L: one band serves both
@@ -432,25 +434,3 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
                for s, values, p, c in zip(stops, states, probes, converged)]
     return results if sequence else results[0]
 
-
-def semigroup_check(manifold: RadialManifold, datum: RadialBVDatum,
-                    t1: float, t2: float, controls: SolveControls) -> float:
-    """Relative weighted-L1 gap between one-shot and composed evolution.
-
-    Both paths run on the same grid and operator (the largest truncation of
-    the exhaustion policy at total time t1 + t2), so the gap measures pure
-    time-discretization drift; it vanishes identically when t1 or t2 is 0.
-    """
-    if t1 < 0 or t2 < 0 or t1 + t2 <= 0:
-        raise InvalidArgumentError("need nonnegative times with positive sum")
-    ladder, indices = exhaustion_ladder(manifold, datum, t1 + t2, controls)
-    g = subgrid(ladder, indices[-1])
-    op = assemble(g, manifold, DIRICHLET)
-    u0 = project_datum(datum, g)
-
-    direct = advance_states(op, u0, 0.0, t1 + t2, controls)
-    staged = advance_states(op, advance_states(op, u0, 0.0, t2, controls),
-                            t2, t1 + t2, controls)
-    gap = functionals.weighted_sum(g, np.abs(direct - staged))
-    norm = functionals.weighted_sum(g, np.abs(direct))
-    return gap / max(norm, 1e-300)

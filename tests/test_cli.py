@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import heatlab.cli
+import heatlab.solver
 from heatlab import (InvalidArgumentError, SolveControls, euclidean,
                      power_exp_weight, sphere_constant)
 from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, load_config, main,
@@ -242,6 +244,49 @@ def test_validate_catches_planted_asymmetry():
     assert out["verdict"] == "refutes"
     bad = [r for r in out["properties"] if r["status"] == "fail"]
     assert any(r["property"] == "operator_symmetry_rel" for r in bad)
+
+
+def _failing_rows(out):
+    return {r["property"] for r in out["properties"] if r["status"] == "fail"}
+
+
+def test_validate_catches_an_upward_biased_step(monkeypatch):
+    # the bounds row reads every column of the three-column run and the
+    # growth row its constant column; a step that adds mass fails both
+    step = heatlab.solver._step
+    monkeypatch.setattr(heatlab.solver, "_step",
+                        lambda *args, **kwargs: step(*args, **kwargs) + 1e-9)
+    out = validate(seed=0)
+    assert out["verdict"] == "refutes"
+    assert {"max_principle_defect", "mass_time_monotone"} <= _failing_rows(out)
+
+
+def test_validate_catches_a_staged_leg_from_the_wrong_time(monkeypatch):
+    # the second staged leg of the semigroup identity restarts at 0.02
+    # instead of 0.03, so it evolves too long
+    advance = heatlab.cli.advance_states
+
+    def restarting_early(op, states, t0, *args, **kwargs):
+        return advance(op, states, 0.02 if t0 == 0.03 else t0, *args, **kwargs)
+
+    monkeypatch.setattr(heatlab.cli, "advance_states", restarting_early)
+    out = validate(seed=0)
+    assert _failing_rows(out) == {"semigroup_identity_rel"}
+
+
+def test_validate_solve_count(monkeypatch):
+    # each state evolves once: one three-column run carries three rows, and
+    # the semigroup identity reuses the first exhaustion level's state
+    solves = [0]
+    step = heatlab.solver._step
+
+    def counting(*args, **kwargs):
+        solves[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(heatlab.solver, "_step", counting)
+    assert validate(seed=0)["verdict"] == "confirms"
+    assert solves[0] == 18_878
 
 
 def test_validate_cli_exit_codes(tmp_path, capsys):

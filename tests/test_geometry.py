@@ -165,5 +165,13 @@ def test_exact_tv_overflow_is_an_error(pe4):
         exact_total_variation(ball_indicator(6.0), pe4)
 
 
+@pytest.mark.parametrize("end", [30.0, 1000.0])
+def test_exact_tv_overflowing_piece_is_a_range_error(pe4, end):
+    # the quadrature over [0, end] cannot converge; the piece is refused
+    # by name before it is tried
+    with pytest.raises(RangeError, match=rf"segment \[0.0, {end}\]"):
+        exact_total_variation(piecewise([(0.0, 1.0), (end, 0.0)]), pe4)
+
+
 def test_constant_has_no_variation(euclid3):
     assert exact_total_variation(constant_one(), euclid3) == 0.0

@@ -79,3 +79,10 @@ def test_unread_import_check_catches_a_leftover():
                              "from .solver import (exhaustion_radii, ", 1)
     assert planted != source
     assert unread_imports(planted) == ["exhaustion_radii"]
+
+
+def test_source_stays_within_the_line_gate():
+    # 10% below the initial 2,472 lines; removals must not grow back
+    lines = sum(len(file.read_text().splitlines())
+                for file in (SRC / "heatlab").rglob("*.py"))
+    assert lines <= 2_225, f"src/heatlab has {lines} lines, over the 2,225 gate"
