@@ -23,17 +23,24 @@ from .grid import Grid
 
 DIRICHLET = "dirichlet_at_R"
 NEUMANN = "neumann_at_R"
+# past this half-span of a grid's log measures, D in units of exp(c) (c the
+# middle of the span) nears double range: no symmetric form, steps solve L
+SYMMETRIC_HALF_SPAN = 500.0
 
 
 @dataclass(frozen=True)
 class WeightedOperator:
-    """Tridiagonal operator, symmetric in the weighted cell measures."""
+    """Tridiagonal operator L, symmetric in the cell measures D.  In units
+    of exp(c), D is ``cell_weights``; D L couples cells through their face's
+    ``conductance`` sigma * A(face) / dc and conserves mass to roundoff."""
 
     grid: Grid
     lower: np.ndarray   # coupling to cell i-1; lower[0] = 0
     diag: np.ndarray
     upper: np.ndarray   # coupling to cell i+1; upper[N-1] = 0
     bc: str
+    cell_weights: np.ndarray | None = None  # None: no symmetric form
+    conductance: np.ndarray | None = None   # faces 0..N; 0 at the pole
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product L u; accepts (N,) or (N, k) stacks."""
@@ -48,10 +55,16 @@ class WeightedOperator:
         return out.reshape(u.shape)
 
     def banded(self, shift: float, scale: float) -> tuple[np.ndarray, ...]:
-        """The sub-, main and super-diagonal of (shift * I + scale * L), in
-        dgtsv order, as fresh arrays that LAPACK may overwrite."""
-        return (scale * self.lower[1:], shift + scale * self.diag,
-                scale * self.upper[:-1])
+        """Fresh bands of (shift * I + scale * L) for LAPACK: the main and
+        off-diagonal of D (shift * I + scale * L) in dpttrf order, or without
+        a symmetric form the three diagonals in dgtsv order."""
+        if self.cell_weights is None:
+            return (scale * self.lower[1:], shift + scale * self.diag,
+                    scale * self.upper[:-1])
+        # the diagonal sums the rounded off-diagonal it is solved with, so
+        # each row sums to shift * D, less the wall's drain, up to two roundings
+        off = scale * self.conductance
+        return shift * self.cell_weights - (off[:-1] + off[1:]), off[1:-1]
 
 
 def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> WeightedOperator:
@@ -81,10 +94,21 @@ def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> Weighted
         ghost = np.exp(log_sigma + g.log_face_area[n] - g.log_cell_measure[n - 1])
         diag[n - 1] -= ghost / (faces[n] - centers[n - 1])
 
+    log_mu = g.log_cell_measure
+    lo, hi = float(log_mu.min()), float(log_mu.max())
+    symmetric = {}
+    if hi - lo <= 2.0 * SYMMETRIC_HALF_SPAN:
+        c = 0.5 * (lo + hi)
+        wall = (np.exp(log_sigma + g.log_face_area[n] - c)
+                / (faces[n] - centers[n - 1]) if bc == DIRICHLET else 0.0)
+        symmetric = dict(cell_weights=np.exp(log_mu - c), conductance=np.concatenate(
+            ([0.0], np.exp(log_flux - c) / dc, [wall])))
+
     for arr, name in ((lower, "lower"), (diag, "diag"), (upper, "upper")):
         bad = np.nonzero(~np.isfinite(arr))[0]
         if bad.size:
             raise NumericalFailure(
                 f"non-finite {name} coefficient at row {bad[0]} (face radius "
                 f"{faces[bad[0]]:.6g})")
-    return WeightedOperator(grid=g, lower=lower, diag=diag, upper=upper, bc=bc)
+    return WeightedOperator(grid=g, lower=lower, diag=diag, upper=upper, bc=bc,
+                            **symmetric)

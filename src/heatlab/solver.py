@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench/spans.py wraps this name
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from . import functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
@@ -128,19 +128,32 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     return values
 
 
-def _step(op: WeightedOperator, u: np.ndarray, dt: float,
-          band=None, keep_band: bool = False) -> np.ndarray:
-    """Solve (I - dt L) x = u.  Two solves may share ``band``, which is
-    op.banded(1.0, -dt); all but the last pass ``keep_band``."""
-    if band is None:
-        band = op.banded(1.0, -dt)
-    # the LAPACK call solve_banded((1, 1), ...) makes, without its wrapper;
-    # dgtsv overwrites the three diagonals unless told to copy them
-    consume = 0 if keep_band else 1
-    x, info = dgtsv(*band, u, consume, consume, consume)[3:]
+def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The solve of (I - dt L) x = u, set up once for many right-hand sides.
+    With a symmetric form it is the positive definite D (I - dt L) x = D u,
+    factored by dpttrf and solved by dpttrs, which leaves the factors intact;
+    without one, dgtsv solves a copy of the three diagonals each time."""
+    band = op.banded(1.0, -dt)
+    if op.cell_weights is None:
+        def solve(u):
+            # the LAPACK call solve_banded((1, 1), ...) makes, without its wrapper
+            x, info = dgtsv(*band, u, 0, 0, 0)[3:]
+            if info != 0:
+                raise NumericalFailure(
+                    f"tridiagonal solve broke down at dt={dt}: dgtsv info={info}")
+            return x
+        return solve
+    d, e, info = dpttrf(*band, 1, 1)
     if info != 0:
-        raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dgtsv info={info}")
-    return x
+        raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dpttrf info={info}")
+    w = op.cell_weights
+    return lambda u: dpttrs(d, e, (w if u.ndim == 1 else w[:, None]) * u, 1)[0]
+
+
+def _step(op: WeightedOperator, u: np.ndarray, dt: float, factor=None) -> np.ndarray:
+    """Solve (I - dt L) x = u; solves that share dt share ``factor``, which
+    is ``_factor(op, dt)``."""
+    return (factor or _factor(op, dt))(u)
 
 
 def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
@@ -232,9 +245,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                     else f"step tolerance {controls.step_tol} unreachable within "
                     f"{MAX_STEPS} iterations (reached t={t}, dt={dt})")
             h = segment[taken] if replay else min(dt, stop - t)
-            # both half steps solve with I - (h/2) L: one band serves both
-            half = op.banded(1.0, -0.5 * h)
-            mid = _step(op, u, 0.5 * h, half, keep_band=True)
+            # both half steps solve with I - (h/2) L: one factor serves both
+            half = _factor(op, 0.5 * h)
+            mid = _step(op, u, 0.5 * h, half)
             fine = _step(op, mid, 0.5 * h, half)
             if not replay:
                 coarse = _step(op, u, h)

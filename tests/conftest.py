@@ -14,12 +14,26 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import erf
 
-from heatlab import SolveControls, euclidean, power_exp_weight
+from heatlab import SolveControls, WeightedOperator, euclidean, power_exp_weight
 
 # property tests draw the same examples on every run, and a slow shared
 # machine cannot fail one on time alone
 settings.register_profile("heatlab", derandomize=True, deadline=None)
 settings.load_profile("heatlab")
+
+
+def record_solve_paths(monkeypatch) -> list:
+    """Patch ``WeightedOperator.banded`` to note, for every band built,
+    whether its operator has a symmetric form (the dpttrf/dpttrs path)."""
+    paths = []
+    banded = WeightedOperator.banded
+
+    def recording(op, *args):
+        paths.append(op.cell_weights is not None)
+        return banded(op, *args)
+
+    monkeypatch.setattr(WeightedOperator, "banded", recording)
+    return paths
 
 
 def ball_heat_closed_form(r, t, r0=1.0):

@@ -22,7 +22,7 @@ from heatlab import (
 import heatlab.experiments
 import heatlab.functionals
 import heatlab.solver
-from conftest import ball_heat_tv
+from conftest import ball_heat_tv, record_solve_paths
 from heatlab.cli import run
 from heatlab.experiments import (
     VERDICTS,
@@ -118,7 +118,9 @@ def test_annulus_config_refutes_a_signed_variation(tmp_path, monkeypatch):
         assert run(config, str(out)) == 0
         return json.loads((out / "report.json").read_text())
 
+    symmetric = record_solve_paths(monkeypatch)
     honest = report(tmp_path / "honest")
+    assert symmetric and all(symmetric), "a sample grid left the symmetric path"
     assert honest["verdict"] == "confirms", honest["finding"]
     assert abs(honest["fitted"]["exact_tv"] - 13 * math.pi) < 1e-9
     assert {row["N"] for row in honest["series"]["degiorgi"]} == {1024}

@@ -10,8 +10,10 @@ from heatlab import (
     InvalidArgumentError,
     assemble,
     build_grid,
+    euclidean,
     weighted_sum,
 )
+from heatlab.operator import SYMMETRIC_HALF_SPAN
 
 
 def test_interior_rows_annihilate_constants(euclid3):
@@ -62,16 +64,16 @@ def test_neumann_conserves_mass_infinitesimally(gauss):
 
 
 def test_apply_matches_banded_solve(euclid3):
-    # (I - dt L) x = u solved in banded form must invert apply exactly
+    # D (I - dt L) x = D u solved in banded form must invert apply exactly
     g = build_grid(euclid3, 2.0, 64)
     op = assemble(g, euclid3, DIRICHLET)
     rng = np.random.default_rng(2)
     u = rng.uniform(0.0, 1.0, g.N)
     dt = 1e-3
-    lower, diag, upper = op.banded(1.0, -dt)
+    diag, off = op.banded(1.0, -dt)
     ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
-    ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
-    x = solve_banded((1, 1), ab, u)
+    ab[0, 1:], ab[1], ab[2, :-1] = off, diag, off
+    x = solve_banded((1, 1), ab, op.cell_weights * u)
     back = x - dt * op.apply(x)
     assert np.max(np.abs(back - u)) < 1e-12, "banded layout disagrees with apply"
 
@@ -102,3 +104,47 @@ def test_coefficients_stay_order_one_under_huge_weights(pe4):
     op = assemble(g, pe4, DIRICHLET)
     assert np.all(np.isfinite(op.diag))
     assert np.max(np.abs(op.diag)) < 1e9, "coefficients must not inherit the weight scale"
+
+
+@pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
+def test_symmetric_form_is_the_weighted_operator(pe4, bc):
+    # D L from the operator's own bands, with D = exp(log mu - c), against
+    # the symmetric form: same entries, and rows that conserve mass
+    g = build_grid(pe4, 5.0, 256)
+    op = assemble(g, pe4, bc)
+    weights, k = op.cell_weights, op.conductance
+    lo, hi = g.log_cell_measure.min(), g.log_cell_measure.max()
+    assert np.allclose(weights, np.exp(g.log_cell_measure - 0.5 * (lo + hi)),
+                       rtol=1e-14, atol=0)
+    assert k.shape == (g.N + 1,) and k[0] == 0.0
+    assert np.allclose(k[1:-1], weights[:-1] * op.upper[:-1], rtol=1e-12, atol=0)
+    assert np.allclose(k[1:-1], weights[1:] * op.lower[1:], rtol=1e-12, atol=0)
+    assert np.allclose(k[:-1] + k[1:], -weights * op.diag, rtol=1e-12, atol=0)
+    assert (k[-1] > 0) == (bc == DIRICHLET), "only the Dirichlet wall drains"
+    # the band's rows sum to D, less the wall's drain, up to roundoff
+    dt = 1e-3
+    diag, off = op.banded(1.0, -dt)
+    rows = diag - weights
+    rows[:-1] += off
+    rows[1:] += off
+    rows[-1] -= dt * k[-1]
+    assert np.max(np.abs(rows)) <= 4e-16 * np.max(diag)
+
+
+def test_assemble_picks_the_solve_path_from_the_measure_span(pe4):
+    # exp(+r^4) up to its overflow-safe radius stays inside the span; the
+    # flat measures of 343 dimensions, r^342 dr from the pole cell out, do
+    # not, and there the operator keeps only its own three diagonals
+    def half_span(g):
+        return 0.5 * (g.log_cell_measure.max() - g.log_cell_measure.min())
+
+    g = build_grid(pe4, 5.13, 1315)
+    assert half_span(g) <= SYMMETRIC_HALF_SPAN
+    assert assemble(g, pe4, DIRICHLET).cell_weights is not None
+    flat = euclidean(343)
+    g = build_grid(flat, 8.0, 64)
+    assert half_span(g) > SYMMETRIC_HALF_SPAN
+    op = assemble(g, flat, DIRICHLET)
+    assert op.cell_weights is None and op.conductance is None
+    lower, diag, upper = op.banded(1.0, -1e-3)
+    assert np.array_equal(diag, 1.0 - 1e-3 * op.diag)

@@ -1,5 +1,5 @@
-"""Property tests of the one projection path over random grids and data,
-and of heatlab's log-sum-exp against scipy's.
+"""Property tests of the one projection path and of the implicit step over
+random grids and data, and of heatlab's log-sum-exp against scipy's.
 
 Grids are uniform face ladders whose jump radii snap onto interior faces;
 data are piecewise linear with jumps at those radii and kinks anywhere.
@@ -14,9 +14,11 @@ import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heatlab import (ball_indicator, euclidean, face_ladder, grid_from_faces,
-                     perimeter_ball, piecewise, power_exp_weight,
-                     project_datum, total_variation)
+import heatlab.solver
+from heatlab import (DIRICHLET, NEUMANN, assemble, ball_indicator, euclidean,
+                     face_ladder, grid_from_faces, perimeter_ball, piecewise,
+                     power_exp_weight, project_datum, total_variation,
+                     weighted_sum)
 from heatlab import geometry, grid
 
 MODELS = [euclidean(3), *(power_exp_weight(p, sign, 3)
@@ -78,6 +80,45 @@ def test_projected_ball_is_its_indicator(ladder, data, m):
     assert np.array_equal(u, np.where(g.centers < r, 1.0, 0.0))
     per = perimeter_ball(m, r)
     assert abs(total_variation(u, g, m) - per) <= 1e-12 * per
+
+
+@st.composite
+def weighted_steps(draw):
+    """(operator, [ball, noise, ball + noise], dt): a random power_exp weight
+    on a grid of radius up to 4.5, where exp(+r^4) measures span e^400, with
+    the ball's jump on a face, data in [0, 1] and a step from 1e-6 to 1."""
+    m = power_exp_weight(draw(st.floats(1.0, 4.0)), draw(st.sampled_from((1, -1))),
+                         draw(st.integers(2, 5)))
+    R, N = draw(st.floats(1.0, 4.5)), draw(st.integers(16, 128))
+    jump = (draw(st.integers(1, N - 1)) + draw(st.floats(-0.4, 0.4))) * R / N
+    g = grid_from_faces(m, face_ladder(R, N, [jump]))
+    op = assemble(g, m, draw(st.sampled_from((DIRICHLET, NEUMANN))))
+    ball = project_datum(ball_indicator(g.faces[g.face_index(jump)]), g)
+    seed = draw(st.integers(0, 2**32 - 1))
+    noise = np.random.default_rng(seed).uniform(0.0, 0.5, g.N)
+    return op, np.column_stack([ball, noise, ball + noise]), 10.0 ** draw(st.floats(-6.0, 0.0))
+
+
+@given(weighted_steps())
+def test_step_solves_and_keeps_the_maximum_principle(case):
+    op, u, dt = case
+    x = heatlab.solver._step(op, u, dt)
+    # the step inverts I - dt L, to roundoff of the size of dt * L
+    scale = 1.0 + dt * np.max(np.abs(op.diag))
+    assert np.max(np.abs(x - dt * op.apply(x) - u)) <= 1e-13 * scale
+    # Dirichlet drains towards 0, Neumann stays within the data's range
+    floor = u.min(axis=0) if op.bc == NEUMANN else 0.0
+    assert np.all(x >= floor - 1e-12) and np.all(x <= u.max(axis=0) + 1e-12)
+    # stacked columns share one solve: the third is the sum of the others
+    assert np.max(np.abs(x[:, 2] - x[:, 0] - x[:, 1])) <= 1e-12
+    for k in range(3):
+        assert np.max(np.abs(x[:, k] - heatlab.solver._step(op, u[:, k], dt))) <= 1e-12
+    # Neumann keeps the mass up to the rounding of each row of the band,
+    # which grows with its diagonal as the residual's does
+    if op.bc == NEUMANN:
+        for k in range(3):
+            mass = weighted_sum(op.grid, u[:, k])
+            assert abs(weighted_sum(op.grid, x[:, k]) - mass) <= 1e-14 * scale * mass
 
 
 # scipy 1.15 moved logsumexp to the tied-maxima formula heatlab follows

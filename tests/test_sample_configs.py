@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import record_solve_paths
 from heatlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,10 +43,14 @@ PERIMETER = {"degiorgi_euclidean": 4.0 * math.pi,
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_sample_config_verdict(tmp_path, name):
+def test_sample_config_verdict(tmp_path, monkeypatch, name):
     code, verdict, finding = EXPECTED[name]
     out = tmp_path / name
+    symmetric = record_solve_paths(monkeypatch)
     assert run(str(ROOT / "configs" / f"{name}.json"), str(out), threads=1) == code
+    # every grid of a sample config lies within the symmetric form's span
+    assert all(symmetric)
+    assert symmetric or code != 0, "the run built no band"
     if code != 0:
         # an aborted run names its error class where a verdict would go
         error = json.loads((out / "error.json").read_text())
