@@ -336,9 +336,11 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
 
     sym_op = op
     if inject_asymmetry:
-        # negative control: a uniform relative tilt of one off-diagonal band
-        # must be caught by the symmetry property
-        sym_op = replace(op, upper=op.upper * (1.0 + 1e-6))
+        # negative control: weights tilted cell by cell are no longer the
+        # grid's measure, which the symmetry row must catch (a uniform tilt
+        # only changes units)
+        tilt = np.where(np.arange(g.N) % 2, 1.0 - 1e-6, 1.0 + 1e-6)
+        sym_op = replace(op, cell_weights=op.cell_weights * tilt)
     worst = 0.0
     for _ in range(100):
         u = rng.standard_normal(g.N)

@@ -125,7 +125,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
     within ``eps_c`` of 1 and incomplete when it sits below 1 - 10*eps_c
     with a stable exhaustion tail; anything in between is inconclusive.
     """
-    if not (math.isfinite(t) and t > 0):
+    if isinstance(t, bool) or not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     if not 0 < eps_c < 0.1:  # else the band below 1 - 10*eps_c is empty
         raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
@@ -342,7 +342,7 @@ def comparison_check(t: float, R: float,
     closed form.
     """
     manifold = power_exp_weight(4, 1, 3)
-    if not (0 < t <= 1):
+    if isinstance(t, bool) or not (0 < t <= 1):
         raise InvalidArgumentError(f"comparison time must lie in (0, 1], got {t}")
     if not (math.isfinite(R) and R > 0):
         raise InvalidArgumentError(f"truncation radius must be positive, got {R}")

@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalFailure
+from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import RadialManifold
 from .grid import Grid
 
 DIRICHLET = "dirichlet_at_R"
 NEUMANN = "neumann_at_R"
-# past this half-span of a grid's log measures, D in units of exp(c) (c the
-# middle of the span) nears double range: no symmetric form, steps solve L
+# the largest half-span of a grid's log measures: D in units of exp(c), c the
+# middle of the span, stays well inside double range
 SYMMETRIC_HALF_SPAN = 500.0
 
 
@@ -32,15 +32,13 @@ SYMMETRIC_HALF_SPAN = 500.0
 class WeightedOperator:
     """Tridiagonal operator L, symmetric in the cell measures D.  In units
     of exp(c), D is ``cell_weights``; D L couples cells through their face's
-    ``conductance`` sigma * A(face) / dc and conserves mass to roundoff."""
+    ``conductance`` sigma * A(face) / dc, which is 0 at the pole and, under
+    Neumann, at the wall, so D L conserves mass to roundoff."""
 
     grid: Grid
-    lower: np.ndarray   # coupling to cell i-1; lower[0] = 0
-    diag: np.ndarray
-    upper: np.ndarray   # coupling to cell i+1; upper[N-1] = 0
     bc: str
-    cell_weights: np.ndarray | None = None  # None: no symmetric form
-    conductance: np.ndarray | None = None   # faces 0..N; 0 at the pole
+    cell_weights: np.ndarray
+    conductance: np.ndarray   # faces 0..N
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product L u; accepts (N,) or (N, k) stacks."""
@@ -48,19 +46,14 @@ class WeightedOperator:
         if u.shape[0] != self.grid.N:
             raise InvalidArgumentError(
                 f"vector length {u.shape[0]} does not match grid with {self.grid.N} cells")
+        # face fluxes k * du with zero ghosts at the pole and the wall
         cols = u.reshape(self.grid.N, -1)
-        out = self.diag[:, None] * cols
-        out[:-1] += self.upper[:-1, None] * cols[1:]
-        out[1:] += self.lower[1:, None] * cols[:-1]
-        return out.reshape(u.shape)
+        flux = self.conductance[:, None] * np.diff(cols, axis=0, prepend=0.0, append=0.0)
+        return (np.diff(flux, axis=0) / self.cell_weights[:, None]).reshape(u.shape)
 
-    def banded(self, shift: float, scale: float) -> tuple[np.ndarray, ...]:
-        """Fresh bands of (shift * I + scale * L) for LAPACK: the main and
-        off-diagonal of D (shift * I + scale * L) in dpttrf order, or without
-        a symmetric form the three diagonals in dgtsv order."""
-        if self.cell_weights is None:
-            return (scale * self.lower[1:], shift + scale * self.diag,
-                    scale * self.upper[:-1])
+    def banded(self, shift: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh main and off-diagonal of D (shift * I + scale * L) in dpttrf
+        order."""
         # the diagonal sums the rounded off-diagonal it is solved with, so
         # each row sums to shift * D, less the wall's drain, up to two roundings
         off = scale * self.conductance
@@ -70,45 +63,31 @@ class WeightedOperator:
 def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> WeightedOperator:
     """Assemble the discrete weighted Laplacian on a grid.
 
-    Coefficients are exp(log sigma + log A(face) - log mu_cell) / dc, with dc
-    the distance between the cell centers (or center-to-boundary for the
-    Dirichlet ghost).  Interior row sums vanish identically, so constants are
-    harmonic away from the boundary.
+    With c the middle of the span of the log cell measures, the cell weights
+    are exp(log mu_cell - c) and the conductances exp(log sigma + log A(face)
+    - c) / dc, with dc the distance between the cell centers (or
+    center-to-boundary for the Dirichlet ghost).  Interior row sums of D L
+    vanish identically, so constants are harmonic away from the boundary.
+    A grid whose log measures span more than ``2 * SYMMETRIC_HALF_SPAN``
+    raises ``RangeError``.
     """
     if bc not in (DIRICHLET, NEUMANN):
         raise InvalidArgumentError(f"unknown boundary condition {bc!r}")
-    n = g.N
-    log_sigma = manifold.log_sphere_constant
-    centers, faces = g.centers, g.faces
-
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    dc = centers[1:] - centers[:-1]
-    # interior face j sits between cells j-1 and j
-    log_flux = log_sigma + g.log_face_area[1:n]
-    upper[:-1] = np.exp(log_flux - g.log_cell_measure[:-1]) / dc
-    lower[1:] = np.exp(log_flux - g.log_cell_measure[1:]) / dc
-
-    diag = -(lower + upper)
-    if bc == DIRICHLET:
-        ghost = np.exp(log_sigma + g.log_face_area[n] - g.log_cell_measure[n - 1])
-        diag[n - 1] -= ghost / (faces[n] - centers[n - 1])
-
     log_mu = g.log_cell_measure
     lo, hi = float(log_mu.min()), float(log_mu.max())
-    symmetric = {}
-    if hi - lo <= 2.0 * SYMMETRIC_HALF_SPAN:
-        c = 0.5 * (lo + hi)
-        wall = (np.exp(log_sigma + g.log_face_area[n] - c)
-                / (faces[n] - centers[n - 1]) if bc == DIRICHLET else 0.0)
-        symmetric = dict(cell_weights=np.exp(log_mu - c), conductance=np.concatenate(
-            ([0.0], np.exp(log_flux - c) / dc, [wall])))
-
-    for arr, name in ((lower, "lower"), (diag, "diag"), (upper, "upper")):
-        bad = np.nonzero(~np.isfinite(arr))[0]
-        if bad.size:
-            raise NumericalFailure(
-                f"non-finite {name} coefficient at row {bad[0]} (face radius "
-                f"{faces[bad[0]]:.6g})")
-    return WeightedOperator(grid=g, lower=lower, diag=diag, upper=upper, bc=bc,
-                            **symmetric)
+    if not hi - lo <= 2.0 * SYMMETRIC_HALF_SPAN:  # a nan span fails too
+        raise RangeError(
+            f"log cell measures span {hi - lo:.6g}, over the {2 * SYMMETRIC_HALF_SPAN:g} "
+            "that double precision holds; reduce R, n_cells or the dimension")
+    c = 0.5 * (lo + hi)
+    # face j sits between cells j-1 and j; face N is the wall
+    dc = np.diff(g.centers, append=g.faces[-1])
+    k = np.exp(manifold.log_sphere_constant + g.log_face_area[1:] - c) / dc
+    if bc == NEUMANN:
+        k[-1] = 0.0
+    bad = np.nonzero(~np.isfinite(k))[0]
+    if bad.size:
+        raise NumericalFailure(
+            f"non-finite conductance at face radius {g.faces[bad[0] + 1]:.6g}")
+    return WeightedOperator(grid=g, bc=bc, cell_weights=np.exp(log_mu - c),
+                            conductance=np.concatenate(([0.0], k)))

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench/spans.py wraps this name
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
@@ -129,21 +129,10 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
 
 
 def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The solve of (I - dt L) x = u, set up once for many right-hand sides.
-    With a symmetric form it is the positive definite D (I - dt L) x = D u,
-    factored by dpttrf and solved by dpttrs, which leaves the factors intact;
-    without one, dgtsv solves a copy of the three diagonals each time."""
-    band = op.banded(1.0, -dt)
-    if op.cell_weights is None:
-        def solve(u):
-            # the LAPACK call solve_banded((1, 1), ...) makes, without its wrapper
-            x, info = dgtsv(*band, u, 0, 0, 0)[3:]
-            if info != 0:
-                raise NumericalFailure(
-                    f"tridiagonal solve broke down at dt={dt}: dgtsv info={info}")
-            return x
-        return solve
-    d, e, info = dpttrf(*band, 1, 1)
+    """The solve of (I - dt L) x = u, set up once for many right-hand sides:
+    the positive definite D (I - dt L) x = D u, factored by dpttrf and solved
+    by dpttrs, which leaves the factors intact."""
+    d, e, info = dpttrf(*op.banded(1.0, -dt), 1, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dpttrf info={info}")
     w = op.cell_weights
@@ -424,7 +413,8 @@ def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
     """
     sequence = np.ndim(t) > 0
     stops = np.atleast_1d(t).tolist()
-    if not stops or not all(isinstance(s, (int, float)) and math.isfinite(s)
+    # tolist gives Python scalars; a bool is an int, but no time
+    if not stops or not all(type(s) in (int, float) and math.isfinite(s)
                             and s > 0 for s in stops):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     probes: list[list[ExhaustionProbe]] = [[] for _ in stops]

@@ -7,33 +7,41 @@ against each other before using either against the solver, so a bug in the
 reference cannot silently excuse a bug in the code.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import erf
 
-from heatlab import SolveControls, WeightedOperator, euclidean, power_exp_weight
+from heatlab import SolveControls, euclidean, power_exp_weight
 
 # property tests draw the same examples on every run, and a slow shared
 # machine cannot fail one on time alone
 settings.register_profile("heatlab", derandomize=True, deadline=None)
 settings.load_profile("heatlab")
 
+# SHA-256 of every output file of each sample config but timing.json, so a
+# change that moves one digit of a sample output shows.  The digests depend
+# on the installed numpy and LAPACK build: on another build, regenerate them
+# with ``python tests/test_sample_configs.py`` and check what moved.
+SAMPLE_DIGESTS = Path(__file__).with_name("sample_digests.json")
 
-def record_solve_paths(monkeypatch) -> list:
-    """Patch ``WeightedOperator.banded`` to note, for every band built,
-    whether its operator has a symmetric form (the dpttrf/dpttrs path)."""
-    paths = []
-    banded = WeightedOperator.banded
 
-    def recording(op, *args):
-        paths.append(op.cell_weights is not None)
-        return banded(op, *args)
+def output_digests(out: Path) -> dict:
+    """SHA-256 of every file a run wrote, but its wall times."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "timing.json"}
 
-    monkeypatch.setattr(WeightedOperator, "banded", recording)
-    return paths
+
+def moved_outputs(name: str, out: Path) -> list:
+    """The files of sample config ``name``'s run into ``out`` whose digest
+    differs from the recorded one, or that only one side has."""
+    want, got = json.loads(SAMPLE_DIGESTS.read_text())[name], output_digests(out)
+    return sorted(f for f in want.keys() | got.keys() if want.get(f) != got.get(f))
 
 
 def ball_heat_closed_form(r, t, r0=1.0):

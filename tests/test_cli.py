@@ -162,8 +162,9 @@ def test_tail_beyond_safe_radius_is_exit_3(tmp_path):
 
 
 def test_flux_overflow_is_a_range_error(tmp_path):
-    # sigma is tiny in 343 dimensions, so the grid's sigma * A budget lets
-    # the area A overflow on its own before R = 8
+    # the grid's sigma * A budget admits flat space in 343 dimensions up to
+    # R = 8, but its cell measures, r^342 dr from the pole cell out, span
+    # more than the operator holds in double range
     cfg = write_config(tmp_path, "flux.json", {
         "experiment": "blowup",
         "manifold": {"family": "euclidean", "dimension": 343},
@@ -179,8 +180,8 @@ def test_flux_overflow_is_a_range_error(tmp_path):
     assert [str(w.message) for w in caught] == []
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "RangeError"
-    assert err["message"].startswith("flux overflows at face r=")
-    assert err["message"].endswith("; reduce R_max")
+    assert err["message"].startswith("log cell measures span ")
+    assert err["message"].endswith("; reduce R, n_cells or the dimension")
     assert not (out / "report.json").exists()
 
 

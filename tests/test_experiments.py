@@ -22,7 +22,7 @@ from heatlab import (
 import heatlab.experiments
 import heatlab.functionals
 import heatlab.solver
-from conftest import ball_heat_tv, record_solve_paths
+from conftest import ball_heat_tv, moved_outputs
 from heatlab.cli import run
 from heatlab.experiments import (
     VERDICTS,
@@ -118,9 +118,8 @@ def test_annulus_config_refutes_a_signed_variation(tmp_path, monkeypatch):
         assert run(config, str(out)) == 0
         return json.loads((out / "report.json").read_text())
 
-    symmetric = record_solve_paths(monkeypatch)
     honest = report(tmp_path / "honest")
-    assert symmetric and all(symmetric), "a sample grid left the symmetric path"
+    assert not moved_outputs("degiorgi_annulus", tmp_path / "honest")
     assert honest["verdict"] == "confirms", honest["finding"]
     assert abs(honest["fitted"]["exact_tv"] - 13 * math.pi) < 1e-9
     assert {row["N"] for row in honest["series"]["degiorgi"]} == {1024}
@@ -389,6 +388,16 @@ def test_comparison_rejects_large_times(fast_controls):
         comparison_check(1.5, 2.0, fast_controls)
     with pytest.raises(InvalidArgumentError):
         comparison_check(0.0, 2.0, fast_controls)
+
+
+def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
+    # True == 1, but a boolean is no time
+    with pytest.raises(InvalidArgumentError, match="time"):
+        completeness_probe(euclid3, True, fast_controls)
+    with pytest.raises(InvalidArgumentError, match="time"):
+        comparison_check(True, 2.0, fast_controls)
+    with pytest.raises(InvalidArgumentError, match="time"):
+        heat_semigroup(euclid3, ball_indicator(1.0), True, fast_controls)
 
 
 def test_tail_fit_flat_and_gaussian(euclid3, gauss):

@@ -15,6 +15,7 @@ from heatlab import (
     ball_indicator,
     build_grid,
     constant_one,
+    euclidean,
     extrapolate_limit,
     face_variation_terms,
     flux_profile,
@@ -85,6 +86,14 @@ def test_flux_of_linear_profile(euclid3):
     expected = np.exp(g.log_face_area[1:-1])
     assert np.max(np.abs(prof.q - expected)) < 1e-12 * np.max(expected)
     assert prof.radii.shape == prof.q.shape == (63,)
+
+
+def test_flux_overflow_names_its_face():
+    # sigma is tiny in 343 dimensions, so the grid's sigma * A budget lets
+    # the area A = r^342 overflow on its own past r = 7.96
+    g = build_grid(euclidean(343), 10.0, 64)
+    with pytest.raises(RangeError, match="^flux overflows at face r=7.96875; reduce R_max$"):
+        flux_profile(10.0 - g.centers, g)
 
 
 def test_flux_threshold_crossing(euclid3):

@@ -8,6 +8,7 @@ from heatlab import (
     DIRICHLET,
     NEUMANN,
     InvalidArgumentError,
+    RangeError,
     assemble,
     build_grid,
     euclidean,
@@ -20,7 +21,8 @@ def test_interior_rows_annihilate_constants(euclid3):
     g = build_grid(euclid3, 2.0, 96)
     op = assemble(g, euclid3, NEUMANN)
     resid = op.apply(np.ones(g.N))
-    scale = np.max(np.abs(op.diag))
+    k = op.conductance
+    scale = np.max((k[:-1] + k[1:]) / op.cell_weights)
     assert np.max(np.abs(resid)) < 1e-13 * scale, "Neumann operator must kill constants"
 
     opd = assemble(g, euclid3, DIRICHLET)
@@ -33,9 +35,10 @@ def test_sign_structure(pe4):
     g = build_grid(pe4, 3.0, 128)
     for bc in (DIRICHLET, NEUMANN):
         op = assemble(g, pe4, bc)
-        assert np.all(op.lower >= 0) and np.all(op.upper >= 0)
-        assert np.all(op.diag < 0)
-        assert op.lower[0] == 0.0 and op.upper[-1] == 0.0
+        k = op.conductance
+        # L has nonnegative couplings and a negative diagonal
+        assert np.all(op.cell_weights > 0)
+        assert np.all(k[1:-1] > 0) and k[0] == 0.0 and k[-1] >= 0.0
 
 
 def test_weighted_symmetry(pe4):
@@ -102,25 +105,28 @@ def test_coefficients_stay_order_one_under_huge_weights(pe4):
     # weights reach e^600 but coefficient ratios must remain moderate
     g = build_grid(pe4, 5.0, 256)
     op = assemble(g, pe4, DIRICHLET)
-    assert np.all(np.isfinite(op.diag))
-    assert np.max(np.abs(op.diag)) < 1e9, "coefficients must not inherit the weight scale"
+    k = op.conductance
+    stiffness = (k[:-1] + k[1:]) / op.cell_weights  # max |diag L|
+    assert np.all(np.isfinite(stiffness))
+    assert np.max(stiffness) < 1e9, "coefficients must not inherit the weight scale"
 
 
 @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN])
 def test_symmetric_form_is_the_weighted_operator(pe4, bc):
-    # D L from the operator's own bands, with D = exp(log mu - c), against
-    # the symmetric form: same entries, and rows that conserve mass
+    # D = exp(log mu - c) and the conductances sigma * A(face) / dc, with A
+    # from the geometry and dc the center spacing or, at the Dirichlet
+    # wall, the last center's distance to it; rows that conserve mass
     g = build_grid(pe4, 5.0, 256)
     op = assemble(g, pe4, bc)
     weights, k = op.cell_weights, op.conductance
-    lo, hi = g.log_cell_measure.min(), g.log_cell_measure.max()
-    assert np.allclose(weights, np.exp(g.log_cell_measure - 0.5 * (lo + hi)),
-                       rtol=1e-14, atol=0)
+    c = 0.5 * (g.log_cell_measure.min() + g.log_cell_measure.max())
+    assert np.allclose(weights, np.exp(g.log_cell_measure - c), rtol=1e-14, atol=0)
+    dc = np.append(np.diff(g.centers), g.faces[g.N] - g.centers[g.N - 1])
+    want = np.exp(pe4.log_sphere_constant + pe4.log_area(g.faces[1:]) - c) / dc
+    if bc == NEUMANN:
+        want[-1] = 0.0
     assert k.shape == (g.N + 1,) and k[0] == 0.0
-    assert np.allclose(k[1:-1], weights[:-1] * op.upper[:-1], rtol=1e-12, atol=0)
-    assert np.allclose(k[1:-1], weights[1:] * op.lower[1:], rtol=1e-12, atol=0)
-    assert np.allclose(k[:-1] + k[1:], -weights * op.diag, rtol=1e-12, atol=0)
-    assert (k[-1] > 0) == (bc == DIRICHLET), "only the Dirichlet wall drains"
+    assert np.allclose(k[1:], want, rtol=1e-12, atol=0)
     # the band's rows sum to D, less the wall's drain, up to roundoff
     dt = 1e-3
     diag, off = op.banded(1.0, -dt)
@@ -131,20 +137,19 @@ def test_symmetric_form_is_the_weighted_operator(pe4, bc):
     assert np.max(np.abs(rows)) <= 4e-16 * np.max(diag)
 
 
-def test_assemble_picks_the_solve_path_from_the_measure_span(pe4):
+def test_assemble_rejects_a_measure_span_past_double_range(pe4):
     # exp(+r^4) up to its overflow-safe radius stays inside the span; the
     # flat measures of 343 dimensions, r^342 dr from the pole cell out, do
-    # not, and there the operator keeps only its own three diagonals
+    # not, and D would leave double range even in units of exp(c)
     def half_span(g):
         return 0.5 * (g.log_cell_measure.max() - g.log_cell_measure.min())
 
     g = build_grid(pe4, 5.13, 1315)
     assert half_span(g) <= SYMMETRIC_HALF_SPAN
-    assert assemble(g, pe4, DIRICHLET).cell_weights is not None
+    assert np.all(np.isfinite(assemble(g, pe4, DIRICHLET).cell_weights))
     flat = euclidean(343)
     g = build_grid(flat, 8.0, 64)
     assert half_span(g) > SYMMETRIC_HALF_SPAN
-    op = assemble(g, flat, DIRICHLET)
-    assert op.cell_weights is None and op.conductance is None
-    lower, diag, upper = op.banded(1.0, -1e-3)
-    assert np.array_equal(diag, 1.0 - 1e-3 * op.diag)
+    with pytest.raises(RangeError, match=r"^log cell measures span \d.*; reduce "
+                       r"R, n_cells or the dimension$"):
+        assemble(g, flat, DIRICHLET)

@@ -3,18 +3,20 @@ variation limits.
 
 Each config in ``configs/`` runs through ``cli.run`` and must give the exit
 code, verdict and finding that the benchmark checks (``EXPECTED`` in
-``perfbench/run.py``), so the table has one home.
+``perfbench/run.py``), so the table has one home, and keep the digests of
+its outputs (``conftest.moved_outputs``).
 """
 
 import importlib.util
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import record_solve_paths
+from conftest import SAMPLE_DIGESTS, moved_outputs, output_digests
 from heatlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,14 +45,12 @@ PERIMETER = {"degiorgi_euclidean": 4.0 * math.pi,
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_sample_config_verdict(tmp_path, monkeypatch, name):
+def test_sample_config_verdict(tmp_path, name):
     code, verdict, finding = EXPECTED[name]
     out = tmp_path / name
-    symmetric = record_solve_paths(monkeypatch)
     assert run(str(ROOT / "configs" / f"{name}.json"), str(out), threads=1) == code
-    # every grid of a sample config lies within the symmetric form's span
-    assert all(symmetric)
-    assert symmetric or code != 0, "the run built no band"
+    moved = moved_outputs(name, out)
+    assert not moved, f"{name} outputs moved: {moved}"
     if code != 0:
         # an aborted run names its error class where a verdict would go
         error = json.loads((out / "error.json").read_text())
@@ -78,3 +78,19 @@ def test_benchmark_tracer_still_finds_the_solver(tmp_path):
     layer_self, _ = tracer.layer_totals()
     assert abs(sum(layer_self.values()) - wall) <= 1e-6 * max(wall, 1.0)
     assert tracer.calls_of("operator.banded") > 0
+
+
+def test_every_sample_config_has_digests():
+    configs = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
+    assert sorted(json.loads(SAMPLE_DIGESTS.read_text())) == configs
+
+
+if __name__ == "__main__":
+    # regenerate the digests from every sample config as it runs here
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {}
+        for config in sorted((ROOT / "configs").glob("*.json")):
+            out = Path(tmp) / config.stem
+            run(str(config), str(out), threads=1)
+            digests[config.stem] = output_digests(out)
+    SAMPLE_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

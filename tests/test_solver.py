@@ -509,39 +509,36 @@ def test_semigroup_composition(euclid3):
 @pytest.mark.parametrize("columns", [None, 2, 3])
 @pytest.mark.parametrize("family", ["euclid3", "pe4"])
 def test_step_is_the_banded_solve_bitwise(request, family, columns):
-    # without a symmetric form a step is scipy's general banded solve of
-    # (I - dt L) x = u bit for bit; with one, the LDL^T solve of
-    # D (I - dt L) x = D u agrees with it to roundoff that grows with dt
+    # the LDL^T solve of D (I - dt L) x = D u agrees with scipy's general
+    # banded solve of (I - dt L) x = u, with L built column by column from
+    # apply, to roundoff that grows with dt; a stacked step is the step of
+    # each column bit for bit, and leaves its input as it was
     m = request.getfixturevalue(family)
     g = build_grid(m, 4.0, 256, jump_radii=(1.0,))
     op = assemble(g, m, DIRICHLET)
-    unsymmetric = replace(op, cell_weights=None, conductance=None)
+    L = op.apply(np.eye(g.N))
     shape = g.N if columns is None else (g.N, columns)
     u = np.random.default_rng(5).uniform(0.0, 1.0, shape)
     before = u.copy()
     for dt, bound in ((1e-3, 1e-14), (1.0, 1e-12)):
-        lower, diag, upper = unsymmetric.banded(1.0, -dt)
+        A = np.eye(g.N) - dt * L
         ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
-        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        ab[0, 1:], ab[1], ab[2, :-1] = np.diag(A, 1), np.diag(A), np.diag(A, -1)
         want = solve_banded((1, 1), ab, u)
-        got = heatlab.solver._step(unsymmetric, u, dt)
-        assert got.shape == u.shape
-        assert np.array_equal(got, want)
         got = heatlab.solver._step(op, u, dt)
         assert got.shape == u.shape
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+        for k in range(0 if columns is None else columns):
+            column = heatlab.solver._step(op, np.ascontiguousarray(u[:, k]), dt)
+            assert np.array_equal(got[:, k], column)
     assert np.array_equal(u, before), "the step overwrote its input state"
 
 
 def test_singular_step_names_dt(euclid3):
+    # an operator without weights or conductances has a zero diagonal
     g = build_grid(euclid3, 3.0, 64)
     op = assemble(g, euclid3, DIRICHLET)
-    dt = 2.0 ** -10  # 1 - dt * (1/dt) is exactly 0: a zero diagonal
-    singular = replace(op, diag=np.full(g.N, 1.0 / dt), lower=0.0 * op.lower,
-                       cell_weights=None)
-    with pytest.raises(NumericalFailure, match=f"dt={dt}: dgtsv"):
-        heatlab.solver._step(singular, np.ones(g.N), dt)
-    # a symmetric form without weights or conductances has a zero diagonal
+    dt = 2.0 ** -10
     singular = replace(op, cell_weights=0.0 * op.cell_weights,
                        conductance=0.0 * op.conductance)
     with pytest.raises(NumericalFailure, match=f"dt={dt}: dpttrf"):
