@@ -24,8 +24,10 @@ def main():
     for t in (0.1, 0.5, 1.0):
         for R in (2.0, 3.0):
             rep = comparison_check(t, R, controls)
-            print(f"  {t:5.2f} {R:4.1f} {rep.fitted['max_v_minus_w']:13.3e} "
-                  f"{rep.fitted['max_lap_w']:12.6f} {rep.verdict:>9s}")
+            worst = {row["property"]: row["measured"]
+                     for row in rep.evidence["checks"]}
+            print(f"  {t:5.2f} {R:4.1f} {worst['max_v_minus_w']:13.3e} "
+                  f"{worst['max_lap_w']:12.6f} {rep.verdict:>9s}")
     rep = comparison_check(0.5, 3.0, controls)
     print(f"\n  barrier drift at r=1   : {rep.fitted['lap_w_at_1']:.10f}")
     print(f"  barrier drift as r->0  : {rep.fitted['lap_w_near_zero']:.10f}")

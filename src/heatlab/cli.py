@@ -26,8 +26,9 @@ import numpy as np
 
 from . import __version__, functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .experiments import (blowup_sweep, comparison_check, completeness_probe,
-                          degiorgi_sweep, tail_probe)
+from .experiments import (blowup_sweep, check, comparison_check,
+                          completeness_probe, decide, degiorgi_sweep,
+                          tail_probe)
 from .geometry import ball_indicator, euclidean, piecewise, power_exp_weight
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
@@ -330,9 +331,7 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     rows = []
 
     def add(name, measured, tol):
-        status = "pass" if measured <= tol else "fail"
-        rows.append({"property": name, "measured": float(measured),
-                     "tolerance": float(tol), "status": status})
+        rows.append(check(name, measured, "<=", tol))
 
     sym_op = op
     if inject_asymmetry:
@@ -393,10 +392,10 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     defect = float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2])))
     add("three_column_linearity", defect, 1e-12)
 
-    ok = all(row["status"] == "pass" for row in rows)
+    verdict, finding = decide(rows, ("all properties hold",
+                                     "property violated", "undetermined"))
     return {"experiment": "validate", "properties": rows,
-            "verdict": "confirms" if ok else "refutes",
-            "finding": "all properties hold" if ok else "property violated"}
+            "verdict": verdict, "finding": finding}
 
 
 def _execute(rc: RunConfig):

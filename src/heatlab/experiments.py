@@ -5,8 +5,9 @@ Each driver returns an ExperimentReport whose verdict is one of ``confirms``,
 ``refutes`` or ``inconclusive``; a refute is a successful, decisive
 measurement in the negative direction, never an error.  The domain reading
 of the verdict (complete/incomplete, divergent/convergent) is carried
-separately as ``finding``.  Every verdict ships with the numeric rows that
-produced it.
+separately as ``finding``.  Every check that enters a verdict is one
+``check`` row under ``evidence.checks``, and ``decide`` is the only rule
+that turns rows into a verdict.
 """
 
 from __future__ import annotations
@@ -48,10 +49,33 @@ class ExperimentReport:
     evidence: dict
 
 
+def check(name: str, measured, relation: str, bound,
+          gate: str = "confirms") -> dict:
+    """One verdict row: whether ``measured relation bound`` holds, and which
+    verdict it gates (``confirms``, ``refutes`` or ``both``)."""
+    holds = {"<=": measured <= bound, "<": measured < bound,
+             ">=": measured >= bound, ">": measured > bound}[relation]
+    return {"property": name, "measured": float(measured),
+            "relation": relation, "tolerance": float(bound), "gate": gate,
+            "status": "pass" if holds else "fail"}
+
+
+def decide(checks, findings) -> tuple[str, str]:
+    """The one verdict rule: ``confirms`` when every row gated ``confirms``
+    or ``both`` passes, else ``refutes`` when every row gated ``refutes`` or
+    ``both`` passes, else ``inconclusive``; with its entry of ``findings``."""
+    for verdict, finding in zip(VERDICTS, findings):
+        if verdict == "inconclusive" or all(
+                row["status"] == "pass" for row in checks
+                if row["gate"] in (verdict, "both")):
+            return verdict, finding
+
+
 def _require_decreasing(values, name: str):
-    vals = [float(v) for v in values]
+    # True == 1, but a boolean is no time
+    vals = [math.nan if isinstance(v, bool) else float(v) for v in values]
     if not vals or any(v <= 0 or not math.isfinite(v) for v in vals):
-        raise InvalidArgumentError(f"{name} must be positive and finite")
+        raise InvalidArgumentError(f"{name} must hold positive finite times")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise InvalidArgumentError(f"{name} must be strictly decreasing")
     return vals
@@ -79,8 +103,8 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     results = heat_semigroup(manifold, datum, ts[::-1], controls)[::-1]
     used = results[0].grid
     tvs = [res.probes[-1].total_variation for res in results]
-    exhaustion_ok = all(len(res.probes) < 2 or res.converged
-                        for res in results)
+    unconverged = sum(len(res.probes) >= 2 and not res.converged
+                      for res in results)
     rows = [{"t": t, "R_used": used.R, "N": used.N, "TV": tv}
             for t, tv in zip(ts, tvs)]
     points = list(zip(ts, tvs))
@@ -92,21 +116,21 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
             limit=points[-1][1], error_indicator=abs(points[-1][1]),
             low_confidence=True)
     gap = abs(ext.limit - exact) / max(exact, 1e-8)
-    if ext.low_confidence or not exhaustion_ok:
-        verdict, finding = "inconclusive", "limit not trusted"
-    elif gap <= gap_rtol:
-        verdict, finding = "confirms", "variation limit matches exact value"
-    else:
-        verdict, finding = "refutes", "variation limit misses exact value"
+    checks = [check("extrapolation_low_confidence", ext.low_confidence, "<=",
+                    0, "both"),
+              check("unconverged_exhaustion_stops", unconverged, "<=", 0,
+                    "both"),
+              check("relative_gap", gap, "<=", gap_rtol)]
+    verdict, finding = decide(checks, (
+        "variation limit matches exact value",
+        "variation limit misses exact value", "limit not trusted"))
     fitted = {"extrapolated_limit": ext.limit, "exact_tv": exact,
-              "relative_gap": gap, "error_indicator": ext.error_indicator,
-              "low_confidence": ext.low_confidence}
+              "relative_gap": gap, "error_indicator": ext.error_indicator}
     return ExperimentReport(
         experiment="degiorgi", manifold=manifold.describe(),
         controls=asdict(controls), series={"degiorgi": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"points": [list(p) for p in points],
-                  "exhaustion_ok": exhaustion_ok})
+        evidence={"points": [list(p) for p in points], "checks": checks})
 
 
 def completeness_probe(manifold: RadialManifold, t: float,
@@ -123,7 +147,8 @@ def completeness_probe(manifold: RadialManifold, t: float,
     every value at 1, so later levels cannot move the limit.  Explicit radii
     are walked in full.  The model reads complete when the limit stays
     within ``eps_c`` of 1 and incomplete when it sits below 1 - 10*eps_c
-    with a stable exhaustion tail; anything in between is inconclusive.
+    with a stable exhaustion tail; anything in between, and any
+    low-confidence extrapolation, is inconclusive.
     """
     if isinstance(t, bool) or not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
@@ -138,7 +163,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
                 abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
             break
 
-    fitted = {"t": t}
+    fitted, checks = {"t": t}, []
     if len(rows) < 3:
         verdict, finding = "inconclusive", "fewer than 3 exhaustion levels"
         fitted.update({"m_limit": rows[-1]["m_at_0"], "last_delta": math.nan})
@@ -146,21 +171,21 @@ def completeness_probe(manifold: RadialManifold, t: float,
         points = [(1.0 / row["R"], row["m_at_0"]) for row in rows]
         ext = functionals.extrapolate_limit(points)
         last_delta = abs(rows[-1]["m_at_0"] - rows[-2]["m_at_0"])
-        tail_stable = last_delta <= eps_c
         fitted.update({"m_limit": ext.limit, "last_delta": last_delta,
-                       "error_indicator": ext.error_indicator,
-                       "eps_c": eps_c})
-        if ext.limit >= 1.0 - eps_c:
-            verdict, finding = "confirms", "complete"
-        elif ext.limit <= 1.0 - 10.0 * eps_c and tail_stable:
-            verdict, finding = "refutes", "incomplete"
-        else:
-            verdict, finding = "inconclusive", "undetermined"
+                       "error_indicator": ext.error_indicator})
+        checks = [check("extrapolation_low_confidence", ext.low_confidence,
+                        "<=", 0, "both"),
+                  check("m_limit", ext.limit, ">=", 1.0 - eps_c),
+                  check("m_limit", ext.limit, "<=", 1.0 - 10.0 * eps_c,
+                        "refutes"),
+                  check("last_delta", last_delta, "<=", eps_c, "refutes")]
+        verdict, finding = decide(checks,
+                                  ("complete", "incomplete", "undetermined"))
     return ExperimentReport(
         experiment="completeness", manifold=manifold.describe(),
         controls=asdict(controls), series={"completeness": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows})
+        evidence={"rows": rows, "checks": checks})
 
 
 def _complement_states(manifold: RadialManifold, r0: float, stops,
@@ -185,18 +210,17 @@ def _complement_states(manifold: RadialManifold, r0: float, stops,
 
 def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
                ball_values: np.ndarray, t: float, r_used: list,
-               noise_floor_q: float | None) -> tuple[tuple, dict, str]:
-    """(rows, fitted, finding) at one time from the evolved [constant, ball]."""
+               noise_floor_q: float | None) -> tuple[tuple, dict, list]:
+    """(rows, fitted, checks) at one time from the evolved [constant, ball]."""
     comp = mass_values - ball_values
     terms = functionals.face_variation_terms(comp, g, manifold)
-    face_r = g.faces[1:-1]
 
     flux_comp = functionals.flux_profile(comp, g)
     flux_mass = functionals.flux_profile(mass_values, g)
 
     tv_values = []
     for snapped in r_used:
-        tv = math.fsum(terms[face_r <= snapped + 1e-12])
+        tv = math.fsum(terms[g.faces[1:-1] <= snapped + 1e-12])
         if not math.isfinite(tv):
             raise RangeError(f"TV_R overflows at R={snapped:.6g}; reduce R_max")
         tv_values.append(tv)
@@ -204,7 +228,6 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
     r_max = r_used[-1]
     in_window = flux_mass.radii <= r_max + 1e-12
     q_mono_defect = float(np.min(np.diff(flux_mass.q[in_window])))
-    mass_flux_monotone = q_mono_defect >= -1e-8
     q_at_rmax = flux_comp.at(r_max)
 
     if noise_floor_q is None:
@@ -212,41 +235,28 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
     q_thr = max(10.0 * noise_floor_q, 1e-12)
     r_t, delta_t = flux_comp.crossing(q_thr)
 
-    xs = np.asarray(r_used)
-    ys = tv_values
-    xbar = float(np.mean(xs))
-    slope = (math.fsum((x - xbar) * y for x, y in zip(xs, ys))
-             / math.fsum((x - xbar) ** 2 for x in xs))
-    span = r_used[-1] - r_used[0]
-    slope_thr = 0.05 * tv_values[-1] / span
-    strictly_increasing = all(b > a for a, b in zip(tv_values, tv_values[1:]))
-    stabilized = (abs(tv_values[-1] - tv_values[-2])
-                  <= STABILIZE_RTOL * max(tv_values[-1], 1e-30))
+    xbar = float(np.mean(r_used))
+    slope = (math.fsum((x - xbar) * y for x, y in zip(r_used, tv_values))
+             / math.fsum((x - xbar) ** 2 for x in r_used))
+    # confirms reads divergent, refutes convergent
+    checks = [
+        check("least_tv_increment", min(b - a for a, b in
+                                        zip(tv_values, tv_values[1:])), ">", 0),
+        check("slope", slope, ">=",
+              0.05 * tv_values[-1] / (r_used[-1] - r_used[0])),
+        check("mass_flux_defect", q_mono_defect, ">=", -1e-8),
+        check("q_at_Rmax", q_at_rmax, ">=", q_thr),
+        check("last_tv_step", abs(tv_values[-1] - tv_values[-2]), "<=",
+              STABILIZE_RTOL * max(tv_values[-1], 1e-30), "refutes"),
+        check("q_at_Rmax", q_at_rmax, "<", q_thr, "refutes")]
 
-    divergent = (strictly_increasing and slope >= slope_thr
-                 and mass_flux_monotone and q_at_rmax >= q_thr)
-    convergent = (not divergent) and stabilized and q_at_rmax < q_thr
-    if divergent:
-        finding = "divergent"
-    elif convergent:
-        finding = "convergent"
-    else:
-        finding = "undetermined"
-
-    rows = []
-    for r, tv in zip(r_used, tv_values):
-        rows.append({"R": r, "TV_R": tv,
-                     "q_at_Rmax": flux_comp.at(r),
-                     "r_t": r_t, "delta_t": delta_t})
-    fitted = {"t": t, "slope": slope, "slope_threshold": slope_thr,
-              "q_at_Rmax": q_at_rmax, "q_threshold": q_thr,
+    rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": flux_comp.at(r),
+                  "r_t": r_t, "delta_t": delta_t}
+                 for r, tv in zip(r_used, tv_values))
+    fitted = {"t": t, "slope": slope, "q_at_Rmax": q_at_rmax,
               "noise_floor_q": noise_floor_q,
-              "r_t": r_t, "delta_t": delta_t,
-              "tv_strictly_increasing": strictly_increasing,
-              "mass_flux_monotone": mass_flux_monotone,
-              "mass_flux_defect": q_mono_defect,
-              "stabilized": stabilized, "R_solve": g.R}
-    return tuple(rows), fitted, finding
+              "r_t": r_t, "delta_t": delta_t, "R_solve": g.R}
+    return rows, fitted, checks
 
 
 def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
@@ -264,14 +274,16 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     q threshold is 10x the flux a matched flat-space trajectory (same
     margin, no cap) leaves at the same radius (its noise floor); on flat
     space the run is its own floor.  Convergence requires instead that the
-    last TV step stays within ``STABILIZE_RTOL`` of the last TV.
+    last TV step stays within ``STABILIZE_RTOL`` of the last TV and the flux
+    at the largest radius below the q threshold.
 
     The sweep confirms divergence when every time is divergent and refutes
     it when every time is convergent; anything else is inconclusive.  Each
-    time's rows become series ``blowup_t<i>`` in t_list order, and
-    ``fitted`` holds the per-time constants plus a summary that, when every
-    time is convergent and at least three were measured, carries the
-    Aitken-extrapolated small-time limit of TV at the largest radius.
+    time's checks become ``evidence.checks[i]`` and its rows series
+    ``blowup_t<i>``, both in t_list order, and ``fitted`` holds the per-time
+    constants plus a summary that, when every time is convergent and at
+    least three were measured, carries the Aitken-extrapolated small-time
+    limit of TV at the largest radius.
     """
     ts = _require_decreasing(t_list, "t_list")
     if not (math.isfinite(r0) and r0 > 0):
@@ -302,19 +314,17 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                                              controls)
         floors = [abs(functionals.flux_profile(mf - bf, gf).at(r_used[-1]))
                   for mf, bf in flat_states]
-    rows, fitted, findings = zip(*(
+    rows, fitted, checks = zip(*(
         _blowup_at(manifold, g, mass, ball, t, r_used, floor)
         for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])))
 
-    findings = list(findings)
-    if all(f == "divergent" for f in findings):
-        verdict, finding = "confirms", "divergent"
-    elif all(f == "convergent" for f in findings):
-        verdict, finding = "refutes", "convergent"
-    else:
-        verdict, finding = "inconclusive", "mixed"
+    verdicts, findings = zip(*(
+        decide(c, ("divergent", "convergent", "undetermined")) for c in checks))
+    # the sweep reads what every t reads, and is mixed when they differ
+    verdict = verdicts[0] if len(set(verdicts)) == 1 else "inconclusive"
+    finding = dict(zip(VERDICTS, ("divergent", "convergent", "mixed")))[verdict]
 
-    summary = {"findings": findings}
+    summary = {}
     if finding == "convergent" and len(ts) >= 3:
         points = [(t, r[-1]["TV_R"]) for t, r in zip(ts, rows)]
         ext = functionals.extrapolate_limit(points)
@@ -326,7 +336,8 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         controls=asdict(controls),
         series={f"blowup_t{i}": r for i, r in enumerate(rows)},
         fitted={"per_t": list(fitted), "summary": summary},
-        verdict=verdict, finding=finding, evidence={"findings": findings})
+        verdict=verdict, finding=finding,
+        evidence={"findings": list(findings), "checks": list(checks)})
 
 
 def comparison_check(t: float, R: float,
@@ -372,32 +383,24 @@ def comparison_check(t: float, R: float,
 
     excess_vw = v - w
     excess_tu = t * u_final - v
-    vw_ok = bool(np.all(excess_vw <= VW_TOL))
-    lap_ok = bool(np.all(lap_w < -1.0))
-    tu_ok = bool(np.all(excess_tu <= 1e-9))
-    if vw_ok and lap_ok and tu_ok:
-        verdict, finding = "confirms", "barrier dominates"
-    else:
-        verdict, finding = "refutes", "barrier violated"
+    checks = [check("max_v_minus_w", np.max(excess_vw), "<=", VW_TOL),
+              check("max_lap_w", np.max(lap_w), "<", -1.0),
+              check("max_t_u_minus_v", np.max(excess_tu), "<=", 1e-9)]
+    verdict, finding = decide(checks, ("barrier dominates", "barrier violated",
+                                       "undetermined"))
 
     rows = tuple({"r": float(r), "v_R": float(vv), "w_R": float(ww),
                   "lap_w": float(lw)}
                  for r, vv, ww, lw in zip(g.centers, v, w, lap_w))
-    spot = -4.0 + (-math.expm1(-1.0))
     fitted = {"t": t, "R": float(g.R),
-              "max_v_minus_w": float(np.max(excess_vw)),
-              "max_t_u_minus_v": float(np.max(excess_tu)),
-              "max_lap_w": float(np.max(lap_w)),
-              "lap_w_at_1": spot,
+              "lap_w_at_1": -4.0 + (-math.expm1(-1.0)),
               "lap_w_near_zero": float(-4.0 + (-math.expm1(-1e-12)) / 1e-12),
-              "lap_w_far": float(-4.0 + (-math.expm1(-50.0 ** 4)) / 50.0 ** 4),
-              "vw_tol": VW_TOL,
-              "vw_ok": vw_ok, "lap_ok": lap_ok, "tu_ok": tu_ok}
+              "lap_w_far": float(-4.0 + (-math.expm1(-50.0 ** 4)) / 50.0 ** 4)}
     return ExperimentReport(
         experiment="comparison", manifold=manifold.describe(),
         controls=asdict(controls), series={"comparison": rows},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"worst_nodes": {
+        evidence={"checks": checks, "worst_nodes": {
             "v_minus_w_at": float(g.centers[int(np.argmax(excess_vw))]),
             "t_u_minus_v_at": float(g.centers[int(np.argmax(excess_tu))])}})
 
@@ -441,7 +444,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     for t, values in zip(ts, reversed(states)):
         terms = functionals.face_variation_terms(values, g, manifold)
         tail = math.fsum(terms[g.faces[1:-1] > R_out])
-        rows.append({"t": t, "tail": tail})
+        rows.append({"t": t, "tail": tail, "fit_residual": None})
 
     usable = [i for i, row in enumerate(rows) if row["tail"] > 1e-300]
     for i, row in enumerate(rows):
@@ -458,11 +461,9 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     for i in excluded:
         notes.append(f"pre-asymptotic point excluded at t={rows[i]['t']}")
 
-    fitted = {"n_points": len(admissible), "notes": notes}
+    fitted, checks = {"n_points": len(admissible), "notes": notes}, []
     if len(admissible) < 3:
         verdict, finding = "inconclusive", "too few usable tail points"
-        for row in rows:
-            row["fit_residual"] = None
         fitted.update({"C": math.nan, "c": math.nan, "r_squared": math.nan})
     else:
         x = np.array([1.0 / rows[i]["t"] for i in admissible])
@@ -475,20 +476,19 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         ss_res = float(np.sum(residuals ** 2))
         ss_tot = float(np.sum((y - ybar) ** 2))
         r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-        for row in rows:
-            row["fit_residual"] = None
         for i, resid in zip(admissible, residuals):
             rows[i]["fit_residual"] = float(resid)
         fitted.update({"C": math.exp(intercept), "c": -slope,
                        "r_squared": r_squared, "slope": slope})
-        if slope < 0 and r_squared >= 0.95:
-            verdict, finding = "confirms", "tail decays exponentially in 1/t"
-        elif slope >= 0:
-            verdict, finding = "refutes", "tail does not decay in 1/t"
-        else:
-            verdict, finding = "inconclusive", "fit quality below threshold"
+        checks = [check("slope", slope, "<", 0),
+                  check("r_squared", r_squared, ">=", 0.95),
+                  check("slope", slope, ">=", 0, "refutes")]
+        verdict, finding = decide(checks, (
+            "tail decays exponentially in 1/t", "tail does not decay in 1/t",
+            "fit quality below threshold"))
     return ExperimentReport(
         experiment="tail", manifold=manifold.describe(),
         controls=asdict(controls), series={"tail": tuple(rows)},
         fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows, "included": [rows[i]["t"] for i in admissible]})
+        evidence={"rows": rows, "included": [rows[i]["t"] for i in admissible],
+                  "checks": checks})

@@ -117,7 +117,8 @@ def extrapolate_limit(series) -> ExtrapolationResult:
     The limit comes from iterated Aitken delta-squared, which is exact for
     geometric error decay of unknown ratio.  The error indicator is the
     magnitude of the last applied correction, and ``low_confidence`` flags
-    sequences whose raw differences fail to contract.
+    sequences whose raw differences fail to contract.  A difference within
+    1e-10 of the series scale (the solver's exhaustion slack) is roundoff.
     """
     pairs = [(float(h), float(v)) for h, v in series]
     if len(pairs) < 3:
@@ -133,11 +134,11 @@ def extrapolate_limit(series) -> ExtrapolationResult:
                                    low_confidence=False)
 
     deltas = [b - a for a, b in zip(xs, xs[1:])]
-    low = False
+    low, noise = False, 1e-10 * max(scale, 1e-300)
     for d0, d1 in zip(deltas, deltas[1:]):
-        if abs(d1) <= 1e-13 * max(scale, 1e-300):
+        if abs(d1) <= noise:
             continue
-        if abs(d0) <= 1e-13 * max(scale, 1e-300) or abs(d1) >= 0.9 * abs(d0):
+        if abs(d0) <= noise or abs(d1) >= 0.9 * abs(d0):
             low = True
 
     stages = [xs]

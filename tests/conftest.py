@@ -44,6 +44,13 @@ def moved_outputs(name: str, out: Path) -> list:
     return sorted(f for f in want.keys() | got.keys() if want.get(f) != got.get(f))
 
 
+def check_row(checks, prop, gate="confirms") -> dict:
+    """The one row of a report's ``checks`` that tests ``prop`` for
+    ``gate``."""
+    (row,) = [r for r in checks if (r["property"], r["gate"]) == (prop, gate)]
+    return row
+
+
 def ball_heat_closed_form(r, t, r0=1.0):
     """Heat evolution of a unit-ball indicator in flat 3-space, closed form.
 

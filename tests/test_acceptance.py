@@ -31,7 +31,7 @@ from heatlab.experiments import (
     degiorgi_sweep,
     tail_probe,
 )
-from conftest import ball_heat_closed_form
+from conftest import ball_heat_closed_form, check_row
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -115,15 +115,17 @@ def test_criterion_4_complement_blowup():
     problems = []
     if (sweep.verdict, sweep.finding) != ("confirms", "divergent"):
         problems.append(f"sweep reads {sweep.verdict} ({sweep.finding})")
-    for fitted in sweep.fitted["per_t"]:
+    for fitted, checks in zip(sweep.fitted["per_t"], sweep.evidence["checks"]):
         t = fitted["t"]
-        if not fitted["tv_strictly_increasing"]:
+        if not check_row(checks, "least_tv_increment")["measured"] > 0:
             problems.append(f"t={t}: TV_R not strictly increasing")
         if not fitted["slope"] > 0:
             problems.append(f"t={t}: slope {fitted['slope']:.2e} not positive")
-        if fitted["mass_flux_defect"] < -1e-8:
-            problems.append(f"t={t}: flux defect {fitted['mass_flux_defect']:.2e}")
-        if not fitted["q_at_Rmax"] > max(fitted["q_threshold"], 0.0):
+        defect = check_row(checks, "mass_flux_defect")["measured"]
+        if defect < -1e-8:
+            problems.append(f"t={t}: flux defect {defect:.2e}")
+        q_row = check_row(checks, "q_at_Rmax")
+        if not q_row["measured"] > max(q_row["tolerance"], 0.0):
             problems.append(f"t={t}: flux at R_max below threshold")
         if fitted["r_t"] is None or not fitted["delta_t"] > 0:
             problems.append(f"t={t}: no flux crossing witness")
@@ -158,10 +160,12 @@ def test_criterion_5_comparison_certificate():
             tag = f"t={t}, R={R}"
             if rep.verdict != "confirms":
                 problems.append(f"{tag}: verdict {rep.verdict} ({rep.finding})")
-            if rep.fitted["max_v_minus_w"] > 1e-6:
-                problems.append(f"{tag}: v exceeds w by {rep.fitted['max_v_minus_w']:.2e}")
-            if not rep.fitted["max_lap_w"] < -1.0:
-                problems.append(f"{tag}: drift term reaches {rep.fitted['max_lap_w']:.3f}")
+            vw = check_row(rep.evidence["checks"], "max_v_minus_w")["measured"]
+            if vw > 1e-6:
+                problems.append(f"{tag}: v exceeds w by {vw:.2e}")
+            lap = check_row(rep.evidence["checks"], "max_lap_w")["measured"]
+            if not lap < -1.0:
+                problems.append(f"{tag}: drift term reaches {lap:.3f}")
             if abs(rep.fitted["lap_w_at_1"] - spot_target) > 1e-6:
                 problems.append(f"{tag}: spot value {rep.fitted['lap_w_at_1']:.7f}")
             if abs(rep.fitted["lap_w_near_zero"] + 3.0) > 1e-6:

@@ -16,8 +16,8 @@ import heatlab.cli
 import heatlab.solver
 from heatlab import (InvalidArgumentError, SolveControls, euclidean,
                      power_exp_weight, sphere_constant)
-from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, load_config, main,
-                         run, validate)
+from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, _dumps, load_config,
+                         main, run, validate)
 from heatlab.experiments import blowup_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -652,7 +652,8 @@ def test_cli_blowup_report_is_the_sweep_report(tmp_path):
                        FAST_BLOWUP["R_list"],
                        SolveControls(**FAST_BLOWUP["controls"]))
     assert (report["verdict"], report["finding"]) == (rep.verdict, rep.finding)
-    assert report["evidence"] == rep.evidence
+    # the report holds the evidence as rendered, floats at %.12g
+    assert report["evidence"] == json.loads(_dumps(rep.evidence))
     assert report["files"] == [f"{name}.csv" for name in rep.series]
     assert report["t_by_series"] == dict(zip(rep.series, FAST_BLOWUP["t_list"]))
 

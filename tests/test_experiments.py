@@ -22,13 +22,15 @@ from heatlab import (
 import heatlab.experiments
 import heatlab.functionals
 import heatlab.solver
-from conftest import ball_heat_tv, moved_outputs
+from conftest import ball_heat_tv, check_row, moved_outputs
 from heatlab.cli import run
 from heatlab.experiments import (
     VERDICTS,
     blowup_sweep,
+    check,
     comparison_check,
     completeness_probe,
+    decide,
     degiorgi_sweep,
     tail_probe,
 )
@@ -65,7 +67,40 @@ def test_degiorgi_flags_preasymptotic_ladder(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(4.0,))
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.4, 0.2, 0.1), controls)
     assert rep.verdict == "inconclusive"
-    assert rep.fitted["low_confidence"]
+    row = check_row(rep.evidence["checks"], "extrapolation_low_confidence",
+                    "both")
+    assert (row["measured"], row["status"]) == (1.0, "fail")
+
+
+FINDINGS = ("held", "failed", "open")
+
+
+@pytest.mark.parametrize("rows, verdict", [
+    ([], "confirms"),
+    ([check("c", 1, "<", 0)], "refutes"),
+    ([check("c", 1, "<", 0), check("r", 1, ">", 0, "refutes")], "refutes"),
+    ([check("c", 1, "<", 0), check("r", 0, ">", 0, "refutes")], "inconclusive"),
+    # a failing "both" row blocks either verdict, whatever the others say
+    ([check("b", 1, "<=", 0, "both"), check("c", 0, "<=", 1)], "inconclusive"),
+    ([check("b", 1, "<=", 0, "both"), check("c", 1, "<=", 0),
+      check("r", 0, "<=", 1, "refutes")], "inconclusive"),
+    ([check("b", 0, ">=", 0, "both"), check("c", 1, "<=", 0)], "refutes"),
+])
+def test_decide_reads_only_statuses_and_gates(rows, verdict):
+    assert decide(rows, FINDINGS) == (verdict, FINDINGS[VERDICTS.index(verdict)])
+
+
+@pytest.mark.parametrize("measured, relation, bound, status", [
+    (1.0, "<=", 1.0, "pass"), (1.0, "<", 1.0, "fail"),
+    (1.0, ">=", 1.0, "pass"), (1.0, ">", 1.0, "fail"),
+    (math.nan, "<=", 1.0, "fail"), (math.nan, ">", 1.0, "fail"),
+])
+def test_check_row_states_its_comparison(measured, relation, bound, status):
+    row = check("p", measured, relation, bound, "both")
+    assert row["status"] == status
+    assert (row["property"], row["relation"], row["tolerance"], row["gate"]) \
+        == ("p", relation, bound, "both")
+    assert row["measured"] == measured or math.isnan(measured)
 
 
 def test_degiorgi_needs_decreasing_times(euclid3, fast_controls):
@@ -141,7 +176,9 @@ def test_degiorgi_sweep_through_two_levels(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0, 4.0))
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
                          controls)
-    assert rep.evidence["exhaustion_ok"]
+    row = check_row(rep.evidence["checks"], "unconverged_exhaustion_stops",
+                    "both")
+    assert (row["measured"], row["status"]) == (0.0, "pass")
     for row in rep.series["degiorgi"]:
         alone = heat_semigroup(euclid3, ball_indicator(1.0), row["t"], controls)
         assert row["R_used"] == alone.grid.R
@@ -158,12 +195,26 @@ def test_completeness_flat_space(euclid3):
         assert 0.0 < row["m_at_0"] <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("n_cells", [1023, 1027])
+def test_completeness_flat_space_settled_pole_confirms(euclid3, n_cells):
+    # on these grids the settled pole values wobble by 1e-13 around 1; the
+    # extrapolation must not read that roundoff as a non-contracting series
+    rep = completeness_probe(euclid3, 0.1, SolveControls(n_cells=n_cells))
+    row = check_row(rep.evidence["checks"], "extrapolation_low_confidence",
+                    "both")
+    assert row["status"] == "pass"
+    assert (rep.verdict, rep.finding) == ("confirms", "complete")
+
+
 def test_completeness_superexponential_weight(pe4):
     # the exp(r^4) model loses mass through infinity at any positive time
     rep = completeness_probe(pe4, 0.1, SolveControls(n_cells=384, step_tol=1e-6))
     assert rep.verdict == "refutes" and rep.finding == "incomplete"
     assert rep.fitted["m_limit"] < 1.0 - 1e-3
-    assert rep.fitted["last_delta"] <= rep.fitted["eps_c"]
+    assert rep.fitted["last_delta"] <= 1e-4
+    row = check_row(rep.evidence["checks"], "last_delta", "refutes")
+    assert (row["measured"], row["tolerance"], row["status"]) == (
+        rep.fitted["last_delta"], 1e-4, "pass")
     # larger absorbing balls keep more mass, so the pole value rises with R
     # yet stays pinned away from 1
     ms = [row["m_at_0"] for row in rep.series["completeness"]]
@@ -241,6 +292,25 @@ def test_completeness_stops_only_once_the_pole_settles_at_1(
     assert rep.controls["exhaustion"] is None
 
 
+def test_completeness_low_confidence_limit_is_inconclusive(euclid3,
+                                                           monkeypatch):
+    # pole values whose differences fail to contract: the Aitken limit
+    # sits below 1 - 10*eps_c with a settled last step, yet is not trusted
+    def levels(manifold, datum, t, controls):
+        radii = exhaustion_radii(0.0, t, math.inf, MAX_EXHAUSTION)
+        for R, m in zip(radii, [0.5, 0.6, 0.695, 0.69505]):
+            yield SimpleNamespace(R=R), np.array([m])
+
+    monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
+    rep = completeness_probe(euclid3, 0.1, SolveControls(), eps_c=1e-4)
+    checks = rep.evidence["checks"]
+    assert check_row(checks, "extrapolation_low_confidence",
+                     "both")["status"] == "fail"
+    assert check_row(checks, "m_limit", "refutes")["status"] == "pass"
+    assert check_row(checks, "last_delta", "refutes")["status"] == "pass"
+    assert (rep.verdict, rep.finding) == ("inconclusive", "undetermined")
+
+
 def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
     # dent the third level by 1e-6, more than it exceeds the second by
     advance = heatlab.solver.advance_states
@@ -262,11 +332,11 @@ def test_blowup_superexponential_weight(pe4):
     rep = blowup_sweep(pe4, 1.0, (0.1,), (2.0, 3.0, 4.0), controls)
     check_report_shape(rep, "blowup")
     assert rep.verdict == "confirms", rep.finding
-    fitted = rep.fitted["per_t"][0]
-    assert fitted["tv_strictly_increasing"]
-    assert fitted["mass_flux_monotone"]
-    assert fitted["mass_flux_defect"] >= -1e-8
-    assert fitted["q_at_Rmax"] > fitted["q_threshold"]
+    fitted, checks = rep.fitted["per_t"][0], rep.evidence["checks"][0]
+    assert check_row(checks, "least_tv_increment")["measured"] > 0
+    assert check_row(checks, "mass_flux_defect")["measured"] >= -1e-8
+    q_row = check_row(checks, "q_at_Rmax")
+    assert q_row["measured"] > q_row["tolerance"]
     assert fitted["r_t"] is not None and fitted["delta_t"] > 0
     tvs = [row["TV_R"] for row in rep.series["blowup_t0"]]
     assert tvs[-1] > 100.0, f"variation should be enormous by R=4, got {tvs[-1]}"
@@ -276,9 +346,11 @@ def test_blowup_flat_space_control(euclid3):
     controls = SolveControls(n_cells=256, step_tol=1e-6)
     rep = blowup_sweep(euclid3, 1.0, (0.1,), (2.0, 3.0, 4.0), controls)
     assert rep.verdict == "refutes", rep.finding
-    fitted = rep.fitted["per_t"][0]
-    assert fitted["stabilized"]
-    assert fitted["q_at_Rmax"] < fitted["q_threshold"]
+    checks = rep.evidence["checks"][0]
+    step = check_row(checks, "last_tv_step", "refutes")
+    assert step["measured"] <= step["tolerance"]
+    q_row = check_row(checks, "q_at_Rmax", "refutes")
+    assert q_row["measured"] < q_row["tolerance"]
     tvs = [row["TV_R"] for row in rep.series["blowup_t0"]]
     assert abs(tvs[-1] - tvs[-2]) < 1e-3 * tvs[-1], "flat-space variation must settle"
 
@@ -356,13 +428,15 @@ def test_comparison_certificate(fast_controls):
     rep = comparison_check(0.5, 2.0, SolveControls(n_cells=256, step_tol=1e-6))
     check_report_shape(rep, "comparison")
     assert rep.verdict == "confirms", rep.finding
-    assert rep.fitted["max_v_minus_w"] <= rep.fitted["vw_tol"]
-    assert rep.fitted["max_lap_w"] < -1.0
+    checks = rep.evidence["checks"]
+    vw = check_row(checks, "max_v_minus_w")
+    assert vw["tolerance"] == 1e-6 and vw["measured"] <= vw["tolerance"]
+    assert check_row(checks, "max_lap_w")["measured"] < -1.0
     assert abs(rep.fitted["lap_w_at_1"] - (-4.0 - math.expm1(-1.0))) < 1e-15
     assert abs(rep.fitted["lap_w_near_zero"] + 3.0) < 1e-3
     assert abs(rep.fitted["lap_w_far"] + 4.0) < 1e-6
     rows = rep.series["comparison"]
-    assert all(row["v_R"] <= row["w_R"] + rep.fitted["vw_tol"] for row in rows)
+    assert all(row["v_R"] <= row["w_R"] + 1e-6 for row in rows)
 
 
 @pytest.mark.parametrize("R,n_cells", [(2.0, 256), (3.0, 512)])
@@ -398,6 +472,13 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
         comparison_check(True, 2.0, fast_controls)
     with pytest.raises(InvalidArgumentError, match="time"):
         heat_semigroup(euclid3, ball_indicator(1.0), True, fast_controls)
+    with pytest.raises(InvalidArgumentError, match="time"):
+        degiorgi_sweep(euclid3, ball_indicator(1.0), [True], fast_controls)
+    with pytest.raises(InvalidArgumentError, match="time"):
+        blowup_sweep(euclid3, 1.0, [0.5, True], (2.0, 3.0), fast_controls)
+    with pytest.raises(InvalidArgumentError, match="time"):
+        tail_probe(euclid3, ball_indicator(1.0), 2.0, [True, 0.5, 0.25],
+                   fast_controls)
 
 
 def test_tail_fit_flat_and_gaussian(euclid3, gauss):

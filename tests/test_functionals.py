@@ -141,6 +141,17 @@ def test_extrapolation_flags_non_contracting_series():
     assert out.low_confidence, "oscillating differences must lower confidence"
 
 
+def test_extrapolation_trusts_roundoff_wobble_after_convergence():
+    # pole values of flat R^3 at t = 0.1 on 1023 cells: settled at 1 from
+    # the third level on, then moving only by roundoff (3e-14, then 3.5e-13)
+    series = [(0.790569415042, 0.9171561272343158),
+              (0.395284707521, 0.9999988861715359),
+              (0.263523138347, 1.000000000000224),
+              (0.197642353761, 1.000000000000193),
+              (0.158113883008, 0.9999999999998452)]
+    assert not extrapolate_limit(series).low_confidence
+
+
 def test_extrapolation_validation():
     with pytest.raises(InvalidArgumentError):
         extrapolate_limit([(0.1, 1.0), (0.05, 1.1)])

@@ -3,13 +3,15 @@ variation limits.
 
 Each config in ``configs/`` runs through ``cli.run`` and must give the exit
 code, verdict and finding that the benchmark checks (``EXPECTED`` in
-``perfbench/run.py``), so the table has one home, and keep the digests of
-its outputs (``conftest.moved_outputs``).
+``perfbench/run.py``), so the table has one home, keep the digests of its
+outputs (``conftest.moved_outputs``), and give a verdict that follows from
+its report's check rows alone.
 """
 
 import importlib.util
 import json
 import math
+import operator
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +46,41 @@ PERIMETER = {"degiorgi_euclidean": 4.0 * math.pi,
              "degiorgi_gaussian": 4.0 * math.pi / math.e}
 
 
+RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge,
+             ">": operator.gt}
+
+
+def _verdict_from_rows(checks):
+    """The verdict a list of report rows gives, read from the rows alone:
+    each status is recomputed from its comparison first, then confirms
+    needs every row not gated refutes to pass, refutes every row not gated
+    confirms."""
+    assert checks, "a verdict needs at least one row"
+    for row in checks:
+        holds = RELATIONS[row["relation"]](float(row["measured"]),
+                                           float(row["tolerance"]))
+        assert row["status"] == ("pass" if holds else "fail"), row
+    for verdict, other in (("confirms", "refutes"), ("refutes", "confirms")):
+        if all(row["status"] == "pass" for row in checks
+               if row["gate"] != other):
+            return verdict
+    return "inconclusive"
+
+
+def _recomputed_verdict(report):
+    if report["experiment"] == "validate":
+        return _verdict_from_rows(report["properties"])
+    if report["experiment"] != "blowup":
+        return _verdict_from_rows(report["evidence"]["checks"])
+    # blowup: one row list per t gives that t's finding, and the sweep
+    # holds a verdict only where every t agrees
+    per_t = [_verdict_from_rows(c) for c in report["evidence"]["checks"]]
+    named = {"confirms": "divergent", "refutes": "convergent"}
+    assert report["evidence"]["findings"] == [
+        named.get(v, "undetermined") for v in per_t]
+    return per_t[0] if len(set(per_t)) == 1 else "inconclusive"
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_sample_config_verdict(tmp_path, name):
     code, verdict, finding = EXPECTED[name]
@@ -59,6 +96,7 @@ def test_sample_config_verdict(tmp_path, name):
         return
     report = json.loads((out / "report.json").read_text())
     assert (report["verdict"], report["finding"]) == (verdict, finding)
+    assert _recomputed_verdict(report) == verdict
     if name in PERIMETER:
         exact = PERIMETER[name]
         gap = abs(report["fitted"]["extrapolated_limit"] - exact) / exact
