@@ -25,10 +25,13 @@ from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
 from .solver import (SolveControls, advance_states, exhaustion_levels,
-                     heat_semigroup, overflow_safe_radius, project_datum)
+                     overflow_safe_radius, project_datum)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
+# degiorgi: a stop's exhaustion has converged once each entry of its (pole
+# value, mass, total variation) triple moved by at most this fraction
+EXHAUSTION_RTOL = 1e-6
 # blowup: a TV tail whose last step moved by at most this fraction is stable
 STABILIZE_RTOL = 1e-3
 # comparison: how far v may exceed the barrier integral w at any node
@@ -87,8 +90,11 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     """Small-time variation limit versus the exact total variation.
 
     One exhaustion walk runs through every time of ``t_list`` and records
-    the total variation at each, with every stop's exhaustion checked for
-    convergence.  The decreasing-t series is accelerated by iterated Aitken
+    the total variation at each on its last level.  A stop has converged
+    when its (pole value, mass, total variation) triple moved by at most
+    ``EXHAUSTION_RTOL`` relative (at least absolute) since the level before;
+    under the automatic radius policy the walk stops once every stop has
+    converged.  The decreasing-t series is accelerated by iterated Aitken
     and the extrapolated limit compared against the closed-form variation
     of the datum; confirmation requires the relative gap to stay within
     ``gap_rtol``.  A low-confidence extrapolation never confirms.
@@ -100,11 +106,21 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     ts = _require_decreasing(t_list, "t_list")
     exact = exact_total_variation(datum, manifold)
 
-    results = heat_semigroup(manifold, datum, ts[::-1], controls)[::-1]
-    used = results[0].grid
-    tvs = [res.probes[-1].total_variation for res in results]
-    unconverged = sum(len(res.probes) >= 2 and not res.converged
-                      for res in results)
+    triples, converged = [None] * len(ts), [False] * len(ts)
+    walk = exhaustion_levels(manifold, datum, ts[::-1], controls)
+    for levels, (used, states) in enumerate(walk, start=1):
+        for k, values in enumerate(states):
+            new = (float(values[0]), functionals.weighted_sum(used, values),
+                   functionals.total_variation(values, used, manifold))
+            # <= keeps a NaN unconverged
+            converged[k] = triples[k] is not None and all(
+                abs(a - b) <= EXHAUSTION_RTOL * max(1.0, abs(a))
+                for a, b in zip(new, triples[k]))
+            triples[k] = new
+        if controls.exhaustion is None and all(converged):
+            break
+    tvs = [tv for _, _, tv in triples[::-1]]
+    unconverged = converged.count(False) if levels >= 2 else 0
     rows = [{"t": t, "R_used": used.R, "N": used.N, "TV": tv}
             for t, tv in zip(ts, tvs)]
     points = list(zip(ts, tvs))
@@ -147,8 +163,8 @@ def completeness_probe(manifold: RadialManifold, t: float,
     every value at 1, so later levels cannot move the limit.  Explicit radii
     are walked in full.  The model reads complete when the limit stays
     within ``eps_c`` of 1 and incomplete when it sits below 1 - 10*eps_c
-    with a stable exhaustion tail; anything in between, and any
-    low-confidence extrapolation, is inconclusive.
+    with a stable exhaustion tail; anything in between, any low-confidence
+    extrapolation and a walk of fewer than 3 levels (no fit) is inconclusive.
     """
     if isinstance(t, bool) or not (math.isfinite(t) and t > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {t}")
@@ -163,9 +179,11 @@ def completeness_probe(manifold: RadialManifold, t: float,
                 abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
             break
 
-    fitted, checks = {"t": t}, []
-    if len(rows) < 3:
-        verdict, finding = "inconclusive", "fewer than 3 exhaustion levels"
+    fitted = {"t": t}
+    checks = [check("exhaustion_levels", len(rows), ">=", 3, "both")]
+    undetermined = "undetermined"
+    if checks[0]["status"] == "fail":
+        undetermined = "fewer than 3 exhaustion levels"
         fitted.update({"m_limit": rows[-1]["m_at_0"], "last_delta": math.nan})
     else:
         points = [(1.0 / row["R"], row["m_at_0"]) for row in rows]
@@ -173,14 +191,14 @@ def completeness_probe(manifold: RadialManifold, t: float,
         last_delta = abs(rows[-1]["m_at_0"] - rows[-2]["m_at_0"])
         fitted.update({"m_limit": ext.limit, "last_delta": last_delta,
                        "error_indicator": ext.error_indicator})
-        checks = [check("extrapolation_low_confidence", ext.low_confidence,
-                        "<=", 0, "both"),
-                  check("m_limit", ext.limit, ">=", 1.0 - eps_c),
-                  check("m_limit", ext.limit, "<=", 1.0 - 10.0 * eps_c,
-                        "refutes"),
-                  check("last_delta", last_delta, "<=", eps_c, "refutes")]
-        verdict, finding = decide(checks,
-                                  ("complete", "incomplete", "undetermined"))
+        checks += [check("extrapolation_low_confidence", ext.low_confidence,
+                         "<=", 0, "both"),
+                   check("m_limit", ext.limit, ">=", 1.0 - eps_c),
+                   check("m_limit", ext.limit, "<=", 1.0 - 10.0 * eps_c,
+                         "refutes"),
+                   check("last_delta", last_delta, "<=", eps_c, "refutes")]
+    verdict, finding = decide(checks,
+                              ("complete", "incomplete", undetermined))
     return ExperimentReport(
         experiment="completeness", manifold=manifold.describe(),
         controls=asdict(controls), series={"completeness": tuple(rows)},
@@ -416,7 +434,8 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     maximal small-t run of strictly decreasing tails enters the fit (earlier
     times are pre-asymptotic); underflowed tails are dropped with a note.
     The fit is log(tail) = log(C) - c/t by least squares; confirmation
-    requires a negative slope in 1/t with R^2 >= 0.95.
+    requires a negative slope in 1/t with R^2 >= 0.95, and fewer than 3
+    admissible points leave the run inconclusive without a fit.
     """
     support = datum.support_radius
     if not math.isfinite(support):
@@ -461,9 +480,12 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     for i in excluded:
         notes.append(f"pre-asymptotic point excluded at t={rows[i]['t']}")
 
-    fitted, checks = {"n_points": len(admissible), "notes": notes}, []
-    if len(admissible) < 3:
-        verdict, finding = "inconclusive", "too few usable tail points"
+    fitted = {"n_points": len(admissible), "notes": notes}
+    checks = [check("admissible_tail_points", len(admissible), ">=", 3,
+                    "both")]
+    undetermined = "fit quality below threshold"
+    if checks[0]["status"] == "fail":
+        undetermined = "too few usable tail points"
         fitted.update({"C": math.nan, "c": math.nan, "r_squared": math.nan})
     else:
         x = np.array([1.0 / rows[i]["t"] for i in admissible])
@@ -480,12 +502,12 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
             rows[i]["fit_residual"] = float(resid)
         fitted.update({"C": math.exp(intercept), "c": -slope,
                        "r_squared": r_squared, "slope": slope})
-        checks = [check("slope", slope, "<", 0),
-                  check("r_squared", r_squared, ">=", 0.95),
-                  check("slope", slope, ">=", 0, "refutes")]
-        verdict, finding = decide(checks, (
-            "tail decays exponentially in 1/t", "tail does not decay in 1/t",
-            "fit quality below threshold"))
+        checks += [check("slope", slope, "<", 0),
+                   check("r_squared", r_squared, ">=", 0.95),
+                   check("slope", slope, ">=", 0, "refutes")]
+    verdict, finding = decide(checks, (
+        "tail decays exponentially in 1/t", "tail does not decay in 1/t",
+        undetermined))
     return ExperimentReport(
         experiment="tail", manifold=manifold.describe(),
         controls=asdict(controls), series={"tail": tuple(rows)},

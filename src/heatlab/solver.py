@@ -1,7 +1,8 @@
-"""Heat evolution, Dirichlet-ball exhaustion, and the minimal semigroup.
+"""Heat evolution and Dirichlet-ball exhaustion.
 
-The minimal heat semigroup on a model manifold is realized as the monotone
-limit of heat flows on balls B_R with absorbing boundary.  All truncation
+The minimal heat semigroup on a model manifold is the monotone limit of
+heat flows on balls B_R with absorbing boundary; ``exhaustion_levels`` walks
+that family, and each experiment reads the levels it needs.  All truncation
 radii of one run share a single face ladder, so solutions at different R can
 be compared cell by cell and the exhaustion monotonicity becomes a testable
 discrete statement.
@@ -24,7 +25,6 @@ import numpy as np
 from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench/spans.py wraps this name
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from . import functionals
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import RadialBVDatum, RadialManifold, LOG_MAX_GRID
 from .grid import Grid, face_ladder, grid_from_faces, subgrid
@@ -38,8 +38,7 @@ DT_INIT = 1e-7
 DT_GROWTH = 1.5
 DT_MIN = 1e-13
 MAX_STEPS = 500_000
-# automatic exhaustion: probe stabilization tolerance and level budget
-EXHAUSTION_RTOL = 1e-6
+# automatic exhaustion: the most levels one walk plans
 MAX_EXHAUSTION = 8
 
 
@@ -49,10 +48,10 @@ class SolveControls:
 
     ``step_tol`` bounds the relative local error of each accepted step.
     ``exhaustion`` is either an explicit strictly increasing tuple of
-    truncation radii or None for the automatic policy, which advances in
-    increments of max(1, 4*sqrt(t)) beyond the datum until the probe triple
-    (pole value, mass, total variation) stabilizes to ``EXHAUSTION_RTOL``,
-    within ``MAX_EXHAUSTION`` levels.  ``n_cells`` is the cell count inside
+    truncation radii or None for the automatic policy, which plans up to
+    ``MAX_EXHAUSTION`` levels in increments of max(1, 4*sqrt(t)) beyond the
+    datum; each experiment stops walking them by its own rule once its
+    readings have settled.  ``n_cells`` is the cell count inside
     the first truncation radius; larger radii extend the same face ladder at
     the same local spacing.
     """
@@ -75,29 +74,6 @@ class SolveControls:
             if radii[0] <= 0:
                 raise InvalidArgumentError("exhaustion radii must be positive")
             object.__setattr__(self, "exhaustion", radii)
-
-
-@dataclass(frozen=True)
-class ExhaustionProbe:
-    """Convergence probes of one truncation level."""
-
-    R: float
-    N: int
-    value_at_zero: float
-    mass: float
-    total_variation: float
-
-
-@dataclass(frozen=True)
-class SemigroupResult:
-    """Cell values at time t on the largest truncation grid, plus the
-    exhaustion trace behind them."""
-
-    grid: Grid
-    t: float
-    values: np.ndarray
-    probes: tuple[ExhaustionProbe, ...]
-    converged: bool
 
 
 def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
@@ -137,12 +113,6 @@ def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarra
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dpttrf info={info}")
     w = op.cell_weights
     return lambda u: dpttrs(d, e, (w if u.ndim == 1 else w[:, None]) * u, 1)[0]
-
-
-def _step(op: WeightedOperator, u: np.ndarray, dt: float, factor=None) -> np.ndarray:
-    """Solve (I - dt L) x = u; solves that share dt share ``factor``, which
-    is ``_factor(op, dt)``."""
-    return (factor or _factor(op, dt))(u)
 
 
 def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
@@ -236,10 +206,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
             h = segment[taken] if replay else min(dt, stop - t)
             # both half steps solve with I - (h/2) L: one factor serves both
             half = _factor(op, 0.5 * h)
-            mid = _step(op, u, 0.5 * h, half)
-            fine = _step(op, mid, 0.5 * h, half)
+            mid = half(u)
+            fine = half(mid)
             if not replay:
-                coarse = _step(op, u, h)
+                coarse = _factor(op, h)(u)
                 err = float((column_l1(coarse - fine)
                              / np.maximum(column_l1(fine), 1e-300)).max())
                 if not (err <= controls.step_tol or h <= DT_MIN):
@@ -360,8 +330,8 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
                       controls: SolveControls):
     """Lazily evolve the datum to time t on each truncation level in turn.
 
-    ``t`` is one time or a strictly increasing sequence of stop times, as in
-    ``advance_states``.  Yields (grid, values) per level of
+    ``t`` is one positive finite time or a strictly increasing sequence of
+    them, as in ``advance_states``.  Yields (grid, values) per level of
     ``exhaustion_ladder``, smallest ball first, where values is the state at
     ``t``, or the list of states at the stops.  The automatic radius policy
     sizes the ladder for the largest stop.  The first level records its
@@ -374,6 +344,10 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
     """
     sequence = np.ndim(t) > 0
     stops = np.atleast_1d(t).tolist()
+    # tolist gives Python scalars; a bool is an int, but no time
+    if not stops or not all(type(s) in (int, float) and math.isfinite(s)
+                            and s > 0 for s in stops):
+        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     ladder, indices = exhaustion_ladder(manifold, datum, float(max(stops)),
                                         controls)
     u0 = project_datum(datum, ladder)
@@ -392,48 +366,3 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
                     f"R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
         inner_R, inner = g.R, at_stops
         yield g, values
-
-
-def heat_semigroup(manifold: RadialManifold, datum: RadialBVDatum, t,
-                   controls: SolveControls
-                   ) -> SemigroupResult | list[SemigroupResult]:
-    """Minimal heat semigroup at time t via Dirichlet-ball exhaustion.
-
-    Consumes ``exhaustion_levels``, which solves the heat equation on an
-    increasing family of balls with absorbing boundary and checks that the
-    truncated solutions grow with the radius.  Returns the largest
-    truncation computed together with the per-radius probe triple (pole
-    value, mass, total variation), so callers can judge how far the
-    exhaustion has converged and extrapolate if they wish.
-
-    ``t`` may also be a strictly increasing sequence of stop times: one
-    exhaustion walk then runs through all of them and one result per stop
-    is returned, all on the same levels.  The automatic policy stops adding
-    levels once every stop has converged.
-    """
-    sequence = np.ndim(t) > 0
-    stops = np.atleast_1d(t).tolist()
-    # tolist gives Python scalars; a bool is an int, but no time
-    if not stops or not all(type(s) in (int, float) and math.isfinite(s)
-                            and s > 0 for s in stops):
-        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
-    probes: list[list[ExhaustionProbe]] = [[] for _ in stops]
-    converged = [False] * len(stops)
-    for g, states in exhaustion_levels(manifold, datum, t, controls):
-        states = states if sequence else [states]
-        for k, values in enumerate(states):
-            new = (float(values[0]), functionals.weighted_sum(g, values),
-                   functionals.total_variation(values, g, manifold))
-            if probes[k]:
-                old = probes[k][-1]
-                converged[k] = all(
-                    abs(a - b) <= EXHAUSTION_RTOL * max(1.0, abs(a)) for a, b in
-                    zip(new, (old.value_at_zero, old.mass, old.total_variation)))
-            probes[k].append(ExhaustionProbe(g.R, g.N, *new))
-        if controls.exhaustion is None and all(converged):
-            break
-    results = [SemigroupResult(grid=g, t=float(s), values=values,
-                               probes=tuple(p), converged=c)
-               for s, values, p, c in zip(stops, states, probes, converged)]
-    return results if sequence else results[0]
-

@@ -17,6 +17,7 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import erf
 
+import heatlab.experiments
 from heatlab import SolveControls, euclidean, power_exp_weight
 
 # property tests draw the same examples on every run, and a slow shared
@@ -49,6 +50,21 @@ def check_row(checks, prop, gate="confirms") -> dict:
     ``gate``."""
     (row,) = [r for r in checks if (r["property"], r["gate"]) == (prop, gate)]
     return row
+
+
+def record_walk(monkeypatch) -> list:
+    """The (grid, states) levels the drivers' exhaustion walks yield, in the
+    order the drivers ask for them."""
+    levels = []
+    walk = heatlab.experiments.exhaustion_levels
+
+    def recording(*args, **kwargs):
+        for level in walk(*args, **kwargs):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", recording)
+    return levels
 
 
 def ball_heat_closed_form(r, t, r0=1.0):

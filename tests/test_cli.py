@@ -254,9 +254,13 @@ def _failing_rows(out):
 def test_validate_catches_an_upward_biased_step(monkeypatch):
     # the bounds row reads every column of the three-column run and the
     # growth row its constant column; a step that adds mass fails both
-    step = heatlab.solver._step
-    monkeypatch.setattr(heatlab.solver, "_step",
-                        lambda *args, **kwargs: step(*args, **kwargs) + 1e-9)
+    factor = heatlab.solver._factor
+
+    def biased(*args):
+        solve = factor(*args)
+        return lambda u: solve(u) + 1e-9
+
+    monkeypatch.setattr(heatlab.solver, "_factor", biased)
     out = validate(seed=0)
     assert out["verdict"] == "refutes"
     assert {"max_principle_defect", "mass_time_monotone"} <= _failing_rows(out)
@@ -279,13 +283,13 @@ def test_validate_solve_count(monkeypatch):
     # each state evolves once: one three-column run carries three rows, and
     # the semigroup identity reuses the first exhaustion level's state
     solves = [0]
-    step = heatlab.solver._step
+    solve = heatlab.solver.dpttrs
 
     def counting(*args, **kwargs):
         solves[0] += 1
-        return step(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(heatlab.solver, "_step", counting)
+    monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
     assert validate(seed=0)["verdict"] == "confirms"
     assert solves[0] == 18_878
 

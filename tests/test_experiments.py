@@ -16,15 +16,16 @@ from heatlab import (
     RangeError,
     SolveControls,
     ball_indicator,
-    heat_semigroup,
     piecewise,
+    total_variation,
 )
 import heatlab.experiments
 import heatlab.functionals
 import heatlab.solver
-from conftest import ball_heat_tv, check_row, moved_outputs
+from conftest import ball_heat_tv, check_row, moved_outputs, record_walk
 from heatlab.cli import run
 from heatlab.experiments import (
+    EXHAUSTION_RTOL,
     VERDICTS,
     blowup_sweep,
     check,
@@ -180,10 +181,33 @@ def test_degiorgi_sweep_through_two_levels(euclid3):
                     "both")
     assert (row["measured"], row["status"]) == (0.0, "pass")
     for row in rep.series["degiorgi"]:
-        alone = heat_semigroup(euclid3, ball_indicator(1.0), row["t"], controls)
-        assert row["R_used"] == alone.grid.R
-        want = alone.probes[-1].total_variation
+        *_, (g, values) = heatlab.solver.exhaustion_levels(
+            euclid3, ball_indicator(1.0), row["t"], controls)
+        assert row["R_used"] == g.R
+        want = total_variation(values, g, euclid3)
         assert abs(row["TV"] - want) < 1e-4 * want, f"t={row['t']}"
+
+
+def test_automatic_exhaustion_waits_for_every_stop(euclid3, monkeypatch):
+    # the policy sizes its radii for the largest stop, and degiorgi keeps
+    # walking until every stop has converged
+    levels = record_walk(monkeypatch)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.09, 0.01], controls)
+    row = check_row(rep.evidence["checks"], "unconverged_exhaustion_stops",
+                    "both")
+    assert (row["measured"], row["status"]) == (0.0, "pass")
+    radii = [g.R for g, _ in levels]
+    assert {row["R_used"] for row in rep.series["degiorgi"]} == {radii[-1]}
+    step = 4.0 * math.sqrt(0.09)
+    assert radii[0] == pytest.approx(1.0 + step, rel=1e-2)
+    # t = 0.01 had settled on the second level, t = 0.09 needed a third
+    rtol = EXHAUSTION_RTOL
+    tv = [total_variation(states[0], g, euclid3) for g, states in levels]
+    assert abs(tv[1] - tv[0]) <= rtol * tv[1]
+    tv = [total_variation(states[1], g, euclid3) for g, states in levels]
+    assert abs(tv[1] - tv[0]) > rtol * tv[1]
+    assert len(radii) == 3
 
 
 def test_completeness_flat_space(euclid3):
@@ -471,8 +495,6 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
     with pytest.raises(InvalidArgumentError, match="time"):
         comparison_check(True, 2.0, fast_controls)
     with pytest.raises(InvalidArgumentError, match="time"):
-        heat_semigroup(euclid3, ball_indicator(1.0), True, fast_controls)
-    with pytest.raises(InvalidArgumentError, match="time"):
         degiorgi_sweep(euclid3, ball_indicator(1.0), [True], fast_controls)
     with pytest.raises(InvalidArgumentError, match="time"):
         blowup_sweep(euclid3, 1.0, [0.5, True], (2.0, 3.0), fast_controls)
@@ -515,6 +537,24 @@ def test_tail_too_few_points_is_inconclusive(euclid3):
     rep = tail_probe(euclid3, ball_indicator(1.0), 2.0, (0.05, 0.04), controls)
     assert rep.verdict == "inconclusive"
     assert math.isnan(rep.fitted["r_squared"])
+
+
+def test_guard_verdicts_follow_from_their_rows(euclid3):
+    # a run stopped before its fit still carries the row that stopped it
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
+    reps = [(completeness_probe(euclid3, 0.05, controls),
+             ("exhaustion_levels", 2.0, "fewer than 3 exhaustion levels")),
+            (tail_probe(euclid3, ball_indicator(1.0), 2.0, [0.05, 0.04],
+                        controls),
+             ("admissible_tail_points", 2.0, "too few usable tail points"))]
+    for rep, (prop, measured, finding) in reps:
+        (row,) = rep.evidence["checks"]
+        assert (row["property"], row["measured"], row["relation"],
+                row["tolerance"], row["gate"], row["status"]) == (
+            prop, measured, ">=", 3.0, "both", "fail")
+        assert decide(rep.evidence["checks"], ("a", "b", finding)) == (
+            "inconclusive", finding)
+        assert (rep.verdict, rep.finding) == ("inconclusive", finding)
 
 
 def test_piecewise_datum_through_degiorgi(euclid3):

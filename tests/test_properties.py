@@ -1,5 +1,6 @@
-"""Property tests of the one projection path and of the implicit step over
-random grids and data, and of heatlab's log-sum-exp against scipy's.
+"""Property tests of the one projection path, of the implicit step and of
+the exhaustion walk over random grids and data, and of heatlab's log-sum-exp
+against scipy's.
 
 Grids are uniform face ladders whose jump radii snap onto interior faces;
 data are piecewise linear with jumps at those radii and kinks anywhere.
@@ -15,11 +16,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import heatlab.solver
-from heatlab import (DIRICHLET, NEUMANN, assemble, ball_indicator, euclidean,
+from heatlab import (DIRICHLET, EXHAUSTION_SLACK, NEUMANN, SolveControls,
+                     assemble, ball_indicator, euclidean, exhaustion_levels,
                      face_ladder, grid_from_faces, perimeter_ball, piecewise,
                      power_exp_weight, project_datum, total_variation,
                      weighted_sum)
 from heatlab import geometry, grid
+from heatlab.solver import monotonicity_defect
 
 MODELS = [euclidean(3), *(power_exp_weight(p, sign, 3)
                           for p in (1, 2, 3, 4) for sign in (1, -1))]
@@ -108,7 +111,7 @@ def test_step_solves_and_keeps_the_maximum_principle(case):
     a, b = op.apply(u[:, 0]), op.apply(u[:, 1])
     terms = weighted_sum(g, np.abs(a), u[:, 1]) + weighted_sum(g, u[:, 0], np.abs(b))
     assert abs(weighted_sum(g, a, u[:, 1]) - weighted_sum(g, u[:, 0], b)) <= 1e-13 * terms
-    x = heatlab.solver._step(op, u, dt)
+    x = heatlab.solver._factor(op, dt)(u)
     # the step inverts I - dt L, to roundoff of the size of dt * L
     scale = 1.0 + dt * np.max((cond[:-1] + cond[1:]) / op.cell_weights)
     assert np.max(np.abs(x - dt * op.apply(x) - u)) <= 1e-13 * scale
@@ -118,13 +121,40 @@ def test_step_solves_and_keeps_the_maximum_principle(case):
     # stacked columns share one solve: the third is the sum of the others
     assert np.max(np.abs(x[:, 2] - x[:, 0] - x[:, 1])) <= 1e-12
     for k in range(3):
-        assert np.max(np.abs(x[:, k] - heatlab.solver._step(op, u[:, k], dt))) <= 1e-12
+        assert np.max(np.abs(x[:, k] - heatlab.solver._factor(op, dt)(u[:, k]))) <= 1e-12
     # Neumann keeps the mass up to the rounding of each row of the band,
     # which grows with its diagonal as the residual's does
     if op.bc == NEUMANN:
         for k in range(3):
             mass = weighted_sum(g, u[:, k])
             assert abs(weighted_sum(g, x[:, k]) - mass) <= 1e-14 * scale * mass
+
+
+@st.composite
+def exhaustions(draw):
+    """(manifold, ball datum, two stop times, controls): a random power_exp
+    weight and two or three explicit radii up to 4, each at least 0.3 past
+    the one before and the first past the ball."""
+    m = power_exp_weight(draw(st.floats(1.0, 4.0)), draw(st.sampled_from((1, -1))),
+                         draw(st.integers(2, 5)))
+    ball = draw(st.floats(0.2, 1.0))
+    radii = [ball + draw(st.floats(0.3, 1.0))]
+    for _ in range(draw(st.integers(1, 2))):
+        radii.append(radii[-1] + draw(st.floats(0.3, 1.0)))
+    t = 10.0 ** draw(st.floats(-3.0, -1.0))
+    controls = SolveControls(n_cells=draw(st.integers(16, 48)), step_tol=1e-4,
+                             exhaustion=tuple(radii))
+    return m, ball_indicator(ball), [0.25 * t, t], controls
+
+
+@given(exhaustions())
+def test_exhaustion_solutions_grow_with_the_ball(case):
+    m, datum, stops, controls = case
+    levels = list(exhaustion_levels(m, datum, stops, controls))
+    assert len(levels) == len(controls.exhaustion)
+    for (_, inner), (_, outer) in zip(levels, levels[1:]):
+        for a, b in zip(inner, outer):
+            assert monotonicity_defect(a, b) <= EXHAUSTION_SLACK
 
 
 # scipy 1.15 moved logsumexp to the tied-maxima formula heatlab follows

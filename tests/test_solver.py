@@ -24,14 +24,15 @@ from heatlab import (
     constant_one,
     exhaustion_levels,
     grid_from_faces,
-    heat_semigroup,
     overflow_safe_radius,
     piecewise,
     project_datum,
+    total_variation,
     weighted_sum,
 )
-from heatlab.solver import EXHAUSTION_RTOL
-from conftest import ball_heat_closed_form, ball_heat_quadrature
+from heatlab.experiments import degiorgi_sweep
+from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
+                      record_walk)
 
 
 def test_reference_routes_agree():
@@ -181,13 +182,13 @@ def test_bad_stop_times_are_rejected(euclid3, t0, stops):
 def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
     controls, g, op, chi = _walk_setup(euclid3)
     solves = [0]
-    step = heatlab.solver._step
+    solve = heatlab.solver.dpttrs
 
     def counting(*args, **kwargs):
         solves[0] += 1
-        return step(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(heatlab.solver, "_step", counting)
+    monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
     advance_states(op, chi, 0.0, 0.01, controls)
     first = solves[0] // 3  # three solves per attempted step
     monkeypatch.setattr(heatlab.solver, "MAX_STEPS", first)
@@ -210,8 +211,8 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
     u = u0
     for segment, got, again in zip(ladder, adaptive, replayed):
         for dt in segment:
-            mid = heatlab.solver._step(op, u, 0.5 * dt)
-            u = heatlab.solver._step(op, mid, 0.5 * dt)
+            mid = heatlab.solver._factor(op, 0.5 * dt)(u)
+            u = heatlab.solver._factor(op, 0.5 * dt)(mid)
         assert np.array_equal(got, u), "adaptive path differs from independent steps"
         assert np.array_equal(again, u), "replay path differs from independent steps"
 
@@ -219,18 +220,18 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
 def test_one_band_per_half_step_pair(euclid3, monkeypatch):
     controls, g, op, chi = _walk_setup(euclid3)
     counts = {"band": 0, "solve": 0}
-    band, step = WeightedOperator.banded, heatlab.solver._step
+    band, solve = WeightedOperator.banded, heatlab.solver.dpttrs
 
     def counting_band(self, *args):
         counts["band"] += 1
         return band(self, *args)
 
-    def counting_step(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         counts["solve"] += 1
-        return step(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(WeightedOperator, "banded", counting_band)
-    monkeypatch.setattr(heatlab.solver, "_step", counting_step)
+    monkeypatch.setattr(heatlab.solver, "dpttrs", counting_solve)
     ladder = []
     advance_states(op, chi, 0.0, 0.01, controls, ladder=ladder)
     attempts, rest = divmod(counts["solve"], 3)
@@ -353,54 +354,41 @@ def test_overflow_safe_radius_values(euclid3, pe4):
         build_grid(pe4, safe * 1.01, 64)
 
 
-def test_heat_semigroup_probes_grow_with_radius(euclid3):
+def test_exhaustion_probes_grow_with_radius(euclid3, monkeypatch):
+    levels = record_walk(monkeypatch)
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0, 4.0))
-    result = heat_semigroup(euclid3, ball_indicator(1.0), 0.05, controls)
-    masses = [p.mass for p in result.probes]
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.05], controls)
+    masses = [weighted_sum(g, values) for g, (values,) in levels]
     assert all(b >= a for a, b in zip(masses, masses[1:])), f"masses not monotone: {masses}"
-    assert result.converged
-    assert result.t == 0.05
-    assert result.probes[-1].R == 4.0
+    row = check_row(rep.evidence["checks"], "unconverged_exhaustion_stops", "both")
+    assert row["measured"] == 0.0
+    assert levels[-1][0].R == 4.0
     # a larger absorbing ball keeps more of the unit of mass
     assert masses[-1] < 4 * math.pi / 3 and masses[-1] > 0.99 * 4 * math.pi / 3
 
 
-def test_heat_semigroup_through_stops(euclid3):
-    # one walk per level through every stop; each stop gets the result its
+def test_exhaustion_walk_through_stops(euclid3, monkeypatch):
+    # one walk per level through every stop; each stop gets the levels its
     # own one-time exhaustion would give, to step accuracy
+    levels = record_walk(monkeypatch)
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
     stops = [0.01, 0.02, 0.04]
-    results = heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
-    assert [r.t for r in results] == stops
-    for t, res in zip(stops, results):
-        alone = heat_semigroup(euclid3, ball_indicator(1.0), t, controls)
-        assert [p.R for p in res.probes] == [p.R for p in alone.probes]
-        assert res.converged == alone.converged
-        for p, q in zip(res.probes, alone.probes):
-            assert abs(p.total_variation - q.total_variation) < 1e-4 * q.total_variation
-    # the first stop walks the one-time ladder exactly
-    first = heat_semigroup(euclid3, ball_indicator(1.0), stops[0], controls)
-    assert results[0].probes == first.probes
-
-
-def test_automatic_exhaustion_waits_for_every_stop(euclid3):
-    # the policy sizes its radii for the largest stop and keeps adding
-    # levels until every stop has converged
-    controls = SolveControls(n_cells=64, step_tol=1e-5)
-    early, late = heat_semigroup(euclid3, ball_indicator(1.0), [0.01, 0.09],
-                                 controls)
-    assert early.converged and late.converged
-    radii = [p.R for p in early.probes]
-    assert radii == [p.R for p in late.probes]
-    step = 4.0 * math.sqrt(0.09)
-    assert radii[0] == pytest.approx(1.0 + step, rel=1e-2)
-    # t = 0.01 had settled on the second level, t = 0.09 needed a third
-    rtol = EXHAUSTION_RTOL
-    tv = [p.total_variation for p in early.probes]
-    assert abs(tv[1] - tv[0]) <= rtol * tv[1]
-    tv = [p.total_variation for p in late.probes]
-    assert abs(tv[1] - tv[0]) > rtol * tv[1]
-    assert len(radii) == 3
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), stops[::-1], controls)
+    walk, unconverged = list(levels), 0
+    for k, t in enumerate(stops):
+        levels.clear()
+        alone = degiorgi_sweep(euclid3, ball_indicator(1.0), [t], controls)
+        assert [g.R for g, _ in walk] == [g.R for g, _ in levels]
+        for (g, states), (_, (values,)) in zip(walk, levels):
+            want = total_variation(values, g, euclid3)
+            assert abs(total_variation(states[k], g, euclid3) - want) < 1e-4 * want
+            # the first stop walks the one-time ladder exactly
+            assert k > 0 or np.array_equal(states[0], values)
+        unconverged += check_row(alone.evidence["checks"],
+                                 "unconverged_exhaustion_stops", "both")["measured"]
+    # each stop converges in the shared walk as it does alone
+    row = check_row(rep.evidence["checks"], "unconverged_exhaustion_stops", "both")
+    assert row["measured"] == unconverged
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -417,10 +405,10 @@ def test_exhaustion_monotonicity_is_checked_at_every_stop(euclid3, monkeypatch, 
         return states
 
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
-    heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
+    list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls))
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
     with pytest.raises(NumericalFailure, match=f"at t={stops[k]}"):
-        heat_semigroup(euclid3, ball_indicator(1.0), stops, controls)
+        list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls))
 
 
 def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
@@ -456,9 +444,9 @@ def test_single_level_builds_one_grid(euclid3, monkeypatch):
     monkeypatch.setattr(heatlab.grid, "grid_from_faces", counting)
     monkeypatch.setattr(heatlab.solver, "grid_from_faces", counting)
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(3.0,))
-    result = heat_semigroup(euclid3, ball_indicator(1.0), 0.05, controls)
+    (g, _), = exhaustion_levels(euclid3, ball_indicator(1.0), 0.05, controls)
     assert built == [97]
-    assert result.grid.N == 96
+    assert g.N == 96
 
 
 @pytest.mark.parametrize("points, radius", [
@@ -473,17 +461,20 @@ def test_first_truncation_radius_must_contain_the_datum(euclid3, points,
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(radius,))
     with pytest.raises(InvalidArgumentError,
                        match="does not contain the datum"):
-        heat_semigroup(euclid3, piecewise(points), 0.01, controls)
+        next(exhaustion_levels(euclid3, piecewise(points), 0.01, controls))
 
 
-def test_heat_semigroup_rejects_bad_time(euclid3, fast_controls):
-    with pytest.raises(InvalidArgumentError):
-        heat_semigroup(euclid3, ball_indicator(1.0), 0.0, fast_controls)
-    with pytest.raises(InvalidArgumentError):
-        heat_semigroup(euclid3, ball_indicator(1.0), math.nan, fast_controls)
-    for stops in ([], [0.0, 0.01], [0.01, math.inf], [0.02, 0.01]):
-        with pytest.raises(InvalidArgumentError):
-            heat_semigroup(euclid3, ball_indicator(1.0), stops, fast_controls)
+def test_exhaustion_levels_rejects_bad_time(euclid3):
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
+    # True == 1, but a boolean is no time
+    for t in (0.0, -0.01, math.nan, math.inf, True, [], [0.0, 0.01],
+              [0.01, math.inf]):
+        with pytest.raises(InvalidArgumentError,
+                           match="time must be positive and finite"):
+            next(exhaustion_levels(euclid3, ball_indicator(1.0), t, controls))
+    with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+        next(exhaustion_levels(euclid3, ball_indicator(1.0), [0.02, 0.01],
+                               controls))
 
 
 def test_semigroup_composition(euclid3):
@@ -525,11 +516,11 @@ def test_step_is_the_banded_solve_bitwise(request, family, columns):
         ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
         ab[0, 1:], ab[1], ab[2, :-1] = np.diag(A, 1), np.diag(A), np.diag(A, -1)
         want = solve_banded((1, 1), ab, u)
-        got = heatlab.solver._step(op, u, dt)
+        got = heatlab.solver._factor(op, dt)(u)
         assert got.shape == u.shape
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
         for k in range(0 if columns is None else columns):
-            column = heatlab.solver._step(op, np.ascontiguousarray(u[:, k]), dt)
+            column = heatlab.solver._factor(op, dt)(np.ascontiguousarray(u[:, k]))
             assert np.array_equal(got[:, k], column)
     assert np.array_equal(u, before), "the step overwrote its input state"
 
@@ -542,4 +533,4 @@ def test_singular_step_names_dt(euclid3):
     singular = replace(op, cell_weights=0.0 * op.cell_weights,
                        conductance=0.0 * op.conductance)
     with pytest.raises(NumericalFailure, match=f"dt={dt}: dpttrf"):
-        heatlab.solver._step(singular, np.ones(g.N), dt)
+        heatlab.solver._factor(singular, dt)(np.ones(g.N))
