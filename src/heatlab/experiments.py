@@ -97,7 +97,8 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     converged.  The decreasing-t series is accelerated by iterated Aitken
     and the extrapolated limit compared against the closed-form variation
     of the datum; confirmation requires the relative gap to stay within
-    ``gap_rtol``.  A low-confidence extrapolation never confirms.
+    ``gap_rtol``.  A low-confidence extrapolation never confirms, and fewer
+    than 3 times leave the run inconclusive without a fit.
     """
     if not math.isfinite(datum.support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
@@ -125,23 +126,24 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
             for t, tv in zip(ts, tvs)]
     points = list(zip(ts, tvs))
 
-    if len(points) >= 3:
+    checks = [check("extrapolation_points", len(points), ">=", 3, "both")]
+    fitted = {"exact_tv": exact, "extrapolated_limit": math.nan,
+              "relative_gap": math.nan, "error_indicator": math.nan}
+    gap_rows = []  # the fit and the rows that read it need 3 times
+    if checks[0]["status"] == "pass":
         ext = functionals.extrapolate_limit(points)
-    else:
-        ext = functionals.ExtrapolationResult(
-            limit=points[-1][1], error_indicator=abs(points[-1][1]),
-            low_confidence=True)
-    gap = abs(ext.limit - exact) / max(exact, 1e-8)
-    checks = [check("extrapolation_low_confidence", ext.low_confidence, "<=",
-                    0, "both"),
-              check("unconverged_exhaustion_stops", unconverged, "<=", 0,
-                    "both"),
-              check("relative_gap", gap, "<=", gap_rtol)]
+        gap = abs(ext.limit - exact) / max(exact, 1e-8)
+        fitted.update({"extrapolated_limit": ext.limit, "relative_gap": gap,
+                       "error_indicator": ext.error_indicator})
+        checks.append(check("extrapolation_low_confidence",
+                            ext.low_confidence, "<=", 0, "both"))
+        gap_rows = [check("relative_gap", gap, "<=", gap_rtol)]
+    checks += [check("unconverged_exhaustion_stops", unconverged, "<=", 0,
+                     "both"), *gap_rows]
     verdict, finding = decide(checks, (
         "variation limit matches exact value",
-        "variation limit misses exact value", "limit not trusted"))
-    fitted = {"extrapolated_limit": ext.limit, "exact_tv": exact,
-              "relative_gap": gap, "error_indicator": ext.error_indicator}
+        "variation limit misses exact value",
+        "limit not trusted" if gap_rows else "fewer than 3 times"))
     return ExperimentReport(
         experiment="degiorgi", manifold=manifold.describe(),
         controls=asdict(controls), series={"degiorgi": tuple(rows)},
@@ -166,8 +168,6 @@ def completeness_probe(manifold: RadialManifold, t: float,
     with a stable exhaustion tail; anything in between, any low-confidence
     extrapolation and a walk of fewer than 3 levels (no fit) is inconclusive.
     """
-    if isinstance(t, bool) or not (math.isfinite(t) and t > 0):
-        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
     if not 0 < eps_c < 0.1:  # else the band below 1 - 10*eps_c is empty
         raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
     settled = eps_c / 100.0
@@ -228,7 +228,7 @@ def _complement_states(manifold: RadialManifold, r0: float, stops,
 
 def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
                ball_values: np.ndarray, t: float, r_used: list,
-               noise_floor_q: float | None) -> tuple[tuple, dict, list]:
+               noise_floor_q: float) -> tuple[tuple, dict, list]:
     """(rows, fitted, checks) at one time from the evolved [constant, ball]."""
     comp = mass_values - ball_values
     terms = functionals.face_variation_terms(comp, g, manifold)
@@ -248,8 +248,6 @@ def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
     q_mono_defect = float(np.min(np.diff(flux_mass.q[in_window])))
     q_at_rmax = flux_comp.at(r_max)
 
-    if noise_floor_q is None:
-        noise_floor_q = abs(q_at_rmax)
     q_thr = max(10.0 * noise_floor_q, 1e-12)
     r_t, delta_t = flux_comp.crossing(q_thr)
 
@@ -295,13 +293,13 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     last TV step stays within ``STABILIZE_RTOL`` of the last TV and the flux
     at the largest radius below the q threshold.
 
-    The sweep confirms divergence when every time is divergent and refutes
-    it when every time is convergent; anything else is inconclusive.  Each
-    time's checks become ``evidence.checks[i]`` and its rows series
-    ``blowup_t<i>``, both in t_list order, and ``fitted`` holds the per-time
-    constants plus a summary that, when every time is convergent and at
-    least three were measured, carries the Aitken-extrapolated small-time
-    limit of TV at the largest radius.
+    Each time's finding is ``decide`` over its own checks and the sweep's
+    verdict ``decide`` over the checks of every time, so it confirms when
+    every time is divergent, refutes when every time is convergent, and is
+    otherwise inconclusive.  Time i's checks are ``evidence.checks[i]`` and
+    its rows series ``blowup_t<i>``; ``fitted`` holds the per-time constants
+    plus a summary that, when every time is convergent and at least three
+    were measured, carries the Aitken limit of TV at the largest radius.
     """
     ts = _require_decreasing(t_list, "t_list")
     if not (math.isfinite(r0) and r0 > 0):
@@ -324,23 +322,21 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                                    controls)
     r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
               for r in radii]
-    floors = [None] * len(stops)
+    gf, flat_states = g, states
     if manifold.family != "euclidean":
-        flat = euclidean(manifold.dimension)
-        gf, flat_states = _complement_states(flat, r0, stops,
-                                             radii[-1] + margin, radii[0],
-                                             controls)
-        floors = [abs(functionals.flux_profile(mf - bf, gf).at(r_used[-1]))
-                  for mf, bf in flat_states]
+        gf, flat_states = _complement_states(
+            euclidean(manifold.dimension), r0, stops, radii[-1] + margin,
+            radii[0], controls)
+    floors = [abs(functionals.flux_profile(mf - bf, gf).at(r_used[-1]))
+              for mf, bf in flat_states]
     rows, fitted, checks = zip(*(
         _blowup_at(manifold, g, mass, ball, t, r_used, floor)
         for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])))
 
-    verdicts, findings = zip(*(
-        decide(c, ("divergent", "convergent", "undetermined")) for c in checks))
-    # the sweep reads what every t reads, and is mixed when they differ
-    verdict = verdicts[0] if len(set(verdicts)) == 1 else "inconclusive"
-    finding = dict(zip(VERDICTS, ("divergent", "convergent", "mixed")))[verdict]
+    findings = [decide(c, ("divergent", "convergent", "undetermined"))[1]
+                for c in checks]
+    verdict, finding = decide([row for c in checks for row in c],
+                              ("divergent", "convergent", "mixed"))
 
     summary = {}
     if finding == "convergent" and len(ts) >= 3:

@@ -18,6 +18,7 @@ residual.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,6 +116,26 @@ def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarra
     return lambda u: dpttrs(d, e, (w if u.ndim == 1 else w[:, None]) * u, 1)[0]
 
 
+def _stop_times(t0, t1, positive: bool = False) -> list[float]:
+    """The stops of ``t1``, one time or a strictly increasing sequence, from
+    ``t0`` on.  t0 and each stop must be a finite real number and no boolean
+    (True == 1, but no time), checked before numpy would coerce them;
+    ``positive`` asks for stops above 0."""
+    stops = list(t1) if np.ndim(t1) > 0 else [t1]
+    finite = bool(stops) and all(
+        isinstance(s, numbers.Real) and not isinstance(s, bool)
+        and math.isfinite(s) for s in (t0, *stops))
+    if positive and not (finite and stops[0] > 0):
+        raise InvalidArgumentError(f"time must be positive and finite, got {t1}")
+    if not finite:
+        raise InvalidArgumentError(f"times must be finite, got {t0} and {t1}")
+    if stops[0] < t0:
+        raise InvalidArgumentError(f"cannot evolve backwards from {t0} to {stops[0]}")
+    if any(b <= a for a, b in zip(stops, stops[1:])):
+        raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")
+    return [float(s) for s in stops]
+
+
 def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                    controls: SolveControls,
                    observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
@@ -149,19 +170,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     skips the full-step error solve and is always accepted, so the observer
     sees the same transitions as on the recording.
     """
-    sequence = np.ndim(t1) > 0
-    stops = [float(s) for s in np.atleast_1d(t1)]
-    if not stops or not all(math.isfinite(s) for s in (t0, *stops)):
-        raise InvalidArgumentError(f"times must be finite, got {t0} and {t1}")
-    if stops[0] < t0:
-        raise InvalidArgumentError(f"cannot evolve backwards from {t0} to {stops[0]}")
-    if any(b <= a for a, b in zip(stops, stops[1:])):
-        raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")
+    stops = _stop_times(t0, t1)
     u = np.array(states, dtype=float)
     if u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
-    if stops[-1] == t0:
-        return [u] if sequence else u
 
     replay = bool(ladder)
     if replay and len(ladder) != len(stops):
@@ -229,7 +241,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
             t = t + h
             taken += 1
         at_stops.append(u)
-    return at_stops if sequence else at_stops[0]
+    return at_stops if np.ndim(t1) > 0 else at_stops[0]
 
 
 def overflow_safe_radius(manifold: RadialManifold) -> float:
@@ -337,32 +349,30 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
     sizes the ladder for the largest stop.  The first level records its
     accepted time-step ladder through every stop and every later level
     replays it, so the truncated solutions are comparable cell by cell.
-    Levels are computed only as the caller asks for them, and each is
-    checked against the one before at every stop before it is yielded: a
-    ``monotonicity_defect`` beyond ``EXHAUSTION_SLACK`` is a scheme
-    inconsistency and raises ``NumericalFailure``.
+    Times and radii are checked at the call; levels are computed only as
+    the caller asks for them, and each is checked against the one before
+    at every stop before it is yielded: a ``monotonicity_defect`` beyond
+    ``EXHAUSTION_SLACK`` is a scheme inconsistency and raises
+    ``NumericalFailure``.
     """
-    sequence = np.ndim(t) > 0
-    stops = np.atleast_1d(t).tolist()
-    # tolist gives Python scalars; a bool is an int, but no time
-    if not stops or not all(type(s) in (int, float) and math.isfinite(s)
-                            and s > 0 for s in stops):
-        raise InvalidArgumentError(f"time must be positive and finite, got {t}")
-    ladder, indices = exhaustion_ladder(manifold, datum, float(max(stops)),
-                                        controls)
-    u0 = project_datum(datum, ladder)
-    steps: list[list[float]] = []
-    inner_R, inner = None, []  # the first level has nothing inside it
-    for idx in indices:
-        g = subgrid(ladder, idx)
-        op = assemble(g, manifold, DIRICHLET)
-        values = advance_states(op, u0[:idx], 0.0, t, controls, ladder=steps)
-        at_stops = values if sequence else [values]
-        for stop, a, b in zip(stops, inner, at_stops):
-            worst = monotonicity_defect(a, b)
-            if worst > EXHAUSTION_SLACK:
-                raise NumericalFailure(
-                    f"exhaustion monotonicity violated by {worst:.3e} between "
-                    f"R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
-        inner_R, inner = g.R, at_stops
-        yield g, values
+    stops = _stop_times(0.0, t, positive=True)
+    ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls)
+
+    def levels():
+        u0 = project_datum(datum, ladder)
+        steps: list[list[float]] = []
+        inner_R, inner = None, []  # the first level has nothing inside it
+        for idx in indices:
+            g = subgrid(ladder, idx)
+            op = assemble(g, manifold, DIRICHLET)
+            values = advance_states(op, u0[:idx], 0.0, t, controls, ladder=steps)
+            at_stops = values if np.ndim(t) > 0 else [values]
+            for stop, a, b in zip(stops, inner, at_stops):
+                worst = monotonicity_defect(a, b)
+                if worst > EXHAUSTION_SLACK:
+                    raise NumericalFailure(
+                        f"exhaustion monotonicity violated by {worst:.3e} "
+                        f"between R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
+            inner_R, inner = g.R, at_stops
+            yield g, values
+    return levels()

@@ -209,8 +209,9 @@ def test_criterion_7_validate_property_suite():
     started = time.perf_counter()
     out = validate(seed=0)
     wall = time.perf_counter() - started
-    failed = [row["property"] for row in out["properties"] if row["status"] != "pass"]
-    ok = (out["verdict"] == "confirms" and len(out["properties"]) == 7
+    rows = out["evidence"]["checks"]
+    failed = [row["property"] for row in rows if row["status"] != "pass"]
+    ok = (out["verdict"] == "confirms" and len(rows) == 7
           and not failed and wall < 120.0)
     assert report_line(
         "criterion 7 (validate suite)", ok,

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatlab.cli
 import heatlab.solver
@@ -233,22 +236,23 @@ def test_csv_floats_use_shortest_round_trip_style(tmp_path):
 def test_validate_passes_and_is_deterministic():
     out = validate(seed=0)
     assert out["verdict"] == "confirms"
-    assert len(out["properties"]) == 7
-    assert all(row["status"] == "pass" for row in out["properties"])
+    assert len(out["evidence"]["checks"]) == 7
+    assert all(row["status"] == "pass" for row in out["evidence"]["checks"])
     again = validate(seed=0)
-    assert [r["measured"] for r in again["properties"]] == \
-        [r["measured"] for r in out["properties"]]
+    assert [r["measured"] for r in again["evidence"]["checks"]] == \
+        [r["measured"] for r in out["evidence"]["checks"]]
 
 
 def test_validate_catches_planted_asymmetry():
     out = validate(seed=0, inject_asymmetry=True)
     assert out["verdict"] == "refutes"
-    bad = [r for r in out["properties"] if r["status"] == "fail"]
+    bad = [r for r in out["evidence"]["checks"] if r["status"] == "fail"]
     assert any(r["property"] == "operator_symmetry_rel" for r in bad)
 
 
 def _failing_rows(out):
-    return {r["property"] for r in out["properties"] if r["status"] == "fail"}
+    return {r["property"] for r in out["evidence"]["checks"]
+            if r["status"] == "fail"}
 
 
 def test_validate_catches_an_upward_biased_step(monkeypatch):
@@ -722,3 +726,71 @@ def test_config_echo_holds_only_keys_read(tmp_path, payload, keys, tolerances):
     assert set(echo) == keys
     assert echo.get("tolerances") == tolerances
     assert echo["controls"] == {"n_cells": 128, "step_tol": 1e-5}
+
+
+SAMPLES = {p.stem: json.loads(p.read_text())
+           for p in sorted(CONFIG_DIR.glob("*.json"))}
+MUTATIONS = ("type", "nan", "inf", "bool", "range", "drop", "unknown")
+
+
+def _mutated(cfg: dict, path: str, mutation: str) -> dict:
+    """A fast copy of sample ``cfg`` with the key at ``path`` mutated: at
+    most 64 cells at step_tol 1e-3 wherever the experiment reads them."""
+    cfg = json.loads(json.dumps(cfg))
+    if cfg["experiment"] in _KEYS["controls/n_cells"]["readers"]:
+        controls = cfg.setdefault("controls", {})
+        controls["n_cells"] = min(controls.get("n_cells", 64), 64)
+        controls["step_tol"] = 1e-3
+    key = _KEYS[path]
+    *parents, name = path.split("/")
+    section = cfg
+    for parent in parents:
+        section = section.setdefault(parent, {})
+    value = section.get(name, key.get("default"))
+    if mutation == "drop":
+        section.pop(name, None)
+    elif mutation == "unknown":
+        section[f"{name}_unknown"] = 1
+    elif mutation == "type":
+        section[name] = {"section": [], "list": 1.0}.get(key["type"], "text")
+    elif mutation in ("nan", "inf"):
+        bad = math.nan if mutation == "nan" else -math.inf
+        # a list carries the bad number as its first item
+        section[name] = ([bad, *value[1:]] if isinstance(value, list) and value
+                         else bad)
+    elif mutation == "bool":
+        section[name] = True
+    elif "above" in key or "below" in key:
+        section[name] = key.get("above", key.get("below"))
+    elif "least" in key:
+        section[name] = key["least"] - 1
+    elif key["type"] == "choice":
+        section[name] = 7
+    elif key["type"] == "list":
+        section[name] = (value or [])[:key["items"][0] - 1]
+    else:  # a number the table leaves unbounded, or a section or flag
+        section[name] = 1e300 if key["type"] == "number" else "text"
+    return cfg
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(SAMPLES)),
+       path=st.sampled_from(sorted(_KEYS)),
+       mutation=st.sampled_from(MUTATIONS))
+def test_exit_code_contract_under_mutated_configs(name, path, mutation):
+    # whatever one key holds, a run ends in 0, 2 or 3 and never raises;
+    # error.json exists exactly when a run stopped before its verdict
+    cfg = _mutated(SAMPLES[name], path, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        config.write_text(json.dumps(cfg))
+        code = run(str(config), str(out), threads=1)
+        assert code in (0, 2, 3)
+        error = out / "error.json"
+        if error.exists():
+            assert json.loads(error.read_text())["exit_code"] == code != 0
+        elif code != 0:
+            # the one exit without an error: validate's battery refuted
+            report = json.loads((out / "report.json").read_text())
+            assert (code, report["experiment"], report["verdict"]) == (
+                3, "validate", "refutes")

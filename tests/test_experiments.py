@@ -112,6 +112,21 @@ def test_degiorgi_needs_decreasing_times(euclid3, fast_controls):
     assert rep.verdict == "inconclusive"
 
 
+def test_degiorgi_with_two_times_reports_no_limit(euclid3):
+    # the guard row stops the fit: no stand-in limit, and no gap row that
+    # could pass on the raw variation of the last time
+    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0,))
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.01, 0.005], controls)
+    assert (rep.verdict, rep.finding) == ("inconclusive", "fewer than 3 times")
+    checks = rep.evidence["checks"]
+    assert checks[0] == check("extrapolation_points", 2, ">=", 3, "both")
+    assert [row["property"] for row in checks] == [
+        "extrapolation_points", "unconverged_exhaustion_stops"]
+    for key in ("extrapolated_limit", "relative_gap", "error_indicator"):
+        assert math.isnan(rep.fitted[key]), key
+    assert rep.fitted["exact_tv"] == pytest.approx(4 * math.pi, rel=1e-12)
+
+
 DEGIORGI_TIMES = (0.02, 0.01, 0.005, 0.0025)
 
 

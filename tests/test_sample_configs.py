@@ -68,24 +68,36 @@ def _verdict_from_rows(checks):
 
 
 def _recomputed_verdict(report):
-    if report["experiment"] == "validate":
-        return _verdict_from_rows(report["properties"])
-    if report["experiment"] != "blowup":
-        return _verdict_from_rows(report["evidence"]["checks"])
-    # blowup: one row list per t gives that t's finding, and the sweep
-    # holds a verdict only where every t agrees
-    per_t = [_verdict_from_rows(c) for c in report["evidence"]["checks"]]
-    named = {"confirms": "divergent", "refutes": "convergent"}
-    assert report["evidence"]["findings"] == [
-        named.get(v, "undetermined") for v in per_t]
-    return per_t[0] if len(set(per_t)) == 1 else "inconclusive"
+    checks = report["evidence"]["checks"]
+    if report["experiment"] == "blowup":
+        # one row list per t gives that t's finding, and the sweep's
+        # verdict is read from the rows of every t
+        named = {"confirms": "divergent", "refutes": "convergent"}
+        assert report["evidence"]["findings"] == [
+            named.get(_verdict_from_rows(c), "undetermined") for c in checks]
+        checks = [row for c in checks for row in c]
+    return _verdict_from_rows(checks)
+
+
+@pytest.fixture(scope="module")
+def sample_run(tmp_path_factory):
+    """Run a sample config once per module: name -> (exit code, out dir)."""
+    runs = {}
+
+    def ran(name):
+        if name not in runs:
+            out = tmp_path_factory.mktemp("samples") / name
+            runs[name] = (run(str(ROOT / "configs" / f"{name}.json"),
+                              str(out), threads=1), out)
+        return runs[name]
+    return ran
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_sample_config_verdict(tmp_path, name):
+def test_sample_config_verdict(sample_run, name):
     code, verdict, finding = EXPECTED[name]
-    out = tmp_path / name
-    assert run(str(ROOT / "configs" / f"{name}.json"), str(out), threads=1) == code
+    ran, out = sample_run(name)
+    assert ran == code
     moved = moved_outputs(name, out)
     assert not moved, f"{name} outputs moved: {moved}"
     if code != 0:
@@ -101,6 +113,41 @@ def test_sample_config_verdict(tmp_path, name):
         exact = PERIMETER[name]
         gap = abs(report["fitted"]["extrapolated_limit"] - exact) / exact
         assert gap <= report["config"]["tolerances"]["gap_rtol"]
+
+
+DRIVERS = ("degiorgi", "completeness", "blowup", "comparison", "tail")
+
+
+def _readme_rows():
+    """(experiment, property, relation, gate) of each driver's row in the
+    README's table under "How a verdict is decided"."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### How a verdict is decided")[1].split("\n#")[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        # each code cell opens with its name in backticks
+        names = [c.split("`")[1] if c.startswith("`") else c for c in cells]
+        if len(cells) == 5 and names[0] in DRIVERS:
+            rows.append((names[0], names[1], names[2], cells[4]))
+    return rows
+
+
+def test_readme_row_table_matches_the_sample_reports(sample_run):
+    carried = set()
+    for name, (code, _, _) in EXPECTED.items():
+        ran, out = sample_run(name)
+        report = json.loads((out / "report.json").read_text()) if code == 0 else {}
+        if report.get("experiment") in DRIVERS:
+            checks = report["evidence"]["checks"]
+            if report["experiment"] == "blowup":
+                checks = [row for c in checks for row in c]
+            carried |= {(report["experiment"], row["property"],
+                         row["relation"], row["gate"]) for row in checks}
+    documented = set(_readme_rows())
+    assert documented == carried, (
+        f"README only: {sorted(documented - carried)}; "
+        f"reports only: {sorted(carried - documented)}")
 
 
 def test_benchmark_tracer_still_finds_the_solver(tmp_path):

@@ -172,6 +172,10 @@ def test_first_stop_is_the_one_stop_run(euclid3):
     (0.0, [math.nan]),
     (0.0, math.nan),
     (0.0, []),
+    # True == 1 and False == 0, but a boolean is no time
+    (0.0, True),
+    (False, 0.5),
+    (False, [0.5, True]),
 ])
 def test_bad_stop_times_are_rejected(euclid3, t0, stops):
     controls, g, op, chi = _walk_setup(euclid3)
@@ -468,13 +472,27 @@ def test_exhaustion_levels_rejects_bad_time(euclid3):
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
     # True == 1, but a boolean is no time
     for t in (0.0, -0.01, math.nan, math.inf, True, [], [0.0, 0.01],
-              [0.01, math.inf]):
+              [0.01, math.inf], [True, 2.0]):
         with pytest.raises(InvalidArgumentError,
                            match="time must be positive and finite"):
             next(exhaustion_levels(euclid3, ball_indicator(1.0), t, controls))
     with pytest.raises(InvalidArgumentError, match="strictly increasing"):
         next(exhaustion_levels(euclid3, ball_indicator(1.0), [0.02, 0.01],
                                controls))
+
+
+def test_exhaustion_levels_checks_its_arguments_at_the_call(euclid3, pe4):
+    # a walk nobody iterates yet must still refuse what it cannot walk
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
+    with pytest.raises(InvalidArgumentError,
+                       match="time must be positive and finite"):
+        exhaustion_levels(euclid3, ball_indicator(1.0), 0.0, controls)
+    with pytest.raises(InvalidArgumentError,
+                       match="does not contain the datum"):
+        exhaustion_levels(euclid3, ball_indicator(2.5), 0.01, controls)
+    with pytest.raises(RangeError, match="overflow-safe radius"):
+        exhaustion_levels(pe4, ball_indicator(1.0), 0.01,
+                          replace(controls, exhaustion=(6.0,)))
 
 
 def test_semigroup_composition(euclid3):
