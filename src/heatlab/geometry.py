@@ -84,13 +84,14 @@ class RadialManifold:
         self._log_area_fn = log_area_fn
 
     def log_area(self, r):
-        """log A(r), elementwise; -inf at r = 0.  Never overflows."""
+        """log A(r), elementwise; -inf at r = 0.  Never warns: where A itself
+        is out of double range (a huge weight exponent) the log is +-inf."""
         arr = np.asarray(r, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InvalidArgumentError("radius must be finite")
         if np.any(arr < 0):
             raise InvalidArgumentError("radius must be nonnegative")
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             out = self._log_area_fn(arr)
         if arr.ndim == 0:
             return float(out)

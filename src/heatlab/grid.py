@@ -107,6 +107,11 @@ def grid_from_faces(manifold: RadialManifold, faces) -> Grid:
     if faces[0] != 0.0 or np.any(np.diff(faces) <= 0):
         raise InvalidArgumentError("faces must start at 0 and increase strictly")
     log_face_area = manifold.log_area(faces)
+    lost = np.flatnonzero(~np.isfinite(log_face_area[1:]))
+    if lost.size:
+        raise RangeError(
+            f"log face area at r={faces[lost[0] + 1]:.6g} is not finite: the "
+            f"weight is out of double range there")
     worst = manifold.log_sphere_constant + float(np.max(log_face_area))
     if worst > LOG_MAX_GRID:
         raise RangeError(

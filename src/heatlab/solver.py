@@ -13,23 +13,40 @@ doubling: a full step is compared against two half steps in the weighted L1
 norm, and the accepted state is always the two-half-step one, which
 preserves the maximum principle exactly rather than up to an extrapolation
 residual.
+
+Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
+``dpttrs``, the only routines heatlab takes from scipy.  They come from
+scipy's compiled ``scipy/linalg/_flapack`` extension, loaded on its own:
+importing ``scipy.linalg`` would run its package init, which loads
+numpy.testing, numpy.f2py and more, 0.25 s of a 0.53 s start-up.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  unused; perfbench/spans.py wraps this name
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import RadialBVDatum, RadialManifold, LOG_MAX_GRID
 from .grid import Grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
+
+_LAPACK_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+_spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+                                                 [_LAPACK_DIR])
+if _spec is None:
+    raise ImportError(f"scipy's LAPACK extension _flapack not found in {_LAPACK_DIR}")
+_flapack = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_flapack)
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 # exhaustion solutions must increase with R up to this roundoff slack
 EXHAUSTION_SLACK = 1e-10
@@ -316,6 +333,8 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     if r_top > r1 * (1 + 1e-12):
         width = r1 / controls.n_cells
         n_extra = int(math.ceil((r_top - r1) / width - 1e-9))
+        while r1 + width * n_extra > safe:  # the last face stays overflow-safe
+            n_extra -= 1
         faces.extend(r1 + width * np.arange(1, n_extra + 1))
     ladder = grid_from_faces(manifold, np.asarray(faces))
 
@@ -376,3 +395,12 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
             inner_R, inner = g.R, at_stops
             yield g, values
     return levels()
+
+
+def __getattr__(name):
+    # perfbench shim until ROADMAP item 11: perfbench/spans.py wraps
+    # heatlab.solver.solve_banded by name, which no step calls
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

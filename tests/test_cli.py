@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import heatlab.cli
 import heatlab.solver
-from heatlab import (InvalidArgumentError, SolveControls, euclidean,
+from heatlab import (InvalidArgumentError, SolveControls, constant_one,
+                     euclidean, exhaustion_ladder, overflow_safe_radius,
                      power_exp_weight, sphere_constant)
 from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, _dumps, load_config,
                          main, run, validate)
@@ -220,6 +221,37 @@ def test_completeness_cli(tmp_path):
     assert report["finding"] == "complete"
     header = (out / "completeness.csv").read_bytes().split(b"\r\n")[0].decode()
     assert header == "R,m_at_0"
+
+
+@pytest.mark.parametrize("n_cells", [64, 100])
+def test_coarse_ladder_stays_inside_the_overflow_safe_radius(tmp_path, n_cells):
+    # whole cells beyond the first radius once rounded the last face past the
+    # overflow-safe radius, and the automatic plan exited 3 on exp(+r^4)
+    payload = json.loads((CONFIG_DIR / "completeness_superexp.json").read_text())
+    payload["controls"]["n_cells"] = n_cells
+    assert run(write_config(tmp_path, "c.json", payload), str(tmp_path / "out")) == 0
+    manifold = power_exp_weight(4, 1, 3)
+    ladder, _ = exhaustion_ladder(manifold, constant_one(), payload["t"],
+                                  SolveControls(n_cells=n_cells))
+    assert ladder.faces[-1] <= overflow_safe_radius(manifold)
+
+
+@pytest.mark.parametrize("sign, message", [
+    (-1, "log face area at r=1.00391 is not finite"),
+    (1, "truncation radius 4 exceeds the overflow-safe radius 1 "),
+], ids=["underflow", "overflow"])
+def test_huge_weight_power_is_a_clean_range_error(tmp_path, sign, message):
+    # exp(+-r^1e300) leaves double range just past r = 1: exit 3 naming
+    # where, with no numpy warning on the way
+    payload = json.loads((CONFIG_DIR / "degiorgi_gaussian.json").read_text())
+    payload["manifold"]["params"] = {"power": 1e300, "sign": sign}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(write_config(tmp_path, "c.json", payload), str(out)) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "RangeError"
+    assert err["message"].startswith(message)
 
 
 def test_csv_floats_use_shortest_round_trip_style(tmp_path):
@@ -773,6 +805,7 @@ def _mutated(cfg: dict, path: str, mutation: str) -> dict:
     return cfg
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300)
 @given(name=st.sampled_from(sorted(SAMPLES)),
        path=st.sampled_from(sorted(_KEYS)),

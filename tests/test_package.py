@@ -11,10 +11,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ROOT = SRC.parent
 
 # imported names that nothing reads, each kept for the reason given
-UNREAD_IMPORTS_KEPT = {
-    ("src/heatlab/solver.py", "solve_banded"):
-        "perfbench wraps heatlab.solver.solve_banded by name",
-}
+UNREAD_IMPORTS_KEPT: dict[tuple[str, str], str] = {}
+# start-up weight a run never needs: scipy.linalg's package init loads
+# numpy.testing and numpy.f2py (about 0.25 s), the three scipy modules cost
+# about 0.35 s, and the config table replaced jsonschema (0.06 s)
+NOT_LOADED = {"scipy.linalg", "numpy.testing", "numpy.f2py",
+              "scipy.interpolate", "scipy.special", "scipy.integrate",
+              "jsonschema"}
 
 
 def test_every_public_name_resolves():
@@ -24,9 +27,8 @@ def test_every_public_name_resolves():
 
 
 def test_cli_import_loads_no_scipy_extras_or_jsonschema(tmp_path):
-    # start-up time: the three scipy modules cost about 0.35 s and most runs
-    # need none; the config table replaced jsonschema, which cost 0.06 s.
-    # The comparison barrier is closed-form, so its run needs no quadrature
+    # the solver loads LAPACK's dpttrf/dpttrs without scipy.linalg, and the
+    # comparison barrier is closed-form, so its run needs no quadrature
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import heatlab.cli; "
             "loaded = list(sys.modules); "
             "status = heatlab.cli.run(sys.argv[2], sys.argv[3]); "
@@ -38,11 +40,49 @@ def test_cli_import_loads_no_scipy_extras_or_jsonschema(tmp_path):
     *_, imported, ran = done.stdout.splitlines()
     loaded = set(imported.split())
     assert "heatlab.cli" in loaded
-    assert not loaded & {"scipy.interpolate", "scipy.special",
-                         "scipy.integrate", "jsonschema"}
+    assert not loaded & NOT_LOADED
     status, *after = ran.split()
     assert status == "0" and "heatlab.experiments" in after
-    assert "scipy.integrate" not in after
+    assert not set(after) & NOT_LOADED
+
+
+def test_solver_lapack_is_scipy_linalg_lapack():
+    # imported after heatlab, scipy.linalg must hand out the same routines,
+    # and the benchmark's solve_banded name must still resolve to scipy's
+    code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import heatlab.cli
+from heatlab import solver
+import scipy.linalg
+from scipy.linalg import lapack
+
+rng = np.random.default_rng(7)
+d, e, b = 4.0 + rng.random(50), rng.random(49), rng.random((50, 2))
+ours = solver.dpttrf(d, e)
+theirs = lapack.dpttrf(d, e)
+assert all(np.array_equal(x, y) for x, y in zip(ours, theirs)), "dpttrf"
+x, info = solver.dpttrs(*ours[:2], b)
+y, info_theirs = lapack.dpttrs(*theirs[:2], b)
+assert info == info_theirs == 0 and x.tobytes() == y.tobytes(), "dpttrs"
+assert solver.solve_banded is scipy.linalg.solve_banded
+"""
+    subprocess.run([sys.executable, "-c", code, str(SRC)], check=True)
+
+
+def test_missing_lapack_extension_fails_at_import(tmp_path):
+    # a scipy without its compiled linalg/_flapack stops the import, naming
+    # the directory searched
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    code = ("import sys; sys.path[:0] = sys.argv[1:]; import heatlab.solver")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(SRC)],
+                          capture_output=True, text=True)
+    assert done.returncode != 0
+    assert done.stderr.rstrip().splitlines()[-1] == (
+        "ImportError: scipy's LAPACK extension _flapack not found in "
+        f"{tmp_path / 'scipy' / 'linalg'}")
 
 
 def unread_imports(source: str) -> list[str]:
