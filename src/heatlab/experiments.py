@@ -24,8 +24,8 @@ from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
                        power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (SolveControls, advance_states, exhaustion_levels,
-                     overflow_safe_radius, project_datum)
+from .solver import (SolveControls, advance_states, evolve,
+                     exhaustion_levels, overflow_safe_radius)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -206,35 +206,14 @@ def completeness_probe(manifold: RadialManifold, t: float,
         evidence={"rows": rows, "checks": checks})
 
 
-def _complement_states(manifold: RadialManifold, r0: float, stops,
-                       R_solve: float, R_base: float, controls: SolveControls):
-    """Evolve [constant, ball] jointly through the stop times (increasing).
-
-    Returns the grid and one (mass values, ball values) pair per stop.  The
-    complement datum is never evolved directly; subtracting bounded
-    evolutions keeps the linearity identity exact in the discrete scheme.
-    controls.n_cells counts cells up to R_base; the count scales with the
-    enlarged solve radius.
-    """
-    n_solve = max(controls.n_cells,
-                  int(math.ceil(controls.n_cells * R_solve / R_base)))
-    g = build_grid(manifold, R_solve, n_solve, (r0,))
-    op = assemble(g, manifold, DIRICHLET)
-    ball = project_datum(ball_indicator(g.faces[g.face_index(r0)]), g)
-    states = advance_states(op, np.stack([np.ones(g.N), ball], axis=1), 0.0,
-                            stops, controls)
-    return g, [(s[:, 0], s[:, 1]) for s in states]
-
-
-def _blowup_at(manifold: RadialManifold, g, mass_values: np.ndarray,
-               ball_values: np.ndarray, t: float, r_used: list,
-               noise_floor_q: float) -> tuple[tuple, dict, list]:
+def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, t: float,
+               r_used: list, noise_floor_q: float) -> tuple[tuple, dict, list]:
     """(rows, fitted, checks) at one time from the evolved [constant, ball]."""
-    comp = mass_values - ball_values
+    comp = state[:, 0] - state[:, 1]
     terms = functionals.face_variation_terms(comp, g, manifold)
 
     flux_comp = functionals.flux_profile(comp, g)
-    flux_mass = functionals.flux_profile(mass_values, g)
+    flux_mass = functionals.flux_profile(state[:, 0], g)
 
     tv_values = []
     for snapped in r_used:
@@ -280,15 +259,16 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     """Truncated variation growth of a ball's complement over a time ladder.
 
     One trajectory of [constant, ball] runs through every time in ``t_list``
-    on a domain extending max(2, 8*sqrt(max t)) past max(R_list), capped at
-    the overflow-safe radius; the complement state follows by linearity, and
-    its variation is accumulated up to each requested radius.  Divergence at
+    on the ball ``solver.evolve`` walls off past max(R_list), with
+    ``n_cells`` cells inside min(R_list) and its notes under
+    ``fitted.notes``; the complement state follows by linearity, and its
+    variation is accumulated up to each requested radius.  Divergence at
     a time requires all of: strictly increasing TV_R, least-squares slope at
     or above the slope threshold (0.05 * TV at the largest radius over the
     R_list span), mass-function flux nondecreasing within 1e-8, and
     complement flux at the largest radius at or above the q threshold.  The
-    q threshold is 10x the flux a matched flat-space trajectory (same
-    margin, no cap) leaves at the same radius (its noise floor); on flat
+    q threshold is 10x the flux a matched flat-space trajectory (whose wall
+    is never capped) leaves at the same radius (its noise floor); on flat
     space the run is its own floor.  Convergence requires instead that the
     last TV step stays within ``STABILIZE_RTOL`` of the last TV and the flux
     at the largest radius below the q threshold.
@@ -314,24 +294,21 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         raise RangeError(
             f"R_max={radii[-1]:.6g} exceeds the overflow-safe radius "
             f"{safe:.6g}; reduce R_max")
-    margin = max(2.0, 8.0 * math.sqrt(ts[0]))
-    stops = ts[::-1]
-
-    g, states = _complement_states(manifold, r0, stops,
-                                   min(radii[-1] + margin, safe), radii[0],
-                                   controls)
+    data, stops = (constant_one(), ball_indicator(r0)), ts[::-1]
+    g, states, notes = evolve(manifold, data, radii[-1], stops, controls,
+                              R_cells=radii[0])
     r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
               for r in radii]
     gf, flat_states = g, states
     if manifold.family != "euclidean":
-        gf, flat_states = _complement_states(
-            euclidean(manifold.dimension), r0, stops, radii[-1] + margin,
-            radii[0], controls)
-    floors = [abs(functionals.flux_profile(mf - bf, gf).at(r_used[-1]))
-              for mf, bf in flat_states]
+        gf, flat_states, _ = evolve(euclidean(manifold.dimension), data,
+                                    radii[-1], stops, controls,
+                                    R_cells=radii[0])
+    floors = [abs(functionals.flux_profile(s[:, 0] - s[:, 1], gf)
+                  .at(r_used[-1])) for s in flat_states]
     rows, fitted, checks = zip(*(
-        _blowup_at(manifold, g, mass, ball, t, r_used, floor)
-        for t, (mass, ball), floor in zip(ts, states[::-1], floors[::-1])))
+        _blowup_at(manifold, g, state, t, r_used, floor)
+        for t, state, floor in zip(ts, states[::-1], floors[::-1])))
 
     findings = [decide(c, ("divergent", "convergent", "undetermined"))[1]
                 for c in checks]
@@ -349,7 +326,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         experiment="blowup", manifold=manifold.describe(),
         controls=asdict(controls),
         series={f"blowup_t{i}": r for i, r in enumerate(rows)},
-        fitted={"per_t": list(fitted), "summary": summary},
+        fitted={"per_t": list(fitted), "summary": summary, "notes": notes},
         verdict=verdict, finding=finding,
         evidence={"findings": list(findings), "checks": list(checks)})
 
@@ -423,10 +400,10 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
                t_list, controls: SolveControls) -> ExperimentReport:
     """Fit of the variation mass beyond a fixed radius against 1/t.
 
-    One trajectory runs through every time on a single domain extending
-    max(2, 8*sqrt(max t)) past R_out (capped at the overflow-safe radius,
-    with a note; an R_out at or beyond that radius is a RangeError), and the
-    variation over faces beyond R_out is recorded at each time.  Only the
+    One trajectory runs through every time on the ball ``solver.evolve``
+    walls off past R_out (``n_cells`` cells in all; an R_out at or beyond
+    the overflow-safe radius is a RangeError), and the variation over faces
+    beyond R_out is recorded at each time.  Only the
     maximal small-t run of strictly decreasing tails enters the fit (earlier
     times are pre-asymptotic); underflowed tails are dropped with a note.
     The fit is log(tail) = log(C) - c/t by least squares; confirmation
@@ -446,18 +423,10 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
             f"R_out={R_out:.6g} reaches the overflow-safe radius {safe:.6g}; "
             f"reduce R_out")
 
-    notes = []
-    R_solve = R_out + max(2.0, 8.0 * math.sqrt(ts[0]))
-    if R_solve > safe:
-        R_solve = safe
-        notes.append(f"solve radius capped at {safe:.6g}")
-    g = build_grid(manifold, R_solve, controls.n_cells, datum.jump_radii)
-    op = assemble(g, manifold, DIRICHLET)
-    states = advance_states(op, project_datum(datum, g), 0.0, ts[::-1],
-                            controls)
+    g, states, notes = evolve(manifold, (datum,), R_out, ts[::-1], controls)
     rows = []
-    for t, values in zip(ts, reversed(states)):
-        terms = functionals.face_variation_terms(values, g, manifold)
+    for t, state in zip(ts, reversed(states)):
+        terms = functionals.face_variation_terms(state[:, 0], g, manifold)
         tail = math.fsum(terms[g.faces[1:-1] > R_out])
         rows.append({"t": t, "tail": tail, "fit_residual": None})
 

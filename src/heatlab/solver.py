@@ -36,7 +36,7 @@ import scipy
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import RadialBVDatum, RadialManifold, LOG_MAX_GRID
-from .grid import Grid, face_ladder, grid_from_faces, subgrid
+from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
 _LAPACK_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
@@ -69,9 +69,9 @@ class SolveControls:
     truncation radii or None for the automatic policy, which plans up to
     ``MAX_EXHAUSTION`` levels in increments of max(1, 4*sqrt(t)) beyond the
     datum; each experiment stops walking them by its own rule once its
-    readings have settled.  ``n_cells`` is the cell count inside
-    the first truncation radius; larger radii extend the same face ladder at
-    the same local spacing.
+    readings have settled.  ``n_cells`` counts the cells inside the first
+    truncation radius (degiorgi, completeness), min(R_list) (blowup), the
+    whole solve ball (tail) or R (comparison); larger radii keep the spacing.
     """
 
     step_tol: float = 1e-6
@@ -281,6 +281,35 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
         else:
             hi = mid
     return lo
+
+
+def evolve(manifold: RadialManifold, data, R_read: float, stops,
+           controls: SolveControls, R_cells: float | None = None):
+    """Evolve radial data jointly through increasing stop times on one ball.
+
+    The Dirichlet wall sits max(2, 8*sqrt(last stop)) past ``R_read``,
+    capped at the overflow-safe radius with a note; ``controls.n_cells``
+    cells fill ``R_cells`` (default: the wall) at one spacing out to the
+    wall, and every jump radius is a face.  Returns the grid, the stacked
+    (N, len(data)) states at the stops and the notes.  A grid with no
+    interior face beyond ``R_read`` is a RangeError: nothing there is read.
+    """
+    stops = _stop_times(0.0, stops, positive=True)
+    safe = overflow_safe_radius(manifold)
+    wanted = R_read + max(2.0, 8.0 * math.sqrt(stops[-1]))
+    R = min(wanted, safe)
+    notes = [f"solve radius capped at {safe:.6g}"] if wanted > safe else []
+    n = controls.n_cells
+    if R_cells is not None:
+        n = max(n, int(math.ceil(n * R / R_cells)))
+    g = build_grid(manifold, R, n, {r for d in data for r in d.jump_radii})
+    if g.faces[-2] <= R_read:
+        raise RangeError(
+            f"no interior face lies beyond the reading radius {R_read:.6g} "
+            f"before the wall at {R:.6g}; reduce it or raise n_cells")
+    op = assemble(g, manifold, DIRICHLET)
+    u0 = np.stack([project_datum(d, g) for d in data], axis=1)
+    return g, advance_states(op, u0, 0.0, stops, controls), notes
 
 
 def exhaustion_radii(base: float, t: float, safe: float,

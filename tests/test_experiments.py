@@ -417,7 +417,7 @@ def test_blowup_sweep_flat_space_limit(euclid3):
     assert abs(limit - 4 * math.pi) < 0.01 * 4 * math.pi
 
 
-def _count_trajectories(monkeypatch, module=heatlab.experiments):
+def _count_trajectories(monkeypatch, module):
     calls = []
     advance = module.advance_states
 
@@ -433,7 +433,7 @@ def test_blowup_sweep_evolves_one_trajectory(pe4, euclid3, monkeypatch):
     # the [constant, ball] pair runs once through every t; off flat space a
     # flat noise-floor companion runs once more, on flat space none
     controls = SolveControls(n_cells=128, step_tol=1e-5)
-    calls = _count_trajectories(monkeypatch)
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
     rep = blowup_sweep(pe4, 1.0, (0.1, 0.05), (2.0, 3.0, 4.0), controls)
     assert rep.finding == "divergent"
     assert calls == [[0.05, 0.1], [0.05, 0.1]]
@@ -443,7 +443,7 @@ def test_blowup_sweep_evolves_one_trajectory(pe4, euclid3, monkeypatch):
 
 
 def test_tail_probe_evolves_one_trajectory(euclid3, monkeypatch):
-    calls = _count_trajectories(monkeypatch)
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
     tail_probe(euclid3, ball_indicator(1.0), 2.0, (0.05, 0.04, 0.03),
                SolveControls(n_cells=128, step_tol=1e-5))
     assert calls == [[0.03, 0.04, 0.05]]
@@ -540,11 +540,53 @@ def test_tail_requires_margin(euclid3, fast_controls):
 def test_tail_beyond_safe_radius_is_range_error(pe4, monkeypatch):
     # exp(+r^4) overflows past r = 5.13, so no face beyond R_out = 5.5
     # exists to carry a tail; the probe must refuse before any solve
-    calls = _count_trajectories(monkeypatch)
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
     with pytest.raises(RangeError, match="R_out=5.5"):
         tail_probe(pe4, ball_indicator(2.0), 5.5, (0.05, 0.04, 0.03),
                    SolveControls(n_cells=128, step_tol=1e-5))
     assert calls == []
+
+
+def test_tail_without_a_face_beyond_R_out_is_range_error(pe4, monkeypatch):
+    # R_out = 5.12 lies inside the safe radius 5.133, but at 128 cells over
+    # the capped ball the last interior face sits at 5.093: no face beyond
+    # R_out carries a tail, which once read as three underflowed zeros
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
+    with pytest.raises(RangeError, match="no interior face"):
+        tail_probe(pe4, ball_indicator(2.0), 5.12, (0.05, 0.04, 0.03),
+                   SolveControls(n_cells=128, step_tol=1e-5))
+    assert calls == []
+
+
+def test_blowup_beyond_safe_radius_is_range_error(pe4, monkeypatch):
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
+    with pytest.raises(RangeError, match="R_max=6"):
+        blowup_sweep(pe4, 1.0, (0.1,), (2.0, 6.0),
+                     SolveControls(n_cells=64, step_tol=1e-5))
+    assert calls == []
+
+
+def test_blowup_without_a_face_beyond_R_max_is_range_error(pe4, monkeypatch):
+    # R_max = 5.13 snapped onto the capped wall at 5.133 itself, the one
+    # face that reads no variation, and the sweep confirmed divergence
+    calls = _count_trajectories(monkeypatch, heatlab.solver)
+    with pytest.raises(RangeError, match="no interior face"):
+        blowup_sweep(pe4, 1.0, (0.1,), (2.0, 5.13),
+                     SolveControls(n_cells=64, step_tol=1e-5))
+    assert calls == []
+
+
+def test_blowup_notes_a_capped_wall(pe4, euclid3):
+    # exp(+r^4) caps the wall at the safe radius, 0.13 past R_max = 5
+    # where the margin asks for 2.53; flat space never caps
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    safe = overflow_safe_radius(pe4)
+    rep = blowup_sweep(pe4, 1.0, (0.1,), (2.0, 5.0), controls)
+    assert rep.fitted["notes"] == [f"solve radius capped at {safe:.6g}"]
+    assert rep.fitted["per_t"][0]["R_solve"] == safe
+    flat = blowup_sweep(euclid3, 1.0, (0.1,), (2.0, 5.0), controls)
+    assert flat.fitted["notes"] == []
+    assert flat.fitted["per_t"][0]["R_solve"] == 5.0 + 8.0 * math.sqrt(0.1)
 
 
 def test_tail_too_few_points_is_inconclusive(euclid3):

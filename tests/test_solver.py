@@ -22,6 +22,7 @@ from heatlab import (
     ball_indicator,
     build_grid,
     constant_one,
+    evolve,
     exhaustion_levels,
     grid_from_faces,
     overflow_safe_radius,
@@ -148,6 +149,24 @@ def test_stacked_columns_stay_linear(euclid3):
     for t, out in zip([0.1, *stops], outs):
         gap = np.max(np.abs(out[:, 2] - (out[:, 0] - out[:, 1])))
         assert gap < 1e-12, f"linear identity broken by {gap:.3e} at t={t}"
+
+
+def test_evolve_places_the_wall_and_counts_the_cells(euclid3, pe4):
+    # the wall sits max(2, 8 sqrt(last stop)) past the reading radius;
+    # n_cells fills the whole ball, or R_cells at one spacing to the wall
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    data = (constant_one(), ball_indicator(1.0))
+    g, states, notes = evolve(euclid3, data, 3.0, [0.01, 0.25], controls)
+    assert (g.R, g.N, notes) == (7.0, 64, [])
+    assert [s.shape for s in states] == [(64, 2), (64, 2)]
+    assert 1.0 in g.faces
+    g, _, _ = evolve(euclid3, data, 3.0, [0.01], controls, R_cells=2.0)
+    assert (g.R, g.N) == (5.0, 160)
+    safe = overflow_safe_radius(pe4)
+    g, _, notes = evolve(pe4, data, 4.5, [0.01], controls)
+    assert (g.R, notes) == (safe, [f"solve radius capped at {safe:.6g}"])
+    with pytest.raises(RangeError, match="no interior face"):
+        evolve(pe4, data, 5.12, [0.01], controls)
 
 
 def test_first_stop_is_the_one_stop_run(euclid3):
