@@ -12,7 +12,11 @@ which indicator data require).  The step size is controlled by step
 doubling: a full step is compared against two half steps in the weighted L1
 norm, and the accepted state is always the two-half-step one, which
 preserves the maximum principle exactly rather than up to an extrapolation
-residual.
+residual.  Every proposed step rounds down onto the lattice
+``DT_INIT * 2^(k / STEP_LATTICE)``, on which half a step is the step one
+octave down, and each ``advance_states`` call factors every step size once,
+so a trajectory holds a few dozen factors instead of refactoring on every
+attempt.  Only a step clipped onto a stop time leaves the lattice.
 
 Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
 ``dpttrs``, the only routines heatlab takes from scipy.  They come from
@@ -23,6 +27,7 @@ numpy.testing, numpy.f2py and more, 0.25 s of a 0.53 s start-up.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -54,6 +59,9 @@ EXHAUSTION_SLACK = 1e-10
 # and the attempt budget of one trajectory
 DT_INIT = 1e-7
 DT_GROWTH = 1.5
+# steps per octave of the step lattice DT_INIT * 2^(k / STEP_LATTICE)
+STEP_LATTICE = 4
+_LATTICE_BASE = tuple(2.0 ** (j / STEP_LATTICE) for j in range(STEP_LATTICE))
 DT_MIN = 1e-13
 MAX_STEPS = 500_000
 # automatic exhaustion: the most levels one walk plans
@@ -133,6 +141,20 @@ def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarra
     return lambda u: dpttrs(d, e, (w if u.ndim == 1 else w[:, None]) * u, 1)[0]
 
 
+def _lattice_step(h: float) -> float:
+    """The largest lattice step size at most ``h``."""
+    def size(k: int) -> float:
+        # one base per octave times a power of two, so half of size(k) is
+        # bitwise size(k - STEP_LATTICE): a half step reuses a cached factor
+        return DT_INIT * _LATTICE_BASE[k % STEP_LATTICE] * 2.0 ** (k // STEP_LATTICE)
+
+    # the logarithm may round across a lattice point: start one above it
+    k = math.floor(STEP_LATTICE * math.log2(h / DT_INIT)) + 1
+    while size(k) > h:
+        k -= 1
+    return size(k)
+
+
 def _stop_times(t0, t1, positive: bool = False) -> list[float]:
     """The stops of ``t1``, one time or a strictly increasing sequence, from
     ``t0`` on.  t0 and each stop must be a finite real number and no boolean
@@ -165,6 +187,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     as weights, no area factor) between one full step and two half steps,
     relative to each column's own profile norm; the worst column must meet
     ``controls.step_tol``, and the half-step result is the one accepted.
+    The controller's proposal rounds down onto the step lattice (never a
+    longer step), and the call caches one factorization per step size, so
+    a half step reuses the full step one octave down.
     The area weight stays out of the controller on purpose: cells of huge
     measure would otherwise pin the step size to their own stiff decay,
     which the implicit scheme damps stably anyway, while every reported
@@ -175,9 +200,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     ``t1`` is the end time, or a strictly increasing sequence of stop times;
     then one trajectory runs through all of them and the states at the stops
     are returned as a list.  A step that would cross a stop is clipped onto
-    it, and after the stop stepping resumes from the step size proposed
-    before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory;
-    replayed steps count toward it too.
+    it, off the lattice, and after the stop stepping resumes from the step
+    size proposed before the clip.  ``MAX_STEPS`` attempts bound the whole
+    trajectory; replayed steps count toward it too.
 
     ``ladder`` is the step ladder: one list of accepted step sizes per stop
     time (the steps from the previous stop up to that one).  An empty list
@@ -206,6 +231,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     def column_l1(arr: np.ndarray) -> np.ndarray:
         return np.add.reduce(widths * np.abs(arr.reshape(op.grid.N, -1)), axis=0)
 
+    # one factorization per step size, kept for this call only
+    factor = functools.cache(lambda dt: _factor(op, dt))
+
     t = t0
     dt = DT_INIT
     iterations = 0
@@ -232,13 +260,16 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                     f"the budget of {MAX_STEPS} steps (reached t={t})" if replay
                     else f"step tolerance {controls.step_tol} unreachable within "
                     f"{MAX_STEPS} iterations (reached t={t}, dt={dt})")
-            h = segment[taken] if replay else min(dt, stop - t)
+            h = segment[taken] if replay else _lattice_step(dt)
+            clipped = not replay and stop - t < h
+            if clipped:
+                h = stop - t
             # both half steps solve with I - (h/2) L: one factor serves both
-            half = _factor(op, 0.5 * h)
+            half = factor(0.5 * h)
             mid = half(u)
             fine = half(mid)
             if not replay:
-                coarse = _factor(op, h)(u)
+                coarse = factor(h)(u)
                 err = float((column_l1(coarse - fine)
                              / np.maximum(column_l1(fine), 1e-300)).max())
                 if not (err <= controls.step_tol or h <= DT_MIN):
@@ -246,7 +277,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
                              DT_MIN)
                     continue
                 segment.append(h)
-                if h >= dt:  # a step clipped onto the stop keeps the proposal
+                if not clipped:  # a step clipped onto the stop keeps the proposal
                     grow = DT_GROWTH
                     if err > 0:
                         grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
@@ -276,6 +307,8 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
     lo, hi = 0.0, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: nothing moves any more
+            break
         if fits(mid):
             lo = mid
         else:

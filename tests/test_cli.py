@@ -327,7 +327,7 @@ def test_validate_solve_count(monkeypatch):
 
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
     assert validate(seed=0)["verdict"] == "confirms"
-    assert solves[0] == 18_878
+    assert solves[0] == 20_629
 
 
 def test_validate_cli_exit_codes(tmp_path, capsys):

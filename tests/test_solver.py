@@ -32,6 +32,7 @@ from heatlab import (
     weighted_sum,
 )
 from heatlab.experiments import degiorgi_sweep
+from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
                       record_walk)
 
@@ -240,7 +241,9 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
         assert np.array_equal(again, u), "replay path differs from independent steps"
 
 
-def test_one_band_per_half_step_pair(euclid3, monkeypatch):
+def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
+    # a trajectory factors each step size once: the recorded steps h and
+    # their halves h/2, which the lattice makes largely the same sizes
     controls, g, op, chi = _walk_setup(euclid3)
     counts = {"band": 0, "solve": 0}
     band, solve = WeightedOperator.banded, heatlab.solver.dpttrs
@@ -257,12 +260,57 @@ def test_one_band_per_half_step_pair(euclid3, monkeypatch):
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting_solve)
     ladder = []
     advance_states(op, chi, 0.0, 0.01, controls, ladder=ladder)
-    attempts, rest = divmod(counts["solve"], 3)
-    assert rest == 0 and attempts >= len(ladder[0]) > 0
-    assert counts["band"] == 2 * attempts
+    steps = ladder[0]
+    # this run rejects no attempt, so every factored size is a recorded one
+    assert counts["solve"] == 3 * len(steps) > 0
+    halves = {0.5 * h for h in steps}
+    assert counts["band"] == len(set(steps) | halves) < len(steps)
+    # a replay solves only with the half steps, once per distinct size
     counts.update(band=0, solve=0)
     advance_states(op, chi, 0.0, 0.01, controls, ladder=ladder)
-    assert counts == {"band": len(ladder[0]), "solve": 2 * len(ladder[0])}
+    assert counts == {"band": len(halves), "solve": 2 * len(steps)}
+
+
+def _lattice_size(k: int) -> float:
+    m = heatlab.solver.STEP_LATTICE
+    base = [2 ** (j / m) for j in range(m)]
+    return heatlab.solver.DT_INIT * base[k % m] * 2.0 ** (k // m)
+
+
+def _on_lattice(h: float) -> bool:
+    m = heatlab.solver.STEP_LATTICE
+    k = round(m * math.log2(h / heatlab.solver.DT_INIT))
+    return any(h == _lattice_size(j) for j in (k - 1, k, k + 1))
+
+
+@pytest.mark.parametrize("step_tol", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("stops", [0.01, [0.004, 0.01], [0.002, 0.0051, 0.01]])
+def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops):
+    # every recorded step is a lattice size or ends exactly on its stop,
+    # and the lattice size taken is the largest one within the proposal
+    controls, g, op, chi = _walk_setup(euclid3)
+    proposals = []
+    snap = heatlab.solver._lattice_step
+
+    def recording(dt):
+        proposals.append((dt, snap(dt)))
+        return proposals[-1][1]
+
+    monkeypatch.setattr(heatlab.solver, "_lattice_step", recording)
+    ladder = []
+    advance_states(op, chi, 0.0, stops, replace(controls, step_tol=step_tol),
+                   ladder=ladder)
+    m = heatlab.solver.STEP_LATTICE
+    for dt, h in proposals:
+        assert _on_lattice(h) and h <= dt < _lattice_size(
+            round(m * math.log2(h / heatlab.solver.DT_INIT)) + 1), (dt, h)
+    t, stops = 0.0, np.atleast_1d(stops)
+    lattice = {h for _, h in proposals}
+    for stop, segment in zip(stops, ladder):
+        for i, h in enumerate(segment):
+            if h not in lattice:  # clipped: the last step, onto the stop
+                assert i == len(segment) - 1 and t + h == stop, (t, h, stop)
+            t = t + h
 
 
 def test_record_and_replay_are_identical(euclid3):
@@ -375,6 +423,40 @@ def test_overflow_safe_radius_values(euclid3, pe4):
     build_grid(pe4, safe, 64)
     with pytest.raises(RangeError):
         build_grid(pe4, safe * 1.01, 64)
+
+
+def _bisected_safe_radius(manifold) -> float:
+    # overflow_safe_radius as it was: the bisection always ran 200 steps
+    def fits(r):
+        return manifold.log_sphere_constant + manifold.log_area(r) <= LOG_MAX_GRID
+
+    if fits(1e6):
+        return math.inf
+    lo, hi = 0.0, 1e6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("manifold", [euclidean(3), power_exp_weight(4, 1, 3),
+                                      power_exp_weight(3, 1, 3)], ids=repr)
+def test_safe_radius_bisection_stops_when_the_bracket_closes(manifold, monkeypatch):
+    # after about 70 halvings lo and hi are adjacent floats and nothing moves
+    full = _bisected_safe_radius(manifold)
+    calls = [0]
+    log_area = manifold.log_area
+
+    def counting(r):
+        calls[0] += 1
+        return log_area(r)
+
+    monkeypatch.setattr(manifold, "log_area", counting)
+    assert overflow_safe_radius(manifold) == full
+    assert calls[0] <= 80
 
 
 def test_exhaustion_probes_grow_with_radius(euclid3, monkeypatch):
