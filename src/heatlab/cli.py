@@ -363,19 +363,19 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     ones = np.ones(g.N)
     ball0 = project_datum(ball, g)
     triple = np.stack([ones, ball0, ones - ball0], axis=1)
-    out = advance_states(op, triple, 0.0, 0.05, controls, observer=track)
+    (out,) = advance_states(op, triple, [0.05], controls, observer=track)
     add("max_principle_defect", max(0.0, -bounds[0], bounds[1] - 1.0), 1e-12)
 
     # the first exhaustion level's state at 0.05 is also the one-shot leg of
-    # the semigroup identity, staged through 0.03 on that level's grid
-    (g1, direct), (_, outer) = itertools.islice(
-        exhaustion_levels(weighted, ball, 0.05, controls), 2)
+    # the semigroup identity, P_0.02 P_0.03 staged on that level's grid
+    (g1, (direct,)), (_, (outer,)) = itertools.islice(
+        exhaustion_levels(weighted, ball, [0.05], controls), 2)
     add("exhaustion_monotone", max(0.0, monotonicity_defect(direct, outer)),
         EXHAUSTION_SLACK)
 
     op1 = assemble(g1, weighted, DIRICHLET)
-    staged = advance_states(op1, project_datum(ball, g1), 0.0, 0.03, controls)
-    staged = advance_states(op1, staged, 0.03, 0.05, controls)
+    (staged,) = advance_states(op1, project_datum(ball, g1), [0.03], controls)
+    (staged,) = advance_states(op1, staged, [0.02], controls)
     drift = (functionals.weighted_sum(g1, np.abs(direct - staged))
              / functionals.weighted_sum(g1, np.abs(direct)))
     add("semigroup_identity_rel", drift, 1e-4)
@@ -385,7 +385,7 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     op_n = assemble(g, weighted, NEUMANN)
     u0 = rng.random(g.N) + 0.5
     mass0 = functionals.weighted_sum(g, u0)
-    u_t = advance_states(op_n, u0, 0.0, 0.1, controls)
+    (u_t,) = advance_states(op_n, u0, [0.1], controls)
     drift = abs(functionals.weighted_sum(g, u_t) - mass0) / (0.1 * mass0)
     add("neumann_mass_drift_per_time", drift, 1e-12)
 
@@ -441,7 +441,7 @@ def _write_error(out_dir: str, exc: Exception, exit_code: int):
 
 
 def run(config_path: str, out_dir: str, experiment: str | None = None,
-        threads: int | None = None, seed: int | None = None) -> int:
+        threads: int | None = None) -> int:
     """Execute one config end to end; returns the process exit code.
 
     ``threads`` is ignored: every run is single-threaded.  It stays in the
@@ -458,12 +458,6 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         if experiment is not None and experiment != rc.experiment:
             raise InvalidArgumentError(
                 f"command line names {experiment} but config names {rc.experiment}")
-        if seed is not None:
-            if "seed" not in rc.resolved:
-                raise InvalidArgumentError(
-                    f"experiment {rc.experiment} does not read: seed")
-            seed = _checked("seed", seed, _KEYS["seed"])
-            rc = RunConfig(rc.experiment, {**rc.resolved, "seed": seed})
         started = time.perf_counter()  # timing.json times the run alone
         report, csv_rows = _execute(rc)
     except InvalidArgumentError as exc:
@@ -503,11 +497,8 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (validate only)")
     args = parser.parse_args(argv)
-    return run(args.config, args.out, experiment=args.experiment,
-               seed=args.seed)
+    return run(args.config, args.out, experiment=args.experiment)
 
 
 if __name__ == "__main__":

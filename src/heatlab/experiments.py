@@ -172,7 +172,7 @@ def completeness_probe(manifold: RadialManifold, t: float,
         raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
     settled = eps_c / 100.0
     rows = []
-    for g, values in exhaustion_levels(manifold, constant_one(), t, controls):
+    for g, (values,) in exhaustion_levels(manifold, constant_one(), [t], controls):
         rows.append({"R": g.R, "m_at_0": float(values[0])})
         m = [row["m_at_0"] for row in rows[-3:]]
         if controls.exhaustion is None and len(m) == 3 and max(
@@ -357,7 +357,7 @@ def comparison_check(t: float, R: float,
     def accumulate(t0, a, t1, b):
         v[:] += (t1 - t0) * 0.5 * (a + b)
 
-    u_final = advance_states(op, u0, 0.0, t, controls, observer=accumulate)
+    (u_final,) = advance_states(op, u0, [t], controls, observer=accumulate)
 
     # F(s) = (sqrt(pi) erf(s^2) - (1 - exp(-s^4))/s^2) / 2 is an
     # antiderivative of the integrand; w = F(R) - F(r) is taken term by term

@@ -51,13 +51,12 @@ class WeightedOperator:
         flux = self.conductance[:, None] * np.diff(cols, axis=0, prepend=0.0, append=0.0)
         return (np.diff(flux, axis=0) / self.cell_weights[:, None]).reshape(u.shape)
 
-    def banded(self, shift: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-        """Fresh main and off-diagonal of D (shift * I + scale * L) in dpttrf
-        order."""
+    def banded(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh main and off-diagonal of D (I - dt L) in dpttrf order."""
         # the diagonal sums the rounded off-diagonal it is solved with, so
-        # each row sums to shift * D, less the wall's drain, up to two roundings
-        off = scale * self.conductance
-        return shift * self.cell_weights - (off[:-1] + off[1:]), off[1:-1]
+        # each row sums to D, less the wall's drain, up to two roundings
+        off = -dt * self.conductance
+        return self.cell_weights - (off[:-1] + off[1:]), off[1:-1]
 
 
 def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> WeightedOperator:

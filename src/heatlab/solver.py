@@ -1,11 +1,12 @@
 """Heat evolution and Dirichlet-ball exhaustion.
 
-The minimal heat semigroup on a model manifold is the monotone limit of
-heat flows on balls B_R with absorbing boundary; ``exhaustion_levels`` walks
-that family, and each experiment reads the levels it needs.  All truncation
-radii of one run share a single face ladder, so solutions at different R can
-be compared cell by cell and the exhaustion monotonicity becomes a testable
-discrete statement.
+Every trajectory starts at t = 0 and takes a list of stop times to the list
+of states at them.  The minimal heat semigroup on a model manifold is the
+monotone limit of heat flows on balls B_R with absorbing boundary;
+``exhaustion_levels`` walks that family, and each experiment reads the
+levels it needs.  All truncation radii of one run share a single face
+ladder, so solutions at different R can be compared cell by cell and the
+exhaustion monotonicity becomes a testable discrete statement.
 
 Time stepping is implicit Euler (unconditional discrete maximum principle,
 which indicator data require).  The step size is controlled by step
@@ -134,7 +135,7 @@ def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarra
     """The solve of (I - dt L) x = u, set up once for many right-hand sides:
     the positive definite D (I - dt L) x = D u, factored by dpttrf and solved
     by dpttrs, which leaves the factors intact."""
-    d, e, info = dpttrf(*op.banded(1.0, -dt), 1, 1)
+    d, e, info = dpttrf(*op.banded(dt), 1, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dpttrf info={info}")
     w = op.cell_weights
@@ -155,31 +156,25 @@ def _lattice_step(h: float) -> float:
     return size(k)
 
 
-def _stop_times(t0, t1, positive: bool = False) -> list[float]:
-    """The stops of ``t1``, one time or a strictly increasing sequence, from
-    ``t0`` on.  t0 and each stop must be a finite real number and no boolean
-    (True == 1, but no time), checked before numpy would coerce them;
-    ``positive`` asks for stops above 0."""
-    stops = list(t1) if np.ndim(t1) > 0 else [t1]
-    finite = bool(stops) and all(
-        isinstance(s, numbers.Real) and not isinstance(s, bool)
-        and math.isfinite(s) for s in (t0, *stops))
-    if positive and not (finite and stops[0] > 0):
-        raise InvalidArgumentError(f"time must be positive and finite, got {t1}")
-    if not finite:
-        raise InvalidArgumentError(f"times must be finite, got {t0} and {t1}")
-    if stops[0] < t0:
-        raise InvalidArgumentError(f"cannot evolve backwards from {t0} to {stops[0]}")
+def _stop_times(stops) -> list[float]:
+    """The stops of one trajectory from t = 0: a non-empty, strictly
+    increasing list of positive, finite real numbers and no boolean (True ==
+    1, but no time), checked before numpy would coerce them."""
+    if not isinstance(stops, (list, tuple)):
+        raise InvalidArgumentError(f"stop times must be a list, got {stops!r}")
+    if not (stops and all(isinstance(s, numbers.Real) and not isinstance(s, bool)
+                          and math.isfinite(s) for s in stops) and stops[0] > 0):
+        raise InvalidArgumentError(f"time must be positive and finite, got {stops}")
     if any(b <= a for a, b in zip(stops, stops[1:])):
         raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")
     return [float(s) for s in stops]
 
 
-def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
+def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                    controls: SolveControls,
                    observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
                    ladder: list | None = None):
-    """Advance one or several stacked states from t0 to t1 adaptively.
+    """Advance one or several stacked states from t = 0 through ``stops``.
 
     ``states`` has shape (N,) or (N, k); all columns share every accepted
     step, so linear identities between columns survive time stepping exactly.
@@ -197,12 +192,12 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     called once per accepted substate transition with both endpoint times
     and states.
 
-    ``t1`` is the end time, or a strictly increasing sequence of stop times;
-    then one trajectory runs through all of them and the states at the stops
-    are returned as a list.  A step that would cross a stop is clipped onto
-    it, off the lattice, and after the stop stepping resumes from the step
-    size proposed before the clip.  ``MAX_STEPS`` attempts bound the whole
-    trajectory; replayed steps count toward it too.
+    ``stops`` is a strictly increasing list of positive times; one
+    trajectory runs through all of them and returns the list of states at
+    the stops.  A step that would cross a stop is clipped onto it, off the
+    lattice, and after the stop stepping resumes from the step size proposed
+    before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory;
+    replayed steps count toward it too.
 
     ``ladder`` is the step ladder: one list of accepted step sizes per stop
     time (the steps from the previous stop up to that one).  An empty list
@@ -212,7 +207,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     skips the full-step error solve and is always accepted, so the observer
     sees the same transitions as on the recording.
     """
-    stops = _stop_times(t0, t1)
+    stops = _stop_times(stops)
     u = np.array(states, dtype=float)
     if u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
@@ -234,11 +229,11 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
     # one factorization per step size, kept for this call only
     factor = functools.cache(lambda dt: _factor(op, dt))
 
-    t = t0
+    t = 0.0
     dt = DT_INIT
     iterations = 0
     at_stops = []
-    for start, stop in zip([t0, *stops], stops):
+    for start, stop in zip([0.0, *stops], stops):
         if replay:
             segment = ladder[len(at_stops)]
             total = math.fsum(segment)
@@ -289,7 +284,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, t0: float, t1,
             t = t + h
             taken += 1
         at_stops.append(u)
-    return at_stops if np.ndim(t1) > 0 else at_stops[0]
+    return at_stops
 
 
 def overflow_safe_radius(manifold: RadialManifold) -> float:
@@ -318,7 +313,7 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
 
 def evolve(manifold: RadialManifold, data, R_read: float, stops,
            controls: SolveControls, R_cells: float | None = None):
-    """Evolve radial data jointly through increasing stop times on one ball.
+    """Evolve radial data jointly from t = 0 through ``stops`` on one ball.
 
     The Dirichlet wall sits max(2, 8*sqrt(last stop)) past ``R_read``,
     capped at the overflow-safe radius with a note; ``controls.n_cells``
@@ -327,7 +322,7 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
     (N, len(data)) states at the stops and the notes.  A grid with no
     interior face beyond ``R_read`` is a RangeError: nothing there is read.
     """
-    stops = _stop_times(0.0, stops, positive=True)
+    stops = _stop_times(stops)
     safe = overflow_safe_radius(manifold)
     wanted = R_read + max(2.0, 8.0 * math.sqrt(stops[-1]))
     R = min(wanted, safe)
@@ -342,19 +337,19 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
             f"before the wall at {R:.6g}; reduce it or raise n_cells")
     op = assemble(g, manifold, DIRICHLET)
     u0 = np.stack([project_datum(d, g) for d in data], axis=1)
-    return g, advance_states(op, u0, 0.0, stops, controls), notes
+    return g, advance_states(op, u0, stops, controls), notes
 
 
-def exhaustion_radii(base: float, t: float, safe: float,
-                     levels: int) -> tuple[float, ...]:
-    """Automatic truncation radii: up to ``levels`` steps beyond ``base``.
+def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
+    """Automatic truncation radii: up to ``MAX_EXHAUSTION`` steps beyond
+    ``base``.
 
     Radii advance in increments of max(1, 4*sqrt(t)) and are capped just
     inside the overflow-safe radius ``safe``; the walk stops at the cap.
     """
     step = max(1.0, 4.0 * math.sqrt(t))
     radii: list[float] = []
-    for k in range(1, levels + 1):
+    for k in range(1, MAX_EXHAUSTION + 1):
         r = min(base + k * step, 0.999 * safe)
         if radii and r <= radii[-1] * (1 + 1e-12):
             break
@@ -378,8 +373,7 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
     jumps = datum.jump_radii
     outer = datum.breakpoints[-1][0]
     safe = overflow_safe_radius(manifold)
-    radii = controls.exhaustion or exhaustion_radii(outer, t, safe,
-                                                    MAX_EXHAUSTION)
+    radii = controls.exhaustion or exhaustion_radii(outer, t, safe)
     if radii[0] <= outer:
         raise InvalidArgumentError(
             f"first truncation radius {radii[0]} does not contain the datum, "
@@ -419,15 +413,14 @@ def monotonicity_defect(inner: np.ndarray, outer: np.ndarray) -> float:
     return float(np.max(inner - outer[:inner.size]))
 
 
-def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
+def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
                       controls: SolveControls):
-    """Lazily evolve the datum to time t on each truncation level in turn.
+    """Lazily evolve the datum through ``stops`` on each truncation level.
 
-    ``t`` is one positive finite time or a strictly increasing sequence of
-    them, as in ``advance_states``.  Yields (grid, values) per level of
-    ``exhaustion_ladder``, smallest ball first, where values is the state at
-    ``t``, or the list of states at the stops.  The automatic radius policy
-    sizes the ladder for the largest stop.  The first level records its
+    ``stops`` is a strictly increasing list of positive times, as in
+    ``advance_states``.  Yields (grid, states at the stops) per level of
+    ``exhaustion_ladder``, smallest ball first; the automatic radius policy
+    sizes the ladder for the last stop.  The first level records its
     accepted time-step ladder through every stop and every later level
     replays it, so the truncated solutions are comparable cell by cell.
     Times and radii are checked at the call; levels are computed only as
@@ -436,7 +429,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
     ``EXHAUSTION_SLACK`` is a scheme inconsistency and raises
     ``NumericalFailure``.
     """
-    stops = _stop_times(0.0, t, positive=True)
+    stops = _stop_times(stops)
     ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls)
 
     def levels():
@@ -446,8 +439,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
         for idx in indices:
             g = subgrid(ladder, idx)
             op = assemble(g, manifold, DIRICHLET)
-            values = advance_states(op, u0[:idx], 0.0, t, controls, ladder=steps)
-            at_stops = values if np.ndim(t) > 0 else [values]
+            at_stops = advance_states(op, u0[:idx], stops, controls, ladder=steps)
             for stop, a, b in zip(stops, inner, at_stops):
                 worst = monotonicity_defect(a, b)
                 if worst > EXHAUSTION_SLACK:
@@ -455,7 +447,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, t,
                         f"exhaustion monotonicity violated by {worst:.3e} "
                         f"between R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
             inner_R, inner = g.R, at_stops
-            yield g, values
+            yield g, at_stops
     return levels()
 
 

@@ -47,8 +47,8 @@ def test_criterion_1_kernel_accuracy():
     # measure-weighted L1, in under 10 seconds
     started = time.perf_counter()
     controls = SolveControls(n_cells=4096, step_tol=1e-6, exhaustion=(4.0,))
-    (g, values), = exhaustion_levels(euclidean(3), ball_indicator(1.0), 0.05,
-                                     controls)
+    (g, (values,)), = exhaustion_levels(euclidean(3), ball_indicator(1.0),
+                                        [0.05], controls)
     ref = np.array([ball_heat_closed_form(float(r), 0.05) for r in g.centers])
     rel = (weighted_sum(g, np.abs(values - ref))
            / weighted_sum(g, np.abs(ref)))

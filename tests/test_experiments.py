@@ -35,8 +35,7 @@ from heatlab.experiments import (
     degiorgi_sweep,
     tail_probe,
 )
-from heatlab.solver import (MAX_EXHAUSTION, exhaustion_radii,
-                            overflow_safe_radius)
+from heatlab.solver import exhaustion_radii, overflow_safe_radius
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -196,8 +195,8 @@ def test_degiorgi_sweep_through_two_levels(euclid3):
                     "both")
     assert (row["measured"], row["status"]) == (0.0, "pass")
     for row in rep.series["degiorgi"]:
-        *_, (g, values) = heatlab.solver.exhaustion_levels(
-            euclid3, ball_indicator(1.0), row["t"], controls)
+        *_, (g, (values,)) = heatlab.solver.exhaustion_levels(
+            euclid3, ball_indicator(1.0), [row["t"]], controls)
         assert row["R_used"] == g.R
         want = total_variation(values, g, euclid3)
         assert abs(row["TV"] - want) < 1e-4 * want, f"t={row['t']}"
@@ -271,7 +270,7 @@ def test_completeness_flat_sample_stops_once_the_pole_settles(tmp_path):
     # the pole value reads 1 from the third level on, so the walk stops
     # after the fifth of the eight planned levels
     report = _completeness_report(tmp_path, "completeness_euclidean")
-    planned = exhaustion_radii(0.0, 0.1, math.inf, MAX_EXHAUSTION)
+    planned = exhaustion_radii(0.0, 0.1, math.inf)
     assert len(planned) == 8
     radii = [row["R"] for row in report["series"]["completeness"]]
     # the automatic policy is echoed as such; the rows name the radii that ran
@@ -285,8 +284,7 @@ def test_completeness_flat_sample_stops_once_the_pole_settles(tmp_path):
 def test_completeness_superexp_sample_walks_every_level(tmp_path, pe4):
     # the pole value still moves by more than eps_c/100 between levels
     report = _completeness_report(tmp_path, "completeness_superexp")
-    planned = exhaustion_radii(0.0, 0.1, overflow_safe_radius(pe4),
-                               MAX_EXHAUSTION)
+    planned = exhaustion_radii(0.0, 0.1, overflow_safe_radius(pe4))
     assert len(planned) == 5
     radii = [row["R"] for row in report["series"]["completeness"]]
     assert radii[:4] == pytest.approx(planned[:4], rel=1e-11)
@@ -317,12 +315,11 @@ def test_completeness_stops_only_once_the_pole_settles_at_1(
         euclid3, monkeypatch, poles, drawn):
     walked = []
 
-    def levels(manifold, datum, t, controls):
+    def levels(manifold, datum, stops, controls):
         assert controls.exhaustion is None  # the walk plans the radii
-        for R, m in zip(exhaustion_radii(0.0, t, math.inf, MAX_EXHAUSTION),
-                        poles):
+        for R, m in zip(exhaustion_radii(0.0, stops[-1], math.inf), poles):
             walked.append(R)
-            yield SimpleNamespace(R=R), np.array([m])
+            yield SimpleNamespace(R=R), [np.array([m])]
 
     monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
     rep = completeness_probe(euclid3, 0.1, SolveControls(), eps_c=1e-4)
@@ -335,10 +332,10 @@ def test_completeness_low_confidence_limit_is_inconclusive(euclid3,
                                                            monkeypatch):
     # pole values whose differences fail to contract: the Aitken limit
     # sits below 1 - 10*eps_c with a settled last step, yet is not trusted
-    def levels(manifold, datum, t, controls):
-        radii = exhaustion_radii(0.0, t, math.inf, MAX_EXHAUSTION)
+    def levels(manifold, datum, stops, controls):
+        radii = exhaustion_radii(0.0, stops[-1], math.inf)
         for R, m in zip(radii, [0.5, 0.6, 0.695, 0.69505]):
-            yield SimpleNamespace(R=R), np.array([m])
+            yield SimpleNamespace(R=R), [np.array([m])]
 
     monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
     rep = completeness_probe(euclid3, 0.1, SolveControls(), eps_c=1e-4)
@@ -357,7 +354,8 @@ def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
 
     def denting(*args, **kwargs):
         levels.append(advance(*args, **kwargs))
-        return levels[-1] - 1e-6 if len(levels) == 3 else levels[-1]
+        dent = 1e-6 if len(levels) == 3 else 0.0
+        return [state - dent for state in levels[-1]]
 
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
     with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
@@ -422,7 +420,7 @@ def _count_trajectories(monkeypatch, module):
     advance = module.advance_states
 
     def counting(*args, **kwargs):
-        calls.append(args[3])
+        calls.append(args[2])
         return advance(*args, **kwargs)
 
     monkeypatch.setattr(module, "advance_states", counting)

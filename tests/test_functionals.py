@@ -101,7 +101,7 @@ def test_flux_threshold_crossing(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
-    prof = flux_profile(advance_states(op, u0, 0.0, 0.05, controls), g)
+    prof = flux_profile(advance_states(op, u0, [0.05], controls)[0], g)
     r_t, delta_t = prof.crossing(1e-3)
     assert r_t is not None and delta_t is not None
     assert delta_t > 1e-3

@@ -73,7 +73,7 @@ def test_apply_matches_banded_solve(euclid3):
     rng = np.random.default_rng(2)
     u = rng.uniform(0.0, 1.0, g.N)
     dt = 1e-3
-    diag, off = op.banded(1.0, -dt)
+    diag, off = op.banded(dt)
     ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
     ab[0, 1:], ab[1], ab[2, :-1] = off, diag, off
     x = solve_banded((1, 1), ab, op.cell_weights * u)
@@ -129,7 +129,7 @@ def test_symmetric_form_is_the_weighted_operator(pe4, bc):
     assert np.allclose(k[1:], want, rtol=1e-12, atol=0)
     # the band's rows sum to D, less the wall's drain, up to roundoff
     dt = 1e-3
-    diag, off = op.banded(1.0, -dt)
+    diag, off = op.banded(dt)
     rows = diag - weights
     rows[:-1] += off
     rows[1:] += off

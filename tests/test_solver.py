@@ -87,7 +87,7 @@ def test_evolution_matches_reference_kernel(euclid3):
     g = build_grid(euclid3, 4.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
-    u = advance_states(op, u0, 0.0, 0.05, controls)
+    (u,) = advance_states(op, u0, [0.05], controls)
     ref = np.array([ball_heat_closed_form(float(r), 0.05) for r in g.centers])
     err = weighted_sum(g, np.abs(u - ref)) / weighted_sum(g, np.abs(ref))
     assert err < 2e-3, f"kernel error {err:.3e} at N=512"
@@ -99,7 +99,7 @@ def test_neumann_mass_is_conserved(gauss):
     op = assemble(g, gauss, NEUMANN)
     u0 = project_datum(ball_indicator(1.0), g)
     m0 = weighted_sum(g, u0)
-    m1 = weighted_sum(g, advance_states(op, u0, 0.0, 0.2, controls))
+    m1 = weighted_sum(g, advance_states(op, u0, [0.2], controls)[0])
     assert abs(m1 - m0) < 1e-11 * m0, f"Neumann mass drifted by {m1 - m0:.3e}"
 
 
@@ -108,7 +108,7 @@ def test_dirichlet_mass_decreases(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
-    u1 = advance_states(op, u0, 0.0, 0.1, controls)
+    (u1,) = advance_states(op, u0, [0.1], controls)
     assert weighted_sum(g, u1) < weighted_sum(g, u0)
 
 
@@ -127,7 +127,7 @@ def test_maximum_principle_under_stepping(pe4):
         under = max(-np.min(after), 0.0)
         worst[0] = max(worst[0], over if np.max(after) > np.max(u0) else 0.0, under)
 
-    advance_states(op, u0.copy(), 0.0, 0.05, controls, observer=watch)
+    advance_states(op, u0.copy(), [0.05], controls, observer=watch)
     assert worst[0] < 1e-12, f"hull violated by {worst[0]:.3e}"
 
 
@@ -145,8 +145,8 @@ def test_stacked_columns_stay_linear(euclid3):
     controls, g, op, chi = _walk_setup(euclid3)
     states = np.stack([np.ones(g.N), chi, 1.0 - chi], axis=1)
     stops = [0.005, 0.02, 0.05, 0.1]
-    outs = [advance_states(op, states, 0.0, 0.1, controls),
-            *advance_states(op, states, 0.0, stops, controls)]
+    outs = [*advance_states(op, states, [0.1], controls),
+            *advance_states(op, states, stops, controls)]
     for t, out in zip([0.1, *stops], outs):
         gap = np.max(np.abs(out[:, 2] - (out[:, 0] - out[:, 1])))
         assert gap < 1e-12, f"linear identity broken by {gap:.3e} at t={t}"
@@ -174,33 +174,48 @@ def test_first_stop_is_the_one_stop_run(euclid3):
     # one trajectory through several stops takes, up to the first stop,
     # exactly the ladder of a run that ends there
     controls, g, op, chi = _walk_setup(euclid3)
-    states = advance_states(op, chi, 0.0, [0.01, 0.03, 0.05], controls)
+    states = advance_states(op, chi, [0.01, 0.03, 0.05], controls)
     assert len(states) == 3
-    assert np.array_equal(states[0], advance_states(op, chi, 0.0, 0.01, controls))
+    assert np.array_equal(states[0], advance_states(op, chi, [0.01], controls)[0])
     # the later stops agree with their own one-stop runs to step accuracy
     for t, got in zip((0.03, 0.05), states[1:]):
-        alone = advance_states(op, chi, 0.0, t, controls)
+        (alone,) = advance_states(op, chi, [t], controls)
         gap = weighted_sum(g, np.abs(got - alone)) / weighted_sum(g, np.abs(alone))
         assert gap < 1e-4, f"stop t={t} off its one-stop run by {gap:.3e}"
 
 
-@pytest.mark.parametrize("t0, stops", [
-    (0.0, [0.02, 0.01]),
-    (0.0, [0.01, 0.01, 0.02]),
-    (0.01, [0.005, 0.02]),
-    (0.0, [0.01, math.inf]),
-    (0.0, [math.nan]),
-    (0.0, math.nan),
-    (0.0, []),
-    # True == 1 and False == 0, but a boolean is no time
-    (0.0, True),
-    (False, 0.5),
-    (False, [0.5, True]),
-])
-def test_bad_stop_times_are_rejected(euclid3, t0, stops):
+@pytest.mark.parametrize("stops", [
+    [0.02, 0.01],
+    [0.01, 0.01, 0.02],
+    [0.01, math.inf],
+    [math.nan],
+    [0.01, math.nan],
+    [],
+    # True == 1, but a boolean is no time
+    [True],
+], ids=["decreasing", "repeated", "infinite", "nan", "nan_later", "empty",
+        "boolean"])
+def test_bad_stop_times_are_rejected(euclid3, stops):
     controls, g, op, chi = _walk_setup(euclid3)
     with pytest.raises(InvalidArgumentError):
-        advance_states(op, chi, t0, stops, controls)
+        advance_states(op, chi, stops, controls)
+
+
+@pytest.mark.parametrize("stops", [0.05, [], [0.0], [True], [0.02, 0.01],
+                                   [0.01, math.inf]],
+                         ids=["scalar", "empty", "zero", "boolean", "decreasing",
+                              "infinite"])
+def test_every_trajectory_takes_a_stop_list_from_zero(euclid3, stops):
+    # one rule for every entry point: a non-empty, strictly increasing list
+    # of positive finite times, checked when the call is made
+    controls, g, op, chi = _walk_setup(euclid3)
+    data = (ball_indicator(1.0),)
+    for call in (lambda: advance_states(op, chi, stops, controls),
+                 lambda: evolve(euclid3, data, 1.0, stops, controls),
+                 lambda: exhaustion_levels(euclid3, data[0], stops,
+                                           replace(controls, exhaustion=(2.0,)))):
+        with pytest.raises(InvalidArgumentError):
+            call()
 
 
 def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
@@ -213,12 +228,12 @@ def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
-    advance_states(op, chi, 0.0, 0.01, controls)
+    advance_states(op, chi, [0.01], controls)
     first = solves[0] // 3  # three solves per attempted step
     monkeypatch.setattr(heatlab.solver, "MAX_STEPS", first)
-    advance_states(op, chi, 0.0, 0.01, controls)  # reaches the first stop
+    advance_states(op, chi, [0.01], controls)  # reaches the first stop
     with pytest.raises(NumericalFailure):
-        advance_states(op, chi, 0.0, [0.01, 0.05], controls)
+        advance_states(op, chi, [0.01, 0.05], controls)
 
 
 @pytest.mark.parametrize("columns", [1, 2, 3])
@@ -230,8 +245,8 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
     u0 = chi if columns == 1 else np.column_stack([chi, extra])
     stops = [0.004, 0.01]
     ladder = []
-    adaptive = advance_states(op, u0, 0.0, stops, controls, ladder=ladder)
-    replayed = advance_states(op, u0, 0.0, stops, controls, ladder=ladder)
+    adaptive = advance_states(op, u0, stops, controls, ladder=ladder)
+    replayed = advance_states(op, u0, stops, controls, ladder=ladder)
     u = u0
     for segment, got, again in zip(ladder, adaptive, replayed):
         for dt in segment:
@@ -259,7 +274,7 @@ def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
     monkeypatch.setattr(WeightedOperator, "banded", counting_band)
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting_solve)
     ladder = []
-    advance_states(op, chi, 0.0, 0.01, controls, ladder=ladder)
+    advance_states(op, chi, [0.01], controls, ladder=ladder)
     steps = ladder[0]
     # this run rejects no attempt, so every factored size is a recorded one
     assert counts["solve"] == 3 * len(steps) > 0
@@ -267,7 +282,7 @@ def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
     assert counts["band"] == len(set(steps) | halves) < len(steps)
     # a replay solves only with the half steps, once per distinct size
     counts.update(band=0, solve=0)
-    advance_states(op, chi, 0.0, 0.01, controls, ladder=ladder)
+    advance_states(op, chi, [0.01], controls, ladder=ladder)
     assert counts == {"band": len(halves), "solve": 2 * len(steps)}
 
 
@@ -284,7 +299,8 @@ def _on_lattice(h: float) -> bool:
 
 
 @pytest.mark.parametrize("step_tol", [1e-3, 1e-5, 1e-7])
-@pytest.mark.parametrize("stops", [0.01, [0.004, 0.01], [0.002, 0.0051, 0.01]])
+@pytest.mark.parametrize("stops", [pytest.param([0.01], id="0.01"), [0.004, 0.01],
+                                   [0.002, 0.0051, 0.01]])
 def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops):
     # every recorded step is a lattice size or ends exactly on its stop,
     # and the lattice size taken is the largest one within the proposal
@@ -298,13 +314,13 @@ def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops
 
     monkeypatch.setattr(heatlab.solver, "_lattice_step", recording)
     ladder = []
-    advance_states(op, chi, 0.0, stops, replace(controls, step_tol=step_tol),
+    advance_states(op, chi, stops, replace(controls, step_tol=step_tol),
                    ladder=ladder)
     m = heatlab.solver.STEP_LATTICE
     for dt, h in proposals:
         assert _on_lattice(h) and h <= dt < _lattice_size(
             round(m * math.log2(h / heatlab.solver.DT_INIT)) + 1), (dt, h)
-    t, stops = 0.0, np.atleast_1d(stops)
+    t = 0.0
     lattice = {h for _, h in proposals}
     for stop, segment in zip(stops, ladder):
         for i, h in enumerate(segment):
@@ -319,27 +335,27 @@ def test_record_and_replay_are_identical(euclid3):
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
     ladder: list = []
-    first = advance_states(op, u0.copy(), 0.0, 0.05, controls, ladder=ladder)
+    (first,) = advance_states(op, u0.copy(), [0.05], controls, ladder=ladder)
     assert len(ladder) == 1 and len(ladder[0]) >= 3
     assert abs(math.fsum(ladder[0]) - 0.05) < 1e-12
-    second = advance_states(op, u0.copy(), 0.0, 0.05, controls, ladder=ladder)
+    (second,) = advance_states(op, u0.copy(), [0.05], controls, ladder=ladder)
     assert np.array_equal(first, second), "replay must reproduce the recorded run bitwise"
 
     # through several stops the ladder keeps one segment per stop, and the
     # replay emits the recorded state at each of them
     stops = [0.01, 0.03, 0.05]
     ladder = []
-    recorded = advance_states(op, u0, 0.0, stops, controls, ladder=ladder)
+    recorded = advance_states(op, u0, stops, controls, ladder=ladder)
     assert len(ladder) == 3 and all(ladder)
     for start, stop, segment in zip([0.0, *stops], stops, ladder):
         assert abs(math.fsum(segment) - (stop - start)) < 1e-12
-    replayed = advance_states(op, u0, 0.0, stops, controls, ladder=ladder)
+    replayed = advance_states(op, u0, stops, controls, ladder=ladder)
     for t, a, b in zip(stops, recorded, replayed):
         assert np.array_equal(a, b), f"replay differs from the recording at t={t}"
     # a ladder recorded through other stops cannot be replayed
-    for other in ([0.01, 0.05], [0.01, 0.02, 0.05], [0.01, 0.03, 0.06], 0.05):
+    for other in ([0.01, 0.05], [0.01, 0.02, 0.05], [0.01, 0.03, 0.06], [0.05]):
         with pytest.raises(InvalidArgumentError):
-            advance_states(op, u0, 0.0, other, controls, ladder=ladder)
+            advance_states(op, u0, other, controls, ladder=ladder)
 
 
 def test_replay_feeds_the_observer_like_the_recording(euclid3):
@@ -354,7 +370,7 @@ def test_replay_feeds_the_observer_like_the_recording(euclid3):
         def observer(t0, a, t1, b):
             seen.append((t0, t1, a.copy(), b.copy()))
 
-        advance_states(op, chi, 0.0, stops, controls, observer=observer,
+        advance_states(op, chi, stops, controls, observer=observer,
                        ladder=ladder)
         return seen
 
@@ -372,14 +388,14 @@ def test_replay_feeds_the_observer_like_the_recording(euclid3):
 def test_replayed_steps_count_toward_the_budget(euclid3, monkeypatch):
     controls, g, op, chi = _walk_setup(euclid3)
     ladder = []
-    advance_states(op, chi, 0.0, [0.01, 0.02], controls, ladder=ladder)
+    advance_states(op, chi, [0.01, 0.02], controls, ladder=ladder)
     steps = sum(map(len, ladder))
     monkeypatch.setattr(heatlab.solver, "MAX_STEPS", steps)
-    advance_states(op, chi, 0.0, [0.01, 0.02], controls, ladder=ladder)
+    advance_states(op, chi, [0.01, 0.02], controls, ladder=ladder)
     monkeypatch.setattr(heatlab.solver, "MAX_STEPS", steps - 1)
     with pytest.raises(NumericalFailure, match=rf"replayed ladder of {steps} "
                        rf"steps overruns the budget of {steps - 1} steps"):
-        advance_states(op, chi, 0.0, [0.01, 0.02], controls, ladder=ladder)
+        advance_states(op, chi, [0.01, 0.02], controls, ladder=ladder)
 
 
 def test_replay_rejects_wrong_span(euclid3):
@@ -387,17 +403,7 @@ def test_replay_rejects_wrong_span(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells)
     op = assemble(g, euclid3, DIRICHLET)
     with pytest.raises(InvalidArgumentError):
-        advance_states(op, np.ones(g.N), 0.0, 0.05, controls, ladder=[0.01, 0.01])
-
-
-def test_evolve_rejects_backward_time(euclid3):
-    controls = SolveControls(n_cells=128)
-    g = build_grid(euclid3, 3.0, controls.n_cells)
-    op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(constant_one(), g)
-    u1 = advance_states(op, u0, 0.0, 0.01, controls)
-    with pytest.raises(InvalidArgumentError):
-        advance_states(op, u1, 0.01, 0.005, controls)
+        advance_states(op, np.ones(g.N), [0.05], controls, ladder=[0.01, 0.01])
 
 
 def test_controls_validation():
@@ -525,11 +531,12 @@ def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
 
     def denting(*args, **kwargs):
         levels.append(advance(*args, **kwargs))
-        return levels[-1] - 1e-6 if len(levels) == 2 else levels[-1]
+        dent = 1e-6 if len(levels) == 2 else 0.0
+        return [state - dent for state in levels[-1]]
 
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
-    walk = exhaustion_levels(euclid3, ball_indicator(1.0), 0.05, controls)
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls)
     g, _ = next(walk)
     assert g.R == 2.0
     with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
@@ -549,7 +556,7 @@ def test_single_level_builds_one_grid(euclid3, monkeypatch):
     monkeypatch.setattr(heatlab.grid, "grid_from_faces", counting)
     monkeypatch.setattr(heatlab.solver, "grid_from_faces", counting)
     controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(3.0,))
-    (g, _), = exhaustion_levels(euclid3, ball_indicator(1.0), 0.05, controls)
+    (g, _), = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls)
     assert built == [97]
     assert g.N == 96
 
@@ -566,13 +573,13 @@ def test_first_truncation_radius_must_contain_the_datum(euclid3, points,
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(radius,))
     with pytest.raises(InvalidArgumentError,
                        match="does not contain the datum"):
-        next(exhaustion_levels(euclid3, piecewise(points), 0.01, controls))
+        next(exhaustion_levels(euclid3, piecewise(points), [0.01], controls))
 
 
 def test_exhaustion_levels_rejects_bad_time(euclid3):
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
     # True == 1, but a boolean is no time
-    for t in (0.0, -0.01, math.nan, math.inf, True, [], [0.0, 0.01],
+    for t in ([0.0], [-0.01], [math.nan], [math.inf], [True], [], [0.0, 0.01],
               [0.01, math.inf], [True, 2.0]):
         with pytest.raises(InvalidArgumentError,
                            match="time must be positive and finite"):
@@ -587,12 +594,12 @@ def test_exhaustion_levels_checks_its_arguments_at_the_call(euclid3, pe4):
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
     with pytest.raises(InvalidArgumentError,
                        match="time must be positive and finite"):
-        exhaustion_levels(euclid3, ball_indicator(1.0), 0.0, controls)
+        exhaustion_levels(euclid3, ball_indicator(1.0), [0.0], controls)
     with pytest.raises(InvalidArgumentError,
                        match="does not contain the datum"):
-        exhaustion_levels(euclid3, ball_indicator(2.5), 0.01, controls)
+        exhaustion_levels(euclid3, ball_indicator(2.5), [0.01], controls)
     with pytest.raises(RangeError, match="overflow-safe radius"):
-        exhaustion_levels(pe4, ball_indicator(1.0), 0.01,
+        exhaustion_levels(pe4, ball_indicator(1.0), [0.01],
                           replace(controls, exhaustion=(6.0,)))
 
 
@@ -603,17 +610,11 @@ def test_semigroup_composition(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
-    direct = advance_states(op, u0, 0.0, 0.05, controls)
-
-    def gap(split):
-        staged = advance_states(op, advance_states(op, u0, 0.0, split, controls),
-                                split, 0.05, controls)
-        return weighted_sum(g, np.abs(direct - staged)) / weighted_sum(g, np.abs(direct))
-
-    drift = gap(0.03)
+    (direct,) = advance_states(op, u0, [0.05], controls)
+    (staged,) = advance_states(op, advance_states(op, u0, [0.03], controls)[0],
+                               [0.02], controls)
+    drift = weighted_sum(g, np.abs(direct - staged)) / weighted_sum(g, np.abs(direct))
     assert 0.0 < drift < 1e-4, f"one-shot vs composed evolution differ by {drift:.3e}"
-    # a degenerate split is exact
-    assert gap(0.0) == 0.0 and gap(0.05) == 0.0
 
 
 @pytest.mark.parametrize("columns", [None, 2, 3])
