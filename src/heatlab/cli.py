@@ -38,15 +38,6 @@ from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states,
 EXPERIMENTS = ("degiorgi", "completeness", "blowup", "comparison", "tail",
                "validate")
 
-CSV_COLUMNS = {
-    "degiorgi": ("t", "R_used", "N", "TV"),
-    "completeness": ("R", "m_at_0"),
-    "blowup": ("R", "TV_R", "q_at_Rmax", "r_t", "delta_t"),
-    "comparison": ("r", "v_R", "w_R", "lap_w"),
-    "tail": ("t", "tail", "fit_residual"),
-    "validate": ("property", "measured", "tolerance", "status"),
-}
-
 # every config key by its path: type, bounds, default and readers.  The
 # readers are the experiments that read the key, or {selector: value} when
 # only one value of a sibling selector reads it.  A key with no default is
@@ -305,18 +296,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, columns, rows):
+def _write_csv(path: str, rows):
+    """One line per row under a header of the first row's keys."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(columns)
+        header = list(rows[0])
+        writer.writerow(header)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
-
-
-def _report_base(rc: RunConfig) -> dict:
-    """Report header; the config echo is the resolved config, which holds
-    only the keys the run read."""
-    return {"tool": "heatlab", "version": __version__, "config": rc.resolved}
+            writer.writerow([_csv_cell(row[c]) for c in header])
 
 
 def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
@@ -394,8 +381,8 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
 
     verdict, finding = decide(rows, ("all properties hold",
                                      "property violated", "undetermined"))
-    return {"experiment": "validate", "evidence": {"checks": rows},
-            "verdict": verdict, "finding": finding}
+    return {"evidence": {"checks": rows}, "verdict": verdict,
+            "finding": finding}
 
 
 def _execute(rc: RunConfig):
@@ -422,10 +409,8 @@ def _execute(rc: RunConfig):
     else:
         rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
                          cfg["t_list"], controls)
-    report = asdict(rep)
-    if rc.experiment == "blowup":
-        report["t_by_series"] = dict(zip(rep.series, cfg["t_list"]))
-    return report, {f"{name}.csv": rows for name, rows in rep.series.items()}
+    return asdict(rep), {f"{name}.csv": rows
+                         for name, rows in rep.series.items()}
 
 
 def _write_error(out_dir: str, exc: Exception, exit_code: int):
@@ -468,15 +453,16 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         return 3
 
     runtime = {"total_wall_s": time.perf_counter() - started}
-    report.update(_report_base(rc))
-    report["files"] = sorted(csv_rows)
+    # the config echo is the resolved config: only the keys the run read
+    report.update(tool="heatlab", version=__version__, config=rc.resolved,
+                  files=sorted(csv_rows))
 
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(_dumps(report) + "\n")
     with open(os.path.join(out_dir, "timing.json"), "w", encoding="utf-8") as fh:
         fh.write(_dumps(runtime) + "\n")
     for name, rows in csv_rows.items():
-        _write_csv(os.path.join(out_dir, name), CSV_COLUMNS[rc.experiment], rows)
+        _write_csv(os.path.join(out_dir, name), rows)
 
     if rc.experiment == "validate":
         for row in report["evidence"]["checks"]:

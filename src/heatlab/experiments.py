@@ -13,7 +13,7 @@ that turns rows into a verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
                        power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (SolveControls, advance_states, evolve,
+from .solver import (SolveControls, advance_states, as_real, evolve,
                      exhaustion_levels, overflow_safe_radius)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
@@ -42,9 +42,6 @@ VW_TOL = 1e-6
 class ExperimentReport:
     """Outcome of one experiment: verdict, evidence rows, fitted constants."""
 
-    experiment: str
-    manifold: dict
-    controls: dict
     series: dict
     fitted: dict
     verdict: str
@@ -75,8 +72,7 @@ def decide(checks, findings) -> tuple[str, str]:
 
 
 def _require_decreasing(values, name: str):
-    # True == 1, but a boolean is no time
-    vals = [math.nan if isinstance(v, bool) else float(v) for v in values]
+    vals = [as_real(v) for v in values]
     if not vals or any(v <= 0 or not math.isfinite(v) for v in vals):
         raise InvalidArgumentError(f"{name} must hold positive finite times")
     if any(b >= a for a, b in zip(vals, vals[1:])):
@@ -145,10 +141,8 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         "variation limit misses exact value",
         "limit not trusted" if gap_rows else "fewer than 3 times"))
     return ExperimentReport(
-        experiment="degiorgi", manifold=manifold.describe(),
-        controls=asdict(controls), series={"degiorgi": tuple(rows)},
-        fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"points": [list(p) for p in points], "checks": checks})
+        series={"degiorgi": tuple(rows)}, fitted=fitted, verdict=verdict,
+        finding=finding, evidence={"checks": checks})
 
 
 def completeness_probe(manifold: RadialManifold, t: float,
@@ -179,18 +173,17 @@ def completeness_probe(manifold: RadialManifold, t: float,
                 abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
             break
 
-    fitted = {"t": t}
     checks = [check("exhaustion_levels", len(rows), ">=", 3, "both")]
     undetermined = "undetermined"
     if checks[0]["status"] == "fail":
         undetermined = "fewer than 3 exhaustion levels"
-        fitted.update({"m_limit": rows[-1]["m_at_0"], "last_delta": math.nan})
+        fitted = {"m_limit": rows[-1]["m_at_0"], "last_delta": math.nan}
     else:
         points = [(1.0 / row["R"], row["m_at_0"]) for row in rows]
         ext = functionals.extrapolate_limit(points)
         last_delta = abs(rows[-1]["m_at_0"] - rows[-2]["m_at_0"])
-        fitted.update({"m_limit": ext.limit, "last_delta": last_delta,
-                       "error_indicator": ext.error_indicator})
+        fitted = {"m_limit": ext.limit, "last_delta": last_delta,
+                  "error_indicator": ext.error_indicator}
         checks += [check("extrapolation_low_confidence", ext.low_confidence,
                          "<=", 0, "both"),
                    check("m_limit", ext.limit, ">=", 1.0 - eps_c),
@@ -200,10 +193,8 @@ def completeness_probe(manifold: RadialManifold, t: float,
     verdict, finding = decide(checks,
                               ("complete", "incomplete", undetermined))
     return ExperimentReport(
-        experiment="completeness", manifold=manifold.describe(),
-        controls=asdict(controls), series={"completeness": tuple(rows)},
-        fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows, "checks": checks})
+        series={"completeness": tuple(rows)}, fitted=fitted, verdict=verdict,
+        finding=finding, evidence={"checks": checks})
 
 
 def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, t: float,
@@ -245,12 +236,11 @@ def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, t: float,
               STABILIZE_RTOL * max(tv_values[-1], 1e-30), "refutes"),
         check("q_at_Rmax", q_at_rmax, "<", q_thr, "refutes")]
 
-    rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": flux_comp.at(r),
-                  "r_t": r_t, "delta_t": delta_t}
+    rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": flux_comp.at(r)}
                  for r, tv in zip(r_used, tv_values))
     fitted = {"t": t, "slope": slope, "q_at_Rmax": q_at_rmax,
               "noise_floor_q": noise_floor_q,
-              "r_t": r_t, "delta_t": delta_t, "R_solve": g.R}
+              "r_t": r_t, "delta_t": delta_t}
     return rows, fitted, checks
 
 
@@ -276,16 +266,18 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     Each time's finding is ``decide`` over its own checks and the sweep's
     verdict ``decide`` over the checks of every time, so it confirms when
     every time is divergent, refutes when every time is convergent, and is
-    otherwise inconclusive.  Time i's checks are ``evidence.checks[i]`` and
-    its rows series ``blowup_t<i>``; ``fitted`` holds the per-time constants
-    plus a summary that, when every time is convergent and at least three
-    were measured, carries the Aitken limit of TV at the largest radius.
+    otherwise inconclusive.  Time i's checks are ``evidence.checks[i]``, its
+    constants ``fitted.per_t[i]`` and its rows series ``blowup_t<i>``;
+    ``fitted`` also holds the solve radius and a summary that, when every
+    time is convergent and at least three were measured, carries the Aitken
+    limit of TV at the largest radius.
     """
     ts = _require_decreasing(t_list, "t_list")
-    if not (math.isfinite(r0) and r0 > 0):
+    if not 0 < as_real(r0) < math.inf:
         raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
-    radii = [float(r) for r in R_list]
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
+    radii = [as_real(r) for r in R_list]
+    # a NaN (no real radius) fails b > a with either neighbour
+    if len(radii) < 2 or any(not b > a for a, b in zip(radii, radii[1:])):
         raise InvalidArgumentError("R_list must contain >= 2 strictly increasing radii")
     if radii[0] <= r0:
         raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
@@ -323,10 +315,9 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                         "error_indicator": ext.error_indicator,
                         "low_confidence": ext.low_confidence})
     return ExperimentReport(
-        experiment="blowup", manifold=manifold.describe(),
-        controls=asdict(controls),
         series={f"blowup_t{i}": r for i, r in enumerate(rows)},
-        fitted={"per_t": list(fitted), "summary": summary, "notes": notes},
+        fitted={"per_t": list(fitted), "summary": summary, "notes": notes,
+                "R_solve": g.R},
         verdict=verdict, finding=finding,
         evidence={"findings": list(findings), "checks": list(checks)})
 
@@ -344,9 +335,9 @@ def comparison_check(t: float, R: float,
     closed form.
     """
     manifold = power_exp_weight(4, 1, 3)
-    if isinstance(t, bool) or not (0 < t <= 1):
+    if not 0 < as_real(t) <= 1:
         raise InvalidArgumentError(f"comparison time must lie in (0, 1], got {t}")
-    if not (math.isfinite(R) and R > 0):
+    if not 0 < as_real(R) < math.inf:
         raise InvalidArgumentError(f"truncation radius must be positive, got {R}")
 
     g = build_grid(manifold, R, controls.n_cells)
@@ -383,15 +374,12 @@ def comparison_check(t: float, R: float,
     rows = tuple({"r": float(r), "v_R": float(vv), "w_R": float(ww),
                   "lap_w": float(lw)}
                  for r, vv, ww, lw in zip(g.centers, v, w, lap_w))
-    fitted = {"t": t, "R": float(g.R),
-              "lap_w_at_1": -4.0 + (-math.expm1(-1.0)),
+    fitted = {"lap_w_at_1": -4.0 + (-math.expm1(-1.0)),
               "lap_w_near_zero": float(-4.0 + (-math.expm1(-1e-12)) / 1e-12),
               "lap_w_far": float(-4.0 + (-math.expm1(-50.0 ** 4)) / 50.0 ** 4)}
     return ExperimentReport(
-        experiment="comparison", manifold=manifold.describe(),
-        controls=asdict(controls), series={"comparison": rows},
-        fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"checks": checks, "worst_nodes": {
+        series={"comparison": rows}, fitted=fitted, verdict=verdict,
+        finding=finding, evidence={"checks": checks, "worst_nodes": {
             "v_minus_w_at": float(g.centers[int(np.argmax(excess_vw))]),
             "t_u_minus_v_at": float(g.centers[int(np.argmax(excess_tu))])}})
 
@@ -413,7 +401,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     support = datum.support_radius
     if not math.isfinite(support):
         raise InvalidArgumentError("datum must be compactly supported")
-    if not (math.isfinite(R_out) and R_out >= 2.0 * support):
+    if not 2.0 * support <= as_real(R_out) < math.inf:
         raise InvalidArgumentError(
             f"datum support {support} must fit inside half of R_out={R_out}")
     ts = _require_decreasing(t_list, "t_list")
@@ -474,8 +462,5 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         "tail decays exponentially in 1/t", "tail does not decay in 1/t",
         undetermined))
     return ExperimentReport(
-        experiment="tail", manifold=manifold.describe(),
-        controls=asdict(controls), series={"tail": tuple(rows)},
-        fitted=fitted, verdict=verdict, finding=finding,
-        evidence={"rows": rows, "included": [rows[i]["t"] for i in admissible],
-                  "checks": checks})
+        series={"tail": tuple(rows)}, fitted=fitted, verdict=verdict,
+        finding=finding, evidence={"checks": checks})

@@ -97,10 +97,6 @@ class RadialManifold:
             return float(out)
         return out
 
-    def describe(self) -> dict:
-        """JSON-friendly description of the model, for report provenance."""
-        return {"family": self.family, "dimension": self.dimension, **self.params}
-
     def __repr__(self):
         extras = "".join(f", {k}={v}" for k, v in self.params.items())
         return f"RadialManifold({self.family}, n={self.dimension}{extras})"

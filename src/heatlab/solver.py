@@ -69,6 +69,14 @@ MAX_STEPS = 500_000
 MAX_EXHAUSTION = 8
 
 
+def as_real(value) -> float:
+    """``value`` as a float, or NaN for anything but a real number: True ==
+    1, but a boolean is no time or radius, and a string is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SolveControls:
     """What an experiment chooses: step tolerance, exhaustion, resolution.
@@ -88,18 +96,20 @@ class SolveControls:
     n_cells: int = 1024
 
     def __post_init__(self):
-        if not (math.isfinite(self.step_tol) and self.step_tol > 0):
+        if not 0 < as_real(self.step_tol) < math.inf:
             raise InvalidArgumentError("step tolerance must be positive and finite")
-        if not (float(self.n_cells).is_integer() and self.n_cells >= 16):
+        if not (as_real(self.n_cells).is_integer() and self.n_cells >= 16):
             raise InvalidArgumentError(
                 f"need a whole number of at least 16 cells, got {self.n_cells}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
         if self.exhaustion is not None:
-            radii = tuple(float(r) for r in self.exhaustion)
+            radii = tuple(map(as_real, self.exhaustion))
+            if not all(0 < r < math.inf for r in radii):
+                raise InvalidArgumentError(
+                    "exhaustion radii must be positive finite numbers, "
+                    f"got {self.exhaustion}")
             if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
                 raise InvalidArgumentError("exhaustion radii must be strictly increasing")
-            if radii[0] <= 0:
-                raise InvalidArgumentError("exhaustion radii must be positive")
             object.__setattr__(self, "exhaustion", radii)
 
 
@@ -118,13 +128,15 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
 
     # the profile is linear between breakpoints, so the midpoint value is
     # the exact average of a cell, or of each piece a kink cuts it into
+    # (np.isin and np.unique would load numpy.ma for these few kinks)
     values = datum.value(g.centers)
-    kinks = np.array(sorted({r for r, _ in datum.breakpoints}
-                            - set(datum.jump_radii)))
-    kinks = kinks[(kinks < g.R) & ~np.isin(kinks, g.faces)]
-    cells = np.searchsorted(g.faces, kinks) - 1
-    for i in np.unique(cells):
-        nodes = (g.faces[i], *kinks[cells == i], g.faces[i + 1])
+    cells: dict[int, list[float]] = {}
+    for k in sorted({r for r, _ in datum.breakpoints} - set(datum.jump_radii)):
+        i = int(np.searchsorted(g.faces, k))  # the first face at or beyond k
+        if k < g.R and g.faces[i] != k:
+            cells.setdefault(i - 1, []).append(k)
+    for i, kinks in cells.items():
+        nodes = (g.faces[i], *kinks, g.faces[i + 1])
         pieces = zip(nodes, nodes[1:])
         values[i] = sum((b - a) * datum.value(0.5 * (a + b))
                         for a, b in pieces) / (nodes[-1] - nodes[0])
@@ -162,8 +174,8 @@ def _stop_times(stops) -> list[float]:
     1, but no time), checked before numpy would coerce them."""
     if not isinstance(stops, (list, tuple)):
         raise InvalidArgumentError(f"stop times must be a list, got {stops!r}")
-    if not (stops and all(isinstance(s, numbers.Real) and not isinstance(s, bool)
-                          and math.isfinite(s) for s in stops) and stops[0] > 0):
+    if not (stops and all(math.isfinite(as_real(s)) for s in stops)
+            and stops[0] > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {stops}")
     if any(b <= a for a, b in zip(stops, stops[1:])):
         raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")

@@ -22,7 +22,7 @@ from heatlab import (InvalidArgumentError, SolveControls, constant_one,
                      power_exp_weight, sphere_constant)
 from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, _dumps, load_config,
                          main, run, validate)
-from heatlab.experiments import blowup_sweep
+from heatlab.experiments import blowup_sweep, completeness_probe
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -205,7 +205,7 @@ def test_blowup_multi_time_artifacts(tmp_path):
     assert report["files"] == ["blowup_t0.csv", "blowup_t1.csv", "blowup_t2.csv"]
     for name in report["files"]:
         header = (out / name).read_bytes().split(b"\r\n")[0].decode()
-        assert header == "R,TV_R,q_at_Rmax,r_t,delta_t"
+        assert header == "R,TV_R,q_at_Rmax"
 
 
 def test_completeness_cli(tmp_path):
@@ -418,8 +418,11 @@ def test_manifold_keeps_its_dimension(tmp_path):
     out = tmp_path / "out"
     assert run(cfg, str(out)) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["manifold"]["dimension"] == 2
     assert report["config"]["manifold"]["dimension"] == 2
+    # the run's rows are those of the plane, not of the default R^3
+    rep = completeness_probe(euclidean(2), PLANE["t"],
+                             SolveControls(**PLANE["controls"]))
+    assert report["series"] == json.loads(_dumps(rep.series))
 
 
 @pytest.mark.parametrize("bad", [
@@ -696,7 +699,8 @@ def test_cli_blowup_report_is_the_sweep_report(tmp_path):
     # the report holds the evidence as rendered, floats at %.12g
     assert report["evidence"] == json.loads(_dumps(rep.evidence))
     assert report["files"] == [f"{name}.csv" for name in rep.series]
-    assert report["t_by_series"] == dict(zip(rep.series, FAST_BLOWUP["t_list"]))
+    # series blowup_t<i> is fitted.per_t[i]
+    assert [f["t"] for f in report["fitted"]["per_t"]] == FAST_BLOWUP["t_list"]
 
 
 def test_main_entry_point(tmp_path):
@@ -795,5 +799,5 @@ def test_exit_code_contract_under_mutated_configs(name, path, mutation):
         elif code != 0:
             # the one exit without an error: validate's battery refuted
             report = json.loads((out / "report.json").read_text())
-            assert (code, report["experiment"], report["verdict"]) == (
+            assert (code, report["config"]["experiment"], report["verdict"]) == (
                 3, "validate", "refutes")

@@ -46,6 +46,21 @@ def test_cli_import_loads_no_scipy_extras_or_jsonschema(tmp_path):
     assert not set(after) & NOT_LOADED
 
 
+def test_runs_load_no_numpy_ma(tmp_path):
+    # np.isin and np.unique load numpy.ma (about 28 ms a process); projecting
+    # a datum onto the grid needs neither
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import heatlab.cli; "
+            "status = [heatlab.cli.run(c, o) for c, o in zip(sys.argv[2::2], "
+            "sys.argv[3::2])]; print(*status, 'numpy.ma' in sys.modules)")
+    configs = [str(ROOT / "configs" / f"{name}.json")
+               for name in ("degiorgi_annulus", "completeness_euclidean")]
+    done = subprocess.run([sys.executable, "-c", code, str(SRC),
+                           configs[0], str(tmp_path / "d"),
+                           configs[1], str(tmp_path / "c")],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 0 False"
+
+
 def test_solver_lapack_is_scipy_linalg_lapack():
     # imported after heatlab, scipy.linalg must hand out the same routines,
     # and the benchmark's solve_banded name must still resolve to scipy's

@@ -8,6 +8,7 @@ outputs (``conftest.moved_outputs``), and give a verdict that follows from
 its report's check rows alone.
 """
 
+import csv
 import importlib.util
 import json
 import math
@@ -69,7 +70,7 @@ def _verdict_from_rows(checks):
 
 def _recomputed_verdict(report):
     checks = report["evidence"]["checks"]
-    if report["experiment"] == "blowup":
+    if report["config"]["experiment"] == "blowup":
         # one row list per t gives that t's finding, and the sweep's
         # verdict is read from the rows of every t
         named = {"confirms": "divergent", "refutes": "convergent"}
@@ -115,6 +116,33 @@ def test_sample_config_verdict(sample_run, name):
         assert gap <= report["config"]["tolerances"]["gap_rtol"]
 
 
+REPORT_KEYS = {"config", "evidence", "files", "finding", "fitted", "series",
+               "tool", "verdict", "version"}
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, (code, _, _) in EXPECTED.items() if code == 0))
+def test_each_fact_has_one_place_in_the_outputs(sample_run, name):
+    # the config echo holds the inputs, series the data and evidence the
+    # decision; each CSV holds one series, headed by its rows' keys
+    _, out = sample_run(name)
+    report = json.loads((out / "report.json").read_text())
+    series = report.get("series")
+    if report["config"]["experiment"] == "validate":
+        # the battery's rows are its evidence, and its CSV holds them
+        assert set(report) == REPORT_KEYS - {"fitted", "series"}
+        series = {"validate": report["evidence"]["checks"]}
+    else:
+        assert set(report) == REPORT_KEYS
+    assert set(report["evidence"]) <= {"checks", "findings", "worst_nodes"}
+    assert report["files"] == sorted(f"{s}.csv" for s in series)
+    for s, rows in series.items():
+        with open(out / f"{s}.csv", encoding="utf-8", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert len(lines) == len(rows)
+        assert all(sorted(row) == sorted(header) for row in rows), s
+
+
 DRIVERS = ("degiorgi", "completeness", "blowup", "comparison", "tail")
 
 
@@ -137,12 +165,15 @@ def test_readme_row_table_matches_the_sample_reports(sample_run):
     carried = set()
     for name, (code, _, _) in EXPECTED.items():
         ran, out = sample_run(name)
-        report = json.loads((out / "report.json").read_text()) if code == 0 else {}
-        if report.get("experiment") in DRIVERS:
+        if code != 0:
+            continue
+        report = json.loads((out / "report.json").read_text())
+        experiment = report["config"]["experiment"]
+        if experiment in DRIVERS:
             checks = report["evidence"]["checks"]
-            if report["experiment"] == "blowup":
+            if experiment == "blowup":
                 checks = [row for c in checks for row in c]
-            carried |= {(report["experiment"], row["property"],
+            carried |= {(experiment, row["property"],
                          row["relation"], row["gate"]) for row in checks}
     documented = set(_readme_rows())
     assert documented == carried, (
