@@ -22,16 +22,15 @@ def show(manifold, t_list, label):
     controls = SolveControls(n_cells=512, step_tol=1e-6)
     sweep = blowup_sweep(manifold, 1.0, t_list, (2.0, 3.0, 4.0, 5.0), controls)
     print(f"\n{label}")
-    for fitted, rows, finding, checks in zip(sweep.fitted["per_t"],
-                                             sweep.series.values(),
-                                             sweep.evidence["findings"],
-                                             sweep.evidence["checks"]):
+    for t, rows, finding, checks in zip(t_list, sweep.series.values(),
+                                        sweep.evidence["findings"],
+                                        sweep.evidence["checks"]):
         tvs = "  ".join(f"{row['TV_R']:12.4f}" for row in rows)
         defect = next(row["measured"] for row in checks
                       if row["property"] == "mass_flux_defect")
-        print(f"  t={fitted['t']:<6g} variation by R:  {tvs}")
+        print(f"  t={t:<6g} variation by R:  {tvs}")
         print(f"           finding: {finding}"
-              f" (flux at R_max {fitted['q_at_Rmax']:.3e},"
+              f" (flux at R_max {rows[-1]['q_at_Rmax']:.3e},"
               f" monotone defect {defect:.1e})")
     print(f"  sweep: {sweep.verdict} ({sweep.finding})")
     summary = sweep.fitted["summary"]

@@ -23,7 +23,9 @@ def show(manifold, label):
     print(f"  {'R':>8s}  {'value at origin':>16s}")
     for row in report.series["completeness"]:
         print(f"  {row['R']:8.3f}  {row['m_at_0']:16.12f}")
-    print(f"  extrapolated limit : {report.fitted['m_limit']:.12f}")
+    limit = next(row["measured"] for row in report.evidence["checks"]
+                 if row["property"] == "m_limit")
+    print(f"  extrapolated limit : {limit:.12f}")
     print(f"  finding            : {report.finding}")
 
 

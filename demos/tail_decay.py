@@ -23,7 +23,9 @@ def show(manifold, label):
         resid = "excluded" if row["fit_residual"] is None else f"{row['fit_residual']:+.3e}"
         print(f"  {row['t']:7.3f}  {row['tail']:16.6e}  {resid:>13s}")
     print(f"  fitted decay rate c : {report.fitted['c']:.4f}  (tail ~ C exp(-c/t))")
-    print(f"  regression R^2      : {report.fitted['r_squared']:.6f}")
+    r_squared = next(row["measured"] for row in report.evidence["checks"]
+                     if row["property"] == "r_squared")
+    print(f"  regression R^2      : {r_squared:.6f}")
     print(f"  verdict             : {report.verdict}")
 
 

@@ -27,7 +27,9 @@ def show(manifold, exact, label):
     limit = report.fitted["extrapolated_limit"]
     print(f"  extrapolated t->0 limit : {limit:.10f}")
     print(f"  exact perimeter         : {exact:.10f}")
-    print(f"  relative gap            : {report.fitted['relative_gap']:.2e}")
+    gap = next(row["measured"] for row in report.evidence["checks"]
+               if row["property"] == "relative_gap")
+    print(f"  relative gap            : {gap:.2e}")
     print(f"  verdict                 : {report.verdict}")
 
 

@@ -20,7 +20,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -194,32 +194,24 @@ def _section(raw, prefix: str, experiment: str, read: bool,
     return out
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Checked run description: exactly the keys the run reads, defaults
-    filled in."""
-
-    experiment: str
-    resolved: dict
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise InvalidArgumentError("config must be a JSON object")
-        if "experiment" not in raw:
-            _fail("", "missing key 'experiment'")
-        experiment = _checked("experiment", raw["experiment"],
-                              _KEYS["experiment"])
-        found = {f"experiment {experiment} requires keys": [],
-                 f"experiment {experiment} does not read": []}
-        resolved = _section(raw, "", experiment, True, found)
-        for head, keys in found.items():
-            if keys:
-                raise InvalidArgumentError(f"{head}: {', '.join(keys)}")
-        return cls(experiment=experiment, resolved=resolved)
+def resolve_config(raw: dict) -> dict:
+    """The checked config: exactly the keys the run reads, ``experiment``
+    included, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError("config must be a JSON object")
+    if "experiment" not in raw:
+        _fail("", "missing key 'experiment'")
+    experiment = _checked("experiment", raw["experiment"], _KEYS["experiment"])
+    found = {f"experiment {experiment} requires keys": [],
+             f"experiment {experiment} does not read": []}
+    resolved = _section(raw, "", experiment, True, found)
+    for head, keys in found.items():
+        if keys:
+            raise InvalidArgumentError(f"{head}: {', '.join(keys)}")
+    return resolved
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -227,7 +219,7 @@ def load_config(path: str) -> RunConfig:
         raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidArgumentError(f"config {path} is not valid JSON: {exc}") from exc
-    return RunConfig.from_dict(raw)
+    return resolve_config(raw)
 
 
 def _manifold_from(cfg: dict):
@@ -385,26 +377,26 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
             "finding": finding}
 
 
-def _execute(rc: RunConfig):
-    cfg = rc.resolved
-    if rc.experiment == "validate":
+def _execute(cfg: dict):
+    experiment = cfg["experiment"]
+    if experiment == "validate":
         report = validate(cfg["seed"], cfg["inject_asymmetry"])
         return report, {"validate.csv": report["evidence"]["checks"]}
 
     manifold = _manifold_from(cfg["manifold"]) if "manifold" in cfg else None
     controls = SolveControls(**cfg["controls"])
 
-    if rc.experiment == "degiorgi":
+    if experiment == "degiorgi":
         rep = degiorgi_sweep(manifold, _datum_from(cfg["datum"]), cfg["t_list"],
                              controls,
                              gap_rtol=cfg["tolerances"]["gap_rtol"])
-    elif rc.experiment == "completeness":
+    elif experiment == "completeness":
         rep = completeness_probe(manifold, cfg["t"], controls,
                                  eps_c=cfg["tolerances"]["eps_c"])
-    elif rc.experiment == "blowup":
+    elif experiment == "blowup":
         rep = blowup_sweep(manifold, cfg["r0"], cfg["t_list"], cfg["R_list"],
                            controls)
-    elif rc.experiment == "comparison":
+    elif experiment == "comparison":
         rep = comparison_check(cfg["t"], cfg["R"], controls)
     else:
         rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
@@ -439,12 +431,13 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         return 2
 
     try:
-        rc = load_config(config_path)
-        if experiment is not None and experiment != rc.experiment:
+        cfg = load_config(config_path)
+        if experiment is not None and experiment != cfg["experiment"]:
             raise InvalidArgumentError(
-                f"command line names {experiment} but config names {rc.experiment}")
+                f"command line names {experiment} but config names "
+                f"{cfg['experiment']}")
         started = time.perf_counter()  # timing.json times the run alone
-        report, csv_rows = _execute(rc)
+        report, csv_rows = _execute(cfg)
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
         return 2
@@ -454,7 +447,7 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
 
     runtime = {"total_wall_s": time.perf_counter() - started}
     # the config echo is the resolved config: only the keys the run read
-    report.update(tool="heatlab", version=__version__, config=rc.resolved,
+    report.update(tool="heatlab", version=__version__, config=cfg,
                   files=sorted(csv_rows))
 
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -464,14 +457,14 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
     for name, rows in csv_rows.items():
         _write_csv(os.path.join(out_dir, name), rows)
 
-    if rc.experiment == "validate":
+    if cfg["experiment"] == "validate":
         for row in report["evidence"]["checks"]:
             print(f"{row['property']:32s} {row['measured']:12.3e} "
                   f"<= {row['tolerance']:9.1e}  {row['status'].upper()}")
         if report["verdict"] != "confirms":
             print("validate: FAILED", file=sys.stderr)
             return 3
-    print(f"{rc.experiment}: {report['verdict']} ({report['finding']})")
+    print(f"{cfg['experiment']}: {report['verdict']} ({report['finding']})")
     return 0
 
 

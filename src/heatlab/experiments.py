@@ -19,13 +19,13 @@ import numpy as np
 
 from . import functionals
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (RadialBVDatum, RadialManifold, ball_indicator,
-                       constant_one, euclidean, exact_total_variation,
-                       power_exp_weight)
+from .geometry import (RadialBVDatum, RadialManifold, as_real, as_reals,
+                       ball_indicator, constant_one, euclidean,
+                       exact_total_variation, power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (SolveControls, advance_states, as_real, evolve,
-                     exhaustion_levels, overflow_safe_radius)
+from .solver import (SolveControls, advance_states, evolve,
+                     exhaustion_levels)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -72,7 +72,7 @@ def decide(checks, findings) -> tuple[str, str]:
 
 
 def _require_decreasing(values, name: str):
-    vals = [as_real(v) for v in values]
+    vals = as_reals(values, name)
     if not vals or any(v <= 0 or not math.isfinite(v) for v in vals):
         raise InvalidArgumentError(f"{name} must hold positive finite times")
     if any(b >= a for a, b in zip(vals, vals[1:])):
@@ -98,7 +98,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     """
     if not math.isfinite(datum.support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
-    if not gap_rtol > 0:
+    if not as_real(gap_rtol) > 0:
         raise InvalidArgumentError(f"gap_rtol must be positive, got {gap_rtol}")
     ts = _require_decreasing(t_list, "t_list")
     exact = exact_total_variation(datum, manifold)
@@ -118,18 +118,17 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
             break
     tvs = [tv for _, _, tv in triples[::-1]]
     unconverged = converged.count(False) if levels >= 2 else 0
-    rows = [{"t": t, "R_used": used.R, "N": used.N, "TV": tv}
-            for t, tv in zip(ts, tvs)]
     points = list(zip(ts, tvs))
 
     checks = [check("extrapolation_points", len(points), ">=", 3, "both")]
+    # every row is read on the last level, so its radius and cells are one
     fitted = {"exact_tv": exact, "extrapolated_limit": math.nan,
-              "relative_gap": math.nan, "error_indicator": math.nan}
+              "error_indicator": math.nan, "R_used": used.R, "N": used.N}
     gap_rows = []  # the fit and the rows that read it need 3 times
     if checks[0]["status"] == "pass":
         ext = functionals.extrapolate_limit(points)
         gap = abs(ext.limit - exact) / max(exact, 1e-8)
-        fitted.update({"extrapolated_limit": ext.limit, "relative_gap": gap,
+        fitted.update({"extrapolated_limit": ext.limit,
                        "error_indicator": ext.error_indicator})
         checks.append(check("extrapolation_low_confidence",
                             ext.low_confidence, "<=", 0, "both"))
@@ -141,8 +140,9 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         "variation limit misses exact value",
         "limit not trusted" if gap_rows else "fewer than 3 times"))
     return ExperimentReport(
-        series={"degiorgi": tuple(rows)}, fitted=fitted, verdict=verdict,
-        finding=finding, evidence={"checks": checks})
+        series={"degiorgi": tuple({"t": t, "TV": tv} for t, tv in points)},
+        fitted=fitted, verdict=verdict, finding=finding,
+        evidence={"checks": checks})
 
 
 def completeness_probe(manifold: RadialManifold, t: float,
@@ -162,7 +162,8 @@ def completeness_probe(manifold: RadialManifold, t: float,
     with a stable exhaustion tail; anything in between, any low-confidence
     extrapolation and a walk of fewer than 3 levels (no fit) is inconclusive.
     """
-    if not 0 < eps_c < 0.1:  # else the band below 1 - 10*eps_c is empty
+    # at 0.1 or above the band below 1 - 10*eps_c is empty
+    if not 0 < as_real(eps_c) < 0.1:
         raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
     settled = eps_c / 100.0
     rows = []
@@ -175,15 +176,15 @@ def completeness_probe(manifold: RadialManifold, t: float,
 
     checks = [check("exhaustion_levels", len(rows), ">=", 3, "both")]
     undetermined = "undetermined"
+    # the limit and its last step live in their rows; with no fit, no row
+    fitted = {"error_indicator": math.nan}
     if checks[0]["status"] == "fail":
         undetermined = "fewer than 3 exhaustion levels"
-        fitted = {"m_limit": rows[-1]["m_at_0"], "last_delta": math.nan}
     else:
         points = [(1.0 / row["R"], row["m_at_0"]) for row in rows]
         ext = functionals.extrapolate_limit(points)
         last_delta = abs(rows[-1]["m_at_0"] - rows[-2]["m_at_0"])
-        fitted = {"m_limit": ext.limit, "last_delta": last_delta,
-                  "error_indicator": ext.error_indicator}
+        fitted["error_indicator"] = ext.error_indicator
         checks += [check("extrapolation_low_confidence", ext.low_confidence,
                          "<=", 0, "both"),
                    check("m_limit", ext.limit, ">=", 1.0 - eps_c),
@@ -197,8 +198,8 @@ def completeness_probe(manifold: RadialManifold, t: float,
         finding=finding, evidence={"checks": checks})
 
 
-def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, t: float,
-               r_used: list, noise_floor_q: float) -> tuple[tuple, dict, list]:
+def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, r_used: list,
+               noise_floor_q: float) -> tuple[tuple, dict, list]:
     """(rows, fitted, checks) at one time from the evolved [constant, ball]."""
     comp = state[:, 0] - state[:, 1]
     terms = functionals.face_variation_terms(comp, g, manifold)
@@ -238,9 +239,7 @@ def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, t: float,
 
     rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": flux_comp.at(r)}
                  for r, tv in zip(r_used, tv_values))
-    fitted = {"t": t, "slope": slope, "q_at_Rmax": q_at_rmax,
-              "noise_floor_q": noise_floor_q,
-              "r_t": r_t, "delta_t": delta_t}
+    fitted = {"noise_floor_q": noise_floor_q, "r_t": r_t, "delta_t": delta_t}
     return rows, fitted, checks
 
 
@@ -275,17 +274,12 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     ts = _require_decreasing(t_list, "t_list")
     if not 0 < as_real(r0) < math.inf:
         raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
-    radii = [as_real(r) for r in R_list]
+    radii = as_reals(R_list, "R_list")
     # a NaN (no real radius) fails b > a with either neighbour
     if len(radii) < 2 or any(not b > a for a, b in zip(radii, radii[1:])):
         raise InvalidArgumentError("R_list must contain >= 2 strictly increasing radii")
     if radii[0] <= r0:
         raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
-    safe = overflow_safe_radius(manifold)
-    if radii[-1] > safe:
-        raise RangeError(
-            f"R_max={radii[-1]:.6g} exceeds the overflow-safe radius "
-            f"{safe:.6g}; reduce R_max")
     data, stops = (constant_one(), ball_indicator(r0)), ts[::-1]
     g, states, notes = evolve(manifold, data, radii[-1], stops, controls,
                               R_cells=radii[0])
@@ -299,8 +293,8 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     floors = [abs(functionals.flux_profile(s[:, 0] - s[:, 1], gf)
                   .at(r_used[-1])) for s in flat_states]
     rows, fitted, checks = zip(*(
-        _blowup_at(manifold, g, state, t, r_used, floor)
-        for t, state, floor in zip(ts, states[::-1], floors[::-1])))
+        _blowup_at(manifold, g, state, r_used, floor)
+        for state, floor in zip(states[::-1], floors[::-1])))
 
     findings = [decide(c, ("divergent", "convergent", "undetermined"))[1]
                 for c in checks]
@@ -405,12 +399,6 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         raise InvalidArgumentError(
             f"datum support {support} must fit inside half of R_out={R_out}")
     ts = _require_decreasing(t_list, "t_list")
-    safe = overflow_safe_radius(manifold)
-    if R_out >= safe:
-        raise RangeError(
-            f"R_out={R_out:.6g} reaches the overflow-safe radius {safe:.6g}; "
-            f"reduce R_out")
-
     g, states, notes = evolve(manifold, (datum,), R_out, ts[::-1], controls)
     rows = []
     for t, state in zip(ts, reversed(states)):
@@ -433,13 +421,12 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     for i in excluded:
         notes.append(f"pre-asymptotic point excluded at t={rows[i]['t']}")
 
-    fitted = {"n_points": len(admissible), "notes": notes}
+    fitted = {"C": math.nan, "c": math.nan, "notes": notes}
     checks = [check("admissible_tail_points", len(admissible), ">=", 3,
                     "both")]
     undetermined = "fit quality below threshold"
     if checks[0]["status"] == "fail":
         undetermined = "too few usable tail points"
-        fitted.update({"C": math.nan, "c": math.nan, "r_squared": math.nan})
     else:
         x = np.array([1.0 / rows[i]["t"] for i in admissible])
         y = np.array([math.log(rows[i]["tail"]) for i in admissible])
@@ -453,8 +440,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
         for i, resid in zip(admissible, residuals):
             rows[i]["fit_residual"] = float(resid)
-        fitted.update({"C": math.exp(intercept), "c": -slope,
-                       "r_squared": r_squared, "slope": slope})
+        fitted.update({"C": math.exp(intercept), "c": -slope})
         checks += [check("slope", slope, "<", 0),
                    check("r_squared", r_squared, ">=", 0.95),
                    check("slope", slope, ">=", 0, "refutes")]

@@ -11,6 +11,7 @@ checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,22 @@ def logsumexp(a, axis=None):
         out = np.log1p(rest) + np.log(count) + top
     out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
     return out[()] if out.ndim == 0 else out
+
+
+def as_real(value) -> float:
+    """``value`` as a float, or NaN for anything but a real number: True ==
+    1, but a boolean is no time or radius, and a string is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return math.nan
+    return float(value)
+
+
+def as_reals(values, name: str) -> list[float]:
+    """Each item of ``values`` through ``as_real``; only a list or tuple is
+    a list of ``name``, never a lone number."""
+    if not isinstance(values, (list, tuple)):
+        raise InvalidArgumentError(f"{name} must be a list, got {values!r}")
+    return [as_real(v) for v in values]
 
 
 def sphere_constant(dimension: int) -> float:
@@ -119,9 +136,10 @@ def power_exp_weight(p: float, sign: int, dimension: int = 3) -> RadialManifold:
     complement perimeters blow up; ``p=2, sign=-1`` is the Gaussian-weight
     model with nonnegative generalized curvature.
     """
-    if p <= 0:
-        raise InvalidArgumentError(f"weight exponent must be positive, got {p}")
-    if sign not in (1, -1):
+    if not 0 < as_real(p) < math.inf:
+        raise InvalidArgumentError(
+            f"weight exponent must be positive and finite, got {p}")
+    if as_real(sign) not in (1, -1):
         raise InvalidArgumentError(f"weight sign must be +1 or -1, got {sign}")
     k = dimension - 1
 

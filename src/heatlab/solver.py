@@ -32,7 +32,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -41,7 +40,8 @@ import numpy as np
 import scipy
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .geometry import RadialBVDatum, RadialManifold, LOG_MAX_GRID
+from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real,
+                       as_reals)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
@@ -67,14 +67,6 @@ DT_MIN = 1e-13
 MAX_STEPS = 500_000
 # automatic exhaustion: the most levels one walk plans
 MAX_EXHAUSTION = 8
-
-
-def as_real(value) -> float:
-    """``value`` as a float, or NaN for anything but a real number: True ==
-    1, but a boolean is no time or radius, and a string is no number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return math.nan
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ class SolveControls:
                 f"need a whole number of at least 16 cells, got {self.n_cells}")
         object.__setattr__(self, "n_cells", int(self.n_cells))
         if self.exhaustion is not None:
-            radii = tuple(map(as_real, self.exhaustion))
+            radii = tuple(as_reals(self.exhaustion, "exhaustion radii"))
             if not all(0 < r < math.inf for r in radii):
                 raise InvalidArgumentError(
                     "exhaustion radii must be positive finite numbers, "
@@ -172,14 +164,12 @@ def _stop_times(stops) -> list[float]:
     """The stops of one trajectory from t = 0: a non-empty, strictly
     increasing list of positive, finite real numbers and no boolean (True ==
     1, but no time), checked before numpy would coerce them."""
-    if not isinstance(stops, (list, tuple)):
-        raise InvalidArgumentError(f"stop times must be a list, got {stops!r}")
-    if not (stops and all(math.isfinite(as_real(s)) for s in stops)
-            and stops[0] > 0):
+    times = as_reals(stops, "stop times")
+    if not (times and all(map(math.isfinite, times)) and times[0] > 0):
         raise InvalidArgumentError(f"time must be positive and finite, got {stops}")
-    if any(b <= a for a, b in zip(stops, stops[1:])):
+    if any(b <= a for a, b in zip(times, times[1:])):
         raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")
-    return [float(s) for s in stops]
+    return times
 
 
 def advance_states(op: WeightedOperator, states: np.ndarray, stops,
@@ -331,11 +321,17 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
     capped at the overflow-safe radius with a note; ``controls.n_cells``
     cells fill ``R_cells`` (default: the wall) at one spacing out to the
     wall, and every jump radius is a face.  Returns the grid, the stacked
-    (N, len(data)) states at the stops and the notes.  A grid with no
-    interior face beyond ``R_read`` is a RangeError: nothing there is read.
+    (N, len(data)) states at the stops and the notes.  An ``R_read`` not
+    below the overflow-safe radius is a RangeError before any grid is
+    built, and so is a grid with no interior face beyond ``R_read``:
+    nothing there is read.
     """
     stops = _stop_times(stops)
     safe = overflow_safe_radius(manifold)
+    if not R_read < safe:
+        raise RangeError(
+            f"reading radius {R_read:.6g} is not below the overflow-safe "
+            f"radius {safe:.6g}; reduce it")
     wanted = R_read + max(2.0, 8.0 * math.sqrt(stops[-1]))
     R = min(wanted, safe)
     notes = [f"solve radius capped at {safe:.6g}"] if wanted > safe else []

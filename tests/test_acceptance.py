@@ -93,16 +93,18 @@ def test_criterion_3_completeness_probe():
     weighted = completeness_probe(power_exp_weight(4, 1, 3), 0.1, controls,
                                   eps_c=1e-4)
     flat = completeness_probe(euclidean(3), 0.1, controls, eps_c=1e-4)
+    w_limit = check_row(weighted.evidence["checks"], "m_limit")["measured"]
+    w_delta = check_row(weighted.evidence["checks"], "last_delta",
+                        "refutes")["measured"]
+    f_limit = check_row(flat.evidence["checks"], "m_limit")["measured"]
     ok = (weighted.verdict == "refutes" and weighted.finding == "incomplete"
-          and weighted.fitted["m_limit"] <= 1.0 - 1e-3
-          and weighted.fitted["last_delta"] <= 1e-4
+          and w_limit <= 1.0 - 1e-3 and w_delta <= 1e-4
           and flat.verdict == "confirms" and flat.finding == "complete"
-          and flat.fitted["m_limit"] >= 1.0 - 1e-6)
+          and f_limit >= 1.0 - 1e-6)
     assert report_line(
         "criterion 3 (completeness probe)", ok,
-        f"weighted m_limit {weighted.fitted['m_limit']:.6f} "
-        f"(stable to {weighted.fitted['last_delta']:.1e}) -> {weighted.finding}; "
-        f"flat m_limit {flat.fitted['m_limit']:.9f} -> {flat.finding}")
+        f"weighted m_limit {w_limit:.6f} (stable to {w_delta:.1e}) -> "
+        f"{weighted.finding}; flat m_limit {f_limit:.9f} -> {flat.finding}")
 
 
 def test_criterion_4_complement_blowup():
@@ -110,17 +112,19 @@ def test_criterion_4_complement_blowup():
     # probed time, witnessed by monotone mass flux and a positive flux at
     # R_max; the flat-space control converges to the ball perimeter
     controls = SolveControls(n_cells=512, step_tol=1e-6)
-    sweep = blowup_sweep(power_exp_weight(4, 1, 3), 1.0, (0.2, 0.1, 0.05),
+    t_list = (0.2, 0.1, 0.05)
+    sweep = blowup_sweep(power_exp_weight(4, 1, 3), 1.0, t_list,
                          (2.0, 3.0, 4.0, 5.0), controls)
     problems = []
     if (sweep.verdict, sweep.finding) != ("confirms", "divergent"):
         problems.append(f"sweep reads {sweep.verdict} ({sweep.finding})")
-    for fitted, checks in zip(sweep.fitted["per_t"], sweep.evidence["checks"]):
-        t = fitted["t"]
+    for t, fitted, checks in zip(t_list, sweep.fitted["per_t"],
+                                 sweep.evidence["checks"]):
         if not check_row(checks, "least_tv_increment")["measured"] > 0:
             problems.append(f"t={t}: TV_R not strictly increasing")
-        if not fitted["slope"] > 0:
-            problems.append(f"t={t}: slope {fitted['slope']:.2e} not positive")
+        slope = check_row(checks, "slope")["measured"]
+        if not slope > 0:
+            problems.append(f"t={t}: slope {slope:.2e} not positive")
         defect = check_row(checks, "mass_flux_defect")["measured"]
         if defect < -1e-8:
             problems.append(f"t={t}: flux defect {defect:.2e}")
@@ -191,14 +195,18 @@ def test_criterion_6_gradient_tail_decay():
         rep = tail_probe(m, ball_indicator(1.0), 2.0, t_list, controls)
         if rep.verdict != "confirms":
             problems.append(f"{name}: verdict {rep.verdict} ({rep.finding})")
-        if not rep.fitted["slope"] < 0:
-            problems.append(f"{name}: slope {rep.fitted['slope']:.3e} not negative")
-        if rep.fitted["r_squared"] < 0.95:
-            problems.append(f"{name}: R^2 {rep.fitted['r_squared']:.4f} below 0.95")
-        if rep.fitted["n_points"] < 4:
-            problems.append(f"{name}: only {rep.fitted['n_points']} admissible points")
-        details.append(f"{name} R^2 {rep.fitted['r_squared']:.4f} "
-                       f"(c={rep.fitted['c']:.3f}, n={rep.fitted['n_points']})")
+        checks = rep.evidence["checks"]
+        slope = check_row(checks, "slope")["measured"]
+        r_squared = check_row(checks, "r_squared")["measured"]
+        n_points = check_row(checks, "admissible_tail_points", "both")["measured"]
+        if not slope < 0:
+            problems.append(f"{name}: slope {slope:.3e} not negative")
+        if r_squared < 0.95:
+            problems.append(f"{name}: R^2 {r_squared:.4f} below 0.95")
+        if n_points < 4:
+            problems.append(f"{name}: only {n_points:g} admissible points")
+        details.append(f"{name} R^2 {r_squared:.4f} "
+                       f"(c={rep.fitted['c']:.3f}, n={n_points:g})")
     ok = not problems
     assert report_line("criterion 6 (gradient tail decay)", ok,
                        "; ".join(details) if ok else "; ".join(problems))

@@ -20,8 +20,8 @@ import heatlab.solver
 from heatlab import (InvalidArgumentError, SolveControls, constant_one,
                      euclidean, exhaustion_ladder, overflow_safe_radius,
                      power_exp_weight, sphere_constant)
-from heatlab.cli import (EXPERIMENTS, RunConfig, _KEYS, _dumps, load_config,
-                         main, run, validate)
+from heatlab.cli import (EXPERIMENTS, _KEYS, _dumps, load_config, main,
+                         resolve_config, run, validate)
 from heatlab.experiments import blowup_sweep, completeness_probe
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,7 +58,7 @@ def test_degiorgi_run_and_artifacts(tmp_path):
     raw = (out / "degiorgi.csv").read_bytes()
     assert b"\r\n" in raw, "CSV rows must be CRLF terminated"
     header = raw.split(b"\r\n")[0].decode()
-    assert header == "t,R_used,N,TV"
+    assert header == "t,TV"
     assert len(raw.strip().split(b"\r\n")) == 1 + 3
 
 
@@ -161,7 +161,7 @@ def test_tail_beyond_safe_radius_is_exit_3(tmp_path):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "RangeError"
     assert err["exit_code"] == 3
-    assert "R_out=5.5" in err["message"]
+    assert "reading radius 5.5 " in err["message"]
     assert not (out / "report.json").exists()
 
 
@@ -477,7 +477,7 @@ def test_non_finite_python_values_are_rejected():
                "tolerances": {"eps_c": float("nan")}}
     with pytest.raises(InvalidArgumentError,
                        match="tolerances/eps_c: holds NaN,"):
-        RunConfig.from_dict(payload)
+        resolve_config(payload)
 
 
 def test_schema_controls_are_the_solve_controls():
@@ -486,8 +486,8 @@ def test_schema_controls_are_the_solve_controls():
     controls = [path.split("/")[1] for path in _KEYS
                 if path.startswith("controls/")]
     assert controls == [f.name for f in fields(SolveControls)]
-    resolved = RunConfig.from_dict({"experiment": "tail", "R_out": 2.0,
-                                    "t_list": [0.05]}).resolved
+    resolved = resolve_config({"experiment": "tail", "R_out": 2.0,
+                               "t_list": [0.05]})
     assert SolveControls(**resolved["controls"]) == SolveControls()
     # and every key in the table has a reader: an experiment, or a value of
     # a selector beside it; an unread key is a constant, not a knob
@@ -515,7 +515,7 @@ def test_manifold_keys_the_family_ignores_are_rejected(tmp_path, manifold):
     key = next((k for k in manifold if k != "family"), manifold["family"])
     payload = {**FAST_DEGIORGI, "manifold": manifold}
     with pytest.raises(InvalidArgumentError, match=key):
-        RunConfig.from_dict(payload)
+        resolve_config(payload)
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "m.json", payload), str(out)) == 2
     error = json.loads((out / "error.json").read_text())
@@ -533,7 +533,7 @@ def test_datum_keys_the_kind_ignores_are_rejected(tmp_path, datum, key):
     # datum its radius, and both were echoed
     payload = {**FAST_DEGIORGI, "datum": datum}
     with pytest.raises(InvalidArgumentError, match=f"does not read: {key}"):
-        RunConfig.from_dict(payload)
+        resolve_config(payload)
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "d.json", payload), str(out)) == 2
     error = json.loads((out / "error.json").read_text())
@@ -548,7 +548,7 @@ def test_piecewise_echo_holds_no_radius(tmp_path):
     echo = json.loads((out / "report.json").read_text())["config"]
     assert echo["datum"] == datum
     # a ball still echoes the default radius it reads
-    ball = RunConfig.from_dict({**FAST_DEGIORGI, "datum": {}}).resolved
+    ball = resolve_config({**FAST_DEGIORGI, "datum": {}})
     assert ball["datum"] == {"kind": "ball", "radius": 1.0}
 
 
@@ -585,7 +585,7 @@ MINIMAL = {
 def test_keys_the_experiment_ignores_are_rejected(tmp_path, experiment, extra):
     payload = {**MINIMAL[experiment], **extra}
     with pytest.raises(InvalidArgumentError, match="does not read"):
-        RunConfig.from_dict(payload)
+        resolve_config(payload)
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "x.json", payload), str(out)) == 2
     assert json.loads((out / "error.json").read_text())["exit_code"] == 2
@@ -596,7 +596,7 @@ def test_keys_the_experiment_reads_are_accepted():
     for path in sorted(CONFIG_DIR.glob("*.json")):
         load_config(str(path))
     for payload in MINIMAL.values():
-        RunConfig.from_dict(payload)
+        resolve_config(payload)
 
 
 @pytest.mark.parametrize("experiment, extra, key", [
@@ -669,8 +669,7 @@ def test_dimension_beyond_double_range_is_exit_2(tmp_path, dimension):
 def test_whole_number_float_seed_is_honoured():
     # numpy's generator takes no float seed: validate with seed 2.0 once
     # crashed with exit 1 and no error.json
-    seed = RunConfig.from_dict({"experiment": "validate", "seed": 2.0}
-                               ).resolved["seed"]
+    seed = resolve_config({"experiment": "validate", "seed": 2.0})["seed"]
     assert seed == 2 and type(seed) is int
 
 
@@ -699,8 +698,9 @@ def test_cli_blowup_report_is_the_sweep_report(tmp_path):
     # the report holds the evidence as rendered, floats at %.12g
     assert report["evidence"] == json.loads(_dumps(rep.evidence))
     assert report["files"] == [f"{name}.csv" for name in rep.series]
-    # series blowup_t<i> is fitted.per_t[i]
-    assert [f["t"] for f in report["fitted"]["per_t"]] == FAST_BLOWUP["t_list"]
+    # series blowup_t<i> and fitted.per_t[i] are read at config.t_list[i]
+    assert report["config"]["t_list"] == FAST_BLOWUP["t_list"]
+    assert len(report["fitted"]["per_t"]) == len(FAST_BLOWUP["t_list"])
 
 
 def test_main_entry_point(tmp_path):

@@ -50,7 +50,7 @@ def test_degiorgi_flat_space_limit(euclid3):
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005), controls)
     check_report_shape(rep, "degiorgi")
     assert rep.verdict == "confirms", rep.finding
-    assert rep.fitted["relative_gap"] < 1e-3
+    assert check_row(rep.evidence["checks"], "relative_gap")["measured"] < 1e-3
     assert abs(rep.fitted["exact_tv"] - 4 * math.pi) < 1e-12
     rows = rep.series["degiorgi"]
     assert len(rows) == 3
@@ -118,7 +118,7 @@ def test_degiorgi_with_two_times_reports_no_limit(euclid3):
     assert checks[0] == check("extrapolation_points", 2, ">=", 3, "both")
     assert [row["property"] for row in checks] == [
         "extrapolation_points", "unconverged_exhaustion_stops"]
-    for key in ("extrapolated_limit", "relative_gap", "error_indicator"):
+    for key in ("extrapolated_limit", "error_indicator"):
         assert math.isnan(rep.fitted[key]), key
     assert rep.fitted["exact_tv"] == pytest.approx(4 * math.pi, rel=1e-12)
 
@@ -149,7 +149,7 @@ def test_degiorgi_sweep_walks_once_per_resolution(euclid3, monkeypatch):
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
                          controls)
     assert calls == [[0.005, 0.01, 0.02]]
-    assert {row["N"] for row in rep.series["degiorgi"]} == {128}
+    assert rep.fitted["N"] == 128
     alone = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.005,), controls)
     assert rep.series["degiorgi"][-1] == alone.series["degiorgi"][0]
 
@@ -169,7 +169,7 @@ def test_annulus_config_refutes_a_signed_variation(tmp_path, monkeypatch):
     assert not moved_outputs("degiorgi_annulus", tmp_path / "honest")
     assert honest["verdict"] == "confirms", honest["finding"]
     assert abs(honest["fitted"]["exact_tv"] - 13 * math.pi) < 1e-9
-    assert {row["N"] for row in honest["series"]["degiorgi"]} == {1024}
+    assert honest["fitted"]["N"] == 1024
 
     def signed_variation(u, g, m):
         log_sa = m.log_sphere_constant + g.log_face_area[1:-1]
@@ -194,7 +194,7 @@ def test_degiorgi_sweep_through_two_levels(euclid3):
     for row in rep.series["degiorgi"]:
         *_, (g, (values,)) = heatlab.solver.exhaustion_levels(
             euclid3, ball_indicator(1.0), [row["t"]], controls)
-        assert row["R_used"] == g.R
+        assert rep.fitted["R_used"] == g.R
         want = total_variation(values, g, euclid3)
         assert abs(row["TV"] - want) < 1e-4 * want, f"t={row['t']}"
 
@@ -209,7 +209,7 @@ def test_automatic_exhaustion_waits_for_every_stop(euclid3, monkeypatch):
                     "both")
     assert (row["measured"], row["status"]) == (0.0, "pass")
     radii = [g.R for g, _ in levels]
-    assert {row["R_used"] for row in rep.series["degiorgi"]} == {radii[-1]}
+    assert rep.fitted["R_used"] == radii[-1]
     step = 4.0 * math.sqrt(0.09)
     assert radii[0] == pytest.approx(1.0 + step, rel=1e-2)
     # t = 0.01 had settled on the second level, t = 0.09 needed a third
@@ -225,7 +225,7 @@ def test_completeness_flat_space(euclid3):
     rep = completeness_probe(euclid3, 0.05, SolveControls(n_cells=256, step_tol=1e-6))
     check_report_shape(rep, "completeness")
     assert rep.verdict == "confirms" and rep.finding == "complete"
-    assert rep.fitted["m_limit"] >= 1.0 - 1e-6
+    assert check_row(rep.evidence["checks"], "m_limit")["measured"] >= 1.0 - 1e-6
     for row in rep.series["completeness"]:
         assert 0.0 < row["m_at_0"] <= 1.0 + 1e-12
 
@@ -245,11 +245,11 @@ def test_completeness_superexponential_weight(pe4):
     # the exp(r^4) model loses mass through infinity at any positive time
     rep = completeness_probe(pe4, 0.1, SolveControls(n_cells=384, step_tol=1e-6))
     assert rep.verdict == "refutes" and rep.finding == "incomplete"
-    assert rep.fitted["m_limit"] < 1.0 - 1e-3
-    assert rep.fitted["last_delta"] <= 1e-4
-    row = check_row(rep.evidence["checks"], "last_delta", "refutes")
-    assert (row["measured"], row["tolerance"], row["status"]) == (
-        rep.fitted["last_delta"], 1e-4, "pass")
+    checks = rep.evidence["checks"]
+    assert check_row(checks, "m_limit", "refutes")["measured"] < 1.0 - 1e-3
+    row = check_row(checks, "last_delta", "refutes")
+    assert (row["tolerance"], row["status"]) == (1e-4, "pass")
+    assert row["measured"] <= 1e-4
     # larger absorbing balls keep more mass, so the pole value rises with R
     # yet stays pinned away from 1
     ms = [row["m_at_0"] for row in rep.series["completeness"]]
@@ -275,7 +275,7 @@ def test_completeness_flat_sample_stops_once_the_pole_settles(tmp_path):
     assert radii == pytest.approx(planned[:5], rel=1e-11)
     assert radii[-1] == 6.32455532034
     assert (report["verdict"], report["finding"]) == ("confirms", "complete")
-    assert report["fitted"]["m_limit"] == 1
+    assert check_row(report["evidence"]["checks"], "m_limit")["measured"] == 1
 
 
 def test_completeness_superexp_sample_walks_every_level(tmp_path, pe4):
@@ -404,7 +404,7 @@ def test_blowup_sweep_flat_space_limit(euclid3):
     assert (rep.verdict, rep.finding) == ("refutes", "convergent")
     assert rep.evidence["findings"] == ["convergent"] * 3
     assert list(rep.series) == ["blowup_t0", "blowup_t1", "blowup_t2"]
-    assert [f["t"] for f in rep.fitted["per_t"]] == [0.05, 0.025, 0.0125]
+    assert len(rep.fitted["per_t"]) == 3
     # the small-time limit of the complement variation is the ball perimeter
     limit = rep.fitted["summary"]["tv_small_time_limit"]
     assert abs(limit - 4 * math.pi) < 0.01 * 4 * math.pi
@@ -442,14 +442,15 @@ def test_tail_probe_evolves_one_trajectory(euclid3, monkeypatch):
     assert calls == [[0.03, 0.04, 0.05]]
 
 
-@pytest.mark.parametrize("gap_rtol", [0.0, -0.01, math.nan])
+@pytest.mark.parametrize("gap_rtol", [0.0, -0.01, math.nan, True])
 def test_degiorgi_gap_bound_must_be_positive(euclid3, fast_controls, gap_rtol):
+    # True == 1, but no tolerance: it once ran as a gap bound of 1.0
     with pytest.raises(InvalidArgumentError, match="gap_rtol"):
         degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01),
                        fast_controls, gap_rtol=gap_rtol)
 
 
-@pytest.mark.parametrize("eps_c", [0.0, -0.5, 0.1, math.nan])
+@pytest.mark.parametrize("eps_c", [0.0, -0.5, 0.1, math.nan, "0.001"])
 def test_completeness_eps_c_bounds(euclid3, fast_controls, eps_c):
     # at 0.1 or above the incomplete band below 1 - 10*eps_c is empty
     with pytest.raises(InvalidArgumentError, match="eps_c"):
@@ -522,9 +523,18 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
     lambda m, c: SolveControls(exhaustion=(True, 3.0)),
     lambda m, c: SolveControls(step_tol=True),
     lambda m, c: SolveControls(n_cells="1024"),
+    # a lone number where a list is due once escaped as "'float' object is
+    # not iterable", a TypeError
+    lambda m, c: degiorgi_sweep(m, ball_indicator(1.0), 0.01, c),
+    lambda m, c: tail_probe(m, ball_indicator(1.0), 2.0, 0.01, c),
+    lambda m, c: blowup_sweep(m, 1.0, 0.01, [2.0, 3.0], c),
+    lambda m, c: blowup_sweep(m, 1.0, [0.01], 3.0, c),
+    lambda m, c: SolveControls(exhaustion=4.0),
 ], ids=["blowup_r0", "blowup_R_list", "comparison_R", "comparison_t_text",
         "tail_R_out", "tail_t_text", "degiorgi_t_text", "exhaustion",
-        "step_tol", "n_cells_text"])
+        "step_tol", "n_cells_text", "degiorgi_scalar_t_list",
+        "tail_scalar_t_list", "blowup_scalar_t_list", "blowup_scalar_R_list",
+        "scalar_exhaustion"])
 def test_drivers_reject_a_boolean_radius_or_a_non_real_number(
         euclid3, fast_controls, call):
     # True == 1 and float("0.05") == 0.05, but neither is a radius or time
@@ -538,12 +548,15 @@ def test_tail_fit_flat_and_gaussian(euclid3, gauss):
         rep = tail_probe(m, ball_indicator(1.0), 2.0, (0.05, 0.04, 0.03, 0.02), controls)
         check_report_shape(rep, "tail")
         assert rep.verdict == "confirms", f"{m.family}: {rep.finding}"
-        assert rep.fitted["slope"] < 0
-        assert rep.fitted["r_squared"] >= 0.95
-        assert rep.fitted["n_points"] >= 3
+        checks = rep.evidence["checks"]
+        assert check_row(checks, "slope")["measured"] < 0
+        assert rep.fitted["c"] == -check_row(checks, "slope")["measured"]
+        assert check_row(checks, "r_squared")["measured"] >= 0.95
+        points = check_row(checks, "admissible_tail_points", "both")["measured"]
+        assert points >= 3
         # residuals are attached exactly to the admissible rows
         used = [row for row in rep.series["tail"] if row["fit_residual"] is not None]
-        assert len(used) == rep.fitted["n_points"]
+        assert len(used) == points
 
 
 def test_tail_requires_margin(euclid3, fast_controls):
@@ -555,7 +568,7 @@ def test_tail_beyond_safe_radius_is_range_error(pe4, monkeypatch):
     # exp(+r^4) overflows past r = 5.13, so no face beyond R_out = 5.5
     # exists to carry a tail; the probe must refuse before any solve
     calls = _count_trajectories(monkeypatch, heatlab.solver)
-    with pytest.raises(RangeError, match="R_out=5.5"):
+    with pytest.raises(RangeError, match="reading radius 5.5 "):
         tail_probe(pe4, ball_indicator(2.0), 5.5, (0.05, 0.04, 0.03),
                    SolveControls(n_cells=128, step_tol=1e-5))
     assert calls == []
@@ -574,7 +587,7 @@ def test_tail_without_a_face_beyond_R_out_is_range_error(pe4, monkeypatch):
 
 def test_blowup_beyond_safe_radius_is_range_error(pe4, monkeypatch):
     calls = _count_trajectories(monkeypatch, heatlab.solver)
-    with pytest.raises(RangeError, match="R_max=6"):
+    with pytest.raises(RangeError, match="reading radius 6 "):
         blowup_sweep(pe4, 1.0, (0.1,), (2.0, 6.0),
                      SolveControls(n_cells=64, step_tol=1e-5))
     assert calls == []
@@ -607,7 +620,7 @@ def test_tail_too_few_points_is_inconclusive(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     rep = tail_probe(euclid3, ball_indicator(1.0), 2.0, (0.05, 0.04), controls)
     assert rep.verdict == "inconclusive"
-    assert math.isnan(rep.fitted["r_squared"])
+    assert math.isnan(rep.fitted["C"]) and math.isnan(rep.fitted["c"])
 
 
 def test_guard_verdicts_follow_from_their_rows(euclid3):
@@ -628,6 +641,17 @@ def test_guard_verdicts_follow_from_their_rows(euclid3):
         assert (rep.verdict, rep.finding) == ("inconclusive", finding)
 
 
+def test_completeness_with_too_few_levels_reports_no_limit(euclid3):
+    # with no fit there is no limit: the last raw pole value once stood in
+    # as fitted.m_limit beside an inconclusive verdict
+    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
+    rep = completeness_probe(euclid3, 0.05, controls)
+    assert (rep.verdict, rep.finding) == (
+        "inconclusive", "fewer than 3 exhaustion levels")
+    assert list(rep.fitted) == ["error_indicator"]
+    assert math.isnan(rep.fitted["error_indicator"])
+
+
 def test_piecewise_datum_through_degiorgi(euclid3):
     # a ramp has no jump: its variation is already the limit, so the series
     # is nearly flat and must extrapolate onto the exact value
@@ -635,5 +659,5 @@ def test_piecewise_datum_through_degiorgi(euclid3):
     controls = SolveControls(n_cells=192, step_tol=1e-6, exhaustion=(3.0,))
     rep = degiorgi_sweep(euclid3, ramp, (0.02, 0.01, 0.005), controls)
     assert rep.verdict == "confirms", rep.finding
-    assert rep.fitted["relative_gap"] < 5e-3
+    assert check_row(rep.evidence["checks"], "relative_gap")["measured"] < 5e-3
     assert abs(rep.fitted["exact_tv"] - 4 * math.pi / 3) < 1e-10

@@ -51,10 +51,12 @@ def test_power_exp_perimeter(pe4):
 
 
 def test_power_exp_rejects_bad_parameters():
-    with pytest.raises(InvalidArgumentError):
-        power_exp_weight(0, 1)
-    with pytest.raises(InvalidArgumentError):
-        power_exp_weight(4, 2)
+    # a NaN power once built a model whose overflow-safe radius read 0, an
+    # infinite one a safe radius of 1, and a sign of True ran as +1
+    for p, sign in ((0, 1), (4, 2), (math.nan, 1), (math.inf, 1), (True, 1),
+                    ("4", 1), (4, True)):
+        with pytest.raises(InvalidArgumentError, match="weight"):
+            power_exp_weight(p, sign)
 
 
 def test_log_area_integral_euclidean(euclid3):

@@ -120,11 +120,21 @@ REPORT_KEYS = {"config", "evidence", "files", "finding", "fitted", "series",
                "tool", "verdict", "version"}
 
 
+def _key_names(obj) -> set:
+    """Every key of ``obj``'s dicts, at any depth."""
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_key_names, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_key_names, obj))
+    return set()
+
+
 @pytest.mark.parametrize("name", sorted(
     name for name, (code, _, _) in EXPECTED.items() if code == 0))
 def test_each_fact_has_one_place_in_the_outputs(sample_run, name):
     # the config echo holds the inputs, series the data and evidence the
-    # decision; each CSV holds one series, headed by its rows' keys
+    # decision; each CSV holds one series, headed by its rows' keys, and
+    # fitted holds only what none of them holds
     _, out = sample_run(name)
     report = json.loads((out / "report.json").read_text())
     series = report.get("series")
@@ -141,6 +151,14 @@ def test_each_fact_has_one_place_in_the_outputs(sample_run, name):
             header, *lines = csv.reader(fh)
         assert len(lines) == len(rows)
         assert all(sorted(row) == sorted(header) for row in rows), s
+    fitted = report.get("fitted", {})
+    fitted_keys = set(fitted).union(*map(set, fitted.get("per_t", [])))
+    checks = report["evidence"]["checks"]
+    if report["config"]["experiment"] == "blowup":
+        checks = [row for c in checks for row in c]
+    copies = fitted_keys & ({row["property"] for row in checks}
+                            | _key_names(series) | _key_names(report["config"]))
+    assert not copies, f"fitted repeats {sorted(copies)}"
 
 
 DRIVERS = ("degiorgi", "completeness", "blowup", "comparison", "tail")
