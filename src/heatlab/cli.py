@@ -441,7 +441,7 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
         return 2
-    except (RangeError, NumericalFailure, FloatingPointError) as exc:
+    except (RangeError, NumericalFailure) as exc:
         _write_error(out_dir, exc, 3)
         return 3
 

@@ -24,7 +24,7 @@ from .geometry import (RadialBVDatum, RadialManifold, as_real, as_reals,
                        exact_total_variation, power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (SolveControls, advance_states, evolve,
+from .solver import (SolveControls, advance_states, checked_times, evolve,
                      exhaustion_levels)
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
@@ -71,15 +71,6 @@ def decide(checks, findings) -> tuple[str, str]:
             return verdict, finding
 
 
-def _require_decreasing(values, name: str):
-    vals = as_reals(values, name)
-    if not vals or any(v <= 0 or not math.isfinite(v) for v in vals):
-        raise InvalidArgumentError(f"{name} must hold positive finite times")
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise InvalidArgumentError(f"{name} must be strictly decreasing")
-    return vals
-
-
 def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
                    controls: SolveControls,
                    gap_rtol: float = 0.01) -> ExperimentReport:
@@ -100,7 +91,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         raise InvalidArgumentError("datum must be compactly supported")
     if not as_real(gap_rtol) > 0:
         raise InvalidArgumentError(f"gap_rtol must be positive, got {gap_rtol}")
-    ts = _require_decreasing(t_list, "t_list")
+    ts = checked_times(t_list, "t_list", "decreasing")
     exact = exact_total_variation(datum, manifold)
 
     triples, converged = [None] * len(ts), [False] * len(ts)
@@ -271,7 +262,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     time is convergent and at least three were measured, carries the Aitken
     limit of TV at the largest radius.
     """
-    ts = _require_decreasing(t_list, "t_list")
+    ts = checked_times(t_list, "t_list", "decreasing")
     if not 0 < as_real(r0) < math.inf:
         raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
     radii = as_reals(R_list, "R_list")
@@ -398,7 +389,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     if not 2.0 * support <= as_real(R_out) < math.inf:
         raise InvalidArgumentError(
             f"datum support {support} must fit inside half of R_out={R_out}")
-    ts = _require_decreasing(t_list, "t_list")
+    ts = checked_times(t_list, "t_list", "decreasing")
     g, states, notes = evolve(manifold, (datum,), R_out, ts[::-1], controls)
     rows = []
     for t, state in zip(ts, reversed(states)):

@@ -9,15 +9,16 @@ ladder, so solutions at different R can be compared cell by cell and the
 exhaustion monotonicity becomes a testable discrete statement.
 
 Time stepping is implicit Euler (unconditional discrete maximum principle,
-which indicator data require).  The step size is controlled by step
-doubling: a full step is compared against two half steps in the weighted L1
-norm, and the accepted state is always the two-half-step one, which
-preserves the maximum principle exactly rather than up to an extrapolation
-residual.  Every proposed step rounds down onto the lattice
-``DT_INIT * 2^(k / STEP_LATTICE)``, on which half a step is the step one
-octave down, and each ``advance_states`` call factors every step size once,
-so a trajectory holds a few dozen factors instead of refactoring on every
-attempt.  Only a step clipped onto a stop time leaves the lattice.
+which indicator data require).  Each step is two half steps, and their
+second difference in the weighted L1 norm controls the step size: like the
+step-doubling gap between a full step and the two half steps, it is
+(h^2/4) u'' to leading order, so no full step is solved.  The accepted
+state is the two-half-step one, which preserves the maximum principle
+exactly rather than up to an extrapolation residual.  Every proposed step
+rounds down onto the lattice ``DT_INIT * 2^(k / STEP_LATTICE)`` and each
+``advance_states`` call factors every half-step size once, so a trajectory
+holds a few dozen factors instead of refactoring on every attempt.  Only a
+step clipped onto a stop time leaves the lattice.
 
 Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
 ``dpttrs``, the only routines heatlab takes from scipy.  They come from
@@ -150,7 +151,7 @@ def _lattice_step(h: float) -> float:
     """The largest lattice step size at most ``h``."""
     def size(k: int) -> float:
         # one base per octave times a power of two, so half of size(k) is
-        # bitwise size(k - STEP_LATTICE): a half step reuses a cached factor
+        # bitwise size(k - STEP_LATTICE): half steps stay on the lattice
         return DT_INIT * _LATTICE_BASE[k % STEP_LATTICE] * 2.0 ** (k // STEP_LATTICE)
 
     # the logarithm may round across a lattice point: start one above it
@@ -160,15 +161,18 @@ def _lattice_step(h: float) -> float:
     return size(k)
 
 
-def _stop_times(stops) -> list[float]:
-    """The stops of one trajectory from t = 0: a non-empty, strictly
-    increasing list of positive, finite real numbers and no boolean (True ==
+def checked_times(values, name: str = "stop times",
+                  order: str = "increasing") -> list[float]:
+    """A list of times: non-empty, strictly monotone in ``order``
+    ("increasing", as the stops of a trajectory from t = 0, or
+    "decreasing"), of positive, finite real numbers and no boolean (True ==
     1, but no time), checked before numpy would coerce them."""
-    times = as_reals(stops, "stop times")
-    if not (times and all(map(math.isfinite, times)) and times[0] > 0):
-        raise InvalidArgumentError(f"time must be positive and finite, got {stops}")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise InvalidArgumentError(f"stop times must be strictly increasing, got {stops}")
+    times = as_reals(values, name)
+    if not (times and all(0 < t < math.inf for t in times)):
+        raise InvalidArgumentError(f"{name} must hold positive finite times, got {values}")
+    pairs = zip(times, times[1:]) if order == "increasing" else zip(times[1:], times)
+    if any(b <= a for a, b in pairs):
+        raise InvalidArgumentError(f"{name} must be strictly {order}, got {values}")
     return times
 
 
@@ -180,13 +184,13 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
 
     ``states`` has shape (N,) or (N, k); all columns share every accepted
     step, so linear identities between columns survive time stepping exactly.
-    The local error of a step is the radial-profile L1 distance (cell widths
-    as weights, no area factor) between one full step and two half steps,
-    relative to each column's own profile norm; the worst column must meet
-    ``controls.step_tol``, and the half-step result is the one accepted.
+    A step is two half steps u -> mid -> fine.  Its local error is the
+    radial-profile L1 norm (cell widths as weights, no area factor) of the
+    second difference (fine - mid) - (mid - u), relative to each column's
+    own profile norm; the worst column must meet ``controls.step_tol``, and
+    the half-step result is the one accepted.  No full step is solved.
     The controller's proposal rounds down onto the step lattice (never a
-    longer step), and the call caches one factorization per step size, so
-    a half step reuses the full step one octave down.
+    longer step), and the call caches one factorization per half-step size.
     The area weight stays out of the controller on purpose: cells of huge
     measure would otherwise pin the step size to their own stiff decay,
     which the implicit scheme damps stably anyway, while every reported
@@ -206,10 +210,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     is filled in as the run records; a filled one is replayed instead of
     adapting, and must have been recorded through the same stop times.  Both
     modes run the same step: a replayed one takes its size from the ladder,
-    skips the full-step error solve and is always accepted, so the observer
-    sees the same transitions as on the recording.
+    skips the error estimate and is always accepted, so the observer sees
+    the same transitions as on the recording.
     """
-    stops = _stop_times(stops)
+    stops = checked_times(stops)
     u = np.array(states, dtype=float)
     if u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
@@ -266,8 +270,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             mid = half(u)
             fine = half(mid)
             if not replay:
-                coarse = factor(h)(u)
-                err = float((column_l1(coarse - fine)
+                err = float((column_l1((fine - mid) - (mid - u))
                              / np.maximum(column_l1(fine), 1e-300)).max())
                 if not (err <= controls.step_tol or h <= DT_MIN):
                     dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
@@ -326,7 +329,7 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
     built, and so is a grid with no interior face beyond ``R_read``:
     nothing there is read.
     """
-    stops = _stop_times(stops)
+    stops = checked_times(stops)
     safe = overflow_safe_radius(manifold)
     if not R_read < safe:
         raise RangeError(
@@ -437,7 +440,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
     ``EXHAUSTION_SLACK`` is a scheme inconsistency and raises
     ``NumericalFailure``.
     """
-    stops = _stop_times(stops)
+    stops = checked_times(stops)
     ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls)
 
     def levels():

@@ -12,9 +12,11 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import erf
 
 import heatlab.experiments
@@ -124,6 +126,28 @@ def ball_heat_tv(t, r0=1.0):
     if e1 + e2 > 1e-9:
         raise ArithmeticError(f"reference quadrature error {e1 + e2:.2e} too large")
     return 8.0 * math.pi * (inner + outer)
+
+
+def time_exact_states(manifold, op, u0, stops):
+    """exp(t L) u0 at each stop t, exact in time on the solver's own grid
+    and operator, from scipy's eigendecomposition of the symmetric
+    tridiagonal D^-1/2 D(-L) D^-1/2, with D(-L) the banded D (I - L) less D.
+
+    Only flat and Gaussian weights: on exp(+r^4) the D^(+-1/2) scaling
+    amplifies roundoff until total variation is off by half or more, so
+    any other weight raises instead of returning a wrong number.
+    """
+    if not (manifold.family == "euclidean"
+            or manifold.params == {"p": 2.0, "sign": -1}):
+        raise ValueError(f"no time-exact reference for {manifold.family} "
+                         f"{manifold.params}: only flat or Gaussian weights")
+    d = op.cell_weights
+    main, off = op.banded(1.0)
+    scale = 1.0 / np.sqrt(d)
+    w, v = eigh_tridiagonal((main - d) * scale * scale,
+                            off * scale[:-1] * scale[1:])
+    coefficients = v.T @ (u0 / scale)
+    return [scale * (v @ (np.exp(-t * w) * coefficients)) for t in stops]
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,12 @@
 variation limits.
 
 Each config in ``configs/`` runs through ``cli.run`` and must give the exit
-code, verdict and finding that the benchmark checks (``EXPECTED`` in
-``perfbench/run.py``), so the table has one home, keep the digests of its
-outputs (``conftest.moved_outputs``), and give a verdict that follows from
-its report's check rows alone.
+code, verdict and finding of its row in ``SAMPLES``, which agree with the
+benchmark's (``EXPECTED`` in ``perfbench/run.py``) wherever both have the
+config, make exactly the row's LAPACK solves (``dpttrs``) and
+factorizations (``dpttrf``), keep the digests of its outputs
+(``conftest.moved_outputs``), and give a verdict that follows from its
+report's check rows alone.
 """
 
 import csv
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import heatlab.solver
 from conftest import SAMPLE_DIGESTS, moved_outputs, output_digests
 from heatlab.cli import run
 
@@ -40,6 +43,24 @@ def _benchmark_module(name: str):
 
 
 EXPECTED = _benchmark_module("run").EXPECTED
+
+DEGIORGI = "variation limit matches exact value"
+TAIL = "tail decays exponentially in 1/t"
+# config: (exit code, verdict, finding, dpttrs solves, dpttrf factorizations)
+SAMPLES = {
+    "blowup_euclidean_control": (0, "refutes", "convergent", 1_674, 47),
+    "blowup_overflow_error": (3, None, "RangeError", 0, 0),
+    "blowup_superexp": (0, "confirms", "divergent", 13_454, 96),
+    "comparison": (0, "confirms", "barrier dominates", 9_666, 42),
+    "completeness_euclidean": (0, "confirms", "complete", 10_562, 270),
+    "completeness_superexp": (0, "refutes", "incomplete", 13_302, 260),
+    "degiorgi_annulus": (0, "confirms", DEGIORGI, 2_418, 44),
+    "degiorgi_euclidean": (0, "confirms", DEGIORGI, 1_262, 44),
+    "degiorgi_gaussian": (0, "confirms", DEGIORGI, 1_254, 44),
+    "tail_euclidean": (0, "confirms", TAIL, 1_634, 45),
+    "tail_gaussian": (0, "confirms", TAIL, 1_602, 46),
+    "validate": (0, "confirms", "all properties hold", 14_382, 225),
+}
 
 # perimeter of the unit sphere in R^3 under each degiorgi config's weight:
 # sigma * A(1) with A(r) = r^2 (flat) and r^2 exp(-r^2) (Gaussian)
@@ -82,23 +103,45 @@ def _recomputed_verdict(report):
 
 @pytest.fixture(scope="module")
 def sample_run(tmp_path_factory):
-    """Run a sample config once per module: name -> (exit code, out dir)."""
+    """Run a sample config once per module: name -> (exit code, out dir,
+    {LAPACK routine: calls during the run})."""
     runs = {}
 
     def ran(name):
         if name not in runs:
             out = tmp_path_factory.mktemp("samples") / name
-            runs[name] = (run(str(ROOT / "configs" / f"{name}.json"),
-                              str(out), threads=1), out)
+            calls = {"dpttrs": 0, "dpttrf": 0}
+
+            def counted(routine):
+                call = getattr(heatlab.solver, routine)
+
+                def counting(*args):
+                    calls[routine] += 1
+                    return call(*args)
+                return counting
+
+            with pytest.MonkeyPatch.context() as mp:
+                for routine in calls:
+                    mp.setattr(heatlab.solver, routine, counted(routine))
+                code = run(str(ROOT / "configs" / f"{name}.json"), str(out),
+                           threads=1)
+            runs[name] = (code, out, calls)
         return runs[name]
     return ran
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_the_table_holds_every_sample_config_and_the_benchmarks_rows():
+    configs = {p.stem for p in (ROOT / "configs").glob("*.json")}
+    assert set(SAMPLES) == configs
+    assert {name: SAMPLES[name][:3] for name in EXPECTED} == EXPECTED
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
 def test_sample_config_verdict(sample_run, name):
-    code, verdict, finding = EXPECTED[name]
-    ran, out = sample_run(name)
+    code, verdict, finding, solves, factors = SAMPLES[name]
+    ran, out, calls = sample_run(name)
     assert ran == code
+    assert calls == {"dpttrs": solves, "dpttrf": factors}
     moved = moved_outputs(name, out)
     assert not moved, f"{name} outputs moved: {moved}"
     if code != 0:
@@ -130,12 +173,12 @@ def _key_names(obj) -> set:
 
 
 @pytest.mark.parametrize("name", sorted(
-    name for name, (code, _, _) in EXPECTED.items() if code == 0))
+    name for name, row in SAMPLES.items() if row[0] == 0))
 def test_each_fact_has_one_place_in_the_outputs(sample_run, name):
     # the config echo holds the inputs, series the data and evidence the
     # decision; each CSV holds one series, headed by its rows' keys, and
     # fitted holds only what none of them holds
-    _, out = sample_run(name)
+    _, out, _ = sample_run(name)
     report = json.loads((out / "report.json").read_text())
     series = report.get("series")
     if report["config"]["experiment"] == "validate":
@@ -181,8 +224,8 @@ def _readme_rows():
 
 def test_readme_row_table_matches_the_sample_reports(sample_run):
     carried = set()
-    for name, (code, _, _) in EXPECTED.items():
-        ran, out = sample_run(name)
+    for name in SAMPLES:
+        code, out, _ = sample_run(name)
         if code != 0:
             continue
         report = json.loads((out / "report.json").read_text())

@@ -34,7 +34,7 @@ from heatlab import (
 from heatlab.experiments import degiorgi_sweep
 from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
-                      record_walk)
+                      record_walk, time_exact_states)
 
 
 def test_reference_routes_agree():
@@ -91,6 +91,57 @@ def test_evolution_matches_reference_kernel(euclid3):
     ref = np.array([ball_heat_closed_form(float(r), 0.05) for r in g.centers])
     err = weighted_sum(g, np.abs(u - ref)) / weighted_sum(g, np.abs(ref))
     assert err < 2e-3, f"kernel error {err:.3e} at N=512"
+
+
+# relative errors (TV, weighted L1) of the stepper at step_tol 1e-6 against
+# the time-exact reference at each stop of TIME_ERROR_STOPS, for the unit
+# ball with the wall at R = 4 and N = 1024, recorded with the earlier
+# full-step error estimate; flat TV below 1e-12 is roundoff, as flat R^3
+# conserves the ball's TV until heat reaches the wall
+TIME_ERROR_STOPS = [0.0025, 0.005, 0.01, 0.02, 0.05]
+TIME_ERRORS = {
+    "euclid3": [(4.95e-13, 1.15e-4), (4.33e-13, 1.36e-4), (3.36e-13, 1.58e-4),
+                (6.59e-9, 1.81e-4), (5.43e-6, 2.00e-4)],
+    "gauss": [(3.60e-8, 7.38e-5), (1.20e-7, 8.65e-5), (4.01e-7, 1.00e-4),
+              (1.33e-6, 1.12e-4), (1.70e-5, 1.16e-4)],
+}
+# errors at or below this floor are roundoff, not time error
+TIME_ERROR_FLOOR = 1e-10
+
+
+@pytest.mark.parametrize("family", sorted(TIME_ERRORS))
+def test_time_error_against_the_time_exact_reference(request, family):
+    # the stepper against exp(tL) u0 on the same grid and operator: the gap
+    # is time error alone; each error stays within 1.1 times its recorded
+    # value, and at step_tol / 4 it falls to about half (first order in
+    # time, step ~ tol^(1/2)), so the reference is the limit it converges to
+    m = request.getfixturevalue(family)
+    g = build_grid(m, 4.0, 1024, jump_radii=(1.0,))
+    op = assemble(g, m, DIRICHLET)
+    u0 = project_datum(ball_indicator(1.0), g)
+    exact = time_exact_states(m, op, u0, TIME_ERROR_STOPS)
+
+    def errors(step_tol):
+        got = advance_states(op, u0, TIME_ERROR_STOPS,
+                             SolveControls(n_cells=1024, step_tol=step_tol))
+        return [(abs(total_variation(a, g, m) / total_variation(b, g, m) - 1),
+                 weighted_sum(g, np.abs(a - b)) / weighted_sum(g, np.abs(b)))
+                for a, b in zip(got, exact)]
+
+    coarse, fine = errors(1e-6), errors(2.5e-7)
+    for t, recorded, err, finer in zip(TIME_ERROR_STOPS, TIME_ERRORS[family],
+                                       coarse, fine):
+        for name, want, e, f in zip(("TV", "L1"), recorded, err, finer):
+            assert e <= max(1.1 * want, TIME_ERROR_FLOOR), (t, name, e, want)
+            if e > TIME_ERROR_FLOOR:
+                assert 0.35 * e <= f <= 0.65 * e, (t, name, e, f)
+
+
+def test_time_exact_reference_refuses_other_weights(pe4):
+    g = build_grid(pe4, 2.0, 64, jump_radii=(1.0,))
+    op = assemble(g, pe4, DIRICHLET)
+    with pytest.raises(ValueError, match="only flat or Gaussian"):
+        time_exact_states(pe4, op, np.ones(g.N), [0.01])
 
 
 def test_neumann_mass_is_conserved(gauss):
@@ -229,7 +280,7 @@ def test_step_budget_spans_the_whole_trajectory(euclid3, monkeypatch):
 
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
     advance_states(op, chi, [0.01], controls)
-    first = solves[0] // 3  # three solves per attempted step
+    first = solves[0] // 2  # two solves per attempted step
     monkeypatch.setattr(heatlab.solver, "MAX_STEPS", first)
     advance_states(op, chi, [0.01], controls)  # reaches the first stop
     with pytest.raises(NumericalFailure):
@@ -257,8 +308,8 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
 
 
 def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
-    # a trajectory factors each step size once: the recorded steps h and
-    # their halves h/2, which the lattice makes largely the same sizes
+    # a trajectory factors each half-step size h/2 once, and solves only
+    # the two half steps of each attempt
     controls, g, op, chi = _walk_setup(euclid3)
     counts = {"band": 0, "solve": 0}
     band, solve = WeightedOperator.banded, heatlab.solver.dpttrs
@@ -277,9 +328,9 @@ def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
     advance_states(op, chi, [0.01], controls, ladder=ladder)
     steps = ladder[0]
     # this run rejects no attempt, so every factored size is a recorded one
-    assert counts["solve"] == 3 * len(steps) > 0
+    assert counts["solve"] == 2 * len(steps) > 0
     halves = {0.5 * h for h in steps}
-    assert counts["band"] == len(set(steps) | halves) < len(steps)
+    assert counts["band"] == len(halves) < len(steps)
     # a replay solves only with the half steps, once per distinct size
     counts.update(band=0, solve=0)
     advance_states(op, chi, [0.01], controls, ladder=ladder)
@@ -582,7 +633,7 @@ def test_exhaustion_levels_rejects_bad_time(euclid3):
     for t in ([0.0], [-0.01], [math.nan], [math.inf], [True], [], [0.0, 0.01],
               [0.01, math.inf], [True, 2.0]):
         with pytest.raises(InvalidArgumentError,
-                           match="time must be positive and finite"):
+                           match="stop times must hold positive finite times"):
             next(exhaustion_levels(euclid3, ball_indicator(1.0), t, controls))
     with pytest.raises(InvalidArgumentError, match="strictly increasing"):
         next(exhaustion_levels(euclid3, ball_indicator(1.0), [0.02, 0.01],
@@ -593,7 +644,7 @@ def test_exhaustion_levels_checks_its_arguments_at_the_call(euclid3, pe4):
     # a walk nobody iterates yet must still refuse what it cannot walk
     controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
     with pytest.raises(InvalidArgumentError,
-                       match="time must be positive and finite"):
+                       match="stop times must hold positive finite times"):
         exhaustion_levels(euclid3, ball_indicator(1.0), [0.0], controls)
     with pytest.raises(InvalidArgumentError,
                        match="does not contain the datum"):
