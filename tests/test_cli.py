@@ -316,6 +316,22 @@ def test_validate_catches_a_staged_leg_from_the_wrong_time(monkeypatch):
     assert _failing_rows(out) == {"semigroup_identity_rel"}
 
 
+def test_validate_solve_count(monkeypatch):
+    # each state evolves once: one three-column run carries three rows, and
+    # the semigroup identity reuses the first exhaustion level's state; each
+    # step attempt solves its two half steps
+    solves = [0]
+    solve = heatlab.solver.dpttrs
+
+    def counting(*args, **kwargs):
+        solves[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
+    assert validate(seed=0)["verdict"] == "confirms"
+    assert solves[0] == 14_382
+
+
 def test_validate_cli_exit_codes(tmp_path, capsys):
     cfg = write_config(tmp_path, "v.json", {"experiment": "validate", "seed": 0})
     out = tmp_path / "ok"
