@@ -334,9 +334,9 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     growth = [0.0]
 
     def track(t0, a, t1, b):
-        bounds[0] = min(bounds[0], float(np.min(b)))
-        bounds[1] = max(bounds[1], float(np.max(b)))
-        growth[0] = max(growth[0], float(np.max(b[:, 0] - a[:, 0])))
+        bounds[0] = min(bounds[0], float(b.min()))
+        bounds[1] = max(bounds[1], float(b.max()))
+        growth[0] = max(growth[0], float((b[:, 0] - a[:, 0]).max()))
 
     ball = ball_indicator(1.0)
     ones = np.ones(g.N)

@@ -70,9 +70,9 @@ def as_reals(values, name: str) -> list[float]:
 
 def sphere_constant(dimension: int) -> float:
     """Surface measure of the unit (n-1)-sphere, 2*pi^(n/2)/Gamma(n/2)."""
-    if dimension < 1:
+    if not as_real(dimension) >= 1:
         raise InvalidArgumentError(
-            f"dimension must be at least 1 for a unit sphere, got {dimension}")
+            f"dimension must be at least 1 for a unit sphere, got {dimension!r}")
     try:
         return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
     except OverflowError:
@@ -91,8 +91,8 @@ class RadialManifold:
 
     def __init__(self, family: str, dimension: int, params: dict,
                  log_area_fn):
-        if dimension < 2 or int(dimension) != dimension:
-            raise InvalidArgumentError(f"dimension must be an integer >= 2, got {dimension}")
+        if not (as_real(dimension) >= 2 and float(dimension).is_integer()):
+            raise InvalidArgumentError(f"dimension must be an integer >= 2, got {dimension!r}")
         self.family = family
         self.dimension = int(dimension)
         self.params = dict(params)
@@ -121,10 +121,8 @@ class RadialManifold:
 
 def euclidean(dimension: int = 3) -> RadialManifold:
     """Flat R^n with Lebesgue measure: A(r) = r^(n-1)."""
-    k = dimension - 1
-
-    def _log_a(r):
-        return k * np.log(r)
+    def _log_a(r):  # the manifold checks the dimension before any call
+        return (dimension - 1) * np.log(r)
 
     return RadialManifold("euclidean", dimension, {}, _log_a)
 
@@ -141,17 +139,16 @@ def power_exp_weight(p: float, sign: int, dimension: int = 3) -> RadialManifold:
             f"weight exponent must be positive and finite, got {p}")
     if as_real(sign) not in (1, -1):
         raise InvalidArgumentError(f"weight sign must be +1 or -1, got {sign}")
-    k = dimension - 1
 
     def _log_a(r):
-        return k * np.log(r) + sign * r ** p
+        return (dimension - 1) * np.log(r) + sign * r ** p
 
     return RadialManifold("power_exp", dimension, {"p": float(p), "sign": int(sign)}, _log_a)
 
 
 def perimeter_ball(manifold: RadialManifold, r: float) -> float:
     """Weighted perimeter of the centered ball of radius r: sigma * A(r)."""
-    log_a = manifold.log_area(float(r))
+    log_a = manifold.log_area(as_real(r))
     total = manifold.log_sphere_constant + log_a
     if total > LOG_MAX_SCALAR:
         raise RangeError(f"perimeter overflows double precision at r={r}")
@@ -195,8 +192,8 @@ def log_area_integral(manifold: RadialManifold, a: float, b: float,
 
 def ball_volume(manifold: RadialManifold, r: float) -> float:
     """Weighted volume of the centered ball of radius r, to ~1e-10 relative."""
-    if r < 0 or not math.isfinite(r):
-        raise InvalidArgumentError(f"radius must be finite and nonnegative, got {r}")
+    if not 0 <= as_real(r) < math.inf:
+        raise InvalidArgumentError(f"radius must be finite and nonnegative, got {r!r}")
     if r == 0.0:
         return 0.0
     log_integral = log_area_integral(manifold, 0.0, float(r), rel_tol=1e-11)
@@ -222,7 +219,7 @@ class RadialBVDatum:
         if len(pts) < 2:
             raise InvalidArgumentError("a datum needs at least two breakpoints")
         if not all(math.isfinite(x) for p in pts for x in p):
-            raise InvalidArgumentError("breakpoint radii and values must be finite")
+            raise InvalidArgumentError("breakpoint radii and values must be finite reals")
         radii = [p[0] for p in pts]
         if radii[0] < 0 or any(b < a for a, b in zip(radii, radii[1:])):
             raise InvalidArgumentError("breakpoint radii must be nonnegative and sorted")
@@ -261,7 +258,7 @@ class RadialBVDatum:
 
 
 def piecewise(points) -> RadialBVDatum:
-    return RadialBVDatum(tuple((float(r), float(v)) for r, v in points))
+    return RadialBVDatum(tuple((as_real(r), as_real(v)) for r, v in points))
 
 
 def ball_indicator(radius: float) -> RadialBVDatum:

@@ -17,8 +17,11 @@ state is the two-half-step one, which preserves the maximum principle
 exactly rather than up to an extrapolation residual.  Every proposed step
 rounds down onto the lattice ``DT_INIT * 2^(k / STEP_LATTICE)`` and each
 ``advance_states`` call factors every half-step size once, so a trajectory
-holds a few dozen factors instead of refactoring on every attempt.  Only a
-step clipped onto a stop time leaves the lattice.
+holds a few dozen factors.  Only a step clipped onto a stop time leaves the
+lattice.  A call steps one copy of its states in reused buffers, which an
+observer sees, valid only during its call.  One BLAS matrix-vector product
+per attempt gives the error norms, with equal bits at one and two OpenBLAS
+threads up to 10^6 cells.
 
 Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
 ``dpttrs``, the only routines heatlab takes from scipy.  They come from
@@ -136,15 +139,16 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     return values
 
 
-def _factor(op: WeightedOperator, dt: float) -> Callable[[np.ndarray], np.ndarray]:
+def _factor(op: WeightedOperator, dt: float) -> Callable[..., np.ndarray]:
     """The solve of (I - dt L) x = u, set up once for many right-hand sides:
     the positive definite D (I - dt L) x = D u, factored by dpttrf and solved
-    by dpttrs, which leaves the factors intact."""
+    by dpttrs (factors intact), in place in a Fortran-ordered ``out`` if given."""
     d, e, info = dpttrf(*op.banded(dt), 1, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dpttrf info={info}")
     w = op.cell_weights
-    return lambda u: dpttrs(d, e, (w if u.ndim == 1 else w[:, None]) * u, 1)[0]
+    return lambda u, out=None: dpttrs(
+        d, e, np.multiply(w if u.ndim == 1 else w[:, None], u, out=out), 1)[0]
 
 
 def _lattice_step(h: float) -> float:
@@ -194,9 +198,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     The area weight stays out of the controller on purpose: cells of huge
     measure would otherwise pin the step size to their own stiff decay,
     which the implicit scheme damps stably anyway, while every reported
-    functional applies its measure as post-processing.  ``observer`` is
+    functional applies its measure as post-processing.  ``states`` is never
+    written, and each returned state is its own array.  ``observer`` is
     called once per accepted substate transition with both endpoint times
-    and states.
+    and states, which are reused buffers: valid only during the call.
 
     ``stops`` is a strictly increasing list of positive times; one
     trajectory runs through all of them and returns the list of states at
@@ -214,7 +219,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     the same transitions as on the recording.
     """
     stops = checked_times(stops)
-    u = np.array(states, dtype=float)
+    u = np.array(states, dtype=float, order="F")
     if u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
 
@@ -226,11 +231,13 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
 
     # the local error of a first-order step is O(h^2), so the controller
     # scales the step by (tol/err)^(1/2)
-    widths = np.diff(op.grid.faces)[:, None]
-
-    # np.add.reduce is what np.sum calls, minus its dispatch overhead
-    def column_l1(arr: np.ndarray) -> np.ndarray:
-        return np.add.reduce(widths * np.abs(arr.reshape(op.grid.N, -1)), axis=0)
+    widths = np.diff(op.grid.faces)
+    # reused Fortran-ordered buffers; scratch holds |second difference|, |fine|
+    mid, fine = np.empty_like(u), np.empty_like(u)
+    scratch = np.empty((*u.shape, 2), order="F")
+    second, size = scratch[..., 0], scratch[..., 1]
+    columns = scratch.reshape(op.grid.N, -1, order="F")  # a view, k + k columns
+    k = columns.shape[1] // 2
 
     # one factorization per step size, kept for this call only
     factor = functools.cache(lambda dt: _factor(op, dt))
@@ -267,11 +274,17 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                 h = stop - t
             # both half steps solve with I - (h/2) L: one factor serves both
             half = factor(0.5 * h)
-            mid = half(u)
-            fine = half(mid)
+            mid = half(u, mid)
+            fine = half(mid, fine)
             if not replay:
-                err = float((column_l1((fine - mid) - (mid - u))
-                             / np.maximum(column_l1(fine), 1e-300)).max())
+                # (fine - mid) - (mid - u), differenced in that order
+                np.subtract(fine, mid, out=second)
+                np.subtract(second, np.subtract(mid, u, out=size), out=second)
+                np.abs(second, out=second)
+                np.abs(fine, out=size)
+                norms = (widths @ columns).tolist()  # one dot product per column
+                ratios = [a / max(b, 1e-300) for a, b in zip(norms[:k], norms[k:])]
+                err = math.nan if any(r != r for r in ratios) else max(ratios)
                 if not (err <= controls.step_tol or h <= DT_MIN):
                     dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
                              DT_MIN)
@@ -285,10 +298,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             if observer is not None:
                 observer(t, u, t + 0.5 * h, mid)
                 observer(t + 0.5 * h, mid, t + h, fine)
-            u = fine
+            u, fine = fine, u
             t = t + h
             taken += 1
-        at_stops.append(u)
+        at_stops.append(u.copy(order="F"))
     return at_stops
 
 

@@ -294,7 +294,7 @@ def test_validate_catches_an_upward_biased_step(monkeypatch):
 
     def biased(*args):
         solve = factor(*args)
-        return lambda u: solve(u) + 1e-9
+        return lambda u, out=None: solve(u, out) + 1e-9
 
     monkeypatch.setattr(heatlab.solver, "_factor", biased)
     out = validate(seed=0)

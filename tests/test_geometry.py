@@ -11,6 +11,7 @@ from heatlab import (
     ball_indicator,
     ball_volume,
     constant_one,
+    euclidean,
     exact_total_variation,
     log_area_integral,
     perimeter_ball,
@@ -33,6 +34,29 @@ def test_sphere_constant_rejects_dimensions_below_one(dimension):
     # 0 and -2 are poles of Gamma(n/2), -1 is not; none is a sphere
     with pytest.raises(InvalidArgumentError, match=f"got {dimension}"):
         sphere_constant(dimension)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ball_indicator(True), id="ball_indicator(True)"),
+    pytest.param(lambda: ball_indicator("1"), id="ball_indicator('1')"),
+    pytest.param(lambda: piecewise([(0.0, 1.0), (1.0, "0")]), id="piecewise value '0'"),
+    pytest.param(lambda: ball_volume(euclidean(3), True), id="ball_volume(True)"),
+    pytest.param(lambda: perimeter_ball(euclidean(3), True), id="perimeter_ball(True)"),
+    pytest.param(lambda: euclidean("3"), id="euclidean('3')"),
+    pytest.param(lambda: euclidean(math.inf), id="euclidean(inf)"),
+    pytest.param(lambda: power_exp_weight(4, 1, "3"), id="power_exp_weight(dimension '3')"),
+    pytest.param(lambda: sphere_constant(True), id="sphere_constant(True)"),
+])
+def test_a_boolean_or_a_string_is_no_radius_or_dimension(call):
+    # True == 1 and float('1') == 1, but neither is a number a caller meant;
+    # each once built the unit ball, or raised TypeError or OverflowError
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
+def test_a_whole_float_dimension_is_honoured():
+    assert euclidean(3.0).dimension == 3
+    assert perimeter_ball(euclidean(3.0), 1.0) == perimeter_ball(euclidean(3), 1.0)
 
 
 def test_euclidean_perimeter_and_volume(euclid3):

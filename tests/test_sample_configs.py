@@ -115,9 +115,9 @@ def sample_run(tmp_path_factory):
             def counted(routine):
                 call = getattr(heatlab.solver, routine)
 
-                def counting(*args):
+                def counting(*args, **kwargs):
                     calls[routine] += 1
-                    return call(*args)
+                    return call(*args, **kwargs)
                 return counting
 
             with pytest.MonkeyPatch.context() as mp:

@@ -696,6 +696,90 @@ def test_step_is_the_banded_solve_bitwise(request, family, columns):
     assert np.array_equal(u, before), "the step overwrote its input state"
 
 
+def _stacked(g, chi, columns):
+    # chi alone (columns None) or beside columns - 1 random ones
+    if columns is None:
+        return chi.copy()
+    extra = np.random.default_rng(11).uniform(0.0, 1.0, (g.N, columns - 1))
+    return np.column_stack([chi, extra])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("columns", [None, 1, 2, 3])
+def test_advance_states_leaves_the_callers_states_as_they_were(euclid3, order,
+                                                                columns):
+    # the step runs in buffers of its own: the caller's array is copied
+    # once and never written, whatever its memory order
+    controls, g, op, chi = _walk_setup(euclid3)
+    states = np.array(_stacked(g, chi, columns), order=order)
+    before = states.copy()
+    advance_states(op, states, [0.004, 0.01], controls)
+    assert np.array_equal(states, before), "the step overwrote the caller's states"
+
+
+def test_states_at_the_stops_are_distinct_arrays_that_stay_put(euclid3):
+    # each stop keeps a copy of the state the observer saw there: no stop
+    # shares memory with another, with the input, or with the next call
+    controls, g, op, chi = _walk_setup(euclid3)
+    u0 = _stacked(g, chi, 2)
+    stops = [0.004, 0.01, 0.02]
+    seen = []
+
+    def observer(t0, a, t1, b):
+        seen.append((t1, b.copy()))
+
+    states = advance_states(op, u0, stops, controls, observer=observer)
+    for stop, state in zip(stops, states):
+        _, at_stop = min(seen, key=lambda s: abs(s[0] - stop))
+        assert np.array_equal(state, at_stop), f"the state at {stop} moved later"
+    arrays = [u0, *states]
+    assert not any(np.shares_memory(a, b)
+                   for i, a in enumerate(arrays) for b in arrays[i + 1:])
+    kept = [s.copy() for s in states]
+    advance_states(op, u0, stops, controls)
+    assert all(np.array_equal(s, k) for s, k in zip(states, kept)), \
+        "a later call changed the states an earlier one returned"
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_c_and_fortran_ordered_states_step_bitwise_alike(euclid3, columns):
+    # the Fortran-ordered input runs first, so a step that wrote into it
+    # would hand the C-ordered run another start; one column also steps
+    # bitwise like the same state as a vector
+    controls, g, op, chi = _walk_setup(euclid3)
+    fortran = np.asfortranarray(_stacked(g, chi, columns))
+    stops = [0.004, 0.01]
+    by_f = advance_states(op, fortran, stops, controls)
+    by_c = advance_states(op, np.ascontiguousarray(fortran), stops, controls)
+    assert all(np.array_equal(f, c) for f, c in zip(by_f, by_c))
+    if columns == 1:
+        by_vector = advance_states(op, chi, stops, controls)
+        assert all(np.array_equal(f[:, 0], v) for f, v in zip(by_f, by_vector))
+
+
+@pytest.mark.parametrize("columns", [None, 1, 2, 3])
+def test_solve_into_a_buffer_is_the_allocating_solve(euclid3, columns):
+    # solve(u, out) writes into the Fortran-ordered out, returns it, and
+    # agrees bit for bit with solve(u)
+    controls, g, op, chi = _walk_setup(euclid3)
+    u = _stacked(g, chi, columns)
+    solve = heatlab.solver._factor(op, 1e-3)
+    out = np.empty_like(u, order="F")
+    assert solve(u, out) is out
+    assert np.array_equal(out, solve(u))
+
+
+def test_a_nan_column_is_not_outvoted_by_a_finite_one(euclid3, monkeypatch):
+    # a NaN error in any column rejects the attempt, so the run ends in
+    # NumericalFailure instead of returning a NaN column beside a good one
+    controls, g, op, chi = _walk_setup(euclid3)
+    monkeypatch.setattr(heatlab.solver, "MAX_STEPS", 200)
+    u0 = _stacked(g, chi, 2)
+    u0[0, 1] = math.nan
+    with pytest.raises(NumericalFailure, match="unreachable"):
+        advance_states(op, u0, [0.01], controls)
+
+
 def test_singular_step_names_dt(euclid3):
     # an operator without weights or conductances has a zero diagonal
     g = build_grid(euclid3, 3.0, 64)
