@@ -16,23 +16,25 @@ step-doubling gap between a full step and the two half steps, it is
 state is the two-half-step one, which preserves the maximum principle
 exactly rather than up to an extrapolation residual.  Every proposed step
 rounds down onto the lattice ``DT_INIT * 2^(k / STEP_LATTICE)`` and each
-``advance_states`` call factors every half-step size once, so a trajectory
-holds a few dozen factors.  Only a step clipped onto a stop time leaves the
-lattice.  A call steps one copy of its states in reused buffers, which an
-observer sees, valid only during its call.  One BLAS matrix-vector product
-per attempt gives the error norms, with equal bits at one and two OpenBLAS
-threads up to 10^6 cells.
+``advance_states`` call keeps ``dpttrf``'s factors of every half-step size
+in a dict, so a trajectory holds a few dozen.  Only a step clipped onto a
+stop time leaves the lattice.  A call steps one copy of its states in
+reused buffers, which an observer sees, valid only during its call, and
+shapes the cell weights like the states once: an attempt is two ``dpttrs``
+calls, a few ufuncs into those buffers and one BLAS matrix-vector product
+for the error norms, with equal bits at one and two OpenBLAS threads up to
+10^6 cells.
 
 Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
 ``dpttrs``, the only routines heatlab takes from scipy.  They come from
-scipy's compiled ``scipy/linalg/_flapack`` extension, loaded on its own:
-importing ``scipy.linalg`` would run its package init, which loads
-numpy.testing, numpy.f2py and more, 0.25 s of a 0.53 s start-up.
+scipy's compiled ``scipy/linalg/_flapack`` extension, loaded on its own
+from the directory ``importlib`` finds for scipy: importing ``scipy`` runs
+its package init (12-15 ms), and ``scipy.linalg``'s loads numpy.testing,
+numpy.f2py and more, 0.25 s of a 0.53 s start-up.
 """
 
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real,
@@ -49,7 +50,8 @@ from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real,
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
-_LAPACK_DIR = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+_LAPACK_DIR = os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0], "linalg")
 _spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
                                                  [_LAPACK_DIR])
 if _spec is None:
@@ -139,16 +141,13 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     return values
 
 
-def _factor(op: WeightedOperator, dt: float) -> Callable[..., np.ndarray]:
-    """The solve of (I - dt L) x = u, set up once for many right-hand sides:
-    the positive definite D (I - dt L) x = D u, factored by dpttrf and solved
-    by dpttrs (factors intact), in place in a Fortran-ordered ``out`` if given."""
+def _factor(op: WeightedOperator, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """dpttrf's factors (d, e) of the positive definite D (I - dt L): the
+    step (I - dt L) x = u solves as D (I - dt L) x = D u with ``dpttrs``."""
     d, e, info = dpttrf(*op.banded(dt), 1, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve broke down at dt={dt}: dpttrf info={info}")
-    w = op.cell_weights
-    return lambda u, out=None: dpttrs(
-        d, e, np.multiply(w if u.ndim == 1 else w[:, None], u, out=out), 1)[0]
+    return d, e
 
 
 def _lattice_step(h: float) -> float:
@@ -238,9 +237,13 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     second, size = scratch[..., 0], scratch[..., 1]
     columns = scratch.reshape(op.grid.N, -1, order="F")  # a view, k + k columns
     k = columns.shape[1] // 2
+    # the cell weights in the states' shape: a same-shape product is cheaper
+    # than a broadcast one (the transpose broadcasts along the cells)
+    weights = np.empty_like(u)
+    weights.T[...] = op.cell_weights
 
-    # one factorization per step size, kept for this call only
-    factor = functools.cache(lambda dt: _factor(op, dt))
+    # dpttrf's (d, e) per half-step size, kept for this call only
+    factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     t = 0.0
     dt = DT_INIT
@@ -272,10 +275,14 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             clipped = not replay and stop - t < h
             if clipped:
                 h = stop - t
-            # both half steps solve with I - (h/2) L: one factor serves both
-            half = factor(0.5 * h)
-            mid = half(u, mid)
-            fine = half(mid, fine)
+            # both half steps solve with I - (h/2) L, in place in the
+            # Fortran-ordered buffers: one factor serves both
+            half = 0.5 * h
+            if half not in factors:
+                factors[half] = _factor(op, half)
+            d, e = factors[half]
+            mid = dpttrs(d, e, np.multiply(weights, u, out=mid), 1)[0]
+            fine = dpttrs(d, e, np.multiply(weights, mid, out=fine), 1)[0]
             if not replay:
                 # (fine - mid) - (mid - u), differenced in that order
                 np.subtract(fine, mid, out=second)
@@ -283,8 +290,13 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                 np.abs(second, out=second)
                 np.abs(fine, out=size)
                 norms = (widths @ columns).tolist()  # one dot product per column
-                ratios = [a / max(b, 1e-300) for a, b in zip(norms[:k], norms[k:])]
-                err = math.nan if any(r != r for r in ratios) else max(ratios)
+                # the worst column's ratio; a NaN one wins and stays
+                err = 0.0
+                for j in range(k):
+                    b = norms[j + k]
+                    r = norms[j] / (1e-300 if b < 1e-300 else b)
+                    if r > err or r != r:
+                        err = r
                 if not (err <= controls.step_tol or h <= DT_MIN):
                     dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
                              DT_MIN)
@@ -296,8 +308,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                         grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
                     dt = max(h * max(grow, 1.0), DT_MIN)
             if observer is not None:
-                observer(t, u, t + 0.5 * h, mid)
-                observer(t + 0.5 * h, mid, t + h, fine)
+                observer(t, u, t + half, mid)
+                observer(t + half, mid, t + h, fine)
             u, fine = fine, u
             t = t + h
             taken += 1

@@ -20,6 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import erf
 
 import heatlab.experiments
+import heatlab.solver
 from heatlab import SolveControls, euclidean, power_exp_weight
 
 # property tests draw the same examples on every run, and a slow shared
@@ -67,6 +68,15 @@ def record_walk(monkeypatch) -> list:
 
     monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", recording)
     return levels
+
+
+def implicit_step(op, dt, u, out=None):
+    """One implicit-Euler step (I - dt L) x = u as ``advance_states`` takes
+    it: ``dpttrs`` on ``_factor``'s (d, e) with right-hand side D u, formed
+    in ``out`` if given and solved in place there."""
+    d, e = heatlab.solver._factor(op, dt)
+    w = op.cell_weights if np.ndim(u) == 1 else op.cell_weights[:, None]
+    return heatlab.solver.dpttrs(d, e, np.multiply(w, u, out=out), 1)[0]
 
 
 def ball_heat_closed_form(r, t, r0=1.0):

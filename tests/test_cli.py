@@ -290,13 +290,14 @@ def _failing_rows(out):
 def test_validate_catches_an_upward_biased_step(monkeypatch):
     # the bounds row reads every column of the three-column run and the
     # growth row its constant column; a step that adds mass fails both
-    factor = heatlab.solver._factor
+    solve = heatlab.solver.dpttrs
 
     def biased(*args):
-        solve = factor(*args)
-        return lambda u, out=None: solve(u, out) + 1e-9
+        x, info = solve(*args)
+        x += 1e-9
+        return x, info
 
-    monkeypatch.setattr(heatlab.solver, "_factor", biased)
+    monkeypatch.setattr(heatlab.solver, "dpttrs", biased)
     out = validate(seed=0)
     assert out["verdict"] == "refutes"
     assert {"max_principle_defect", "mass_time_monotone"} <= _failing_rows(out)

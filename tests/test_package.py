@@ -12,10 +12,11 @@ ROOT = SRC.parent
 
 # imported names that nothing reads, each kept for the reason given
 UNREAD_IMPORTS_KEPT: dict[tuple[str, str], str] = {}
-# start-up weight a run never needs: scipy.linalg's package init loads
-# numpy.testing and numpy.f2py (about 0.25 s), the three scipy modules cost
-# about 0.35 s, and the config table replaced jsonschema (0.06 s)
-NOT_LOADED = {"scipy.linalg", "numpy.testing", "numpy.f2py",
+# start-up weight a run never needs: scipy's own package init costs 12-15 ms,
+# scipy.linalg's loads numpy.testing and numpy.f2py (about 0.25 s), the three
+# scipy modules cost about 0.35 s, and the config table replaced jsonschema
+# (0.06 s)
+NOT_LOADED = {"scipy", "scipy.linalg", "numpy.testing", "numpy.f2py",
               "scipy.interpolate", "scipy.special", "scipy.integrate",
               "jsonschema"}
 

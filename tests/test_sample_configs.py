@@ -15,6 +15,8 @@ import importlib.util
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -255,6 +257,21 @@ def test_benchmark_tracer_still_finds_the_solver(tmp_path):
     layer_self, _ = tracer.layer_totals()
     assert abs(sum(layer_self.values()) - wall) <= 1e-6 * max(wall, 1.0)
     assert tracer.calls_of("operator.banded") > 0
+
+
+def test_one_openblas_thread_gives_the_recorded_bits(tmp_path):
+    # the error norms' matrix-vector product runs in OpenBLAS, threaded by
+    # default; the two-column control run must write the same bytes on one
+    # thread as the recorded digests
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import heatlab.cli; "
+            "sys.exit(heatlab.cli.run(sys.argv[2], sys.argv[3]))")
+    name = "blowup_euclidean_control"
+    out = tmp_path / name
+    subprocess.run([sys.executable, "-c", code, str(ROOT / "src"),
+                    str(ROOT / "configs" / f"{name}.json"), str(out)],
+                   env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                   capture_output=True, check=True)
+    assert not moved_outputs(name, out)
 
 
 def test_every_sample_config_has_digests():

@@ -1,6 +1,7 @@
 """Time stepping: accuracy against an independent kernel, structure, replay."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from heatlab import (
 from heatlab.experiments import degiorgi_sweep
 from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
-                      record_walk, time_exact_states)
+                      implicit_step, record_walk, time_exact_states)
 
 
 def test_reference_routes_agree():
@@ -301,8 +302,8 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
     u = u0
     for segment, got, again in zip(ladder, adaptive, replayed):
         for dt in segment:
-            mid = heatlab.solver._factor(op, 0.5 * dt)(u)
-            u = heatlab.solver._factor(op, 0.5 * dt)(mid)
+            mid = implicit_step(op, 0.5 * dt, u)
+            u = implicit_step(op, 0.5 * dt, mid)
         assert np.array_equal(got, u), "adaptive path differs from independent steps"
         assert np.array_equal(again, u), "replay path differs from independent steps"
 
@@ -687,11 +688,11 @@ def test_step_is_the_banded_solve_bitwise(request, family, columns):
         ab = np.zeros((3, g.N))  # scipy's layout: super-, main and sub-diagonal
         ab[0, 1:], ab[1], ab[2, :-1] = np.diag(A, 1), np.diag(A), np.diag(A, -1)
         want = solve_banded((1, 1), ab, u)
-        got = heatlab.solver._factor(op, dt)(u)
+        got = implicit_step(op, dt, u)
         assert got.shape == u.shape
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
         for k in range(0 if columns is None else columns):
-            column = heatlab.solver._factor(op, dt)(np.ascontiguousarray(u[:, k]))
+            column = implicit_step(op, dt, np.ascontiguousarray(u[:, k]))
             assert np.array_equal(got[:, k], column)
     assert np.array_equal(u, before), "the step overwrote its input state"
 
@@ -759,14 +760,63 @@ def test_c_and_fortran_ordered_states_step_bitwise_alike(euclid3, columns):
 
 @pytest.mark.parametrize("columns", [None, 1, 2, 3])
 def test_solve_into_a_buffer_is_the_allocating_solve(euclid3, columns):
-    # solve(u, out) writes into the Fortran-ordered out, returns it, and
-    # agrees bit for bit with solve(u)
+    # the step into a buffer writes into the Fortran-ordered out, returns
+    # it, and agrees bit for bit with the step into a fresh array
     controls, g, op, chi = _walk_setup(euclid3)
     u = _stacked(g, chi, columns)
-    solve = heatlab.solver._factor(op, 1e-3)
     out = np.empty_like(u, order="F")
-    assert solve(u, out) is out
-    assert np.array_equal(out, solve(u))
+    assert implicit_step(op, 1e-3, u, out) is out
+    assert np.array_equal(out, implicit_step(op, 1e-3, u))
+
+
+def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
+    # between two accepted steps that factor no new size, the traced peak
+    # rises by a few Python objects, far below one state array; and a run
+    # over ten times the steps raises the call's peak by no more than the
+    # factor cache's growth and the ladder's one float a step
+    controls = SolveControls(n_cells=2048, step_tol=1e-5)
+    g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
+    op = assemble(g, euclid3, DIRICHLET)
+    chi = project_datum(ball_indicator(1.0), g)
+    u0 = np.column_stack([chi, 1.0 - chi])
+    cached = []  # bytes each factor keeps, views counted by their base
+    factor = heatlab.solver._factor
+
+    def recording(*args):
+        d, e = factor(*args)
+        cached.append(sum((x if x.base is None else x.base).nbytes for x in (d, e)))
+        return d, e
+
+    monkeypatch.setattr(heatlab.solver, "_factor", recording)
+    rises, last = [], {}
+
+    def observer(t0, a, t1, b):
+        _, peak = tracemalloc.get_traced_memory()
+        if last and len(cached) == last["factors"]:
+            rises.append(peak - last["current"])
+        last["factors"] = len(cached)
+        tracemalloc.reset_peak()
+        last["current"] = tracemalloc.get_traced_memory()[0]
+
+    peaks, caches, steps = [], [], []
+    tracemalloc.start()
+    try:
+        for stop in (1e-4, 0.3):
+            cached.clear()
+            ladder = []
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            advance_states(op, u0, [stop], controls, ladder=ladder)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            caches.append(sum(cached))
+            steps.append(len(ladder[0]))
+        advance_states(op, u0, [0.3], controls, observer=observer)
+    finally:
+        tracemalloc.stop()
+    assert steps[1] >= 10 * steps[0] and len(rises) > steps[1]
+    assert max(rises) <= u0.nbytes / 16, max(rises)
+    more = steps[1] - steps[0]
+    assert peaks[1] - peaks[0] <= caches[1] - caches[0] + 64 * more, (peaks, caches, more)
 
 
 def test_a_nan_column_is_not_outvoted_by_a_finite_one(euclid3, monkeypatch):
@@ -788,4 +838,4 @@ def test_singular_step_names_dt(euclid3):
     singular = replace(op, cell_weights=0.0 * op.cell_weights,
                        conductance=0.0 * op.conductance)
     with pytest.raises(NumericalFailure, match=f"dt={dt}: dpttrf"):
-        heatlab.solver._factor(singular, dt)(np.ones(g.N))
+        heatlab.solver._factor(singular, dt)
