@@ -290,7 +290,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                 np.abs(second, out=second)
                 np.abs(fine, out=size)
                 norms = (widths @ columns).tolist()  # one dot product per column
-                # the worst column's ratio; a NaN one wins and stays
+                # the worst column's ratio, without a list or a max() call;
+                # a NaN ratio wins and stays
                 err = 0.0
                 for j in range(k):
                     b = norms[j + k]
