@@ -1,9 +1,9 @@
 """Finite-volume meshes on [0, R] with log-space cell measures.
 
-Cell measures mu_i = sigma * integral of A over the cell are computed by
-per-cell Gauss-Legendre quadrature accumulated in log space, so grids remain
-usable on manifolds whose area function overflows double precision long
-before the truncation radius does.
+Cell measures mu_i = sigma * integral of A over the cell come from the one
+quadrature of A, ``geometry.log_area_integral`` (in log space, each cell to
+1e-12 of its integral), so grids stay usable where A overflows double
+precision long before the truncation radius does.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (LOG_MAX_GRID, RadialManifold, _gl_log_terms,
-                       log_area_integral, logsumexp)
+from .geometry import LOG_MAX_GRID, RadialManifold, log_area_integral
 
 
 @dataclass(frozen=True)
@@ -35,28 +34,6 @@ class Grid:
         if not math.isclose(self.faces[idx], r, rel_tol=1e-12, abs_tol=1e-15 * self.R):
             raise InvalidArgumentError(f"radius {r} is not a face of this grid")
         return idx
-
-
-def _cell_log_integrals(manifold: RadialManifold, faces: np.ndarray) -> np.ndarray:
-    """log of the per-cell integral of A, one vectorized Gauss-Legendre pass.
-
-    Every cell is evaluated with 16 nodes and re-evaluated with two 16-node
-    panels; cells where the two disagree fall back to adaptive refinement.
-    """
-    lo, hi = faces[:-1], faces[1:]
-    coarse = logsumexp(_gl_log_terms(manifold, 0.5 * (lo + hi), 0.5 * (hi - lo)),
-                       axis=1)
-
-    q = 0.25 * (hi - lo)
-    sub_mid = np.stack([lo + q, hi - q], axis=1)          # (N, 2)
-    fine = logsumexp(_gl_log_terms(manifold, sub_mid, q[:, None])
-                     .reshape(len(lo), -1), axis=1)
-
-    out = fine
-    rough = np.nonzero(np.abs(fine - coarse) > 1e-12)[0]
-    for i in rough:
-        out[i] = log_area_integral(manifold, lo[i], hi[i], rel_tol=1e-13)
-    return out
 
 
 def face_ladder(R: float, N: int, jump_radii=()) -> np.ndarray:
@@ -118,7 +95,8 @@ def grid_from_faces(manifold: RadialManifold, faces) -> Grid:
             f"face area at r={faces[int(np.argmax(log_face_area))]:.6g} exceeds "
             f"the floating range of final scalar outputs")
     centers = 0.5 * (faces[:-1] + faces[1:])
-    log_cell_measure = manifold.log_sphere_constant + _cell_log_integrals(manifold, faces)
+    log_cell_measure = (manifold.log_sphere_constant
+                        + log_area_integral(manifold, faces[:-1], faces[1:]))
     return Grid(R=float(faces[-1]), N=faces.size - 1, faces=faces, centers=centers,
                 log_face_area=log_face_area, log_cell_measure=log_cell_measure)
 

@@ -155,10 +155,11 @@ def _lattice_step(h: float) -> float:
     def size(k: int) -> float:
         # one base per octave times a power of two, so half of size(k) is
         # bitwise size(k - STEP_LATTICE): half steps stay on the lattice
-        return DT_INIT * _LATTICE_BASE[k % STEP_LATTICE] * 2.0 ** (k // STEP_LATTICE)
+        return math.ldexp(DT_INIT * _LATTICE_BASE[k % STEP_LATTICE], k // STEP_LATTICE)
 
-    # the logarithm may round across a lattice point: start one above it
-    k = math.floor(STEP_LATTICE * math.log2(h / DT_INIT)) + 1
+    # the logarithm may round across a lattice point: start one above it;
+    # log2 of each factor apart, as h / DT_INIT overflows past ~1.8e301
+    k = math.floor(STEP_LATTICE * (math.log2(h) - math.log2(DT_INIT))) + 1
     while size(k) > h:
         k -= 1
     return size(k)

@@ -7,9 +7,11 @@ import pytest
 
 from heatlab import (
     InvalidArgumentError,
+    NumericalFailure,
     RangeError,
     ball_indicator,
     ball_volume,
+    build_grid,
     constant_one,
     euclidean,
     exact_total_variation,
@@ -19,6 +21,7 @@ from heatlab import (
     power_exp_weight,
     sphere_constant,
 )
+from heatlab import geometry
 from heatlab.geometry import RadialBVDatum
 
 
@@ -67,6 +70,13 @@ def test_euclidean_perimeter_and_volume(euclid3):
         assert abs(vol - 4 * math.pi * r ** 3 / 3) < 1e-10 * vol, f"volume off at r={r}"
 
 
+def test_ball_volume_out_of_range_is_a_range_error(pe4):
+    # at r = 1e80, log A itself overflows, so the log integral reads +inf
+    for r in (6.0, 1e80):
+        with pytest.raises(RangeError, match="ball volume overflows"):
+            ball_volume(pe4, r)
+
+
 def test_power_exp_perimeter(pe4):
     r = 1.5
     expected = 4 * math.pi * r ** 2 * math.exp(r ** 4)
@@ -92,6 +102,49 @@ def test_log_area_integral_euclidean(euclid3):
 def test_log_area_integral_orders_endpoints(euclid3):
     with pytest.raises(InvalidArgumentError):
         log_area_integral(euclid3, 2.0, 1.0)
+    with pytest.raises(InvalidArgumentError):
+        log_area_integral(euclid3, [0.0, 2.0], [1.0, 1.5])
+
+
+@pytest.mark.parametrize("m", [euclidean(3), euclidean(343),
+                               power_exp_weight(4, 1, 3)],
+                         ids=["R3", "R343", "power_exp+"])
+def test_log_area_integral_on_arrays_is_the_scalar_calls_bitwise(m):
+    # some of these intervals are bisected and some not: an interval's
+    # refinement never depends on its neighbours
+    lo = np.array([[0.0, 0.5, 1.0], [0.25, 1.0, 1.0]])
+    hi = np.array([[0.5, 1.0, 1.0], [1.25, 2.0, 3.0]])
+    got = log_area_integral(m, lo, hi)
+    assert got.shape == lo.shape
+    scalars = [log_area_integral(m, a, b) for a, b in zip(lo.flat, hi.flat)]
+    assert got.tobytes() == np.array(scalars).reshape(lo.shape).tobytes()
+    assert got[0, 2] == -math.inf
+
+
+def test_log_area_integral_of_one_long_interval_matches_a_fine_grid(pe4):
+    # [0, 5.13] on exp(+r^4) spans 700 orders of A: bisected to depth ~16
+    grid = build_grid(pe4, 5.13, 8192)
+    cells = math.fsum(np.exp(grid.log_cell_measure - pe4.log_sphere_constant))
+    whole = math.exp(log_area_integral(pe4, 0.0, 5.13))
+    assert abs(whole - cells) < 1e-12 * cells
+
+
+def test_log_area_integral_converges_on_a_steep_pole_cell():
+    # A = r^342 on the first of 64 cells of [0, 1]: its integral is h^343 / 343
+    h = 1.0 / 64
+    got = log_area_integral(euclidean(343), 0.0, h)
+    assert abs(got - (343 * math.log(h) - math.log(343))) < 1e-12
+
+
+def test_log_area_integral_gives_up_past_its_depth_cap(monkeypatch):
+    # the R^343 pole cell converges at bisection depth 4, and not before
+    m, h = euclidean(343), 1.0 / 64
+    converged = log_area_integral(m, 0.0, h)
+    monkeypatch.setattr(geometry, "_MAX_DEPTH", 4)
+    assert log_area_integral(m, 0.0, h) == converged
+    monkeypatch.setattr(geometry, "_MAX_DEPTH", 3)
+    with pytest.raises(NumericalFailure, match="failed to converge"):
+        log_area_integral(m, 0.0, h)
 
 
 def test_datum_validation():

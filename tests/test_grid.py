@@ -26,11 +26,20 @@ def test_uniform_grid_shape(euclid3):
 
 
 def test_cell_measures_sum_to_ball_volume(euclid3, gauss):
+    # both share one quadrature, so each also meets a closed form: flat R^3,
+    # 4 pi R^3 / 3; Gaussian r^2 e^{-r^2}, by parts,
+    # 4 pi [(sqrt(pi) / 4) erf(R) - (R / 2) e^{-R^2}]
+    R = 3.0
+    closed = {euclid3: 4 * math.pi * R ** 3 / 3,
+              gauss: 4 * math.pi * (math.sqrt(math.pi) / 4 * math.erf(R)
+                                    - R / 2 * math.exp(-R ** 2))}
     for m in (euclid3, gauss):
-        g = build_grid(m, 3.0, 256)
+        g = build_grid(m, R, 256)
         total = math.fsum(np.exp(g.log_cell_measure))
-        vol = ball_volume(m, 3.0)
+        vol = ball_volume(m, R)
         assert abs(total - vol) < 1e-10 * vol, f"measure sum off on {m.family}"
+        for got in (total, vol):
+            assert abs(got - closed[m]) < 1e-10 * closed[m], m.family
 
 
 def test_cell_measures_survive_huge_weights(pe4):

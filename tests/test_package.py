@@ -137,6 +137,30 @@ def test_unread_import_check_catches_a_leftover():
     assert unread_imports(planted) == ["exhaustion_radii"]
 
 
+def private_sibling_imports(source: str) -> list[str]:
+    """Underscore names, dunders aside (``__version__`` is public), that a
+    module imports from another heatlab module."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("heatlab"))
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")]
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    leaks = [(file.name, name)
+             for file in sorted((SRC / "heatlab").glob("*.py"))
+             for name in private_sibling_imports(file.read_text())]
+    assert not leaks, f"private names imported across modules: {leaks}"
+
+
+def test_private_import_check_catches_a_leak():
+    source = (SRC / "heatlab" / "grid.py").read_text()
+    planted = source.replace("import LOG_MAX_GRID,", "import LOG_MAX_GRID, _GL_NODES,", 1)
+    assert planted != source
+    assert private_sibling_imports(planted) == ["_GL_NODES"]
+
+
 def test_source_stays_within_the_line_gate():
     # 10% below the initial 2,472 lines; removals must not grow back
     lines = sum(len(file.read_text().splitlines())

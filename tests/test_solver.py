@@ -381,6 +381,17 @@ def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops
             t = t + h
 
 
+def test_a_stop_past_the_lattice_range_gives_a_result_or_a_heatlab_error(euclid3):
+    # steps past ~1.8e301 once overflowed h / DT_INIT and 2.0 ** (k // 4)
+    # in the lattice search, a bare OverflowError from deep in the loop
+    op = assemble(build_grid(euclid3, 2.0, 16), euclid3, DIRICHLET)
+    try:
+        (u,) = advance_states(op, np.ones(16), [1e303], SolveControls(n_cells=16))
+    except (InvalidArgumentError, RangeError, NumericalFailure):
+        return
+    assert np.all(np.isfinite(u))
+
+
 def test_record_and_replay_are_identical(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
