@@ -17,9 +17,9 @@ from heatlab.experiments import degiorgi_sweep
 
 
 def show(manifold, exact, label):
-    controls = SolveControls(n_cells=1024, step_tol=1e-6, exhaustion=(4.0,))
+    controls = SolveControls(n_cells=1024, step_tol=1e-6)
     report = degiorgi_sweep(manifold, ball_indicator(1.0),
-                            (0.02, 0.01, 0.005, 0.0025), controls)
+                            (0.02, 0.01, 0.005, 0.0025), controls, radii=(4.0,))
     print(f"\n{label}")
     print(f"  {'t':>8s}  {'variation':>14s}")
     for row in report.series["degiorgi"]:

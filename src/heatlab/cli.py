@@ -84,7 +84,7 @@ _KEYS = {
                           "readers": _SOLVING},
     "controls/exhaustion": {"type": "list", "items": (1, math.inf),
                             "item": _POSITIVE, "null": True,
-                            "default": _CONTROLS["exhaustion"],
+                            "default": None,
                             "readers": _EXHAUSTING},
     "controls/n_cells": {"type": "integer", "least": 16,
                          "default": _CONTROLS["n_cells"], "readers": _SOLVING},
@@ -384,15 +384,17 @@ def _execute(cfg: dict):
         return report, {"validate.csv": report["evidence"]["checks"]}
 
     manifold = _manifold_from(cfg["manifold"]) if "manifold" in cfg else None
-    controls = SolveControls(**cfg["controls"])
+    settings = dict(cfg["controls"])
+    radii = settings.pop("exhaustion", None)  # for the drivers that walk radii
+    controls = SolveControls(**settings)
 
     if experiment == "degiorgi":
         rep = degiorgi_sweep(manifold, _datum_from(cfg["datum"]), cfg["t_list"],
-                             controls,
-                             gap_rtol=cfg["tolerances"]["gap_rtol"])
+                             controls, gap_rtol=cfg["tolerances"]["gap_rtol"],
+                             radii=radii)
     elif experiment == "completeness":
         rep = completeness_probe(manifold, cfg["t"], controls,
-                                 eps_c=cfg["tolerances"]["eps_c"])
+                                 eps_c=cfg["tolerances"]["eps_c"], radii=radii)
     elif experiment == "blowup":
         rep = blowup_sweep(manifold, cfg["r0"], cfg["t_list"], cfg["R_list"],
                            controls)

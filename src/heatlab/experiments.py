@@ -19,13 +19,12 @@ import numpy as np
 
 from . import functionals
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (RadialBVDatum, RadialManifold, as_real, as_reals,
-                       ball_indicator, constant_one, euclidean,
-                       exact_total_variation, power_exp_weight)
+from .geometry import (RadialBVDatum, RadialManifold, as_real, ball_indicator,
+                       constant_one, euclidean, exact_total_variation,
+                       monotone_reals, positive_real, power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import (SolveControls, advance_states, checked_times, evolve,
-                     exhaustion_levels)
+from .solver import SolveControls, advance_states, evolve, exhaustion_levels
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -72,13 +71,14 @@ def decide(checks, findings) -> tuple[str, str]:
 
 
 def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
-                   controls: SolveControls,
-                   gap_rtol: float = 0.01) -> ExperimentReport:
+                   controls: SolveControls, gap_rtol: float = 0.01,
+                   radii=None) -> ExperimentReport:
     """Small-time variation limit versus the exact total variation.
 
-    One exhaustion walk runs through every time of ``t_list`` and records
-    the total variation at each on its last level.  A stop has converged
-    when its (pole value, mass, total variation) triple moved by at most
+    One exhaustion walk over ``radii`` (None: the automatic policy) runs
+    through every time of ``t_list`` and records the total variation at
+    each on its last level.  A stop has converged when its (pole value,
+    mass, total variation) triple moved by at most
     ``EXHAUSTION_RTOL`` relative (at least absolute) since the level before;
     under the automatic radius policy the walk stops once every stop has
     converged.  The decreasing-t series is accelerated by iterated Aitken
@@ -89,13 +89,12 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     """
     if not math.isfinite(datum.support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
-    if not as_real(gap_rtol) > 0:
-        raise InvalidArgumentError(f"gap_rtol must be positive, got {gap_rtol}")
-    ts = checked_times(t_list, "t_list", "decreasing")
+    gap_rtol = positive_real(gap_rtol, "gap_rtol")
+    ts = monotone_reals(t_list, "t_list times", "decreasing")
     exact = exact_total_variation(datum, manifold)
 
     triples, converged = [None] * len(ts), [False] * len(ts)
-    walk = exhaustion_levels(manifold, datum, ts[::-1], controls)
+    walk = exhaustion_levels(manifold, datum, ts[::-1], controls, radii)
     for levels, (used, states) in enumerate(walk, start=1):
         for k, values in enumerate(states):
             new = (float(values[0]), functionals.weighted_sum(used, values),
@@ -105,7 +104,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
                 abs(a - b) <= EXHAUSTION_RTOL * max(1.0, abs(a))
                 for a, b in zip(new, triples[k]))
             triples[k] = new
-        if controls.exhaustion is None and all(converged):
+        if radii is None and all(converged):
             break
     tvs = [tv for _, _, tv in triples[::-1]]
     unconverged = converged.count(False) if levels >= 2 else 0
@@ -136,32 +135,33 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         evidence={"checks": checks})
 
 
-def completeness_probe(manifold: RadialManifold, t: float,
-                       controls: SolveControls,
-                       eps_c: float = 1e-4) -> ExperimentReport:
+def completeness_probe(manifold: RadialManifold, t: float, controls: SolveControls,
+                       eps_c: float = 1e-4, radii=None) -> ExperimentReport:
     """Mass at the pole under exhaustion: conservative or mass-leaking.
 
-    Walks ``exhaustion_levels`` of the constant profile (its radius plan and
-    monotonicity check), records the pole value per radius as row ``R``, and
-    Aitken-extrapolates the sequence in 1/R.  Under the automatic radius
-    policy the walk stops after the first level k >= 3 whose pole value lies
-    within eps_c/100 of 1 and moved by at most eps_c/100 over each of the
-    last two levels: exhaustion is monotone and the maximum principle caps
-    every value at 1, so later levels cannot move the limit.  Explicit radii
-    are walked in full.  The model reads complete when the limit stays
-    within ``eps_c`` of 1 and incomplete when it sits below 1 - 10*eps_c
-    with a stable exhaustion tail; anything in between, any low-confidence
-    extrapolation and a walk of fewer than 3 levels (no fit) is inconclusive.
+    Walks ``exhaustion_levels`` of the constant profile over ``radii`` (its
+    radius plan and monotonicity check), records the pole value per radius
+    as row ``R``, and Aitken-extrapolates the sequence in 1/R.  Under the
+    automatic radius policy (``radii=None``) the walk stops after the first
+    level k >= 3 whose pole value lies within eps_c/100 of 1 and moved by at
+    most eps_c/100 over each of the last two levels: exhaustion is monotone
+    and the maximum principle caps every value at 1, so later levels cannot
+    move the limit.  Explicit radii are walked in full.  The model reads
+    complete when the limit stays within ``eps_c`` of 1 and incomplete when
+    it sits below 1 - 10*eps_c with a stable exhaustion tail; anything in
+    between, any low-confidence extrapolation and a walk of fewer than 3
+    levels (no fit) is inconclusive.
     """
     # at 0.1 or above the band below 1 - 10*eps_c is empty
     if not 0 < as_real(eps_c) < 0.1:
         raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
     settled = eps_c / 100.0
     rows = []
-    for g, (values,) in exhaustion_levels(manifold, constant_one(), [t], controls):
+    for g, (values,) in exhaustion_levels(manifold, constant_one(), [t],
+                                          controls, radii):
         rows.append({"R": g.R, "m_at_0": float(values[0])})
         m = [row["m_at_0"] for row in rows[-3:]]
-        if controls.exhaustion is None and len(m) == 3 and max(
+        if radii is None and len(m) == 3 and max(
                 abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
             break
 
@@ -262,13 +262,9 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     time is convergent and at least three were measured, carries the Aitken
     limit of TV at the largest radius.
     """
-    ts = checked_times(t_list, "t_list", "decreasing")
-    if not 0 < as_real(r0) < math.inf:
-        raise InvalidArgumentError(f"ball radius must be positive, got {r0}")
-    radii = as_reals(R_list, "R_list")
-    # a NaN (no real radius) fails b > a with either neighbour
-    if len(radii) < 2 or any(not b > a for a, b in zip(radii, radii[1:])):
-        raise InvalidArgumentError("R_list must contain >= 2 strictly increasing radii")
+    ts = monotone_reals(t_list, "t_list times", "decreasing")
+    r0 = positive_real(r0, "ball radius r0")
+    radii = monotone_reals(R_list, "R_list radii", least=2)
     if radii[0] <= r0:
         raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
     data, stops = (constant_one(), ball_indicator(r0)), ts[::-1]
@@ -322,9 +318,6 @@ def comparison_check(t: float, R: float,
     manifold = power_exp_weight(4, 1, 3)
     if not 0 < as_real(t) <= 1:
         raise InvalidArgumentError(f"comparison time must lie in (0, 1], got {t}")
-    if not 0 < as_real(R) < math.inf:
-        raise InvalidArgumentError(f"truncation radius must be positive, got {R}")
-
     g = build_grid(manifold, R, controls.n_cells)
     op = assemble(g, manifold, DIRICHLET)
     u0 = np.ones(g.N)
@@ -392,7 +385,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     if not 2.0 * support <= as_real(R_out) < math.inf:
         raise InvalidArgumentError(
             f"datum support {support} must fit inside half of R_out={R_out}")
-    ts = checked_times(t_list, "t_list", "decreasing")
+    ts = monotone_reals(t_list, "t_list times", "decreasing")
     g, states, notes = evolve(manifold, (datum,), R_out, ts[::-1], controls)
     rows = []
     for t, state in zip(ts, reversed(states)):

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import RadialManifold
+from .geometry import RadialManifold, as_reals, monotone_reals, real_array
 from .grid import Grid
 
 
 def _check_grid(u, g: Grid, name: str) -> np.ndarray:
-    values = np.asarray(u, dtype=float)
+    values = real_array(u, name)
     if values.ndim != 1 or values.size != g.N:
         raise InvalidArgumentError(f"{name} is not defined on this grid")
     return values
@@ -120,13 +120,13 @@ def extrapolate_limit(series) -> ExtrapolationResult:
     sequences whose raw differences fail to contract.  A difference within
     1e-10 of the series scale (the solver's exhaustion slack) is roundoff.
     """
-    pairs = [(float(h), float(v)) for h, v in series]
-    if len(pairs) < 3:
-        raise InvalidArgumentError("extrapolation needs at least 3 points")
-    hs = [h for h, _ in pairs]
+    if not isinstance(series, (list, tuple)):
+        raise InvalidArgumentError(f"series must be a list, got {series!r}")
+    pairs = [as_reals(p, "an (h, value) point") for p in series]
+    if any(len(p) != 2 for p in pairs) or not all(math.isfinite(v) for _, v in pairs):
+        raise InvalidArgumentError(f"series must hold (h, finite value) pairs, got {series!r}")
+    hs = monotone_reals([h for h, _ in pairs], "h", "decreasing", least=3)
     xs = [v for _, v in pairs]
-    if any(b >= a for a, b in zip(hs, hs[1:])) or hs[-1] <= 0:
-        raise InvalidArgumentError("h must be positive and strictly decreasing")
 
     scale = max(abs(x) for x in xs)
     if max(xs) - min(xs) <= 1e-15 * max(scale, 1e-300):

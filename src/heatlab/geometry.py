@@ -63,10 +63,48 @@ def as_real(value) -> float:
 
 def as_reals(values, name: str) -> list[float]:
     """Each item of ``values`` through ``as_real``; only a list or tuple is
-    a list of ``name``, never a lone number."""
+    a list of ``name``, never a lone number or an ndarray."""
     if not isinstance(values, (list, tuple)):
         raise InvalidArgumentError(f"{name} must be a list, got {values!r}")
     return [as_real(v) for v in values]
+
+
+def positive_real(value, name: str) -> float:
+    """``value`` as a positive finite float, else InvalidArgumentError."""
+    if not 0 < as_real(value) < math.inf:
+        raise InvalidArgumentError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def whole_count(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``: 512.0 counts, True and "512" do not."""
+    if not (as_real(value).is_integer() and value >= least):
+        raise InvalidArgumentError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
+def monotone_reals(values, name: str, order: str = "increasing", least: int = 1) -> list[float]:
+    """``values`` as a list of at least ``least`` positive finite floats,
+    strictly monotone in ``order`` ("increasing" or "decreasing")."""
+    reals = as_reals(values, name)
+    if not (len(reals) >= least and all(0 < x < math.inf for x in reals)):
+        raise InvalidArgumentError(
+            f"{name} must hold {least} or more positive finite numbers, got {values!r}")
+    pairs = zip(reals, reals[1:]) if order == "increasing" else zip(reals[1:], reals)
+    if any(b <= a for a, b in pairs):
+        raise InvalidArgumentError(f"{name} must be strictly {order}, got {values!r}")
+    return reals
+
+
+def real_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array of finite numbers or booleans, never strings."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged list
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"{name} must hold finite real numbers, got {values!r:.80}")
+    return arr.astype(float, copy=False)
 
 
 def sphere_constant(dimension: int) -> float:
@@ -92,10 +130,8 @@ class RadialManifold:
 
     def __init__(self, family: str, dimension: int, params: dict,
                  log_area_fn):
-        if not (as_real(dimension) >= 2 and float(dimension).is_integer()):
-            raise InvalidArgumentError(f"dimension must be an integer >= 2, got {dimension!r}")
         self.family = family
-        self.dimension = int(dimension)
+        self.dimension = whole_count(dimension, "dimension", 2)
         self.params = dict(params)
         self.sphere_constant = sphere_constant(self.dimension)
         self.log_sphere_constant = math.log(self.sphere_constant)
@@ -104,9 +140,7 @@ class RadialManifold:
     def log_area(self, r):
         """log A(r), elementwise; -inf at r = 0.  Never warns: where A itself
         is out of double range (a huge weight exponent) the log is +-inf."""
-        arr = np.asarray(r, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("radius must be finite")
+        arr = real_array(r, "radius")
         if np.any(arr < 0):
             raise InvalidArgumentError("radius must be nonnegative")
         with np.errstate(divide="ignore", over="ignore"):
@@ -135,16 +169,14 @@ def power_exp_weight(p: float, sign: int, dimension: int = 3) -> RadialManifold:
     complement perimeters blow up; ``p=2, sign=-1`` is the Gaussian-weight
     model with nonnegative generalized curvature.
     """
-    if not 0 < as_real(p) < math.inf:
-        raise InvalidArgumentError(
-            f"weight exponent must be positive and finite, got {p}")
+    p = positive_real(p, "weight exponent")
     if as_real(sign) not in (1, -1):
         raise InvalidArgumentError(f"weight sign must be +1 or -1, got {sign}")
 
     def _log_a(r):
         return (dimension - 1) * np.log(r) + sign * r ** p
 
-    return RadialManifold("power_exp", dimension, {"p": float(p), "sign": int(sign)}, _log_a)
+    return RadialManifold("power_exp", dimension, {"p": p, "sign": int(sign)}, _log_a)
 
 
 def perimeter_ball(manifold: RadialManifold, r: float) -> float:
@@ -177,12 +209,12 @@ def log_area_integral(manifold: RadialManifold, a, b):
     of the whole interval's integral, the piece is bisected (at most
     ``_MAX_DEPTH`` times) and its halves are integrated the same way.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(real_array(a, "lower ends"), real_array(b, "upper ends"))
     if np.any(b < a):
         raise InvalidArgumentError(f"empty integration range [{a}, {b}]")
     shape, a, b = a.shape, a.ravel(), b.ravel()
     out = np.full(a.size, -np.inf)
-    owner = np.flatnonzero(b != a)  # a NaN end reaches log_area, which refuses it
+    owner = np.flatnonzero(b != a)
     lo, hi, top = a[owner], b[owner], None  # top: its interval's log integral
     for _ in range(_MAX_DEPTH + 1):
         coarse = logsumexp(_gl_log_terms(manifold, 0.5 * (lo + hi), 0.5 * (hi - lo)),
@@ -229,10 +261,8 @@ class RadialBVDatum:
 
     def __post_init__(self):
         pts = self.breakpoints
-        if len(pts) < 2:
-            raise InvalidArgumentError("a datum needs at least two breakpoints")
-        if not all(math.isfinite(x) for p in pts for x in p):
-            raise InvalidArgumentError("breakpoint radii and values must be finite reals")
+        if len(pts) < 2 or not all(len(p) == 2 and all(map(math.isfinite, p)) for p in pts):
+            raise InvalidArgumentError("a datum needs two or more breakpoints of finite reals")
         radii = [p[0] for p in pts]
         if radii[0] < 0 or any(b < a for a, b in zip(radii, radii[1:])):
             raise InvalidArgumentError("breakpoint radii must be nonnegative and sorted")
@@ -271,7 +301,9 @@ class RadialBVDatum:
 
 
 def piecewise(points) -> RadialBVDatum:
-    return RadialBVDatum(tuple((as_real(r), as_real(v)) for r, v in points))
+    if not isinstance(points, (list, tuple)):
+        raise InvalidArgumentError(f"breakpoints must be a list, got {points!r}")
+    return RadialBVDatum(tuple(tuple(as_reals(p, "a breakpoint")) for p in points))
 
 
 def ball_indicator(radius: float) -> RadialBVDatum:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import LOG_MAX_GRID, RadialManifold, log_area_integral
+from .geometry import (LOG_MAX_GRID, RadialManifold, as_reals, log_area_integral,
+                       positive_real, real_array, whole_count)
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,11 @@ def face_ladder(R: float, N: int, jump_radii=()) -> np.ndarray:
         N: cell count, >= 16.
         jump_radii: radii in (0, R) that must appear among the faces.
     """
-    if not (math.isfinite(R) and R > 0):
-        raise InvalidArgumentError(f"truncation radius must be finite and positive, got {R}")
-    if N < 16:
-        raise InvalidArgumentError(f"need at least 16 cells, got {N}")
-
+    R = positive_real(R, "truncation radius")
+    N = whole_count(N, "cell count", 16)
     faces = np.linspace(0.0, R, N + 1)
     taken: dict[int, float] = {}
-    for r in sorted(float(j) for j in jump_radii):
+    for r in sorted(as_reals(jump_radii, "jump radii")):
         if not 0.0 < r < R:
             raise InvalidArgumentError(f"jump radius {r} outside (0, {R})")
         idx = int(np.argmin(np.abs(faces - r)))
@@ -78,7 +76,7 @@ def build_grid(manifold: RadialManifold, R: float, N: int,
 
 def grid_from_faces(manifold: RadialManifold, faces) -> Grid:
     """Grid over an explicit strictly increasing face ladder starting at 0."""
-    faces = np.asarray(faces, dtype=float)
+    faces = real_array(faces, "faces")
     if faces.ndim != 1 or faces.size < 17:
         raise InvalidArgumentError("need a 1-d ladder of at least 17 faces")
     if faces[0] != 0.0 or np.any(np.diff(faces) <= 0):
@@ -107,9 +105,9 @@ def subgrid(g: Grid, n_cells: int) -> Grid:
     Used by the exhaustion: all truncations share one face ladder, so
     solutions at different radii can be compared at identical cell centers.
     """
-    if not 16 <= n_cells <= g.N:
-        raise InvalidArgumentError(f"prefix cell count {n_cells} out of range [16, {g.N}]")
-    k = n_cells
+    k = whole_count(n_cells, "prefix cell count", 16)
+    if k > g.N:
+        raise InvalidArgumentError(f"prefix cell count {n_cells} exceeds the grid's {g.N}")
     return Grid(R=float(g.faces[k]), N=k, faces=g.faces[:k + 1],
                 centers=g.centers[:k], log_face_area=g.log_face_area[:k + 1],
                 log_cell_measure=g.log_cell_measure[:k])

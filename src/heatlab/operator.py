@@ -55,8 +55,12 @@ class WeightedOperator:
         """Fresh main and off-diagonal of D (I - dt L) in dpttrf order."""
         # the diagonal sums the rounded off-diagonal it is solved with, so
         # each row sums to D, less the wall's drain, up to two roundings
-        off = -dt * self.conductance
-        return self.cell_weights - (off[:-1] + off[1:]), off[1:-1]
+        with np.errstate(over="ignore"):
+            off = -dt * self.conductance
+            diag = self.cell_weights - (off[:-1] + off[1:])
+        if not np.isfinite(diag).all():  # an infinite off-diagonal makes it so
+            raise RangeError(f"the band of D (I - dt L) overflows at dt={dt:.6g}")
+        return diag, off[1:-1]
 
 
 def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> WeightedOperator:

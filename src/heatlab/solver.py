@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real,
-                       as_reals)
+                       monotone_reals, positive_real, real_array, whole_count)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
@@ -77,38 +77,21 @@ MAX_EXHAUSTION = 8
 
 @dataclass(frozen=True)
 class SolveControls:
-    """What an experiment chooses: step tolerance, exhaustion, resolution.
+    """What every solve reads: step tolerance and resolution.
 
     ``step_tol`` bounds the relative local error of each accepted step.
-    ``exhaustion`` is either an explicit strictly increasing tuple of
-    truncation radii or None for the automatic policy, which plans up to
-    ``MAX_EXHAUSTION`` levels in increments of max(1, 4*sqrt(t)) beyond the
-    datum; each experiment stops walking them by its own rule once its
-    readings have settled.  ``n_cells`` counts the cells inside the first
-    truncation radius (degiorgi, completeness), min(R_list) (blowup), the
-    whole solve ball (tail) or R (comparison); larger radii keep the spacing.
+    ``n_cells`` counts the cells inside the first truncation radius
+    (degiorgi, completeness), min(R_list) (blowup), the whole solve ball
+    (tail) or R (comparison); larger radii keep the spacing.  Exhaustion
+    radii are no control: the drivers that walk them take ``radii``.
     """
 
     step_tol: float = 1e-6
-    exhaustion: tuple[float, ...] | None = None
     n_cells: int = 1024
 
     def __post_init__(self):
-        if not 0 < as_real(self.step_tol) < math.inf:
-            raise InvalidArgumentError("step tolerance must be positive and finite")
-        if not (as_real(self.n_cells).is_integer() and self.n_cells >= 16):
-            raise InvalidArgumentError(
-                f"need a whole number of at least 16 cells, got {self.n_cells}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
-        if self.exhaustion is not None:
-            radii = tuple(as_reals(self.exhaustion, "exhaustion radii"))
-            if not all(0 < r < math.inf for r in radii):
-                raise InvalidArgumentError(
-                    "exhaustion radii must be positive finite numbers, "
-                    f"got {self.exhaustion}")
-            if len(radii) == 0 or any(b <= a for a, b in zip(radii, radii[1:])):
-                raise InvalidArgumentError("exhaustion radii must be strictly increasing")
-            object.__setattr__(self, "exhaustion", radii)
+        object.__setattr__(self, "step_tol", positive_real(self.step_tol, "step tolerance"))
+        object.__setattr__(self, "n_cells", whole_count(self.n_cells, "n_cells", 16))
 
 
 def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
@@ -118,11 +101,7 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     ever smeared across a cell.
     """
     for r in datum.jump_radii:
-        try:
-            g.face_index(r)
-        except InvalidArgumentError:
-            raise InvalidArgumentError(
-                f"jump radius {r} is not a face of the grid") from None
+        g.face_index(r)  # raises where a jump radius is not a face
 
     # the profile is linear between breakpoints, so the midpoint value is
     # the exact average of a cell, or of each piece a kink cuts it into
@@ -165,21 +144,6 @@ def _lattice_step(h: float) -> float:
     return size(k)
 
 
-def checked_times(values, name: str = "stop times",
-                  order: str = "increasing") -> list[float]:
-    """A list of times: non-empty, strictly monotone in ``order``
-    ("increasing", as the stops of a trajectory from t = 0, or
-    "decreasing"), of positive, finite real numbers and no boolean (True ==
-    1, but no time), checked before numpy would coerce them."""
-    times = as_reals(values, name)
-    if not (times and all(0 < t < math.inf for t in times)):
-        raise InvalidArgumentError(f"{name} must hold positive finite times, got {values}")
-    pairs = zip(times, times[1:]) if order == "increasing" else zip(times[1:], times)
-    if any(b <= a for a, b in pairs):
-        raise InvalidArgumentError(f"{name} must be strictly {order}, got {values}")
-    return times
-
-
 def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                    controls: SolveControls,
                    observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
@@ -218,9 +182,9 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     skips the error estimate and is always accepted, so the observer sees
     the same transitions as on the recording.
     """
-    stops = checked_times(stops)
-    u = np.array(states, dtype=float, order="F")
-    if u.shape[0] != op.grid.N:
+    stops = monotone_reals(stops, "stop times")
+    u = np.array(real_array(states, "states"), order="F")
+    if u.ndim not in (1, 2) or u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
 
     replay = bool(ladder)
@@ -356,7 +320,8 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
     built, and so is a grid with no interior face beyond ``R_read``:
     nothing there is read.
     """
-    stops = checked_times(stops)
+    stops = monotone_reals(stops, "stop times")
+    R_read = positive_real(R_read, "reading radius")
     safe = overflow_safe_radius(manifold)
     if not R_read < safe:
         raise RangeError(
@@ -367,8 +332,8 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
     notes = [f"solve radius capped at {safe:.6g}"] if wanted > safe else []
     n = controls.n_cells
     if R_cells is not None:
-        n = max(n, int(math.ceil(n * R / R_cells)))
-    g = build_grid(manifold, R, n, {r for d in data for r in d.jump_radii})
+        n = max(n, int(math.ceil(n * R / positive_real(R_cells, "R_cells"))))
+    g = build_grid(manifold, R, n, sorted({r for d in data for r in d.jump_radii}))
     if g.faces[-2] <= R_read:
         raise RangeError(
             f"no interior face lies beyond the reading radius {R_read:.6g} "
@@ -385,7 +350,9 @@ def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
     Radii advance in increments of max(1, 4*sqrt(t)) and are capped just
     inside the overflow-safe radius ``safe``; the walk stops at the cap.
     """
-    step = max(1.0, 4.0 * math.sqrt(t))
+    if not (0 <= as_real(base) < math.inf and as_real(safe) > 0):
+        raise InvalidArgumentError(f"need a finite base >= 0 and safe > 0, got {base!r}, {safe!r}")
+    step = max(1.0, 4.0 * math.sqrt(positive_real(t, "time")))
     radii: list[float] = []
     for k in range(1, MAX_EXHAUSTION + 1):
         r = min(base + k * step, 0.999 * safe)
@@ -396,22 +363,25 @@ def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
 
 
 def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
-                      controls: SolveControls) -> tuple[Grid, list[int]]:
-    """One grid covering all requested truncation radii, plus level indices.
+                      controls: SolveControls, radii=None) -> tuple[Grid, list[int]]:
+    """One grid covering all truncation radii, plus level indices.
 
-    Returns the full ladder grid and the face indices realizing each
-    truncation level; level k is ``subgrid(ladder, indices[k])``.  Requested
-    radii snap to the nearest ladder face (reported radii are the snapped
-    ones).  The automatic policy caps its radii at the overflow-safe radius
-    of the manifold and drops a radius that snaps onto the face of the one
-    before; explicit radii raise instead, in either case.  A first radius at
-    or inside the datum's last breakpoint would truncate the datum, so it
-    raises too.
+    ``radii`` is an explicit strictly increasing list of truncation radii,
+    or None for the automatic policy, which sizes them for time ``t`` with
+    ``exhaustion_radii``.  Returns the full ladder grid and the face indices
+    realizing each truncation level; level k is ``subgrid(ladder,
+    indices[k])``.  Radii snap to the nearest ladder face (reported radii
+    are the snapped ones).  The automatic policy caps its radii at the
+    overflow-safe radius of the manifold and drops a radius that snaps onto
+    the face of the one before; explicit radii raise instead, in either
+    case.  A first radius at or inside the datum's last breakpoint would
+    truncate the datum, so it raises too.
     """
     jumps = datum.jump_radii
     outer = datum.breakpoints[-1][0]
     safe = overflow_safe_radius(manifold)
-    radii = controls.exhaustion or exhaustion_radii(outer, t, safe)
+    planned = exhaustion_radii(outer, t, safe)  # checks t for explicit radii too
+    radii = planned if radii is None else monotone_reals(radii, "exhaustion radii")
     if radii[0] <= outer:
         raise InvalidArgumentError(
             f"first truncation radius {radii[0]} does not contain the datum, "
@@ -437,7 +407,7 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
         idx = int(np.argmin(np.abs(ladder.faces - r)))
         if not indices or idx > indices[-1]:
             indices.append(idx)
-        elif controls.exhaustion is not None:
+        elif radii is not planned:
             raise InvalidArgumentError(
                 f"truncation radii {r_prev} and {r} snap onto the same face "
                 f"{ladder.faces[idx]:.6g}; space them wider or raise n_cells")
@@ -452,23 +422,23 @@ def monotonicity_defect(inner: np.ndarray, outer: np.ndarray) -> float:
 
 
 def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
-                      controls: SolveControls):
+                      controls: SolveControls, radii=None):
     """Lazily evolve the datum through ``stops`` on each truncation level.
 
     ``stops`` is a strictly increasing list of positive times, as in
     ``advance_states``.  Yields (grid, states at the stops) per level of
-    ``exhaustion_ladder``, smallest ball first; the automatic radius policy
-    sizes the ladder for the last stop.  The first level records its
-    accepted time-step ladder through every stop and every later level
-    replays it, so the truncated solutions are comparable cell by cell.
-    Times and radii are checked at the call; levels are computed only as
-    the caller asks for them, and each is checked against the one before
-    at every stop before it is yielded: a ``monotonicity_defect`` beyond
-    ``EXHAUSTION_SLACK`` is a scheme inconsistency and raises
-    ``NumericalFailure``.
+    ``exhaustion_ladder`` over ``radii``, smallest ball first; the automatic
+    radius policy (``radii=None``) sizes the ladder for the last stop.  The
+    first level records its accepted time-step ladder through every stop and
+    every later level replays it, so the truncated solutions are comparable
+    cell by cell.  Times and radii are checked at the call; levels are
+    computed only as the caller asks for them, and each is checked against
+    the one before at every stop before it is yielded: a
+    ``monotonicity_defect`` beyond ``EXHAUSTION_SLACK`` is a scheme
+    inconsistency and raises ``NumericalFailure``.
     """
-    stops = checked_times(stops)
-    ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls)
+    stops = monotone_reals(stops, "stop times")
+    ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls, radii)
 
     def levels():
         u0 = project_datum(datum, ladder)

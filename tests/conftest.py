@@ -180,4 +180,4 @@ def gauss():
 @pytest.fixture()
 def fast_controls():
     """Small grids and loose step tolerance for structural unit tests."""
-    return SolveControls(n_cells=192, step_tol=1e-5, exhaustion=(3.0,))
+    return SolveControls(n_cells=192, step_tol=1e-5)

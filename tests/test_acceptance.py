@@ -46,9 +46,9 @@ def test_criterion_1_kernel_accuracy():
     # within 1e-3 of the independent closed-form kernel in relative
     # measure-weighted L1, in under 10 seconds
     started = time.perf_counter()
-    controls = SolveControls(n_cells=4096, step_tol=1e-6, exhaustion=(4.0,))
+    controls = SolveControls(n_cells=4096, step_tol=1e-6)
     (g, (values,)), = exhaustion_levels(euclidean(3), ball_indicator(1.0),
-                                        [0.05], controls)
+                                        [0.05], controls, radii=(4.0,))
     ref = np.array([ball_heat_closed_form(float(r), 0.05) for r in g.centers])
     rel = (weighted_sum(g, np.abs(values - ref))
            / weighted_sum(g, np.abs(ref)))
@@ -63,17 +63,18 @@ def test_criterion_2_variation_limits():
     # 4*pi in flat space and within 2% of 4*pi/e under the Gaussian weight,
     # each sweep finishing in under 60 seconds
     t_list = (0.02, 0.01, 0.005, 0.0025)
-    controls = SolveControls(n_cells=1024, step_tol=1e-6, exhaustion=(4.0,))
+    controls, radii = SolveControls(n_cells=1024, step_tol=1e-6), (4.0,)
 
     started = time.perf_counter()
-    flat = degiorgi_sweep(euclidean(3), ball_indicator(1.0), t_list, controls)
+    flat = degiorgi_sweep(euclidean(3), ball_indicator(1.0), t_list, controls,
+                          radii=radii)
     flat_wall = time.perf_counter() - started
     flat_gap = abs(flat.fitted["extrapolated_limit"] - 4 * math.pi) / (4 * math.pi)
 
     started = time.perf_counter()
     exact_g = 4 * math.pi * math.exp(-1.0)
     gaussw = degiorgi_sweep(power_exp_weight(2, -1, 3), ball_indicator(1.0),
-                            t_list, controls)
+                            t_list, controls, radii=radii)
     gauss_wall = time.perf_counter() - started
     gauss_gap = abs(gaussw.fitted["extrapolated_limit"] - exact_g) / exact_g
 

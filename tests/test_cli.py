@@ -20,8 +20,8 @@ import heatlab.solver
 from heatlab import (InvalidArgumentError, SolveControls, constant_one,
                      euclidean, exhaustion_ladder, overflow_safe_radius,
                      power_exp_weight, sphere_constant)
-from heatlab.cli import (EXPERIMENTS, _KEYS, _dumps, load_config, main,
-                         resolve_config, run, validate)
+from heatlab.cli import (_EXHAUSTING, _KEYS, _SOLVING, EXPERIMENTS, _dumps,
+                         load_config, main, resolve_config, run, validate)
 from heatlab.experiments import blowup_sweep, completeness_probe
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -422,8 +422,10 @@ def test_manifold_keeps_its_dimension(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["manifold"]["dimension"] == 2
     # the run's rows are those of the plane, not of the default R^3
+    settings = dict(PLANE["controls"])
+    radii = settings.pop("exhaustion")
     rep = completeness_probe(euclidean(2), PLANE["t"],
-                             SolveControls(**PLANE["controls"]))
+                             SolveControls(**settings), radii=radii)
     assert report["series"] == json.loads(_dumps(rep.series))
 
 
@@ -482,12 +484,29 @@ def test_non_finite_python_values_are_rejected():
         resolve_config(payload)
 
 
+def ignored_controls(keys: dict, field_names) -> list:
+    """The controls that break the rule: each ``SolveControls`` field is a
+    ``controls/*`` key read by every solving experiment, and the one other
+    ``controls/*`` key, ``exhaustion``, only by those that walk one."""
+    readers = {path.split("/")[1]: key["readers"] for path, key in keys.items()
+               if path.startswith("controls/")}
+    wrong = [name for name in field_names if readers.get(name) != _SOLVING]
+    return wrong + [name for name, read in readers.items()
+                    if name not in field_names
+                    and (name, read) != ("exhaustion", _EXHAUSTING)]
+
+
 def test_schema_controls_are_the_solve_controls():
-    # one home for the controls: every field is a config key, and a config
-    # that sets none resolves to the dataclass defaults
-    controls = [path.split("/")[1] for path in _KEYS
-                if path.startswith("controls/")]
-    assert controls == [f.name for f in fields(SolveControls)]
+    # one home for the controls: every field is a config key that every
+    # solve reads, and a config that sets none resolves to the defaults
+    names = [f.name for f in fields(SolveControls)]
+    assert ignored_controls(_KEYS, names) == []
+    # a field that no solve reads, or that only some solves read, shows
+    assert ignored_controls(_KEYS, [*names, "threads"]) == ["threads"]
+    narrowed = {**_KEYS, "controls/n_cells": {**_KEYS["controls/n_cells"],
+                                              "readers": _EXHAUSTING}}
+    assert ignored_controls(narrowed, names) == ["n_cells"]
+    assert ignored_controls(_KEYS, [*names, "exhaustion"]) == ["exhaustion"]
     resolved = resolve_config({"experiment": "tail", "R_out": 2.0,
                                "t_list": [0.05]})
     assert SolveControls(**resolved["controls"]) == SolveControls()

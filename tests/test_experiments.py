@@ -46,8 +46,9 @@ def check_report_shape(rep, experiment):
 
 
 def test_degiorgi_flat_space_limit(euclid3):
-    controls = SolveControls(n_cells=256, step_tol=1e-6, exhaustion=(3.0,))
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005), controls)
+    controls = SolveControls(n_cells=256, step_tol=1e-6)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005), controls,
+                         radii=(3.0,))
     check_report_shape(rep, "degiorgi")
     assert rep.verdict == "confirms", rep.finding
     assert check_row(rep.evidence["checks"], "relative_gap")["measured"] < 1e-3
@@ -61,8 +62,9 @@ def test_degiorgi_flat_space_limit(euclid3):
 def test_degiorgi_flags_preasymptotic_ladder(euclid3):
     # far from the limit the corrections stay large; the driver must not
     # manufacture confidence out of three bad points
-    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(4.0,))
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.4, 0.2, 0.1), controls)
+    controls = SolveControls(n_cells=128, step_tol=1e-5)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.4, 0.2, 0.1), controls,
+                         radii=(4.0,))
     assert rep.verdict == "inconclusive"
     row = check_row(rep.evidence["checks"], "extrapolation_low_confidence",
                     "both")
@@ -104,15 +106,17 @@ def test_degiorgi_needs_decreasing_times(euclid3, fast_controls):
     with pytest.raises(InvalidArgumentError):
         degiorgi_sweep(euclid3, ball_indicator(1.0), (0.01, 0.02), fast_controls)
     # two points cannot be extrapolated; the driver reports, never guesses
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01), fast_controls)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01), fast_controls,
+                         radii=(3.0,))
     assert rep.verdict == "inconclusive"
 
 
 def test_degiorgi_with_two_times_reports_no_limit(euclid3):
     # the guard row stops the fit: no stand-in limit, and no gap row that
     # could pass on the raw variation of the last time
-    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0,))
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.01, 0.005], controls)
+    controls = SolveControls(n_cells=128, step_tol=1e-5)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.01, 0.005], controls,
+                         radii=(3.0,))
     assert (rep.verdict, rep.finding) == ("inconclusive", "fewer than 3 times")
     checks = rep.evidence["checks"]
     assert checks[0] == check("extrapolation_points", 2, ">=", 3, "both")
@@ -130,8 +134,9 @@ DEGIORGI_TIMES = (0.02, 0.01, 0.005, 0.0025)
 def test_degiorgi_rows_match_the_closed_form(euclid3, n_cells):
     # every row against the flat-space variation at its own t, computed by
     # quadrature of the erf closed form (no solver code involved)
-    controls = SolveControls(n_cells=n_cells, step_tol=1e-6, exhaustion=(4.0,))
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), DEGIORGI_TIMES, controls)
+    controls = SolveControls(n_cells=n_cells, step_tol=1e-6)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), DEGIORGI_TIMES, controls,
+                         radii=(4.0,))
     rows = rep.series["degiorgi"]
     assert [row["t"] for row in rows] == list(DEGIORGI_TIMES)
     for row in rows:
@@ -144,13 +149,14 @@ def test_degiorgi_sweep_walks_once_per_resolution(euclid3, monkeypatch):
     # exactly one exhaustion walk through every t, on the base grid; the
     # smallest t is its first stop, so its row is the one a sweep over that
     # t alone gives, bit for bit
-    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0,))
+    controls = SolveControls(n_cells=128, step_tol=1e-5)
     calls = _count_trajectories(monkeypatch, heatlab.solver)
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
-                         controls)
+                         controls, radii=(3.0,))
     assert calls == [[0.005, 0.01, 0.02]]
     assert rep.fitted["N"] == 128
-    alone = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.005,), controls)
+    alone = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.005,), controls,
+                           radii=(3.0,))
     assert rep.series["degiorgi"][-1] == alone.series["degiorgi"][0]
 
 
@@ -185,15 +191,15 @@ def test_annulus_config_refutes_a_signed_variation(tmp_path, monkeypatch):
 def test_degiorgi_sweep_through_two_levels(euclid3):
     # with two explicit levels the replayed walk agrees with the per-t
     # exhaustion to step accuracy
-    controls = SolveControls(n_cells=128, step_tol=1e-5, exhaustion=(3.0, 4.0))
+    controls, radii = SolveControls(n_cells=128, step_tol=1e-5), (3.0, 4.0)
     rep = degiorgi_sweep(euclid3, ball_indicator(1.0), (0.02, 0.01, 0.005),
-                         controls)
+                         controls, radii=radii)
     row = check_row(rep.evidence["checks"], "unconverged_exhaustion_stops",
                     "both")
     assert (row["measured"], row["status"]) == (0.0, "pass")
     for row in rep.series["degiorgi"]:
         *_, (g, (values,)) = heatlab.solver.exhaustion_levels(
-            euclid3, ball_indicator(1.0), [row["t"]], controls)
+            euclid3, ball_indicator(1.0), [row["t"]], controls, radii)
         assert rep.fitted["R_used"] == g.R
         want = total_variation(values, g, euclid3)
         assert abs(row["TV"] - want) < 1e-4 * want, f"t={row['t']}"
@@ -295,8 +301,8 @@ def test_completeness_superexp_sample_walks_every_level(tmp_path, pe4):
 def test_completeness_walks_explicit_radii_in_full(euclid3):
     # the pole value is within 1e-7 of 1 from R = 2 on, yet every radius runs
     radii = (2.0, 3.0, 4.0, 5.0, 6.0)
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=radii)
-    rep = completeness_probe(euclid3, 0.05, controls)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    rep = completeness_probe(euclid3, 0.05, controls, radii=radii)
     assert [row["R"] for row in rep.series["completeness"]] == list(radii)
     assert rep.finding == "complete"
 
@@ -311,8 +317,8 @@ def test_completeness_stops_only_once_the_pole_settles_at_1(
         euclid3, monkeypatch, poles, drawn):
     walked = []
 
-    def levels(manifold, datum, stops, controls):
-        assert controls.exhaustion is None  # the walk plans the radii
+    def levels(manifold, datum, stops, controls, radii):
+        assert radii is None  # the walk plans the radii
         for R, m in zip(exhaustion_radii(0.0, stops[-1], math.inf), poles):
             walked.append(R)
             yield SimpleNamespace(R=R), [np.array([m])]
@@ -327,9 +333,9 @@ def test_completeness_low_confidence_limit_is_inconclusive(euclid3,
                                                            monkeypatch):
     # pole values whose differences fail to contract: the Aitken limit
     # sits below 1 - 10*eps_c with a settled last step, yet is not trusted
-    def levels(manifold, datum, stops, controls):
-        radii = exhaustion_radii(0.0, stops[-1], math.inf)
-        for R, m in zip(radii, [0.5, 0.6, 0.695, 0.69505]):
+    def levels(manifold, datum, stops, controls, radii):
+        planned = exhaustion_radii(0.0, stops[-1], math.inf)
+        for R, m in zip(planned, [0.5, 0.6, 0.695, 0.69505]):
             yield SimpleNamespace(R=R), [np.array([m])]
 
     monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
@@ -520,7 +526,8 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
     lambda m, c: tail_probe(m, ball_indicator(0.5), True, [0.05, 0.04, 0.03], c),
     lambda m, c: tail_probe(m, ball_indicator(1.0), 2.0, ["0.05", "0.04", "0.03"], c),
     lambda m, c: degiorgi_sweep(m, ball_indicator(1.0), ["0.02", "0.01", "0.005"], c),
-    lambda m, c: SolveControls(exhaustion=(True, 3.0)),
+    lambda m, c: degiorgi_sweep(m, ball_indicator(1.0), [0.01], c,
+                                radii=(True, 3.0)),
     lambda m, c: SolveControls(step_tol=True),
     lambda m, c: SolveControls(n_cells="1024"),
     # a lone number where a list is due once escaped as "'float' object is
@@ -529,7 +536,7 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
     lambda m, c: tail_probe(m, ball_indicator(1.0), 2.0, 0.01, c),
     lambda m, c: blowup_sweep(m, 1.0, 0.01, [2.0, 3.0], c),
     lambda m, c: blowup_sweep(m, 1.0, [0.01], 3.0, c),
-    lambda m, c: SolveControls(exhaustion=4.0),
+    lambda m, c: completeness_probe(m, 0.01, c, radii=4.0),
 ], ids=["blowup_r0", "blowup_R_list", "comparison_R", "comparison_t_text",
         "tail_R_out", "tail_t_text", "degiorgi_t_text", "exhaustion",
         "step_tol", "n_cells_text", "degiorgi_scalar_t_list",
@@ -625,8 +632,8 @@ def test_tail_too_few_points_is_inconclusive(euclid3):
 
 def test_guard_verdicts_follow_from_their_rows(euclid3):
     # a run stopped before its fit still carries the row that stopped it
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
-    reps = [(completeness_probe(euclid3, 0.05, controls),
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    reps = [(completeness_probe(euclid3, 0.05, controls, radii=(2.0, 3.0)),
              ("exhaustion_levels", 2.0, "fewer than 3 exhaustion levels")),
             (tail_probe(euclid3, ball_indicator(1.0), 2.0, [0.05, 0.04],
                         controls),
@@ -644,8 +651,8 @@ def test_guard_verdicts_follow_from_their_rows(euclid3):
 def test_completeness_with_too_few_levels_reports_no_limit(euclid3):
     # with no fit there is no limit: the last raw pole value once stood in
     # as fitted.m_limit beside an inconclusive verdict
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
-    rep = completeness_probe(euclid3, 0.05, controls)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    rep = completeness_probe(euclid3, 0.05, controls, radii=(2.0, 3.0))
     assert (rep.verdict, rep.finding) == (
         "inconclusive", "fewer than 3 exhaustion levels")
     assert list(rep.fitted) == ["error_indicator"]
@@ -656,8 +663,9 @@ def test_piecewise_datum_through_degiorgi(euclid3):
     # a ramp has no jump: its variation is already the limit, so the series
     # is nearly flat and must extrapolate onto the exact value
     ramp = piecewise([(0.0, 1.0), (1.0, 0.0)])
-    controls = SolveControls(n_cells=192, step_tol=1e-6, exhaustion=(3.0,))
-    rep = degiorgi_sweep(euclid3, ramp, (0.02, 0.01, 0.005), controls)
+    controls = SolveControls(n_cells=192, step_tol=1e-6)
+    rep = degiorgi_sweep(euclid3, ramp, (0.02, 0.01, 0.005), controls,
+                         radii=(3.0,))
     assert rep.verdict == "confirms", rep.finding
     assert check_row(rep.evidence["checks"], "relative_gap")["measured"] < 5e-3
     assert abs(rep.fitted["exact_tv"] - 4 * math.pi / 3) < 1e-10

@@ -131,8 +131,8 @@ def test_no_unread_imports():
 def test_unread_import_check_catches_a_leftover():
     source = (SRC / "heatlab" / "experiments.py").read_text()
     assert unread_imports(source) == []
-    planted = source.replace("from .solver import (",
-                             "from .solver import (exhaustion_radii, ", 1)
+    planted = source.replace("from .solver import ",
+                             "from .solver import exhaustion_radii, ", 1)
     assert planted != source
     assert unread_imports(planted) == ["exhaustion_radii"]
 
@@ -156,7 +156,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 def test_private_import_check_catches_a_leak():
     source = (SRC / "heatlab" / "grid.py").read_text()
-    planted = source.replace("import LOG_MAX_GRID,", "import LOG_MAX_GRID, _GL_NODES,", 1)
+    planted = source.replace("import (LOG_MAX_GRID,", "import (LOG_MAX_GRID, _GL_NODES,", 1)
     assert planted != source
     assert private_sibling_imports(planted) == ["_GL_NODES"]
 

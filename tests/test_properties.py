@@ -132,7 +132,7 @@ def test_step_solves_and_keeps_the_maximum_principle(case):
 
 @st.composite
 def exhaustions(draw):
-    """(manifold, ball datum, two stop times, controls): a random power_exp
+    """(manifold, ball datum, two stop times, controls, radii): a random power_exp
     weight and two or three explicit radii up to 4, each at least 0.3 past
     the one before and the first past the ball."""
     m = power_exp_weight(draw(st.floats(1.0, 4.0)), draw(st.sampled_from((1, -1))),
@@ -142,16 +142,15 @@ def exhaustions(draw):
     for _ in range(draw(st.integers(1, 2))):
         radii.append(radii[-1] + draw(st.floats(0.3, 1.0)))
     t = 10.0 ** draw(st.floats(-3.0, -1.0))
-    controls = SolveControls(n_cells=draw(st.integers(16, 48)), step_tol=1e-4,
-                             exhaustion=tuple(radii))
-    return m, ball_indicator(ball), [0.25 * t, t], controls
+    controls = SolveControls(n_cells=draw(st.integers(16, 48)), step_tol=1e-4)
+    return m, ball_indicator(ball), [0.25 * t, t], controls, tuple(radii)
 
 
 @given(exhaustions())
 def test_exhaustion_solutions_grow_with_the_ball(case):
-    m, datum, stops, controls = case
-    levels = list(exhaustion_levels(m, datum, stops, controls))
-    assert len(levels) == len(controls.exhaustion)
+    m, datum, stops, controls, radii = case
+    levels = list(exhaustion_levels(m, datum, stops, controls, radii))
+    assert len(levels) == len(radii)
     for (_, inner), (_, outer) in zip(levels, levels[1:]):
         for a, b in zip(inner, outer):
             assert monotonicity_defect(a, b) <= EXHAUSTION_SLACK

@@ -264,8 +264,8 @@ def test_every_trajectory_takes_a_stop_list_from_zero(euclid3, stops):
     data = (ball_indicator(1.0),)
     for call in (lambda: advance_states(op, chi, stops, controls),
                  lambda: evolve(euclid3, data, 1.0, stops, controls),
-                 lambda: exhaustion_levels(euclid3, data[0], stops,
-                                           replace(controls, exhaustion=(2.0,)))):
+                 lambda: exhaustion_levels(euclid3, data[0], stops, controls,
+                                           radii=(2.0,))):
         with pytest.raises(InvalidArgumentError):
             call()
 
@@ -473,7 +473,8 @@ def test_controls_validation():
     with pytest.raises(InvalidArgumentError):
         SolveControls(step_tol=0.0)
     with pytest.raises(InvalidArgumentError):
-        SolveControls(exhaustion=(3.0, 2.0))
+        exhaustion_levels(euclidean(3), ball_indicator(1.0), [0.01],
+                          SolveControls(), radii=(3.0, 2.0))
     c = replace(SolveControls(n_cells=64), step_tol=1e-4)
     assert c.n_cells == 64 and c.step_tol == 1e-4
     # a whole-number float cell count is stored as the int it names
@@ -530,8 +531,9 @@ def test_safe_radius_bisection_stops_when_the_bracket_closes(manifold, monkeypat
 
 def test_exhaustion_probes_grow_with_radius(euclid3, monkeypatch):
     levels = record_walk(monkeypatch)
-    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0, 4.0))
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.05], controls)
+    controls = SolveControls(n_cells=96, step_tol=1e-5)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), [0.05], controls,
+                         radii=(2.0, 3.0, 4.0))
     masses = [weighted_sum(g, values) for g, (values,) in levels]
     assert all(b >= a for a, b in zip(masses, masses[1:])), f"masses not monotone: {masses}"
     row = check_row(rep.evidence["checks"], "unconverged_exhaustion_stops", "both")
@@ -545,13 +547,15 @@ def test_exhaustion_walk_through_stops(euclid3, monkeypatch):
     # one walk per level through every stop; each stop gets the levels its
     # own one-time exhaustion would give, to step accuracy
     levels = record_walk(monkeypatch)
-    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
+    controls, radii = SolveControls(n_cells=96, step_tol=1e-5), (2.0, 3.0)
     stops = [0.01, 0.02, 0.04]
-    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), stops[::-1], controls)
+    rep = degiorgi_sweep(euclid3, ball_indicator(1.0), stops[::-1], controls,
+                         radii=radii)
     walk, unconverged = list(levels), 0
     for k, t in enumerate(stops):
         levels.clear()
-        alone = degiorgi_sweep(euclid3, ball_indicator(1.0), [t], controls)
+        alone = degiorgi_sweep(euclid3, ball_indicator(1.0), [t], controls,
+                               radii=radii)
         assert [g.R for g, _ in walk] == [g.R for g, _ in levels]
         for (g, states), (_, (values,)) in zip(walk, levels):
             want = total_variation(values, g, euclid3)
@@ -578,11 +582,12 @@ def test_exhaustion_monotonicity_is_checked_at_every_stop(euclid3, monkeypatch, 
             states[k] = states[k] - 1e-6
         return states
 
-    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(2.0, 3.0))
-    list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls))
+    controls, radii = SolveControls(n_cells=96, step_tol=1e-5), (2.0, 3.0)
+    list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls, radii))
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
     with pytest.raises(NumericalFailure, match=f"at t={stops[k]}"):
-        list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls))
+        list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls,
+                               radii))
 
 
 def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
@@ -598,8 +603,9 @@ def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
         return [state - dent for state in levels[-1]]
 
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0, 3.0))
-    walk = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls,
+                             radii=(2.0, 3.0))
     g, _ = next(walk)
     assert g.R == 2.0
     with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
@@ -618,8 +624,9 @@ def test_single_level_builds_one_grid(euclid3, monkeypatch):
 
     monkeypatch.setattr(heatlab.grid, "grid_from_faces", counting)
     monkeypatch.setattr(heatlab.solver, "grid_from_faces", counting)
-    controls = SolveControls(n_cells=96, step_tol=1e-5, exhaustion=(3.0,))
-    (g, _), = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls)
+    controls = SolveControls(n_cells=96, step_tol=1e-5)
+    (g, _), = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls,
+                                radii=(3.0,))
     assert built == [97]
     assert g.N == 96
 
@@ -633,37 +640,38 @@ def test_single_level_builds_one_grid(euclid3, monkeypatch):
 ])
 def test_first_truncation_radius_must_contain_the_datum(euclid3, points,
                                                         radius):
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(radius,))
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
     with pytest.raises(InvalidArgumentError,
                        match="does not contain the datum"):
-        next(exhaustion_levels(euclid3, piecewise(points), [0.01], controls))
+        next(exhaustion_levels(euclid3, piecewise(points), [0.01], controls,
+                               radii=(radius,)))
 
 
 def test_exhaustion_levels_rejects_bad_time(euclid3):
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
+    controls, radii = SolveControls(n_cells=64, step_tol=1e-5), (2.0,)
     # True == 1, but a boolean is no time
     for t in ([0.0], [-0.01], [math.nan], [math.inf], [True], [], [0.0, 0.01],
               [0.01, math.inf], [True, 2.0]):
-        with pytest.raises(InvalidArgumentError,
-                           match="stop times must hold positive finite times"):
-            next(exhaustion_levels(euclid3, ball_indicator(1.0), t, controls))
+        with pytest.raises(InvalidArgumentError, match="stop times must hold "
+                           "1 or more positive finite numbers"):
+            next(exhaustion_levels(euclid3, ball_indicator(1.0), t, controls,
+                                   radii))
     with pytest.raises(InvalidArgumentError, match="strictly increasing"):
         next(exhaustion_levels(euclid3, ball_indicator(1.0), [0.02, 0.01],
-                               controls))
+                               controls, radii))
 
 
 def test_exhaustion_levels_checks_its_arguments_at_the_call(euclid3, pe4):
     # a walk nobody iterates yet must still refuse what it cannot walk
-    controls = SolveControls(n_cells=64, step_tol=1e-5, exhaustion=(2.0,))
-    with pytest.raises(InvalidArgumentError,
-                       match="stop times must hold positive finite times"):
-        exhaustion_levels(euclid3, ball_indicator(1.0), [0.0], controls)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    with pytest.raises(InvalidArgumentError, match="stop times must hold "
+                       "1 or more positive finite numbers"):
+        exhaustion_levels(euclid3, ball_indicator(1.0), [0.0], controls, (2.0,))
     with pytest.raises(InvalidArgumentError,
                        match="does not contain the datum"):
-        exhaustion_levels(euclid3, ball_indicator(2.5), [0.01], controls)
+        exhaustion_levels(euclid3, ball_indicator(2.5), [0.01], controls, (2.0,))
     with pytest.raises(RangeError, match="overflow-safe radius"):
-        exhaustion_levels(pe4, ball_indicator(1.0), [0.01],
-                          replace(controls, exhaustion=(6.0,)))
+        exhaustion_levels(pe4, ball_indicator(1.0), [0.01], controls, (6.0,))
 
 
 def test_semigroup_composition(euclid3):
@@ -833,12 +841,31 @@ def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
 def test_a_nan_column_is_not_outvoted_by_a_finite_one(euclid3, monkeypatch):
     # a NaN error in any column rejects the attempt, so the run ends in
     # NumericalFailure instead of returning a NaN column beside a good one
+    # (a NaN in the initial state is refused at the call, so the solve
+    # plants it in the second column)
     controls, g, op, chi = _walk_setup(euclid3)
     monkeypatch.setattr(heatlab.solver, "MAX_STEPS", 200)
-    u0 = _stacked(g, chi, 2)
-    u0[0, 1] = math.nan
+    solve = heatlab.solver.dpttrs
+
+    def poisoned(d, e, b, overwrite_b):
+        x, info = solve(d, e, b, overwrite_b)
+        x[0, 1] = math.nan
+        return x, info
+
+    monkeypatch.setattr(heatlab.solver, "dpttrs", poisoned)
     with pytest.raises(NumericalFailure, match="unreachable"):
-        advance_states(op, u0, [0.01], controls)
+        advance_states(op, _stacked(g, chi, 2), [0.01], controls)
+
+
+def test_a_step_past_double_range_is_a_range_error_naming_dt(euclid3):
+    # the band of D (I - dt L) once overflowed with a RuntimeWarning, an
+    # error under the suite's filter, and reached dpttrf as inf
+    g = build_grid(euclid3, 1.0, 16)
+    op = assemble(g, euclid3, DIRICHLET)
+    with pytest.raises(RangeError, match=r"band of D \(I - dt L\) overflows at dt="):
+        advance_states(op, np.ones(16), [1e306], SolveControls(n_cells=16))
+    with pytest.raises(RangeError, match="at dt=1e[+]308"):
+        op.banded(1e308)
 
 
 def test_singular_step_names_dt(euclid3):
