@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import RadialManifold, as_reals, monotone_reals, real_array
+from .geometry import RadialManifold, as_reals, monotone_reals, positive_real, real_array
 from .grid import Grid
 
 
@@ -73,6 +73,7 @@ class FluxProfile:
 
     def at(self, r: float) -> float:
         """Flux at the interior face nearest to radius r."""
+        r = positive_real(r, "radius")
         return float(self.q[int(np.argmin(np.abs(self.radii - r)))])
 
     def crossing(self, qthreshold: float) -> tuple[float | None, float | None]:

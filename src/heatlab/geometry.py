@@ -6,7 +6,9 @@ quantities involving A are carried as logarithms so that violently growing
 weights (e.g. A(r) = r^2 e^{r^4}) never overflow intermediate arithmetic;
 exponentials are taken only for final scalar outputs, behind explicit range
 checks.  Every integral of A comes from one quadrature, ``log_area_integral``,
-held to 1e-12 of each whole interval's integral.
+held to 1e-12 of each whole interval's integral.  It takes ``_BLOCK``
+intervals at a time, so its temporaries (about 0.56 MB traced for a block
+of 512 intervals that need no bisection) do not grow with the grid.
 """
 
 from __future__ import annotations
@@ -97,12 +99,13 @@ def monotone_reals(values, name: str, order: str = "increasing", least: int = 1)
 
 
 def real_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array of finite numbers or booleans, never strings."""
+    """``values`` as a float array of finite numbers or booleans, never
+    strings; booleans only as items, as a lone True is no number."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged list
         arr = np.asarray(None)
-    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
+    if arr.dtype.kind not in ("biuf" if arr.ndim else "iuf") or not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} must hold finite real numbers, got {values!r:.80}")
     return arr.astype(float, copy=False)
 
@@ -196,8 +199,10 @@ def _gl_log_terms(manifold: RadialManifold, mids: np.ndarray,
     return np.log(half)[..., None] + _GL_LOG_WEIGHTS + manifold.log_area(nodes)
 
 
-# bisections of an interval before the quadrature gives up on it
+# bisections of an interval before the quadrature gives up on it, and the
+# intervals integrated at once: the temporaries are sized by one block
 _MAX_DEPTH = 18
+_BLOCK = 512
 
 
 def log_area_integral(manifold: RadialManifold, a, b):
@@ -207,14 +212,24 @@ def log_area_integral(manifold: RadialManifold, a, b):
     summed in log space: A may overflow, and the result is +inf only where
     log A is.  Where it moves off the rule on the whole piece by over 1e-12
     of the whole interval's integral, the piece is bisected (at most
-    ``_MAX_DEPTH`` times) and its halves are integrated the same way.
+    ``_MAX_DEPTH`` times) and its halves are integrated the same way.  The
+    intervals go ``_BLOCK`` at a time, each block to its last bisection.
     """
     a, b = np.broadcast_arrays(real_array(a, "lower ends"), real_array(b, "upper ends"))
     if np.any(b < a):
         raise InvalidArgumentError(f"empty integration range [{a}, {b}]")
     shape, a, b = a.shape, a.ravel(), b.ravel()
     out = np.full(a.size, -np.inf)
-    owner = np.flatnonzero(b != a)
+    for start in range(0, a.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        _integrate_block(manifold, a, b, start + np.flatnonzero(b[block] != a[block]), out)
+    return out.reshape(shape) if shape else float(out[0])
+
+
+def _integrate_block(manifold: RadialManifold, a: np.ndarray, b: np.ndarray,
+                     owner: np.ndarray, out: np.ndarray) -> None:
+    """Add the log integral of A over [a, b] at each index in ``owner`` to
+    ``out`` (log space), piece by piece; its temporaries end with the call."""
     lo, hi, top = a[owner], b[owner], None  # top: its interval's log integral
     for _ in range(_MAX_DEPTH + 1):
         coarse = logsumexp(_gl_log_terms(manifold, 0.5 * (lo + hi), 0.5 * (hi - lo)),
@@ -231,7 +246,7 @@ def log_area_integral(manifold: RadialManifold, a, b):
         hi = np.stack([mid, hi[rough]], axis=1).reshape(-1)
         owner, top = np.repeat(owner[rough], 2), np.repeat(top[rough], 2)
         if not owner.size:
-            return out.reshape(shape) if shape else float(out[0])
+            return
     raise NumericalFailure(f"log-space quadrature failed to converge on "
                            f"[{a[owner[0]]}, {b[owner[0]]}]")
 
@@ -260,7 +275,10 @@ class RadialBVDatum:
     breakpoints: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pts = self.breakpoints
+        if not isinstance(self.breakpoints, (list, tuple)):
+            raise InvalidArgumentError(f"breakpoints must be a list, got {self.breakpoints!r}")
+        pts = tuple(tuple(as_reals(p, "a breakpoint")) for p in self.breakpoints)
+        object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2 or not all(len(p) == 2 and all(map(math.isfinite, p)) for p in pts):
             raise InvalidArgumentError("a datum needs two or more breakpoints of finite reals")
         radii = [p[0] for p in pts]
@@ -301,9 +319,7 @@ class RadialBVDatum:
 
 
 def piecewise(points) -> RadialBVDatum:
-    if not isinstance(points, (list, tuple)):
-        raise InvalidArgumentError(f"breakpoints must be a list, got {points!r}")
-    return RadialBVDatum(tuple(tuple(as_reals(p, "a breakpoint")) for p in points))
+    return RadialBVDatum(points)
 
 
 def ball_indicator(radius: float) -> RadialBVDatum:

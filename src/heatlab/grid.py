@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (LOG_MAX_GRID, RadialManifold, as_reals, log_area_integral,
-                       positive_real, real_array, whole_count)
+from .geometry import (LOG_MAX_GRID, RadialManifold, as_real, as_reals,
+                       log_area_integral, positive_real, real_array, whole_count)
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class Grid:
 
     def face_index(self, r: float) -> int:
         """Index of the face at radius r; raises if r is not a face."""
-        idx = int(np.argmin(np.abs(self.faces - r)))
-        if not math.isclose(self.faces[idx], r, rel_tol=1e-12, abs_tol=1e-15 * self.R):
+        x = as_real(r)  # a non-number is NaN, near no face
+        idx = int(np.argmin(np.abs(self.faces - x)))
+        if not math.isclose(self.faces[idx], x, rel_tol=1e-12, abs_tol=1e-15 * self.R):
             raise InvalidArgumentError(f"radius {r} is not a face of this grid")
         return idx
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .geometry import RadialManifold
+from .geometry import RadialManifold, real_array
 from .grid import Grid
 
 DIRICHLET = "dirichlet_at_R"
@@ -42,10 +42,10 @@ class WeightedOperator:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Matrix-vector product L u; accepts (N,) or (N, k) stacks."""
-        u = np.asarray(u, dtype=float)
-        if u.shape[0] != self.grid.N:
+        u = real_array(u, "vector")
+        if u.ndim not in (1, 2) or u.shape[0] != self.grid.N:
             raise InvalidArgumentError(
-                f"vector length {u.shape[0]} does not match grid with {self.grid.N} cells")
+                f"vector of shape {u.shape} does not match grid with {self.grid.N} cells")
         # face fluxes k * du with zero ghosts at the pole and the wall
         cols = u.reshape(self.grid.N, -1)
         flux = self.conductance[:, None] * np.diff(cols, axis=0, prepend=0.0, append=0.0)

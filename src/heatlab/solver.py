@@ -17,13 +17,14 @@ state is the two-half-step one, which preserves the maximum principle
 exactly rather than up to an extrapolation residual.  Every proposed step
 rounds down onto the lattice ``DT_INIT * 2^(k / STEP_LATTICE)`` and each
 ``advance_states`` call keeps ``dpttrf``'s factors of every half-step size
-in a dict, so a trajectory holds a few dozen.  Only a step clipped onto a
-stop time leaves the lattice.  A call steps one copy of its states in
-reused buffers, which an observer sees, valid only during its call, and
-shapes the cell weights like the states once: an attempt is two ``dpttrs``
-calls, a few ufuncs into those buffers and one BLAS matrix-vector product
-for the error norms, with equal bits at one and two OpenBLAS threads up to
-10^6 cells.
+in a dict: a recording holds a few dozen until it returns, and a replay
+drops each after the last step of its size in the ladder (one at a time on
+the sample configs).  Only a step clipped onto a stop time leaves the
+lattice.  A call steps one copy of its states in reused buffers, which an
+observer sees, valid only during its call, and shapes the cell weights like
+the states once: an attempt is two ``dpttrs`` calls, a few ufuncs into
+those buffers and one BLAS matrix-vector product for the error norms, with
+equal bits at one and two OpenBLAS threads up to 10^6 cells.
 
 Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
 ``dpttrs``, the only routines heatlab takes from scipy.  They come from
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -158,7 +160,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     own profile norm; the worst column must meet ``controls.step_tol``, and
     the half-step result is the one accepted.  No full step is solved.
     The controller's proposal rounds down onto the step lattice (never a
-    longer step), and the call caches one factorization per half-step size.
+    longer step), and the call caches one factorization per half-step size;
+    a replay drops each one after the last step that uses it.
     The area weight stays out of the controller on purpose: cells of huge
     measure would otherwise pin the step size to their own stiff decay,
     which the implicit scheme damps stably anyway, while every reported
@@ -207,8 +210,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     weights = np.empty_like(u)
     weights.T[...] = op.cell_weights
 
-    # dpttrf's (d, e) per half-step size, kept for this call only
+    # dpttrf's (d, e) per half-step size, kept for this call only; a replay
+    # drops one, locals too, at the attempt that last uses its size
     factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    last = {0.5 * h: n for n, h in enumerate(itertools.chain(*ladder), 1)} if replay else {}
 
     t = 0.0
     dt = DT_INIT
@@ -248,6 +253,8 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             d, e = factors[half]
             mid = dpttrs(d, e, np.multiply(weights, u, out=mid), 1)[0]
             fine = dpttrs(d, e, np.multiply(weights, mid, out=fine), 1)[0]
+            if replay and last[half] == iterations:
+                del factors[half], d, e
             if not replay:
                 # (fine - mid) - (mid - u), differenced in that order
                 np.subtract(fine, mid, out=second)

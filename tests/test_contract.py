@@ -13,7 +13,12 @@ negative where only positive values make sense.  Escapes this caught:
 ``face_ladder(True, 16)`` ran as R = 1 and ``face_ladder(1.0, 16.5)`` raised
 TypeError; ``subgrid(g, 16.5)`` raised IndexError; ``evolve`` ran with a
 reading radius of True or -1.0; ``extrapolate_limit`` read NaN and string
-h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers.
+h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers;
+``Grid.face_index("a")`` and ``FluxProfile.at("a")`` raised numpy's
+UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
+and ``RadialBVDatum(((0.0, 1.0), 5))`` a TypeError; ``face_index(True)``
+and ``RadialManifold.log_area(True)`` ran as radius 1.  The methods and
+the raw datum constructor are held to the same contract as the exports.
 """
 
 import copy
@@ -25,16 +30,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatlab
-from heatlab import (InvalidArgumentError, NumericalFailure, RangeError,
-                     SolveControls, advance_states, assemble, ball_indicator,
-                     ball_volume, blowup_sweep, build_grid, comparison_check,
-                     completeness_probe, degiorgi_sweep, euclidean, evolve,
-                     exhaustion_ladder, exhaustion_levels, exhaustion_radii,
-                     extrapolate_limit, face_ladder, face_variation_terms,
-                     flux_profile, grid_from_faces, log_area_integral,
-                     perimeter_ball, piecewise, power_exp_weight,
-                     sphere_constant, subgrid, tail_probe, total_variation,
-                     weighted_sum)
+from heatlab import (InvalidArgumentError, NumericalFailure, RadialBVDatum,
+                     RangeError, SolveControls, advance_states, assemble,
+                     ball_indicator, ball_volume, blowup_sweep, build_grid,
+                     comparison_check, completeness_probe, degiorgi_sweep,
+                     euclidean, evolve, exhaustion_ladder, exhaustion_levels,
+                     exhaustion_radii, extrapolate_limit, face_ladder,
+                     face_variation_terms, flux_profile, grid_from_faces,
+                     log_area_integral, perimeter_ball, piecewise,
+                     power_exp_weight, sphere_constant, subgrid, tail_probe,
+                     total_variation, weighted_sum)
 
 ALLOWED = (InvalidArgumentError, RangeError, NumericalFailure)
 
@@ -78,7 +83,8 @@ NEVER = {"boolean", "text", "numeral", "nan", "negative"}
 # array arguments, where numpy's booleans count as 0 and 1, and the
 # arguments, or items of them, that may be negative
 ARRAYS = {"a", "b", "faces", "profile", "states", "u"}
-SIGNED = {"profile", "states", "u", "sign", ("points", 1, 1), ("series", 1, 1)}
+SIGNED = {"profile", "states", "u", "sign", ("points", 1, 1), ("series", 1, 1),
+          ("breakpoints", 1, 1)}
 
 
 def may_return(path, kind: str) -> bool:
@@ -103,6 +109,10 @@ CALLS = {
     "log_area_integral": (log_area_integral,
                           {"manifold": FLAT, "a": 0.5, "b": 1.0}, ["a", "b"]),
     "ball_indicator": (ball_indicator, {"radius": 0.5}, ["radius"]),
+    "RadialBVDatum": (RadialBVDatum,
+                      {"breakpoints": [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)]},
+                      ["breakpoints", ("breakpoints", 1), ("breakpoints", 1, 0),
+                       ("breakpoints", 1, 1)]),
     "piecewise": (piecewise, {"points": [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)]},
                   ["points", ("points", 1, 0), ("points", 1, 1)]),
     "face_ladder": (face_ladder, {"R": 2.0, "N": 16, "jump_radii": [0.5]},
@@ -172,6 +182,14 @@ CALLS = {
                    ["R_out", "t_list", ("t_list", 0)]),
 }
 
+# methods of the objects the exports return, held to the same contract
+METHODS = {
+    "RadialManifold.log_area": (FLAT.log_area, {"r": 1.0}, ["r"]),
+    "Grid.face_index": (GRID.face_index, {"r": 0.5}, ["r"]),
+    "WeightedOperator.apply": (OP.apply, {"u": PROFILE}, ["u", ("u", 0)]),
+    "FluxProfile.at": (flux_profile(PROFILE, GRID).at, {"r": 1.0}, ["r"]),
+}
+
 
 def mutated(kwargs: dict, path, kind: str) -> dict:
     """A deep copy of ``kwargs`` with the value at ``path`` mutated."""
@@ -186,9 +204,9 @@ def mutated(kwargs: dict, path, kind: str) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted({**CALLS, **METHODS}))
 def test_every_export_returns_or_raises_a_heatlab_error(name):
-    fn, kwargs, paths = CALLS[name]
+    fn, kwargs, paths = {**CALLS, **METHODS}[name]
     fn(**kwargs)  # the unmutated call is valid
     cases = [(path, kind) for path in paths for kind in KINDS]
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from heatlab import (
     total_variation,
     weighted_sum,
 )
-from heatlab.experiments import degiorgi_sweep
+from heatlab.experiments import completeness_probe, degiorgi_sweep
 from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
                       implicit_step, record_walk, time_exact_states)
@@ -775,6 +776,39 @@ def test_c_and_fortran_ordered_states_step_bitwise_alike(euclid3, columns):
     if columns == 1:
         by_vector = advance_states(op, chi, stops, controls)
         assert all(np.array_equal(f[:, 0], v) for f, v in zip(by_f, by_vector))
+
+
+@pytest.mark.parametrize("manifold", [euclidean(3), power_exp_weight(4, 1, 3)],
+                         ids=["completeness_euclidean", "completeness_superexp"])
+def test_a_replay_holds_no_factor_it_will_not_use_again(manifold, monkeypatch):
+    # the two completeness samples' walks: whenever a replayed level factors
+    # a half-step size, every factorization still alive has a step to come
+    # (one at a time on these walks, where a replay held all 52-54 sizes)
+    live, remaining, replays = [0], [], []
+    factor, advance = heatlab.solver._factor, heatlab.solver.advance_states
+
+    def freed():
+        live[0] -= 1
+
+    def counted(op, dt):
+        d, e = factor(op, dt)
+        live[0] += 1
+        weakref.finalize(d, freed)
+        if replays[-1] is not None:  # the half steps from this one on
+            halves = replays[-1]
+            remaining.append((live[0], len(set(halves[halves.index(dt):]))))
+        return d, e
+
+    def walked(op, states, stops, controls, observer=None, ladder=None):
+        replays.append([0.5 * h for segment in ladder for h in segment]
+                       if ladder else None)
+        return advance(op, states, stops, controls, observer, ladder)
+
+    monkeypatch.setattr(heatlab.solver, "_factor", counted)
+    monkeypatch.setattr(heatlab.solver, "advance_states", walked)
+    completeness_probe(manifold, 0.1, SolveControls(n_cells=1024, step_tol=1e-6))
+    assert sum(r is not None for r in replays) >= 3 and remaining
+    assert all(held <= to_come for held, to_come in remaining), max(remaining)
 
 
 @pytest.mark.parametrize("columns", [None, 1, 2, 3])
