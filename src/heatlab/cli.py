@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -236,14 +235,6 @@ def _datum_from(cfg: dict):
     return piecewise(cfg["breakpoints"])
 
 
-def _format_float(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.12g}"
-
-
 def _dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, %.12g floats, ascii strings."""
     pad = " " * indent
@@ -254,8 +245,9 @@ def _dumps(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _format_float(float(obj))
+    if isinstance(obj, numbers.Real):  # %.12g, a non-finite value quoted
+        text = f"{float(obj):.12g}"
+        return text if math.isfinite(obj) else f'"{text}"'
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, np.ndarray):
@@ -268,9 +260,8 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = []
-        for key in sorted(str(k) for k in obj):
-            parts.append(f"{inner}{json.dumps(key)}: {_dumps(obj[key], indent + 2)}")
+        parts = [f"{inner}{json.dumps(key)}: {_dumps(obj[key], indent + 2)}"
+                 for key in sorted(str(k) for k in obj)]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     raise InvalidArgumentError(f"cannot serialize {type(obj).__name__} into a report")
 
@@ -283,8 +274,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
-        x = float(value)
-        return "nan" if math.isnan(x) else f"{x:.12g}"
+        return f"{float(value):.12g}"
     return str(value)
 
 
@@ -346,9 +336,10 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     add("max_principle_defect", max(0.0, -bounds[0], bounds[1] - 1.0), 1e-12)
 
     # the first exhaustion level's state at 0.05 is also the one-shot leg of
-    # the semigroup identity, P_0.02 P_0.03 staged on that level's grid
-    (g1, (direct,)), (_, (outer,)) = itertools.islice(
-        exhaustion_levels(weighted, ball, [0.05], controls), 2)
+    # the semigroup identity, P_0.02 P_0.03 staged on that level's grid;
+    # naming the automatic policy's first two radii walks no third level
+    (g1, (direct,)), (_, (outer,)) = exhaustion_levels(
+        weighted, ball, [0.05], controls, radii=(2.0, 3.0))
     add("exhaustion_monotone", max(0.0, monotonicity_defect(direct, outer)),
         EXHAUSTION_SLACK)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import functionals
+from . import functionals, solver
 from .errors import InvalidArgumentError, RangeError
 from .geometry import (RadialBVDatum, RadialManifold, as_real, ball_indicator,
                        constant_one, euclidean, exact_total_variation,
@@ -239,7 +239,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     """Truncated variation growth of a ball's complement over a time ladder.
 
     One trajectory of [constant, ball] runs through every time in ``t_list``
-    on the ball ``solver.evolve`` walls off past max(R_list), with
+    on the ``solver.dirichlet_ball`` walled off past max(R_list), with
     ``n_cells`` cells inside min(R_list) and its notes under
     ``fitted.notes``; the complement state follows by linearity, and its
     variation is accumulated up to each requested radius.  Divergence at
@@ -248,10 +248,11 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     R_list span), mass-function flux nondecreasing within 1e-8, and
     complement flux at the largest radius at or above the q threshold.  The
     q threshold is 10x the flux a matched flat-space trajectory (whose wall
-    is never capped) leaves at the same radius (its noise floor); on flat
-    space the run is its own floor.  Convergence requires instead that the
-    last TV step stays within ``STABILIZE_RTOL`` of the last TV and the flux
-    at the largest radius below the q threshold.
+    is never capped; it runs in a ``solver.Beside`` child) leaves at the
+    same radius, its noise floor; on flat space the run is its own floor.
+    Convergence requires instead that the last TV step stays within
+    ``STABILIZE_RTOL`` of the last TV and the flux at R_max below the q
+    threshold.
 
     Each time's finding is ``decide`` over its own checks and the sweep's
     verdict ``decide`` over the checks of every time, so it confirms when
@@ -268,15 +269,17 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     if radii[0] <= r0:
         raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
     data, stops = (constant_one(), ball_indicator(r0)), ts[::-1]
-    g, states, notes = evolve(manifold, data, radii[-1], stops, controls,
-                              R_cells=radii[0])
-    r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))])
-              for r in radii]
-    gf, flat_states = g, states
-    if manifold.family != "euclidean":
-        gf, flat_states, _ = evolve(euclidean(manifold.dimension), data,
-                                    radii[-1], stops, controls,
-                                    R_cells=radii[0])
+    op, u0, notes = solver.dirichlet_ball(manifold, data, radii[-1], stops[-1], controls, radii[0])
+    # with the signal's ball built, its flat companion runs beside it
+    flat = None if manifold.family == "euclidean" else solver.Beside(
+        evolve, euclidean(manifold.dimension), data, radii[-1], stops, controls, radii[0])
+    try:
+        g, states = op.grid, solver.advance_states(op, u0, stops, controls)
+        gf, flat_states, _ = flat.result() if flat else (g, states, notes)
+    finally:
+        if flat:
+            flat.close()
+    r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))]) for r in radii]
     floors = [abs(functionals.flux_profile(s[:, 0] - s[:, 1], gf)
                   .at(r_used[-1])) for s in flat_states]
     rows, fitted, checks = zip(*(
@@ -394,9 +397,8 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         rows.append({"t": t, "tail": tail, "fit_residual": None})
 
     usable = [i for i, row in enumerate(rows) if row["tail"] > 1e-300]
-    for i, row in enumerate(rows):
-        if i not in usable:
-            notes.append(f"tail underflowed at t={row['t']}")
+    notes += [f"tail underflowed at t={row['t']}"
+              for i, row in enumerate(rows) if i not in usable]
     # keep the maximal small-t suffix on which the tail strictly decreases
     admissible: list[int] = []
     for i in reversed(usable):
@@ -404,9 +406,8 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
             admissible.insert(0, i)
         else:
             break
-    excluded = [i for i in usable if i not in admissible]
-    for i in excluded:
-        notes.append(f"pre-asymptotic point excluded at t={rows[i]['t']}")
+    notes += [f"pre-asymptotic point excluded at t={rows[i]['t']}"
+              for i in usable if i not in admissible]
 
     fitted = {"C": math.nan, "c": math.nan, "notes": notes}
     checks = [check("admissible_tail_points", len(admissible), ">=", 3,

@@ -155,12 +155,8 @@ def extrapolate_limit(series) -> ExtrapolationResult:
         if not nxt:
             break
         stages.append(nxt)
-    if len(stages) == 1:
-        limit = xs[-1]
-        error = abs(deltas[-1])
-    else:
-        limit = stages[-1][-1]
-        error = abs(stages[-1][-1] - stages[-2][-1])
+    limit = stages[-1][-1]  # the last raw value when no stage formed
+    error = abs(deltas[-1] if len(stages) == 1 else limit - stages[-2][-1])
 
     if error > 0.05 * max(abs(limit), 1e-30):
         low = True

@@ -6,9 +6,7 @@ quantities involving A are carried as logarithms so that violently growing
 weights (e.g. A(r) = r^2 e^{r^4}) never overflow intermediate arithmetic;
 exponentials are taken only for final scalar outputs, behind explicit range
 checks.  Every integral of A comes from one quadrature, ``log_area_integral``,
-held to 1e-12 of each whole interval's integral.  It takes ``_BLOCK``
-intervals at a time, so its temporaries (about 0.56 MB traced for a block
-of 512 intervals that need no bisection) do not grow with the grid.
+held to 1e-12 of each whole interval's integral, ``_BLOCK`` intervals at a time.
 """
 
 from __future__ import annotations
@@ -148,9 +146,7 @@ class RadialManifold:
             raise InvalidArgumentError("radius must be nonnegative")
         with np.errstate(divide="ignore", over="ignore"):
             out = self._log_area_fn(arr)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
     def __repr__(self):
         extras = "".join(f", {k}={v}" for k, v in self.params.items())
@@ -313,9 +309,7 @@ class RadialBVDatum:
         # right-continuous: at duplicated radii np.interp already returns
         # the later table entry for queries at or beyond the jump
         out = np.interp(arr, radii, values)
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        return float(out) if arr.ndim == 0 else out
 
 
 def piecewise(points) -> RadialBVDatum:

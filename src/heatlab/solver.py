@@ -9,29 +9,21 @@ ladder, so solutions at different R can be compared cell by cell and the
 exhaustion monotonicity becomes a testable discrete statement.
 
 Time stepping is implicit Euler (unconditional discrete maximum principle,
-which indicator data require).  Each step is two half steps, and their
-second difference in the weighted L1 norm controls the step size: like the
-step-doubling gap between a full step and the two half steps, it is
-(h^2/4) u'' to leading order, so no full step is solved.  The accepted
-state is the two-half-step one, which preserves the maximum principle
-exactly rather than up to an extrapolation residual.  Every proposed step
-rounds down onto the lattice ``DT_INIT * 2^(k / STEP_LATTICE)`` and each
-``advance_states`` call keeps ``dpttrf``'s factors of every half-step size
-in a dict: a recording holds a few dozen until it returns, and a replay
-drops each after the last step of its size in the ladder (one at a time on
-the sample configs).  Only a step clipped onto a stop time leaves the
-lattice.  A call steps one copy of its states in reused buffers, which an
-observer sees, valid only during its call, and shapes the cell weights like
-the states once: an attempt is two ``dpttrs`` calls, a few ufuncs into
-those buffers and one BLAS matrix-vector product for the error norms, with
-equal bits at one and two OpenBLAS threads up to 10^6 cells.
+which indicator data require), each step two half steps whose second
+difference controls the step size (``advance_states``).  An attempt is two
+``dpttrs`` calls, a few ufuncs into reused buffers and one BLAS
+matrix-vector product, with equal bits at one and two OpenBLAS threads up
+to 10^6 cells.  Trajectories that share no data run two at a time: the
+exhaustion levels after the first replay its step ladder in pairs, the
+second of each in a forked child (``Beside``), and the blowup sweep's flat
+companion runs in a child beside its signal.  A child runs the same code
+on a copy of the caller's data, so its pickled result has the bits of an
+inline run; off Linux, or on one CPU, every call runs inline.
 
-Steps factor and solve with LAPACK's symmetric tridiagonal ``dpttrf`` and
-``dpttrs``, the only routines heatlab takes from scipy.  They come from
-scipy's compiled ``scipy/linalg/_flapack`` extension, loaded on its own
-from the directory ``importlib`` finds for scipy: importing ``scipy`` runs
-its package init (12-15 ms), and ``scipy.linalg``'s loads numpy.testing,
-numpy.f2py and more, 0.25 s of a 0.53 s start-up.
+``dpttrf`` and ``dpttrs`` come from scipy's compiled ``_flapack``
+extension, loaded on its own: importing ``scipy`` runs its package init
+(12-15 ms), and ``scipy.linalg``'s loads numpy.testing, numpy.f2py and
+more, 0.25 s of a 0.53 s start-up.
 """
 
 from __future__ import annotations
@@ -41,6 +33,9 @@ import importlib.util
 import itertools
 import math
 import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,9 +79,7 @@ class SolveControls:
     ``step_tol`` bounds the relative local error of each accepted step.
     ``n_cells`` counts the cells inside the first truncation radius
     (degiorgi, completeness), min(R_list) (blowup), the whole solve ball
-    (tail) or R (comparison); larger radii keep the spacing.  Exhaustion
-    radii are no control: the drivers that walk them take ``radii``.
-    """
+    (tail) or R (comparison); larger radii keep the spacing."""
 
     step_tol: float = 1e-6
     n_cells: int = 1024
@@ -100,8 +93,7 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     """Cell averages of a BV profile; indicators become exact 0/1 values.
 
     Every jump radius of the datum must be a face of the grid, so no jump is
-    ever smeared across a cell.
-    """
+    ever smeared across a cell."""
     for r in datum.jump_radii:
         g.face_index(r)  # raises where a jump radius is not a face
 
@@ -116,9 +108,8 @@ def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
             cells.setdefault(i - 1, []).append(k)
     for i, kinks in cells.items():
         nodes = (g.faces[i], *kinks, g.faces[i + 1])
-        pieces = zip(nodes, nodes[1:])
         values[i] = sum((b - a) * datum.value(0.5 * (a + b))
-                        for a, b in pieces) / (nodes[-1] - nodes[0])
+                        for a, b in zip(nodes, nodes[1:])) / (nodes[-1] - nodes[0])
     return values
 
 
@@ -154,21 +145,19 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
 
     ``states`` has shape (N,) or (N, k); all columns share every accepted
     step, so linear identities between columns survive time stepping exactly.
-    A step is two half steps u -> mid -> fine.  Its local error is the
-    radial-profile L1 norm (cell widths as weights, no area factor) of the
-    second difference (fine - mid) - (mid - u), relative to each column's
-    own profile norm; the worst column must meet ``controls.step_tol``, and
-    the half-step result is the one accepted.  No full step is solved.
-    The controller's proposal rounds down onto the step lattice (never a
-    longer step), and the call caches one factorization per half-step size;
-    a replay drops each one after the last step that uses it.
-    The area weight stays out of the controller on purpose: cells of huge
-    measure would otherwise pin the step size to their own stiff decay,
-    which the implicit scheme damps stably anyway, while every reported
-    functional applies its measure as post-processing.  ``states`` is never
-    written, and each returned state is its own array.  ``observer`` is
-    called once per accepted substate transition with both endpoint times
-    and states, which are reused buffers: valid only during the call.
+    A step is two half steps u -> mid -> fine, and the half-step state is
+    the one accepted, so the maximum principle holds exactly.  Its local
+    error is the radial-profile L1 norm (cell widths as weights: an area
+    factor would pin the step to the stiff decay of cells of huge measure)
+    of the second difference (fine - mid) - (mid - u), (h^2/4) u'' to
+    leading order, relative to each column's own profile norm; the worst
+    column must meet ``controls.step_tol``.  The proposal rounds down onto
+    the step lattice, and the call keeps one ``dpttrf`` factorization per
+    half-step size (a replay drops each after its last step).  ``states``
+    is never written, and each returned state is its own array.
+    ``observer`` is called once per accepted substate transition with both
+    endpoint times and states, which are reused buffers: valid only during
+    the call.
 
     ``stops`` is a strictly increasing list of positive times; one
     trajectory runs through all of them and returns the list of states at
@@ -178,13 +167,11 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     replayed steps count toward it too.
 
     ``ladder`` is the step ladder: one list of accepted step sizes per stop
-    time (the steps from the previous stop up to that one).  An empty list
-    is filled in as the run records; a filled one is replayed instead of
-    adapting, and must have been recorded through the same stop times.  Both
-    modes run the same step: a replayed one takes its size from the ladder,
-    skips the error estimate and is always accepted, so the observer sees
-    the same transitions as on the recording.
-    """
+    (the steps since the stop before).  An empty list is filled in as the
+    run records; a filled one, recorded through the same stops, is replayed
+    instead: each step takes its size from the ladder, skips the error
+    estimate and is accepted, so the observer sees the recording's
+    transitions."""
     stops = monotone_reals(stops, "stop times")
     u = np.array(real_array(states, "states"), order="F")
     if u.ndim not in (1, 2) or u.shape[0] != op.grid.N:
@@ -290,12 +277,63 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     return at_stops
 
 
-def overflow_safe_radius(manifold: RadialManifold) -> float:
-    """Largest radius whose face area stays within the grid range budget.
+def can_fork() -> bool:
+    """Whether ``Beside`` forks: on Linux, with more than one CPU to run on."""
+    return sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
 
-    Returns inf when the budget is never hit below r = 1e6 (flat and
-    decaying weights).
-    """
+
+class Beside:
+    """``fn(*args)``, computed in a forked child while the caller goes on,
+    or inline at ``result`` without ``can_fork``.  ``result`` returns what
+    ``fn`` returned or raises what it raised (class and message); ``close``
+    kills and reaps a child not waited for."""
+
+    def __init__(self, fn, *args):
+        self.call, self.pid = lambda: fn(*args), None
+        if can_fork():
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns that a child may find a lock held by
+                # another thread: OpenBLAS's pool, stopped by its fork handler
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+            if self.pid == 0:  # the child sends its outcome and leaves
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        try:
+                            outcome = True, self.call()
+                        except BaseException as exc:  # raised in the parent
+                            outcome = False, exc
+                        pickle.dump(outcome, pipe)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            self.pipe = os.fdopen(read, "rb")
+
+    def result(self):
+        if self.pid is None:
+            return self.call()
+        try:
+            ok, value = pickle.load(self.pipe)
+        except EOFError:  # the child died before it sent anything
+            raise NumericalFailure(f"child {self.pid} ended without a result") from None
+        finally:
+            self.close()
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        if self.pid is not None:
+            self.pipe.close()
+            os.kill(self.pid, 9)  # SIGKILL, without the 1 ms import of signal
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def overflow_safe_radius(manifold: RadialManifold) -> float:
+    """Largest radius whose face area stays within the grid range budget;
+    inf when the budget holds up to r = 1e6 (flat and decaying weights)."""
     def fits(r: float) -> bool:
         return (manifold.log_sphere_constant
                 + manifold.log_area(float(r))) <= LOG_MAX_GRID
@@ -307,34 +345,28 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # adjacent floats: nothing moves any more
             break
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
 
 
-def evolve(manifold: RadialManifold, data, R_read: float, stops,
-           controls: SolveControls, R_cells: float | None = None):
-    """Evolve radial data jointly from t = 0 through ``stops`` on one ball.
+def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
+                   controls: SolveControls, R_cells: float | None = None):
+    """The ball ``evolve`` steps on to ``t_end``: (operator, stacked
+    (N, len(data)) projected data, notes).
 
-    The Dirichlet wall sits max(2, 8*sqrt(last stop)) past ``R_read``,
-    capped at the overflow-safe radius with a note; ``controls.n_cells``
-    cells fill ``R_cells`` (default: the wall) at one spacing out to the
-    wall, and every jump radius is a face.  Returns the grid, the stacked
-    (N, len(data)) states at the stops and the notes.  An ``R_read`` not
-    below the overflow-safe radius is a RangeError before any grid is
-    built, and so is a grid with no interior face beyond ``R_read``:
-    nothing there is read.
-    """
-    stops = monotone_reals(stops, "stop times")
+    The Dirichlet wall sits max(2, 8*sqrt(t_end)) past ``R_read``, capped
+    at the overflow-safe radius with a note; ``controls.n_cells`` cells fill
+    ``R_cells`` (default: the wall) at one spacing out to the wall, and
+    every jump radius is a face.  An ``R_read`` not below the overflow-safe
+    radius is a RangeError before any grid is built, and so is a grid with
+    no interior face beyond ``R_read``: nothing there is read."""
     R_read = positive_real(R_read, "reading radius")
     safe = overflow_safe_radius(manifold)
     if not R_read < safe:
         raise RangeError(
             f"reading radius {R_read:.6g} is not below the overflow-safe "
             f"radius {safe:.6g}; reduce it")
-    wanted = R_read + max(2.0, 8.0 * math.sqrt(stops[-1]))
+    wanted = R_read + max(2.0, 8.0 * math.sqrt(positive_real(t_end, "end time")))
     R = min(wanted, safe)
     notes = [f"solve radius capped at {safe:.6g}"] if wanted > safe else []
     n = controls.n_cells
@@ -345,18 +377,23 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
         raise RangeError(
             f"no interior face lies beyond the reading radius {R_read:.6g} "
             f"before the wall at {R:.6g}; reduce it or raise n_cells")
-    op = assemble(g, manifold, DIRICHLET)
-    u0 = np.stack([project_datum(d, g) for d in data], axis=1)
-    return g, advance_states(op, u0, stops, controls), notes
+    return (assemble(g, manifold, DIRICHLET),
+            np.stack([project_datum(d, g) for d in data], axis=1), notes)
+
+
+def evolve(manifold: RadialManifold, data, R_read: float, stops,
+           controls: SolveControls, R_cells: float | None = None):
+    """Evolve radial data jointly from t = 0 through ``stops`` on the last
+    stop's ``dirichlet_ball``: (grid, stacked states at the stops, notes)."""
+    stops = monotone_reals(stops, "stop times")
+    op, u0, notes = dirichlet_ball(manifold, data, R_read, stops[-1], controls, R_cells)
+    return op.grid, advance_states(op, u0, stops, controls), notes
 
 
 def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
-    """Automatic truncation radii: up to ``MAX_EXHAUSTION`` steps beyond
-    ``base``.
-
-    Radii advance in increments of max(1, 4*sqrt(t)) and are capped just
-    inside the overflow-safe radius ``safe``; the walk stops at the cap.
-    """
+    """Automatic truncation radii: up to ``MAX_EXHAUSTION`` steps of
+    max(1, 4*sqrt(t)) beyond ``base``, capped just inside the overflow-safe
+    radius ``safe``, where the walk stops."""
     if not (0 <= as_real(base) < math.inf and as_real(safe) > 0):
         raise InvalidArgumentError(f"need a finite base >= 0 and safe > 0, got {base!r}, {safe!r}")
     step = max(1.0, 4.0 * math.sqrt(positive_real(t, "time")))
@@ -371,18 +408,15 @@ def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
 
 def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
                       controls: SolveControls, radii=None) -> tuple[Grid, list[int]]:
-    """One grid covering all truncation radii, plus level indices.
+    """The ladder grid covering every truncation radius, and the face index
+    of each level: level k is ``subgrid(ladder, indices[k])``.
 
-    ``radii`` is an explicit strictly increasing list of truncation radii,
-    or None for the automatic policy, which sizes them for time ``t`` with
-    ``exhaustion_radii``.  Returns the full ladder grid and the face indices
-    realizing each truncation level; level k is ``subgrid(ladder,
-    indices[k])``.  Radii snap to the nearest ladder face (reported radii
-    are the snapped ones).  The automatic policy caps its radii at the
-    overflow-safe radius of the manifold and drops a radius that snaps onto
-    the face of the one before; explicit radii raise instead, in either
-    case.  A first radius at or inside the datum's last breakpoint would
-    truncate the datum, so it raises too.
+    ``radii`` is a strictly increasing list, or None for ``exhaustion_radii``
+    at time ``t``.  Radii snap to the nearest ladder face (reported radii
+    are the snapped ones).  Automatic radii are capped at the manifold's
+    overflow-safe radius, and one that snaps onto the face of the one before
+    is dropped; explicit radii raise there instead, and so does a first
+    radius at or inside the datum's last breakpoint, which would truncate it.
     """
     jumps = datum.jump_radii
     outer = datum.breakpoints[-1][0]
@@ -437,12 +471,13 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
     ``exhaustion_ladder`` over ``radii``, smallest ball first; the automatic
     radius policy (``radii=None``) sizes the ladder for the last stop.  The
     first level records its accepted time-step ladder through every stop and
-    every later level replays it, so the truncated solutions are comparable
-    cell by cell.  Times and radii are checked at the call; levels are
-    computed only as the caller asks for them, and each is checked against
-    the one before at every stop before it is yielded: a
-    ``monotonicity_defect`` beyond ``EXHAUSTION_SLACK`` is a scheme
-    inconsistency and raises ``NumericalFailure``.
+    the later ones replay it, so the truncated solutions compare cell by
+    cell; they replay in pairs, the second of each in a ``Beside`` child
+    while the caller reads the first.  Times and radii are checked at the
+    call, no level runs more than one ahead of the caller, and closing the
+    walk kills a child still running.  Each level is checked against the one before at
+    every stop before it is yielded: a ``monotonicity_defect`` beyond
+    ``EXHAUSTION_SLACK`` raises ``NumericalFailure``.
     """
     stops = monotone_reals(stops, "stop times")
     ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls, radii)
@@ -450,19 +485,30 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
     def levels():
         u0 = project_datum(datum, ladder)
         steps: list[list[float]] = []
-        inner_R, inner = None, []  # the first level has nothing inside it
-        for idx in indices:
+
+        def level(idx):
             g = subgrid(ladder, idx)
             op = assemble(g, manifold, DIRICHLET)
-            at_stops = advance_states(op, u0[:idx], stops, controls, ladder=steps)
-            for stop, a, b in zip(stops, inner, at_stops):
-                worst = monotonicity_defect(a, b)
-                if worst > EXHAUSTION_SLACK:
-                    raise NumericalFailure(
-                        f"exhaustion monotonicity violated by {worst:.3e} "
-                        f"between R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
-            inner_R, inner = g.R, at_stops
-            yield g, at_stops
+            return g, advance_states(op, u0[:idx], stops, controls, ladder=steps)
+
+        inner_R, inner, ahead = None, [], None  # the first level has nothing inside it
+        try:
+            for n, idx in enumerate(indices):
+                if n % 2 and n + 1 < len(indices):  # levels n, n + 1 pair up
+                    ahead = Beside(level, indices[n + 1])
+                # an even n past 0 is a pair's second level, computed in its child
+                g, at_stops = ahead.result() if n and n % 2 == 0 else level(idx)
+                for stop, a, b in zip(stops, inner, at_stops):
+                    worst = monotonicity_defect(a, b)
+                    if worst > EXHAUSTION_SLACK:
+                        raise NumericalFailure(
+                            f"exhaustion monotonicity violated by {worst:.3e} between "
+                            f"R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
+                inner_R, inner = g.R, at_stops
+                yield g, at_stops
+        finally:
+            if ahead is not None:
+                ahead.close()
     return levels()
 
 

@@ -10,6 +10,7 @@ reference cannot silently excuse a bug in the code.
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,15 @@ def moved_outputs(name: str, out: Path) -> list:
     differs from the recorded one, or that only one side has."""
     want, got = json.loads(SAMPLE_DIGESTS.read_text())[name], output_digests(out)
     return sorted(f for f in want.keys() | got.keys() if want.get(f) != got.get(f))
+
+
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 def check_row(checks, prop, gate="confirms") -> dict:

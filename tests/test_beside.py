@@ -1,0 +1,166 @@
+"""Work beside the caller: ``solver.Beside`` and the walks that use it.
+
+A forked child must hand back the bits an inline call computes, raise what
+the call raised with its class and message, and leave no process behind,
+whether it was waited for, killed by an early close or died on its own.
+"""
+
+import json
+import os
+import time
+import warnings
+
+import pytest
+
+import heatlab.solver
+from heatlab import (InvalidArgumentError, NumericalFailure, SolveControls,
+                     ball_indicator, exhaustion_levels)
+from heatlab.cli import run, validate
+from heatlab.solver import Beside
+from conftest import no_child_left
+
+FORKS = pytest.mark.skipif(not heatlab.solver.can_fork(),
+                           reason="forks only on Linux with two or more CPUs")
+WALK = dict(stops=[0.02, 0.05], controls=SolveControls(n_cells=64, step_tol=1e-5),
+            radii=(2.0, 3.0, 4.0, 5.0))
+
+
+def _children(monkeypatch) -> list:
+    """The pid of each ``Beside`` made from here on (None where inline)."""
+    pids = []
+    init = Beside.__init__
+
+    def spied(self, *args):
+        init(self, *args)
+        pids.append(self.pid)
+
+    monkeypatch.setattr(Beside, "__init__", spied)
+    return pids
+
+
+def _fails(message):
+    raise InvalidArgumentError(message)
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_a_result_or_an_error_comes_back_whole(monkeypatch, fork):
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: fork)
+    assert Beside(divmod, 17, 5).result() == (3, 2)
+    with pytest.raises(InvalidArgumentError, match="^planted: 7$"):
+        Beside(_fails, "planted: 7").result()
+    assert no_child_left()
+
+
+@FORKS
+def test_closing_kills_a_running_child_at_once():
+    child = Beside(time.sleep, 60)
+    started = time.perf_counter()
+    child.close()
+    assert time.perf_counter() - started < 10
+    assert no_child_left()
+
+
+@FORKS
+def test_a_child_that_dies_without_a_result_is_a_numerical_failure():
+    child = Beside(time.sleep, 60)
+    os.kill(child.pid, 9)
+    with pytest.raises(NumericalFailure, match="ended without a result"):
+        child.result()
+    assert no_child_left()
+
+
+def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):
+    # the third of four levels replays in a child; every level must match
+    # the inline walk bit for bit, memory order included
+    pids = _children(monkeypatch)
+    forked = list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))
+    assert len(pids) == 1 and (pids[0] is not None) == heatlab.solver.can_fork()
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    inline = list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))
+    assert len(forked) == len(inline) == 4
+    for (g, states), (h, expected) in zip(forked, inline):
+        assert g.faces.tobytes() == h.faces.tobytes()
+        for a, b in zip(states, expected):
+            assert a.tobytes() == b.tobytes() and a.flags.f_contiguous == b.flags.f_contiguous
+    assert no_child_left()
+
+
+def test_a_walk_closed_inside_a_pair_kills_and_reaps_its_child(euclid3, monkeypatch):
+    pids = _children(monkeypatch)
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), **WALK)
+    next(walk)
+    next(walk)  # the second level, with the third under way beside it
+    assert len(pids) == 1
+    walk.close()
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_a_failure_on_either_side_of_a_pair_reaches_the_caller(euclid3, monkeypatch, side):
+    # a dpttrs that fails in the child, whose error must come back as it
+    # was raised, or in the parent once the pair is under way, whose child
+    # must not outlive it
+    parent, solve, pids = os.getpid(), heatlab.solver.dpttrs, _children(monkeypatch)
+
+    def failing(*args):
+        here = "parent" if os.getpid() == parent else "child"
+        if here == side and (pids or here == "child"):
+            raise NumericalFailure(f"planted in the {side}")
+        return solve(*args)
+
+    monkeypatch.setattr(heatlab.solver, "dpttrs", failing)
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), **WALK)
+    next(walk)
+    if side == "child" and not heatlab.solver.can_fork():
+        pytest.skip("forks only on Linux with two or more CPUs")
+    with pytest.raises(NumericalFailure, match=f"^planted in the {side}$"):
+        list(walk)
+    assert no_child_left()
+
+
+@FORKS
+@pytest.mark.parametrize("payload", [
+    {"experiment": "completeness", "t": 0.05,
+     "controls": {"n_cells": 64, "step_tol": 1e-5, "exhaustion": [2, 3, 4]}},
+    {"experiment": "blowup", "manifold": {"family": "power_exp"}, "r0": 1.0,
+     "t_list": [0.05], "R_list": [2.0, 3.0], "controls": {"n_cells": 64, "step_tol": 1e-5}},
+], ids=["exhaustion_level", "flat_companion"])
+def test_a_failure_in_a_child_exits_3_with_its_message(tmp_path, monkeypatch, payload):
+    parent, solve = os.getpid(), heatlab.solver.dpttrs
+
+    def failing_in_a_child(*args):
+        if os.getpid() != parent:
+            raise NumericalFailure("planted in a child")
+        return solve(*args)
+
+    monkeypatch.setattr(heatlab.solver, "dpttrs", failing_in_a_child)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert run(str(config), str(tmp_path / "out")) == 3
+    error = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert error == {"error": "NumericalFailure", "message": "planted in a child",
+                     "exit_code": 3}
+    assert no_child_left()
+
+
+def test_validate_walks_two_levels_and_forks_nothing(monkeypatch):
+    pids = _children(monkeypatch)
+    assert validate(seed=0)["verdict"] == "confirms"
+    assert pids == []
+
+
+def test_the_fork_warning_of_a_threaded_process_is_no_error(euclid3, monkeypatch):
+    # Python 3.12+ warns at each fork of a process with threads, and the
+    # suite makes warnings errors; a fork that warns must still run the walk
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may "
+                          "lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    assert len(list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))) == 4
+    assert no_child_left()

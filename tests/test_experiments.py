@@ -359,6 +359,8 @@ def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
         return [state - dent for state in levels[-1]]
 
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    # every level in this process, where the patch sees it
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
                        "violated by .* between R=2 and R=3 at t=0.05"):
         completeness_probe(euclid3, 0.05, SolveControls(n_cells=64, step_tol=1e-5))
@@ -433,6 +435,8 @@ def test_blowup_sweep_evolves_one_trajectory(pe4, euclid3, monkeypatch):
     # flat noise-floor companion runs once more, on flat space none
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     calls = _count_trajectories(monkeypatch, heatlab.solver)
+    # the companion in this process, where the patch sees it
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     rep = blowup_sweep(pe4, 1.0, (0.1, 0.05), (2.0, 3.0, 4.0), controls)
     assert rep.finding == "divergent"
     assert calls == [[0.05, 0.1], [0.05, 0.1]]

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import heatlab.solver
-from conftest import SAMPLE_DIGESTS, moved_outputs, output_digests
+from conftest import SAMPLE_DIGESTS, moved_outputs, no_child_left, output_digests
 from heatlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,27 +106,36 @@ def _recomputed_verdict(report):
 @pytest.fixture(scope="module")
 def sample_run(tmp_path_factory):
     """Run a sample config once per module: name -> (exit code, out dir,
-    {LAPACK routine: calls during the run})."""
+    {LAPACK routine: calls during the run}).
+
+    Each call appends its routine's last letter to a file opened with
+    O_APPEND, which forked children share, so their calls count too."""
     runs = {}
 
     def ran(name):
         if name not in runs:
             out = tmp_path_factory.mktemp("samples") / name
-            calls = {"dpttrs": 0, "dpttrf": 0}
+            log = out.parent / "calls"
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
             def counted(routine):
-                call = getattr(heatlab.solver, routine)
+                call, mark = getattr(heatlab.solver, routine), routine[-1].encode()
 
                 def counting(*args, **kwargs):
-                    calls[routine] += 1
+                    os.write(fd, mark)
                     return call(*args, **kwargs)
                 return counting
 
-            with pytest.MonkeyPatch.context() as mp:
-                for routine in calls:
-                    mp.setattr(heatlab.solver, routine, counted(routine))
-                code = run(str(ROOT / "configs" / f"{name}.json"), str(out),
-                           threads=1)
+            try:
+                with pytest.MonkeyPatch.context() as mp:
+                    for routine in ("dpttrs", "dpttrf"):
+                        mp.setattr(heatlab.solver, routine, counted(routine))
+                    code = run(str(ROOT / "configs" / f"{name}.json"), str(out),
+                               threads=1)
+            finally:
+                os.close(fd)
+            marks = log.read_bytes()
+            calls = {"dpttrs": marks.count(b"s"), "dpttrf": marks.count(b"f")}
             runs[name] = (code, out, calls)
         return runs[name]
     return ran
@@ -144,6 +153,7 @@ def test_sample_config_verdict(sample_run, name):
     ran, out, calls = sample_run(name)
     assert ran == code
     assert calls == {"dpttrs": solves, "dpttrf": factors}
+    assert no_child_left(), f"{name} left a child process"
     moved = moved_outputs(name, out)
     assert not moved, f"{name} outputs moved: {moved}"
     if code != 0:
@@ -261,17 +271,21 @@ def test_benchmark_tracer_still_finds_the_solver(tmp_path):
 
 def test_one_openblas_thread_gives_the_recorded_bits(tmp_path):
     # the error norms' matrix-vector product runs in OpenBLAS, threaded by
-    # default; the two-column control run must write the same bytes on one
-    # thread as the recorded digests
+    # default; the two-column control run, the sweep whose flat companion
+    # records its steps in a forked child and the exhaustion whose levels
+    # replay in children must write the same bytes on one thread as the
+    # recorded digests
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import heatlab.cli; "
-            "sys.exit(heatlab.cli.run(sys.argv[2], sys.argv[3]))")
-    name = "blowup_euclidean_control"
-    out = tmp_path / name
-    subprocess.run([sys.executable, "-c", code, str(ROOT / "src"),
-                    str(ROOT / "configs" / f"{name}.json"), str(out)],
+            "sys.exit(max(heatlab.cli.run(c, o) for c, o in "
+            "zip(sys.argv[2::2], sys.argv[3::2])))")
+    names = ("blowup_euclidean_control", "blowup_superexp", "completeness_superexp")
+    runs = [str(path) for name in names
+            for path in (ROOT / "configs" / f"{name}.json", tmp_path / name)]
+    subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), *runs],
                    env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                    capture_output=True, check=True)
-    assert not moved_outputs(name, out)
+    for name in names:
+        assert not moved_outputs(name, tmp_path / name), name
 
 
 def test_every_sample_config_has_digests():

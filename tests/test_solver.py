@@ -806,6 +806,8 @@ def test_a_replay_holds_no_factor_it_will_not_use_again(manifold, monkeypatch):
 
     monkeypatch.setattr(heatlab.solver, "_factor", counted)
     monkeypatch.setattr(heatlab.solver, "advance_states", walked)
+    # every level in this process, where the patches see it
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     completeness_probe(manifold, 0.1, SolveControls(n_cells=1024, step_tol=1e-6))
     assert sum(r is not None for r in replays) >= 3 and remaining
     assert all(held <= to_come for held, to_come in remaining), max(remaining)
