@@ -28,7 +28,8 @@ from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .experiments import (blowup_sweep, check, comparison_check,
                           completeness_probe, decide, degiorgi_sweep,
                           tail_probe)
-from .geometry import ball_indicator, euclidean, piecewise, power_exp_weight
+from .geometry import (ball_indicator, euclidean, piecewise, power_exp_weight,
+                       whole_count)
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
 from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states,
@@ -93,7 +94,7 @@ _KEYS = {
     # at 0.1 or above the incomplete band 1 - 10*eps_c is empty
     "tolerances/eps_c": {**_POSITIVE, "below": 0.1, "default": 1e-4,
                          "readers": ("completeness",)},
-    "seed": {"type": "integer", "default": 0, "readers": ("validate",)},
+    "seed": {"type": "integer", "least": 0, "default": 0, "readers": ("validate",)},
     "inject_asymmetry": {"type": "boolean", "default": False,
                          "readers": ("validate",)},
 }
@@ -292,7 +293,7 @@ def validate(seed: int = 0, inject_asymmetry: bool = False) -> dict:
     """Run the structural property battery once: one row per property, each
     a measured defect against its tolerance.  That the report is
     byte-reproducible across processes is checked by the test suite."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole_count(seed, "seed", 0))
     weighted = power_exp_weight(4, 1, 3)
     g = build_grid(weighted, 3.0, 256, (1.0,))
     op = assemble(g, weighted, DIRICHLET)
@@ -414,8 +415,9 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         threads: int | None = None) -> int:
     """Execute one config end to end; returns the process exit code.
 
-    ``threads`` is ignored: every run is single-threaded.  It stays in the
-    signature for callers that still pass it.
+    ``threads`` is ignored: a run steps in one thread, with at most one
+    forked child beside it (``solver.both``).  It stays in the signature
+    for callers that still pass it.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)

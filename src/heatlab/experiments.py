@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals, solver
-from .errors import InvalidArgumentError, RangeError
+from .errors import InvalidArgumentError
 from .geometry import (RadialBVDatum, RadialManifold, as_real, ball_indicator,
                        constant_one, euclidean, exact_total_variation,
                        monotone_reals, positive_real, power_exp_weight)
@@ -200,9 +200,8 @@ def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, r_used: list,
 
     tv_values = []
     for snapped in r_used:
-        tv = math.fsum(terms[g.faces[1:-1] <= snapped + 1e-12])
-        if not math.isfinite(tv):
-            raise RangeError(f"TV_R overflows at R={snapped:.6g}; reduce R_max")
+        tv = functionals.finite_fsum(terms[g.faces[1:-1] <= snapped + 1e-12],
+                                     f"TV_R overflows at R={snapped:.6g}; reduce R_max")
         tv_values.append(tv)
 
     r_max = r_used[-1]
@@ -248,7 +247,7 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     R_list span), mass-function flux nondecreasing within 1e-8, and
     complement flux at the largest radius at or above the q threshold.  The
     q threshold is 10x the flux a matched flat-space trajectory (whose wall
-    is never capped; it runs in a ``solver.Beside`` child) leaves at the
+    is never capped; ``solver.both`` runs it in a child) leaves at the
     same radius, its noise floor; on flat space the run is its own floor.
     Convergence requires instead that the last TV step stays within
     ``STABILIZE_RTOL`` of the last TV and the flux at R_max below the q
@@ -270,15 +269,14 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
     data, stops = (constant_one(), ball_indicator(r0)), ts[::-1]
     op, u0, notes = solver.dirichlet_ball(manifold, data, radii[-1], stops[-1], controls, radii[0])
-    # with the signal's ball built, its flat companion runs beside it
-    flat = None if manifold.family == "euclidean" else solver.Beside(
-        evolve, euclidean(manifold.dimension), data, radii[-1], stops, controls, radii[0])
-    try:
-        g, states = op.grid, solver.advance_states(op, u0, stops, controls)
-        gf, flat_states, _ = flat.result() if flat else (g, states, notes)
-    finally:
-        if flat:
-            flat.close()
+    def signal():
+        return op.grid, solver.advance_states(op, u0, stops, controls)
+
+    # with the signal's ball built, its flat companion runs beside it; flat
+    # space is its own companion
+    (g, states), (gf, flat_states, *_) = [signal()] * 2 if manifold.family == "euclidean" else (
+        solver.both(signal, lambda: evolve(euclidean(manifold.dimension), data, radii[-1],
+                                           stops, controls, radii[0])))
     r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))]) for r in radii]
     floors = [abs(functionals.flux_profile(s[:, 0] - s[:, 1], gf)
                   .at(r_used[-1])) for s in flat_states]
@@ -393,7 +391,8 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
     rows = []
     for t, state in zip(ts, reversed(states)):
         terms = functionals.face_variation_terms(state[:, 0], g, manifold)
-        tail = math.fsum(terms[g.faces[1:-1] > R_out])
+        tail = functionals.finite_fsum(terms[g.faces[1:-1] > R_out],
+                                       f"variation tail beyond R_out={R_out:.6g} overflows")
         rows.append({"t": t, "tail": tail, "fit_residual": None})
 
     usable = [i for i, row in enumerate(rows) if row["tail"] > 1e-300]

@@ -26,6 +26,15 @@ def _check_grid(u, g: Grid, name: str) -> np.ndarray:
     return values
 
 
+def finite_fsum(terms, message: str) -> float:
+    """``math.fsum`` of finite ``terms``, a RangeError with ``message`` where
+    their sum passes the double range (fsum raises OverflowError there)."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise RangeError(message) from None
+
+
 def weighted_sum(g: Grid, *profiles) -> float:
     """Compensated sum over cells of mu_i times the product of the profiles.
 
@@ -36,7 +45,7 @@ def weighted_sum(g: Grid, *profiles) -> float:
     acc = np.exp(g.log_cell_measure)
     for k, p in enumerate(profiles, start=1):
         acc = acc * _check_grid(p, g, f"profile {k}")
-    return math.fsum(acc)
+    return finite_fsum(acc, "weighted sum overflows double precision")
 
 
 def face_variation_terms(u, g: Grid, m: RadialManifold) -> np.ndarray:
@@ -58,10 +67,8 @@ def face_variation_terms(u, g: Grid, m: RadialManifold) -> np.ndarray:
 
 def total_variation(u, g: Grid, m: RadialManifold) -> float:
     """Weighted total variation of a discrete profile, compensated sum."""
-    total = math.fsum(face_variation_terms(u, g, m))
-    if not math.isfinite(total):
-        raise RangeError("total variation overflows double precision")
-    return total
+    return finite_fsum(face_variation_terms(u, g, m),
+                       "total variation overflows double precision")
 
 
 @dataclass(frozen=True)

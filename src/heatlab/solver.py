@@ -14,11 +14,12 @@ difference controls the step size (``advance_states``).  An attempt is two
 ``dpttrs`` calls, a few ufuncs into reused buffers and one BLAS
 matrix-vector product, with equal bits at one and two OpenBLAS threads up
 to 10^6 cells.  Trajectories that share no data run two at a time: the
-exhaustion levels after the first replay its step ladder in pairs, the
-second of each in a forked child (``Beside``), and the blowup sweep's flat
-companion runs in a child beside its signal.  A child runs the same code
-on a copy of the caller's data, so its pickled result has the bits of an
-inline run; off Linux, or on one CPU, every call runs inline.
+exhaustion levels after the first replay its step ladder in pairs, and
+the blowup sweep's flat companion runs beside its signal.  ``both`` runs
+the second of two calls in a forked child and joins it before it returns.
+A child runs the same code on a copy of the caller's data, so its pickled
+result has the bits of an inline run; off Linux, or on one CPU, both calls
+run inline.
 
 ``dpttrf`` and ``dpttrs`` come from scipy's compiled ``_flapack``
 extension, loaded on its own: importing ``scipy`` runs its package init
@@ -278,57 +279,48 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
 
 
 def can_fork() -> bool:
-    """Whether ``Beside`` forks: on Linux, with more than one CPU to run on."""
+    """Whether ``both`` forks: on Linux, with more than one CPU to run on."""
     return sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
 
 
-class Beside:
-    """``fn(*args)``, computed in a forked child while the caller goes on,
-    or inline at ``result`` without ``can_fork``.  ``result`` returns what
-    ``fn`` returned or raises what it raised (class and message); ``close``
-    kills and reaps a child not waited for."""
-
-    def __init__(self, fn, *args):
-        self.call, self.pid = lambda: fn(*args), None
-        if can_fork():
-            read, write = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12+ warns that a child may find a lock held by
-                # another thread: OpenBLAS's pool, stopped by its fork handler
-                warnings.simplefilter("ignore", DeprecationWarning)
-                self.pid = os.fork()
-            if self.pid == 0:  # the child sends its outcome and leaves
-                try:
-                    with os.fdopen(write, "wb") as pipe:
-                        try:
-                            outcome = True, self.call()
-                        except BaseException as exc:  # raised in the parent
-                            outcome = False, exc
-                        pickle.dump(outcome, pipe)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            self.pipe = os.fdopen(read, "rb")
-
-    def result(self):
-        if self.pid is None:
-            return self.call()
+def both(first, second):
+    """(first(), second()), ``second`` computed in a forked child while
+    ``first`` runs in the caller, or inline after it without ``can_fork``.
+    Raises what either side raised (class and message), ``first``'s error
+    where both fail.  The child is killed and reaped before the call returns
+    or raises; one that ends without a result is a ``NumericalFailure``."""
+    if not can_fork():
+        return first(), second()
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that a child may find a lock held by another
+        # thread: OpenBLAS's pool, stopped by its fork handler
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child sends its outcome and leaves
         try:
-            ok, value = pickle.load(self.pipe)
-        except EOFError:  # the child died before it sent anything
-            raise NumericalFailure(f"child {self.pid} ended without a result") from None
+            with os.fdopen(write, "wb") as pipe:
+                try:
+                    outcome = True, second()
+                except BaseException as exc:  # raised in the parent
+                    outcome = False, exc
+                pickle.dump(outcome, pipe)
         finally:
-            self.close()
-        if not ok:
-            raise value
-        return value
-
-    def close(self):
-        if self.pid is not None:
-            self.pipe.close()
-            os.kill(self.pid, 9)  # SIGKILL, without the 1 ms import of signal
-            os.waitpid(self.pid, 0)
-            self.pid = None
+            os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            mine = first()
+            try:
+                ok, theirs = pickle.load(pipe)
+            except EOFError:  # the child died before it sent anything
+                raise NumericalFailure(f"child {pid} ended without a result") from None
+    finally:
+        os.kill(pid, 9)  # SIGKILL, without the 1 ms import of signal
+        os.waitpid(pid, 0)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
 def overflow_safe_radius(manifold: RadialManifold) -> float:
@@ -360,6 +352,9 @@ def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
     every jump radius is a face.  An ``R_read`` not below the overflow-safe
     radius is a RangeError before any grid is built, and so is a grid with
     no interior face beyond ``R_read``: nothing there is read."""
+    if not (isinstance(data, (list, tuple)) and data
+            and all(isinstance(d, RadialBVDatum) for d in data)):
+        raise InvalidArgumentError(f"need a nonempty list or tuple of datums, got {data!r:.40}")
     R_read = positive_real(R_read, "reading radius")
     safe = overflow_safe_radius(manifold)
     if not R_read < safe:
@@ -472,11 +467,11 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
     radius policy (``radii=None``) sizes the ladder for the last stop.  The
     first level records its accepted time-step ladder through every stop and
     the later ones replay it, so the truncated solutions compare cell by
-    cell; they replay in pairs, the second of each in a ``Beside`` child
-    while the caller reads the first.  Times and radii are checked at the
-    call, no level runs more than one ahead of the caller, and closing the
-    walk kills a child still running.  Each level is checked against the one before at
-    every stop before it is yielded: a ``monotonicity_defect`` beyond
+    cell; they replay in pairs through ``both``, the second of each in a
+    forked child, and a level left over replays alone.  Times and radii are
+    checked at the call, and a pair is finished before its first level is
+    yielded.  Each level is checked against the one before at every stop
+    before it is yielded: a ``monotonicity_defect`` beyond
     ``EXHAUSTION_SLACK`` raises ``NumericalFailure``.
     """
     stops = monotone_reals(stops, "stop times")
@@ -491,13 +486,12 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
             op = assemble(g, manifold, DIRICHLET)
             return g, advance_states(op, u0[:idx], stops, controls, ladder=steps)
 
-        inner_R, inner, ahead = None, [], None  # the first level has nothing inside it
-        try:
-            for n, idx in enumerate(indices):
-                if n % 2 and n + 1 < len(indices):  # levels n, n + 1 pair up
-                    ahead = Beside(level, indices[n + 1])
-                # an even n past 0 is a pair's second level, computed in its child
-                g, at_stops = ahead.result() if n and n % 2 == 0 else level(idx)
+        inner_R, inner = None, []  # the first level has nothing inside it
+        # the first level records alone, the others replay two at a time
+        for group in [indices[:1], *(indices[n:n + 2] for n in range(1, len(indices), 2))]:
+            done = (both(lambda: level(group[0]), lambda: level(group[1]))
+                    if len(group) == 2 else [level(group[0])])
+            for g, at_stops in done:
                 for stop, a, b in zip(stops, inner, at_stops):
                     worst = monotonicity_defect(a, b)
                     if worst > EXHAUSTION_SLACK:
@@ -506,9 +500,6 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
                             f"R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")
                 inner_R, inner = g.R, at_stops
                 yield g, at_stops
-        finally:
-            if ahead is not None:
-                ahead.close()
     return levels()
 
 

@@ -1,8 +1,9 @@
-"""Work beside the caller: ``solver.Beside`` and the walks that use it.
+"""Work beside the caller: ``solver.both`` and the walks that use it.
 
 A forked child must hand back the bits an inline call computes, raise what
-the call raised with its class and message, and leave no process behind,
-whether it was waited for, killed by an early close or died on its own.
+the call raised with its class and message, and leave no process behind
+once ``both`` returns or raises, whether the child sent its outcome, was
+killed by a failing caller or died on its own.
 """
 
 import json
@@ -16,7 +17,7 @@ import heatlab.solver
 from heatlab import (InvalidArgumentError, NumericalFailure, SolveControls,
                      ball_indicator, exhaustion_levels)
 from heatlab.cli import run, validate
-from heatlab.solver import Beside
+from heatlab.solver import both
 from conftest import no_child_left
 
 FORKS = pytest.mark.skipif(not heatlab.solver.can_fork(),
@@ -25,56 +26,81 @@ WALK = dict(stops=[0.02, 0.05], controls=SolveControls(n_cells=64, step_tol=1e-5
             radii=(2.0, 3.0, 4.0, 5.0))
 
 
-def _children(monkeypatch) -> list:
-    """The pid of each ``Beside`` made from here on (None where inline)."""
-    pids = []
-    init = Beside.__init__
+def _spy(monkeypatch) -> tuple[list, list]:
+    """The calls to ``solver.both`` from here on, and the pids the caller's
+    ``os.fork`` returns."""
+    calls, pids = [], []
+    call, fork = heatlab.solver.both, os.fork
 
-    def spied(self, *args):
-        init(self, *args)
-        pids.append(self.pid)
+    def spied_both(first, second):
+        calls.append(None)
+        return call(first, second)
 
-    monkeypatch.setattr(Beside, "__init__", spied)
-    return pids
+    def spied_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(heatlab.solver, "both", spied_both)
+    monkeypatch.setattr(os, "fork", spied_fork)
+    return calls, pids
 
 
-def _fails(message):
-    raise InvalidArgumentError(message)
+def _fails(message, error=InvalidArgumentError):
+    raise error(message)
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
 def test_a_result_or_an_error_comes_back_whole(monkeypatch, fork):
     monkeypatch.setattr(heatlab.solver, "can_fork", lambda: fork)
-    assert Beside(divmod, 17, 5).result() == (3, 2)
+    assert both(lambda: divmod(17, 5), lambda: divmod(23, 4)) == ((3, 2), (5, 3))
+    assert no_child_left()
     with pytest.raises(InvalidArgumentError, match="^planted: 7$"):
-        Beside(_fails, "planted: 7").result()
+        both(lambda: 1, lambda: _fails("planted: 7"))
+    assert no_child_left()
+    with pytest.raises(InvalidArgumentError, match="^planted: 8$"):
+        both(lambda: _fails("planted: 8"), lambda: 1)
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+def test_where_both_sides_fail_the_first_error_wins(monkeypatch, fork):
+    # the second side fails at once, the first a moment later
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: fork)
+
+    def first():
+        time.sleep(0.2)
+        _fails("the first")
+
+    with pytest.raises(InvalidArgumentError, match="^the first$"):
+        both(first, lambda: _fails("the second", NumericalFailure))
     assert no_child_left()
 
 
 @FORKS
-def test_closing_kills_a_running_child_at_once():
-    child = Beside(time.sleep, 60)
+def test_a_failing_first_kills_a_sleeping_second_at_once():
     started = time.perf_counter()
-    child.close()
+    with pytest.raises(InvalidArgumentError, match="^planted$"):
+        both(lambda: _fails("planted"), lambda: time.sleep(60))
     assert time.perf_counter() - started < 10
     assert no_child_left()
 
 
 @FORKS
 def test_a_child_that_dies_without_a_result_is_a_numerical_failure():
-    child = Beside(time.sleep, 60)
-    os.kill(child.pid, 9)
     with pytest.raises(NumericalFailure, match="ended without a result"):
-        child.result()
+        both(lambda: 1, lambda: os.kill(os.getpid(), 9))
     assert no_child_left()
 
 
 def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):
-    # the third of four levels replays in a child; every level must match
-    # the inline walk bit for bit, memory order included
-    pids = _children(monkeypatch)
+    # the second and third of four levels replay as a pair, the third in a
+    # child, and the fourth alone; every level must match the inline walk
+    # bit for bit, memory order included
+    calls, pids = _spy(monkeypatch)
     forked = list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))
-    assert len(pids) == 1 and (pids[0] is not None) == heatlab.solver.can_fork()
+    assert len(calls) == 1 and len(pids) == heatlab.solver.can_fork()
+    assert no_child_left()
     monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     inline = list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))
     assert len(forked) == len(inline) == 4
@@ -82,15 +108,18 @@ def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):
         assert g.faces.tobytes() == h.faces.tobytes()
         for a, b in zip(states, expected):
             assert a.tobytes() == b.tobytes() and a.flags.f_contiguous == b.flags.f_contiguous
-    assert no_child_left()
 
 
 def test_a_walk_closed_inside_a_pair_kills_and_reaps_its_child(euclid3, monkeypatch):
-    pids = _children(monkeypatch)
+    # the pair is finished, and its child reaped, before its first level
+    # is yielded
+    calls, pids = _spy(monkeypatch)
     walk = exhaustion_levels(euclid3, ball_indicator(1.0), **WALK)
     next(walk)
-    next(walk)  # the second level, with the third under way beside it
-    assert len(pids) == 1
+    assert calls == []
+    next(walk)  # the second level, the first of the pair
+    assert len(calls) == 1 and len(pids) == heatlab.solver.can_fork()
+    assert no_child_left()
     walk.close()
     assert no_child_left()
 
@@ -100,11 +129,12 @@ def test_a_failure_on_either_side_of_a_pair_reaches_the_caller(euclid3, monkeypa
     # a dpttrs that fails in the child, whose error must come back as it
     # was raised, or in the parent once the pair is under way, whose child
     # must not outlive it
-    parent, solve, pids = os.getpid(), heatlab.solver.dpttrs, _children(monkeypatch)
+    parent, solve = os.getpid(), heatlab.solver.dpttrs
+    calls, _ = _spy(monkeypatch)
 
     def failing(*args):
         here = "parent" if os.getpid() == parent else "child"
-        if here == side and (pids or here == "child"):
+        if here == side and (calls or here == "child"):
             raise NumericalFailure(f"planted in the {side}")
         return solve(*args)
 
@@ -144,9 +174,9 @@ def test_a_failure_in_a_child_exits_3_with_its_message(tmp_path, monkeypatch, pa
 
 
 def test_validate_walks_two_levels_and_forks_nothing(monkeypatch):
-    pids = _children(monkeypatch)
+    calls, pids = _spy(monkeypatch)
     assert validate(seed=0)["verdict"] == "confirms"
-    assert pids == []
+    assert calls == pids == []
 
 
 def test_the_fork_warning_of_a_threaded_process_is_no_error(euclid3, monkeypatch):

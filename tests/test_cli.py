@@ -658,6 +658,9 @@ def test_keys_the_experiment_reads_are_accepted():
     # removed: the doubled-resolution walk changed no verdict
     ("degiorgi", {"controls": {"richardson": True}},
      "unknown key 'richardson'"),
+    # numpy's generator takes no negative seed: -1 once crashed with exit 1
+    # and no error.json
+    ("validate", {"seed": -1}, "seed"),
 ])
 def test_removed_and_out_of_bounds_keys_are_exit_2(tmp_path, experiment,
                                                     extra, key):
@@ -692,6 +695,11 @@ def test_whole_number_float_seed_is_honoured():
     # crashed with exit 1 and no error.json
     seed = resolve_config({"experiment": "validate", "seed": 2.0})["seed"]
     assert seed == 2 and type(seed) is int
+
+
+def test_negative_seed_is_an_invalid_argument_in_the_api_too():
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        validate(seed=-1)
 
 
 def test_whole_number_float_cell_count_is_honoured(tmp_path):

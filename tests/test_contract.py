@@ -204,6 +204,18 @@ def mutated(kwargs: dict, path, kind: str) -> dict:
     return out
 
 
+@pytest.mark.parametrize("data", [BALL, [], [BALL, 1.0], (0.5,), np.array([0.5])],
+                         ids=["lone_datum", "empty", "number_item", "number_tuple", "ndarray"])
+def test_evolve_takes_a_list_or_tuple_of_data(data):
+    # the table mutates numbers and lists, never a datum: a lone datum once
+    # raised TypeError ("not iterable"), a number among the data AttributeError
+    with pytest.raises(InvalidArgumentError, match="list or tuple of datums"):
+        evolve(FLAT, data, 1.0, [0.01], FAST)
+    (_, listed, _), (_, tupled, _) = (evolve(FLAT, kind([BALL]), 1.0, [0.01], FAST)
+                                      for kind in (list, tuple))
+    assert listed[0].tobytes() == tupled[0].tobytes()
+
+
 @pytest.mark.parametrize("name", sorted({**CALLS, **METHODS}))
 def test_every_export_returns_or_raises_a_heatlab_error(name):
     fn, kwargs, paths = {**CALLS, **METHODS}[name]

@@ -19,6 +19,7 @@ from heatlab import (
     extrapolate_limit,
     face_variation_terms,
     flux_profile,
+    overflow_safe_radius,
     perimeter_ball,
     project_datum,
     total_variation,
@@ -86,6 +87,20 @@ def test_flux_of_linear_profile(euclid3):
     expected = np.exp(g.log_face_area[1:-1])
     assert np.max(np.abs(prof.q - expected)) < 1e-12 * np.max(expected)
     assert prof.radii.shape == prof.q.shape == (63,)
+
+
+def test_sums_past_the_double_range_are_range_errors(pe4):
+    # finite terms whose sum passes 1.8e308: math.fsum raises OverflowError
+    # there, which once escaped both exports
+    g = build_grid(pe4, 0.99999 * overflow_safe_radius(pe4), 20_000)
+    profile = np.full(g.N, 2e7)
+    steps = np.where(np.arange(g.N) % 2, 0.0, 1e4)
+    assert np.all(np.isfinite(np.exp(g.log_cell_measure) * profile))
+    assert np.all(np.isfinite(face_variation_terms(steps, g, pe4)))
+    with pytest.raises(RangeError, match="^weighted sum overflows double precision$"):
+        weighted_sum(g, profile)
+    with pytest.raises(RangeError, match="^total variation overflows double precision$"):
+        total_variation(steps, g, pe4)
 
 
 def test_flux_overflow_names_its_face():

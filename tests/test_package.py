@@ -161,6 +161,36 @@ def test_private_import_check_catches_a_leak():
     assert private_sibling_imports(planted) == ["_GL_NODES"]
 
 
+def fork_sites(source: str) -> list[str]:
+    """The top-level definition around each use of ``os.fork`` in a module,
+    ``<module>`` for one outside every definition; ``from os import fork``
+    counts as a use."""
+    return [getattr(top, "name", "<module>")
+            for top in ast.parse(source).body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name == "fork" for alias in node.names)]
+
+
+def test_only_solver_both_forks():
+    # both joins its child before it returns, so no child outlives a call
+    sites = [(file.name, site)
+             for file in sorted((SRC / "heatlab").glob("*.py"))
+             for site in fork_sites(file.read_text())]
+    assert sites == [("solver.py", "both")], f"os.fork used at {sites}"
+
+
+def test_fork_check_catches_a_second_site():
+    source = (SRC / "heatlab" / "experiments.py").read_text()
+    assert fork_sites(source) == []
+    planted = source.replace("def blowup_sweep(", "def spawn():\n    return os.fork()\n\n\n"
+                             "def blowup_sweep(", 1)
+    assert planted != source
+    assert fork_sites(planted) == ["spawn"]
+    assert fork_sites("from os import fork\n") == ["<module>"]
+
+
 def test_source_stays_within_the_line_gate():
     # 10% below the initial 2,472 lines; removals must not grow back
     lines = sum(len(file.read_text().splitlines())
