@@ -18,7 +18,7 @@ from heatlab.experiments import completeness_probe
 
 def show(manifold, label):
     controls = SolveControls(n_cells=1024, step_tol=1e-6)
-    report = completeness_probe(manifold, 0.1, controls, eps_c=1e-4)
+    report = completeness_probe(manifold, 0.1, controls)
     print(f"\n{label}")
     print(f"  {'R':>8s}  {'value at origin':>16s}")
     for row in report.series["completeness"]:

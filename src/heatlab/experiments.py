@@ -28,6 +28,9 @@ from .solver import SolveControls, advance_states, evolve, exhaustion_levels
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
+# completeness: a pole mass limit within this of 1 reads complete, one below
+# 1 - 10 * EPS_C with a last step within it incomplete
+EPS_C = 1e-4
 # degiorgi: a stop's exhaustion has converged once each entry of its (pole
 # value, mass, total variation) triple moved by at most this fraction
 EXHAUSTION_RTOL = 1e-6
@@ -136,26 +139,23 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
 
 
 def completeness_probe(manifold: RadialManifold, t: float, controls: SolveControls,
-                       eps_c: float = 1e-4, radii=None) -> ExperimentReport:
+                       radii=None) -> ExperimentReport:
     """Mass at the pole under exhaustion: conservative or mass-leaking.
 
     Walks ``exhaustion_levels`` of the constant profile over ``radii`` (its
     radius plan and monotonicity check), records the pole value per radius
     as row ``R``, and Aitken-extrapolates the sequence in 1/R.  Under the
     automatic radius policy (``radii=None``) the walk stops after the first
-    level k >= 3 whose pole value lies within eps_c/100 of 1 and moved by at
-    most eps_c/100 over each of the last two levels: exhaustion is monotone
+    level k >= 3 whose pole value lies within EPS_C/100 of 1 and moved by at
+    most EPS_C/100 over each of the last two levels: exhaustion is monotone
     and the maximum principle caps every value at 1, so later levels cannot
     move the limit.  Explicit radii are walked in full.  The model reads
-    complete when the limit stays within ``eps_c`` of 1 and incomplete when
-    it sits below 1 - 10*eps_c with a stable exhaustion tail; anything in
+    complete when the limit stays within ``EPS_C`` of 1 and incomplete when
+    it sits below 1 - 10*EPS_C with a stable exhaustion tail; anything in
     between, any low-confidence extrapolation and a walk of fewer than 3
     levels (no fit) is inconclusive.
     """
-    # at 0.1 or above the band below 1 - 10*eps_c is empty
-    if not 0 < as_real(eps_c) < 0.1:
-        raise InvalidArgumentError(f"eps_c must lie in (0, 0.1), got {eps_c}")
-    settled = eps_c / 100.0
+    settled = EPS_C / 100.0
     rows = []
     for g, (values,) in exhaustion_levels(manifold, constant_one(), [t],
                                           controls, radii):
@@ -178,10 +178,10 @@ def completeness_probe(manifold: RadialManifold, t: float, controls: SolveContro
         fitted["error_indicator"] = ext.error_indicator
         checks += [check("extrapolation_low_confidence", ext.low_confidence,
                          "<=", 0, "both"),
-                   check("m_limit", ext.limit, ">=", 1.0 - eps_c),
-                   check("m_limit", ext.limit, "<=", 1.0 - 10.0 * eps_c,
+                   check("m_limit", ext.limit, ">=", 1.0 - EPS_C),
+                   check("m_limit", ext.limit, "<=", 1.0 - 10.0 * EPS_C,
                          "refutes"),
-                   check("last_delta", last_delta, "<=", eps_c, "refutes")]
+                   check("last_delta", last_delta, "<=", EPS_C, "refutes")]
     verdict, finding = decide(checks,
                               ("complete", "incomplete", undetermined))
     return ExperimentReport(
@@ -356,11 +356,8 @@ def comparison_check(t: float, R: float,
     rows = tuple({"r": float(r), "v_R": float(vv), "w_R": float(ww),
                   "lap_w": float(lw)}
                  for r, vv, ww, lw in zip(g.centers, v, w, lap_w))
-    fitted = {"lap_w_at_1": -4.0 + (-math.expm1(-1.0)),
-              "lap_w_near_zero": float(-4.0 + (-math.expm1(-1e-12)) / 1e-12),
-              "lap_w_far": float(-4.0 + (-math.expm1(-50.0 ** 4)) / 50.0 ** 4)}
     return ExperimentReport(
-        series={"comparison": rows}, fitted=fitted, verdict=verdict,
+        series={"comparison": rows}, fitted={}, verdict=verdict,
         finding=finding, evidence={"checks": checks, "worst_nodes": {
             "v_minus_w_at": float(g.centers[int(np.argmax(excess_vw))]),
             "t_u_minus_v_at": float(g.centers[int(np.argmax(excess_tu))])}})

@@ -43,8 +43,11 @@ def weighted_sum(g: Grid, *profiles) -> float:
     product is taken left to right, measure first.
     """
     acc = np.exp(g.log_cell_measure)
-    for k, p in enumerate(profiles, start=1):
-        acc = acc * _check_grid(p, g, f"profile {k}")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        for k, p in enumerate(profiles, start=1):
+            acc = acc * _check_grid(p, g, f"profile {k}")
+    if not np.all(np.isfinite(acc)):
+        raise RangeError("weighted sum overflows double precision")
     return finite_fsum(acc, "weighted sum overflows double precision")
 
 

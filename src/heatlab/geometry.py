@@ -30,27 +30,24 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _GL_LOG_WEIGHTS = np.log(_GL_WEIGHTS)
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) over axis, bitwise as scipy.special.logsumexp >= 1.15
-    on nonempty float64 input.
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along each row of a 2-d float64 array with nonempty
+    rows, bitwise as scipy.special.logsumexp(a, axis=1) >= 1.15.
 
     The tied maxima are summed apart: log1p of the rest, scaled by their
     count, plus log of the count and the max.  Where that is not finite
     (all -inf, an inf or a NaN) the direct log of the sum stands.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-        top = np.max(a, axis=axis, keepdims=True)
+        direct = np.log(np.sum(np.exp(a), axis=1, keepdims=True))
+        top = np.max(a, axis=1, keepdims=True)
         tied = a == top
-        count = np.sum(tied, axis=axis, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(tied, -np.inf, a) - top), axis=axis,
+        count = np.sum(tied, axis=1, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(tied, -np.inf, a) - top), axis=1,
                       keepdims=True)
         rest = np.where(rest == 0, rest, rest / count)
         out = np.log1p(rest) + np.log(count) + top
-    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
-    return out[()] if out.ndim == 0 else out
+    return np.where(np.isfinite(out), out, direct)[:, 0]
 
 
 def as_real(value) -> float:
@@ -228,11 +225,10 @@ def _integrate_block(manifold: RadialManifold, a: np.ndarray, b: np.ndarray,
     ``out`` (log space), piece by piece; its temporaries end with the call."""
     lo, hi, top = a[owner], b[owner], None  # top: its interval's log integral
     for _ in range(_MAX_DEPTH + 1):
-        coarse = logsumexp(_gl_log_terms(manifold, 0.5 * (lo + hi), 0.5 * (hi - lo)),
-                           axis=1)
+        coarse = logsumexp(_gl_log_terms(manifold, 0.5 * (lo + hi), 0.5 * (hi - lo)))
         q = 0.25 * (hi - lo)
         halves = _gl_log_terms(manifold, np.stack([lo + q, hi - q], axis=1), q[:, None])
-        fine = logsumexp(halves.reshape(-1, 2 * _GL_NODES.size), axis=1)
+        fine = logsumexp(halves.reshape(-1, 2 * _GL_NODES.size))
         top = fine if top is None else top
         with np.errstate(invalid="ignore", over="ignore"):  # where A overflows
             rough = np.abs(fine - coarse) > 1e-12 * np.exp(top - fine)

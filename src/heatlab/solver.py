@@ -178,6 +178,11 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     if u.ndim not in (1, 2) or u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
 
+    if ladder is not None and not (isinstance(ladder, list) and all(
+            isinstance(steps, list) and all(0 < as_real(h) < math.inf for h in steps)
+            for steps in ladder)):
+        raise InvalidArgumentError(
+            f"ladder must be a list of lists of positive finite steps, got {ladder!r:.80}")
     replay = bool(ladder)
     if replay and len(ladder) != len(stops):
         raise InvalidArgumentError(

@@ -65,6 +65,12 @@ def check_row(checks, prop, gate="confirms") -> dict:
     return row
 
 
+def barrier_laplacian(r: float) -> float:
+    """The comparison barrier's weighted Laplacian in closed form,
+    -4 + (1 - exp(-r^4)) / r^4: -3 as r -> 0 and -4 far out."""
+    return -4.0 - math.expm1(-r ** 4) / r ** 4
+
+
 def record_walk(monkeypatch) -> list:
     """The (grid, states) levels the drivers' exhaustion walks yield, in the
     order the drivers ask for them."""

@@ -31,7 +31,7 @@ from heatlab.experiments import (
     degiorgi_sweep,
     tail_probe,
 )
-from conftest import ball_heat_closed_form, check_row
+from conftest import ball_heat_closed_form, barrier_laplacian, check_row
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -91,9 +91,8 @@ def test_criterion_3_completeness_probe():
     # the exp(+r^4) model reads incomplete: pole mass limit stable to 1e-4
     # and bounded below 1 - 1e-3; flat space reads complete to 1e-6
     controls = SolveControls(n_cells=1024, step_tol=1e-6)
-    weighted = completeness_probe(power_exp_weight(4, 1, 3), 0.1, controls,
-                                  eps_c=1e-4)
-    flat = completeness_probe(euclidean(3), 0.1, controls, eps_c=1e-4)
+    weighted = completeness_probe(power_exp_weight(4, 1, 3), 0.1, controls)
+    flat = completeness_probe(euclidean(3), 0.1, controls)
     w_limit = check_row(weighted.evidence["checks"], "m_limit")["measured"]
     w_delta = check_row(weighted.evidence["checks"], "last_delta",
                         "refutes")["measured"]
@@ -155,9 +154,13 @@ def test_criterion_4_complement_blowup():
 def test_criterion_5_comparison_certificate():
     # the truncated time integrals stay below the explicit barrier at every
     # node for all six (t, R) combinations, the barrier's drift term is
-    # uniformly below -1, and its value at r=1 matches -3.367879 to 1e-6
+    # uniformly below -1 and its closed form at every node, which reads
+    # -3.367879 at r=1 and runs from -3 at the pole to -4 far out
     problems = []
-    spot_target = -3.367879
+    if abs(barrier_laplacian(1.0) + 3.367879) > 1e-6:
+        problems.append(f"spot value {barrier_laplacian(1.0):.7f}")
+    if abs(barrier_laplacian(1e-3) + 3.0) > 1e-6 or abs(barrier_laplacian(50.0) + 4.0) > 1e-6:
+        problems.append("closed form misses its limits -3 and -4")
     controls = SolveControls(n_cells=512, step_tol=1e-6)
     for t in (0.1, 0.5, 1.0):
         for R in (2.0, 3.0):
@@ -171,12 +174,10 @@ def test_criterion_5_comparison_certificate():
             lap = check_row(rep.evidence["checks"], "max_lap_w")["measured"]
             if not lap < -1.0:
                 problems.append(f"{tag}: drift term reaches {lap:.3f}")
-            if abs(rep.fitted["lap_w_at_1"] - spot_target) > 1e-6:
-                problems.append(f"{tag}: spot value {rep.fitted['lap_w_at_1']:.7f}")
-            if abs(rep.fitted["lap_w_near_zero"] + 3.0) > 1e-6:
-                problems.append(f"{tag}: limit at 0 is {rep.fitted['lap_w_near_zero']:.7f}")
-            if abs(rep.fitted["lap_w_far"] + 4.0) > 1e-6:
-                problems.append(f"{tag}: far limit is {rep.fitted['lap_w_far']:.7f}")
+            off = max(abs(row["lap_w"] - barrier_laplacian(row["r"]))
+                      for row in rep.series["comparison"])
+            if off > 1e-14:
+                problems.append(f"{tag}: drift term is {off:.1e} off its closed form")
     ok = not problems
     assert report_line(
         "criterion 5 (comparison certificate)", ok,

@@ -8,9 +8,10 @@ import sys
 import tempfile
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from heatlab import (InvalidArgumentError, SolveControls, constant_one,
 from heatlab.cli import (_EXHAUSTING, _KEYS, _SOLVING, EXPERIMENTS, _dumps,
                          load_config, main, resolve_config, run, validate)
 from heatlab.experiments import blowup_sweep, completeness_probe
+from heatlab.operator import WeightedOperator
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -275,8 +277,22 @@ def test_validate_passes_and_is_deterministic():
         [r["measured"] for r in out["evidence"]["checks"]]
 
 
-def test_validate_catches_planted_asymmetry():
-    out = validate(seed=0, inject_asymmetry=True)
+def plant_asymmetry(monkeypatch):
+    """Negative control: L applies with weights tilted cell by cell, which
+    are no longer the grid's measure, so the symmetry row must catch it (a
+    uniform tilt only changes units)."""
+    apply = WeightedOperator.apply
+
+    def tilted(op, u):
+        tilt = np.where(np.arange(op.grid.N) % 2, 1.0 - 1e-6, 1.0 + 1e-6)
+        return apply(replace(op, cell_weights=op.cell_weights * tilt), u)
+
+    monkeypatch.setattr(WeightedOperator, "apply", tilted)
+
+
+def test_validate_catches_planted_asymmetry(monkeypatch):
+    plant_asymmetry(monkeypatch)
+    out = validate(seed=0)
     assert out["verdict"] == "refutes"
     bad = [r for r in out["evidence"]["checks"] if r["status"] == "fail"]
     assert any(r["property"] == "operator_symmetry_rel" for r in bad)
@@ -333,17 +349,16 @@ def test_validate_solve_count(monkeypatch):
     assert solves[0] == 14_382
 
 
-def test_validate_cli_exit_codes(tmp_path, capsys):
+def test_validate_cli_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "v.json", {"experiment": "validate", "seed": 0})
     out = tmp_path / "ok"
     assert run(cfg, str(out)) == 0
     shown = capsys.readouterr().out
     assert "all properties hold" in shown
 
-    cfg_bad = write_config(tmp_path, "vb.json", {
-        "experiment": "validate", "seed": 0, "inject_asymmetry": True})
+    plant_asymmetry(monkeypatch)
     out_bad = tmp_path / "bad"
-    assert run(cfg_bad, str(out_bad)) == 3
+    assert run(cfg, str(out_bad)) == 3
     report = json.loads((out_bad / "report.json").read_text())
     assert report["verdict"] == "refutes"
 
@@ -455,10 +470,8 @@ def test_bad_step_controls_are_exit_2(tmp_path, bad):
 
 
 @pytest.mark.parametrize("name, section, key, value", [
-    # a NaN gap bound once refuted a 7.7e-12 gap; NaN passes the schema's
-    # exclusiveMinimum, so a NaN eps_c would read as inside its bounds
+    # a NaN gap bound once refuted a 7.7e-12 gap
     ("degiorgi_euclidean", "tolerances", "gap_rtol", math.nan),
-    ("completeness_euclidean", "tolerances", "eps_c", math.nan),
     ("tail_euclidean", "controls", "step_tol", math.inf),
 ])
 def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value):
@@ -477,10 +490,10 @@ def test_non_finite_json_literals_are_exit_2(tmp_path, name, section, key, value
 
 def test_non_finite_python_values_are_rejected():
     # the same check guards configs built in Python, not only JSON files
-    payload = {"experiment": "completeness", "t": 0.1,
-               "tolerances": {"eps_c": float("nan")}}
+    payload = {"experiment": "degiorgi", "t_list": [0.02, 0.01],
+               "tolerances": {"gap_rtol": float("nan")}}
     with pytest.raises(InvalidArgumentError,
-                       match="tolerances/eps_c: holds NaN,"):
+                       match="tolerances/gap_rtol: holds NaN,"):
         resolve_config(payload)
 
 
@@ -591,8 +604,8 @@ MINIMAL = {
     ("completeness", {"datum": {"kind": "ball", "radius": 1.0}}),
     ("completeness", {"R": 3.0}),
     ("degiorgi", {"seed": 4}),
-    ("degiorgi", {"tolerances": {"eps_c": 1e-3}}),
-    ("blowup", {"tolerances": {"eps_c": 1e-3}}),
+    ("degiorgi", {"t": 0.1}),
+    ("blowup", {"tolerances": {"gap_rtol": 0.5}}),
     ("tail", {"tolerances": {"gap_rtol": 0.5}}),
     ("validate", {"controls": {"n_cells": 64}}),
     # keys the run never reads: once accepted and echoed as if honoured
@@ -631,21 +644,23 @@ def test_keys_the_experiment_reads_are_accepted():
     ("degiorgi", {"datum": {"kind": "complement", "radius": 1.0}},
      "datum/kind"),
     ("tail", {"datum": {"kind": "constant"}}, "datum/kind"),
-    # out of bounds: a gap_rtol of -0.01 once refuted a 2.8e-7 gap, and at
-    # eps_c >= 0.1 the incomplete band below 1 - 10*eps_c is empty
+    # out of bounds: a gap_rtol of -0.01 once refuted a 2.8e-7 gap
     ("degiorgi", {"tolerances": {"gap_rtol": -0.01}}, "tolerances/gap_rtol"),
-    ("completeness", {"tolerances": {"eps_c": -0.5}}, "tolerances/eps_c"),
-    ("completeness", {"tolerances": {"eps_c": 0.0}}, "tolerances/eps_c"),
-    ("completeness", {"tolerances": {"eps_c": 0.1}}, "tolerances/eps_c"),
-    # bool is no number although True == 1, and a number is no flag; lists
-    # keep their lengths, and a piecewise datum needs its breakpoints
+    # removed: completeness's band is the constant EPS_C, whichever
+    # experiment the key comes with
+    ("completeness", {"tolerances": {"eps_c": 1e-4}}, "'eps_c'"),
+    ("degiorgi", {"tolerances": {"gap_rtol": 0.01, "eps_c": 1e-4}}, "'eps_c'"),
+    ("blowup", {"tolerances": {"eps_c": 1e-4}}, "'eps_c'"),
+    # bool is no number although True == 1; lists keep their lengths, and a
+    # piecewise datum needs its breakpoints
     ("tail", {"controls": {"n_cells": True}}, "controls/n_cells"),
     ("completeness", {"t": True}, "t"),
     ("degiorgi", {"manifold": {"dimension": True}}, "manifold/dimension"),
     ("degiorgi", {"manifold": {"family": "power_exp",
                                "params": {"sign": True}}},
      "manifold/params/sign"),
-    ("validate", {"inject_asymmetry": 1}, "inject_asymmetry"),
+    # removed: the tests plant the asymmetry themselves
+    ("validate", {"inject_asymmetry": True}, "inject_asymmetry"),
     ("validate", {"seed": 1.5}, "seed"),
     ("degiorgi", {"datum": {"kind": "piecewise",
                             "breakpoints": [[0, 1, 2]]}}, "datum/breakpoints"),
@@ -795,15 +810,15 @@ def _mutated(cfg: dict, path: str, mutation: str) -> dict:
                          else bad)
     elif mutation == "bool":
         section[name] = True
-    elif "above" in key or "below" in key:
-        section[name] = key.get("above", key.get("below"))
+    elif "above" in key:
+        section[name] = key["above"]
     elif "least" in key:
         section[name] = key["least"] - 1
     elif key["type"] == "choice":
         section[name] = 7
     elif key["type"] == "list":
         section[name] = (value or [])[:key["items"][0] - 1]
-    else:  # a number the table leaves unbounded, or a section or flag
+    else:  # a number the table leaves unbounded, or a section
         section[name] = 1e300 if key["type"] == "number" else "text"
     return cfg
 

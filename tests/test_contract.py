@@ -17,8 +17,10 @@ h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers;
 ``Grid.face_index("a")`` and ``FluxProfile.at("a")`` raised numpy's
 UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
 and ``RadialBVDatum(((0.0, 1.0), 5))`` a TypeError; ``face_index(True)``
-and ``RadialManifold.log_area(True)`` ran as radius 1.  The methods and
-the raw datum constructor are held to the same contract as the exports.
+and ``RadialManifold.log_area(True)`` ran as radius 1; ``advance_states``
+raised AttributeError on a ladder of ``()`` and TypeError on ``[["a"]]``.
+The methods and the raw datum constructor are held to the same contract
+as the exports.
 """
 
 import copy
@@ -49,6 +51,8 @@ GRID = build_grid(FLAT, 2.0, 32, (0.5,))
 OP = assemble(GRID, FLAT)
 FAST = SolveControls(step_tol=1e-3, n_cells=16)
 PROFILE = list(np.linspace(1.0, 0.0, GRID.N))
+LADDER = []  # the steps of PROFILE through 0.01, replayed by the table
+advance_states(OP, PROFILE, [0.01], FAST, ladder=LADDER)
 
 
 def _negated(value):
@@ -129,8 +133,9 @@ CALLS = {
                       ["step_tol", "n_cells"]),
     "advance_states": (advance_states,
                        {"op": OP, "states": PROFILE, "stops": [0.01],
-                        "controls": FAST},
-                       ["states", ("states", 0), "stops", ("stops", 0)]),
+                        "controls": FAST, "ladder": LADDER},
+                       ["states", ("states", 0), "stops", ("stops", 0),
+                        "ladder", ("ladder", 0), ("ladder", 0, 0)]),
     "evolve": (evolve, {"manifold": FLAT, "data": (BALL,), "R_read": 1.0,
                         "stops": [0.01], "controls": FAST, "R_cells": 1.0},
                ["R_read", "stops", ("stops", 0), "R_cells"]),
@@ -167,8 +172,8 @@ CALLS = {
                         ("radii", 0)]),
     "completeness_probe": (completeness_probe,
                            {"manifold": FLAT, "t": 0.01, "controls": FAST,
-                            "eps_c": 1e-4, "radii": [1.0, 1.5, 2.0]},
-                           ["t", "eps_c", "radii", ("radii", 0)]),
+                            "radii": [1.0, 1.5, 2.0]},
+                           ["t", "radii", ("radii", 0)]),
     "blowup_sweep": (blowup_sweep,
                      {"manifold": FLAT, "r0": 0.5, "t_list": [0.01],
                       "R_list": [1.0, 1.5], "controls": FAST},

@@ -21,9 +21,11 @@ from heatlab import (
 import heatlab.experiments
 import heatlab.functionals
 import heatlab.solver
-from conftest import ball_heat_tv, check_row, moved_outputs, record_walk
+from conftest import (ball_heat_tv, barrier_laplacian, check_row, moved_outputs,
+                      record_walk)
 from heatlab.cli import run
 from heatlab.experiments import (
+    EPS_C,
     EXHAUSTION_RTOL,
     VERDICTS,
     blowup_sweep,
@@ -285,7 +287,7 @@ def test_completeness_flat_sample_stops_once_the_pole_settles(tmp_path):
 
 
 def test_completeness_superexp_sample_walks_every_level(tmp_path, pe4):
-    # the pole value still moves by more than eps_c/100 between levels
+    # the pole value still moves by more than EPS_C/100 between levels
     report = _completeness_report(tmp_path, "completeness_superexp")
     planned = exhaustion_radii(0.0, 0.1, overflow_safe_radius(pe4))
     assert len(planned) == 5
@@ -311,7 +313,7 @@ def test_completeness_walks_explicit_radii_in_full(euclid3):
     ([1.0] * 8, 3),                      # settled at once: the 3-level minimum
     ([0.9, 1.0 - 1e-7] + [1.0] * 6, 4),  # the two moves settle at level 4
     ([0.5] * 8, 8),                      # settled below 1
-    ([1.0 - 1e-5] * 8, 8),               # within eps_c of 1, not eps_c/100
+    ([1.0 - 1e-5] * 8, 8),               # within EPS_C of 1, not EPS_C/100
 ])
 def test_completeness_stops_only_once_the_pole_settles_at_1(
         euclid3, monkeypatch, poles, drawn):
@@ -324,22 +326,39 @@ def test_completeness_stops_only_once_the_pole_settles_at_1(
             yield SimpleNamespace(R=R), [np.array([m])]
 
     monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
-    rep = completeness_probe(euclid3, 0.1, SolveControls(), eps_c=1e-4)
+    rep = completeness_probe(euclid3, 0.1, SolveControls())
     assert len(walked) == drawn
     assert [row["R"] for row in rep.series["completeness"]] == walked
+
+
+def test_completeness_band_is_the_constant_eps_c(euclid3, monkeypatch):
+    # the band was once an argument and a config key, which no caller set
+    # to anything but 1e-4; the rows state it
+    def levels(manifold, datum, stops, controls, radii):
+        planned = exhaustion_radii(0.0, stops[-1], math.inf)
+        for R, m in zip(planned, [0.5, 0.6, 0.65, 0.65]):
+            yield SimpleNamespace(R=R), [np.array([m])]
+
+    monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
+    checks = completeness_probe(euclid3, 0.1, SolveControls()).evidence["checks"]
+    assert EPS_C == 1e-4
+    assert [check_row(checks, "m_limit")["tolerance"],
+            check_row(checks, "m_limit", "refutes")["tolerance"],
+            check_row(checks, "last_delta", "refutes")["tolerance"]] == [
+                1.0 - EPS_C, 1.0 - 10.0 * EPS_C, EPS_C]
 
 
 def test_completeness_low_confidence_limit_is_inconclusive(euclid3,
                                                            monkeypatch):
     # pole values whose differences fail to contract: the Aitken limit
-    # sits below 1 - 10*eps_c with a settled last step, yet is not trusted
+    # sits below 1 - 10*EPS_C with a settled last step, yet is not trusted
     def levels(manifold, datum, stops, controls, radii):
         planned = exhaustion_radii(0.0, stops[-1], math.inf)
         for R, m in zip(planned, [0.5, 0.6, 0.695, 0.69505]):
             yield SimpleNamespace(R=R), [np.array([m])]
 
     monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", levels)
-    rep = completeness_probe(euclid3, 0.1, SolveControls(), eps_c=1e-4)
+    rep = completeness_probe(euclid3, 0.1, SolveControls())
     checks = rep.evidence["checks"]
     assert check_row(checks, "extrapolation_low_confidence",
                      "both")["status"] == "fail"
@@ -460,13 +479,6 @@ def test_degiorgi_gap_bound_must_be_positive(euclid3, fast_controls, gap_rtol):
                        fast_controls, gap_rtol=gap_rtol)
 
 
-@pytest.mark.parametrize("eps_c", [0.0, -0.5, 0.1, math.nan, "0.001"])
-def test_completeness_eps_c_bounds(euclid3, fast_controls, eps_c):
-    # at 0.1 or above the incomplete band below 1 - 10*eps_c is empty
-    with pytest.raises(InvalidArgumentError, match="eps_c"):
-        completeness_probe(euclid3, 0.1, fast_controls, eps_c=eps_c)
-
-
 def test_comparison_certificate(fast_controls):
     rep = comparison_check(0.5, 2.0, SolveControls(n_cells=256, step_tol=1e-6))
     check_report_shape(rep, "comparison")
@@ -475,10 +487,11 @@ def test_comparison_certificate(fast_controls):
     vw = check_row(checks, "max_v_minus_w")
     assert vw["tolerance"] == 1e-6 and vw["measured"] <= vw["tolerance"]
     assert check_row(checks, "max_lap_w")["measured"] < -1.0
-    assert abs(rep.fitted["lap_w_at_1"] - (-4.0 - math.expm1(-1.0))) < 1e-15
-    assert abs(rep.fitted["lap_w_near_zero"] + 3.0) < 1e-3
-    assert abs(rep.fitted["lap_w_far"] + 4.0) < 1e-6
+    assert rep.fitted == {}
     rows = rep.series["comparison"]
+    # the barrier's Laplacian is its closed form at every center
+    assert all(row["lap_w"] == pytest.approx(barrier_laplacian(row["r"]),
+                                             rel=1e-14) for row in rows)
     assert all(row["v_R"] <= row["w_R"] + 1e-6 for row in rows)
 
 

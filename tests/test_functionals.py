@@ -103,6 +103,17 @@ def test_sums_past_the_double_range_are_range_errors(pe4):
         total_variation(steps, g, pe4)
 
 
+def test_a_product_past_the_double_range_is_a_range_error(pe4):
+    # one cell's mu * u overflows: numpy once warned and the sum read inf
+    g = build_grid(pe4, 0.99999 * overflow_safe_radius(pe4), 20_000)
+    profile = np.zeros(g.N)
+    profile[-1] = 1e10
+    with pytest.raises(RangeError, match="^weighted sum overflows double precision$"):
+        weighted_sum(g, profile)
+    with pytest.raises(RangeError, match="^weighted sum overflows double precision$"):
+        weighted_sum(g, profile, np.zeros(g.N))  # inf * 0 is NaN, not 0
+
+
 def test_flux_overflow_names_its_face():
     # sigma is tiny in 343 dimensions, so the grid's sigma * A budget lets
     # the area A = r^342 overflow on its own past r = 7.96

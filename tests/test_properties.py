@@ -164,7 +164,7 @@ SCIPY_LSE = pytest.mark.skipif(
 
 @st.composite
 def log_terms(draw):
-    """1-d or 2-d arrays with -inf entries, tied maxima and all -inf rows."""
+    """2-d arrays with -inf entries, tied maxima and all -inf rows."""
     rows = draw(st.integers(1, 5))
     cols = draw(st.integers(1, 17))
     value = st.one_of(st.floats(-800.0, 800.0), st.just(-math.inf),
@@ -173,7 +173,7 @@ def log_terms(draw):
                                max_size=rows * cols))).reshape(rows, cols)
     for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
         a[i] = -math.inf
-    return a[0] if draw(st.booleans()) else a
+    return a
 
 
 def bitwise_equal(x, y):
@@ -184,9 +184,8 @@ def bitwise_equal(x, y):
 @SCIPY_LSE
 @given(log_terms())
 def test_logsumexp_is_scipys_bitwise(a):
-    for axis in (None, 1) if a.ndim == 2 else (None,):
-        assert bitwise_equal(geometry.logsumexp(a, axis=axis),
-                             scipy.special.logsumexp(a, axis=axis))
+    assert bitwise_equal(geometry.logsumexp(a),
+                         scipy.special.logsumexp(a, axis=1))
 
 
 @SCIPY_LSE
@@ -196,6 +195,7 @@ def test_logsumexp_is_scipys_bitwise(a):
 def test_cell_measures_are_unchanged_bitwise(m, monkeypatch):
     faces = face_ladder(3.0, 2048)
     ours = geometry.log_area_integral(m, faces[:-1], faces[1:])
-    monkeypatch.setattr(geometry, "logsumexp", scipy.special.logsumexp)
+    monkeypatch.setattr(geometry, "logsumexp",
+                        lambda a: scipy.special.logsumexp(a, axis=1))
     assert ours.tobytes() == geometry.log_area_integral(
         m, faces[:-1], faces[1:]).tobytes()

@@ -466,8 +466,20 @@ def test_replay_rejects_wrong_span(euclid3):
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells)
     op = assemble(g, euclid3, DIRICHLET)
-    with pytest.raises(InvalidArgumentError):
-        advance_states(op, np.ones(g.N), [0.05], controls, ladder=[0.01, 0.01])
+    with pytest.raises(InvalidArgumentError, match="spans 0.02 before stop 0.05"):
+        advance_states(op, np.ones(g.N), [0.05], controls, ladder=[[0.01, 0.01]])
+
+
+@pytest.mark.parametrize("ladder", [(), [["a"]], [[0.1, -0.05]], [[0.05, math.nan]]],
+                         ids=["tuple", "text", "negative", "nan"])
+def test_a_ladder_is_a_list_of_lists_of_positive_finite_steps(euclid3, ladder):
+    # these once raised AttributeError, TypeError, NumericalFailure (the
+    # tridiagonal solve broke down) and RangeError
+    controls = SolveControls(n_cells=128, step_tol=1e-5)
+    g = build_grid(euclid3, 3.0, controls.n_cells)
+    op = assemble(g, euclid3, DIRICHLET)
+    with pytest.raises(InvalidArgumentError, match="list of lists of positive finite steps"):
+        advance_states(op, np.ones(g.N), [0.05], controls, ladder=ladder)
 
 
 def test_controls_validation():
