@@ -23,7 +23,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, functionals
+from . import __version__, functionals, solver
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .experiments import (blowup_sweep, check, comparison_check,
                           completeness_probe, decide, degiorgi_sweep,
@@ -280,71 +280,75 @@ def _write_csv(path: str, rows):
 
 def validate(seed: int = 0) -> dict:
     """Run the structural property battery once: one row per property, each
-    a measured defect against its tolerance.  That the report is
-    byte-reproducible across processes is checked by the test suite."""
+    a measured defect against its tolerance.
+
+    The battery runs in two halves through ``solver.both``: the caller runs
+    the three-column run, and a child the symmetry, exhaustion, semigroup
+    and Neumann legs, drawing ``rng`` in one order as one process would.
+    That the report is byte-reproducible across processes, and forked or
+    inline, is checked by the test suite."""
     rng = np.random.default_rng(whole_count(seed, "seed", 0))
     weighted = power_exp_weight(4, 1, 3)
     g = build_grid(weighted, 3.0, 256, (1.0,))
     op = assemble(g, weighted, DIRICHLET)
     controls = SolveControls(n_cells=256)
-    rows = []
-
-    def add(name, measured, tol):
-        rows.append(check(name, measured, "<=", tol))
-
-    worst = 0.0
-    for _ in range(100):
-        u = rng.standard_normal(g.N)
-        v = rng.standard_normal(g.N)
-        a = functionals.weighted_sum(g, op.apply(u), v)
-        b = functionals.weighted_sum(g, u, op.apply(v))
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
-    add("operator_symmetry_rel", worst, 1e-12)
-
-    # one run of [constant, ball, constant - ball] carries three rows: the
-    # bounds of every column, the growth of the constant, and linearity
-    bounds = [0.0, 1.0]
-    growth = [0.0]
-
-    def track(t0, a, t1, b):
-        bounds[0] = min(bounds[0], float(b.min()))
-        bounds[1] = max(bounds[1], float(b.max()))
-        growth[0] = max(growth[0], float((b[:, 0] - a[:, 0]).max()))
-
     ball = ball_indicator(1.0)
-    ones = np.ones(g.N)
-    ball0 = project_datum(ball, g)
-    triple = np.stack([ones, ball0, ones - ball0], axis=1)
-    (out,) = advance_states(op, triple, [0.05], controls, observer=track)
-    add("max_principle_defect", max(0.0, -bounds[0], bounds[1] - 1.0), 1e-12)
 
-    # the first exhaustion level's state at 0.05 is also the one-shot leg of
-    # the semigroup identity, P_0.02 P_0.03 staged on that level's grid;
-    # naming the automatic policy's first two radii walks no third level
-    (g1, (direct,)), (_, (outer,)) = exhaustion_levels(
-        weighted, ball, [0.05], controls, radii=(2.0, 3.0))
-    add("exhaustion_monotone", max(0.0, monotonicity_defect(direct, outer)),
-        EXHAUSTION_SLACK)
+    def three_columns():
+        # one run of [constant, ball, constant - ball] carries three rows:
+        # the bounds of every column, the growth of the constant, and
+        # linearity; the observer folds each state into running arrays
+        ball0 = project_datum(ball, g)
+        triple = np.stack([np.ones(g.N), ball0, 1.0 - ball0], axis=1)
+        lo, hi = np.zeros_like(triple, order="F"), np.ones_like(triple, order="F")
+        rise, growth = np.empty(g.N), np.zeros(g.N)
 
-    op1 = assemble(g1, weighted, DIRICHLET)
-    (staged,) = advance_states(op1, project_datum(ball, g1), [0.03], controls)
-    (staged,) = advance_states(op1, staged, [0.02], controls)
-    drift = (functionals.weighted_sum(g1, np.abs(direct - staged))
-             / functionals.weighted_sum(g1, np.abs(direct)))
-    add("semigroup_identity_rel", drift, 1e-4)
+        def track(t0, a, t1, b):
+            np.minimum(lo, b, out=lo)
+            np.maximum(hi, b, out=hi)
+            np.maximum(growth, np.subtract(b[:, 0], a[:, 0], out=rise), out=growth)
 
-    add("mass_time_monotone", max(0.0, growth[0]), 1e-10)
+        (out,) = advance_states(op, triple, [0.05], controls, observer=track)
+        return (max(0.0, -lo.min(), hi.max() - 1.0), max(0.0, growth.max()),
+                float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2]))))
 
-    op_n = assemble(g, weighted, NEUMANN)
-    u0 = rng.random(g.N) + 0.5
-    mass0 = functionals.weighted_sum(g, u0)
-    (u_t,) = advance_states(op_n, u0, [0.1], controls)
-    drift = abs(functionals.weighted_sum(g, u_t) - mass0) / (0.1 * mass0)
-    add("neumann_mass_drift_per_time", drift, 1e-12)
+    def the_rest():
+        worst = 0.0
+        for _ in range(100):
+            u = rng.standard_normal(g.N)
+            v = rng.standard_normal(g.N)
+            a = functionals.weighted_sum(g, op.apply(u), v)
+            b = functionals.weighted_sum(g, u, op.apply(v))
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
 
-    defect = float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2])))
-    add("three_column_linearity", defect, 1e-12)
+        # the first exhaustion level's state at 0.05 is also the one-shot
+        # leg of the semigroup identity, P_0.02 P_0.03 staged on that
+        # level's grid; naming the automatic policy's first two radii walks
+        # no third level, and a lone second level replays inline
+        (g1, (direct,)), (_, (outer,)) = exhaustion_levels(
+            weighted, ball, [0.05], controls, radii=(2.0, 3.0))
+        op1 = assemble(g1, weighted, DIRICHLET)
+        (staged,) = advance_states(op1, project_datum(ball, g1), [0.03], controls)
+        (staged,) = advance_states(op1, staged, [0.02], controls)
+        drift = (functionals.weighted_sum(g1, np.abs(direct - staged))
+                 / functionals.weighted_sum(g1, np.abs(direct)))
 
+        op_n = assemble(g, weighted, NEUMANN)
+        u0 = rng.random(g.N) + 0.5
+        mass0 = functionals.weighted_sum(g, u0)
+        (u_t,) = advance_states(op_n, u0, [0.1], controls)
+        return (worst, max(0.0, monotonicity_defect(direct, outer)), drift,
+                abs(functionals.weighted_sum(g, u_t) - mass0) / (0.1 * mass0))
+
+    (bounds, growth, linearity), (symmetry, monotone, drift, neumann) = \
+        solver.both(three_columns, the_rest)
+    rows = [check("operator_symmetry_rel", symmetry, "<=", 1e-12),
+            check("max_principle_defect", bounds, "<=", 1e-12),
+            check("exhaustion_monotone", monotone, "<=", EXHAUSTION_SLACK),
+            check("semigroup_identity_rel", drift, "<=", 1e-4),
+            check("mass_time_monotone", growth, "<=", 1e-10),
+            check("neumann_mass_drift_per_time", neumann, "<=", 1e-12),
+            check("three_column_linearity", linearity, "<=", 1e-12)]
     verdict, finding = decide(rows, ("all properties hold",
                                      "property violated", "undetermined"))
     return {"evidence": {"checks": rows}, "verdict": verdict,
@@ -376,7 +380,8 @@ def _execute(cfg: dict):
     else:
         rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
                          cfg["t_list"], controls)
-    return asdict(rep), {f"{name}.csv": rows
+    # a shallow copy: asdict would deep-copy every series row
+    return dict(vars(rep)), {f"{name}.csv": rows
                          for name, rows in rep.series.items()}
 
 
@@ -397,7 +402,8 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
     """Execute one config end to end; returns the process exit code.
 
     ``threads`` is ignored: a run steps in one thread, with at most one
-    forked child beside it (``solver.both``).  It stays in the signature
+    forked child beside it (``solver.both``: an exhaustion level, blowup's
+    flat companion or half of ``validate``).  It stays in the signature
     for callers that still pass it.
     """
     try:

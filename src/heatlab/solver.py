@@ -14,12 +14,13 @@ difference controls the step size (``advance_states``).  An attempt is two
 ``dpttrs`` calls, a few ufuncs into reused buffers and one BLAS
 matrix-vector product, with equal bits at one and two OpenBLAS threads up
 to 10^6 cells.  Trajectories that share no data run two at a time: the
-exhaustion levels after the first replay its step ladder in pairs, and
-the blowup sweep's flat companion runs beside its signal.  ``both`` runs
-the second of two calls in a forked child and joins it before it returns.
-A child runs the same code on a copy of the caller's data, so its pickled
-result has the bits of an inline run; off Linux, or on one CPU, both calls
-run inline.
+exhaustion levels after the first replay its step ladder in pairs, the
+blowup sweep's flat companion runs beside its signal, and ``cli.validate``
+runs the half of its battery without the three-column run beside it.
+``both`` runs the second of two calls in a forked child and joins it
+before it returns.  A child runs the same code on a copy of the caller's
+data, so its pickled result has the bits of an inline run; off Linux, or
+on one CPU, both calls run inline.
 
 ``dpttrf`` and ``dpttrs`` come from scipy's compiled ``_flapack``
 extension, loaded on its own: importing ``scipy`` runs its package init

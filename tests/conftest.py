@@ -7,6 +7,7 @@ against each other before using either against the solver, so a bug in the
 reference cannot silently excuse a bug in the code.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -56,6 +57,36 @@ def no_child_left() -> bool:
     except ChildProcessError:
         return True
     return False
+
+
+@contextlib.contextmanager
+def lapack_calls(log: Path):
+    """Count the ``dpttrs`` and ``dpttrf`` calls made inside the block,
+    forked children's included: yields a dict filled with {routine: calls}
+    when the block ends.
+
+    Each call appends its routine's last letter to ``log``, opened with
+    O_APPEND, which forked children share, so their calls count too."""
+    calls = {}
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def counted(routine):
+        call, mark = getattr(heatlab.solver, routine), routine[-1].encode()
+
+        def counting(*args, **kwargs):
+            os.write(fd, mark)
+            return call(*args, **kwargs)
+        return counting
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for routine in ("dpttrs", "dpttrf"):
+                mp.setattr(heatlab.solver, routine, counted(routine))
+            yield calls
+    finally:
+        os.close(fd)
+    marks = log.read_bytes()
+    calls.update(dpttrs=marks.count(b"s"), dpttrf=marks.count(b"f"))
 
 
 def check_row(checks, prop, gate="confirms") -> dict:

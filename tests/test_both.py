@@ -154,7 +154,8 @@ def test_a_failure_on_either_side_of_a_pair_reaches_the_caller(euclid3, monkeypa
      "controls": {"n_cells": 64, "step_tol": 1e-5, "exhaustion": [2, 3, 4]}},
     {"experiment": "blowup", "manifold": {"family": "power_exp"}, "r0": 1.0,
      "t_list": [0.05], "R_list": [2.0, 3.0], "controls": {"n_cells": 64, "step_tol": 1e-5}},
-], ids=["exhaustion_level", "flat_companion"])
+    {"experiment": "validate", "seed": 0},
+], ids=["exhaustion_level", "flat_companion", "validate"])
 def test_a_failure_in_a_child_exits_3_with_its_message(tmp_path, monkeypatch, payload):
     parent, solve = os.getpid(), heatlab.solver.dpttrs
 
@@ -173,10 +174,33 @@ def test_a_failure_in_a_child_exits_3_with_its_message(tmp_path, monkeypatch, pa
     assert no_child_left()
 
 
-def test_validate_walks_two_levels_and_forks_nothing(monkeypatch):
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_forks_one_half_with_the_inline_result(monkeypatch, seed):
+    # the three-column run stays in the caller and the rest of the battery
+    # runs in one child, whose lone second exhaustion level forks nothing
     calls, pids = _spy(monkeypatch)
-    assert validate(seed=0)["verdict"] == "confirms"
-    assert calls == pids == []
+    forked = validate(seed=seed)
+    assert len(calls) == 1 and len(pids) == heatlab.solver.can_fork()
+    assert no_child_left()
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    assert validate(seed=seed) == forked
+    assert forked["verdict"] == "confirms"
+
+
+def test_a_failure_in_validates_own_half_leaves_no_child(monkeypatch):
+    # a dpttrs that fails in the caller's three-column run raises there,
+    # and the child running the other half must not outlive it
+    parent, solve = os.getpid(), heatlab.solver.dpttrs
+
+    def failing_in_the_caller(*args):
+        if os.getpid() == parent:
+            raise NumericalFailure("planted in the caller")
+        return solve(*args)
+
+    monkeypatch.setattr(heatlab.solver, "dpttrs", failing_in_the_caller)
+    with pytest.raises(NumericalFailure, match="^planted in the caller$"):
+        validate(seed=0)
+    assert no_child_left()
 
 
 def test_the_fork_warning_of_a_threaded_process_is_no_error(euclid3, monkeypatch):

@@ -25,6 +25,7 @@ from heatlab.cli import (_EXHAUSTING, _KEYS, _SOLVING, EXPERIMENTS, _dumps,
                          load_config, main, resolve_config, run, validate)
 from heatlab.experiments import blowup_sweep, completeness_probe
 from heatlab.operator import WeightedOperator
+from conftest import lapack_calls, no_child_left
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
@@ -333,20 +334,15 @@ def test_validate_catches_a_staged_leg_from_the_wrong_time(monkeypatch):
     assert _failing_rows(out) == {"semigroup_identity_rel"}
 
 
-def test_validate_solve_count(monkeypatch):
+def test_validate_solve_count(tmp_path):
     # each state evolves once: one three-column run carries three rows, and
     # the semigroup identity reuses the first exhaustion level's state; each
-    # step attempt solves its two half steps
-    solves = [0]
-    solve = heatlab.solver.dpttrs
-
-    def counting(*args, **kwargs):
-        solves[0] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(heatlab.solver, "dpttrs", counting)
-    assert validate(seed=0)["verdict"] == "confirms"
-    assert solves[0] == 14_382
+    # step attempt solves its two half steps.  The count spans both halves
+    # of the battery, the one in a forked child included
+    with lapack_calls(tmp_path / "calls") as calls:
+        assert validate(seed=0)["verdict"] == "confirms"
+    assert calls == {"dpttrs": 14_382, "dpttrf": 225}
+    assert no_child_left()
 
 
 def test_validate_cli_exit_codes(tmp_path, capsys, monkeypatch):

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import pytest
 
-import heatlab.solver
-from conftest import SAMPLE_DIGESTS, moved_outputs, no_child_left, output_digests
+from conftest import (SAMPLE_DIGESTS, lapack_calls, moved_outputs, no_child_left,
+                      output_digests)
 from heatlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,36 +106,15 @@ def _recomputed_verdict(report):
 @pytest.fixture(scope="module")
 def sample_run(tmp_path_factory):
     """Run a sample config once per module: name -> (exit code, out dir,
-    {LAPACK routine: calls during the run}).
-
-    Each call appends its routine's last letter to a file opened with
-    O_APPEND, which forked children share, so their calls count too."""
+    {LAPACK routine: calls during the run, forked children's included})."""
     runs = {}
 
     def ran(name):
         if name not in runs:
             out = tmp_path_factory.mktemp("samples") / name
-            log = out.parent / "calls"
-            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-
-            def counted(routine):
-                call, mark = getattr(heatlab.solver, routine), routine[-1].encode()
-
-                def counting(*args, **kwargs):
-                    os.write(fd, mark)
-                    return call(*args, **kwargs)
-                return counting
-
-            try:
-                with pytest.MonkeyPatch.context() as mp:
-                    for routine in ("dpttrs", "dpttrf"):
-                        mp.setattr(heatlab.solver, routine, counted(routine))
-                    code = run(str(ROOT / "configs" / f"{name}.json"), str(out),
-                               threads=1)
-            finally:
-                os.close(fd)
-            marks = log.read_bytes()
-            calls = {"dpttrs": marks.count(b"s"), "dpttrf": marks.count(b"f")}
+            with lapack_calls(out.parent / "calls") as calls:
+                code = run(str(ROOT / "configs" / f"{name}.json"), str(out),
+                           threads=1)
             runs[name] = (code, out, calls)
         return runs[name]
     return ran
@@ -272,13 +251,14 @@ def test_benchmark_tracer_still_finds_the_solver(tmp_path):
 def test_one_openblas_thread_gives_the_recorded_bits(tmp_path):
     # the error norms' matrix-vector product runs in OpenBLAS, threaded by
     # default; the two-column control run, the sweep whose flat companion
-    # records its steps in a forked child and the exhaustion whose levels
-    # replay in children must write the same bytes on one thread as the
-    # recorded digests
+    # records its steps in a forked child, the exhaustion whose levels
+    # replay in children and the battery whose second half runs in a child
+    # must write the same bytes on one thread as the recorded digests
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import heatlab.cli; "
             "sys.exit(max(heatlab.cli.run(c, o) for c, o in "
             "zip(sys.argv[2::2], sys.argv[3::2])))")
-    names = ("blowup_euclidean_control", "blowup_superexp", "completeness_superexp")
+    names = ("blowup_euclidean_control", "blowup_superexp", "completeness_superexp",
+             "validate")
     runs = [str(path) for name in names
             for path in (ROOT / "configs" / f"{name}.json", tmp_path / name)]
     subprocess.run([sys.executable, "-c", code, str(ROOT / "src"), *runs],
