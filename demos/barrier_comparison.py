@@ -1,14 +1,17 @@
 """Certify a time-integral bound by comparison with an explicit barrier.
 
 For the exp(+r^4) weighted model, the time integral of the evolved constant,
-v(t, r) = integral of the truncated evolution up to t, is dominated by an
-explicit radial barrier w(r) whose weighted drift term is uniformly below
--1.  The certificate is checked node by node on the grid: v <= w + 1e-6
-everywhere, for every probed (t, R).
+v(t, r) = integral of the truncated evolution up to t, increases with t to
+the discrete exit time of the ball, which the solver sums in closed form.
+An explicit radial barrier w(r) whose weighted drift term is uniformly below
+-1 dominates that exit time node by node: exit time <= w + 1e-6 everywhere,
+for every probed R.  So the certificate v(t) <= w holds for every t at
+once, with no time stepping and no time error.
 
 Since t * u(t, r) <= v(t, r) for the monotone-in-time evolution, the barrier
-caps t * u uniformly in R, which is the quantitative mechanism behind the
-finite escape time seen in the mass-escape demonstration.
+caps t * u by w uniformly in R, for every t, which is the quantitative
+mechanism behind the finite escape time seen in the mass-escape
+demonstration.
 
 Run:  python3 demos/barrier_comparison.py
 """
@@ -25,16 +28,16 @@ def drift(r):
 
 
 def main():
-    controls = SolveControls(n_cells=512, step_tol=1e-6)
-    print("Node-by-node comparison v <= w on the exp(+r^4) model.")
-    print(f"\n  {'t':>5s} {'R':>4s} {'max(v - w)':>13s} {'max drift':>12s} {'verdict':>9s}")
-    for t in (0.1, 0.5, 1.0):
-        for R in (2.0, 3.0):
-            rep = comparison_check(t, R, controls)
-            worst = {row["property"]: row["measured"]
-                     for row in rep.evidence["checks"]}
-            print(f"  {t:5.2f} {R:4.1f} {worst['max_v_minus_w']:13.3e} "
-                  f"{worst['max_lap_w']:12.6f} {rep.verdict:>9s}")
+    controls = SolveControls(n_cells=512)
+    print("Node-by-node comparison exit time <= w on the exp(+r^4) model,")
+    print("which bounds v(t) <= w for every t at once.")
+    print(f"\n  {'R':>4s} {'max(exit - w)':>14s} {'max drift':>12s} {'verdict':>9s}")
+    for R in (2.0, 3.0):
+        rep = comparison_check(R, controls)
+        worst = {row["property"]: row["measured"]
+                 for row in rep.evidence["checks"]}
+        print(f"  {R:4.1f} {worst['max_exit_time_minus_w']:14.3e} "
+              f"{worst['max_lap_w']:12.6f} {rep.verdict:>9s}")
     print(f"\n  barrier drift at r=1   : {drift(1.0):.10f}")
     print(f"  barrier drift as r->0  : {drift(1e-3):.10f}")
     print(f"  barrier drift far out  : {drift(50.0):.10f}")

@@ -71,7 +71,7 @@ _KEYS = {
                           "item": {"type": "list", "items": (2, 2),
                                    "item": {"type": "number"}},
                           "readers": {"kind": "piecewise"}},
-    "t": {**_POSITIVE, "readers": ("completeness", "comparison")},
+    "t": {**_POSITIVE, "readers": ("completeness",)},
     "t_list": {"type": "list", "items": (1, math.inf), "item": _POSITIVE,
                "readers": ("degiorgi", "blowup", "tail")},
     "R": {**_POSITIVE, "readers": ("comparison",)},
@@ -81,7 +81,7 @@ _KEYS = {
     "r0": {**_POSITIVE, "readers": ("blowup",)},
     "controls": {"type": "section", "default": {}, "readers": _SOLVING},
     "controls/step_tol": {**_POSITIVE, "default": _CONTROLS["step_tol"],
-                          "readers": _SOLVING},
+                          "readers": _MODELLED},
     "controls/exhaustion": {"type": "list", "items": (1, math.inf),
                             "item": _POSITIVE, "null": True,
                             "default": None,
@@ -376,7 +376,7 @@ def _execute(cfg: dict):
         rep = blowup_sweep(manifold, cfg["r0"], cfg["t_list"], cfg["R_list"],
                            controls)
     elif experiment == "comparison":
-        rep = comparison_check(cfg["t"], cfg["R"], controls)
+        rep = comparison_check(cfg["R"], controls)
     else:
         rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
                          cfg["t_list"], controls)

@@ -24,7 +24,7 @@ from .geometry import (RadialBVDatum, RadialManifold, as_real, ball_indicator,
                        monotone_reals, positive_real, power_exp_weight)
 from .grid import build_grid
 from .operator import DIRICHLET, assemble
-from .solver import SolveControls, advance_states, evolve, exhaustion_levels
+from .solver import SolveControls, evolve, exhaustion_levels
 
 VERDICTS = ("confirms", "refutes", "inconclusive")
 
@@ -36,7 +36,8 @@ EPS_C = 1e-4
 EXHAUSTION_RTOL = 1e-6
 # blowup: a TV tail whose last step moved by at most this fraction is stable
 STABILIZE_RTOL = 1e-3
-# comparison: how far v may exceed the barrier integral w at any node
+# comparison: how far the discrete exit time, the limit of the time
+# integral v(t) of P_t 1, may exceed the barrier w at any node
 VW_TOL = 1e-6
 
 
@@ -304,33 +305,21 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         evidence={"findings": list(findings), "checks": list(checks)})
 
 
-def comparison_check(t: float, R: float,
-                     controls: SolveControls) -> ExperimentReport:
+def comparison_check(R: float, controls: SolveControls) -> ExperimentReport:
     """Certificate run on the fast-growth model: barrier domination.
 
-    Evolves the constant profile on the truncated ball, accumulating its
-    time integral v by trapezoid rule along the accepted steps, and checks
-    three node-wise statements: v stays below the barrier integral w (within
-    ``VW_TOL``), the barrier's weighted Laplacian stays below -1, and
-    t * u(t) stays below v.  The barrier w(r), the integral of
-    (1 - exp(-s^4))/s^3 from r to R, and its Laplacian are both evaluated in
-    closed form.
+    On the Dirichlet grid of B_R (``controls.n_cells`` cells, the one control
+    read) the time integral v(t) = int_0^t P_s 1 ds increases to the
+    discrete exit time w_h = (-L)^{-1} 1, ``solver.exit_time``.  So w_h <= w
+    certifies v(t) <= w at every t at once, and with t u(t) <= v(t) it caps
+    P_t 1 by w / t.  Two node-wise statements are checked: w_h stays below
+    the barrier w (within ``VW_TOL``), and the barrier's weighted Laplacian
+    stays below -1.  The barrier w(r), the integral of (1 - exp(-s^4))/s^3
+    from r to R, and its Laplacian are both evaluated in closed form.
     """
     manifold = power_exp_weight(4, 1, 3)
-    if not 0 < as_real(t) <= 1:
-        raise InvalidArgumentError(f"comparison time must lie in (0, 1], got {t}")
     g = build_grid(manifold, R, controls.n_cells)
-    op = assemble(g, manifold, DIRICHLET)
-    u0 = np.ones(g.N)
-    v, trapezoid = np.zeros(g.N), np.empty(g.N)
-
-    def accumulate(t0, a, t1, b):
-        # v += (t1 - t0) * 0.5 * (a + b), in one reused buffer
-        np.add(a, b, out=trapezoid)
-        np.multiply((t1 - t0) * 0.5, trapezoid, out=trapezoid)
-        np.add(v, trapezoid, out=v)
-
-    (u_final,) = advance_states(op, u0, [t], controls, observer=accumulate)
+    exit_h = solver.exit_time(assemble(g, manifold, DIRICHLET))
 
     # F(s) = (sqrt(pi) erf(s^2) - (1 - exp(-s^4))/s^2) / 2 is an
     # antiderivative of the integrand; w = F(R) - F(r) is taken term by term
@@ -345,22 +334,19 @@ def comparison_check(t: float, R: float,
     r4 = g.centers ** 4
     lap_w = -4.0 + (-np.expm1(-r4)) / r4
 
-    excess_vw = v - w
-    excess_tu = t * u_final - v
-    checks = [check("max_v_minus_w", np.max(excess_vw), "<=", VW_TOL),
-              check("max_lap_w", np.max(lap_w), "<", -1.0),
-              check("max_t_u_minus_v", np.max(excess_tu), "<=", 1e-9)]
+    excess = exit_h - w
+    checks = [check("max_exit_time_minus_w", np.max(excess), "<=", VW_TOL),
+              check("max_lap_w", np.max(lap_w), "<", -1.0)]
     verdict, finding = decide(checks, ("barrier dominates", "barrier violated",
                                        "undetermined"))
 
-    rows = tuple({"r": float(r), "v_R": float(vv), "w_R": float(ww),
+    rows = tuple({"r": float(r), "exit_time": float(e), "w_R": float(ww),
                   "lap_w": float(lw)}
-                 for r, vv, ww, lw in zip(g.centers, v, w, lap_w))
+                 for r, e, ww, lw in zip(g.centers, exit_h, w, lap_w))
     return ExperimentReport(
         series={"comparison": rows}, fitted={}, verdict=verdict,
         finding=finding, evidence={"checks": checks, "worst_nodes": {
-            "v_minus_w_at": float(g.centers[int(np.argmax(excess_vw))]),
-            "t_u_minus_v_at": float(g.centers[int(np.argmax(excess_tu))])}})
+            "exit_time_minus_w_at": float(g.centers[int(np.argmax(excess))])}})
 
 
 def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,

@@ -6,7 +6,9 @@ monotone limit of heat flows on balls B_R with absorbing boundary;
 ``exhaustion_levels`` walks that family, and each experiment reads the
 levels it needs.  All truncation radii of one run share a single face
 ladder, so solutions at different R can be compared cell by cell and the
-exhaustion monotonicity becomes a testable discrete statement.
+exhaustion monotonicity becomes a testable discrete statement.  The time
+integral of P_t 1 on one ball increases to its discrete exit time
+(-L)^{-1} 1, which ``exit_time`` sums in closed form, with no solve.
 
 Time stepping is implicit Euler (unconditional discrete maximum principle,
 which indicator data require), each step two half steps whose second
@@ -282,6 +284,16 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             taken += 1
         at_stops.append(u.copy(order="F"))
     return at_stops
+
+
+def exit_time(op: WeightedOperator) -> np.ndarray:
+    """The discrete exit time w_h = (-L)^{-1} 1 of a Dirichlet ball, with no
+    solve: D(-L) is a birth-death chain, and its rows 0..j sum to
+    k_{j+1} (w_j - w_{j+1}) = D_0 + ... + D_j with w = 0 at the wall's ghost.
+    A Neumann wall has no exit: its conductance is 0."""
+    if op.bc != DIRICHLET:
+        raise InvalidArgumentError(f"the exit time needs a Dirichlet wall, not {op.bc!r}")
+    return np.cumsum((np.cumsum(op.cell_weights) / op.conductance[1:])[::-1])[::-1]
 
 
 def can_fork() -> bool:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import settings
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import erf
 
 import heatlab.experiments
@@ -33,8 +35,15 @@ settings.load_profile("heatlab")
 # SHA-256 of every output file of each sample config but timing.json, so a
 # change that moves one digit of a sample output shows.  The digests depend
 # on the installed numpy and LAPACK build: on another build, regenerate them
-# with ``python tests/test_sample_configs.py`` and check what moved.
+# with ``python tests/test_sample_configs.py``, which prints what moved.
 SAMPLE_DIGESTS = Path(__file__).with_name("sample_digests.json")
+# each sample's expected report.json (error.json for a run that aborts),
+# pinned with the digests: a moved digest is told by the values that moved
+SAMPLE_REPORTS = Path(__file__).with_name("sample_reports")
+# the order moved values are listed in: the decision first, then fitted,
+# then series, then the rest (the config echo, the file list)
+_MOVE_ORDER = {"verdict": 0, "finding": 0, "error": 0, "exit_code": 0,
+               "message": 0, "evidence": 1, "fitted": 2, "series": 3}
 
 
 def output_digests(out: Path) -> dict:
@@ -48,6 +57,77 @@ def moved_outputs(name: str, out: Path) -> list:
     differs from the recorded one, or that only one side has."""
     want, got = json.loads(SAMPLE_DIGESTS.read_text())[name], output_digests(out)
     return sorted(f for f in want.keys() | got.keys() if want.get(f) != got.get(f))
+
+
+def run_record(out: Path) -> Path:
+    """The JSON record a run wrote into ``out``: its report, or its error."""
+    report = out / "report.json"
+    return report if report.exists() else out / "error.json"
+
+
+def _leaves(obj, path: str = ""):
+    """(path, value) of each leaf of parsed JSON in document order; an empty
+    object or list is a leaf."""
+    if isinstance(obj, (dict, list)) and obj:
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            step = f"[{key}]" if isinstance(obj, list) else f".{key}" if path else key
+            yield from _leaves(value, path + step)
+    else:
+        yield path, obj
+
+
+_ABSENT = object()  # a path that one side lacks
+
+
+def _relative(old, new):
+    """|new - old| / |old| of two numbers, or None."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (old, new)):
+        return None
+    return abs(new - old) / abs(old) if old else math.inf
+
+
+def _move_line(path: str, old, new) -> str:
+    rel = _relative(old, new)
+    shown = [json.dumps(v) if v is not _ABSENT else "(absent)" for v in (old, new)]
+    return f"{path}: {shown[0]} -> {shown[1]}" + (
+        "" if rel is None else f" (relative change {rel:.3g})")
+
+
+def moved_values(old: dict, new: dict) -> list:
+    """One line per JSON path whose value differs between two parsed
+    records, with its old and new value and relative change: verdict,
+    finding and evidence first, then fitted, then series, then the rest.
+    A series column that moved in several rows is one line: how many rows
+    moved and the one whose relative change is largest."""
+    before, after = dict(_leaves(old)), dict(_leaves(new))
+    paths = [*before, *(p for p in after if p not in before)]
+    moved = [p for p in paths if before.get(p, _ABSENT) != after.get(p, _ABSENT)]
+    groups: dict = {}  # a series column's moved rows, under one pattern
+    for path in moved:
+        key = re.sub(r"^(series\.[^\[]+)\[\d+\]", r"\1[*]", path)
+        groups.setdefault(key, []).append(path)
+    lines = []
+    for key, members in groups.items():
+        pairs = [(p, before.get(p, _ABSENT), after.get(p, _ABSENT)) for p in members]
+        if len(members) == 1:
+            lines.append(_move_line(*pairs[0]))
+            continue
+        path, old_value, new_value = max(
+            pairs, key=lambda pair: _relative(pair[1], pair[2]) or 0.0)
+        lines.append(f"{key}: {len(members)} rows moved, the most at "
+                     + _move_line(path, old_value, new_value))
+    return sorted(lines, key=lambda line: _MOVE_ORDER.get(
+        re.split(r"[.:\[]", line, maxsplit=1)[0], 4))
+
+
+def describe_moves(name: str, out: Path) -> str:
+    """The values of sample ``name``'s run into ``out`` that moved against
+    its pinned record, one per line (a first run has no pinned record)."""
+    pinned = SAMPLE_REPORTS / f"{name}.json"
+    old = json.loads(pinned.read_text()) if pinned.exists() else {}
+    return "\n".join(moved_values(old, json.loads(run_record(out).read_text())))
 
 
 def no_child_left() -> bool:
@@ -124,6 +204,18 @@ def implicit_step(op, dt, u, out=None):
     d, e = heatlab.solver._factor(op, dt)
     w = op.cell_weights if np.ndim(u) == 1 else op.cell_weights[:, None]
     return heatlab.solver.dpttrs(d, e, np.multiply(w, u, out=out), 1)[0]
+
+
+def minus_laplacian_solve(op, u):
+    """(-L)^{-1} u on a Dirichlet operator by one LAPACK ``dpttrf`` and
+    ``dpttrs`` of D(-L) x = D u, its band built from the conductances
+    alone: row j is (k_j + k_{j+1}) x_j - k_j x_{j-1} - k_{j+1} x_{j+1}."""
+    k = op.conductance
+    d, e, info = dpttrf(k[:-1] + k[1:], -k[1:-1])
+    assert info == 0, f"dpttrf info={info}"
+    x, info = dpttrs(d, e, op.cell_weights * u)
+    assert info == 0, f"dpttrs info={info}"
+    return x
 
 
 def ball_heat_closed_form(r, t, r0=1.0):

@@ -21,8 +21,9 @@ import heatlab.solver
 from heatlab import (InvalidArgumentError, SolveControls, constant_one,
                      euclidean, exhaustion_ladder, overflow_safe_radius,
                      power_exp_weight, sphere_constant)
-from heatlab.cli import (_EXHAUSTING, _KEYS, _SOLVING, EXPERIMENTS, _dumps,
-                         load_config, main, resolve_config, run, validate)
+from heatlab.cli import (_EXHAUSTING, _KEYS, _MODELLED, _SOLVING, EXPERIMENTS,
+                         _dumps, load_config, main, resolve_config, run,
+                         validate)
 from heatlab.experiments import blowup_sweep, completeness_probe
 from heatlab.operator import WeightedOperator
 from conftest import lapack_calls, no_child_left
@@ -495,11 +496,14 @@ def test_non_finite_python_values_are_rejected():
 
 def ignored_controls(keys: dict, field_names) -> list:
     """The controls that break the rule: each ``SolveControls`` field is a
-    ``controls/*`` key read by every solving experiment, and the one other
-    ``controls/*`` key, ``exhaustion``, only by those that walk one."""
+    ``controls/*`` key read by every solving experiment (``step_tol`` by
+    every one that steps in time: all but comparison, which sums its exit
+    time), and the one other ``controls/*`` key, ``exhaustion``, only by
+    those that walk one."""
     readers = {path.split("/")[1]: key["readers"] for path, key in keys.items()
                if path.startswith("controls/")}
-    wrong = [name for name in field_names if readers.get(name) != _SOLVING]
+    wrong = [name for name in field_names
+             if readers.get(name) != {"step_tol": _MODELLED}.get(name, _SOLVING)]
     return wrong + [name for name, read in readers.items()
                     if name not in field_names
                     and (name, read) != ("exhaustion", _EXHAUSTING)]
@@ -583,7 +587,7 @@ def test_piecewise_echo_holds_no_radius(tmp_path):
 
 
 MINIMAL = {
-    "comparison": {"experiment": "comparison", "t": 0.5, "R": 3.0},
+    "comparison": {"experiment": "comparison", "R": 3.0},
     "completeness": {"experiment": "completeness", "t": 0.1},
     "degiorgi": {"experiment": "degiorgi", "t_list": [0.02, 0.01]},
     "tail": {"experiment": "tail", "R_out": 2.0, "t_list": [0.05, 0.04]},
@@ -611,6 +615,10 @@ MINIMAL = {
     ("completeness", {"tolerances": {"gap_rtol": 0.5}}),
     # comparison's barrier slack is a constant now
     ("comparison", {"tolerances": {"gap_rtol": 0.5}}),
+    # comparison reads the exit time, which no time or step tolerance
+    # reaches: both keys once ran its trajectory
+    ("comparison", {"t": 0.5}),
+    ("comparison", {"controls": {"step_tol": 1e-6}}),
 ])
 def test_keys_the_experiment_ignores_are_rejected(tmp_path, experiment, extra):
     payload = {**MINIMAL[experiment], **extra}
@@ -756,22 +764,22 @@ FAST_TAIL = {"experiment": "tail", "R_out": 2.0, "t_list": [0.05, 0.04],
 
 
 @pytest.mark.parametrize("payload, keys, tolerances", [
-    ({"experiment": "comparison", "t": 0.5, "R": 2.0,
-      "controls": {"n_cells": 128, "step_tol": 1e-5}},
-     {"experiment", "t", "R", "controls"}, None),
+    ({"experiment": "comparison", "R": 2.0, "controls": {"n_cells": 128}},
+     {"experiment", "R", "controls"}, None),
     (FAST_TAIL,
      {"experiment", "R_out", "t_list", "manifold", "datum", "controls"},
      None),
 ])
 def test_config_echo_holds_only_keys_read(tmp_path, payload, keys, tolerances):
-    # comparison runs exp(+r^4) whatever a default manifold would say, and
-    # neither reads a tolerance: none of these may be echoed
+    # comparison runs exp(+r^4) whatever a default manifold would say and
+    # steps no trajectory, and neither reads a tolerance: none of these may
+    # be echoed, nor a step_tol under comparison's controls
     out = tmp_path / "out"
     assert run(write_config(tmp_path, "c.json", payload), str(out)) == 0
     echo = json.loads((out / "report.json").read_text())["config"]
     assert set(echo) == keys
     assert echo.get("tolerances") == tolerances
-    assert echo["controls"] == {"n_cells": 128, "step_tol": 1e-5}
+    assert echo["controls"] == payload["controls"]
 
 
 SAMPLES = {p.stem: json.loads(p.read_text())
@@ -781,12 +789,13 @@ MUTATIONS = ("type", "nan", "inf", "bool", "range", "drop", "unknown")
 
 def _mutated(cfg: dict, path: str, mutation: str) -> dict:
     """A fast copy of sample ``cfg`` with the key at ``path`` mutated: at
-    most 64 cells at step_tol 1e-3 wherever the experiment reads them."""
+    most 64 cells, and step_tol 1e-3, wherever the experiment reads them."""
     cfg = json.loads(json.dumps(cfg))
     if cfg["experiment"] in _KEYS["controls/n_cells"]["readers"]:
         controls = cfg.setdefault("controls", {})
         controls["n_cells"] = min(controls.get("n_cells", 64), 64)
-        controls["step_tol"] = 1e-3
+        if cfg["experiment"] in _KEYS["controls/step_tol"]["readers"]:
+            controls["step_tol"] = 1e-3
     key = _KEYS[path]
     *parents, name = path.split("/")
     section = cfg

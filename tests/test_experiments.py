@@ -479,12 +479,14 @@ def test_degiorgi_gap_bound_must_be_positive(euclid3, fast_controls, gap_rtol):
                        fast_controls, gap_rtol=gap_rtol)
 
 
-def test_comparison_certificate(fast_controls):
-    rep = comparison_check(0.5, 2.0, SolveControls(n_cells=256, step_tol=1e-6))
+def test_comparison_certificate():
+    rep = comparison_check(2.0, SolveControls(n_cells=256))
     check_report_shape(rep, "comparison")
     assert rep.verdict == "confirms", rep.finding
     checks = rep.evidence["checks"]
-    vw = check_row(checks, "max_v_minus_w")
+    assert [row["property"] for row in checks] == ["max_exit_time_minus_w",
+                                                    "max_lap_w"]
+    vw = check_row(checks, "max_exit_time_minus_w")
     assert vw["tolerance"] == 1e-6 and vw["measured"] <= vw["tolerance"]
     assert check_row(checks, "max_lap_w")["measured"] < -1.0
     assert rep.fitted == {}
@@ -492,7 +494,15 @@ def test_comparison_certificate(fast_controls):
     # the barrier's Laplacian is its closed form at every center
     assert all(row["lap_w"] == pytest.approx(barrier_laplacian(row["r"]),
                                              rel=1e-14) for row in rows)
-    assert all(row["v_R"] <= row["w_R"] + 1e-6 for row in rows)
+    assert all(row["exit_time"] <= row["w_R"] + 1e-6 for row in rows)
+
+
+def test_comparison_reads_only_the_cell_count():
+    # the exit time is a sum over the grid, so no step tolerance reaches it
+    # and no trajectory runs
+    loose, tight = (comparison_check(2.0, SolveControls(n_cells=128, step_tol=tol))
+                    for tol in (1e-2, 1e-9))
+    assert loose == tight
 
 
 @pytest.mark.parametrize("R,n_cells", [(2.0, 256), (3.0, 512)])
@@ -502,7 +512,7 @@ def test_comparison_barrier_matches_quadrature(R, n_cells):
     # to the wall it subtracts two values near 1/R^2, which leaves about
     # 5e-18 of rounding, hence the absolute floor; the erf form G(R) - G(r)
     # subtracts two values near sqrt(pi)/2 and fails this by 2x or more
-    rep = comparison_check(0.05, R, SolveControls(n_cells=n_cells, step_tol=1e-5))
+    rep = comparison_check(R, SolveControls(n_cells=n_cells))
     rows = rep.series["comparison"]
     nodes = [row["r"] for row in rows] + [R]  # the last face sits at R
     acc, worst = 0.0, 0.0
@@ -513,19 +523,10 @@ def test_comparison_barrier_matches_quadrature(R, n_cells):
     assert worst <= 1.0, f"barrier off quadrature by {worst:.2f}x the tolerance"
 
 
-def test_comparison_rejects_large_times(fast_controls):
-    with pytest.raises(InvalidArgumentError):
-        comparison_check(1.5, 2.0, fast_controls)
-    with pytest.raises(InvalidArgumentError):
-        comparison_check(0.0, 2.0, fast_controls)
-
-
 def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
     # True == 1, but a boolean is no time
     with pytest.raises(InvalidArgumentError, match="time"):
         completeness_probe(euclid3, True, fast_controls)
-    with pytest.raises(InvalidArgumentError, match="time"):
-        comparison_check(True, 2.0, fast_controls)
     with pytest.raises(InvalidArgumentError, match="time"):
         degiorgi_sweep(euclid3, ball_indicator(1.0), [True], fast_controls)
     with pytest.raises(InvalidArgumentError, match="time"):
@@ -538,8 +539,7 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
 @pytest.mark.parametrize("call", [
     lambda m, c: blowup_sweep(m, True, [0.05], [2.0, 3.0], c),
     lambda m, c: blowup_sweep(m, 0.5, [0.05], [True, 3.0], c),
-    lambda m, c: comparison_check(0.1, True, c),
-    lambda m, c: comparison_check("0.1", 2.0, c),
+    lambda m, c: comparison_check(True, c),
     lambda m, c: tail_probe(m, ball_indicator(0.5), True, [0.05, 0.04, 0.03], c),
     lambda m, c: tail_probe(m, ball_indicator(1.0), 2.0, ["0.05", "0.04", "0.03"], c),
     lambda m, c: degiorgi_sweep(m, ball_indicator(1.0), ["0.02", "0.01", "0.005"], c),
@@ -554,9 +554,8 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
     lambda m, c: blowup_sweep(m, 1.0, 0.01, [2.0, 3.0], c),
     lambda m, c: blowup_sweep(m, 1.0, [0.01], 3.0, c),
     lambda m, c: completeness_probe(m, 0.01, c, radii=4.0),
-], ids=["blowup_r0", "blowup_R_list", "comparison_R", "comparison_t_text",
-        "tail_R_out", "tail_t_text", "degiorgi_t_text", "exhaustion",
-        "step_tol", "n_cells_text", "degiorgi_scalar_t_list",
+], ids=["blowup_r0", "blowup_R_list", "comparison_R", "tail_R_out",
+        "tail_t_text", "degiorgi_t_text", "exhaustion", "step_tol", "n_cells_text", "degiorgi_scalar_t_list",
         "tail_scalar_t_list", "blowup_scalar_t_list", "blowup_scalar_R_list",
         "scalar_exhaustion"])
 def test_drivers_reject_a_boolean_radius_or_a_non_real_number(

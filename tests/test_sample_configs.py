@@ -7,15 +7,25 @@ benchmark's (``EXPECTED`` in ``perfbench/run.py``) wherever both have the
 config, make exactly the row's LAPACK solves (``dpttrs``) and
 factorizations (``dpttrf``), keep the digests of its outputs
 (``conftest.moved_outputs``), and give a verdict that follows from its
-report's check rows alone.
+report's check rows alone.  A moved digest fails naming each value that
+moved against the pinned report (``conftest.describe_moves``).
+
+Run as a script, this module re-pins the digests and the reports from every
+sample config as it runs here, and prints what moved:
+
+    PYTHONPATH=src python tests/test_sample_configs.py
 """
 
+import contextlib
 import csv
+import hashlib
 import importlib.util
+import io
 import json
 import math
 import operator
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,9 +33,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (SAMPLE_DIGESTS, lapack_calls, moved_outputs, no_child_left,
-                      output_digests)
-from heatlab.cli import run
+from conftest import (SAMPLE_DIGESTS, SAMPLE_REPORTS, describe_moves,
+                      lapack_calls, moved_outputs, no_child_left,
+                      output_digests, run_record)
+from heatlab.cli import _dumps, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,7 +64,7 @@ SAMPLES = {
     "blowup_euclidean_control": (0, "refutes", "convergent", 1_674, 47),
     "blowup_overflow_error": (3, None, "RangeError", 0, 0),
     "blowup_superexp": (0, "confirms", "divergent", 13_454, 96),
-    "comparison": (0, "confirms", "barrier dominates", 9_666, 42),
+    "comparison": (0, "confirms", "barrier dominates", 0, 0),
     "completeness_euclidean": (0, "confirms", "complete", 10_562, 270),
     "completeness_superexp": (0, "refutes", "incomplete", 13_302, 260),
     "degiorgi_annulus": (0, "confirms", DEGIORGI, 2_418, 44),
@@ -134,7 +145,7 @@ def test_sample_config_verdict(sample_run, name):
     assert calls == {"dpttrs": solves, "dpttrf": factors}
     assert no_child_left(), f"{name} left a child process"
     moved = moved_outputs(name, out)
-    assert not moved, f"{name} outputs moved: {moved}"
+    assert not moved, f"{name} outputs moved: {moved}\n{describe_moves(name, out)}"
     if code != 0:
         # an aborted run names its error class where a verdict would go
         error = json.loads((out / "error.json").read_text())
@@ -265,20 +276,57 @@ def test_one_openblas_thread_gives_the_recorded_bits(tmp_path):
                    env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                    capture_output=True, check=True)
     for name in names:
-        assert not moved_outputs(name, tmp_path / name), name
+        out = tmp_path / name
+        assert not moved_outputs(name, out), describe_moves(name, out)
 
 
 def test_every_sample_config_has_digests():
+    # and a pinned report whose bytes are the ones its digest records
     configs = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
-    assert sorted(json.loads(SAMPLE_DIGESTS.read_text())) == configs
+    digests = json.loads(SAMPLE_DIGESTS.read_text())
+    assert sorted(digests) == configs
+    assert sorted(p.stem for p in SAMPLE_REPORTS.glob("*.json")) == configs
+    for name in configs:
+        record = "report.json" if "report.json" in digests[name] else "error.json"
+        pinned = (SAMPLE_REPORTS / f"{name}.json").read_bytes()
+        assert hashlib.sha256(pinned).hexdigest() == digests[name][record], name
+
+
+def test_a_moved_digit_names_its_row_and_both_values(sample_run, tmp_path):
+    # the digests stay the gate: one ulp added to one row's measured value
+    # moves the report's digest, and the failure names that row, its old
+    # and its new value, and nothing else
+    _, out, _ = sample_run("comparison")
+    planted = tmp_path / "comparison"
+    shutil.copytree(out, planted)
+    text = (planted / "report.json").read_text()
+    old = json.loads(text)["evidence"]["checks"][0]["measured"]
+    new = math.nextafter(old, math.inf)
+    before = f'"measured": {_dumps(old)},'
+    assert text.count(before) == 1
+    (planted / "report.json").write_text(
+        text.replace(before, f'"measured": {new!r},'))
+    assert moved_outputs("comparison", planted) == ["report.json"]
+    assert describe_moves("comparison", planted) == (
+        f"evidence.checks[0].measured: {old!r} -> {new!r} "
+        f"(relative change {abs(new - old) / abs(old):.3g})")
 
 
 if __name__ == "__main__":
-    # regenerate the digests from every sample config as it runs here
+    # re-pin the digests and the reports from every sample config as it runs
+    # here, and print each value that moved against the reports pinned before
+    SAMPLE_REPORTS.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         digests = {}
         for config in sorted((ROOT / "configs").glob("*.json")):
             out = Path(tmp) / config.stem
-            run(str(config), str(out), threads=1)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                run(str(config), str(out), threads=1)
             digests[config.stem] = output_digests(out)
+            moves = describe_moves(config.stem, out)
+            print(f"{config.stem}: {'moved' if moves else 'unchanged'}")
+            if moves:
+                print(moves)
+            shutil.copyfile(run_record(out), SAMPLE_REPORTS / f"{config.stem}.json")
     SAMPLE_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

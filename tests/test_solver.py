@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 import heatlab.grid
@@ -36,7 +37,8 @@ from heatlab import (
 from heatlab.experiments import completeness_probe, degiorgi_sweep
 from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
-                      implicit_step, record_walk, time_exact_states)
+                      implicit_step, minus_laplacian_solve, record_walk,
+                      time_exact_states)
 
 
 def test_reference_routes_agree():
@@ -925,3 +927,63 @@ def test_singular_step_names_dt(euclid3):
                        conductance=0.0 * op.conductance)
     with pytest.raises(NumericalFailure, match=f"dt={dt}: dpttrf"):
         heatlab.solver._factor(singular, dt)
+
+
+def _mean_exit_time(p: float, R: float) -> float:
+    """The integral of V/A over [0, R] for A(r) = r^2 exp(r^p), by nested
+    quadrature; V(s)/A(s) integrates (r/s)^2 exp(r^p - s^p), which stays
+    in double range."""
+    def v_over_a(s):
+        return quad(lambda r: (r / s) ** 2 * math.exp(r ** p - s ** p), 0.0, s,
+                    epsabs=0.0, epsrel=1e-13, limit=400)[0] if s > 0 else 0.0
+    return quad(v_over_a, 0.0, R, epsabs=0.0, epsrel=1e-12, limit=400)[0]
+
+
+@pytest.mark.parametrize("p, R", [(None, 2.0), (2, 8.0), (3, 8.5), (4, 5.0)],
+                         ids=["flat", "p2", "p3", "p4"])
+def test_exit_time_is_the_integral_of_volume_over_area(p, R):
+    # E[tau_R](0) = int_0^R V/A (Grigor'yan): R^2/6 on flat R^3, nested
+    # quadrature on exp(+r^p); the sum misses it by second order in the
+    # spacing, and matches one LAPACK solve of D(-L) w = D 1 at every cell
+    manifold = euclidean(3) if p is None else power_exp_weight(p, 1, 3)
+    exact = R * R / 6.0 if p is None else _mean_exit_time(p, R)
+    errors = []
+    for n in (512, 1024):
+        op = assemble(build_grid(manifold, R, n), manifold, DIRICHLET)
+        w = heatlab.solver.exit_time(op)
+        solved = minus_laplacian_solve(op, np.ones(n))
+        assert np.all(np.abs(w - solved) <= 1e-12 * np.abs(solved)), (
+            f"N={n}: off the solve by {np.max(np.abs(w / solved - 1)):.2e}")
+        errors.append(abs(w[0] - exact) / exact)
+    assert errors[1] <= 1e-5, f"pole value off the integral by {errors[1]:.2e}"
+    if p is None:  # on flat R^3 the sum is exact
+        assert errors[1] <= 1e-15
+    else:
+        assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
+
+
+def test_exit_time_needs_a_dirichlet_wall(euclid3):
+    # a Neumann wall conducts nothing, and nothing exits: the call raises
+    # before any division by its zero conductance
+    op = assemble(build_grid(euclid3, 2.0, 64), euclid3, NEUMANN)
+    with pytest.raises(InvalidArgumentError, match="Dirichlet"):
+        heatlab.solver.exit_time(op)
+
+
+def test_implicit_euler_sums_telescope_to_the_exit_time(pe4):
+    # each half step (I - h L) b = a gives h b = (-L)^{-1} (a - b), so the
+    # steps' sum of h b from ones is w_h - (-L)^{-1} u(t), at most w_h: the
+    # time integral of P_t 1 that the comparison certificate caps
+    g = build_grid(pe4, 3.0, 512)
+    op = assemble(g, pe4, DIRICHLET)
+    v = np.zeros(g.N)
+
+    def integrate(t0, a, t1, b):
+        v[:] += (t1 - t0) * b
+
+    (u,) = advance_states(op, np.ones(g.N), [0.5], SolveControls(n_cells=512),
+                          observer=integrate)
+    w = heatlab.solver.exit_time(op)
+    rest = w - minus_laplacian_solve(op, u)
+    assert np.all(np.abs(v - rest) <= 1e-12 * np.abs(rest))
+    assert np.all(v <= w * (1.0 + 1e-12))
