@@ -18,7 +18,6 @@ Run:  python3 demos/barrier_comparison.py
 
 import math
 
-from heatlab import SolveControls
 from heatlab.experiments import comparison_check
 
 
@@ -28,12 +27,11 @@ def drift(r):
 
 
 def main():
-    controls = SolveControls(n_cells=512)
     print("Node-by-node comparison exit time <= w on the exp(+r^4) model,")
     print("which bounds v(t) <= w for every t at once.")
     print(f"\n  {'R':>4s} {'max(exit - w)':>14s} {'max drift':>12s} {'verdict':>9s}")
     for R in (2.0, 3.0):
-        rep = comparison_check(R, controls)
+        rep = comparison_check(R, 512)
         worst = {row["property"]: row["measured"]
                  for row in rep.evidence["checks"]}
         print(f"  {R:4.1f} {worst['max_exit_time_minus_w']:14.3e} "

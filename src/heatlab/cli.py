@@ -376,7 +376,7 @@ def _execute(cfg: dict):
         rep = blowup_sweep(manifold, cfg["r0"], cfg["t_list"], cfg["R_list"],
                            controls)
     elif experiment == "comparison":
-        rep = comparison_check(cfg["R"], controls)
+        rep = comparison_check(cfg["R"], controls.n_cells)
     else:
         rep = tail_probe(manifold, _datum_from(cfg["datum"]), cfg["R_out"],
                          cfg["t_list"], controls)

@@ -12,6 +12,7 @@ that turns rows into a verdict.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -98,18 +99,18 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     exact = exact_total_variation(datum, manifold)
 
     triples, converged = [None] * len(ts), [False] * len(ts)
-    walk = exhaustion_levels(manifold, datum, ts[::-1], controls, radii)
-    for levels, (used, states) in enumerate(walk, start=1):
-        for k, values in enumerate(states):
-            new = (float(values[0]), functionals.weighted_sum(used, values),
-                   functionals.total_variation(values, used, manifold))
-            # <= keeps a NaN unconverged
-            converged[k] = triples[k] is not None and all(
-                abs(a - b) <= EXHAUSTION_RTOL * max(1.0, abs(a))
-                for a, b in zip(new, triples[k]))
-            triples[k] = new
-        if radii is None and all(converged):
-            break
+    with contextlib.closing(exhaustion_levels(manifold, datum, ts[::-1], controls, radii)) as walk:
+        for levels, (used, states) in enumerate(walk, start=1):
+            for k, values in enumerate(states):
+                new = (float(values[0]), functionals.weighted_sum(used, values),
+                       functionals.total_variation(values, used, manifold))
+                # <= keeps a NaN unconverged
+                converged[k] = triples[k] is not None and all(
+                    abs(a - b) <= EXHAUSTION_RTOL * max(1.0, abs(a))
+                    for a, b in zip(new, triples[k]))
+                triples[k] = new
+            if radii is None and all(converged):
+                break
     tvs = [tv for _, _, tv in triples[::-1]]
     unconverged = converged.count(False) if levels >= 2 else 0
     points = list(zip(ts, tvs))
@@ -158,13 +159,14 @@ def completeness_probe(manifold: RadialManifold, t: float, controls: SolveContro
     """
     settled = EPS_C / 100.0
     rows = []
-    for g, (values,) in exhaustion_levels(manifold, constant_one(), [t],
-                                          controls, radii):
-        rows.append({"R": g.R, "m_at_0": float(values[0])})
-        m = [row["m_at_0"] for row in rows[-3:]]
-        if radii is None and len(m) == 3 and max(
-                abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
-            break
+    with contextlib.closing(exhaustion_levels(manifold, constant_one(), [t],
+                                              controls, radii)) as walk:
+        for g, (values,) in walk:
+            rows.append({"R": g.R, "m_at_0": float(values[0])})
+            m = [row["m_at_0"] for row in rows[-3:]]
+            if radii is None and len(m) == 3 and max(
+                    abs(1.0 - m[2]), abs(m[2] - m[1]), abs(m[1] - m[0])) <= settled:
+                break
 
     checks = [check("exhaustion_levels", len(rows), ">=", 3, "both")]
     undetermined = "undetermined"
@@ -305,20 +307,20 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
         evidence={"findings": list(findings), "checks": list(checks)})
 
 
-def comparison_check(R: float, controls: SolveControls) -> ExperimentReport:
+def comparison_check(R: float, n_cells: int) -> ExperimentReport:
     """Certificate run on the fast-growth model: barrier domination.
 
-    On the Dirichlet grid of B_R (``controls.n_cells`` cells, the one control
-    read) the time integral v(t) = int_0^t P_s 1 ds increases to the
-    discrete exit time w_h = (-L)^{-1} 1, ``solver.exit_time``.  So w_h <= w
-    certifies v(t) <= w at every t at once, and with t u(t) <= v(t) it caps
-    P_t 1 by w / t.  Two node-wise statements are checked: w_h stays below
-    the barrier w (within ``VW_TOL``), and the barrier's weighted Laplacian
+    On the Dirichlet grid of B_R in ``n_cells`` cells, the time integral
+    v(t) = int_0^t P_s 1 ds increases to the discrete exit time
+    w_h = (-L)^{-1} 1, ``solver.exit_time``.  So w_h <= w certifies
+    v(t) <= w at every t at once, and with t u(t) <= v(t) it caps P_t 1 by
+    w / t.  Two node-wise statements are checked: w_h stays below the
+    barrier w (within ``VW_TOL``), and the barrier's weighted Laplacian
     stays below -1.  The barrier w(r), the integral of (1 - exp(-s^4))/s^3
     from r to R, and its Laplacian are both evaluated in closed form.
     """
     manifold = power_exp_weight(4, 1, 3)
-    g = build_grid(manifold, R, controls.n_cells)
+    g = build_grid(manifold, R, n_cells)
     exit_h = solver.exit_time(assemble(g, manifold, DIRICHLET))
 
     # F(s) = (sqrt(pi) erf(s^2) - (1 - exp(-s^4))/s^2) / 2 is an

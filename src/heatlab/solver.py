@@ -2,36 +2,32 @@
 
 Every trajectory starts at t = 0 and takes a list of stop times to the list
 of states at them.  The minimal heat semigroup on a model manifold is the
-monotone limit of heat flows on balls B_R with absorbing boundary;
-``exhaustion_levels`` walks that family, and each experiment reads the
-levels it needs.  All truncation radii of one run share a single face
-ladder, so solutions at different R can be compared cell by cell and the
-exhaustion monotonicity becomes a testable discrete statement.  The time
-integral of P_t 1 on one ball increases to its discrete exit time
-(-L)^{-1} 1, which ``exit_time`` sums in closed form, with no solve.
+monotone limit of heat flows on balls B_R with absorbing boundary, which
+``exhaustion_levels`` walks on one face ladder shared by all radii, so
+solutions at different R compare cell by cell and exhaustion monotonicity
+is a testable discrete statement.  The time integral of P_t 1 on one ball
+increases to its discrete exit time (-L)^{-1} 1, which ``exit_time`` sums
+in closed form, with no solve.
 
 Time stepping is implicit Euler (unconditional discrete maximum principle,
 which indicator data require), each step two half steps whose second
 difference controls the step size (``advance_states``).  An attempt is two
 ``dpttrs`` calls, a few ufuncs into reused buffers and one BLAS
 matrix-vector product, with equal bits at one and two OpenBLAS threads up
-to 10^6 cells.  Trajectories that share no data run two at a time: the
-exhaustion levels after the first replay its step ladder in pairs, the
-blowup sweep's flat companion runs beside its signal, and ``cli.validate``
-runs the half of its battery without the three-column run beside it.
-``both`` runs the second of two calls in a forked child and joins it
-before it returns.  A child runs the same code on a copy of the caller's
-data, so its pickled result has the bits of an inline run; off Linux, or
-on one CPU, both calls run inline.
+to 10^6 cells.  Work that shares no data runs beside the caller in one
+forked child (``_beside``): exhaustion levels 3, 5, ..., the blowup sweep's
+flat companion and half of ``cli.validate``'s battery (``both``).  A child
+runs the same code on a copy of the caller's data, so its pickled results
+have an inline run's bits; off Linux, or on one CPU, all of it runs inline.
 
 ``dpttrf`` and ``dpttrs`` come from scipy's compiled ``_flapack``
-extension, loaded on its own: importing ``scipy`` runs its package init
-(12-15 ms), and ``scipy.linalg``'s loads numpy.testing, numpy.f2py and
-more, 0.25 s of a 0.53 s start-up.
+extension, loaded on its own: ``scipy``'s package init costs 12-15 ms, and
+``scipy.linalg``'s 0.25 s of a 0.53 s start-up.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import itertools
@@ -74,6 +70,8 @@ DT_MIN = 1e-13
 MAX_STEPS = 500_000
 # automatic exhaustion: the most levels one walk plans
 MAX_EXHAUSTION = 8
+# the most steps of level 1's recording that level 3 replays in one call
+STREAM_PIECE = 256
 
 
 @dataclass(frozen=True)
@@ -95,15 +93,12 @@ class SolveControls:
 
 def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     """Cell averages of a BV profile; indicators become exact 0/1 values.
-
-    Every jump radius of the datum must be a face of the grid, so no jump is
-    ever smeared across a cell."""
+    Every jump radius must be a face of the grid: no jump is smeared."""
     for r in datum.jump_radii:
         g.face_index(r)  # raises where a jump radius is not a face
 
-    # the profile is linear between breakpoints, so the midpoint value is
-    # the exact average of a cell, or of each piece a kink cuts it into
-    # (np.isin and np.unique would load numpy.ma for these few kinks)
+    # the profile is linear between breakpoints: the midpoint value averages a
+    # cell, or each piece a kink cuts (np.isin and np.unique load numpy.ma)
     values = datum.value(g.centers)
     cells: dict[int, list[float]] = {}
     for k in sorted({r for r, _ in datum.breakpoints} - set(datum.jump_radii)):
@@ -147,28 +142,26 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                    ladder: list | None = None):
     """Advance one or several stacked states from t = 0 through ``stops``.
 
-    ``states`` has shape (N,) or (N, k); all columns share every accepted
-    step, so linear identities between columns survive time stepping exactly.
-    A step is two half steps u -> mid -> fine, and the half-step state is
-    the one accepted, so the maximum principle holds exactly.  Its local
-    error is the radial-profile L1 norm (cell widths as weights: an area
-    factor would pin the step to the stiff decay of cells of huge measure)
-    of the second difference (fine - mid) - (mid - u), (h^2/4) u'' to
-    leading order, relative to each column's own profile norm; the worst
-    column must meet ``controls.step_tol``.  The proposal rounds down onto
-    the step lattice, and the call keeps one ``dpttrf`` factorization per
-    half-step size (a replay drops each after its last step).  ``states``
-    is never written, and each returned state is its own array.
-    ``observer`` is called once per accepted substate transition with both
-    endpoint times and states, which are reused buffers: valid only during
+    ``states`` has shape (N,) or (N, k) and is never written; all columns
+    share every accepted step, so linear identities between columns survive
+    time stepping exactly.  A step is two half steps u -> mid -> fine, and
+    the half-step state is the one accepted, so the maximum principle holds
+    exactly.  Its local error is the radial-profile L1 norm (cell widths as
+    weights: an area factor would pin the step to the stiff decay of cells
+    of huge measure) of the second difference (fine - mid) - (mid - u),
+    (h^2/4) u'' to leading order, relative to each column's own profile
+    norm; the worst column must meet ``controls.step_tol``.  The proposal
+    rounds down onto the step lattice, and the call keeps one ``dpttrf``
+    factorization per half-step size (a replay drops each after its last
+    step).  ``observer`` is called once per accepted substate transition
+    with both endpoint times and states, reused buffers valid only during
     the call.
 
-    ``stops`` is a strictly increasing list of positive times; one
-    trajectory runs through all of them and returns the list of states at
-    the stops.  A step that would cross a stop is clipped onto it, off the
-    lattice, and after the stop stepping resumes from the step size proposed
-    before the clip.  ``MAX_STEPS`` attempts bound the whole trajectory;
-    replayed steps count toward it too.
+    ``stops`` is a strictly increasing list of positive times; the call
+    returns the states at them, each its own array.  A step that would cross
+    a stop is clipped onto it, off the lattice, and stepping then resumes
+    from the size proposed before the clip.  ``MAX_STEPS`` attempts, replayed
+    steps included, bound the whole trajectory.
 
     ``ladder`` is the step ladder: one list of accepted step sizes per stop
     (the steps since the stop before).  An empty list is filled in as the
@@ -188,12 +181,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             f"ladder must be a list of lists of positive finite steps, got {ladder!r:.80}")
     replay = bool(ladder)
     if replay and len(ladder) != len(stops):
-        raise InvalidArgumentError(
-            f"replay ladder was recorded through {len(ladder)} stop "
-            f"times, not the requested {len(stops)}")
+        raise InvalidArgumentError(f"replay ladder was recorded through {len(ladder)} "
+                                   f"stop times, not the requested {len(stops)}")
 
-    # the local error of a first-order step is O(h^2), so the controller
-    # scales the step by (tol/err)^(1/2)
+    # a first-order step's local error is O(h^2): steps scale by (tol/err)^(1/2)
     widths = np.diff(op.grid.faces)
     # reused Fortran-ordered buffers; scratch holds |second difference|, |fine|
     mid, fine = np.empty_like(u), np.empty_like(u)
@@ -201,8 +192,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     second, size = scratch[..., 0], scratch[..., 1]
     columns = scratch.reshape(op.grid.N, -1, order="F")  # a view, k + k columns
     k = columns.shape[1] // 2
-    # the cell weights in the states' shape: a same-shape product is cheaper
-    # than a broadcast one (the transpose broadcasts along the cells)
+    # the cell weights in the states' shape, cheaper than a broadcast product
     weights = np.empty_like(u)
     weights.T[...] = op.cell_weights
 
@@ -211,10 +201,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     last = {0.5 * h: n for n, h in enumerate(itertools.chain(*ladder), 1)} if replay else {}
 
-    t = 0.0
-    dt = DT_INIT
-    iterations = 0
-    at_stops = []
+    t, dt, iterations, at_stops = 0.0, DT_INIT, 0, []
     for start, stop in zip([0.0, *stops], stops):
         if replay:
             segment = ladder[len(at_stops)]
@@ -241,8 +228,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             clipped = not replay and stop - t < h
             if clipped:
                 h = stop - t
-            # both half steps solve with I - (h/2) L, in place in the
-            # Fortran-ordered buffers: one factor serves both
+            # both half steps solve in place with I - (h/2) L: one factor
             half = 0.5 * h
             if half not in factors:
                 factors[half] = _factor(op, half)
@@ -258,8 +244,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                 np.abs(second, out=second)
                 np.abs(fine, out=size)
                 norms = (widths @ columns).tolist()  # one dot product per column
-                # the worst column's ratio, without a list or a max() call;
-                # a NaN ratio wins and stays
+                # the worst column's ratio, with no list or max(); a NaN wins
                 err = 0.0
                 for j in range(k):
                     b = norms[j + k]
@@ -297,57 +282,77 @@ def exit_time(op: WeightedOperator) -> np.ndarray:
 
 
 def can_fork() -> bool:
-    """Whether ``both`` forks: on Linux, with more than one CPU to run on."""
+    """Whether work beside the caller forks: on Linux, with two or more CPUs."""
     return sys.platform == "linux" and len(os.sched_getaffinity(0)) > 1
 
 
-def both(first, second):
-    """(first(), second()), ``second`` computed in a forked child while
-    ``first`` runs in the caller, or inline after it without ``can_fork``.
-    Raises what either side raised (class and message), ``first``'s error
-    where both fail.  The child is killed and reaped before the call returns
-    or raises; one that ends without a result is a ``NumericalFailure``."""
-    if not can_fork():
-        return first(), second()
-    read, write = os.pipe()
+@contextlib.contextmanager
+def _beside(work, fork: bool):
+    """Runs ``work(inbox)``, an iterator of values, beside the caller; yields
+    (send, receive): ``send(item)`` puts an item into ``inbox`` (None ends
+    it), and ``receive()`` returns the next value or raises what it raised.
+    With ``fork`` a forked child computes the values ahead, reading items as
+    they are sent, and pickles each back; one that ended before it sent a
+    value is a ``NumericalFailure``.  It is killed and reaped with the block."""
+    if not fork:
+        sent: list = []
+        yield sent.append, work(iter(iter(sent).__next__, None)).__next__
+        return
+    parent, (read, write), (inbox, outbox) = os.getpid(), os.pipe(), os.pipe()
     with warnings.catch_warnings():
-        # Python 3.12+ warns that a child may find a lock held by another
-        # thread: OpenBLAS's pool, stopped by its fork handler
+        # Python 3.12+ warns of threads at a fork: OpenBLAS's, stopped by its handler
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
-    if pid == 0:  # the child sends its outcome and leaves
+    if pid == 0:  # the child sends each value, or its error, and leaves
         try:
-            with os.fdopen(write, "wb") as pipe:
+            os.close(read)
+            os.close(outbox)
+            with os.fdopen(write, "wb") as pipe, os.fdopen(inbox, "rb") as items:
                 try:
-                    outcome = True, second()
+                    for value in work(iter(lambda: pickle.load(items), None)):
+                        pickle.dump((True, value), pipe)
+                        pipe.flush()
                 except BaseException as exc:  # raised in the parent
-                    outcome = False, exc
-                pickle.dump(outcome, pipe)
+                    pickle.dump((False, exc), pipe)
         finally:
             os._exit(0)
     os.close(write)
+    os.close(inbox)
+
+    def send(item):
+        with contextlib.suppress(BrokenPipeError):  # a failed child reads no more
+            pickle.dump(item, sink)
+
+    def receive():
+        try:
+            ok, value = pickle.load(pipe)
+        except EOFError:  # the child died before it sent this value
+            raise NumericalFailure(f"child {pid} ended without a result") from None
+        if not ok:
+            raise value
+        return value
     try:
-        with os.fdopen(read, "rb") as pipe:
-            mine = first()
-            try:
-                ok, theirs = pickle.load(pipe)
-            except EOFError:  # the child died before it sent anything
-                raise NumericalFailure(f"child {pid} ended without a result") from None
+        with os.fdopen(read, "rb") as pipe, open(outbox, "wb", buffering=0) as sink:
+            yield send, receive
     finally:
-        os.kill(pid, 9)  # SIGKILL, without the 1 ms import of signal
-        os.waitpid(pid, 0)
-    if not ok:
-        raise theirs
-    return mine, theirs
+        if os.getpid() == parent:  # not a later child finalizing its copy
+            os.kill(pid, 9)  # SIGKILL, without the 1 ms import of signal
+            os.waitpid(pid, 0)
+
+
+def both(first, second):
+    """(first(), second()), ``second`` computed by ``_beside`` while
+    ``first`` runs in the caller, or inline after it without ``can_fork``;
+    ``first``'s error wins where both fail."""
+    with _beside(lambda _: (call() for call in [second]), can_fork()) as (_, receive):
+        return first(), receive()
 
 
 def overflow_safe_radius(manifold: RadialManifold) -> float:
     """Largest radius whose face area stays within the grid range budget;
     inf when the budget holds up to r = 1e6 (flat and decaying weights)."""
     def fits(r: float) -> bool:
-        return (manifold.log_sphere_constant
-                + manifold.log_area(float(r))) <= LOG_MAX_GRID
-
+        return manifold.log_sphere_constant + manifold.log_area(float(r)) <= LOG_MAX_GRID
     if fits(1e6):
         return math.inf
     lo, hi = 0.0, 1e6
@@ -362,14 +367,12 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
 def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
                    controls: SolveControls, R_cells: float | None = None):
     """The ball ``evolve`` steps on to ``t_end``: (operator, stacked
-    (N, len(data)) projected data, notes).
-
-    The Dirichlet wall sits max(2, 8*sqrt(t_end)) past ``R_read``, capped
-    at the overflow-safe radius with a note; ``controls.n_cells`` cells fill
-    ``R_cells`` (default: the wall) at one spacing out to the wall, and
-    every jump radius is a face.  An ``R_read`` not below the overflow-safe
-    radius is a RangeError before any grid is built, and so is a grid with
-    no interior face beyond ``R_read``: nothing there is read."""
+    (N, len(data)) projected data, notes).  Its Dirichlet wall sits
+    max(2, 8*sqrt(t_end)) past ``R_read``, capped at the overflow-safe
+    radius with a note; ``controls.n_cells`` cells fill ``R_cells`` (default:
+    the wall) at one spacing out to the wall, and every jump radius is a
+    face.  An ``R_read`` not below the overflow-safe radius, or a grid with
+    no interior face beyond it, is a RangeError: nothing there is read."""
     if not (isinstance(data, (list, tuple)) and data
             and all(isinstance(d, RadialBVDatum) for d in data)):
         raise InvalidArgumentError(f"need a nonempty list or tuple of datums, got {data!r:.40}")
@@ -405,8 +408,7 @@ def evolve(manifold: RadialManifold, data, R_read: float, stops,
 
 def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
     """Automatic truncation radii: up to ``MAX_EXHAUSTION`` steps of
-    max(1, 4*sqrt(t)) beyond ``base``, capped just inside the overflow-safe
-    radius ``safe``, where the walk stops."""
+    max(1, 4*sqrt(t)) past ``base``, ending at the cap just inside ``safe``."""
     if not (0 <= as_real(base) < math.inf and as_real(safe) > 0):
         raise InvalidArgumentError(f"need a finite base >= 0 and safe > 0, got {base!r}, {safe!r}")
     step = max(1.0, 4.0 * math.sqrt(positive_real(t, "time")))
@@ -422,16 +424,13 @@ def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
 def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
                       controls: SolveControls, radii=None) -> tuple[Grid, list[int]]:
     """The ladder grid covering every truncation radius, and the face index
-    of each level: level k is ``subgrid(ladder, indices[k])``.
-
-    ``radii`` is a strictly increasing list, or None for ``exhaustion_radii``
-    at time ``t``.  Radii snap to the nearest ladder face (reported radii
-    are the snapped ones).  Automatic radii are capped at the manifold's
-    overflow-safe radius, and one that snaps onto the face of the one before
-    is dropped; explicit radii raise there instead, and so does a first
-    radius at or inside the datum's last breakpoint, which would truncate it.
-    """
-    jumps = datum.jump_radii
+    of each level: level k is ``subgrid(ladder, indices[k])``.  ``radii`` is
+    a strictly increasing list, or None for ``exhaustion_radii`` at time
+    ``t``.  Radii snap to the nearest ladder face (reported radii are the
+    snapped ones).  Automatic radii are capped at the overflow-safe radius,
+    and one that snaps onto the face of the one before is dropped; explicit
+    radii raise there instead, and so does a first radius at or inside the
+    datum's last breakpoint, which would truncate it."""
     outer = datum.breakpoints[-1][0]
     safe = overflow_safe_radius(manifold)
     planned = exhaustion_radii(outer, t, safe)  # checks t for explicit radii too
@@ -440,14 +439,12 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
         raise InvalidArgumentError(
             f"first truncation radius {radii[0]} does not contain the datum, "
             f"whose last breakpoint is at {outer}")
-    r_top = radii[-1]
+    r1, r_top = radii[0], radii[-1]
     if r_top > safe:
         raise RangeError(
             f"truncation radius {r_top:.6g} exceeds the overflow-safe radius "
             f"{safe:.6g} of this manifold")
-
-    r1 = radii[0]
-    faces = list(face_ladder(r1, controls.n_cells, jumps))
+    faces = list(face_ladder(r1, controls.n_cells, datum.jump_radii))
     if r_top > r1 * (1 + 1e-12):
         width = r1 / controls.n_cells
         n_extra = int(math.ceil((r_top - r1) / width - 1e-9))
@@ -470,8 +467,7 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
 
 def monotonicity_defect(inner: np.ndarray, outer: np.ndarray) -> float:
     """How far the outer level's solution falls below the inner level's on
-    the inner ball; exhaustion monotonicity holds when it is at most
-    ``EXHAUSTION_SLACK``."""
+    the inner ball; monotonicity holds up to ``EXHAUSTION_SLACK``."""
     return float(np.max(inner - outer[:inner.size]))
 
 
@@ -482,16 +478,15 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
     ``stops`` is a strictly increasing list of positive times, as in
     ``advance_states``.  Yields (grid, states at the stops) per level of
     ``exhaustion_ladder`` over ``radii``, smallest ball first; the automatic
-    radius policy (``radii=None``) sizes the ladder for the last stop.  The
-    first level records its accepted time-step ladder through every stop and
-    the later ones replay it, so the truncated solutions compare cell by
-    cell; they replay in pairs through ``both``, the second of each in a
-    forked child, and a level left over replays alone.  Times and radii are
-    checked at the call, and a pair is finished before its first level is
-    yielded.  Each level is checked against the one before at every stop
-    before it is yielded: a ``monotonicity_defect`` beyond
-    ``EXHAUSTION_SLACK`` raises ``NumericalFailure``.
-    """
+    radius policy (``radii=None``) sizes the ladder for the last stop.
+    Times and radii are checked at the call.  Level 1 records its step
+    ladder and the caller replays levels 2, 4, ... from it as they are asked
+    for; levels 3, 5, ... replay ahead in one child (``_beside``, forked for
+    three or more levels), level 3 from level 1's steps as they are
+    accepted, at most ``STREAM_PIECE`` of one stop per call (a one-shot
+    replay's bits).  Each level is checked against the one before at every
+    stop before it is yielded: a ``monotonicity_defect`` beyond
+    ``EXHAUSTION_SLACK`` raises ``NumericalFailure``."""
     stops = monotone_reals(stops, "stop times")
     ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls, radii)
 
@@ -499,17 +494,34 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
         u0 = project_datum(datum, ladder)
         steps: list[list[float]] = []
 
-        def level(idx):
+        def level(idx, recorded=steps, observer=None):
             g = subgrid(ladder, idx)
             op = assemble(g, manifold, DIRICHLET)
-            return g, advance_states(op, u0[:idx], stops, controls, ladder=steps)
+            return g, advance_states(op, u0[:idx], stops, controls, observer, ladder=recorded)
 
-        inner_R, inner = None, []  # the first level has nothing inside it
-        # the first level records alone, the others replay two at a time
-        for group in [indices[:1], *(indices[n:n + 2] for n in range(1, len(indices), 2))]:
-            done = (both(lambda: level(group[0]), lambda: level(group[1]))
-                    if len(group) == 2 else [level(group[0])])
-            for g, at_stops in done:
+        def odd_levels(stream):  # stream: level 1's (stop index, step) pairs
+            g = subgrid(ladder, indices[2])
+            op = assemble(g, manifold, DIRICHLET)
+            u, at_stops, collected = u0[:indices[2]], [], [[] for _ in stops]
+            for stop, pairs in itertools.groupby(stream, key=lambda pair: pair[0]):
+                at_stops += [u] * (stop - len(at_stops))
+                pending = (h for _, h in pairs)
+                while piece := list(itertools.islice(pending, STREAM_PIECE)):
+                    (u,) = advance_states(op, u, [math.fsum(piece)], controls, ladder=[piece])
+                    collected[stop] += piece
+            yield g, at_stops + [u] * (len(stops) - len(at_stops))
+            for idx in indices[4::2]:
+                yield level(idx, collected)
+
+        with _beside(odd_levels, len(indices) > 2 and can_fork()) as (send, odd):
+            def accepted(*_, transitions=itertools.count()):  # level 1's observer
+                if next(transitions) % 2 == 0:  # a step's first half: the ladder holds it
+                    send((len(steps) - 1, steps[-1][-1]))
+            first = level(indices[0], observer=accepted)
+            send(None)
+            inner_R, inner = None, []  # the first level has nothing inside it
+            for n, idx in enumerate(indices):
+                g, at_stops = first if n == 0 else level(idx) if n % 2 else odd()
                 for stop, a, b in zip(stops, inner, at_stops):
                     worst = monotonicity_defect(a, b)
                     if worst > EXHAUSTION_SLACK:

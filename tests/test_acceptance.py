@@ -164,7 +164,7 @@ def test_criterion_5_comparison_certificate():
         problems.append("closed form misses its limits -3 and -4")
     controls = SolveControls(n_cells=512)
     for R in (2.0, 3.0):
-        rep = comparison_check(R, controls)
+        rep = comparison_check(R, controls.n_cells)
         tag = f"R={R}"
         if rep.verdict != "confirms":
             problems.append(f"{tag}: verdict {rep.verdict} ({rep.finding})")

@@ -1,9 +1,10 @@
-"""Work beside the caller: ``solver.both`` and the walks that use it.
+"""Work beside the caller: ``solver.both`` and the exhaustion walk's child.
 
 A forked child must hand back the bits an inline call computes, raise what
 the call raised with its class and message, and leave no process behind
-once ``both`` returns or raises, whether the child sent its outcome, was
-killed by a failing caller or died on its own.
+once ``both`` returns or raises, or a walk ends, is closed or raises,
+whether the child sent its outcome, was killed by a failing caller or died
+on its own.
 """
 
 import json
@@ -94,55 +95,75 @@ def test_a_child_that_dies_without_a_result_is_a_numerical_failure():
 
 
 def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):
-    # the second and third of four levels replay as a pair, the third in a
-    # child, and the fourth alone; every level must match the inline walk
-    # bit for bit, memory order included
+    # levels 3, 5, ... replay in one child, level 3 from level 1's steps as
+    # they stream in (in pieces of 16 here, cut inside stops too); at 1 to 5
+    # levels and 1 or 4 stops every level must match the inline walk bit
+    # for bit, memory order included.  Only a walk of three or more levels
+    # forks, once, and no walk calls both
     calls, pids = _spy(monkeypatch)
-    forked = list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))
-    assert len(calls) == 1 and len(pids) == heatlab.solver.can_fork()
-    assert no_child_left()
-    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
-    inline = list(exhaustion_levels(euclid3, ball_indicator(1.0), **WALK))
-    assert len(forked) == len(inline) == 4
-    for (g, states), (h, expected) in zip(forked, inline):
-        assert g.faces.tobytes() == h.faces.tobytes()
-        for a, b in zip(states, expected):
-            assert a.tobytes() == b.tobytes() and a.flags.f_contiguous == b.flags.f_contiguous
+    monkeypatch.setattr(heatlab.solver, "STREAM_PIECE", 16)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    for stops in ([0.05], [0.005, 0.01, 0.02, 0.05]):
+        for n in range(1, 6):
+            walk = dict(stops=stops, controls=controls, radii=(2.0, 3.0, 4.0, 5.0, 6.0)[:n])
+            calls.clear()
+            pids.clear()
+            forked = list(exhaustion_levels(euclid3, ball_indicator(1.0), **walk))
+            assert calls == [] and len(pids) == (n > 2 and heatlab.solver.can_fork())
+            assert no_child_left()
+            with monkeypatch.context() as inline:
+                inline.setattr(heatlab.solver, "can_fork", lambda: False)
+                expected = list(exhaustion_levels(euclid3, ball_indicator(1.0), **walk))
+            assert len(forked) == len(expected) == n
+            for (g, states), (h, want) in zip(forked, expected):
+                assert g.faces.tobytes() == h.faces.tobytes()
+                for a, b in zip(states, want, strict=True):
+                    assert a.tobytes() == b.tobytes()
+                    assert a.flags.f_contiguous == b.flags.f_contiguous
 
 
-def test_a_walk_closed_inside_a_pair_kills_and_reaps_its_child(euclid3, monkeypatch):
-    # the pair is finished, and its child reaped, before its first level
-    # is yielded
-    calls, pids = _spy(monkeypatch)
+def test_a_walk_closed_after_any_level_leaves_no_child(euclid3, monkeypatch):
+    # the child forks with the first level and runs ahead on the odd ones;
+    # a walk closed after level 1, 2 or 3, or dropped unclosed, kills and
+    # reaps it
+    _, pids = _spy(monkeypatch)
+    for levels in (1, 2, 3):
+        pids.clear()
+        walk = exhaustion_levels(euclid3, ball_indicator(1.0), **WALK)
+        for _ in range(levels):
+            next(walk)
+        assert len(pids) == heatlab.solver.can_fork()
+        walk.close()
+        assert no_child_left()
     walk = exhaustion_levels(euclid3, ball_indicator(1.0), **WALK)
     next(walk)
-    assert calls == []
-    next(walk)  # the second level, the first of the pair
-    assert len(calls) == 1 and len(pids) == heatlab.solver.can_fork()
-    assert no_child_left()
-    walk.close()
+    del walk
     assert no_child_left()
 
 
-@pytest.mark.parametrize("side", ["child", "parent"])
-def test_a_failure_on_either_side_of_a_pair_reaches_the_caller(euclid3, monkeypatch, side):
-    # a dpttrs that fails in the child, whose error must come back as it
-    # was raised, or in the parent once the pair is under way, whose child
-    # must not outlive it
+@pytest.mark.parametrize("where, cells", [
+    pytest.param("streamed", 128, id="streamed"),
+    pytest.param("later_odd", 192, id="later_odd"),
+    pytest.param("caller", 96, id="caller")])
+def test_a_failure_anywhere_in_a_walk_reaches_the_caller(euclid3, monkeypatch,
+                                                        where, cells):
+    # a dpttrs that fails on one level of five: the third, which replays
+    # level 1's steps as they stream into the child, the fifth, which the
+    # child replays later, or the second, in the caller while the child
+    # runs; the error must come back as it was raised, and no child outlive
+    # the walk
     parent, solve = os.getpid(), heatlab.solver.dpttrs
-    calls, _ = _spy(monkeypatch)
 
-    def failing(*args):
-        here = "parent" if os.getpid() == parent else "child"
-        if here == side and (calls or here == "child"):
+    def failing(d, e, b, *args):
+        if b.shape[0] == cells:
+            side = "caller" if os.getpid() == parent else "child"
             raise NumericalFailure(f"planted in the {side}")
-        return solve(*args)
+        return solve(d, e, b, *args)
 
     monkeypatch.setattr(heatlab.solver, "dpttrs", failing)
-    walk = exhaustion_levels(euclid3, ball_indicator(1.0), **WALK)
-    next(walk)
-    if side == "child" and not heatlab.solver.can_fork():
-        pytest.skip("forks only on Linux with two or more CPUs")
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), stops=WALK["stops"],
+                             controls=WALK["controls"], radii=(2.0, 3.0, 4.0, 5.0, 6.0))
+    side = "child" if where != "caller" and heatlab.solver.can_fork() else "caller"
     with pytest.raises(NumericalFailure, match=f"^planted in the {side}$"):
         list(walk)
     assert no_child_left()

@@ -179,8 +179,8 @@ CALLS = {
                       "R_list": [1.0, 1.5], "controls": FAST},
                      ["r0", "t_list", ("t_list", 0), "R_list",
                       ("R_list", 0)]),
-    "comparison_check": (comparison_check, {"R": 1.0, "controls": FAST},
-                         ["R"]),
+    "comparison_check": (comparison_check, {"R": 1.0, "n_cells": 16},
+                         ["R", "n_cells"]),
     "tail_probe": (tail_probe,
                    {"manifold": FLAT, "datum": BALL, "R_out": 1.0,
                     "t_list": [0.01], "controls": FAST},

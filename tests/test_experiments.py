@@ -15,6 +15,7 @@ from heatlab import (
     RangeError,
     SolveControls,
     ball_indicator,
+    constant_one,
     piecewise,
     total_variation,
 )
@@ -22,7 +23,7 @@ import heatlab.experiments
 import heatlab.functionals
 import heatlab.solver
 from conftest import (ball_heat_tv, barrier_laplacian, check_row, moved_outputs,
-                      record_walk)
+                      no_child_left, record_walk)
 from heatlab.cli import run
 from heatlab.experiments import (
     EPS_C,
@@ -367,15 +368,43 @@ def test_completeness_low_confidence_limit_is_inconclusive(euclid3,
     assert (rep.verdict, rep.finding) == ("inconclusive", "undetermined")
 
 
-def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
-    # dent the third level by 1e-6, more than it exceeds the second by
-    advance = heatlab.solver.advance_states
-    levels = []
+@pytest.mark.parametrize("driver", ["completeness", "degiorgi"])
+def test_drivers_close_a_walk_they_stop_early(euclid3, monkeypatch, driver):
+    # a driver that stops before the last planned level closes its walk,
+    # so no child of the walk outlives the call, even where the caller
+    # still holds the walk
+    walks = []
+    walk = heatlab.experiments.exhaustion_levels
 
-    def denting(*args, **kwargs):
-        levels.append(advance(*args, **kwargs))
-        dent = 1e-6 if len(levels) == 3 else 0.0
-        return [state - dent for state in levels[-1]]
+    def held(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    monkeypatch.setattr(heatlab.experiments, "exhaustion_levels", held)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    if driver == "completeness":
+        datum, t = constant_one(), 0.05
+        last = completeness_probe(euclid3, t, controls).series["completeness"][-1]["R"]
+    else:
+        datum, t = ball_indicator(1.0), 0.02
+        last = degiorgi_sweep(euclid3, datum, [t, 0.01, 0.005], controls).fitted["R_used"]
+    ladder, planned = heatlab.solver.exhaustion_ladder(euclid3, datum, t, controls)
+    walked = [ladder.faces[i] for i in planned].index(last) + 1
+    assert 2 <= walked < len(planned)
+    assert walks[0].gi_frame is None, "the walk was left suspended"
+    assert no_child_left()
+
+
+def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
+    # dent the third level by 1e-6, more than it exceeds the second by; it
+    # replays level 1's steps in pieces, one call each, and each is dented
+    advance = heatlab.solver.advance_states
+    radii = []
+
+    def denting(op, *args, **kwargs):
+        radii.append(op.grid.R)
+        dent = 1e-6 if len(set(radii)) == 3 else 0.0
+        return [state - dent for state in advance(op, *args, **kwargs)]
 
     monkeypatch.setattr(heatlab.solver, "advance_states", denting)
     # every level in this process, where the patch sees it
@@ -383,7 +412,7 @@ def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
     with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
                        "violated by .* between R=2 and R=3 at t=0.05"):
         completeness_probe(euclid3, 0.05, SolveControls(n_cells=64, step_tol=1e-5))
-    assert len(levels) == 3
+    assert len(set(radii)) == 3 and len(radii) > 3
 
 
 def test_blowup_superexponential_weight(pe4):
@@ -480,7 +509,7 @@ def test_degiorgi_gap_bound_must_be_positive(euclid3, fast_controls, gap_rtol):
 
 
 def test_comparison_certificate():
-    rep = comparison_check(2.0, SolveControls(n_cells=256))
+    rep = comparison_check(2.0, 256)
     check_report_shape(rep, "comparison")
     assert rep.verdict == "confirms", rep.finding
     checks = rep.evidence["checks"]
@@ -498,11 +527,12 @@ def test_comparison_certificate():
 
 
 def test_comparison_reads_only_the_cell_count():
-    # the exit time is a sum over the grid, so no step tolerance reaches it
-    # and no trajectory runs
-    loose, tight = (comparison_check(2.0, SolveControls(n_cells=128, step_tol=tol))
-                    for tol in (1e-2, 1e-9))
-    assert loose == tight
+    # the exit time is a sum over the grid, so the cell count is all the run
+    # takes, and one that is no whole number of at least 16 is rejected
+    assert comparison_check(2.0, 128.0) == comparison_check(2.0, 128)
+    for n_cells in (128.5, "128", True, None, [128], 8):
+        with pytest.raises(InvalidArgumentError, match="cell count"):
+            comparison_check(2.0, n_cells)
 
 
 @pytest.mark.parametrize("R,n_cells", [(2.0, 256), (3.0, 512)])
@@ -512,7 +542,7 @@ def test_comparison_barrier_matches_quadrature(R, n_cells):
     # to the wall it subtracts two values near 1/R^2, which leaves about
     # 5e-18 of rounding, hence the absolute floor; the erf form G(R) - G(r)
     # subtracts two values near sqrt(pi)/2 and fails this by 2x or more
-    rep = comparison_check(R, SolveControls(n_cells=n_cells))
+    rep = comparison_check(R, n_cells)
     rows = rep.series["comparison"]
     nodes = [row["r"] for row in rows] + [R]  # the last face sits at R
     acc, worst = 0.0, 0.0
@@ -539,7 +569,7 @@ def test_drivers_reject_a_boolean_time(euclid3, fast_controls):
 @pytest.mark.parametrize("call", [
     lambda m, c: blowup_sweep(m, True, [0.05], [2.0, 3.0], c),
     lambda m, c: blowup_sweep(m, 0.5, [0.05], [True, 3.0], c),
-    lambda m, c: comparison_check(True, c),
+    lambda m, c: comparison_check(True, c.n_cells),
     lambda m, c: tail_probe(m, ball_indicator(0.5), True, [0.05, 0.04, 0.03], c),
     lambda m, c: tail_probe(m, ball_indicator(1.0), 2.0, ["0.05", "0.04", "0.03"], c),
     lambda m, c: degiorgi_sweep(m, ball_indicator(1.0), ["0.02", "0.01", "0.005"], c),

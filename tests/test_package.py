@@ -173,12 +173,13 @@ def fork_sites(source: str) -> list[str]:
             and any(alias.name == "fork" for alias in node.names)]
 
 
-def test_only_solver_both_forks():
-    # both joins its child before it returns, so no child outlives a call
+def test_only_solver_beside_forks():
+    # _beside kills and reaps its child when its block ends, so no child
+    # outlives a call of both or a walk
     sites = [(file.name, site)
              for file in sorted((SRC / "heatlab").glob("*.py"))
              for site in fork_sites(file.read_text())]
-    assert sites == [("solver.py", "both")], f"os.fork used at {sites}"
+    assert sites == [("solver.py", "_beside")], f"os.fork used at {sites}"
 
 
 def test_fork_check_catches_a_second_site():

@@ -472,6 +472,47 @@ def test_replay_rejects_wrong_span(euclid3):
         advance_states(op, np.ones(g.N), [0.05], controls, ladder=[[0.01, 0.01]])
 
 
+def test_a_ladder_replayed_in_pieces_has_the_one_shot_bits(euclid3, monkeypatch):
+    # a replay needs no state but the one it starts from, so a ladder
+    # replayed through consecutive calls, each one piece of one stop's steps
+    # from the state the last one reached, ends each stop on a one-shot
+    # replay's bits; cuts fall at every stop, inside each stop and around
+    # its last step, which is clipped onto the stop, off the lattice
+    controls, g, op, chi = _walk_setup(euclid3)
+    stops = [0.004, 0.01, 0.02]
+    ladder = []
+    advance_states(op, chi, stops, controls, ladder=ladder)
+    one_shot = advance_states(op, chi, stops, controls, ladder=ladder)
+    assert all(heatlab.solver._lattice_step(segment[-1]) < segment[-1] for segment in ladder)
+    for cut in (lambda n: [n // 2, n - 1], lambda n: range(1, n), lambda n: []):
+        u, at_stops = chi, []
+        for segment in ladder:
+            bounds = [0, *cut(len(segment)), len(segment)]
+            for a, b in zip(bounds, bounds[1:]):
+                piece = segment[a:b]
+                (u,) = advance_states(op, u, [math.fsum(piece)], controls, ladder=[piece])
+            at_stops.append(u)
+        assert [a.tobytes() for a in at_stops] == [b.tobytes() for b in one_shot]
+
+    # the walk's third level replays level 1's steps that way, in pieces
+    # of at most STREAM_PIECE (3 here), and must equal a one-shot replay
+    monkeypatch.setattr(heatlab.solver, "STREAM_PIECE", 3)
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    datum, radii = ball_indicator(1.0), (2.0, 3.0, 4.0)
+    ladder_grid, indices = heatlab.exhaustion_ladder(euclid3, datum, stops[-1], controls, radii)
+    u0 = project_datum(datum, ladder_grid)
+
+    def replayed(idx, steps):
+        op = assemble(heatlab.subgrid(ladder_grid, idx), euclid3, DIRICHLET)
+        return advance_states(op, u0[:idx], stops, controls, ladder=steps)
+
+    steps = []
+    replayed(indices[0], steps)
+    *_, (g3, third) = exhaustion_levels(euclid3, datum, stops, controls, radii)
+    assert g3.N == indices[2]
+    assert [a.tobytes() for a in third] == [b.tobytes() for b in replayed(indices[2], steps)]
+
+
 @pytest.mark.parametrize("ladder", [(), [["a"]], [[0.1, -0.05]], [[0.05, math.nan]]],
                          ids=["tuple", "text", "negative", "nan"])
 def test_a_ladder_is_a_list_of_lists_of_positive_finite_steps(euclid3, ladder):
