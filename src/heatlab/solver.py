@@ -27,6 +27,7 @@ extension, loaded on its own: ``scipy``'s package init costs 12-15 ms, and
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import importlib.machinery
 import importlib.util
@@ -65,9 +66,15 @@ DT_INIT = 1e-7
 DT_GROWTH = 1.5
 # steps per octave of the step lattice DT_INIT * 2^(k / STEP_LATTICE)
 STEP_LATTICE = 4
-_LATTICE_BASE = tuple(2.0 ** (j / STEP_LATTICE) for j in range(STEP_LATTICE))
 DT_MIN = 1e-13
 MAX_STEPS = 500_000
+# the lattice's sizes from the largest at most DT_MIN to the largest finite one; a
+# size is a base per octave times 2^q, so half of it is bitwise the size an octave down
+_LATTICE = tuple(sorted(
+    math.ldexp(base, q)
+    for base in (DT_INIT * 2.0 ** (j / STEP_LATTICE) for j in range(STEP_LATTICE))
+    for q in range(math.floor(math.log2(DT_MIN / DT_INIT)),
+                   sys.float_info.max_exp - math.frexp(base)[1] + 1)))  # ldexp overflows past it
 # automatic exhaustion: the most levels one walk plans
 MAX_EXHAUSTION = 8
 # the most steps of level 1's recording that level 3 replays in one call
@@ -122,18 +129,8 @@ def _factor(op: WeightedOperator, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lattice_step(h: float) -> float:
-    """The largest lattice step size at most ``h``."""
-    def size(k: int) -> float:
-        # one base per octave times a power of two, so half of size(k) is
-        # bitwise size(k - STEP_LATTICE): half steps stay on the lattice
-        return math.ldexp(DT_INIT * _LATTICE_BASE[k % STEP_LATTICE], k // STEP_LATTICE)
-
-    # the logarithm may round across a lattice point: start one above it;
-    # log2 of each factor apart, as h / DT_INIT overflows past ~1.8e301
-    k = math.floor(STEP_LATTICE * (math.log2(h) - math.log2(DT_INIT))) + 1
-    while size(k) > h:
-        k -= 1
-    return size(k)
+    """The largest lattice step size at most ``h``, which is at least DT_MIN."""
+    return _LATTICE[bisect.bisect_right(_LATTICE, h) - 1]
 
 
 def advance_states(op: WeightedOperator, states: np.ndarray, stops,
@@ -517,7 +514,7 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
             def accepted(*_, transitions=itertools.count()):  # level 1's observer
                 if next(transitions) % 2 == 0:  # a step's first half: the ladder holds it
                     send((len(steps) - 1, steps[-1][-1]))
-            first = level(indices[0], observer=accepted)
+            first = level(indices[0], observer=accepted if len(indices) > 2 else None)
             send(None)
             inner_R, inner = None, []  # the first level has nothing inside it
             for n, idx in enumerate(indices):

@@ -141,6 +141,22 @@ def test_a_walk_closed_after_any_level_leaves_no_child(euclid3, monkeypatch):
     assert no_child_left()
 
 
+@FORKS
+def test_a_check_for_children_leaves_a_suspended_walk_its_child(euclid3, monkeypatch):
+    # a three-level walk's child sends level 3 and ends; a no_child_left
+    # check while the walk is suspended sees that child without reaping it,
+    # so the walk's close still kills and reaps its own child
+    _, pids = _spy(monkeypatch)
+    walk = exhaustion_levels(euclid3, ball_indicator(1.0), stops=WALK["stops"],
+                             controls=WALK["controls"], radii=(2.0, 3.0, 4.0))
+    assert len([next(walk) for _ in range(3)]) == 3
+    (pid,) = pids
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # until it has ended, unreaped
+    assert not no_child_left()
+    walk.close()  # os.kill raised ProcessLookupError where the check reaped
+    assert no_child_left()
+
+
 @pytest.mark.parametrize("where, cells", [
     pytest.param("streamed", 128, id="streamed"),
     pytest.param("later_odd", 192, id="later_odd"),

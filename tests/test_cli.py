@@ -2,6 +2,7 @@
 
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -18,14 +19,17 @@ from hypothesis import strategies as st
 
 import heatlab.cli
 import heatlab.solver
-from heatlab import (InvalidArgumentError, SolveControls, constant_one,
-                     euclidean, exhaustion_ladder, overflow_safe_radius,
-                     power_exp_weight, sphere_constant)
+from heatlab import (DIRICHLET, NEUMANN, InvalidArgumentError, SolveControls,
+                     advance_states, assemble, ball_indicator, build_grid,
+                     constant_one, euclidean, exhaustion_ladder, exhaustion_levels,
+                     overflow_safe_radius, power_exp_weight, project_datum,
+                     sphere_constant, weighted_sum)
 from heatlab.cli import (_EXHAUSTING, _KEYS, _MODELLED, _SOLVING, EXPERIMENTS,
                          _dumps, load_config, main, resolve_config, run,
                          validate)
 from heatlab.experiments import blowup_sweep, completeness_probe
 from heatlab.operator import WeightedOperator
+from heatlab.solver import monotonicity_defect
 from conftest import lapack_calls, no_child_left
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +271,143 @@ def test_csv_floats_use_shortest_round_trip_style(tmp_path):
         for fieldvalue in line.split(","):
             mantissa = fieldvalue.split("e")[0].replace("-", "").replace(".", "")
             assert len(mantissa) <= 12, f"field {fieldvalue} carries too many digits"
+
+
+def _dumps_by_abcs(obj, indent: int = 0) -> str:
+    """The report writer as one chain of ``numbers`` ABC checks."""
+    pad, inner = " " * indent, " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, numbers.Integral):
+        return str(int(obj))
+    if isinstance(obj, numbers.Real):
+        text = f"{float(obj):.12g}"
+        return text if math.isfinite(obj) else f'"{text}"'
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(f"{inner}{_dumps_by_abcs(v, indent + 2)}"
+                                  for v in obj) + f"\n{pad}]"
+    if not obj:
+        return "{}"
+    return "{\n" + ",\n".join(
+        f"{inner}{json.dumps(key)}: {_dumps_by_abcs(obj[key], indent + 2)}"
+        for key in sorted(str(k) for k in obj)) + f"\n{pad}}}"
+
+
+def _csv_cell_by_abcs(value) -> str:
+    """A CSV cell as one chain of ``numbers`` ABC checks."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+WRITER_SCALARS = [0.1, -2.5e-300, 1e300, 0.0, -0.0, 3.0, np.float64(2.0 / 3.0),
+                  np.float32(0.1), np.float64(math.inf), 7, -(2 ** 70), np.int64(-9),
+                  True, False, np.bool_(True), np.bool_(False), None, math.nan,
+                  math.inf, -math.inf, "a \"quoted\" é", ""]
+
+
+def test_the_writers_give_the_abc_chains_text():
+    # exact floats, strings and containers take a fast path ahead of the
+    # ABC chain; every type a report holds must read as the chain writes it
+    nested = {"rows": [dict(zip("abcdefghijklmnopqrstuv", WRITER_SCALARS))],
+              "pair": (1.5, [np.float64(-0.25), ()]), "empty": {}, "none": [],
+              "array": np.array([0.5, math.nan]), "tuple": ("key", "as", "text")}
+    for value in [*WRITER_SCALARS, nested, [nested, (nested,)]]:
+        assert _dumps(value) == _dumps_by_abcs(value), value
+        assert _dumps(value, 4) == _dumps_by_abcs(value, 4), value
+        assert heatlab.cli._csv_cell(value) == _csv_cell_by_abcs(value), value
+
+
+def _validate_pair_by_pair(seed: int) -> dict:
+    """validate's measured values, by property, from one process that takes
+    the symmetry leg one pair at a time and folds every state of the
+    three-column run into running arrays as it is accepted."""
+    rng = np.random.default_rng(seed)
+    weighted = power_exp_weight(4, 1, 3)
+    g = build_grid(weighted, 3.0, 256, (1.0,))
+    op = assemble(g, weighted, DIRICHLET)
+    controls = SolveControls(n_cells=256)
+    ball0 = project_datum(ball_indicator(1.0), g)
+    triple = np.stack([np.ones(g.N), ball0, 1.0 - ball0], axis=1)
+    lo, hi = np.zeros_like(triple, order="F"), np.ones_like(triple, order="F")
+    rise, growth = np.empty(g.N), np.zeros(g.N)
+
+    def track(t0, a, t1, b):
+        np.minimum(lo, b, out=lo)
+        np.maximum(hi, b, out=hi)
+        np.maximum(growth, np.subtract(b[:, 0], a[:, 0], out=rise), out=growth)
+
+    (out,) = advance_states(op, triple, [0.05], controls, observer=track)
+    worst = 0.0
+    for _ in range(100):
+        u = rng.standard_normal(g.N)
+        v = rng.standard_normal(g.N)
+        a = weighted_sum(g, op.apply(u), v)
+        b = weighted_sum(g, u, op.apply(v))
+        worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1.0))
+    (g1, (direct,)), (_, (outer,)) = exhaustion_levels(
+        weighted, ball_indicator(1.0), [0.05], controls, radii=(2.0, 3.0))
+    op1 = assemble(g1, weighted, DIRICHLET)
+    (staged,) = advance_states(op1, project_datum(ball_indicator(1.0), g1), [0.03], controls)
+    (staged,) = advance_states(op1, staged, [0.02], controls)
+    u0 = rng.random(g.N) + 0.5
+    mass0 = weighted_sum(g, u0)
+    (u_t,) = advance_states(assemble(g, weighted, NEUMANN), u0, [0.1], controls)
+    return {"operator_symmetry_rel": worst,
+            "max_principle_defect": max(0.0, -lo.min(), hi.max() - 1.0),
+            "exhaustion_monotone": max(0.0, monotonicity_defect(direct, outer)),
+            "semigroup_identity_rel": weighted_sum(g1, np.abs(direct - staged))
+            / weighted_sum(g1, np.abs(direct)),
+            "mass_time_monotone": max(0.0, growth.max()),
+            "neumann_mass_drift_per_time": abs(weighted_sum(g, u_t) - mass0) / (0.1 * mass0),
+            "three_column_linearity": float(np.max(np.abs(out[:, 0] - out[:, 1] - out[:, 2])))}
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_validate_gives_the_pair_by_pair_rows_bitwise(monkeypatch, seed, fork):
+    # the symmetry leg draws and applies all pairs at once and the observer
+    # folds blocks of states; every measured value keeps its bits
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: fork)
+    rows = {row["property"]: row["measured"] for row in validate(seed)["evidence"]["checks"]}
+    want = _validate_pair_by_pair(seed)
+    assert {p: float(v).hex() for p, v in rows.items()} == \
+        {p: float(v).hex() for p, v in want.items()}
+    assert no_child_left()
+
+
+def test_validate_folds_the_last_block_of_states_too(monkeypatch):
+    # each three-column solve adds 1e-9, so the states rise to the end and
+    # the largest of them lies in the run's last, partial block
+    solve = heatlab.solver.dpttrs
+
+    def rising(d, e, b, *args):
+        x, info = solve(d, e, b, *args)
+        if b.ndim == 2 and b.shape[1] == 3:
+            x += 1e-9
+        return x, info
+
+    monkeypatch.setattr(heatlab.solver, "dpttrs", rising)
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    rows = {row["property"]: row["measured"] for row in validate(0)["evidence"]["checks"]}
+    want = _validate_pair_by_pair(0)
+    assert want["max_principle_defect"] > 1e-6
+    assert {p: float(v).hex() for p, v in rows.items()} == \
+        {p: float(v).hex() for p, v in want.items()}
 
 
 def test_validate_passes_and_is_deterministic():

@@ -384,6 +384,41 @@ def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops
             t = t + h
 
 
+def _lattice_step_by_logs(h: float) -> float:
+    """The largest lattice size at most ``h`` by the logarithm: from one size
+    above the one log2 names, down to the first at most ``h``, and up while
+    the next one is too (a size past the largest double counts as above)."""
+    m, dt_init = heatlab.solver.STEP_LATTICE, heatlab.solver.DT_INIT
+
+    def size(k: int) -> float:
+        try:
+            return math.ldexp(dt_init * 2.0 ** (k % m / m), k // m)
+        except OverflowError:
+            return math.inf
+
+    k = math.floor(m * (math.log2(h) - math.log2(dt_init))) + 1
+    while size(k) > h:
+        k -= 1
+    while size(k + 1) <= h:
+        k += 1
+    return size(k)
+
+
+def test_the_lattice_table_gives_the_logarithms_step():
+    # every size of the table, both float neighbours of each (but the one
+    # below the table: proposals never fall below DT_MIN), DT_MIN, proposals
+    # log-spaced from 1e-13 to 1e306, and the largest double
+    table = heatlab.solver._LATTICE
+    assert table[0] <= heatlab.solver.DT_MIN < table[1]
+    probes = [heatlab.solver.DT_MIN, *np.geomspace(1e-13, 1e306, 20_001).tolist(),
+              math.nextafter(math.inf, 0.0)]
+    for size in table:
+        probes += [size, math.nextafter(size, 0.0), math.nextafter(size, math.inf)]
+    for h in probes:
+        if h >= table[0]:
+            assert heatlab.solver._lattice_step(h) == _lattice_step_by_logs(h), h.hex()
+
+
 def test_a_stop_past_the_lattice_range_gives_a_result_or_a_heatlab_error(euclid3):
     # steps past ~1.8e301 once overflowed h / DT_INIT and 2.0 ** (k // 4)
     # in the lattice search, a bare OverflowError from deep in the loop
