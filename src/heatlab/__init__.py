@@ -18,9 +18,9 @@ from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        power_exp_weight, sphere_constant)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
-from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states, evolve,
-                     exhaustion_ladder, exhaustion_levels, exhaustion_radii,
-                     overflow_safe_radius, project_datum)
+from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states,
+                     dirichlet_ball, exhaustion_ladder, exhaustion_levels,
+                     exhaustion_radii, overflow_safe_radius, project_datum)
 from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
                           face_variation_terms, flux_profile, total_variation,
                           weighted_sum)
@@ -36,7 +36,7 @@ __all__ = [
     "sphere_constant",
     "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
-    "EXHAUSTION_SLACK", "SolveControls", "advance_states", "evolve",
+    "EXHAUSTION_SLACK", "SolveControls", "advance_states", "dirichlet_ball",
     "exhaustion_ladder", "exhaustion_levels", "exhaustion_radii",
     "overflow_safe_radius", "project_datum",
     "ExtrapolationResult", "FluxProfile", "extrapolate_limit",

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -226,59 +226,56 @@ def _datum_from(cfg: dict):
 
 
 def _dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, %.12g floats, ascii strings."""
-    if type(obj) is float:  # first, as the ABCs below are slow; non-finite quoted
+    """Deterministic JSON: sorted keys, %.12g floats, ascii strings, from the
+    exact types a report holds (float, str, dict with str keys, list, tuple,
+    None, bool, int); anything else is an InvalidArgumentError."""
+    kind = type(obj)
+    if kind is float:  # non-finite quoted
         text = f"{obj:.12g}"
         return text if math.isfinite(obj) else f'"{text}"'
-    if isinstance(obj, str):
+    if kind is str:
         return json.dumps(obj, ensure_ascii=True)
     pad = " " * indent
     inner = " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
+    if kind is dict:
+        odd = [type(key).__name__ for key in obj if type(key) is not str]
+        if odd:
+            raise InvalidArgumentError(f"cannot serialize a key of type {odd[0]} into a report")
         parts = [f"{inner}{json.dumps(key)}: {_dumps(obj[key], indent + 2)}"
-                 for key in sorted(str(k) for k in obj)]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+                 for key in sorted(obj)]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}" if obj else "{}"
+    if kind is list or kind is tuple:
         parts = [f"{inner}{_dumps(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]" if obj else "[]"
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if kind is bool:
         return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):  # numpy floats
-        return _dumps(float(obj))
-    raise InvalidArgumentError(f"cannot serialize {type(obj).__name__} into a report")
+    if kind is int:
+        return str(obj)
+    raise InvalidArgumentError(f"cannot serialize {kind.__name__} into a report")
 
 
 def _csv_cell(value) -> str:
-    if type(value) is float:  # exact floats skip the slow ``numbers`` ABCs
+    """A float, int, str or None as CSV text; anything else is an InvalidArgumentError."""
+    kind = type(value)
+    if kind is float:
         return f"{value:.12g}"
+    if kind is int or kind is str:
+        return str(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return f"{float(value):.12g}"
-    return str(value)
+    raise InvalidArgumentError(f"cannot write {kind.__name__} into a CSV cell")
 
 
-def _write_csv(path: str, rows):
+def _csv_text(rows) -> str:
     """One line per row under a header of the first row's keys."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        header = list(rows[0])
-        writer.writerow(header)
-        writer.writerows([_csv_cell(row[c]) for c in header] for row in rows)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n")
+    header = list(rows[0])
+    writer.writerow(header)
+    writer.writerows([_csv_cell(row[c]) for c in header] for row in rows)
+    return text.getvalue()
 
 
 def validate(seed: int = 0) -> dict:
@@ -424,6 +421,14 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
                 f"{cfg['experiment']}")
         started = time.perf_counter()  # timing.json times the run alone
         report, csv_rows = _execute(cfg)
+        runtime = {"total_wall_s": time.perf_counter() - started}
+        # the config echo is the resolved config: only the keys the run read;
+        # every file is rendered before any opens, so a writer error exits 2
+        report.update(tool="heatlab", version=__version__, config=cfg,
+                      files=sorted(csv_rows))
+        texts = {"report.json": _dumps(report) + "\n",
+                 "timing.json": _dumps(runtime) + "\n",
+                 **{name: _csv_text(rows) for name, rows in csv_rows.items()}}
     except InvalidArgumentError as exc:
         _write_error(out_dir, exc, 2)
         return 2
@@ -431,16 +436,9 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         _write_error(out_dir, exc, 3)
         return 3
 
-    runtime = {"total_wall_s": time.perf_counter() - started}
-    # the config echo is the resolved config: only the keys the run read
-    report.update(tool="heatlab", version=__version__, config=cfg,
-                  files=sorted(csv_rows))
-
-    for name, record in (("report.json", report), ("timing.json", runtime)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(_dumps(record) + "\n")
-    for name, rows in csv_rows.items():
-        _write_csv(os.path.join(out_dir, name), rows)
+    for name, text in texts.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
     if cfg["experiment"] == "validate":
         for row in report["evidence"]["checks"]:

@@ -363,8 +363,8 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
 
 def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
                    controls: SolveControls, R_cells: float | None = None):
-    """The ball ``evolve`` steps on to ``t_end``: (operator, stacked
-    (N, len(data)) projected data, notes).  Its Dirichlet wall sits
+    """The ball radial data step on to ``t_end`` (``advance_states``):
+    (operator, stacked (N, len(data)) projected data, notes).  Its wall sits
     max(2, 8*sqrt(t_end)) past ``R_read``, capped at the overflow-safe
     radius with a note; ``controls.n_cells`` cells fill ``R_cells`` (default:
     the wall) at one spacing out to the wall, and every jump radius is a
@@ -373,6 +373,8 @@ def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
     if not (isinstance(data, (list, tuple)) and data
             and all(isinstance(d, RadialBVDatum) for d in data)):
         raise InvalidArgumentError(f"need a nonempty list or tuple of datums, got {data!r:.40}")
+    if not isinstance(controls, SolveControls):
+        raise InvalidArgumentError(f"need SolveControls, got {controls!r:.40}")
     R_read = positive_real(R_read, "reading radius")
     safe = overflow_safe_radius(manifold)
     if not R_read < safe:
@@ -392,15 +394,6 @@ def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
             f"before the wall at {R:.6g}; reduce it or raise n_cells")
     return (assemble(g, manifold, DIRICHLET),
             np.stack([project_datum(d, g) for d in data], axis=1), notes)
-
-
-def evolve(manifold: RadialManifold, data, R_read: float, stops,
-           controls: SolveControls, R_cells: float | None = None):
-    """Evolve radial data jointly from t = 0 through ``stops`` on the last
-    stop's ``dirichlet_ball``: (grid, stacked states at the stops, notes)."""
-    stops = monotone_reals(stops, "stop times")
-    op, u0, notes = dirichlet_ball(manifold, data, R_read, stops[-1], controls, R_cells)
-    return op.grid, advance_states(op, u0, stops, controls), notes
 
 
 def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:

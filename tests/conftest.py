@@ -225,13 +225,21 @@ def implicit_step(op, dt, u, out=None):
 def minus_laplacian_solve(op, u):
     """(-L)^{-1} u on a Dirichlet operator by one LAPACK ``dpttrf`` and
     ``dpttrs`` of D(-L) x = D u, its band built from the conductances
-    alone: row j is (k_j + k_{j+1}) x_j - k_j x_{j-1} - k_{j+1} x_{j+1}."""
+    alone: row j is (k_j + k_{j+1}) x_j - k_j x_{j-1} - k_{j+1} x_{j+1},
+    that is k_j (x_j - x_{j-1}) - k_{j+1} (x_{j+1} - x_j) with x = 0 past
+    the wall.  One step of iterative refinement, its residual formed in
+    ``np.longdouble``, takes out the solve's roundoff, which grows with N."""
     k = op.conductance
     d, e, info = dpttrf(k[:-1] + k[1:], -k[1:-1])
     assert info == 0, f"dpttrf info={info}"
     x, info = dpttrs(d, e, op.cell_weights * u)
     assert info == 0, f"dpttrs info={info}"
-    return x
+    wide = np.longdouble
+    flux = k.astype(wide) * np.diff(x.astype(wide), prepend=0.0, append=0.0)
+    residual = op.cell_weights.astype(wide) * np.asarray(u, wide) + np.diff(flux)
+    dx, info = dpttrs(d, e, residual.astype(float))
+    assert info == 0, f"dpttrs info={info}"
+    return x + dx
 
 
 def ball_heat_closed_form(r, t, r0=1.0):

@@ -15,8 +15,8 @@ import warnings
 import pytest
 
 import heatlab.solver
-from heatlab import (InvalidArgumentError, NumericalFailure, SolveControls,
-                     ball_indicator, exhaustion_levels)
+from heatlab import (InvalidArgumentError, NumericalFailure, RangeError, SolveControls,
+                     ball_indicator, blowup_sweep, exhaustion_levels, power_exp_weight)
 from heatlab.cli import run, validate
 from heatlab.solver import both
 from conftest import no_child_left
@@ -92,6 +92,17 @@ def test_a_child_that_dies_without_a_result_is_a_numerical_failure():
     with pytest.raises(NumericalFailure, match="ended without a result"):
         both(lambda: 1, lambda: os.kill(os.getpid(), 9))
     assert no_child_left()
+
+
+def test_a_blowup_ball_out_of_range_raises_before_anything_forks(monkeypatch):
+    # the signal's dirichlet_ball is built and checked in the caller before
+    # its flat companion forks, so a reading radius past exp(+r^4)'s
+    # overflow-safe radius forks nothing
+    calls, pids = _spy(monkeypatch)
+    with pytest.raises(RangeError, match="overflow-safe"):
+        blowup_sweep(power_exp_weight(4, 1, 3), 1.0, (0.1,), (2.0, 6.0),
+                     SolveControls(n_cells=64))
+    assert calls == [] and pids == []
 
 
 def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):

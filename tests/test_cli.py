@@ -314,22 +314,58 @@ def _csv_cell_by_abcs(value) -> str:
     return str(value)
 
 
-WRITER_SCALARS = [0.1, -2.5e-300, 1e300, 0.0, -0.0, 3.0, np.float64(2.0 / 3.0),
-                  np.float32(0.1), np.float64(math.inf), 7, -(2 ** 70), np.int64(-9),
-                  True, False, np.bool_(True), np.bool_(False), None, math.nan,
-                  math.inf, -math.inf, "a \"quoted\" é", ""]
+WRITER_SCALARS = [0.1, -2.5e-300, 1e300, 0.0, -0.0, 3.0, 7, -(2 ** 70), True, False,
+                  None, math.nan, math.inf, -math.inf, "a \"quoted\" é", ""]
+NUMPY_SCALARS = [np.float64(2.0 / 3.0), np.float32(0.1), np.float64(math.inf),
+                 np.int64(-9), np.bool_(True), np.bool_(False)]
 
 
 def test_the_writers_give_the_abc_chains_text():
-    # exact floats, strings and containers take a fast path ahead of the
-    # ABC chain; every type a report holds must read as the chain writes it
-    nested = {"rows": [dict(zip("abcdefghijklmnopqrstuv", WRITER_SCALARS))],
-              "pair": (1.5, [np.float64(-0.25), ()]), "empty": {}, "none": [],
-              "array": np.array([0.5, math.nan]), "tuple": ("key", "as", "text")}
+    # the writers dispatch on the exact types a report holds, and each of
+    # them reads as the ABC chain writes it; numpy scalars and arrays,
+    # booleans in a CSV cell and keys that are no strings raise instead
+    nested = {"rows": [dict(zip("abcdefghijklmnop", WRITER_SCALARS))],
+              "pair": (1.5, [-0.25, ()]), "empty": {}, "none": [],
+              "tuple": ("key", "as", "text")}
     for value in [*WRITER_SCALARS, nested, [nested, (nested,)]]:
         assert _dumps(value) == _dumps_by_abcs(value), value
         assert _dumps(value, 4) == _dumps_by_abcs(value, 4), value
-        assert heatlab.cli._csv_cell(value) == _csv_cell_by_abcs(value), value
+    for value in WRITER_SCALARS:
+        if type(value) is not bool:
+            assert heatlab.cli._csv_cell(value) == _csv_cell_by_abcs(value), value
+    arrays = [np.array([0.5, math.nan]), np.array(1.0)]
+    for value in [*NUMPY_SCALARS, *arrays, [1.0, np.float64(2.0)], {"a": (np.int64(1),)},
+                  {1.0, 2.0}]:
+        with pytest.raises(InvalidArgumentError, match="cannot serialize"):
+            _dumps(value)
+    for key in (3, None, 1.5, (1,), np.str_("a")):
+        with pytest.raises(InvalidArgumentError, match=f"key of type {type(key).__name__} "):
+            _dumps({"ok": 1, "nested": [{key: 1}]})
+    for value in [*NUMPY_SCALARS, *arrays, True, False, [1.0], {"a": 1}]:
+        with pytest.raises(InvalidArgumentError, match="CSV cell"):
+            heatlab.cli._csv_cell(value)
+
+
+@pytest.mark.parametrize("changed", [
+    {"fitted": {"scale": np.float64(0.5)}},
+    {"fitted": {3: 1.0}},
+    {"fitted": {"radii": {1.0, 2.0}}},
+    {"series": {"comparison": ({"r": 1.0, "inside": True},)}},
+], ids=["numpy_float", "int_key", "set", "csv_boolean"])
+def test_a_writer_error_exits_2_with_error_json_alone(tmp_path, monkeypatch, changed):
+    # every file is rendered before any is opened, so a report value the
+    # writers do not take is a bad argument like any other: exit 2, and
+    # error.json is the one file written
+    driver = heatlab.cli.comparison_check
+    monkeypatch.setattr(heatlab.cli, "comparison_check",
+                        lambda *args: replace(driver(*args), **changed))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, "c.json", {"experiment": "comparison", "R": 2.0,
+                                            "controls": {"n_cells": 64}})
+    assert run(cfg, str(out)) == 2
+    assert os.listdir(out) == ["error.json"]
+    error = json.loads((out / "error.json").read_text())
+    assert (error["error"], error["exit_code"]) == ("InvalidArgumentError", 2)
 
 
 def _validate_pair_by_pair(seed: int) -> dict:

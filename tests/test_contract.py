@@ -11,8 +11,8 @@ warning an error), breaks the contract, and so does a call that honours
 what no caller can mean as a number: a boolean, a string or NaN, or a
 negative where only positive values make sense.  Escapes this caught:
 ``face_ladder(True, 16)`` ran as R = 1 and ``face_ladder(1.0, 16.5)`` raised
-TypeError; ``subgrid(g, 16.5)`` raised IndexError; ``evolve`` ran with a
-reading radius of True or -1.0; ``extrapolate_limit`` read NaN and string
+TypeError; ``subgrid(g, 16.5)`` raised IndexError; ``evolve`` (now
+``dirichlet_ball``) ran with a reading radius of True or -1.0; ``extrapolate_limit`` read NaN and string
 h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers;
 ``Grid.face_index("a")`` and ``FluxProfile.at("a")`` raised numpy's
 UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
@@ -36,7 +36,7 @@ from heatlab import (InvalidArgumentError, NumericalFailure, RadialBVDatum,
                      RangeError, SolveControls, advance_states, assemble,
                      ball_indicator, ball_volume, blowup_sweep, build_grid,
                      comparison_check, completeness_probe, degiorgi_sweep,
-                     euclidean, evolve, exhaustion_ladder, exhaustion_levels,
+                     dirichlet_ball, euclidean, exhaustion_ladder, exhaustion_levels,
                      exhaustion_radii, extrapolate_limit, face_ladder,
                      face_variation_terms, flux_profile, grid_from_faces,
                      log_area_integral, perimeter_ball, piecewise,
@@ -63,11 +63,14 @@ def _negated(value):
 
 
 def _mutations(value) -> dict:
-    """Every way a caller may get ``value`` wrong, by name."""
+    """Every way a caller may get ``value`` wrong, by name; a value that is
+    no number (a datum, the controls) is got wrong as the number 1.0 is."""
     is_list = isinstance(value, (list, tuple))
     number = value
     while isinstance(number, (list, tuple)):
         number = number[0]
+    if not isinstance(number, (int, float)):
+        value, number = [1.0] if is_list else 1.0, 1.0
     as_numpy = np.int64 if isinstance(number, int) else np.float64
     return {
         "boolean": True, "text": "a", "numeral": str(number),
@@ -136,9 +139,11 @@ CALLS = {
                         "controls": FAST, "ladder": LADDER},
                        ["states", ("states", 0), "stops", ("stops", 0),
                         "ladder", ("ladder", 0), ("ladder", 0, 0)]),
-    "evolve": (evolve, {"manifold": FLAT, "data": (BALL,), "R_read": 1.0,
-                        "stops": [0.01], "controls": FAST, "R_cells": 1.0},
-               ["R_read", "stops", ("stops", 0), "R_cells"]),
+    "dirichlet_ball": (dirichlet_ball,
+                       {"manifold": FLAT, "data": (BALL,), "R_read": 1.0,
+                        "t_end": 0.01, "controls": FAST, "R_cells": 1.0},
+                       ["data", ("data", 0), "R_read", "t_end", "R_cells",
+                        "controls"]),
     "exhaustion_radii": (exhaustion_radii,
                          {"base": 1.0, "t": 0.05, "safe": 5.0},
                          ["base", "t", "safe"]),
@@ -212,13 +217,14 @@ def mutated(kwargs: dict, path, kind: str) -> dict:
 @pytest.mark.parametrize("data", [BALL, [], [BALL, 1.0], (0.5,), np.array([0.5])],
                          ids=["lone_datum", "empty", "number_item", "number_tuple", "ndarray"])
 def test_evolve_takes_a_list_or_tuple_of_data(data):
-    # the table mutates numbers and lists, never a datum: a lone datum once
-    # raised TypeError ("not iterable"), a number among the data AttributeError
+    # data evolve jointly on their dirichlet_ball: a lone datum once raised
+    # TypeError ("not iterable"), a number among the data AttributeError
     with pytest.raises(InvalidArgumentError, match="list or tuple of datums"):
-        evolve(FLAT, data, 1.0, [0.01], FAST)
-    (_, listed, _), (_, tupled, _) = (evolve(FLAT, kind([BALL]), 1.0, [0.01], FAST)
-                                      for kind in (list, tuple))
-    assert listed[0].tobytes() == tupled[0].tobytes()
+        dirichlet_ball(FLAT, data, 1.0, 0.01, FAST)
+    (listed,), (tupled,) = (advance_states(*dirichlet_ball(FLAT, kind([BALL]), 1.0, 0.01,
+                                                           FAST)[:2], [0.01], FAST)
+                            for kind in (list, tuple))
+    assert listed.tobytes() == tupled.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted({**CALLS, **METHODS}))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -512,18 +513,33 @@ def test_comparison_certificate():
     rep = comparison_check(2.0, 256)
     check_report_shape(rep, "comparison")
     assert rep.verdict == "confirms", rep.finding
-    checks = rep.evidence["checks"]
-    assert [row["property"] for row in checks] == ["max_exit_time_minus_w",
-                                                    "max_lap_w"]
-    vw = check_row(checks, "max_exit_time_minus_w")
+    (vw,) = rep.evidence["checks"]
+    assert vw["property"] == "max_exit_time_minus_w"
     assert vw["tolerance"] == 1e-6 and vw["measured"] <= vw["tolerance"]
-    assert check_row(checks, "max_lap_w")["measured"] < -1.0
     assert rep.fitted == {}
     rows = rep.series["comparison"]
-    # the barrier's Laplacian is its closed form at every center
-    assert all(row["lap_w"] == pytest.approx(barrier_laplacian(row["r"]),
-                                             rel=1e-14) for row in rows)
+    assert all(sorted(row) == ["exit_time", "r", "w_R"] for row in rows)
+    # w is a barrier: its Laplacian, in closed form, is below -1 at every center
+    assert max(barrier_laplacian(row["r"]) for row in rows) < -1.0
     assert all(row["exit_time"] <= row["w_R"] + 1e-6 for row in rows)
+
+
+def test_comparison_fails_on_a_wall_that_conducts_nothing(monkeypatch):
+    # planted defect: with exit_time's wall conductance dropped to 0 nothing
+    # exits, the exit time is unbounded, and the certificate row must fail
+    exit_time = heatlab.solver.exit_time
+
+    def insulated(op):
+        k = op.conductance.copy()
+        k[-1] = 0.0
+        with np.errstate(divide="ignore"):
+            return exit_time(replace(op, conductance=k))
+
+    monkeypatch.setattr(heatlab.solver, "exit_time", insulated)
+    rep = comparison_check(2.0, 256)
+    (vw,) = rep.evidence["checks"]
+    assert (vw["property"], vw["status"]) == ("max_exit_time_minus_w", "fail")
+    assert (rep.verdict, rep.finding) == ("refutes", "barrier violated")
 
 
 def test_comparison_reads_only_the_cell_count():

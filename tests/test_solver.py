@@ -25,7 +25,7 @@ from heatlab import (
     ball_indicator,
     build_grid,
     constant_one,
-    evolve,
+    dirichlet_ball,
     exhaustion_levels,
     grid_from_faces,
     overflow_safe_radius,
@@ -208,21 +208,23 @@ def test_stacked_columns_stay_linear(euclid3):
 
 
 def test_evolve_places_the_wall_and_counts_the_cells(euclid3, pe4):
-    # the wall sits max(2, 8 sqrt(last stop)) past the reading radius;
-    # n_cells fills the whole ball, or R_cells at one spacing to the wall
+    # data evolve jointly on their dirichlet_ball, whose wall sits
+    # max(2, 8 sqrt(end time)) past the reading radius; n_cells fills the
+    # whole ball, or R_cells at one spacing to the wall
     controls = SolveControls(n_cells=64, step_tol=1e-5)
     data = (constant_one(), ball_indicator(1.0))
-    g, states, notes = evolve(euclid3, data, 3.0, [0.01, 0.25], controls)
+    op, u0, notes = dirichlet_ball(euclid3, data, 3.0, 0.25, controls)
+    g, states = op.grid, advance_states(op, u0, [0.01, 0.25], controls)
     assert (g.R, g.N, notes) == (7.0, 64, [])
-    assert [s.shape for s in states] == [(64, 2), (64, 2)]
+    assert [s.shape for s in (u0, *states)] == [(64, 2)] * 3
     assert 1.0 in g.faces
-    g, _, _ = evolve(euclid3, data, 3.0, [0.01], controls, R_cells=2.0)
-    assert (g.R, g.N) == (5.0, 160)
+    op, _, _ = dirichlet_ball(euclid3, data, 3.0, 0.01, controls, R_cells=2.0)
+    assert (op.grid.R, op.grid.N) == (5.0, 160)
     safe = overflow_safe_radius(pe4)
-    g, _, notes = evolve(pe4, data, 4.5, [0.01], controls)
-    assert (g.R, notes) == (safe, [f"solve radius capped at {safe:.6g}"])
+    op, _, notes = dirichlet_ball(pe4, data, 4.5, 0.01, controls)
+    assert (op.grid.R, notes) == (safe, [f"solve radius capped at {safe:.6g}"])
     with pytest.raises(RangeError, match="no interior face"):
-        evolve(pe4, data, 5.12, [0.01], controls)
+        dirichlet_ball(pe4, data, 5.12, 0.01, controls)
 
 
 def test_first_stop_is_the_one_stop_run(euclid3):
@@ -264,10 +266,8 @@ def test_every_trajectory_takes_a_stop_list_from_zero(euclid3, stops):
     # one rule for every entry point: a non-empty, strictly increasing list
     # of positive finite times, checked when the call is made
     controls, g, op, chi = _walk_setup(euclid3)
-    data = (ball_indicator(1.0),)
     for call in (lambda: advance_states(op, chi, stops, controls),
-                 lambda: evolve(euclid3, data, 1.0, stops, controls),
-                 lambda: exhaustion_levels(euclid3, data[0], stops, controls,
+                 lambda: exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls,
                                            radii=(2.0,))):
         with pytest.raises(InvalidArgumentError):
             call()
