@@ -389,10 +389,23 @@ def _execute(cfg: dict):
                          for name, rows in rep.series.items()}
 
 
+def _clear(out_dir: str):
+    """Removes a run's report, timing and error files and the CSVs its report lists."""
+    names = ["report.json", "timing.json", "error.json"]
+    with contextlib.suppress(OSError, ValueError, KeyError, TypeError), open(
+            os.path.join(out_dir, "report.json"), encoding="utf-8") as fh:
+        names += [name for name in json.load(fh)["files"] if isinstance(name, str)
+                  and name.endswith(".csv") and os.path.basename(name) == name]
+    for name in names:
+        with contextlib.suppress(OSError, ValueError):
+            os.remove(os.path.join(out_dir, name))
+
+
 def _write_error(out_dir: str, exc: Exception, exit_code: int):
     record = {"error": type(exc).__name__, "message": str(exc),
               "exit_code": exit_code}
     print(f"heatlab: error: {exc}", file=sys.stderr)
+    _clear(out_dir)
     with contextlib.suppress(OSError), open(os.path.join(out_dir, "error.json"), "w",
                                            encoding="utf-8") as fh:
         fh.write(_dumps(record) + "\n")
@@ -436,6 +449,7 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
         _write_error(out_dir, exc, 3)
         return 3
 
+    _clear(out_dir)
     for name, text in texts.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

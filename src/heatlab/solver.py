@@ -77,8 +77,6 @@ _LATTICE = tuple(sorted(
                    sys.float_info.max_exp - math.frexp(base)[1] + 1)))  # ldexp overflows past it
 # automatic exhaustion: the most levels one walk plans
 MAX_EXHAUSTION = 8
-# the most steps of level 1's recording that level 3 replays in one call
-STREAM_PIECE = 256
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def _lattice_step(h: float) -> float:
 def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                    controls: SolveControls,
                    observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
-                   ladder: list | None = None):
+                   record: Callable[[tuple[int, float]], None] | None = None):
     """Advance one or several stacked states from t = 0 through ``stops``.
 
     ``states`` has shape (N,) or (N, k) and is never written; all columns
@@ -149,37 +147,22 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     (h^2/4) u'' to leading order, relative to each column's own profile
     norm; the worst column must meet ``controls.step_tol``.  The proposal
     rounds down onto the step lattice, and the call keeps one ``dpttrf``
-    factorization per half-step size (a replay drops each after its last
-    step).  ``observer`` is called once per accepted substate transition
-    with both endpoint times and states, reused buffers valid only during
-    the call.
+    factorization per half-step size.  ``observer`` is called once per
+    accepted substate transition with both endpoint times and states,
+    reused buffers valid only during the call; ``record`` is called with
+    (stop index, h) for each accepted step, pairs ``_replay`` takes.
 
     ``stops`` is a strictly increasing list of positive times; the call
     returns the states at them, each its own array.  A step that would cross
     a stop is clipped onto it, off the lattice, and stepping then resumes
-    from the size proposed before the clip.  ``MAX_STEPS`` attempts, replayed
-    steps included, bound the whole trajectory.
-
-    ``ladder`` is the step ladder: one list of accepted step sizes per stop
-    (the steps since the stop before).  An empty list is filled in as the
-    run records; a filled one, recorded through the same stops, is replayed
-    instead: each step takes its size from the ladder, skips the error
-    estimate and is accepted, so the observer sees the recording's
-    transitions."""
+    from the size proposed before the clip.  ``MAX_STEPS`` attempts bound
+    the whole trajectory."""
     stops = monotone_reals(stops, "stop times")
     u = np.array(real_array(states, "states"), order="F")
     if u.ndim not in (1, 2) or u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
-
-    if ladder is not None and not (isinstance(ladder, list) and all(
-            isinstance(steps, list) and all(0 < as_real(h) < math.inf for h in steps)
-            for steps in ladder)):
-        raise InvalidArgumentError(
-            f"ladder must be a list of lists of positive finite steps, got {ladder!r:.80}")
-    replay = bool(ladder)
-    if replay and len(ladder) != len(stops):
-        raise InvalidArgumentError(f"replay ladder was recorded through {len(ladder)} "
-                                   f"stop times, not the requested {len(stops)}")
+    if not (record is None or callable(record)):
+        raise InvalidArgumentError(f"record must be callable or None, got {record!r:.40}")
 
     # a first-order step's local error is O(h^2): steps scale by (tol/err)^(1/2)
     widths = np.diff(op.grid.faces)
@@ -193,36 +176,18 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     weights = np.empty_like(u)
     weights.T[...] = op.cell_weights
 
-    # dpttrf's (d, e) per half-step size, kept for this call only; a replay
-    # drops one, locals too, at the attempt that last uses its size
-    factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    last = {0.5 * h: n for n, h in enumerate(itertools.chain(*ladder), 1)} if replay else {}
-
+    factors: dict[float, tuple[np.ndarray, np.ndarray]] = {}  # dpttrf's (d, e) per h/2
     t, dt, iterations, at_stops = 0.0, DT_INIT, 0, []
-    for start, stop in zip([0.0, *stops], stops):
-        if replay:
-            segment = ladder[len(at_stops)]
-            total = math.fsum(segment)
-            if abs(total - (stop - start)) > 1e-12 * max(abs(stop - start), 1.0):
-                raise InvalidArgumentError(
-                    f"replay ladder spans {total} before stop {stop}, not the "
-                    f"requested {stop - start}")
-        else:
-            segment = []
-            if ladder is not None:
-                ladder.append(segment)
+    for stop in stops:
         t_end = stop - 1e-15 * max(abs(stop), 1.0)
-        taken = 0
-        while taken < len(segment) if replay else t < t_end:
+        while t < t_end:
             iterations += 1
             if iterations > MAX_STEPS:
                 raise NumericalFailure(
-                    f"replayed ladder of {sum(map(len, ladder))} steps overruns "
-                    f"the budget of {MAX_STEPS} steps (reached t={t})" if replay
-                    else f"step tolerance {controls.step_tol} unreachable within "
+                    f"step tolerance {controls.step_tol} unreachable within "
                     f"{MAX_STEPS} iterations (reached t={t}, dt={dt})")
-            h = segment[taken] if replay else _lattice_step(dt)
-            clipped = not replay and stop - t < h
+            h = _lattice_step(dt)
+            clipped = stop - t < h
             if clipped:
                 h = stop - t
             # both half steps solve in place with I - (h/2) L: one factor
@@ -232,40 +197,56 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
             d, e = factors[half]
             mid = dpttrs(d, e, np.multiply(weights, u, out=mid), 1)[0]
             fine = dpttrs(d, e, np.multiply(weights, mid, out=fine), 1)[0]
-            if replay and last[half] == iterations:
-                del factors[half], d, e
-            if not replay:
-                # (fine - mid) - (mid - u), differenced in that order
-                np.subtract(fine, mid, out=second)
-                np.subtract(second, np.subtract(mid, u, out=size), out=second)
-                np.abs(second, out=second)
-                np.abs(fine, out=size)
-                norms = (widths @ columns).tolist()  # one dot product per column
-                # the worst column's ratio, with no list or max(); a NaN wins
-                err = 0.0
-                for j in range(k):
-                    b = norms[j + k]
-                    r = norms[j] / (1e-300 if b < 1e-300 else b)
-                    if r > err or r != r:
-                        err = r
-                if not (err <= controls.step_tol or h <= DT_MIN):
-                    dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5),
-                             DT_MIN)
-                    continue
-                segment.append(h)
-                if not clipped:  # a step clipped onto the stop keeps the proposal
-                    grow = DT_GROWTH
-                    if err > 0:
-                        grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
-                    dt = max(h * max(grow, 1.0), DT_MIN)
+            # (fine - mid) - (mid - u), differenced in that order
+            np.subtract(fine, mid, out=second)
+            np.subtract(second, np.subtract(mid, u, out=size), out=second)
+            np.abs(second, out=second)
+            np.abs(fine, out=size)
+            norms = (widths @ columns).tolist()  # one dot product per column
+            # the worst column's ratio, with no list or max(); a NaN wins
+            err = 0.0
+            for j in range(k):
+                b = norms[j + k]
+                r = norms[j] / (1e-300 if b < 1e-300 else b)
+                if r > err or r != r:
+                    err = r
+            if not (err <= controls.step_tol or h <= DT_MIN):
+                dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5), DT_MIN)
+                continue
+            if record is not None:
+                record((len(at_stops), h))
+            if not clipped:  # a step clipped onto the stop keeps the proposal
+                grow = DT_GROWTH
+                if err > 0:
+                    grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
+                dt = max(h * max(grow, 1.0), DT_MIN)
             if observer is not None:
                 observer(t, u, t + half, mid)
                 observer(t + half, mid, t + h, fine)
             u, fine = fine, u
             t = t + h
-            taken += 1
         at_stops.append(u.copy(order="F"))
     return at_stops
+
+
+def _replay(op: WeightedOperator, states: np.ndarray, steps, n_stops: int) -> list:
+    """The states at ``n_stops`` stops of the trajectory ``advance_states``
+    recorded as ``steps``, its (stop index, h) pairs from a list or as they
+    stream in: each step is taken as recorded, with no error estimate, and
+    only the current step size's factors are held."""
+    u = np.array(states, order="F")
+    mid, fine, weights = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    weights.T[...] = op.cell_weights
+    at_stops, half, factors = [], None, ()
+    for stop, h in steps:
+        at_stops += [u.copy(order="F") for _ in range(stop - len(at_stops))]
+        if 0.5 * h != half:
+            half, factors = 0.5 * h, ()  # the last size's factors go first
+            factors = _factor(op, half)
+        mid = dpttrs(*factors, np.multiply(weights, u, out=mid), 1)[0]
+        fine = dpttrs(*factors, np.multiply(weights, mid, out=fine), 1)[0]
+        u, fine = fine, u
+    return at_stops + [u.copy(order="F") for _ in range(n_stops - len(at_stops))]
 
 
 def exit_time(op: WeightedOperator) -> np.ndarray:
@@ -469,48 +450,42 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
     ``advance_states``.  Yields (grid, states at the stops) per level of
     ``exhaustion_ladder`` over ``radii``, smallest ball first; the automatic
     radius policy (``radii=None``) sizes the ladder for the last stop.
-    Times and radii are checked at the call.  Level 1 records its step
-    ladder and the caller replays levels 2, 4, ... from it as they are asked
-    for; levels 3, 5, ... replay ahead in one child (``_beside``, forked for
-    three or more levels), level 3 from level 1's steps as they are
-    accepted, at most ``STREAM_PIECE`` of one stop per call (a one-shot
-    replay's bits).  Each level is checked against the one before at every
-    stop before it is yielded: a ``monotonicity_defect`` beyond
+    Times and radii are checked at the call.  Level 1 records its steps
+    (``advance_states``) and every later level replays them (``_replay``):
+    levels 2, 4, ... in the caller as they are asked for, and levels 3, 5,
+    ... in one child (``_beside``, forked for three or more levels), level 3
+    from level 1's steps as they are accepted and level 2j+1 once the walk
+    is asked for level 2j.  Each level is checked against the one before at
+    every stop before it is yielded: a ``monotonicity_defect`` beyond
     ``EXHAUSTION_SLACK`` raises ``NumericalFailure``."""
     stops = monotone_reals(stops, "stop times")
     ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls, radii)
 
     def levels():
         u0 = project_datum(datum, ladder)
-        steps: list[list[float]] = []
+        steps: list[tuple[int, float]] = []  # level 1's accepted (stop index, h)
 
-        def level(idx, recorded=steps, observer=None):
+        def level(idx, pairs=steps):
             g = subgrid(ladder, idx)
-            op = assemble(g, manifold, DIRICHLET)
-            return g, advance_states(op, u0[:idx], stops, controls, observer, ladder=recorded)
+            return g, _replay(assemble(g, manifold, DIRICHLET), u0[:idx], pairs, len(stops))
 
-        def odd_levels(stream):  # stream: level 1's (stop index, step) pairs
-            g = subgrid(ladder, indices[2])
-            op = assemble(g, manifold, DIRICHLET)
-            u, at_stops, collected = u0[:indices[2]], [], [[] for _ in stops]
-            for stop, pairs in itertools.groupby(stream, key=lambda pair: pair[0]):
-                at_stops += [u] * (stop - len(at_stops))
-                pending = (h for _, h in pairs)
-                while piece := list(itertools.islice(pending, STREAM_PIECE)):
-                    (u,) = advance_states(op, u, [math.fsum(piece)], controls, ladder=[piece])
-                    collected[stop] += piece
-            yield g, at_stops + [u] * (len(stops) - len(at_stops))
+        def odd_levels(inbox):  # level 1's pairs, then () as each even level is asked for
+            streamed, kept = itertools.tee(itertools.takewhile(bool, inbox))
+            yield level(indices[2], streamed)
+            kept = list(kept)
             for idx in indices[4::2]:
-                yield level(idx, collected)
+                next(inbox)
+                yield level(idx, kept)
 
         with _beside(odd_levels, len(indices) > 2 and can_fork()) as (send, odd):
-            def accepted(*_, transitions=itertools.count()):  # level 1's observer
-                if next(transitions) % 2 == 0:  # a step's first half: the ladder holds it
-                    send((len(steps) - 1, steps[-1][-1]))
-            first = level(indices[0], observer=accepted if len(indices) > 2 else None)
-            send(None)
+            g1 = subgrid(ladder, indices[0])  # level 1 keeps each step and sends it on
+            op1, u1 = assemble(g1, manifold, DIRICHLET), u0[:indices[0]]
+            first = g1, advance_states(op1, u1, stops, controls,
+                                       record=lambda pair: (steps.append(pair), send(pair)))
             inner_R, inner = None, []  # the first level has nothing inside it
             for n, idx in enumerate(indices):
+                if n % 2:
+                    send(())  # level n + 2 may run to its end in the child
                 g, at_stops = first if n == 0 else level(idx) if n % 2 else odd()
                 for stop, a, b in zip(stops, inner, at_stops):
                     worst = monotonicity_defect(a, b)

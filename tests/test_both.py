@@ -16,10 +16,11 @@ import pytest
 
 import heatlab.solver
 from heatlab import (InvalidArgumentError, NumericalFailure, RangeError, SolveControls,
-                     ball_indicator, blowup_sweep, exhaustion_levels, power_exp_weight)
+                     ball_indicator, blowup_sweep, constant_one, euclidean,
+                     exhaustion_ladder, exhaustion_levels, power_exp_weight)
 from heatlab.cli import run, validate
 from heatlab.solver import both
-from conftest import no_child_left
+from conftest import lapack_calls, no_child_left
 
 FORKS = pytest.mark.skipif(not heatlab.solver.can_fork(),
                            reason="forks only on Linux with two or more CPUs")
@@ -107,12 +108,10 @@ def test_a_blowup_ball_out_of_range_raises_before_anything_forks(monkeypatch):
 
 def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):
     # levels 3, 5, ... replay in one child, level 3 from level 1's steps as
-    # they stream in (in pieces of 16 here, cut inside stops too); at 1 to 5
-    # levels and 1 or 4 stops every level must match the inline walk bit
-    # for bit, memory order included.  Only a walk of three or more levels
-    # forks, once, and no walk calls both
+    # they stream in; at 1 to 5 levels and 1 or 4 stops every level must
+    # match the inline walk bit for bit, memory order included.  Only a walk
+    # of three or more levels forks, once, and no walk calls both
     calls, pids = _spy(monkeypatch)
-    monkeypatch.setattr(heatlab.solver, "STREAM_PIECE", 16)
     controls = SolveControls(n_cells=64, step_tol=1e-5)
     for stops in ([0.05], [0.005, 0.01, 0.02, 0.05]):
         for n in range(1, 6):
@@ -131,6 +130,40 @@ def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):
                 for a, b in zip(states, want, strict=True):
                     assert a.tobytes() == b.tobytes()
                     assert a.flags.f_contiguous == b.flags.f_contiguous
+
+
+def _held_walk(log, levels: int, pause: float) -> dict:
+    """The LAPACK calls of ``completeness_euclidean``'s walk taken to
+    ``levels`` levels, held ``pause`` seconds, then closed."""
+    with lapack_calls(log) as calls:
+        walk = exhaustion_levels(euclidean(3), constant_one(), [0.1],
+                                 SolveControls(n_cells=1024, step_tol=1e-6))
+        for _ in range(levels):
+            next(walk)
+        time.sleep(pause)
+        walk.close()
+    assert no_child_left()
+    return calls
+
+
+@FORKS
+def test_the_child_replays_no_level_that_nothing_asked_for(tmp_path, monkeypatch):
+    # completeness_euclidean's walk plans 8 levels and its probe reads 5.
+    # The child starts level 2j+1 only once the walk is asked for level 2j,
+    # so a walk held after level 5 makes the inline walk's calls (the child
+    # once ran on into level 7: 12,674 solves), and one held after level 4
+    # has at most level 5 in flight
+    _, indices = exhaustion_ladder(euclidean(3), constant_one(), 0.1,
+                                   SolveControls(n_cells=1024, step_tol=1e-6))
+    assert len(indices) == 8
+    _, pids = _spy(monkeypatch)
+    forked = _held_walk(tmp_path / "forked", 5, 0.2)
+    after_four = _held_walk(tmp_path / "after_four", 4, 0.2)
+    assert len(pids) == 2
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    inline = _held_walk(tmp_path / "inline", 5, 0.0)
+    assert forked == inline == {"dpttrs": 10_562, "dpttrf": 270}
+    assert after_four["dpttrs"] <= inline["dpttrs"]
 
 
 def test_a_walk_closed_after_any_level_leaves_no_child(euclid3, monkeypatch):

@@ -368,6 +368,41 @@ def test_a_writer_error_exits_2_with_error_json_alone(tmp_path, monkeypatch, cha
     assert (error["error"], error["exit_code"]) == ("InvalidArgumentError", 2)
 
 
+def test_a_run_leaves_only_its_own_files_in_out(tmp_path):
+    # a run once kept an earlier run's report, CSV and timing beside its
+    # error.json, and an earlier error.json beside its report; now each run
+    # removes what a heatlab run writes there before it writes
+    out = tmp_path / "out"
+    good = write_config(tmp_path, "good.json", {"experiment": "comparison", "R": 2.0,
+                                                "controls": {"n_cells": 64}})
+    bad = write_config(tmp_path, "bad.json", {"experiment": "comparison", "R": -2.0})
+    written = ["comparison.csv", "report.json", "timing.json"]
+    for config, code, files in ((good, 0, written), (bad, 2, ["error.json"]),
+                                (good, 0, written)):
+        assert run(config, str(out)) == code
+        assert sorted(os.listdir(out)) == files
+
+
+def test_a_run_removes_only_the_bare_csv_names_a_report_lists(tmp_path):
+    # the replaced report's list is read as data: only a name with no
+    # directory part that ends in .csv goes, and a report that does not
+    # parse removes nothing of its own list
+    out, sub = tmp_path / "out", tmp_path / "out" / "sub"
+    sub.mkdir(parents=True)
+    kept = [tmp_path / "up.csv", sub / "deep.csv", out / "notes.txt", out / "x.csv"]
+    for path in [*kept, out / "old.csv"]:
+        path.write_text("")
+    listed = ["../up.csv", "sub/deep.csv", "notes.txt", 3, None, "old.csv", "/x.csv"]
+    (out / "report.json").write_text(json.dumps({"files": listed}))
+    bad = write_config(tmp_path, "bad.json", {"experiment": "comparison", "R": -2.0})
+    assert run(bad, str(out)) == 2
+    assert sorted(os.listdir(out)) == ["error.json", "notes.txt", "sub", "x.csv"]
+    assert all(path.exists() for path in kept)
+    (out / "report.json").write_text('{"files": ["x.csv"')  # cut short
+    assert run(bad, str(out)) == 2
+    assert sorted(os.listdir(out)) == ["error.json", "notes.txt", "sub", "x.csv"]
+
+
 def _validate_pair_by_pair(seed: int) -> dict:
     """validate's measured values, by property, from one process that takes
     the symmetry leg one pair at a time and folds every state of the

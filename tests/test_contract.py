@@ -18,7 +18,8 @@ h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers;
 UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
 and ``RadialBVDatum(((0.0, 1.0), 5))`` a TypeError; ``face_index(True)``
 and ``RadialManifold.log_area(True)`` ran as radius 1; ``advance_states``
-raised AttributeError on a ladder of ``()`` and TypeError on ``[["a"]]``.
+raised AttributeError on a step ladder of ``()`` and TypeError on
+``[["a"]]`` (its ``record`` is now a callable or None).
 The methods and the raw datum constructor are held to the same contract
 as the exports.
 """
@@ -51,8 +52,7 @@ GRID = build_grid(FLAT, 2.0, 32, (0.5,))
 OP = assemble(GRID, FLAT)
 FAST = SolveControls(step_tol=1e-3, n_cells=16)
 PROFILE = list(np.linspace(1.0, 0.0, GRID.N))
-LADDER = []  # the steps of PROFILE through 0.01, replayed by the table
-advance_states(OP, PROFILE, [0.01], FAST, ladder=LADDER)
+RECORDED = []  # the (stop index, h) pairs of the table's advance_states calls
 
 
 def _negated(value):
@@ -136,9 +136,8 @@ CALLS = {
                       ["step_tol", "n_cells"]),
     "advance_states": (advance_states,
                        {"op": OP, "states": PROFILE, "stops": [0.01],
-                        "controls": FAST, "ladder": LADDER},
-                       ["states", ("states", 0), "stops", ("stops", 0),
-                        "ladder", ("ladder", 0), ("ladder", 0, 0)]),
+                        "controls": FAST, "record": RECORDED.append},
+                       ["states", ("states", 0), "stops", ("stops", 0), "record"]),
     "dirichlet_ball": (dirichlet_ball,
                        {"manifold": FLAT, "data": (BALL,), "R_read": 1.0,
                         "t_end": 0.01, "controls": FAST, "R_cells": 1.0},

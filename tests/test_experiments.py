@@ -397,23 +397,23 @@ def test_drivers_close_a_walk_they_stop_early(euclid3, monkeypatch, driver):
 
 
 def test_completeness_checks_exhaustion_monotonicity(euclid3, monkeypatch):
-    # dent the third level by 1e-6, more than it exceeds the second by; it
-    # replays level 1's steps in pieces, one call each, and each is dented
-    advance = heatlab.solver.advance_states
+    # dent the third level by 1e-6, more than it exceeds the second by; the
+    # second and third replay level 1's steps, one call each
+    replay = heatlab.solver._replay
     radii = []
 
-    def denting(op, *args, **kwargs):
+    def denting(op, *args):
         radii.append(op.grid.R)
-        dent = 1e-6 if len(set(radii)) == 3 else 0.0
-        return [state - dent for state in advance(op, *args, **kwargs)]
+        dent = 1e-6 if len(radii) == 2 else 0.0
+        return [state - dent for state in replay(op, *args)]
 
-    monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    monkeypatch.setattr(heatlab.solver, "_replay", denting)
     # every level in this process, where the patch sees it
     monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     with pytest.raises(NumericalFailure, match="exhaustion monotonicity "
                        "violated by .* between R=2 and R=3 at t=0.05"):
         completeness_probe(euclid3, 0.05, SolveControls(n_cells=64, step_tol=1e-5))
-    assert len(set(radii)) == 3 and len(radii) > 3
+    assert len(radii) == 2 and radii[0] < radii[1]
 
 
 def test_blowup_superexponential_weight(pe4):

@@ -65,8 +65,8 @@ SAMPLES = {
     "blowup_overflow_error": (3, None, "RangeError", 0, 0),
     "blowup_superexp": (0, "confirms", "divergent", 13_454, 96),
     "comparison": (0, "confirms", "barrier dominates", 0, 0),
-    "completeness_euclidean": (0, "confirms", "complete", 10_562, 274),
-    "completeness_superexp": (0, "refutes", "incomplete", 13_302, 265),
+    "completeness_euclidean": (0, "confirms", "complete", 10_562, 270),
+    "completeness_superexp": (0, "refutes", "incomplete", 13_302, 260),
     "degiorgi_annulus": (0, "confirms", DEGIORGI, 2_418, 44),
     "degiorgi_euclidean": (0, "confirms", DEGIORGI, 1_262, 44),
     "degiorgi_gaussian": (0, "confirms", DEGIORGI, 1_254, 44),

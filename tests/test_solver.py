@@ -1,5 +1,6 @@
 """Time stepping: accuracy against an independent kernel, structure, replay."""
 
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -36,6 +37,7 @@ from heatlab import (
 )
 from heatlab.experiments import completeness_probe, degiorgi_sweep
 from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
+from heatlab.solver import _replay
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
                       implicit_step, minus_laplacian_solve, record_walk,
                       time_exact_states)
@@ -299,12 +301,12 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
     extra = np.random.default_rng(3).uniform(0.0, 1.0, (g.N, columns - 1))
     u0 = chi if columns == 1 else np.column_stack([chi, extra])
     stops = [0.004, 0.01]
-    ladder = []
-    adaptive = advance_states(op, u0, stops, controls, ladder=ladder)
-    replayed = advance_states(op, u0, stops, controls, ladder=ladder)
+    steps = []
+    adaptive = advance_states(op, u0, stops, controls, record=steps.append)
+    replayed = _replay(op, u0, steps, len(stops))
     u = u0
-    for segment, got, again in zip(ladder, adaptive, replayed):
-        for dt in segment:
+    for k, (got, again) in enumerate(zip(adaptive, replayed)):
+        for dt in (h for stop, h in steps if stop == k):
             mid = implicit_step(op, 0.5 * dt, u)
             u = implicit_step(op, 0.5 * dt, mid)
         assert np.array_equal(got, u), "adaptive path differs from independent steps"
@@ -313,7 +315,8 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
 
 def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
     # a trajectory factors each half-step size h/2 once, and solves only
-    # the two half steps of each attempt
+    # the two half steps of each attempt; a replay factors each run of one
+    # size once
     controls, g, op, chi = _walk_setup(euclid3)
     counts = {"band": 0, "solve": 0}
     band, solve = WeightedOperator.banded, heatlab.solver.dpttrs
@@ -328,17 +331,19 @@ def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
 
     monkeypatch.setattr(WeightedOperator, "banded", counting_band)
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting_solve)
-    ladder = []
-    advance_states(op, chi, [0.01], controls, ladder=ladder)
-    steps = ladder[0]
+    pairs = []
+    advance_states(op, chi, [0.01], controls, record=pairs.append)
+    steps = [h for _, h in pairs]
     # this run rejects no attempt, so every factored size is a recorded one
     assert counts["solve"] == 2 * len(steps) > 0
     halves = {0.5 * h for h in steps}
     assert counts["band"] == len(halves) < len(steps)
-    # a replay solves only with the half steps, once per distinct size
+    # a replay solves only with the half steps; these sizes never come back
+    runs = 1 + sum(a != b for a, b in zip(steps, steps[1:]))
+    assert runs == len(halves)
     counts.update(band=0, solve=0)
-    advance_states(op, chi, [0.01], controls, ladder=ladder)
-    assert counts == {"band": len(halves), "solve": 2 * len(steps)}
+    _replay(op, chi, pairs, 1)
+    assert counts == {"band": runs, "solve": 2 * len(steps)}
 
 
 def _lattice_size(k: int) -> float:
@@ -368,20 +373,21 @@ def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops
         return proposals[-1][1]
 
     monkeypatch.setattr(heatlab.solver, "_lattice_step", recording)
-    ladder = []
+    steps = []
     advance_states(op, chi, stops, replace(controls, step_tol=step_tol),
-                   ladder=ladder)
+                   record=steps.append)
     m = heatlab.solver.STEP_LATTICE
     for dt, h in proposals:
         assert _on_lattice(h) and h <= dt < _lattice_size(
             round(m * math.log2(h / heatlab.solver.DT_INIT)) + 1), (dt, h)
     t = 0.0
     lattice = {h for _, h in proposals}
-    for stop, segment in zip(stops, ladder):
-        for i, h in enumerate(segment):
-            if h not in lattice:  # clipped: the last step, onto the stop
-                assert i == len(segment) - 1 and t + h == stop, (t, h, stop)
-            t = t + h
+    assert [k for k, _ in steps] == sorted(k for k, _ in steps)
+    for i, (k, h) in enumerate(steps):
+        if h not in lattice:  # clipped: the last step of stop k, onto it
+            assert i + 1 == len(steps) or steps[i + 1][0] == k + 1
+            assert t + h == stops[k], (t, h, stops[k])
+        t = t + h
 
 
 def _lattice_step_by_logs(h: float) -> float:
@@ -435,129 +441,75 @@ def test_record_and_replay_are_identical(euclid3):
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
-    ladder: list = []
-    (first,) = advance_states(op, u0.copy(), [0.05], controls, ladder=ladder)
-    assert len(ladder) == 1 and len(ladder[0]) >= 3
-    assert abs(math.fsum(ladder[0]) - 0.05) < 1e-12
-    (second,) = advance_states(op, u0.copy(), [0.05], controls, ladder=ladder)
+    steps: list = []
+    (first,) = advance_states(op, u0.copy(), [0.05], controls, record=steps.append)
+    assert len(steps) >= 3 and {k for k, _ in steps} == {0}
+    assert abs(math.fsum(h for _, h in steps) - 0.05) < 1e-12
+    (second,) = _replay(op, u0.copy(), steps, 1)
     assert np.array_equal(first, second), "replay must reproduce the recorded run bitwise"
 
-    # through several stops the ladder keeps one segment per stop, and the
-    # replay emits the recorded state at each of them
+    # through several stops each pair names its stop, and the replay emits
+    # the recorded state at each of them
     stops = [0.01, 0.03, 0.05]
-    ladder = []
-    recorded = advance_states(op, u0, stops, controls, ladder=ladder)
-    assert len(ladder) == 3 and all(ladder)
-    for start, stop, segment in zip([0.0, *stops], stops, ladder):
-        assert abs(math.fsum(segment) - (stop - start)) < 1e-12
-    replayed = advance_states(op, u0, stops, controls, ladder=ladder)
+    steps = []
+    recorded = advance_states(op, u0, stops, controls, record=steps.append)
+    for k, (start, stop) in enumerate(zip([0.0, *stops], stops)):
+        assert abs(math.fsum(h for j, h in steps if j == k) - (stop - start)) < 1e-12
+    replayed = _replay(op, u0, steps, len(stops))
     for t, a, b in zip(stops, recorded, replayed):
         assert np.array_equal(a, b), f"replay differs from the recording at t={t}"
-    # a ladder recorded through other stops cannot be replayed
-    for other in ([0.01, 0.05], [0.01, 0.02, 0.05], [0.01, 0.03, 0.06], [0.05]):
-        with pytest.raises(InvalidArgumentError):
-            advance_states(op, u0, other, controls, ladder=ladder)
+        assert a.flags.f_contiguous == b.flags.f_contiguous
+    assert replayed[0] is not replayed[1] and u0.tobytes() == project_datum(
+        ball_indicator(1.0), g).tobytes(), "a replay writes its own arrays only"
 
 
-def test_replay_feeds_the_observer_like_the_recording(euclid3):
-    # record and replay run one step body, so an observer on the replay sees
-    # the recording's transitions: the same times and bitwise-equal states
+@pytest.mark.parametrize("record", [[], (), "a", -1.0, math.nan],
+                         ids=["list", "tuple", "text", "negative", "nan"])
+def test_record_is_a_callable_or_none(euclid3, record):
+    # a step ladder of () or [["a"]] once raised AttributeError or TypeError
     controls, g, op, chi = _walk_setup(euclid3)
-    stops = [0.01, 0.03, 0.05]
-
-    def observed(ladder):
-        seen = []
-
-        def observer(t0, a, t1, b):
-            seen.append((t0, t1, a.copy(), b.copy()))
-
-        advance_states(op, chi, stops, controls, observer=observer,
-                       ladder=ladder)
-        return seen
-
-    ladder = []
-    recorded = observed(ladder)
-    replayed = observed(ladder)
-    assert len(ladder) == 3, "the replay must not extend the ladder"
-    assert len(recorded) == 2 * sum(map(len, ladder))
-    assert [s[:2] for s in replayed] == [s[:2] for s in recorded]
-    for (t0, t1, a, b), (_, _, c, d) in zip(recorded, replayed):
-        assert np.array_equal(a, c) and np.array_equal(b, d), \
-            f"replayed transition {t0} -> {t1} differs from the recording"
+    with pytest.raises(InvalidArgumentError, match="record must be callable or None"):
+        advance_states(op, chi, [0.01], controls, record=record)
 
 
-def test_replayed_steps_count_toward_the_budget(euclid3, monkeypatch):
-    controls, g, op, chi = _walk_setup(euclid3)
-    ladder = []
-    advance_states(op, chi, [0.01, 0.02], controls, ladder=ladder)
-    steps = sum(map(len, ladder))
-    monkeypatch.setattr(heatlab.solver, "MAX_STEPS", steps)
-    advance_states(op, chi, [0.01, 0.02], controls, ladder=ladder)
-    monkeypatch.setattr(heatlab.solver, "MAX_STEPS", steps - 1)
-    with pytest.raises(NumericalFailure, match=rf"replayed ladder of {steps} "
-                       rf"steps overruns the budget of {steps - 1} steps"):
-        advance_states(op, chi, [0.01, 0.02], controls, ladder=ladder)
-
-
-def test_replay_rejects_wrong_span(euclid3):
-    controls = SolveControls(n_cells=128, step_tol=1e-5)
-    g = build_grid(euclid3, 3.0, controls.n_cells)
-    op = assemble(g, euclid3, DIRICHLET)
-    with pytest.raises(InvalidArgumentError, match="spans 0.02 before stop 0.05"):
-        advance_states(op, np.ones(g.N), [0.05], controls, ladder=[[0.01, 0.01]])
-
-
-def test_a_ladder_replayed_in_pieces_has_the_one_shot_bits(euclid3, monkeypatch):
-    # a replay needs no state but the one it starts from, so a ladder
-    # replayed through consecutive calls, each one piece of one stop's steps
-    # from the state the last one reached, ends each stop on a one-shot
-    # replay's bits; cuts fall at every stop, inside each stop and around
-    # its last step, which is clipped onto the stop, off the lattice
+def test_a_streamed_replay_has_the_listed_replays_bits(euclid3, monkeypatch):
+    # a replay needs no pair before it takes it, so pairs that stream in
+    # from a generator end each stop on a listed replay's bits; the stops
+    # are several, and each ends on a step clipped onto it, off the lattice
     controls, g, op, chi = _walk_setup(euclid3)
     stops = [0.004, 0.01, 0.02]
-    ladder = []
-    advance_states(op, chi, stops, controls, ladder=ladder)
-    one_shot = advance_states(op, chi, stops, controls, ladder=ladder)
-    assert all(heatlab.solver._lattice_step(segment[-1]) < segment[-1] for segment in ladder)
-    for cut in (lambda n: [n // 2, n - 1], lambda n: range(1, n), lambda n: []):
-        u, at_stops = chi, []
-        for segment in ladder:
-            bounds = [0, *cut(len(segment)), len(segment)]
-            for a, b in zip(bounds, bounds[1:]):
-                piece = segment[a:b]
-                (u,) = advance_states(op, u, [math.fsum(piece)], controls, ladder=[piece])
-            at_stops.append(u)
-        assert [a.tobytes() for a in at_stops] == [b.tobytes() for b in one_shot]
+    steps = []
+    advance_states(op, chi, stops, controls, record=steps.append)
+    listed = _replay(op, chi, steps, len(stops))
+    ends = [h for (k, h), (j, _) in zip(steps, [*steps[1:], (len(stops), 0.0)]) if j > k]
+    assert len(ends) == 3 and all(heatlab.solver._lattice_step(h) < h for h in ends)
+    taken = []
 
-    # the walk's third level replays level 1's steps that way, in pieces
-    # of at most STREAM_PIECE (3 here), and must equal a one-shot replay
-    monkeypatch.setattr(heatlab.solver, "STREAM_PIECE", 3)
+    def streamed():
+        for pair in steps:
+            taken.append(pair)
+            yield pair
+
+    assert [a.tobytes() for a in _replay(op, chi, streamed(), len(stops))] == [
+        b.tobytes() for b in listed]
+    assert taken == steps
+
+    # the walk's third level replays level 1's steps as they stream in, and
+    # must equal a listed replay
     monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     datum, radii = ball_indicator(1.0), (2.0, 3.0, 4.0)
     ladder_grid, indices = heatlab.exhaustion_ladder(euclid3, datum, stops[-1], controls, radii)
     u0 = project_datum(datum, ladder_grid)
 
-    def replayed(idx, steps):
-        op = assemble(heatlab.subgrid(ladder_grid, idx), euclid3, DIRICHLET)
-        return advance_states(op, u0[:idx], stops, controls, ladder=steps)
+    def op_at(idx):
+        return assemble(heatlab.subgrid(ladder_grid, idx), euclid3, DIRICHLET)
 
     steps = []
-    replayed(indices[0], steps)
+    advance_states(op_at(indices[0]), u0[:indices[0]], stops, controls, record=steps.append)
     *_, (g3, third) = exhaustion_levels(euclid3, datum, stops, controls, radii)
     assert g3.N == indices[2]
-    assert [a.tobytes() for a in third] == [b.tobytes() for b in replayed(indices[2], steps)]
-
-
-@pytest.mark.parametrize("ladder", [(), [["a"]], [[0.1, -0.05]], [[0.05, math.nan]]],
-                         ids=["tuple", "text", "negative", "nan"])
-def test_a_ladder_is_a_list_of_lists_of_positive_finite_steps(euclid3, ladder):
-    # these once raised AttributeError, TypeError, NumericalFailure (the
-    # tridiagonal solve broke down) and RangeError
-    controls = SolveControls(n_cells=128, step_tol=1e-5)
-    g = build_grid(euclid3, 3.0, controls.n_cells)
-    op = assemble(g, euclid3, DIRICHLET)
-    with pytest.raises(InvalidArgumentError, match="list of lists of positive finite steps"):
-        advance_states(op, np.ones(g.N), [0.05], controls, ladder=ladder)
+    assert [a.tobytes() for a in third] == [
+        b.tobytes() for b in _replay(op_at(indices[2]), u0[:indices[2]], steps, len(stops))]
 
 
 def test_controls_validation():
@@ -664,18 +616,16 @@ def test_exhaustion_walk_through_stops(euclid3, monkeypatch):
 def test_exhaustion_monotonicity_is_checked_at_every_stop(euclid3, monkeypatch, k):
     # dent the outer level below the inner one at stop k only
     stops = [0.01, 0.02, 0.04]
-    advance = heatlab.solver.advance_states
+    replay = heatlab.solver._replay
 
-    def denting(*args, **kwargs):
-        replay = bool(kwargs["ladder"])  # the first level fills it in
-        states = advance(*args, **kwargs)
-        if replay:
-            states[k] = states[k] - 1e-6
+    def denting(*args):  # the second level, replayed from the first's steps
+        states = replay(*args)
+        states[k] = states[k] - 1e-6
         return states
 
     controls, radii = SolveControls(n_cells=96, step_tol=1e-5), (2.0, 3.0)
     list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls, radii))
-    monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    monkeypatch.setattr(heatlab.solver, "_replay", denting)
     with pytest.raises(NumericalFailure, match=f"at t={stops[k]}"):
         list(exhaustion_levels(euclid3, ball_indicator(1.0), stops, controls,
                                radii))
@@ -685,15 +635,19 @@ def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
                                                           monkeypatch):
     # consumed directly, as validate does: a dent in the second level stops
     # the walk before that level is yielded
-    advance = heatlab.solver.advance_states
+    advance, replay = heatlab.solver.advance_states, heatlab.solver._replay
     levels = []
 
-    def denting(*args, **kwargs):
+    def recording(*args, **kwargs):
         levels.append(advance(*args, **kwargs))
-        dent = 1e-6 if len(levels) == 2 else 0.0
-        return [state - dent for state in levels[-1]]
+        return levels[-1]
 
-    monkeypatch.setattr(heatlab.solver, "advance_states", denting)
+    def denting(*args):
+        levels.append([state - 1e-6 for state in replay(*args)])
+        return levels[-1]
+
+    monkeypatch.setattr(heatlab.solver, "advance_states", recording)
+    monkeypatch.setattr(heatlab.solver, "_replay", denting)
     controls = SolveControls(n_cells=64, step_tol=1e-5)
     walk = exhaustion_levels(euclid3, ball_indicator(1.0), [0.05], controls,
                              radii=(2.0, 3.0))
@@ -870,12 +824,12 @@ def test_c_and_fortran_ordered_states_step_bitwise_alike(euclid3, columns):
 
 @pytest.mark.parametrize("manifold", [euclidean(3), power_exp_weight(4, 1, 3)],
                          ids=["completeness_euclidean", "completeness_superexp"])
-def test_a_replay_holds_no_factor_it_will_not_use_again(manifold, monkeypatch):
+def test_a_replay_holds_one_factorization_at_a_time(manifold, monkeypatch):
     # the two completeness samples' walks: whenever a replayed level factors
-    # a half-step size, every factorization still alive has a step to come
-    # (one at a time on these walks, where a replay held all 52-54 sizes)
-    live, remaining, replays = [0], [], []
-    factor, advance = heatlab.solver._factor, heatlab.solver.advance_states
+    # a half-step size, the factorization it made is the only one alive (a
+    # replay once held all 52-54 sizes)
+    live, held, replaying = [0], [], [False]
+    factor, replay = heatlab.solver._factor, heatlab.solver._replay
 
     def freed():
         live[0] -= 1
@@ -884,23 +838,23 @@ def test_a_replay_holds_no_factor_it_will_not_use_again(manifold, monkeypatch):
         d, e = factor(op, dt)
         live[0] += 1
         weakref.finalize(d, freed)
-        if replays[-1] is not None:  # the half steps from this one on
-            halves = replays[-1]
-            remaining.append((live[0], len(set(halves[halves.index(dt):]))))
+        if replaying[0]:
+            held.append(live[0])
         return d, e
 
-    def walked(op, states, stops, controls, observer=None, ladder=None):
-        replays.append([0.5 * h for segment in ladder for h in segment]
-                       if ladder else None)
-        return advance(op, states, stops, controls, observer, ladder)
+    def replayed(*args):
+        replaying[0] = True
+        try:
+            return replay(*args)
+        finally:
+            replaying[0] = False
 
     monkeypatch.setattr(heatlab.solver, "_factor", counted)
-    monkeypatch.setattr(heatlab.solver, "advance_states", walked)
+    monkeypatch.setattr(heatlab.solver, "_replay", replayed)
     # every level in this process, where the patches see it
     monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
     completeness_probe(manifold, 0.1, SolveControls(n_cells=1024, step_tol=1e-6))
-    assert sum(r is not None for r in replays) >= 3 and remaining
-    assert all(held <= to_come for held, to_come in remaining), max(remaining)
+    assert len(held) >= 3 * 40 and set(held) == {1}, held
 
 
 @pytest.mark.parametrize("columns", [None, 1, 2, 3])
@@ -916,9 +870,10 @@ def test_solve_into_a_buffer_is_the_allocating_solve(euclid3, columns):
 
 def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
     # between two accepted steps that factor no new size, the traced peak
-    # rises by a few Python objects, far below one state array; and a run
-    # over ten times the steps raises the call's peak by no more than the
-    # factor cache's growth and the ladder's one float a step
+    # rises by a few Python objects, far below one state array, in the
+    # recording loop and in the replay; and a run over ten times the steps
+    # raises the call's peak by no more than the factor cache's growth (and
+    # 64 bytes a step) where ``record`` keeps nothing
     controls = SolveControls(n_cells=2048, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
@@ -935,7 +890,7 @@ def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
     monkeypatch.setattr(heatlab.solver, "_factor", recording)
     rises, last = [], {}
 
-    def observer(t0, a, t1, b):
+    def observer(*_):  # between two calls, the loop's own allocations
         _, peak = tracemalloc.get_traced_memory()
         if last and len(cached) == last["factors"]:
             rises.append(peak - last["current"])
@@ -943,22 +898,31 @@ def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
         tracemalloc.reset_peak()
         last["current"] = tracemalloc.get_traced_memory()[0]
 
-    peaks, caches, steps = [], [], []
+    def observed(pairs):  # the replay's pairs, observed as each is taken
+        for pair in pairs:
+            observer()
+            yield pair
+
+    peaks, caches, steps, pairs = [], [], [], []
     tracemalloc.start()
     try:
         for stop in (1e-4, 0.3):
             cached.clear()
-            ladder = []
+            count = itertools.count()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            advance_states(op, u0, [stop], controls, ladder=ladder)
+            advance_states(op, u0, [stop], controls, record=lambda _: next(count))
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             caches.append(sum(cached))
-            steps.append(len(ladder[0]))
-        advance_states(op, u0, [0.3], controls, observer=observer)
+            steps.append(next(count))
+        advance_states(op, u0, [0.3], controls, observer=observer, record=pairs.append)
+        recorded = len(rises)
+        last.clear()
+        _replay(op, u0, observed(pairs), 1)
     finally:
         tracemalloc.stop()
-    assert steps[1] >= 10 * steps[0] and len(rises) > steps[1]
+    assert steps[1] >= 10 * steps[0] and recorded > steps[1]
+    assert len(rises) - recorded > steps[1] // 2
     assert max(rises) <= u0.nbytes / 16, max(rises)
     more = steps[1] - steps[0]
     assert peaks[1] - peaks[0] <= caches[1] - caches[0] + 64 * more, (peaks, caches, more)
