@@ -18,9 +18,8 @@ from .geometry import (LOG_MAX_GRID, LOG_MAX_SCALAR, RadialBVDatum,
                        power_exp_weight, sphere_constant)
 from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
-from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states,
-                     dirichlet_ball, exhaustion_ladder, exhaustion_levels,
-                     exhaustion_radii, overflow_safe_radius, project_datum)
+from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states, exhaustion_ladder,
+                     exhaustion_levels, exhaustion_radii, overflow_safe_radius, project_datum)
 from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
                           face_variation_terms, flux_profile, total_variation,
                           weighted_sum)
@@ -36,9 +35,8 @@ __all__ = [
     "sphere_constant",
     "Grid", "build_grid", "face_ladder", "grid_from_faces", "subgrid",
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
-    "EXHAUSTION_SLACK", "SolveControls", "advance_states", "dirichlet_ball",
-    "exhaustion_ladder", "exhaustion_levels", "exhaustion_radii",
-    "overflow_safe_radius", "project_datum",
+    "EXHAUSTION_SLACK", "SolveControls", "advance_states", "exhaustion_ladder",
+    "exhaustion_levels", "exhaustion_radii", "overflow_safe_radius", "project_datum",
     "ExtrapolationResult", "FluxProfile", "extrapolate_limit",
     "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
     "ExperimentReport", "blowup_sweep",

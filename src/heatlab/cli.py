@@ -416,9 +416,9 @@ def run(config_path: str, out_dir: str, experiment: str | None = None,
     """Execute one config end to end; returns the process exit code.
 
     ``threads`` is ignored: a run steps in one thread, with at most one
-    forked child beside it (``solver.both``: an exhaustion level, blowup's
-    flat companion or half of ``validate``).  It stays in the signature
-    for callers that still pass it.
+    forked child beside it (a walk's odd levels, or through ``solver.both``
+    blowup's flat companion or half of ``validate``).  It stays in the
+    signature for callers that still pass it.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)

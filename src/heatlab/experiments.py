@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals, solver
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, RangeError
 from .geometry import (RadialBVDatum, RadialManifold, as_real, ball_indicator,
-                       constant_one, euclidean, exact_total_variation,
+                       constant_one, euclidean, exact_total_variation, instance,
                        monotone_reals, positive_real, power_exp_weight)
-from .grid import build_grid
+from .grid import build_grid, face_ladder
 from .operator import DIRICHLET, assemble
 from .solver import SolveControls, exhaustion_levels
 
@@ -92,7 +92,7 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     ``gap_rtol``.  A low-confidence extrapolation never confirms, and fewer
     than 3 times leave the run inconclusive without a fit.
     """
-    if not math.isfinite(datum.support_radius):
+    if not math.isfinite(instance(datum, RadialBVDatum).support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
     gap_rtol = positive_real(gap_rtol, "gap_rtol")
     ts = monotone_reals(t_list, "t_list times", "decreasing")
@@ -192,6 +192,29 @@ def completeness_probe(manifold: RadialManifold, t: float, controls: SolveContro
         finding=finding, evidence={"checks": checks})
 
 
+def _walled_ball(manifold: RadialManifold, data, R_read: float, stops,
+                 controls: SolveControls, R_cells: float | None = None):
+    """The one wall rule: checks and lays out a one-level walk of the tuple
+    ``data`` through ``stops``, and returns the call that steps it to (grid,
+    states, notes).  The wall sits max(2, 8*sqrt(last stop)) past ``R_read``,
+    capped at the overflow-safe radius with a note, and ``n_cells`` cells
+    fill ``R_cells`` (default: the wall) at one spacing.  Where nothing
+    beyond ``R_read`` could be read, a RangeError comes before any step."""
+    n, R_read = instance(controls, SolveControls).n_cells, positive_real(R_read, "reading radius")
+    safe = solver.overflow_safe_radius(manifold)
+    if not R_read < safe:
+        raise RangeError(f"reading radius {R_read:.6g} is not below the overflow-safe "
+                         f"radius {safe:.6g}; reduce it")
+    wanted = R_read + max(2.0, 8.0 * math.sqrt(stops[-1]))
+    R = min(wanted, safe)
+    n = n if R_cells is None else max(n, int(math.ceil(n * R / R_cells)))
+    if face_ladder(R, n, sorted({r for d in data for r in d.jump_radii}))[-2] <= R_read:
+        raise RangeError(f"no interior face lies beyond the reading radius {R_read:.6g} "
+                         f"before the wall at {R:.6g}; reduce it or raise n_cells")
+    walk = exhaustion_levels(manifold, data, stops, SolveControls(controls.step_tol, n), (R,))
+    return lambda: (*next(walk), [f"solve radius capped at {safe:.6g}"] if wanted > safe else [])
+
+
 def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, r_used: list,
                noise_floor_q: float) -> tuple[tuple, dict, list]:
     """(rows, fitted, checks) at one time from the evolved [constant, ball]."""
@@ -240,10 +263,10 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
                  controls: SolveControls) -> ExperimentReport:
     """Truncated variation growth of a ball's complement over a time ladder.
 
-    One trajectory of [constant, ball] runs through every time in ``t_list``
-    on the ``solver.dirichlet_ball`` walled off past max(R_list), with
-    ``n_cells`` cells inside min(R_list) and its notes under
-    ``fitted.notes``; the complement state follows by linearity, and its
+    [constant, ball] steps as two columns through every time in ``t_list``
+    on a one-level exhaustion walk walled off past max(R_list) (the wall
+    rule's notes go under ``fitted.notes``), with ``n_cells`` cells inside
+    min(R_list); the complement state follows by linearity, and its
     variation is accumulated up to each requested radius.  Divergence at
     a time requires all of: strictly increasing TV_R, least-squares slope at
     or above the slope threshold (0.05 * TV at the largest radius over the
@@ -270,17 +293,12 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     radii = monotone_reals(R_list, "R_list radii", least=2)
     if radii[0] <= r0:
         raise InvalidArgumentError(f"truncation radii must exceed r0={r0}")
-    data, stops = (constant_one(), ball_indicator(r0)), ts[::-1]
-
-    def trajectory(m):  # builds and checks m's ball, then steps when called
-        op, u0, notes = solver.dirichlet_ball(m, data, radii[-1], stops[-1], controls, radii[0])
-        return lambda: (op.grid, solver.advance_states(op, u0, stops, controls), notes)
-
-    # the signal's ball is checked before its flat companion forks beside it;
-    # flat space is its own companion
-    signal = trajectory(manifold)
+    wall = ((constant_one(), ball_indicator(r0)), radii[-1], ts[::-1], controls, radii[0])
+    # the signal's wall is checked and its walk laid out before its flat
+    # companion forks beside it; flat space is its own companion
+    signal = _walled_ball(manifold, *wall)
     (g, states, notes), (gf, flat_states, _) = [signal()] * 2 if manifold.family == "euclidean" \
-        else solver.both(signal, lambda: trajectory(euclidean(manifold.dimension))())
+        else solver.both(signal, lambda: _walled_ball(euclidean(manifold.dimension), *wall)())
     r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))]) for r in radii]
     floors = [abs(functionals.flux_profile(s[:, 0] - s[:, 1], gf)
                   .at(r_used[-1])) for s in flat_states]
@@ -350,25 +368,24 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
                t_list, controls: SolveControls) -> ExperimentReport:
     """Fit of the variation mass beyond a fixed radius against 1/t.
 
-    One trajectory runs through every time on the ``solver.dirichlet_ball``
-    walled off past R_out (``n_cells`` cells in all; an R_out at or beyond
-    the overflow-safe radius is a RangeError), and the variation over faces
-    beyond R_out is recorded at each time.  Only the
-    maximal small-t run of strictly decreasing tails enters the fit (earlier
-    times are pre-asymptotic); underflowed tails are dropped with a note.
+    The datum steps through every time on a one-level exhaustion walk walled
+    off past R_out (``n_cells`` cells in all; an R_out at or beyond the
+    overflow-safe radius is a RangeError), and the variation over faces
+    beyond R_out is recorded at each time.  Only the maximal small-t run of
+    strictly decreasing tails enters the fit (earlier times are
+    pre-asymptotic); underflowed tails are dropped with a note.
     The fit is log(tail) = log(C) - c/t by least squares; confirmation
     requires a negative slope in 1/t with R^2 >= 0.95, and fewer than 3
     admissible points leave the run inconclusive without a fit.
     """
-    support = datum.support_radius
+    support = instance(datum, RadialBVDatum).support_radius
     if not math.isfinite(support):
         raise InvalidArgumentError("datum must be compactly supported")
     if not 2.0 * support <= as_real(R_out) < math.inf:
         raise InvalidArgumentError(
             f"datum support {support} must fit inside half of R_out={R_out}")
     ts = monotone_reals(t_list, "t_list times", "decreasing")
-    op, u0, notes = solver.dirichlet_ball(manifold, (datum,), R_out, ts[0], controls)
-    g, states = op.grid, solver.advance_states(op, u0, ts[::-1], controls)
+    g, states, notes = _walled_ball(manifold, (datum,), R_out, ts[::-1], controls)()
     rows = []
     for t, state in zip(ts, reversed(states)):
         terms = functionals.face_variation_terms(state[:, 0], g, manifold)

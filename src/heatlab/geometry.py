@@ -66,6 +66,13 @@ def as_reals(values, name: str) -> list[float]:
     return [as_real(v) for v in values]
 
 
+def instance(value, cls: type):
+    """``value`` if it is a ``cls``, else InvalidArgumentError naming its type."""
+    if not isinstance(value, cls):
+        raise InvalidArgumentError(f"need a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def positive_real(value, name: str) -> float:
     """``value`` as a positive finite float, else InvalidArgumentError."""
     if not 0 < as_real(value) < math.inf:
@@ -330,7 +337,7 @@ def exact_total_variation(datum: RadialBVDatum, manifold: RadialManifold) -> flo
     """
     sigma = manifold.sphere_constant
     total = 0.0
-    pts = datum.breakpoints
+    pts = instance(datum, RadialBVDatum).breakpoints
     for (r0, v0), (r1, v1) in zip(pts, pts[1:]):
         if r1 == r0:
             if v1 != v0:

@@ -5,7 +5,8 @@ of states at them.  The minimal heat semigroup on a model manifold is the
 monotone limit of heat flows on balls B_R with absorbing boundary, which
 ``exhaustion_levels`` walks on one face ladder shared by all radii, so
 solutions at different R compare cell by cell and exhaustion monotonicity
-is a testable discrete statement.  The time integral of P_t 1 on one ball
+is a testable discrete statement.  Every driver that steps a ball walks
+it, blowup and tail one level.  The time integral of P_t 1 on one ball
 increases to its discrete exit time (-L)^{-1} 1, which ``exit_time`` sums
 in closed form, with no solve.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -43,9 +45,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real,
+from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real, instance,
                        monotone_reals, positive_real, real_array, whole_count)
-from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
+from .grid import Grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
 _LAPACK_DIR = os.path.join(
@@ -84,9 +86,9 @@ class SolveControls:
     """What every solve reads: step tolerance and resolution.
 
     ``step_tol`` bounds the relative local error of each accepted step.
-    ``n_cells`` counts the cells inside the first truncation radius
-    (degiorgi, completeness), min(R_list) (blowup), the whole solve ball
-    (tail) or R (comparison); larger radii keep the spacing."""
+    ``n_cells`` counts the cells inside a walk's first truncation radius
+    (degiorgi, completeness), min(R_list) (blowup), tail's whole one-level
+    walk or R (comparison); larger radii keep the spacing."""
 
     step_tol: float = 1e-6
     n_cells: int = 1024
@@ -99,7 +101,7 @@ class SolveControls:
 def project_datum(datum: RadialBVDatum, g: Grid) -> np.ndarray:
     """Cell averages of a BV profile; indicators become exact 0/1 values.
     Every jump radius must be a face of the grid: no jump is smeared."""
-    for r in datum.jump_radii:
+    for r in instance(datum, RadialBVDatum).jump_radii:
         g.face_index(r)  # raises where a jump radius is not a face
 
     # the profile is linear between breakpoints: the midpoint value averages a
@@ -157,7 +159,7 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     a stop is clipped onto it, off the lattice, and stepping then resumes
     from the size proposed before the clip.  ``MAX_STEPS`` attempts bound
     the whole trajectory."""
-    stops = monotone_reals(stops, "stop times")
+    stops, controls = monotone_reals(stops, "stop times"), instance(controls, SolveControls)
     u = np.array(real_array(states, "states"), order="F")
     if u.ndim not in (1, 2) or u.shape[0] != op.grid.N:
         raise InvalidArgumentError("state length does not match the grid")
@@ -326,9 +328,11 @@ def both(first, second):
         return first(), receive()
 
 
+@functools.lru_cache(maxsize=8)  # a driver's wall rule and its walk's ladder both ask
 def overflow_safe_radius(manifold: RadialManifold) -> float:
     """Largest radius whose face area stays within the grid range budget;
-    inf when the budget holds up to r = 1e6 (flat and decaying weights)."""
+    inf when the budget holds up to r = 1e6 (flat and decaying weights).
+    Bisected once for each of the last 8 manifolds asked about."""
     def fits(r: float) -> bool:
         return manifold.log_sphere_constant + manifold.log_area(float(r)) <= LOG_MAX_GRID
     if fits(1e6):
@@ -340,41 +344,6 @@ def overflow_safe_radius(manifold: RadialManifold) -> float:
             break
         lo, hi = (mid, hi) if fits(mid) else (lo, mid)
     return lo
-
-
-def dirichlet_ball(manifold: RadialManifold, data, R_read: float, t_end: float,
-                   controls: SolveControls, R_cells: float | None = None):
-    """The ball radial data step on to ``t_end`` (``advance_states``):
-    (operator, stacked (N, len(data)) projected data, notes).  Its wall sits
-    max(2, 8*sqrt(t_end)) past ``R_read``, capped at the overflow-safe
-    radius with a note; ``controls.n_cells`` cells fill ``R_cells`` (default:
-    the wall) at one spacing out to the wall, and every jump radius is a
-    face.  An ``R_read`` not below the overflow-safe radius, or a grid with
-    no interior face beyond it, is a RangeError: nothing there is read."""
-    if not (isinstance(data, (list, tuple)) and data
-            and all(isinstance(d, RadialBVDatum) for d in data)):
-        raise InvalidArgumentError(f"need a nonempty list or tuple of datums, got {data!r:.40}")
-    if not isinstance(controls, SolveControls):
-        raise InvalidArgumentError(f"need SolveControls, got {controls!r:.40}")
-    R_read = positive_real(R_read, "reading radius")
-    safe = overflow_safe_radius(manifold)
-    if not R_read < safe:
-        raise RangeError(
-            f"reading radius {R_read:.6g} is not below the overflow-safe "
-            f"radius {safe:.6g}; reduce it")
-    wanted = R_read + max(2.0, 8.0 * math.sqrt(positive_real(t_end, "end time")))
-    R = min(wanted, safe)
-    notes = [f"solve radius capped at {safe:.6g}"] if wanted > safe else []
-    n = controls.n_cells
-    if R_cells is not None:
-        n = max(n, int(math.ceil(n * R / positive_real(R_cells, "R_cells"))))
-    g = build_grid(manifold, R, n, sorted({r for d in data for r in d.jump_radii}))
-    if g.faces[-2] <= R_read:
-        raise RangeError(
-            f"no interior face lies beyond the reading radius {R_read:.6g} "
-            f"before the wall at {R:.6g}; reduce it or raise n_cells")
-    return (assemble(g, manifold, DIRICHLET),
-            np.stack([project_datum(d, g) for d in data], axis=1), notes)
 
 
 def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
@@ -392,32 +361,35 @@ def exhaustion_radii(base: float, t: float, safe: float) -> tuple[float, ...]:
     return tuple(radii)
 
 
-def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
+def exhaustion_ladder(manifold: RadialManifold, datum, t: float,
                       controls: SolveControls, radii=None) -> tuple[Grid, list[int]]:
     """The ladder grid covering every truncation radius, and the face index
-    of each level: level k is ``subgrid(ladder, indices[k])``.  ``radii`` is
-    a strictly increasing list, or None for ``exhaustion_radii`` at time
-    ``t``.  Radii snap to the nearest ladder face (reported radii are the
-    snapped ones).  Automatic radii are capped at the overflow-safe radius,
-    and one that snaps onto the face of the one before is dropped; explicit
-    radii raise there instead, and so does a first radius at or inside the
-    datum's last breakpoint, which would truncate it."""
-    outer = datum.breakpoints[-1][0]
+    of each level: level k is ``subgrid(ladder, indices[k])``.  ``datum`` is
+    a datum or a nonempty tuple of them, each jump radius a face.  ``radii``
+    is a strictly increasing list, or None for ``exhaustion_radii`` at ``t``.
+    Radii snap to the nearest ladder face (reported radii are the snapped
+    ones).  Automatic radii are capped at the overflow-safe radius, and one
+    that snaps onto the face of the one before is dropped; explicit radii
+    raise there instead, and so does a first radius at or inside a datum's
+    last breakpoint, which would truncate it."""
+    data = datum if isinstance(datum, tuple) and datum else (datum,)
+    outer = max(instance(d, RadialBVDatum).breakpoints[-1][0] for d in data)
+    n = instance(controls, SolveControls).n_cells
     safe = overflow_safe_radius(manifold)
     planned = exhaustion_radii(outer, t, safe)  # checks t for explicit radii too
     radii = planned if radii is None else monotone_reals(radii, "exhaustion radii")
     if radii[0] <= outer:
         raise InvalidArgumentError(
-            f"first truncation radius {radii[0]} does not contain the datum, "
+            f"first truncation radius {radii[0]} does not contain the datum "
             f"whose last breakpoint is at {outer}")
     r1, r_top = radii[0], radii[-1]
     if r_top > safe:
         raise RangeError(
             f"truncation radius {r_top:.6g} exceeds the overflow-safe radius "
             f"{safe:.6g} of this manifold")
-    faces = list(face_ladder(r1, controls.n_cells, datum.jump_radii))
+    faces = list(face_ladder(r1, n, sorted({r for d in data for r in d.jump_radii})))
     if r_top > r1 * (1 + 1e-12):
-        width = r1 / controls.n_cells
+        width = r1 / n
         n_extra = int(math.ceil((r_top - r1) / width - 1e-9))
         while r1 + width * n_extra > safe:  # the last face stays overflow-safe
             n_extra -= 1
@@ -439,30 +411,32 @@ def exhaustion_ladder(manifold: RadialManifold, datum: RadialBVDatum, t: float,
 def monotonicity_defect(inner: np.ndarray, outer: np.ndarray) -> float:
     """How far the outer level's solution falls below the inner level's on
     the inner ball; monotonicity holds up to ``EXHAUSTION_SLACK``."""
-    return float(np.max(inner - outer[:inner.size]))
+    return float(np.max(inner - outer[:len(inner)]))
 
 
-def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
+def exhaustion_levels(manifold: RadialManifold, datum, stops,
                       controls: SolveControls, radii=None):
     """Lazily evolve the datum through ``stops`` on each truncation level.
 
     ``stops`` is a strictly increasing list of positive times, as in
-    ``advance_states``.  Yields (grid, states at the stops) per level of
-    ``exhaustion_ladder`` over ``radii``, smallest ball first; the automatic
-    radius policy (``radii=None``) sizes the ladder for the last stop.
-    Times and radii are checked at the call.  Level 1 records its steps
-    (``advance_states``) and every later level replays them (``_replay``):
-    levels 2, 4, ... in the caller as they are asked for, and levels 3, 5,
-    ... in one child (``_beside``, forked for three or more levels), level 3
-    from level 1's steps as they are accepted and level 2j+1 once the walk
-    is asked for level 2j.  Each level is checked against the one before at
-    every stop before it is yielded: a ``monotonicity_defect`` beyond
-    ``EXHAUSTION_SLACK`` raises ``NumericalFailure``."""
+    ``advance_states``; a tuple of datums steps as stacked columns, in order.
+    Yields (grid, states at the stops) per level of ``exhaustion_ladder``
+    over ``radii``, smallest ball first; the automatic radius policy
+    (``radii=None``) sizes the ladder for the last stop.  Times and radii
+    are checked at the call.  Level 1 records its steps (``advance_states``)
+    for later levels to replay (``_replay``): levels 2, 4, ... in the caller
+    as they are asked for, and levels 3, 5, ... in one child (``_beside``,
+    forked for three or more levels), level 3 from level 1's steps as they
+    are accepted and level 2j+1 once the walk is asked for level 2j.  Each
+    level is checked against the one before at every stop before it is
+    yielded: a ``monotonicity_defect`` beyond ``EXHAUSTION_SLACK`` raises
+    ``NumericalFailure``."""
     stops = monotone_reals(stops, "stop times")
     ladder, indices = exhaustion_ladder(manifold, datum, stops[-1], controls, radii)
 
     def levels():
-        u0 = project_datum(datum, ladder)
+        u0 = np.stack([project_datum(d, ladder) for d in datum], axis=1) \
+            if isinstance(datum, tuple) else project_datum(datum, ladder)
         steps: list[tuple[int, float]] = []  # level 1's accepted (stop index, h)
 
         def level(idx, pairs=steps):
@@ -478,13 +452,15 @@ def exhaustion_levels(manifold: RadialManifold, datum: RadialBVDatum, stops,
                 yield level(idx, kept)
 
         with _beside(odd_levels, len(indices) > 2 and can_fork()) as (send, odd):
-            g1 = subgrid(ladder, indices[0])  # level 1 keeps each step and sends it on
+            g1 = subgrid(ladder, indices[0])
             op1, u1 = assemble(g1, manifold, DIRICHLET), u0[:indices[0]]
-            first = g1, advance_states(op1, u1, stops, controls,
-                                       record=lambda pair: (steps.append(pair), send(pair)))
+            # a lone level records nothing, and only level 3 reads a sent step
+            keep = None if len(indices) == 1 else steps.append if len(indices) == 2 \
+                else lambda pair: (steps.append(pair), send(pair))
+            first = g1, advance_states(op1, u1, stops, controls, record=keep)
             inner_R, inner = None, []  # the first level has nothing inside it
             for n, idx in enumerate(indices):
-                if n % 2:
+                if n % 2 and n + 1 < len(indices):
                     send(())  # level n + 2 may run to its end in the child
                 g, at_stops = first if n == 0 else level(idx) if n % 2 else odd()
                 for stop, a, b in zip(stops, inner, at_stops):

@@ -11,6 +11,7 @@ import json
 import os
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from conftest import lapack_calls, no_child_left
 
 FORKS = pytest.mark.skipif(not heatlab.solver.can_fork(),
                            reason="forks only on Linux with two or more CPUs")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 WALK = dict(stops=[0.02, 0.05], controls=SolveControls(n_cells=64, step_tol=1e-5),
             radii=(2.0, 3.0, 4.0, 5.0))
 
@@ -96,14 +98,27 @@ def test_a_child_that_dies_without_a_result_is_a_numerical_failure():
 
 
 def test_a_blowup_ball_out_of_range_raises_before_anything_forks(monkeypatch):
-    # the signal's dirichlet_ball is built and checked in the caller before
-    # its flat companion forks, so a reading radius past exp(+r^4)'s
-    # overflow-safe radius forks nothing
+    # the signal's wall is checked in the caller before its flat companion
+    # forks, so a reading radius past exp(+r^4)'s overflow-safe radius forks
+    # nothing
     calls, pids = _spy(monkeypatch)
     with pytest.raises(RangeError, match="overflow-safe"):
         blowup_sweep(power_exp_weight(4, 1, 3), 1.0, (0.1,), (2.0, 6.0),
                      SolveControls(n_cells=64))
     assert calls == [] and pids == []
+
+
+@FORKS
+def test_only_blowups_flat_companion_forks_beside_a_one_level_walk(tmp_path, monkeypatch):
+    # tail and blowup step on one-level walks, which fork nothing; blowup's
+    # flat companion forks once beside the signal (without can_fork nothing
+    # forks: test_sample_configs::test_a_sample_that_forks_keeps_its_digests_inline)
+    calls, pids = _spy(monkeypatch)
+    assert run(str(CONFIGS / "tail_euclidean.json"), str(tmp_path / "tail")) == 0
+    assert calls == [] and pids == []
+    assert run(str(CONFIGS / "blowup_superexp.json"), str(tmp_path / "blowup")) == 0
+    assert len(calls) == len(pids) == 1
+    assert no_child_left()
 
 
 def test_forked_levels_have_the_inline_bits(euclid3, monkeypatch):

@@ -11,15 +11,19 @@ warning an error), breaks the contract, and so does a call that honours
 what no caller can mean as a number: a boolean, a string or NaN, or a
 negative where only positive values make sense.  Escapes this caught:
 ``face_ladder(True, 16)`` ran as R = 1 and ``face_ladder(1.0, 16.5)`` raised
-TypeError; ``subgrid(g, 16.5)`` raised IndexError; ``evolve`` (now
-``dirichlet_ball``) ran with a reading radius of True or -1.0; ``extrapolate_limit`` read NaN and string
+TypeError; ``subgrid(g, 16.5)`` raised IndexError; ``evolve`` (later
+``dirichlet_ball``, now the drivers' wall rule) ran with a reading radius
+of True or -1.0; ``extrapolate_limit`` read NaN and string
 h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers;
 ``Grid.face_index("a")`` and ``FluxProfile.at("a")`` raised numpy's
 UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
 and ``RadialBVDatum(((0.0, 1.0), 5))`` a TypeError; ``face_index(True)``
 and ``RadialManifold.log_area(True)`` ran as radius 1; ``advance_states``
 raised AttributeError on a step ladder of ``()`` and TypeError on
-``[["a"]]`` (its ``record`` is now a callable or None).
+``[["a"]]`` (its ``record`` is now a callable or None).  A datum or a
+``SolveControls`` of the wrong type escaped as AttributeError from
+``project_datum``, ``exhaustion_levels``, ``advance_states`` and the
+drivers; each export that takes one now names the type it got.
 The methods and the raw datum constructor are held to the same contract
 as the exports.
 """
@@ -37,12 +41,12 @@ from heatlab import (InvalidArgumentError, NumericalFailure, RadialBVDatum,
                      RangeError, SolveControls, advance_states, assemble,
                      ball_indicator, ball_volume, blowup_sweep, build_grid,
                      comparison_check, completeness_probe, degiorgi_sweep,
-                     dirichlet_ball, euclidean, exhaustion_ladder, exhaustion_levels,
-                     exhaustion_radii, extrapolate_limit, face_ladder,
-                     face_variation_terms, flux_profile, grid_from_faces,
-                     log_area_integral, perimeter_ball, piecewise,
-                     power_exp_weight, sphere_constant, subgrid, tail_probe,
-                     total_variation, weighted_sum)
+                     euclidean, exact_total_variation, exhaustion_ladder,
+                     exhaustion_levels, exhaustion_radii, extrapolate_limit,
+                     face_ladder, face_variation_terms, flux_profile,
+                     grid_from_faces, log_area_integral, perimeter_ball,
+                     piecewise, power_exp_weight, project_datum, sphere_constant,
+                     subgrid, tail_probe, total_variation, weighted_sum)
 
 ALLOWED = (InvalidArgumentError, RangeError, NumericalFailure)
 
@@ -116,6 +120,8 @@ CALLS = {
     "log_area_integral": (log_area_integral,
                           {"manifold": FLAT, "a": 0.5, "b": 1.0}, ["a", "b"]),
     "ball_indicator": (ball_indicator, {"radius": 0.5}, ["radius"]),
+    "exact_total_variation": (exact_total_variation, {"datum": BALL, "manifold": FLAT},
+                              ["datum"]),
     "RadialBVDatum": (RadialBVDatum,
                       {"breakpoints": [(0.0, 1.0), (1.0, 0.5), (2.0, 0.0)]},
                       ["breakpoints", ("breakpoints", 1), ("breakpoints", 1, 0),
@@ -134,14 +140,11 @@ CALLS = {
     "subgrid": (subgrid, {"g": GRID, "n_cells": 16}, ["n_cells"]),
     "SolveControls": (SolveControls, {"step_tol": 1e-3, "n_cells": 16},
                       ["step_tol", "n_cells"]),
+    "project_datum": (project_datum, {"datum": BALL, "g": GRID}, ["datum"]),
     "advance_states": (advance_states,
                        {"op": OP, "states": PROFILE, "stops": [0.01],
                         "controls": FAST, "record": RECORDED.append},
-                       ["states", ("states", 0), "stops", ("stops", 0), "record"]),
-    "dirichlet_ball": (dirichlet_ball,
-                       {"manifold": FLAT, "data": (BALL,), "R_read": 1.0,
-                        "t_end": 0.01, "controls": FAST, "R_cells": 1.0},
-                       ["data", ("data", 0), "R_read", "t_end", "R_cells",
+                       ["states", ("states", 0), "stops", ("stops", 0), "record",
                         "controls"]),
     "exhaustion_radii": (exhaustion_radii,
                          {"base": 1.0, "t": 0.05, "safe": 5.0},
@@ -149,11 +152,12 @@ CALLS = {
     "exhaustion_ladder": (exhaustion_ladder,
                           {"manifold": FLAT, "datum": BALL, "t": 0.01,
                            "controls": FAST, "radii": [1.0, 1.5]},
-                          ["t", "radii", ("radii", 0)]),
+                          ["datum", "t", "controls", "radii", ("radii", 0)]),
     "exhaustion_levels": (exhaustion_levels,
                           {"manifold": FLAT, "datum": BALL, "stops": [0.01],
                            "controls": FAST, "radii": [1.0, 1.5]},
-                          ["stops", ("stops", 0), "radii", ("radii", 0)]),
+                          ["datum", "stops", ("stops", 0), "controls", "radii",
+                           ("radii", 0)]),
     "extrapolate_limit": (extrapolate_limit,
                           {"series": [(0.1, 3.1), (0.05, 3.05),
                                       (0.025, 3.025)]},
@@ -172,23 +176,23 @@ CALLS = {
                        {"manifold": FLAT, "datum": BALL,
                         "t_list": [0.02, 0.01, 0.005], "controls": FAST,
                         "gap_rtol": 0.01, "radii": [1.0]},
-                       ["t_list", ("t_list", 0), "gap_rtol", "radii",
-                        ("radii", 0)]),
+                       ["datum", "t_list", ("t_list", 0), "controls", "gap_rtol",
+                        "radii", ("radii", 0)]),
     "completeness_probe": (completeness_probe,
                            {"manifold": FLAT, "t": 0.01, "controls": FAST,
                             "radii": [1.0, 1.5, 2.0]},
-                           ["t", "radii", ("radii", 0)]),
+                           ["t", "controls", "radii", ("radii", 0)]),
     "blowup_sweep": (blowup_sweep,
                      {"manifold": FLAT, "r0": 0.5, "t_list": [0.01],
                       "R_list": [1.0, 1.5], "controls": FAST},
                      ["r0", "t_list", ("t_list", 0), "R_list",
-                      ("R_list", 0)]),
+                      ("R_list", 0), "controls"]),
     "comparison_check": (comparison_check, {"R": 1.0, "n_cells": 16},
                          ["R", "n_cells"]),
     "tail_probe": (tail_probe,
                    {"manifold": FLAT, "datum": BALL, "R_out": 1.0,
                     "t_list": [0.01], "controls": FAST},
-                   ["R_out", "t_list", ("t_list", 0)]),
+                   ["datum", "R_out", "t_list", ("t_list", 0), "controls"]),
 }
 
 # methods of the objects the exports return, held to the same contract
@@ -213,17 +217,22 @@ def mutated(kwargs: dict, path, kind: str) -> dict:
     return out
 
 
-@pytest.mark.parametrize("data", [BALL, [], [BALL, 1.0], (0.5,), np.array([0.5])],
+@pytest.mark.parametrize("data", [BALL, (), (BALL, 1.0), (0.5,), np.array([0.5])],
                          ids=["lone_datum", "empty", "number_item", "number_tuple", "ndarray"])
 def test_evolve_takes_a_list_or_tuple_of_data(data):
-    # data evolve jointly on their dirichlet_ball: a lone datum once raised
-    # TypeError ("not iterable"), a number among the data AttributeError
-    with pytest.raises(InvalidArgumentError, match="list or tuple of datums"):
-        dirichlet_ball(FLAT, data, 1.0, 0.01, FAST)
-    (listed,), (tupled,) = (advance_states(*dirichlet_ball(FLAT, kind([BALL]), 1.0, 0.01,
-                                                           FAST)[:2], [0.01], FAST)
-                            for kind in (list, tuple))
-    assert listed.tobytes() == tupled.tobytes()
+    # data evolve jointly on the exhaustion walk, which takes a datum or a
+    # nonempty tuple of them: a lone datum steps to the bits of its 1-tuple's
+    # column, as a 1-d state; anything else is refused by type, where a
+    # number among the data once raised AttributeError
+    walk = dict(manifold=FLAT, stops=[0.01], controls=FAST, radii=[1.0, 1.5])
+    if data is not BALL:
+        with pytest.raises(InvalidArgumentError, match="^need a RadialBVDatum, got "):
+            exhaustion_levels(datum=data, **walk)
+        return
+    lone, tupled = (list(exhaustion_levels(datum=datum, **walk)) for datum in (BALL, (BALL,)))
+    for (g, (alone,)), (_, (column,)) in zip(lone, tupled, strict=True):
+        assert alone.shape == (g.N,) and column.shape == (g.N, 1)
+        assert alone.tobytes() == column[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted({**CALLS, **METHODS}))
@@ -246,11 +255,10 @@ def test_every_export_returns_or_raises_a_heatlab_error(name):
 
 
 def test_the_contract_covers_every_export():
-    # every callable heatlab exports that takes a number or a list; the
-    # classes build through the factories and drivers above, and the rest
-    # take only manifolds, data, grids or operators
-    takes_none = {"constant_one", "exact_total_variation", "assemble",
-                  "overflow_safe_radius", "project_datum"}
+    # every callable heatlab exports that takes a number, a list, a datum or
+    # controls; the classes build through the factories and drivers above,
+    # and the rest take only manifolds, grids or operators
+    takes_none = {"constant_one", "assemble", "overflow_safe_radius"}
     classes = {name for name in heatlab.__all__
                if isinstance(getattr(heatlab, name), type)}
     functions = {name for name in heatlab.__all__

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+import heatlab.solver
 from conftest import (SAMPLE_DIGESTS, SAMPLE_REPORTS, describe_moves,
                       lapack_calls, moved_outputs, no_child_left,
                       output_digests, run_record)
@@ -159,6 +160,25 @@ def test_sample_config_verdict(sample_run, name):
         exact = PERIMETER[name]
         gap = abs(report["fitted"]["extrapolated_limit"] - exact) / exact
         assert gap <= report["config"]["tolerances"]["gap_rtol"]
+
+
+@pytest.mark.parametrize("name", ["blowup_superexp", "completeness_euclidean",
+                                  "completeness_superexp", "validate"])
+def test_a_sample_that_forks_keeps_its_digests_inline(tmp_path, monkeypatch, name):
+    # these samples fork one child where they can (blowup's flat companion,
+    # the exhaustion walk's odd levels, half of validate); run in the caller
+    # alone they must fork nothing and write the same bits with the table's
+    # LAPACK calls
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    out = tmp_path / name
+    with lapack_calls(tmp_path / "calls") as calls:
+        code = run(str(ROOT / "configs" / f"{name}.json"), str(out))
+    assert forks == []
+    assert (code, calls["dpttrs"], calls["dpttrf"]) == (SAMPLES[name][0], *SAMPLES[name][3:])
+    moved = moved_outputs(name, out)
+    assert not moved, f"{name} outputs moved inline: {moved}\n{describe_moves(name, out)}"
 
 
 REPORT_KEYS = {"config", "evidence", "files", "finding", "fitted", "series",

@@ -1,5 +1,6 @@
 """Time stepping: accuracy against an independent kernel, structure, replay."""
 
+import contextlib
 import itertools
 import math
 import tracemalloc
@@ -26,7 +27,6 @@ from heatlab import (
     ball_indicator,
     build_grid,
     constant_one,
-    dirichlet_ball,
     exhaustion_levels,
     grid_from_faces,
     overflow_safe_radius,
@@ -35,7 +35,7 @@ from heatlab import (
     total_variation,
     weighted_sum,
 )
-from heatlab.experiments import completeness_probe, degiorgi_sweep
+from heatlab.experiments import _walled_ball, completeness_probe, degiorgi_sweep
 from heatlab.geometry import LOG_MAX_GRID, euclidean, power_exp_weight
 from heatlab.solver import _replay
 from conftest import (ball_heat_closed_form, ball_heat_quadrature, check_row,
@@ -210,23 +210,26 @@ def test_stacked_columns_stay_linear(euclid3):
 
 
 def test_evolve_places_the_wall_and_counts_the_cells(euclid3, pe4):
-    # data evolve jointly on their dirichlet_ball, whose wall sits
-    # max(2, 8 sqrt(end time)) past the reading radius; n_cells fills the
-    # whole ball, or R_cells at one spacing to the wall
+    # data evolve jointly on the one-level walk of the drivers' wall rule
+    # (experiments._walled_ball), whose wall sits max(2, 8 sqrt(last stop))
+    # past the reading radius; n_cells fills the whole ball, or R_cells at
+    # one spacing to the wall.  Both range errors come from the rule itself,
+    # before it lays out a walk
     controls = SolveControls(n_cells=64, step_tol=1e-5)
     data = (constant_one(), ball_indicator(1.0))
-    op, u0, notes = dirichlet_ball(euclid3, data, 3.0, 0.25, controls)
-    g, states = op.grid, advance_states(op, u0, [0.01, 0.25], controls)
+    g, states, notes = _walled_ball(euclid3, data, 3.0, [0.01, 0.25], controls)()
     assert (g.R, g.N, notes) == (7.0, 64, [])
-    assert [s.shape for s in (u0, *states)] == [(64, 2)] * 3
+    assert [s.shape for s in states] == [(64, 2)] * 2
     assert 1.0 in g.faces
-    op, _, _ = dirichlet_ball(euclid3, data, 3.0, 0.01, controls, R_cells=2.0)
-    assert (op.grid.R, op.grid.N) == (5.0, 160)
+    g, _, _ = _walled_ball(euclid3, data, 3.0, [0.01], controls, R_cells=2.0)()
+    assert (g.R, g.N) == (5.0, 160)
     safe = overflow_safe_radius(pe4)
-    op, _, notes = dirichlet_ball(pe4, data, 4.5, 0.01, controls)
-    assert (op.grid.R, notes) == (safe, [f"solve radius capped at {safe:.6g}"])
+    g, _, notes = _walled_ball(pe4, data, 4.5, [0.01], controls)()
+    assert (g.R, notes) == (safe, [f"solve radius capped at {safe:.6g}"])
     with pytest.raises(RangeError, match="no interior face"):
-        dirichlet_ball(pe4, data, 5.12, 0.01, controls)
+        _walled_ball(pe4, data, 5.12, [0.01], controls)
+    with pytest.raises(RangeError, match="reading radius 5.2 is not below"):
+        _walled_ball(pe4, data, 5.2, [0.01], controls)
 
 
 def test_first_stop_is_the_one_stop_run(euclid3):
@@ -657,6 +660,64 @@ def test_exhaustion_walk_checks_each_level_against_the_last(euclid3,
                        "violated by .* between R=2 and R=3 at t=0.05"):
         next(walk)
     assert len(levels) == 2
+
+
+def test_a_walk_keeps_and_sends_no_step_it_will_not_replay(euclid3, monkeypatch):
+    # level 1 records its steps only for a later level: a one-level walk
+    # passes no record, and a two-level walk keeps its steps for level 2
+    # but sends nothing beside it (every pair once went into a list that
+    # nothing read).  From three levels on, level 1's steps go to level 3,
+    # and one () per later odd level lets it start
+    records, accepted, sent = [], [], []
+    advance, beside = heatlab.solver.advance_states, heatlab.solver._beside
+
+    def recording(*args, record=None, **kwargs):
+        records.append(record)
+        seen = None if record is None else lambda pair: (accepted.append(pair), record(pair))
+        return advance(*args, record=seen, **kwargs)
+
+    @contextlib.contextmanager
+    def counting(work, fork):
+        with beside(work, fork) as (send, receive):
+            yield (lambda item: (sent.append(item), send(item))), receive
+
+    monkeypatch.setattr(heatlab.solver, "advance_states", recording)
+    monkeypatch.setattr(heatlab.solver, "_beside", counting)
+    controls = SolveControls(n_cells=64, step_tol=1e-5)
+    for n in range(1, 6):
+        for kept in (records, accepted, sent):
+            kept.clear()
+        walk = exhaustion_levels(euclid3, ball_indicator(1.0), [0.02, 0.05], controls,
+                                 radii=(2.0, 3.0, 4.0, 5.0, 6.0)[:n])
+        assert len(list(walk)) == n
+        assert len(records) == 1 and (records[0] is None) == (n == 1)
+        assert (len(accepted) > 0) == (n > 1)
+        assert [item for item in sent if item != ()] == (accepted if n > 2 else [])
+        assert sent.count(()) == (n - 1) // 2
+
+
+def test_a_walk_steps_a_tuple_of_data_as_stacked_columns(euclid3, monkeypatch):
+    # two balls and the annulus between them, which shares both their jump
+    # radii, step as three columns in order on one ladder holding each jump
+    # once: the annulus column is the balls' difference on every level, at
+    # every stop, with the same bits forked and inline.  The first radius
+    # must contain every datum
+    data = (ball_indicator(1.0), ball_indicator(1.5),
+            piecewise([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (1.5, 1.0), (1.5, 0.0)]))
+    walk = dict(stops=[0.01, 0.05], controls=SolveControls(n_cells=64, step_tol=1e-5),
+                radii=(2.0, 3.0, 4.0))
+    forked = list(exhaustion_levels(euclid3, data, **walk))
+    monkeypatch.setattr(heatlab.solver, "can_fork", lambda: False)
+    inline = list(exhaustion_levels(euclid3, data, **walk))
+    assert [g.R for g, _ in forked] == [2.0, 3.0, 4.0]
+    for (g, states), (_, want) in zip(forked, inline, strict=True):
+        assert {1.0, 1.5} <= set(g.faces.tolist())
+        for got, expected in zip(states, want, strict=True):
+            assert got.shape == (g.N, 3) and got.tobytes() == expected.tobytes()
+            assert np.max(np.abs(got[:, 2] - (got[:, 1] - got[:, 0]))) < 1e-12
+    with pytest.raises(InvalidArgumentError, match="does not contain the datum "
+                       "whose last breakpoint is at 2.5"):
+        exhaustion_levels(euclid3, (ball_indicator(1.0), ball_indicator(2.5)), **walk)
 
 
 def test_single_level_builds_one_grid(euclid3, monkeypatch):
