@@ -306,13 +306,14 @@ def validate(seed: int = 0) -> dict:
                           np.diff(states[:, 0], axis=0).max(initial=0.0)))
             block[0] = states[-1]
 
-        def track(t0, a, t1, b):
-            n[0] += 1
-            block[n[0]] = b.T
+        def track(_, u, mid, fine):  # an accepted step's two states, 32 steps a block
+            block[n[0] + 1] = mid.T
+            block[n[0] + 2] = fine.T
+            n[0] += 2
             if n[0] == 64:
                 fold()
 
-        (out,) = advance_states(op, triple, [0.05], controls, observer=track)
+        (out,) = advance_states(op, triple, [0.05], controls, record=track)
         fold()
         lo, hi, growth = np.array(folds).T
         return (max(0.0, -lo.min(), hi.max() - 1.0), max(0.0, growth.max()),

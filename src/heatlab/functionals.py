@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import RadialManifold, as_reals, monotone_reals, positive_real, real_array
+from .geometry import (RadialManifold, as_reals, instance, monotone_reals, positive_real,
+                       real_array)
 from .grid import Grid
 
 
@@ -58,7 +59,7 @@ def face_variation_terms(u, g: Grid, m: RadialManifold) -> np.ndarray:
     so the value measures variation inside the open truncation ball.
     """
     du = np.abs(np.diff(_check_grid(u, g, "solution")))
-    log_sa = m.log_sphere_constant + g.log_face_area[1:-1]
+    log_sa = instance(m, RadialManifold).log_sphere_constant + g.log_face_area[1:-1]
     with np.errstate(over="ignore"):  # overflow is detected and raised below
         terms = np.exp(log_sa) * du
     if not np.all(np.isfinite(terms)):

@@ -184,7 +184,7 @@ def power_exp_weight(p: float, sign: int, dimension: int = 3) -> RadialManifold:
 
 def perimeter_ball(manifold: RadialManifold, r: float) -> float:
     """Weighted perimeter of the centered ball of radius r: sigma * A(r)."""
-    log_a = manifold.log_area(as_real(r))
+    log_a = instance(manifold, RadialManifold).log_area(as_real(r))
     total = manifold.log_sphere_constant + log_a
     if total > LOG_MAX_SCALAR:
         raise RangeError(f"perimeter overflows double precision at r={r}")
@@ -215,6 +215,7 @@ def log_area_integral(manifold: RadialManifold, a, b):
     ``_MAX_DEPTH`` times) and its halves are integrated the same way.  The
     intervals go ``_BLOCK`` at a time, each block to its last bisection.
     """
+    instance(manifold, RadialManifold)
     a, b = np.broadcast_arrays(real_array(a, "lower ends"), real_array(b, "upper ends"))
     if np.any(b < a):
         raise InvalidArgumentError(f"empty integration range [{a}, {b}]")
@@ -335,7 +336,7 @@ def exact_total_variation(datum: RadialBVDatum, manifold: RadialManifold) -> flo
     |slope| * sigma * integral of A over the piece.  Indicators of balls and
     their complements both return the ball perimeter; constants return 0.
     """
-    sigma = manifold.sphere_constant
+    sigma = instance(manifold, RadialManifold).sphere_constant
     total = 0.0
     pts = instance(datum, RadialBVDatum).breakpoints
     for (r0, v0), (r1, v1) in zip(pts, pts[1:]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (LOG_MAX_GRID, RadialManifold, as_real, as_reals,
+from .geometry import (LOG_MAX_GRID, RadialManifold, as_real, as_reals, instance,
                        log_area_integral, positive_real, real_array, whole_count)
 
 
@@ -82,7 +82,7 @@ def grid_from_faces(manifold: RadialManifold, faces) -> Grid:
         raise InvalidArgumentError("need a 1-d ladder of at least 17 faces")
     if faces[0] != 0.0 or np.any(np.diff(faces) <= 0):
         raise InvalidArgumentError("faces must start at 0 and increase strictly")
-    log_face_area = manifold.log_area(faces)
+    log_face_area = instance(manifold, RadialManifold).log_area(faces)
     lost = np.flatnonzero(~np.isfinite(log_face_area[1:]))
     if lost.size:
         raise RangeError(

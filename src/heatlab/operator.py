@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
-from .geometry import RadialManifold, real_array
+from .geometry import RadialManifold, instance, real_array
 from .grid import Grid
 
 DIRICHLET = "dirichlet_at_R"
@@ -85,7 +85,8 @@ def assemble(g: Grid, manifold: RadialManifold, bc: str = DIRICHLET) -> Weighted
     c = 0.5 * (lo + hi)
     # face j sits between cells j-1 and j; face N is the wall
     dc = np.diff(g.centers, append=g.faces[-1])
-    k = np.exp(manifold.log_sphere_constant + g.log_face_area[1:] - c) / dc
+    k = np.exp(instance(manifold, RadialManifold).log_sphere_constant
+               + g.log_face_area[1:] - c) / dc
     if bc == NEUMANN:
         k[-1] = 0.0
     bad = np.nonzero(~np.isfinite(k))[0]

@@ -134,9 +134,7 @@ def _lattice_step(h: float) -> float:
 
 
 def advance_states(op: WeightedOperator, states: np.ndarray, stops,
-                   controls: SolveControls,
-                   observer: Callable[[float, np.ndarray, float, np.ndarray], None] | None = None,
-                   record: Callable[[tuple[int, float]], None] | None = None):
+                   controls: SolveControls, record: Callable | None = None):
     """Advance one or several stacked states from t = 0 through ``stops``.
 
     ``states`` has shape (N,) or (N, k) and is never written; all columns
@@ -149,10 +147,10 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
     (h^2/4) u'' to leading order, relative to each column's own profile
     norm; the worst column must meet ``controls.step_tol``.  The proposal
     rounds down onto the step lattice, and the call keeps one ``dpttrf``
-    factorization per half-step size.  ``observer`` is called once per
-    accepted substate transition with both endpoint times and states,
-    reused buffers valid only during the call; ``record`` is called with
-    (stop index, h) for each accepted step, pairs ``_replay`` takes.
+    factorization per half-step size.  ``record`` is called once per
+    accepted step as ``record((stop index, h), u, mid, fine)``: the pair is
+    what ``_replay`` takes, and the states are reused buffers valid only
+    during the call.
 
     ``stops`` is a strictly increasing list of positive times; the call
     returns the states at them, each its own array.  A step that would cross
@@ -216,15 +214,12 @@ def advance_states(op: WeightedOperator, states: np.ndarray, stops,
                 dt = max(h * max(0.25, 0.9 * (controls.step_tol / err) ** 0.5), DT_MIN)
                 continue
             if record is not None:
-                record((len(at_stops), h))
+                record((len(at_stops), h), u, mid, fine)
             if not clipped:  # a step clipped onto the stop keeps the proposal
                 grow = DT_GROWTH
                 if err > 0:
                     grow = min(grow, 0.9 * (controls.step_tol / err) ** 0.5)
                 dt = max(h * max(grow, 1.0), DT_MIN)
-            if observer is not None:
-                observer(t, u, t + half, mid)
-                observer(t + half, mid, t + h, fine)
             u, fine = fine, u
             t = t + h
         at_stops.append(u.copy(order="F"))
@@ -328,11 +323,15 @@ def both(first, second):
         return first(), receive()
 
 
-@functools.lru_cache(maxsize=8)  # a driver's wall rule and its walk's ladder both ask
 def overflow_safe_radius(manifold: RadialManifold) -> float:
     """Largest radius whose face area stays within the grid range budget;
     inf when the budget holds up to r = 1e6 (flat and decaying weights).
     Bisected once for each of the last 8 manifolds asked about."""
+    return _safe_radius(instance(manifold, RadialManifold))
+
+
+@functools.lru_cache(maxsize=8)  # a driver's wall rule and its walk's ladder both ask
+def _safe_radius(manifold: RadialManifold) -> float:
     def fits(r: float) -> bool:
         return manifold.log_sphere_constant + manifold.log_area(float(r)) <= LOG_MAX_GRID
     if fits(1e6):
@@ -455,8 +454,8 @@ def exhaustion_levels(manifold: RadialManifold, datum, stops,
             g1 = subgrid(ladder, indices[0])
             op1, u1 = assemble(g1, manifold, DIRICHLET), u0[:indices[0]]
             # a lone level records nothing, and only level 3 reads a sent step
-            keep = None if len(indices) == 1 else steps.append if len(indices) == 2 \
-                else lambda pair: (steps.append(pair), send(pair))
+            keep = None if len(indices) == 1 else (lambda pair, *_: steps.append(pair)) \
+                if len(indices) == 2 else lambda pair, *_: (steps.append(pair), send(pair))
             first = g1, advance_states(op1, u1, stops, controls, record=keep)
             inner_R, inner = None, []  # the first level has nothing inside it
             for n, idx in enumerate(indices):
@@ -465,7 +464,7 @@ def exhaustion_levels(manifold: RadialManifold, datum, stops,
                 g, at_stops = first if n == 0 else level(idx) if n % 2 else odd()
                 for stop, a, b in zip(stops, inner, at_stops):
                     worst = monotonicity_defect(a, b)
-                    if worst > EXHAUSTION_SLACK:
+                    if not worst <= EXHAUSTION_SLACK:  # a NaN defect fails too
                         raise NumericalFailure(
                             f"exhaustion monotonicity violated by {worst:.3e} between "
                             f"R={inner_R:.6g} and R={g.R:.6g} at t={stop:.6g}")

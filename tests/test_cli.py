@@ -4,6 +4,7 @@ import json
 import math
 import numbers
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -153,6 +154,23 @@ def test_range_overflow_is_exit_3(tmp_path):
     assert err["error"] == "RangeError"
     assert err["exit_code"] == 3
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["completeness_euclidean", "validate"])
+def test_a_nan_monotonicity_defect_is_exit_3(tmp_path, monkeypatch, name):
+    # replayed levels of NaN states: NaN > EXHAUSTION_SLACK is false, so the
+    # walk once read on to an exit 2 from extrapolation (completeness) or a
+    # confirming validate whose exhaustion row read max(0.0, nan) = 0.0
+    replay = heatlab.solver._replay
+    monkeypatch.setattr(heatlab.solver, "_replay",
+                        lambda *args: [np.full_like(a, np.nan) for a in replay(*args)])
+    out = tmp_path / "out"
+    assert run(str(CONFIG_DIR / f"{name}.json"), str(out)) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NumericalFailure"
+    assert re.fullmatch(r"exhaustion monotonicity violated by nan between R=\S+ "
+                        r"and R=\S+ at t=\S+", err["message"]), err["message"]
+    assert not (out / "report.json").exists() and no_child_left()
 
 
 def test_tail_beyond_safe_radius_is_exit_3(tmp_path):
@@ -417,12 +435,13 @@ def _validate_pair_by_pair(seed: int) -> dict:
     lo, hi = np.zeros_like(triple, order="F"), np.ones_like(triple, order="F")
     rise, growth = np.empty(g.N), np.zeros(g.N)
 
-    def track(t0, a, t1, b):
-        np.minimum(lo, b, out=lo)
-        np.maximum(hi, b, out=hi)
-        np.maximum(growth, np.subtract(b[:, 0], a[:, 0], out=rise), out=growth)
+    def track(_, u, mid, fine):
+        for a, b in ((u, mid), (mid, fine)):
+            np.minimum(lo, b, out=lo)
+            np.maximum(hi, b, out=hi)
+            np.maximum(growth, np.subtract(b[:, 0], a[:, 0], out=rise), out=growth)
 
-    (out,) = advance_states(op, triple, [0.05], controls, observer=track)
+    (out,) = advance_states(op, triple, [0.05], controls, record=track)
     worst = 0.0
     for _ in range(100):
         u = rng.standard_normal(g.N)
@@ -451,7 +470,7 @@ def _validate_pair_by_pair(seed: int) -> dict:
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_validate_gives_the_pair_by_pair_rows_bitwise(monkeypatch, seed, fork):
-    # the symmetry leg draws and applies all pairs at once and the observer
+    # the symmetry leg draws and applies all pairs at once and the step hook
     # folds blocks of states; every measured value keeps its bits
     monkeypatch.setattr(heatlab.solver, "can_fork", lambda: fork)
     rows = {row["property"]: row["measured"] for row in validate(seed)["evidence"]["checks"]}

@@ -178,14 +178,20 @@ def test_maximum_principle_under_stepping(pe4):
     u0 = rng.uniform(0.2, 0.9, g.N)
     worst = [0.0]
 
-    def watch(t0, before, t1, after):
-        over = max(np.max(after) - np.max(u0), np.min(u0) - np.min(after), 0.0)
-        # Dirichlet lets the minimum fall toward 0, never below
-        under = max(-np.min(after), 0.0)
-        worst[0] = max(worst[0], over if np.max(after) > np.max(u0) else 0.0, under)
+    def watch(_, u, mid, fine):
+        for after in (mid, fine):
+            over = max(np.max(after) - np.max(u0), np.min(u0) - np.min(after), 0.0)
+            # Dirichlet lets the minimum fall toward 0, never below
+            under = max(-np.min(after), 0.0)
+            worst[0] = max(worst[0], over if np.max(after) > np.max(u0) else 0.0, under)
 
-    advance_states(op, u0.copy(), [0.05], controls, observer=watch)
+    advance_states(op, u0.copy(), [0.05], controls, record=watch)
     assert worst[0] < 1e-12, f"hull violated by {worst[0]:.3e}"
+
+
+def _keeping(pairs: list):
+    """A ``record`` that keeps each accepted step's (stop index, h) pair."""
+    return lambda pair, *_: pairs.append(pair)
 
 
 def _walk_setup(euclid3):
@@ -305,7 +311,7 @@ def test_shared_half_step_band_is_two_independent_steps_bitwise(euclid3, columns
     u0 = chi if columns == 1 else np.column_stack([chi, extra])
     stops = [0.004, 0.01]
     steps = []
-    adaptive = advance_states(op, u0, stops, controls, record=steps.append)
+    adaptive = advance_states(op, u0, stops, controls, record=_keeping(steps))
     replayed = _replay(op, u0, steps, len(stops))
     u = u0
     for k, (got, again) in enumerate(zip(adaptive, replayed)):
@@ -335,7 +341,7 @@ def test_one_factorization_per_distinct_step_size(euclid3, monkeypatch):
     monkeypatch.setattr(WeightedOperator, "banded", counting_band)
     monkeypatch.setattr(heatlab.solver, "dpttrs", counting_solve)
     pairs = []
-    advance_states(op, chi, [0.01], controls, record=pairs.append)
+    advance_states(op, chi, [0.01], controls, record=_keeping(pairs))
     steps = [h for _, h in pairs]
     # this run rejects no attempt, so every factored size is a recorded one
     assert counts["solve"] == 2 * len(steps) > 0
@@ -378,7 +384,7 @@ def test_steps_round_down_onto_the_lattice(euclid3, monkeypatch, step_tol, stops
     monkeypatch.setattr(heatlab.solver, "_lattice_step", recording)
     steps = []
     advance_states(op, chi, stops, replace(controls, step_tol=step_tol),
-                   record=steps.append)
+                   record=_keeping(steps))
     m = heatlab.solver.STEP_LATTICE
     for dt, h in proposals:
         assert _on_lattice(h) and h <= dt < _lattice_size(
@@ -445,7 +451,7 @@ def test_record_and_replay_are_identical(euclid3):
     op = assemble(g, euclid3, DIRICHLET)
     u0 = project_datum(ball_indicator(1.0), g)
     steps: list = []
-    (first,) = advance_states(op, u0.copy(), [0.05], controls, record=steps.append)
+    (first,) = advance_states(op, u0.copy(), [0.05], controls, record=_keeping(steps))
     assert len(steps) >= 3 and {k for k, _ in steps} == {0}
     assert abs(math.fsum(h for _, h in steps) - 0.05) < 1e-12
     (second,) = _replay(op, u0.copy(), steps, 1)
@@ -455,7 +461,7 @@ def test_record_and_replay_are_identical(euclid3):
     # the recorded state at each of them
     stops = [0.01, 0.03, 0.05]
     steps = []
-    recorded = advance_states(op, u0, stops, controls, record=steps.append)
+    recorded = advance_states(op, u0, stops, controls, record=_keeping(steps))
     for k, (start, stop) in enumerate(zip([0.0, *stops], stops)):
         assert abs(math.fsum(h for j, h in steps if j == k) - (stop - start)) < 1e-12
     replayed = _replay(op, u0, steps, len(stops))
@@ -464,6 +470,30 @@ def test_record_and_replay_are_identical(euclid3):
         assert a.flags.f_contiguous == b.flags.f_contiguous
     assert replayed[0] is not replayed[1] and u0.tobytes() == project_datum(
         ball_indicator(1.0), g).tobytes(), "a replay writes its own arrays only"
+
+
+def test_record_hands_each_accepted_step_and_its_states(euclid3):
+    # one call per accepted step, record((stop index, h), u, mid, fine): the
+    # first u is the input and each later one the previous call's fine, the
+    # pairs replay to the returned stops, and the last fine before stop i
+    # is the state returned there
+    controls, g, op, chi = _walk_setup(euclid3)
+    u0 = _stacked(g, chi, 2)
+    stops = [0.004, 0.01, 0.02]
+    calls = []
+
+    def record(pair, u, mid, fine):
+        calls.append((pair, u.tobytes(), mid.tobytes(), fine.tobytes()))
+
+    states = advance_states(op, u0, stops, controls, record=record)
+    pairs = [pair for pair, *_ in calls]
+    assert [k for k, _ in pairs] == sorted(k for k, _ in pairs) and pairs[-1][0] == 2
+    assert calls[0][1] == u0.tobytes()
+    assert all(u == fine for (_, _, _, fine), (_, u, _, _) in zip(calls, calls[1:]))
+    assert [a.tobytes() for a in _replay(op, u0, pairs, len(stops))] == [
+        a.tobytes() for a in states]
+    last_fine = {pair[0]: fine for pair, _, _, fine in calls}
+    assert [last_fine[i] for i in range(len(stops))] == [a.tobytes() for a in states]
 
 
 @pytest.mark.parametrize("record", [[], (), "a", -1.0, math.nan],
@@ -482,7 +512,7 @@ def test_a_streamed_replay_has_the_listed_replays_bits(euclid3, monkeypatch):
     controls, g, op, chi = _walk_setup(euclid3)
     stops = [0.004, 0.01, 0.02]
     steps = []
-    advance_states(op, chi, stops, controls, record=steps.append)
+    advance_states(op, chi, stops, controls, record=_keeping(steps))
     listed = _replay(op, chi, steps, len(stops))
     ends = [h for (k, h), (j, _) in zip(steps, [*steps[1:], (len(stops), 0.0)]) if j > k]
     assert len(ends) == 3 and all(heatlab.solver._lattice_step(h) < h for h in ends)
@@ -508,7 +538,7 @@ def test_a_streamed_replay_has_the_listed_replays_bits(euclid3, monkeypatch):
         return assemble(heatlab.subgrid(ladder_grid, idx), euclid3, DIRICHLET)
 
     steps = []
-    advance_states(op_at(indices[0]), u0[:indices[0]], stops, controls, record=steps.append)
+    advance_states(op_at(indices[0]), u0[:indices[0]], stops, controls, record=_keeping(steps))
     *_, (g3, third) = exhaustion_levels(euclid3, datum, stops, controls, radii)
     assert g3.N == indices[2]
     assert [a.tobytes() for a in third] == [
@@ -673,7 +703,8 @@ def test_a_walk_keeps_and_sends_no_step_it_will_not_replay(euclid3, monkeypatch)
 
     def recording(*args, record=None, **kwargs):
         records.append(record)
-        seen = None if record is None else lambda pair: (accepted.append(pair), record(pair))
+        seen = None if record is None else \
+            lambda pair, *states: (accepted.append(pair), record(pair, *states))
         return advance(*args, record=seen, **kwargs)
 
     @contextlib.contextmanager
@@ -844,19 +875,19 @@ def test_advance_states_leaves_the_callers_states_as_they_were(euclid3, order,
 
 
 def test_states_at_the_stops_are_distinct_arrays_that_stay_put(euclid3):
-    # each stop keeps a copy of the state the observer saw there: no stop
-    # shares memory with another, with the input, or with the next call
+    # each stop keeps a copy of the last state the step hook saw before it:
+    # no stop shares memory with another, with the input, or with the next call
     controls, g, op, chi = _walk_setup(euclid3)
     u0 = _stacked(g, chi, 2)
     stops = [0.004, 0.01, 0.02]
-    seen = []
+    seen = {}
 
-    def observer(t0, a, t1, b):
-        seen.append((t1, b.copy()))
+    def record(pair, u, mid, fine):
+        seen[pair[0]] = fine.copy()
 
-    states = advance_states(op, u0, stops, controls, observer=observer)
-    for stop, state in zip(stops, states):
-        _, at_stop = min(seen, key=lambda s: abs(s[0] - stop))
+    states = advance_states(op, u0, stops, controls, record=record)
+    assert sorted(seen) == [0, 1, 2]
+    for (stop, state), at_stop in zip(zip(stops, states), seen.values()):
         assert np.array_equal(state, at_stop), f"the state at {stop} moved later"
     arrays = [u0, *states]
     assert not any(np.shares_memory(a, b)
@@ -951,7 +982,7 @@ def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
     monkeypatch.setattr(heatlab.solver, "_factor", recording)
     rises, last = [], {}
 
-    def observer(*_):  # between two calls, the loop's own allocations
+    def watch(*_):  # between two steps, the loop's own allocations
         _, peak = tracemalloc.get_traced_memory()
         if last and len(cached) == last["factors"]:
             rises.append(peak - last["current"])
@@ -959,9 +990,9 @@ def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
         tracemalloc.reset_peak()
         last["current"] = tracemalloc.get_traced_memory()[0]
 
-    def observed(pairs):  # the replay's pairs, observed as each is taken
+    def watched(pairs):  # the replay's pairs, watched as each is taken
         for pair in pairs:
-            observer()
+            watch()
             yield pair
 
     peaks, caches, steps, pairs = [], [], [], []
@@ -972,17 +1003,20 @@ def test_an_attempt_allocates_no_array(euclid3, monkeypatch):
             count = itertools.count()
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            advance_states(op, u0, [stop], controls, record=lambda _: next(count))
+            advance_states(op, u0, [stop], controls, record=lambda *_: next(count))
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             caches.append(sum(cached))
             steps.append(next(count))
-        advance_states(op, u0, [0.3], controls, observer=observer, record=pairs.append)
+        cached.clear()
+        advance_states(op, u0, [0.3], controls,
+                       record=lambda pair, *_: (pairs.append(pair), watch()))
         recorded = len(rises)
         last.clear()
-        _replay(op, u0, observed(pairs), 1)
+        _replay(op, u0, watched(pairs), 1)
     finally:
         tracemalloc.stop()
-    assert steps[1] >= 10 * steps[0] and recorded > steps[1]
+    # every step is watched but the first and those that factor a new size
+    assert steps[1] >= 10 * steps[0] and recorded >= steps[1] - 1 - len(cached)
     assert len(rises) - recorded > steps[1] // 2
     assert max(rises) <= u0.nbytes / 16, max(rises)
     more = steps[1] - steps[0]
@@ -1079,11 +1113,12 @@ def test_implicit_euler_sums_telescope_to_the_exit_time(pe4):
     op = assemble(g, pe4, DIRICHLET)
     v = np.zeros(g.N)
 
-    def integrate(t0, a, t1, b):
-        v[:] += (t1 - t0) * b
+    def integrate(pair, u, mid, fine):
+        v[:] += 0.5 * pair[1] * mid
+        v[:] += 0.5 * pair[1] * fine
 
     (u,) = advance_states(op, np.ones(g.N), [0.5], SolveControls(n_cells=512),
-                          observer=integrate)
+                          record=integrate)
     w = heatlab.solver.exit_time(op)
     rest = w - minus_laplacian_solve(op, u)
     assert np.all(np.abs(v - rest) <= 1e-12 * np.abs(rest))
