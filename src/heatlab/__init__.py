@@ -20,9 +20,8 @@ from .grid import Grid, build_grid, face_ladder, grid_from_faces, subgrid
 from .operator import DIRICHLET, NEUMANN, WeightedOperator, assemble
 from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states, exhaustion_ladder,
                      exhaustion_levels, exhaustion_radii, overflow_safe_radius, project_datum)
-from .functionals import (ExtrapolationResult, FluxProfile, extrapolate_limit,
-                          face_variation_terms, flux_profile, total_variation,
-                          weighted_sum)
+from .functionals import (ExtrapolationResult, extrapolate_limit, face_variation_terms,
+                          flux_profile, total_variation, weighted_sum)
 from .experiments import (ExperimentReport, blowup_sweep, comparison_check,
                           completeness_probe, degiorgi_sweep, tail_probe)
 
@@ -37,7 +36,7 @@ __all__ = [
     "DIRICHLET", "NEUMANN", "WeightedOperator", "assemble",
     "EXHAUSTION_SLACK", "SolveControls", "advance_states", "exhaustion_ladder",
     "exhaustion_levels", "exhaustion_radii", "overflow_safe_radius", "project_datum",
-    "ExtrapolationResult", "FluxProfile", "extrapolate_limit",
+    "ExtrapolationResult", "extrapolate_limit",
     "face_variation_terms", "flux_profile", "total_variation", "weighted_sum",
     "ExperimentReport", "blowup_sweep",
     "comparison_check", "completeness_probe", "degiorgi_sweep", "tail_probe",

@@ -33,8 +33,8 @@ from .geometry import (ball_indicator, euclidean, piecewise, power_exp_weight,
                        whole_count)
 from .grid import build_grid
 from .operator import DIRICHLET, NEUMANN, assemble
-from .solver import (EXHAUSTION_SLACK, SolveControls, advance_states,
-                     exhaustion_levels, monotonicity_defect, project_datum)
+from .solver import (SolveControls, advance_states, exhaustion_levels,
+                     monotonicity_defect, project_datum)
 
 EXPERIMENTS = ("degiorgi", "completeness", "blowup", "comparison", "tail",
                "validate")
@@ -349,7 +349,7 @@ def validate(seed: int = 0) -> dict:
         solver.both(three_columns, the_rest)
     rows = [check("operator_symmetry_rel", symmetry, "<=", 1e-12),
             check("max_principle_defect", bounds, "<=", 1e-12),
-            check("exhaustion_monotone", monotone, "<=", EXHAUSTION_SLACK),
+            check("exhaustion_monotone", monotone, "<=", 1e-12),  # the walk raises past 1e-10
             check("semigroup_identity_rel", drift, "<=", 1e-4),
             check("mass_time_monotone", growth, "<=", 1e-10),
             check("neumann_mass_drift_per_time", neumann, "<=", 1e-12),

@@ -90,7 +90,8 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
     and the extrapolated limit compared against the closed-form variation
     of the datum; confirmation requires the relative gap to stay within
     ``gap_rtol``.  A low-confidence extrapolation never confirms, and fewer
-    than 3 times leave the run inconclusive without a fit.
+    than 3 times leave the run inconclusive without a fit.  The count of stops
+    not converged is a row only on a walk of two or more levels.
     """
     if not math.isfinite(instance(datum, RadialBVDatum).support_radius):
         raise InvalidArgumentError("datum must be compactly supported")
@@ -112,7 +113,6 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
             if radii is None and all(converged):
                 break
     tvs = [tv for _, _, tv in triples[::-1]]
-    unconverged = converged.count(False) if levels >= 2 else 0
     points = list(zip(ts, tvs))
 
     checks = [check("extrapolation_points", len(points), ">=", 3, "both")]
@@ -128,8 +128,10 @@ def degiorgi_sweep(manifold: RadialManifold, datum: RadialBVDatum, t_list,
         checks.append(check("extrapolation_low_confidence",
                             ext.low_confidence, "<=", 0, "both"))
         gap_rows = [check("relative_gap", gap, "<=", gap_rtol)]
-    checks += [check("unconverged_exhaustion_stops", unconverged, "<=", 0,
-                     "both"), *gap_rows]
+    if levels >= 2:  # one level has none before it to converge against
+        checks.append(check("unconverged_exhaustion_stops", converged.count(False),
+                            "<=", 0, "both"))
+    checks += gap_rows
     verdict, finding = decide(checks, (
         "variation limit matches exact value",
         "variation limit misses exact value",
@@ -195,11 +197,12 @@ def completeness_probe(manifold: RadialManifold, t: float, controls: SolveContro
 def _walled_ball(manifold: RadialManifold, data, R_read: float, stops,
                  controls: SolveControls, R_cells: float | None = None):
     """The one wall rule: checks and lays out a one-level walk of the tuple
-    ``data`` through ``stops``, and returns the call that steps it to (grid,
-    states, notes).  The wall sits max(2, 8*sqrt(last stop)) past ``R_read``,
-    capped at the overflow-safe radius with a note, and ``n_cells`` cells
-    fill ``R_cells`` (default: the wall) at one spacing.  Where nothing
-    beyond ``R_read`` could be read, a RangeError comes before any step."""
+    ``data`` through ``stops``, and returns its grid's faces and the call
+    that steps it to (grid, states, notes).  The wall sits max(2, 8*sqrt(last
+    stop)) past ``R_read``, capped at the overflow-safe radius with a note,
+    and ``n_cells`` cells fill ``R_cells`` (default: the wall) at one
+    spacing.  Where nothing beyond ``R_read`` could be read, a RangeError
+    comes before any step."""
     n, R_read = instance(controls, SolveControls).n_cells, positive_real(R_read, "reading radius")
     safe = solver.overflow_safe_radius(manifold)
     if not R_read < safe:
@@ -208,35 +211,32 @@ def _walled_ball(manifold: RadialManifold, data, R_read: float, stops,
     wanted = R_read + max(2.0, 8.0 * math.sqrt(stops[-1]))
     R = min(wanted, safe)
     n = n if R_cells is None else max(n, int(math.ceil(n * R / R_cells)))
-    if face_ladder(R, n, sorted({r for d in data for r in d.jump_radii}))[-2] <= R_read:
+    faces = face_ladder(R, n, sorted({r for d in data for r in d.jump_radii}))
+    if faces[-2] <= R_read:
         raise RangeError(f"no interior face lies beyond the reading radius {R_read:.6g} "
                          f"before the wall at {R:.6g}; reduce it or raise n_cells")
     walk = exhaustion_levels(manifold, data, stops, SolveControls(controls.step_tol, n), (R,))
-    return lambda: (*next(walk), [f"solve radius capped at {safe:.6g}"] if wanted > safe else [])
+    capped = [f"solve radius capped at {safe:.6g}"] if wanted > safe else []
+    return faces, lambda: (*next(walk), capped)
 
 
-def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, r_used: list,
+def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, js: list,
                noise_floor_q: float) -> tuple[tuple, dict, list]:
-    """(rows, fitted, checks) at one time from the evolved [constant, ball]."""
+    """(rows, fitted, checks) at one time from the evolved [constant, ball],
+    each radius read at its face j of ``js``: TV_R over faces 1..j, the flux
+    at face j, and the mass flux over faces 1..j of the largest."""
     comp = state[:, 0] - state[:, 1]
     terms = functionals.face_variation_terms(comp, g, manifold)
-
-    flux_comp = functionals.flux_profile(comp, g)
-    flux_mass = functionals.flux_profile(state[:, 0], g)
-
-    tv_values = []
-    for snapped in r_used:
-        tv = functionals.finite_fsum(terms[g.faces[1:-1] <= snapped + 1e-12],
-                                     f"TV_R overflows at R={snapped:.6g}; reduce R_max")
-        tv_values.append(tv)
-
-    r_max = r_used[-1]
-    in_window = flux_mass.radii <= r_max + 1e-12
-    q_mono_defect = float(np.min(np.diff(flux_mass.q[in_window])))
-    q_at_rmax = flux_comp.at(r_max)
+    q, q_mass = (functionals.flux_profile(u, g) for u in (comp, state[:, 0]))
+    r_used = [float(g.faces[j]) for j in js]
+    tv_values = [functionals.finite_fsum(terms[:j], f"TV_R overflows at R={r:.6g}; reduce R_max")
+                 for j, r in zip(js, r_used)]
+    q_mono_defect = float(np.min(np.diff(q_mass[:js[-1]])))
+    q_at_rmax = float(q[js[-1] - 1])
 
     q_thr = max(10.0 * noise_floor_q, 1e-12)
-    r_t, delta_t = flux_comp.crossing(q_thr)
+    r_t, delta_t = next(((float(g.faces[k + 1]), float(q[k])) for k in np.flatnonzero(q > q_thr)),
+                        (None, None))  # the first face past q_thr, and its flux
 
     xbar = float(np.mean(r_used))
     slope = (math.fsum((x - xbar) * y for x, y in zip(r_used, tv_values))
@@ -253,8 +253,8 @@ def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, r_used: list,
               STABILIZE_RTOL * max(tv_values[-1], 1e-30), "refutes"),
         check("q_at_Rmax", q_at_rmax, "<", q_thr, "refutes")]
 
-    rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": flux_comp.at(r)}
-                 for r, tv in zip(r_used, tv_values))
+    rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": float(q[j - 1])}
+                 for j, r, tv in zip(js, r_used, tv_values))
     fitted = {"noise_floor_q": noise_floor_q, "r_t": r_t, "delta_t": delta_t}
     return rows, fitted, checks
 
@@ -267,14 +267,16 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     on a one-level exhaustion walk walled off past max(R_list) (the wall
     rule's notes go under ``fitted.notes``), with ``n_cells`` cells inside
     min(R_list); the complement state follows by linearity, and its
-    variation is accumulated up to each requested radius.  Divergence at
+    variation is accumulated up to each requested radius, read at its
+    nearest face; two radii on one face are an InvalidArgumentError.  Divergence at
     a time requires all of: strictly increasing TV_R, least-squares slope at
     or above the slope threshold (0.05 * TV at the largest radius over the
     R_list span), mass-function flux nondecreasing within 1e-8, and
     complement flux at the largest radius at or above the q threshold.  The
     q threshold is 10x the flux a matched flat-space trajectory (whose wall
-    is never capped; ``solver.both`` runs it in a child) leaves at the
-    same radius, its noise floor; on flat space the run is its own floor.
+    is never capped; ``solver.both`` runs it in a child) leaves at its face
+    nearest the largest radius's, its noise floor; on flat space the run is
+    its own floor.
     Convergence requires instead that the last TV step stays within
     ``STABILIZE_RTOL`` of the last TV and the flux at R_max below the q
     threshold.
@@ -296,14 +298,19 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     wall = ((constant_one(), ball_indicator(r0)), radii[-1], ts[::-1], controls, radii[0])
     # the signal's wall is checked and its walk laid out before its flat
     # companion forks beside it; flat space is its own companion
-    signal = _walled_ball(manifold, *wall)
+    faces, signal = _walled_ball(manifold, *wall)
+    js = [int(np.argmin(np.abs(faces - r))) for r in radii]
+    for r, s, i, j in zip(radii, radii[1:], js, js[1:]):
+        if i == j:
+            raise InvalidArgumentError(f"R_list radii {r} and {s} snap onto the same face "
+                                       f"{faces[j]:.6g}; space them wider or raise n_cells")
     (g, states, notes), (gf, flat_states, _) = [signal()] * 2 if manifold.family == "euclidean" \
-        else solver.both(signal, lambda: _walled_ball(euclidean(manifold.dimension), *wall)())
-    r_used = [float(g.faces[int(np.argmin(np.abs(g.faces - r)))]) for r in radii]
-    floors = [abs(functionals.flux_profile(s[:, 0] - s[:, 1], gf)
-                  .at(r_used[-1])) for s in flat_states]
+        else solver.both(signal, lambda: _walled_ball(euclidean(manifold.dimension), *wall)[1]())
+    k = int(np.argmin(np.abs(gf.faces[1:-1] - g.faces[js[-1]])))
+    floors = [abs(float(functionals.flux_profile(s[:, 0] - s[:, 1], gf)[k]))
+              for s in flat_states]
     rows, fitted, checks = zip(*(
-        _blowup_at(manifold, g, state, r_used, floor)
+        _blowup_at(manifold, g, state, js, floor)
         for state, floor in zip(states[::-1], floors[::-1])))
 
     findings = [decide(c, ("divergent", "convergent", "undetermined"))[1]
@@ -385,7 +392,7 @@ def tail_probe(manifold: RadialManifold, datum: RadialBVDatum, R_out: float,
         raise InvalidArgumentError(
             f"datum support {support} must fit inside half of R_out={R_out}")
     ts = monotone_reals(t_list, "t_list times", "decreasing")
-    g, states, notes = _walled_ball(manifold, (datum,), R_out, ts[::-1], controls)()
+    g, states, notes = _walled_ball(manifold, (datum,), R_out, ts[::-1], controls)[1]()
     rows = []
     for t, state in zip(ts, reversed(states)):
         terms = functionals.face_variation_terms(state[:, 0], g, manifold)

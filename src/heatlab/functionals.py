@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeError
-from .geometry import (RadialManifold, as_reals, instance, monotone_reals, positive_real,
-                       real_array)
+from .geometry import RadialManifold, as_reals, instance, monotone_reals, real_array
 from .grid import Grid
 
 
@@ -75,30 +74,9 @@ def total_variation(u, g: Grid, m: RadialManifold) -> float:
                        "total variation overflows double precision")
 
 
-@dataclass(frozen=True)
-class FluxProfile:
-    """Discrete radial flux q(f) = -A(f) * du/dr at the interior faces."""
-
-    radii: np.ndarray
-    q: np.ndarray
-
-    def at(self, r: float) -> float:
-        """Flux at the interior face nearest to radius r."""
-        r = positive_real(r, "radius")
-        return float(self.q[int(np.argmin(np.abs(self.radii - r)))])
-
-    def crossing(self, qthreshold: float) -> tuple[float | None, float | None]:
-        """(r_t, delta_t): the first face whose flux exceeds ``qthreshold``
-        and the flux there; both None when no face crosses."""
-        above = np.nonzero(self.q > qthreshold)[0]
-        if not above.size:
-            return None, None
-        j = int(above[0])
-        return float(self.radii[j]), float(self.q[j])
-
-
-def flux_profile(u, g: Grid) -> FluxProfile:
-    """Flux profile of cell values at the interior faces.
+def flux_profile(u, g: Grid) -> np.ndarray:
+    """Discrete radial flux q(f) = -A(f) * du/dr of cell values at the
+    interior faces 1..N-1: entry k is the flux at face k + 1.
 
     Meant for evolved states: on a projected datum a jump reads as its
     height over one center spacing.
@@ -112,7 +90,7 @@ def flux_profile(u, g: Grid) -> FluxProfile:
         j = int(np.argmax(~np.isfinite(q)))
         raise RangeError(
             f"flux overflows at face r={g.faces[j + 1]:.6g}; reduce R_max")
-    return FluxProfile(radii=g.faces[1:-1].copy(), q=q)
+    return q
 
 
 @dataclass(frozen=True)

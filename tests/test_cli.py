@@ -139,6 +139,26 @@ def test_radii_snapping_onto_one_face_are_exit_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("t_list, R_list, message", [
+    ([0.05], [2.03, 2.04], "R_list radii 2.03 and 2.04 snap onto the same face 2.02; "),
+    ([0.05, 0.025], [2.0, 2.05, 3.0], "R_list radii 2.0 and 2.05 snap onto the same face 2; ")])
+def test_blowup_radii_on_one_face_are_exit_2(tmp_path, monkeypatch, t_list, R_list, message):
+    # 16 cells fill R_list[0] at one spacing of about 1/8, so both radii are read at
+    # one face: the first pair once divided by zero in the slope (exit 1, no
+    # error.json), the second read that face twice and reported a least TV
+    # increment of 0.  Both are refused before a step is factored
+    monkeypatch.setattr(heatlab.solver, "dpttrf", None)
+    payload = {"experiment": "blowup", "manifold": {"family": "euclidean", "dimension": 3},
+               "r0": 1.0, "t_list": t_list, "R_list": R_list,
+               "controls": {"n_cells": 16, "step_tol": 1e-6}}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "b.json", payload), str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "InvalidArgumentError"
+    assert err["message"] == message + "space them wider or raise n_cells"
+    assert not (out / "report.json").exists()
+
+
 def test_range_overflow_is_exit_3(tmp_path):
     cfg = write_config(tmp_path, "blow.json", {
         "experiment": "blowup",
@@ -564,6 +584,26 @@ def test_validate_catches_a_staged_leg_from_the_wrong_time(monkeypatch):
     monkeypatch.setattr(heatlab.cli, "advance_states", running_long)
     out = validate(seed=0)
     assert _failing_rows(out) == {"semigroup_identity_rel"}
+
+
+def test_validate_exhaustion_row_measures_inside_the_walk_slack(tmp_path, monkeypatch):
+    # level 2 dented by 1e-11 passes the walk's own check at EXHAUSTION_SLACK
+    # (1e-10), so the row once measured it against that slack too and could
+    # not fail; held to 1e-12, it fails alone and validate exits 3
+    replay = heatlab.solver._replay
+    monkeypatch.setattr(heatlab.solver, "_replay",
+                        lambda *args: [a - 1e-11 for a in replay(*args)])
+    walk = exhaustion_levels(power_exp_weight(4, 1, 3), ball_indicator(1.0), [0.05],
+                             SolveControls(n_cells=256), radii=(2.0, 3.0))
+    assert len(list(walk)) == 2
+    cfg = write_config(tmp_path, "v.json", {"experiment": "validate", "seed": 0})
+    out = tmp_path / "out"
+    assert run(cfg, str(out)) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert _failing_rows(report) == {"exhaustion_monotone"}
+    row = next(r for r in report["evidence"]["checks"] if r["property"] == "exhaustion_monotone")
+    assert row["measured"] == pytest.approx(1e-11, rel=1e-2)
+    assert row["tolerance"] == 1e-12 and no_child_left()
 
 
 def test_validate_solve_count(tmp_path):

@@ -15,8 +15,8 @@ TypeError; ``subgrid(g, 16.5)`` raised IndexError; ``evolve`` (later
 ``dirichlet_ball``, now the drivers' wall rule) ran with a reading radius
 of True or -1.0; ``extrapolate_limit`` read NaN and string
 h values; ``total_variation(["1"] * 32, g, m)`` read strings as numbers;
-``Grid.face_index("a")`` and ``FluxProfile.at("a")`` raised numpy's
-UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
+``Grid.face_index("a")`` and the since-removed ``FluxProfile.at("a")``
+raised numpy's UFuncTypeError, ``WeightedOperator.apply(["a"] * 32)`` a bare ValueError
 and ``RadialBVDatum(((0.0, 1.0), 5))`` a TypeError; ``face_index(True)``
 and ``RadialManifold.log_area(True)`` ran as radius 1; ``advance_states``
 raised AttributeError on a step ladder of ``()`` and TypeError on
@@ -215,7 +215,6 @@ METHODS = {
     "RadialManifold.log_area": (FLAT.log_area, {"r": 1.0}, ["r"]),
     "Grid.face_index": (GRID.face_index, {"r": 0.5}, ["r"]),
     "WeightedOperator.apply": (OP.apply, {"u": PROFILE}, ["u", ("u", 0)]),
-    "FluxProfile.at": (flux_profile(PROFILE, GRID).at, {"r": 1.0}, ["r"]),
 }
 
 

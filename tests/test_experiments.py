@@ -124,8 +124,8 @@ def test_degiorgi_with_two_times_reports_no_limit(euclid3):
     assert (rep.verdict, rep.finding) == ("inconclusive", "fewer than 3 times")
     checks = rep.evidence["checks"]
     assert checks[0] == check("extrapolation_points", 2, ">=", 3, "both")
-    assert [row["property"] for row in checks] == [
-        "extrapolation_points", "unconverged_exhaustion_stops"]
+    # one level has none before it to converge against, so no row counts it
+    assert [row["property"] for row in checks] == ["extrapolation_points"]
     for key in ("extrapolated_limit", "error_indicator"):
         assert math.isnan(rep.fitted[key]), key
     assert rep.fitted["exact_tv"] == pytest.approx(4 * math.pi, rel=1e-12)

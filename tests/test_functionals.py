@@ -25,6 +25,7 @@ from heatlab import (
     total_variation,
     weighted_sum,
 )
+from heatlab.experiments import _blowup_at
 
 
 def test_mass_of_ones_is_volume(euclid3):
@@ -82,11 +83,12 @@ def test_variation_overflow_raises(pe4):
 
 def test_flux_of_linear_profile(euclid3):
     # u = 2 - r has du/dr = -1, so q(f) = A(f) exactly at interior faces
+    # on the 63 interior faces, in order
     g = build_grid(euclid3, 2.0, 64)
-    prof = flux_profile(2.0 - g.centers, g)
+    q = flux_profile(2.0 - g.centers, g)
     expected = np.exp(g.log_face_area[1:-1])
-    assert np.max(np.abs(prof.q - expected)) < 1e-12 * np.max(expected)
-    assert prof.radii.shape == prof.q.shape == (63,)
+    assert q.shape == (63,)
+    assert np.max(np.abs(q - expected)) < 1e-12 * np.max(expected)
 
 
 def test_sums_past_the_double_range_are_range_errors(pe4):
@@ -123,20 +125,24 @@ def test_flux_overflow_names_its_face():
 
 
 def test_flux_threshold_crossing(euclid3):
+    # blowup's r_t and delta_t: the first interior face whose complement flux
+    # passes the q threshold, 10x the noise floor, and the flux there
     controls = SolveControls(n_cells=128, step_tol=1e-5)
     g = build_grid(euclid3, 3.0, controls.n_cells, jump_radii=(1.0,))
     op = assemble(g, euclid3, DIRICHLET)
-    u0 = project_datum(ball_indicator(1.0), g)
-    prof = flux_profile(advance_states(op, u0, [0.05], controls)[0], g)
-    r_t, delta_t = prof.crossing(1e-3)
-    assert r_t is not None and delta_t is not None
-    assert delta_t > 1e-3
-    assert r_t >= g.faces[1]
-    assert delta_t == prof.at(r_t)
+    u0 = np.stack([project_datum(d, g) for d in (constant_one(), ball_indicator(1.0))], axis=1)
+    (state,) = advance_states(op, u0, [0.05], controls)
+    q = flux_profile(state[:, 0] - state[:, 1], g)
+    js = [64, 100]  # the faces at r = 1.5 and 2.34375
+    _, fitted, _ = _blowup_at(euclid3, g, state, js, 1e-4)
+    r_t, delta_t = fitted["r_t"], fitted["delta_t"]
+    k = g.face_index(r_t) - 1
+    assert k >= 0 and delta_t == q[k] > 1e-3
     # every face before the crossing stays at or below the bar
-    assert np.all(prof.q[prof.radii < r_t] <= 1e-3)
+    assert np.all(q[:k] <= 1e-3)
     # no crossing when the bar is impossibly high
-    assert prof.crossing(1e12) == (None, None)
+    _, fitted, _ = _blowup_at(euclid3, g, state, js, 1e11)
+    assert (fitted["r_t"], fitted["delta_t"]) == (None, None)
 
 
 def test_aitken_exact_on_geometric_tails():

@@ -16,9 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heatlab import (DIRICHLET, EXHAUSTION_SLACK, NEUMANN, SolveControls,
-                     assemble, ball_indicator, euclidean, exhaustion_levels,
-                     face_ladder, grid_from_faces, perimeter_ball, piecewise,
-                     power_exp_weight, project_datum, total_variation,
+                     assemble, ball_indicator, euclidean, exact_total_variation,
+                     exhaustion_levels, face_ladder, grid_from_faces, perimeter_ball,
+                     piecewise, power_exp_weight, project_datum, total_variation,
                      weighted_sum)
 from heatlab import geometry
 from heatlab.solver import monotonicity_defect
@@ -83,6 +83,25 @@ def test_projected_ball_is_its_indicator(ladder, data, m):
     assert np.array_equal(u, np.where(g.centers < r, 1.0, 0.0))
     per = perimeter_ball(m, r)
     assert abs(total_variation(u, g, m) - per) <= 1e-12 * per
+
+
+@given(snapped_ladders(), st.data(), st.sampled_from(
+    [euclidean(3), power_exp_weight(2, -1, 3), power_exp_weight(4, 1, 3)]))
+def test_variation_of_steps_up_and_down_is_exact(ladder, data, m):
+    # piecewise-constant data on faces that hold its jumps, each jump up or
+    # down: each face term is sigma A |jump|, so the discrete variation is
+    # the exact one.  A variation of the signed jumps reads monotone data
+    # right and these wrong
+    R, N, jumps = ladder
+    points = [(0.0, data.draw(st.floats(-4.0, 4.0)))]
+    for r in jumps:
+        step = data.draw(st.floats(0.25, 4.0)) * data.draw(st.sampled_from((-1.0, 1.0)))
+        points += [(r, points[-1][1]), (r, points[-1][1] + step)]
+    datum = piecewise(points)
+    g = grid_from_faces(m, face_ladder(R, N, jumps))
+    want = exact_total_variation(datum, m)
+    got = total_variation(project_datum(datum, g), g, m)
+    assert abs(got - want) <= 1e-12 * want, f"off by {(got - want) / want:.2e}"
 
 
 @st.composite

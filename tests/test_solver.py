@@ -223,14 +223,16 @@ def test_evolve_places_the_wall_and_counts_the_cells(euclid3, pe4):
     # before it lays out a walk
     controls = SolveControls(n_cells=64, step_tol=1e-5)
     data = (constant_one(), ball_indicator(1.0))
-    g, states, notes = _walled_ball(euclid3, data, 3.0, [0.01, 0.25], controls)()
+    faces, step = _walled_ball(euclid3, data, 3.0, [0.01, 0.25], controls)
+    g, states, notes = step()
     assert (g.R, g.N, notes) == (7.0, 64, [])
+    assert np.array_equal(g.faces, faces)  # laid out before any step
     assert [s.shape for s in states] == [(64, 2)] * 2
     assert 1.0 in g.faces
-    g, _, _ = _walled_ball(euclid3, data, 3.0, [0.01], controls, R_cells=2.0)()
+    g, _, _ = _walled_ball(euclid3, data, 3.0, [0.01], controls, R_cells=2.0)[1]()
     assert (g.R, g.N) == (5.0, 160)
     safe = overflow_safe_radius(pe4)
-    g, _, notes = _walled_ball(pe4, data, 4.5, [0.01], controls)()
+    g, _, notes = _walled_ball(pe4, data, 4.5, [0.01], controls)[1]()
     assert (g.R, notes) == (safe, [f"solve radius capped at {safe:.6g}"])
     with pytest.raises(RangeError, match="no interior face"):
         _walled_ball(pe4, data, 5.12, [0.01], controls)
