@@ -30,7 +30,7 @@ def show(manifold, t_list, label):
                       if row["property"] == "mass_flux_defect")
         print(f"  t={t:<6g} variation by R:  {tvs}")
         print(f"           finding: {finding}"
-              f" (flux at R_max {rows[-1]['q_at_Rmax']:.3e},"
+              f" (flux at R_max {rows[-1]['q_R']:.3e},"
               f" monotone defect {defect:.1e})")
     print(f"  sweep: {sweep.verdict} ({sweep.finding})")
     summary = sweep.fitted["summary"]

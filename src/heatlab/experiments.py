@@ -23,7 +23,7 @@ from .errors import InvalidArgumentError, RangeError
 from .geometry import (RadialBVDatum, RadialManifold, as_real, ball_indicator,
                        constant_one, euclidean, exact_total_variation, instance,
                        monotone_reals, positive_real, power_exp_weight)
-from .grid import build_grid, face_ladder
+from .grid import build_grid, face_ladder, nearest_faces
 from .operator import DIRICHLET, assemble
 from .solver import SolveControls, exhaustion_levels
 
@@ -253,7 +253,7 @@ def _blowup_at(manifold: RadialManifold, g, state: np.ndarray, js: list,
               STABILIZE_RTOL * max(tv_values[-1], 1e-30), "refutes"),
         check("q_at_Rmax", q_at_rmax, "<", q_thr, "refutes")]
 
-    rows = tuple({"R": r, "TV_R": tv, "q_at_Rmax": float(q[j - 1])}
+    rows = tuple({"R": r, "TV_R": tv, "q_R": float(q[j - 1])}
                  for j, r, tv in zip(js, r_used, tv_values))
     fitted = {"noise_floor_q": noise_floor_q, "r_t": r_t, "delta_t": delta_t}
     return rows, fitted, checks
@@ -267,19 +267,19 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     on a one-level exhaustion walk walled off past max(R_list) (the wall
     rule's notes go under ``fitted.notes``), with ``n_cells`` cells inside
     min(R_list); the complement state follows by linearity, and its
-    variation is accumulated up to each requested radius, read at its
-    nearest face; two radii on one face are an InvalidArgumentError.  Divergence at
-    a time requires all of: strictly increasing TV_R, least-squares slope at
-    or above the slope threshold (0.05 * TV at the largest radius over the
+    variation is accumulated up to each requested radius, read at its face
+    by ``nearest_faces``; two radii on one face, or a first radius on r0's
+    face or inside it, are an InvalidArgumentError.  Divergence at a time
+    requires all of: strictly increasing TV_R, least-squares slope at or
+    above the slope threshold (0.05 * TV at the largest radius over the
     R_list span), mass-function flux nondecreasing within 1e-8, and
     complement flux at the largest radius at or above the q threshold.  The
     q threshold is 10x the flux a matched flat-space trajectory (whose wall
     is never capped; ``solver.both`` runs it in a child) leaves at its face
     nearest the largest radius's, its noise floor; on flat space the run is
-    its own floor.
-    Convergence requires instead that the last TV step stays within
-    ``STABILIZE_RTOL`` of the last TV and the flux at R_max below the q
-    threshold.
+    its own floor.  Convergence requires instead that the last TV step
+    stays within ``STABILIZE_RTOL`` of the last TV and the flux at R_max
+    below the q threshold.
 
     Each time's finding is ``decide`` over its own checks and the sweep's
     verdict ``decide`` over the checks of every time, so it confirms when
@@ -299,11 +299,10 @@ def blowup_sweep(manifold: RadialManifold, r0: float, t_list, R_list,
     # the signal's wall is checked and its walk laid out before its flat
     # companion forks beside it; flat space is its own companion
     faces, signal = _walled_ball(manifold, *wall)
-    js = [int(np.argmin(np.abs(faces - r))) for r in radii]
-    for r, s, i, j in zip(radii, radii[1:], js, js[1:]):
-        if i == j:
-            raise InvalidArgumentError(f"R_list radii {r} and {s} snap onto the same face "
-                                       f"{faces[j]:.6g}; space them wider or raise n_cells")
+    js = nearest_faces(faces, radii, "R_list")
+    if (face := faces[js[0]]) <= r0:
+        raise InvalidArgumentError(f"R_list radius {radii[0]} snaps onto the face {face:.6g}, "
+                                   f"not beyond r0={r0}; space it wider or raise n_cells")
     (g, states, notes), (gf, flat_states, _) = [signal()] * 2 if manifold.family == "euclidean" \
         else solver.both(signal, lambda: _walled_ball(euclidean(manifold.dimension), *wall)[1]())
     k = int(np.argmin(np.abs(gf.faces[1:-1] - g.faces[js[-1]])))

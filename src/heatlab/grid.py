@@ -38,11 +38,23 @@ class Grid:
         return idx
 
 
+def nearest_faces(faces: np.ndarray, radii, name: str) -> list[int]:
+    """The one rule by which radii meet a grid: the index of the face nearest each of
+    the increasing ``radii``; two on one face are an InvalidArgumentError."""
+    js = [int(np.argmin(np.abs(faces - r))) for r in radii]
+    for r, s, i, j in zip(radii, radii[1:], js, js[1:]):
+        if i == j:
+            raise InvalidArgumentError(f"{name} radii {r} and {s} snap onto the same face "
+                                       f"{faces[j]:.6g}; space them wider or raise n_cells")
+    return js
+
+
 def face_ladder(R: float, N: int, jump_radii=()) -> np.ndarray:
     """Faces of a uniform N-cell mesh on [0, R] holding every jump radius.
 
-    Jump radii are snapped onto the nearest interior face (moving it by at
-    most half a cell), so indicator data project onto cells without smearing.
+    Jump radii are snapped onto the nearest interior face (``nearest_faces``
+    over faces 1..N-1, moving it by at most half a cell), so indicator data
+    project onto cells without smearing; two on one face are an error.
 
     Args:
         R: truncation radius, > 0.
@@ -52,18 +64,11 @@ def face_ladder(R: float, N: int, jump_radii=()) -> np.ndarray:
     R = positive_real(R, "truncation radius")
     N = whole_count(N, "cell count", 16)
     faces = np.linspace(0.0, R, N + 1)
-    taken: dict[int, float] = {}
-    for r in sorted(as_reals(jump_radii, "jump radii")):
+    jumps = sorted(as_reals(jump_radii, "jump radii"))
+    for r in jumps:
         if not 0.0 < r < R:
             raise InvalidArgumentError(f"jump radius {r} outside (0, {R})")
-        idx = int(np.argmin(np.abs(faces - r)))
-        idx = min(max(idx, 1), N - 1)
-        if idx in taken:
-            raise InvalidArgumentError(
-                f"N={N} too small to separate jump radii {taken[idx]} and {r}")
-        taken[idx] = r
-    for idx, r in taken.items():
-        faces[idx] = r
+    faces[[j + 1 for j in nearest_faces(faces[1:-1], jumps, "jump")]] = jumps
     if np.any(np.diff(faces) <= 0):
         raise InvalidArgumentError("jump snapping collapsed a cell; increase N")
     return faces

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import importlib.machinery
 import importlib.util
 import itertools
@@ -47,7 +46,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalFailure, RangeError
 from .geometry import (LOG_MAX_GRID, RadialBVDatum, RadialManifold, as_real, instance,
                        monotone_reals, positive_real, real_array, whole_count)
-from .grid import Grid, face_ladder, grid_from_faces, subgrid
+from .grid import Grid, face_ladder, grid_from_faces, nearest_faces, subgrid
 from .operator import DIRICHLET, WeightedOperator, assemble
 
 _LAPACK_DIR = os.path.join(
@@ -324,14 +323,9 @@ def both(first, second):
 
 
 def overflow_safe_radius(manifold: RadialManifold) -> float:
-    """Largest radius whose face area stays within the grid range budget;
-    inf when the budget holds up to r = 1e6 (flat and decaying weights).
-    Bisected once for each of the last 8 manifolds asked about."""
-    return _safe_radius(instance(manifold, RadialManifold))
-
-
-@functools.lru_cache(maxsize=8)  # a driver's wall rule and its walk's ladder both ask
-def _safe_radius(manifold: RadialManifold) -> float:
+    """Largest radius whose face area stays within the grid range budget, bisected
+    on each call; inf when it holds up to r = 1e6 (flat and decaying weights)."""
+    manifold = instance(manifold, RadialManifold)
     def fits(r: float) -> bool:
         return manifold.log_sphere_constant + manifold.log_area(float(r)) <= LOG_MAX_GRID
     if fits(1e6):
@@ -366,11 +360,11 @@ def exhaustion_ladder(manifold: RadialManifold, datum, t: float,
     of each level: level k is ``subgrid(ladder, indices[k])``.  ``datum`` is
     a datum or a nonempty tuple of them, each jump radius a face.  ``radii``
     is a strictly increasing list, or None for ``exhaustion_radii`` at ``t``.
-    Radii snap to the nearest ladder face (reported radii are the snapped
-    ones).  Automatic radii are capped at the overflow-safe radius, and one
-    that snaps onto the face of the one before is dropped; explicit radii
-    raise there instead, and so does a first radius at or inside a datum's
-    last breakpoint, which would truncate it."""
+    Radii go to their nearest ladder face (reported radii are those faces).
+    Automatic radii are capped at the overflow-safe radius, and one that
+    lands on the face of the one before is dropped; explicit radii go by
+    ``nearest_faces``, which raises there, and a first radius at or inside
+    a datum's last breakpoint, which would truncate it, raises too."""
     data = datum if isinstance(datum, tuple) and datum else (datum,)
     outer = max(instance(d, RadialBVDatum).breakpoints[-1][0] for d in data)
     n = instance(controls, SolveControls).n_cells
@@ -395,15 +389,8 @@ def exhaustion_ladder(manifold: RadialManifold, datum, t: float,
         faces.extend(r1 + width * np.arange(1, n_extra + 1))
     ladder = grid_from_faces(manifold, np.asarray(faces))
 
-    indices: list[int] = []
-    for r_prev, r in zip((None, *radii), radii):
-        idx = int(np.argmin(np.abs(ladder.faces - r)))
-        if not indices or idx > indices[-1]:
-            indices.append(idx)
-        elif radii is not planned:
-            raise InvalidArgumentError(
-                f"truncation radii {r_prev} and {r} snap onto the same face "
-                f"{ladder.faces[idx]:.6g}; space them wider or raise n_cells")
+    indices = nearest_faces(ladder.faces, radii, "truncation") if radii is not planned \
+        else sorted({int(np.argmin(np.abs(ladder.faces - r))) for r in radii})
     return ladder, indices
 
 

@@ -159,6 +159,22 @@ def test_blowup_radii_on_one_face_are_exit_2(tmp_path, monkeypatch, t_list, R_li
     assert not (out / "report.json").exists()
 
 
+def test_blowup_radius_on_the_balls_face_is_exit_2(tmp_path, monkeypatch):
+    # 64 cells fill the wall at 4 a sixteenth apart, so R_list[0] = 1.01 sits
+    # nearest r0's own face; it was read there as a row R = 1 with nothing said
+    monkeypatch.setattr(heatlab.solver, "dpttrf", None)
+    payload = {"experiment": "blowup", "manifold": {"family": "euclidean", "dimension": 3},
+               "r0": 1.0, "t_list": [0.05], "R_list": [1.01, 2.0],
+               "controls": {"n_cells": 16, "step_tol": 1e-6}}
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, "b.json", payload), str(out)) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "InvalidArgumentError"
+    assert err["message"] == ("R_list radius 1.01 snaps onto the face 1, not beyond "
+                              "r0=1.0; space it wider or raise n_cells")
+    assert not (out / "report.json").exists()
+
+
 def test_range_overflow_is_exit_3(tmp_path):
     cfg = write_config(tmp_path, "blow.json", {
         "experiment": "blowup",
@@ -251,7 +267,7 @@ def test_blowup_multi_time_artifacts(tmp_path):
     assert report["files"] == ["blowup_t0.csv", "blowup_t1.csv", "blowup_t2.csv"]
     for name in report["files"]:
         header = (out / name).read_bytes().split(b"\r\n")[0].decode()
-        assert header == "R,TV_R,q_at_Rmax"
+        assert header == "R,TV_R,q_R"
 
 
 def test_completeness_cli(tmp_path):

@@ -13,6 +13,7 @@ from heatlab import (
     grid_from_faces,
     subgrid,
 )
+from heatlab.grid import face_ladder, nearest_faces
 
 
 def test_uniform_grid_shape(euclid3):
@@ -65,6 +66,33 @@ def test_jump_snapping_rejects_collisions(euclid3):
         build_grid(euclid3, 4.0, 20, jump_radii=(1.0, 1.01))
     with pytest.raises(InvalidArgumentError):
         build_grid(euclid3, 4.0, 64, jump_radii=(4.5,))
+
+
+def test_nearest_faces_is_one_rule_for_every_radius():
+    faces = np.linspace(0.0, 4.0, 17)  # a quarter apart
+    assert nearest_faces(faces, (0.1, 1.1, 2.2, 3.99), "R_list") == [0, 4, 9, 16]
+    assert nearest_faces(faces, (), "R_list") == []
+    with pytest.raises(InvalidArgumentError) as err:
+        nearest_faces(faces, [2.0, 2.05, 3.0], "truncation")
+    assert str(err.value) == ("truncation radii 2.0 and 2.05 snap onto the same face 2; "
+                              "space them wider or raise n_cells")
+
+
+def test_jump_radii_take_the_nearest_interior_face():
+    # a jump radius goes where the nearest face clamped to 1..N-1 put it,
+    # and two on one interior face are refused by the same rule
+    R, N = 4.0, 16
+    jumps = (0.05, 1.12, 3.99)
+    uniform = np.linspace(0.0, R, N + 1)
+    placed = [min(max(int(np.argmin(np.abs(uniform - r))), 1), N - 1) for r in jumps]
+    faces = face_ladder(R, N, jumps)
+    assert placed == [1, 4, 15]
+    assert [float(faces[j]) for j in placed] == list(jumps)
+    assert np.array_equal(np.delete(faces, placed), np.delete(uniform, placed))
+    with pytest.raises(InvalidArgumentError) as err:
+        face_ladder(R, N, (0.01, 0.2))
+    assert str(err.value) == ("jump radii 0.01 and 0.2 snap onto the same face 0.25; "
+                              "space them wider or raise n_cells")
 
 
 def test_face_index_rejects_non_faces(euclid3):

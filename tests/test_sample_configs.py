@@ -11,7 +11,9 @@ report's check rows alone.  A moved digest fails naming each value that
 moved against the pinned report (``conftest.describe_moves``).
 
 Run as a script, this module re-pins the digests and the reports from every
-sample config as it runs here, and prints what moved:
+sample config as it runs here, and prints what moved; it writes nothing and
+exits 1 where a run's exit code, verdict or finding is not its row's in
+``SAMPLES`` (``repin``):
 
     PYTHONPATH=src python tests/test_sample_configs.py
 """
@@ -332,21 +334,61 @@ def test_a_moved_digit_names_its_row_and_both_values(sample_run, tmp_path):
         f"(relative change {abs(new - old) / abs(old):.3g})")
 
 
-if __name__ == "__main__":
-    # re-pin the digests and the reports from every sample config as it runs
-    # here, and print each value that moved against the reports pinned before
-    SAMPLE_REPORTS.mkdir(exist_ok=True)
+def repin(configs, reports: Path = SAMPLE_REPORTS, digests: Path = SAMPLE_DIGESTS) -> int:
+    """Re-pin the digests and the reports of ``configs`` as they run here, and
+    print each value that moved against the reports pinned before.  A re-pin
+    cannot move a decision: where a run's exit code, verdict or finding is
+    not its row's in ``SAMPLES``, it prints those samples and returns 1 with
+    nothing written."""
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {}
-        for config in sorted((ROOT / "configs").glob("*.json")):
-            out = Path(tmp) / config.stem
+        outs, wrong = {}, []
+        for config in configs:
+            out = outs[config.stem] = Path(tmp) / config.stem
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                run(str(config), str(out), threads=1)
-            digests[config.stem] = output_digests(out)
-            moves = describe_moves(config.stem, out)
-            print(f"{config.stem}: {'moved' if moves else 'unchanged'}")
+                code = run(str(config), str(out), threads=1)
+            record = json.loads(run_record(out).read_text())
+            ran = (code, record.get("verdict"), record.get("finding", record.get("error")))
+            if ran != SAMPLES.get(config.stem, ())[:3]:
+                wrong.append(f"{config.stem}: ran {ran}, SAMPLES reads "
+                             f"{SAMPLES.get(config.stem, ())[:3]}")
+        if wrong:
+            print("a re-pin cannot move a decision; nothing written", *wrong, sep="\n")
+            return 1
+        reports.mkdir(exist_ok=True)
+        pinned = json.loads(digests.read_text()) if digests.exists() else {}
+        for name, out in outs.items():
+            pinned[name] = output_digests(out)
+            moves = describe_moves(name, out)
+            print(f"{name}: {'moved' if moves else 'unchanged'}")
             if moves:
                 print(moves)
-            shutil.copyfile(run_record(out), SAMPLE_REPORTS / f"{config.stem}.json")
-    SAMPLE_DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+            shutil.copyfile(run_record(out), reports / f"{name}.json")
+    digests.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+def test_a_repin_that_moves_a_decision_writes_nothing(tmp_path, monkeypatch, capsys):
+    # one planted wrong verdict in SAMPLES: the re-pin names that sample and
+    # leaves the reports and the digests as they were; with SAMPLES right it
+    # writes the run's report and digests
+    reports, digests = tmp_path / "reports", tmp_path / "digests.json"
+    shutil.copytree(SAMPLE_REPORTS, reports)
+    shutil.copyfile(SAMPLE_DIGESTS, digests)
+    before = {p.name: p.read_bytes() for p in (*reports.iterdir(), digests)}
+    (reports / "comparison.json").write_text("{}")
+    before["comparison.json"] = b"{}"
+    config = ROOT / "configs" / "comparison.json"
+    monkeypatch.setitem(SAMPLES, "comparison", (0, "refutes", *SAMPLES["comparison"][2:]))
+    assert repin([config], reports, digests) == 1
+    assert "comparison: ran (0, 'confirms', 'barrier dominates')" in capsys.readouterr().out
+    assert {p.name: p.read_bytes() for p in (*reports.iterdir(), digests)} == before
+    monkeypatch.undo()
+    assert repin([config], reports, digests) == 0
+    assert (reports / "comparison.json").read_bytes() == \
+        (SAMPLE_REPORTS / "comparison.json").read_bytes()
+    assert digests.read_bytes() == SAMPLE_DIGESTS.read_bytes()
+
+
+if __name__ == "__main__":
+    sys.exit(repin(sorted((ROOT / "configs").glob("*.json"))))

@@ -1,6 +1,7 @@
 """Time stepping: accuracy against an independent kernel, structure, replay."""
 
 import contextlib
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -605,6 +606,23 @@ def test_safe_radius_bisection_stops_when_the_bracket_closes(manifold, monkeypat
     monkeypatch.setattr(manifold, "log_area", counting)
     assert overflow_safe_radius(manifold) == full
     assert calls[0] <= 80
+
+
+def test_each_ask_for_the_safe_radius_bisects(pe4, monkeypatch):
+    # no cache: a plain function, which perfbench's spans wrap and count,
+    # and two asks about one manifold bisect twice to one radius
+    assert inspect.isfunction(overflow_safe_radius)
+    calls = [0]
+    log_area = pe4.log_area
+
+    def counting(r):
+        calls[0] += 1
+        return log_area(r)
+
+    monkeypatch.setattr(pe4, "log_area", counting)
+    first = overflow_safe_radius(pe4)
+    once = calls[0]
+    assert overflow_safe_radius(pe4) == first and calls[0] == 2 * once > 2
 
 
 def test_exhaustion_probes_grow_with_radius(euclid3, monkeypatch):
